@@ -2,15 +2,23 @@
 """Large-N scaling benchmark (``BENCH_scale.json``).
 
 A problem × ranks × components grid of SISC runs, each executed by up
-to three engines:
+to two engines:
 
-* ``legacy``   — the reference event-driven solver on the pre-PR flat
-  binary heap (:class:`repro.des.LegacyEventQueue`): the baseline the
-  acceptance criteria measure against;
-* ``indexed``  — the same solver on the bucket-indexed
-  :class:`repro.des.EventQueue` (O(1) same-time batch dispatch);
+* ``event``    — the reference event-driven solver on the DES kernel
+  (:class:`repro.des.Simulator` over the flat-heap
+  :class:`repro.des.EventQueue`): the baseline every gate is taken
+  against;
 * ``lockstep`` — :func:`repro.models.run_sisc_batched`, the rank-batched
   round replay that dispatches no per-rank events at all.
+
+Until PR 12 the ``event`` rung ran twice, on a ``legacy`` flat heap and
+on a bucket-``indexed`` queue.  The committed PR-6 ``BENCH_scale.json``
+had ``indexed`` slower than ``legacy`` on five of the seven rows that
+ran both (6.80 vs 6.32 s, 1.28 vs 1.10 s, 5.17 vs 4.82 s, 0.354 vs
+0.320 s, 19.07 vs 19.06 s) and within 5 % on the other two, and
+``bench/README.md`` finding 1 has it 1.5-2x slower per queue operation
+at Figure 5's shape — so the indexed queue and its rung were deleted;
+the 48-57x the ladder reports is, and always was, lockstep-vs-event.
 
 The problem axis covers the synthetic activity-concentration workload
 *and* the real Brusselator PDE (rank-batched Newton sweeps through
@@ -42,13 +50,12 @@ Run directly (not under pytest)::
 
 ``--check`` enforces three gates:
 
-* lockstep >= 10x *legacy* events/sec at the scheduler-bound synthetic
+* lockstep >= 10x *event* events/sec at the scheduler-bound synthetic
   point (the 1024-rank synthetic entry with the smallest per-rank
   blocks — the regime the lockstep replay optimises);
-* lockstep >= 5x *indexed* events/sec at the 1024-rank Brusselator
-  point (tiny per-rank blocks, so the gate measures the rank-batched
-  replay against the best event-driven scheduler, not the Newton
-  kernel);
+* lockstep >= 5x *event* events/sec at the 1024-rank Brusselator point
+  (tiny per-rank blocks, so the gate measures the rank-batched replay
+  against the event-driven scheduler, not the Newton kernel);
 * process peak RSS after every lockstep row stays under
   :data:`MEMORY_BUDGET_BYTES` — the rank-batched global state must not
   blow up the memory profile the lockstep replay exists to avoid.
@@ -71,13 +78,13 @@ from typing import Any
 from repro.analysis.perf import BenchReport, BenchResult, run_fingerprint
 from repro.core.records import RunResult
 from repro.core.solver import build_chain
-from repro.des import Barrier, LegacyEventQueue
+from repro.des import Barrier
 from repro.models import run_sisc_batched
 from repro.models.sisc import _sisc_process
 from repro.runtime.memory import peak_rss_bytes
 from repro.workloads import ScaleScenario
 
-ALL_ENGINES: tuple[str, ...] = ("legacy", "indexed", "lockstep")
+ALL_ENGINES: tuple[str, ...] = ("event", "lockstep")
 
 #: Process peak-RSS ceiling asserted (under ``--check``) after every
 #: lockstep row.  The largest rank-batched state on the grid is the
@@ -132,9 +139,7 @@ def _config(scenario: ScaleScenario, rounds: int):
     return replace(scenario.solver_config(), max_iterations=rounds)
 
 
-def run_reference(
-    scenario: ScaleScenario, rounds: int, *, legacy_queue: bool
-) -> tuple[RunResult, int]:
+def run_event(scenario: ScaleScenario, rounds: int) -> tuple[RunResult, int]:
     """One event-driven SISC run; returns (result, events dispatched)."""
     run = build_chain(
         scenario.problem(),
@@ -142,11 +147,6 @@ def run_reference(
         _config(scenario, rounds),
         model="sisc",
     )
-    if legacy_queue:
-        # Swap before anything is scheduled; build_chain schedules
-        # nothing, which the peek assertion pins down.
-        assert run.sim._queue.peek_time() is None
-        run.sim._queue = LegacyEventQueue()
     barrier = Barrier(run.n_ranks, name="sisc")
     for ctx in run.ranks:
         run.sim.spawn(f"sisc-rank-{ctx.rank}", _sisc_process(run, ctx, barrier))
@@ -181,17 +181,13 @@ def bench_point(
         "rounds": rounds,
     }
 
-    all_engines = {
-        "legacy": lambda: run_reference(scenario, rounds, legacy_queue=True),
-        "indexed": lambda: run_reference(scenario, rounds, legacy_queue=False),
-        "lockstep": lambda: run_lockstep(scenario, rounds),
-    }
+    all_engines = {"event": run_event, "lockstep": run_lockstep}
     engines = {name: all_engines[name] for name in engine_names}
     stats: dict[str, dict[str, Any]] = {}
     fingerprints: dict[str, str] = {}
     for engine, fn in engines.items():
         t0 = time.perf_counter()
-        result, events = fn()
+        result, events = fn(scenario, rounds)
         wall = time.perf_counter() - t0
         fingerprints[engine] = run_fingerprint(result)
         stats[engine] = {
@@ -221,20 +217,14 @@ def bench_point(
             f"{point}: engines disagree — fingerprints {fingerprints}"
         )
     ev = {e: s["events_per_sec"] for e, s in stats.items()}
-    lockstep_ev = ev.get("lockstep")
-    speedup_legacy = (
-        lockstep_ev / ev["legacy"]
-        if lockstep_ev is not None and "legacy" in ev
-        else None
-    )
-    speedup_indexed = (
-        lockstep_ev / ev["indexed"]
-        if lockstep_ev is not None and "indexed" in ev
+    speedup = (
+        ev["lockstep"] / ev["event"]
+        if "lockstep" in ev and "event" in ev
         else None
     )
     parts = [f"{e} {rate:,.0f} ev/s" for e, rate in ev.items()]
-    if speedup_legacy is not None:
-        parts.append(f"({speedup_legacy:.1f}x vs legacy)")
+    if speedup is not None:
+        parts.append(f"({speedup:.1f}x vs event)")
     rss_engine = "lockstep" if "lockstep" in stats else next(iter(stats))
     parts.append(f"rss {stats[rss_engine]['peak_rss_bytes'] / 1e6:,.0f} MB")
     print(f"{point}: " + ", ".join(parts))
@@ -243,8 +233,7 @@ def bench_point(
         "problem": problem,
         "n_ranks": n_ranks,
         "n_components": scenario.n_components,
-        "speedup_vs_legacy": speedup_legacy,
-        "speedup_vs_indexed": speedup_indexed,
+        "speedup_vs_event": speedup,
         "lockstep_peak_rss_bytes": (
             stats["lockstep"]["peak_rss_bytes"] if "lockstep" in stats else None
         ),
@@ -275,37 +264,27 @@ def check(summaries: list[dict[str, Any]]) -> list[str]:
     """
     problems: list[str] = []
 
-    def gated_point(problem: str, speedup_key: str) -> dict[str, Any] | None:
+    for problem, floor in (("synthetic", 10.0), ("brusselator", 5.0)):
         rows = [
             s
             for s in summaries
             if s["problem"] == problem
-            and s[speedup_key] is not None
+            and s["speedup_vs_event"] is not None
             and s["n_ranks"] <= 1024
         ]
         if not rows:
-            return None
+            continue
         top_ranks = max(s["n_ranks"] for s in rows)
-        return min(
+        gated = min(
             (s for s in rows if s["n_ranks"] == top_ranks),
             key=lambda s: s["n_components"],
         )
-
-    gated = gated_point("synthetic", "speedup_vs_legacy")
-    if gated is not None and gated["speedup_vs_legacy"] < 10.0:
-        problems.append(
-            f"{gated['point']}: lockstep only "
-            f"{gated['speedup_vs_legacy']:.1f}x the legacy scheduler's "
-            f"events/sec (expected >= 10x)"
-        )
-
-    gated = gated_point("brusselator", "speedup_vs_indexed")
-    if gated is not None and gated["speedup_vs_indexed"] < 5.0:
-        problems.append(
-            f"{gated['point']}: lockstep only "
-            f"{gated['speedup_vs_indexed']:.1f}x the indexed scheduler's "
-            f"events/sec (expected >= 5x)"
-        )
+        if gated["speedup_vs_event"] < floor:
+            problems.append(
+                f"{gated['point']}: lockstep only "
+                f"{gated['speedup_vs_event']:.1f}x the event-driven "
+                f"scheduler's events/sec (expected >= {floor:g}x)"
+            )
 
     for s in summaries:
         rss = s["lockstep_peak_rss_bytes"]

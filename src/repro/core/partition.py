@@ -31,6 +31,31 @@ class PartitionError(RuntimeError):
     """An invariant of the partition was violated."""
 
 
+def tiling_error(
+    intervals: list[tuple[int, int, str]], n_components: int
+) -> str | None:
+    """Why ``(lo, hi, label)`` intervals fail to tile ``[0, n_components)``.
+
+    The coverage walk shared by :meth:`PartitionRegistry.check` (the
+    registry's own records) and the runtime guard (live blocks, see
+    :func:`repro.guard.invariants.conservation_error`); ``None`` when
+    the intervals tile the index space exactly.  Sorts ``intervals``.
+    """
+    intervals.sort()
+    cursor = 0
+    for lo, hi, label in intervals:
+        if lo != cursor:
+            verb = "lost" if lo > cursor else "duplicated"
+            return (
+                f"component(s) {verb} at index {min(lo, cursor)}: "
+                f"{label} covers [{lo}, {hi}) but the cursor is at {cursor}"
+            )
+        cursor = hi
+    if cursor != n_components:
+        return f"coverage ends at {cursor}, expected {n_components} components"
+    return None
+
+
 @dataclass(slots=True, frozen=True)
 class _InFlight:
     """A contiguous run of components travelling between two ranks."""
@@ -223,19 +248,9 @@ class PartitionRegistry:
                 intervals.append((lo, hi, f"rank {r}"))
         for f in self._in_flight:
             intervals.append((f.lo, f.hi, f"in-flight {f.src}->{f.dst}"))
-        intervals.sort()
-        cursor = 0
-        for lo, hi, label in intervals:
-            if lo != cursor:
-                raise PartitionError(
-                    f"coverage broken at {cursor}: next interval {label} "
-                    f"starts at {lo}"
-                )
-            cursor = hi
-        if cursor != self.n_components:
-            raise PartitionError(
-                f"coverage ends at {cursor}, expected {self.n_components}"
-            )
+        error = tiling_error(intervals, self.n_components)
+        if error is not None:
+            raise PartitionError(error)
         # Rank order: non-empty blocks must be ordered by rank.
         last_hi = 0
         for r in range(self.n_ranks):

@@ -16,14 +16,13 @@ Determinism: simultaneous events are ordered by their scheduling sequence
 number, so a run is a pure function of its inputs (DESIGN.md §7).
 """
 
-from repro.des.event import EventQueue, LegacyEventQueue, ScheduledEvent
+from repro.des.event import EventQueue, ScheduledEvent
 from repro.des.process import Hold, Process, ProcessDied, Signal, Wait
 from repro.des.simulator import Simulator, SimulationError
 from repro.des.sync import Barrier, Mutex
 
 __all__ = [
     "EventQueue",
-    "LegacyEventQueue",
     "ScheduledEvent",
     "Hold",
     "Wait",

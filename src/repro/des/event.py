@@ -1,25 +1,19 @@
 """Event records and the time-ordered event queue.
 
-Two queue implementations share one API and one total order:
+:class:`EventQueue` is a flat binary heap of ``(time, seq, event)``
+entries.  Virtual-time ties are resolved by ``seq``, a monotonically
+increasing scheduling counter, which makes every simulation run
+deterministic: there is no dependence on hash ordering, thread timing
+or allocation addresses.
 
-* :class:`EventQueue` — the default, a *bucket-indexed* queue: a binary
-  heap of **distinct** timestamps plus a dict mapping each timestamp to
-  its bucket of events in scheduling order.  Pushing into an existing
-  timestamp is O(1) (dict hit + list append) and draining a same-time
-  batch costs O(1) per event, so the scheduler stays flat as pending
-  events grow to millions — the heap only sees one entry per distinct
-  time, not one per event.
-* :class:`LegacyEventQueue` — the original flat binary heap keyed by
-  ``(time, seq)``.  Kept as the honest pre-optimisation baseline for
-  ``benchmarks/bench_scale.py`` and as an oracle in the DES tests.
-
-Both resolve virtual-time ties by ``seq``, a monotonically increasing
-scheduling counter, which makes every simulation run deterministic:
-there is no dependence on hash ordering, thread timing or allocation
-addresses.  The bucket-indexed queue preserves the exact ``(time, seq)``
-total order of the legacy heap — buckets are appended in ``seq`` order
-because ``seq`` is assigned at push time — so switching queues is
-bit-invisible to any simulation (fingerprint-pinned in the test suite).
+A bucket-indexed variant (a heap of *distinct* timestamps plus one FIFO
+bucket per timestamp, same ``(time, seq)`` order) was deleted in PR 12
+because it measured slower wherever this repo runs it: 1.03 us against
+0.67 us per ``push_call``+``pop`` and 2.4-2.6 us against 1.2-1.5 us per
+dispatched ``Hold`` (``bench/README.md``, finding 1), and slower on
+five of the seven PR-6 ``BENCH_scale.json`` rows that ran both — AIAC
+ranks run unsynchronised, so timestamps are distinct and there is
+nothing for a bucket to batch.
 
 Hot-path design notes:
 
@@ -29,10 +23,7 @@ Hot-path design notes:
 * Cancelled events are tombstones skipped lazily on pop — but the queue
   counts them, reports only *live* events from ``len()``, and compacts
   itself once tombstones dominate, so a cancel-heavy workload cannot
-  grow the queue without bound.
-* A timestamp whose bucket was fully drained can be re-created by a
-  later push at the same time; the stale heap entry left behind by the
-  first incarnation is skipped lazily (the ``bucket is None`` branch).
+  grow the heap without bound.
 """
 
 from __future__ import annotations
@@ -40,9 +31,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-__all__ = ["ScheduledEvent", "EventQueue", "LegacyEventQueue"]
+__all__ = ["ScheduledEvent", "EventQueue"]
 
-#: Compaction policy: rebuild the queue once more than this many
+#: Compaction policy: rebuild the heap once more than this many
 #: tombstones accumulate *and* they outnumber live events.
 _COMPACT_MIN_CANCELLED = 64
 
@@ -78,7 +69,7 @@ class ScheduledEvent:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._queue: "EventQueue | LegacyEventQueue | None" = None
+        self._queue: "EventQueue | None" = None
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it."""
@@ -94,181 +85,12 @@ class ScheduledEvent:
 
 
 class EventQueue:
-    """Deterministic bucket-indexed priority queue of :class:`ScheduledEvent`.
+    """Deterministic priority queue of :class:`ScheduledEvent`.
 
-    ``_times`` is a heap of distinct timestamps; ``_buckets`` maps each
-    timestamp to its events in scheduling (= ``seq``) order, and
-    ``_heads`` to the index of the first unconsumed event in that
-    bucket.  ``peak_size`` tracks the high-water mark of live events
-    (the ``des.heap_size`` telemetry gauge).
-    """
-
-    __slots__ = (
-        "_times",
-        "_buckets",
-        "_heads",
-        "_count",
-        "_size",
-        "_n_cancelled",
-        "peak_size",
-    )
-
-    def __init__(self) -> None:
-        self._times: list[float] = []
-        self._buckets: dict[float, list[ScheduledEvent]] = {}
-        self._heads: dict[float, int] = {}
-        self._count = 0
-        self._size = 0  # queued events not yet consumed, incl. tombstones
-        self._n_cancelled = 0
-        self.peak_size = 0
-
-    def __len__(self) -> int:
-        """Number of *live* (non-cancelled) events."""
-        return self._size - self._n_cancelled
-
-    def push(self, time: float, callback: Callable[[], Any]) -> ScheduledEvent:
-        """Schedule ``callback()`` at ``time`` and return its event record."""
-        return self.push_call(time, callback, ())
-
-    def push_call(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple[Any, ...],
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at ``time`` (no closure needed)."""
-        seq = self._count
-        self._count = seq + 1
-        event = ScheduledEvent(time, seq, callback, args)
-        event._queue = self
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [event]
-            self._heads[time] = 0
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(event)
-        size = self._size + 1
-        self._size = size
-        live = size - self._n_cancelled
-        if live > self.peak_size:
-            self.peak_size = live
-        return event
-
-    # ------------------------------------------------------------------
-    # Consumption
-    # ------------------------------------------------------------------
-    def _live_head(self) -> ScheduledEvent | None:
-        """Advance to the earliest live event; leave it queued.
-
-        Skips tombstones (decrementing counters), drops exhausted
-        buckets and the stale duplicate heap times a drained-then-
-        re-created bucket leaves behind.
-        """
-        times = self._times
-        buckets = self._buckets
-        heads = self._heads
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if bucket is None:  # stale entry from a drained bucket
-                heapq.heappop(times)
-                continue
-            pos = heads[t]
-            n = len(bucket)
-            while pos < n:
-                event = bucket[pos]
-                if not event.cancelled:
-                    heads[t] = pos
-                    return event
-                bucket[pos] = None  # type: ignore[call-overload]
-                pos += 1
-                self._n_cancelled -= 1
-                self._size -= 1
-            del buckets[t]
-            del heads[t]
-            heapq.heappop(times)
-        return None
-
-    def _consume(self, event: ScheduledEvent) -> ScheduledEvent:
-        """Remove the event returned by :meth:`_live_head` from the queue."""
-        t = event.time
-        bucket = self._buckets[t]
-        pos = self._heads[t] + 1
-        if pos < len(bucket):
-            self._heads[t] = pos
-        else:
-            del self._buckets[t]
-            del self._heads[t]
-            heapq.heappop(self._times)
-        self._size -= 1
-        event._queue = None  # cancel() after pop must not miscount
-        return event
-
-    def pop(self) -> ScheduledEvent | None:
-        """Return the next non-cancelled event, or ``None`` if empty."""
-        event = self._live_head()
-        if event is None:
-            return None
-        return self._consume(event)
-
-    def pop_at(self, time: float) -> ScheduledEvent | None:
-        """Pop the next event only if it fires at exactly ``time``.
-
-        The simulator's batched dispatch uses this to drain all
-        simultaneous events without re-checking its horizon per event;
-        events at later times are left queued and ``None`` is returned.
-        """
-        event = self._live_head()
-        if event is None or event.time != time:
-            return None
-        return self._consume(event)
-
-    def peek_time(self) -> float | None:
-        """Return the time of the next non-cancelled event without popping."""
-        event = self._live_head()
-        return None if event is None else event.time
-
-    # ------------------------------------------------------------------
-    # Tombstone bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        self._n_cancelled += 1
-        n = self._n_cancelled
-        if n > _COMPACT_MIN_CANCELLED and 2 * n > self._size:
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop tombstones and rebuild the time index.
-
-        Removing cancelled entries cannot change the pop order of the
-        survivors — the ``(time, seq)`` key is a total order — so this
-        is invisible to the simulation.
-        """
-        buckets = self._buckets
-        heads = self._heads
-        for t in list(buckets):
-            live = [e for e in buckets[t][heads[t] :] if not e.cancelled]
-            if live:
-                buckets[t] = live
-                heads[t] = 0
-            else:
-                del buckets[t]
-                del heads[t]
-        self._times = list(buckets)
-        heapq.heapify(self._times)
-        self._size = sum(len(b) for b in buckets.values())
-        self._n_cancelled = 0
-
-
-class LegacyEventQueue:
-    """The original flat-heap queue, kept as the pre-optimisation baseline.
-
-    One ``(time, seq, event)`` heap entry per event: every push and pop
-    pays an O(log n_pending) sift.  ``benchmarks/bench_scale.py`` runs
-    the reference simulations against this queue to measure the
-    indexed queue's events/sec honestly, and the DES tests use it as a
-    differential oracle for pop order.
+    One ``(time, seq, event)`` heap entry per event; ``seq`` is unique,
+    so the event itself is never compared.  ``peak_size`` tracks the
+    high-water mark of live events (the ``des.heap_size`` telemetry
+    gauge).
     """
 
     __slots__ = ("_heap", "_count", "_n_cancelled", "peak_size")
@@ -316,16 +138,24 @@ class LegacyEventQueue:
         return None
 
     def pop_at(self, time: float) -> ScheduledEvent | None:
-        """Pop the next event only if it fires at exactly ``time``."""
+        """Pop the next event only if it fires at exactly ``time``.
+
+        The simulator's batched dispatch uses this to drain all
+        simultaneous events without re-checking its horizon per event;
+        events at later times are left queued and ``None`` is returned.
+        """
         heap = self._heap
         while heap:
-            if heap[0][0] != time:
+            head_time, _, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._n_cancelled -= 1
+            elif head_time != time:
                 return None
-            event = heapq.heappop(heap)[2]
-            if not event.cancelled:
+            else:
+                heapq.heappop(heap)
                 event._queue = None
                 return event
-            self._n_cancelled -= 1
         return None
 
     def peek_time(self) -> float | None:
@@ -350,7 +180,12 @@ class LegacyEventQueue:
             self.compact()
 
     def compact(self) -> None:
-        """Drop tombstones and re-heapify, in place."""
+        """Drop tombstones and re-heapify, in place.
+
+        Removing cancelled entries cannot change the pop order of the
+        survivors — the ``(time, seq)`` key is a total order — so this
+        is invisible to the simulation.
+        """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)

@@ -46,12 +46,8 @@ class Simulator:
     ``t == 1.5``, before ``a``'s at ``t == 2.0``.
     """
 
-    def __init__(self, *, queue: Any = None) -> None:
-        #: ``queue`` swaps the event-queue implementation (the benchmark
-        #: harness passes :class:`~repro.des.event.LegacyEventQueue` to
-        #: measure the pre-optimisation baseline); the default is the
-        #: bucket-indexed :class:`~repro.des.event.EventQueue`.
-        self._queue = queue if queue is not None else EventQueue()
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._stop_requested = False
@@ -68,9 +64,10 @@ class Simulator:
         """Attach a profiler whose ``record(event)`` sees every dispatch.
 
         The profiler observes each event *before* its callback runs; it
-        must not mutate simulation state.  When no profiler is attached
-        (the default) the event loop takes a separate branch with zero
-        per-event overhead.  Returns ``self`` for chaining.
+        must not mutate simulation state.  The slot is read once per
+        :meth:`run`, so attach before running; with nothing attached the
+        loop pays one ``is not None`` test per event.  Returns ``self``
+        for chaining.
         """
         self.profiler = profiler
         return self
@@ -83,8 +80,8 @@ class Simulator:
         profiler, or another monitor — is stored on ``monitor.chain``
         and the monitor is expected to forward ``record(event)`` to it.
         Used by :class:`repro.guard.InvariantMonitor`, which piggybacks
-        on the profiler slot so the observer-off dispatch loop stays
-        bit-identical.  Returns ``self`` for chaining.
+        on the profiler slot so the dispatch loop needs no second hook.
+        Returns ``self`` for chaining.
         """
         monitor.chain = self.profiler
         self.profiler = monitor
@@ -102,13 +99,7 @@ class Simulator:
         self, time: float, callback: Callable[[], Any]
     ) -> ScheduledEvent:
         """Schedule ``callback()`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past: time={time} < now={self._now}"
-            )
-        if not math.isfinite(time):
-            raise ValueError(f"event time must be finite, got {time!r}")
-        return self._queue.push(time, callback)
+        return self.at(time, callback)
 
     def schedule_in(
         self, delay: float, callback: Callable[[], Any]
@@ -123,11 +114,11 @@ class Simulator:
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
-        Like :meth:`schedule_at` but binds arguments without a closure
-        and names the offending callback when ``time`` lies in the past —
-        callers that compute event times (the fault injector, retry
-        timers) get a clear error instead of an event that would silently
-        corrupt the clock's monotonicity.
+        Binds arguments without a closure.  Every scheduling entry point
+        validates here: a time in the past or a non-finite one names the
+        offending callback, so callers that compute event times (the
+        fault injector, retry timers) get a clear error instead of an
+        event that would silently corrupt the clock's monotonicity.
         """
         if time < self._now:
             raise ValueError(
@@ -186,7 +177,7 @@ class Simulator:
         queue = self._queue
         peek_time = queue.peek_time
         pop_at = queue.pop_at
-        profiler = self.profiler
+        record = None if self.profiler is None else self.profiler.record
         try:
             while not self._stop_requested:
                 next_time = peek_time()
@@ -200,36 +191,22 @@ class Simulator:
                 # (still in scheduling order — pop_at preserves the
                 # (time, seq) total order) without re-checking the
                 # horizon per event.  stop() keeps its "stop after the
-                # current event" semantics via the inner check.  The
-                # loop is duplicated so the profiler-off path carries no
-                # per-event branch at all.
+                # current event" semantics via the inner check.
                 event = pop_at(next_time)
                 batch_n = 0
-                if profiler is None:
-                    while event is not None:
-                        batch_n += 1
-                        try:
-                            event.callback(*event.args)
-                        except BaseException as exc:  # noqa: BLE001 - rewrapped below
-                            self._failure = (None, exc)
-                            self._stop_requested = True
-                            break
-                        if self._stop_requested:
-                            break
-                        event = pop_at(next_time)
-                else:
-                    while event is not None:
-                        batch_n += 1
-                        profiler.record(event)
-                        try:
-                            event.callback(*event.args)
-                        except BaseException as exc:  # noqa: BLE001 - rewrapped below
-                            self._failure = (None, exc)
-                            self._stop_requested = True
-                            break
-                        if self._stop_requested:
-                            break
-                        event = pop_at(next_time)
+                while event is not None:
+                    batch_n += 1
+                    if record is not None:
+                        record(event)
+                    try:
+                        event.callback(*event.args)
+                    except BaseException as exc:  # noqa: BLE001 - rewrapped below
+                        self._failure = (None, exc)
+                        self._stop_requested = True
+                        break
+                    if self._stop_requested:
+                        break
+                    event = pop_at(next_time)
                 self.n_dispatched += batch_n
                 self.n_batches += 1
         finally:

@@ -31,8 +31,8 @@ executes instead of trusting them:
   greedy shrinker that reduces failing schedules to minimal
   reproducers written to disk (CLI verb ``repro soak``).
 
-With no monitor attached nothing changes: the dispatch loop keeps its
-observer-off branch and the transport its exact event trace
+With no monitor attached nothing changes: the dispatch loop sees an
+empty observer slot and the transport keeps its exact event trace
 (fingerprint-pinned, like the profiler).  See ``docs/robustness.md``.
 """
 

@@ -14,9 +14,9 @@ spawned.  Two hooks connect it to the run:
   sweep lets the divergence watchdog inspect each fresh residual and
   roll a blowing-up rank back to its checkpoint.
 
-With no monitor attached both hooks vanish: the dispatch loop keeps its
-observer-off branch and the sweep pays one ``is not None`` test, so the
-unguarded path is bit-identical (fingerprint-pinned in the test suite).
+With no monitor attached the dispatch loop and the sweep each pay one
+``is not None`` test, so the unguarded path is bit-identical
+(fingerprint-pinned in the test suite).
 
 Invariant catalogue (see ``docs/robustness.md``)
 ------------------------------------------------
@@ -43,8 +43,9 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.core.partition import PartitionRegistry, tiling_error
 from repro.guard.plausibility import PlausibilityGuard
 from repro.guard.watchdogs import (
     DivergenceGuard,
@@ -143,6 +144,62 @@ class GuardConfig:
         )
 
 
+def conservation_error(
+    live: Sequence[tuple[int, int]],
+    n_state: Sequence[int],
+    registry: PartitionRegistry,
+    n_components: int,
+) -> str | None:
+    """Invariant 1: why components are lost or duplicated, else ``None``.
+
+    Per rank, the live block ``live[rank]``, the registry's block and
+    the state-vector length ``n_state[rank]`` must tell the same story;
+    live blocks plus the registry's in-flight migration runs must then
+    tile ``[0, n_components)``.
+    """
+    intervals: list[tuple[int, int, str]] = []
+    for rank, (lo, hi) in enumerate(live):
+        reg_lo, reg_hi = registry.block(rank)
+        if (lo, hi) != (reg_lo, reg_hi):
+            return (
+                f"rank {rank} live block [{lo}, {hi}) disagrees with "
+                f"registry [{reg_lo}, {reg_hi})"
+            )
+        if n_state[rank] != hi - lo:
+            return (
+                f"rank {rank} holds {n_state[rank]} components in state "
+                f"but owns [{lo}, {hi})"
+            )
+        if lo < hi:
+            intervals.append((lo, hi, f"rank {rank}"))
+    for lo, hi, src, dst in registry.in_flight_runs():
+        intervals.append((lo, hi, f"in-flight {src}->{dst}"))
+    return tiling_error(intervals, n_components)
+
+
+def judge_halt(
+    declared: bool, residual: float, tolerance: float, slack: float
+) -> tuple[dict[str, Any], str | None]:
+    """Invariant 4: the halt verdict, and why it is premature (or ``None``).
+
+    A declared convergence is wrong when the true global residual is
+    not within ``tolerance * slack`` (a NaN residual is never within).
+    """
+    verdict = {
+        "declared_converged": bool(declared),
+        "true_residual": residual,
+        "tolerance": tolerance,
+        "halt_slack": slack,
+    }
+    if declared and not residual <= tolerance * slack:
+        return verdict, (
+            f"premature termination: convergence was declared but the "
+            f"true global residual is {residual:.6e} "
+            f"(tolerance {tolerance:.1e}, slack x{slack:g})"
+        )
+    return verdict, None
+
+
 class InvariantMonitor:
     """Continuously checks the safety invariants of one chain run."""
 
@@ -173,6 +230,9 @@ class InvariantMonitor:
         self.run = run
         run.guard = self
         run.sim.attach_monitor(self)
+        # Count this run from zero: a lockstep replay that fell back
+        # here has already advanced the cadence (replay_events).
+        self.events_seen = self.checks_run = 0
         # Seed rollback points so the divergence watchdog can restore
         # even on the lossless fast path (an injector, attached before
         # or after, re-seeds its own — both snapshot the same bounds).
@@ -196,6 +256,23 @@ class InvariantMonitor:
         self.events_seen += 1
         if self.events_seen % self.config.check_every == 0:
             self.check_invariants()
+
+    def replay_events(self, events: int, check: Callable[[], None]) -> None:
+        """Count ``events`` dispatches a lockstep replay collapsed.
+
+        Advances the cadence exactly as that many :meth:`record` calls
+        would: ``checks_run`` grows by the ``check_every`` boundaries
+        crossed.  ``check`` (the replay's conservation check over its
+        batched state, which no collapsed event changes) runs once if
+        any boundary was crossed — one run gives the verdict of all.
+        """
+        every = self.config.check_every
+        before = self.events_seen
+        self.events_seen = before + events
+        checks = self.events_seen // every - before // every
+        if checks:
+            self.checks_run += checks
+            check()
 
     # ------------------------------------------------------------------
     # Sweep hook (divergence watchdog; called from ChainRun.sweep)
@@ -238,49 +315,23 @@ class InvariantMonitor:
         self._check_checkpoint_ownership(run)
         self._check_sequence_monotonicity(run)
 
-    def _fail(self, message: str) -> None:
-        run = self.run
-        at = f" at t={run.sim.now:.6g}" if run is not None else ""
+    def _fail(self, message: str, now: float | None = None) -> None:
+        if now is None and self.run is not None:
+            now = self.run.sim.now
+        at = f" at t={now:.6g}" if now is not None else ""
         raise InvariantViolation(f"invariant violated{at}: {message}")
 
     def _check_conservation(self, run: "ChainRun") -> None:
         """Invariant 1: components tile [0, n) with no loss or overlap."""
         problem = run.problem
-        registry = run.partition
-        intervals: list[tuple[int, int, str]] = []
-        for ctx in run.ranks:
-            reg_lo, reg_hi = registry.block(ctx.rank)
-            if (ctx.lo, ctx.hi) != (reg_lo, reg_hi):
-                self._fail(
-                    f"rank {ctx.rank} live block [{ctx.lo}, {ctx.hi}) "
-                    f"disagrees with registry [{reg_lo}, {reg_hi})"
-                )
-            n_state = problem.n_local(ctx.state)
-            if n_state != ctx.hi - ctx.lo:
-                self._fail(
-                    f"rank {ctx.rank} holds {n_state} components in state "
-                    f"but owns [{ctx.lo}, {ctx.hi})"
-                )
-            if ctx.lo < ctx.hi:
-                intervals.append((ctx.lo, ctx.hi, f"rank {ctx.rank}"))
-        for lo, hi, src, dst in registry.in_flight_runs():
-            intervals.append((lo, hi, f"in-flight {src}->{dst}"))
-        intervals.sort()
-        cursor = 0
-        for lo, hi, label in intervals:
-            if lo != cursor:
-                verb = "lost" if lo > cursor else "duplicated"
-                self._fail(
-                    f"component(s) {verb} at index {min(lo, cursor)}: "
-                    f"{label} covers [{lo}, {hi}) but the cursor is at "
-                    f"{cursor}"
-                )
-            cursor = hi
-        if cursor != problem.n_components:
-            self._fail(
-                f"coverage ends at {cursor}, expected "
-                f"{problem.n_components} components"
-            )
+        error = conservation_error(
+            [(ctx.lo, ctx.hi) for ctx in run.ranks],
+            [problem.n_local(ctx.state) for ctx in run.ranks],
+            run.partition,
+            problem.n_components,
+        )
+        if error is not None:
+            self._fail(error)
 
     def _check_checkpoint_ownership(self, run: "ChainRun") -> None:
         """Invariant 3 (+ the crashed-rank half of invariant 1)."""
@@ -395,6 +446,7 @@ class InvariantMonitor:
         if self.run is None and self._lockstep_verify is not None:
             # Guarded lockstep replay: the engine verifies its own
             # batched final state (same invariants, same bound).
+            self.checks_run += 1
             return self._lockstep_verify()
         run = self.run
         assert run is not None
@@ -407,20 +459,12 @@ class InvariantMonitor:
         slack = self.config.halt_slack
         if run.injector is not None:
             slack *= 1 + run.injector.resilience.max_halo_staleness
-        verdict = {
-            "declared_converged": bool(declared),
-            "true_residual": residual,
-            "tolerance": tolerance,
-            "halt_slack": slack,
-        }
-        self.halt_verdict = verdict
-        if declared and not residual <= tolerance * slack:
-            self._fail(
-                f"premature termination: convergence was declared but the "
-                f"true global residual is {residual:.6e} "
-                f"(tolerance {tolerance:.1e}, slack x{slack:g})"
-            )
-        return verdict
+        self.halt_verdict, error = judge_halt(
+            declared, residual, tolerance, slack
+        )
+        if error is not None:
+            self._fail(error)
+        return self.halt_verdict
 
     # ------------------------------------------------------------------
     # Stall watchdog (periodic virtual-time event)

@@ -319,47 +319,21 @@ class _LockstepEngine:
     # Guard hooks (InvariantMonitor compatibility, lockstep-native)
     # ------------------------------------------------------------------
     def _guard_conservation(self) -> None:
-        from repro.guard.invariants import InvariantViolation
+        from repro.guard.invariants import conservation_error
 
-        counts = self.sweeper.component_counts()
-        cursor = 0
-        for rank, (lo, hi) in enumerate(self.blocks):
-            reg = self.partition.block(rank)
-            if reg != (lo, hi):
-                raise InvariantViolation(
-                    f"invariant violated at t={self.now:.6g}: rank {rank} "
-                    f"block {(lo, hi)} disagrees with registry {reg}"
-                )
-            if int(counts[rank]) != hi - lo:
-                raise InvariantViolation(
-                    f"invariant violated at t={self.now:.6g}: rank {rank} "
-                    f"holds {int(counts[rank])} components but owns "
-                    f"[{lo}, {hi})"
-                )
-            if lo != cursor:
-                raise InvariantViolation(
-                    f"invariant violated at t={self.now:.6g}: component(s) "
-                    f"lost or duplicated at index {min(lo, cursor)}"
-                )
-            cursor = hi
-        if cursor != self.problem.n_components:
-            raise InvariantViolation(
-                f"invariant violated at t={self.now:.6g}: coverage ends at "
-                f"{cursor}, expected {self.problem.n_components} components"
-            )
+        error = conservation_error(
+            self.blocks,
+            self.sweeper.component_counts(),
+            self.partition,
+            self.problem.n_components,
+        )
+        if error is not None:
+            self.guard._fail(error, self.now)
 
     def _guard_events(self, events: int) -> None:
         """Advance the guard's event counter at the reference cadence."""
-        guard = self.guard
-        if guard is None:
-            return
-        before = guard.events_seen
-        guard.events_seen = before + events
-        every = guard.config.check_every
-        checks = guard.events_seen // every - before // every
-        if checks:
-            guard.checks_run += checks
-            self._guard_conservation()
+        if self.guard is not None:
+            self.guard.replay_events(events, self._guard_conservation)
 
     def _guard_divergence(self, residual: np.ndarray, idx: np.ndarray) -> bool:
         """Mirror the divergence watchdog for ranks ``idx`` this round.
@@ -392,7 +366,7 @@ class _LockstepEngine:
         return self._g_diverged
 
     def _guard_verify_halt(self) -> dict[str, Any]:
-        """Native halt verification; installed as ``guard.verify_halt``.
+        """Native halt verification; installed as ``guard._lockstep_verify``.
 
         Same contract as :meth:`repro.guard.InvariantMonitor.
         verify_halt`: re-check conservation on the final batched state,
@@ -400,37 +374,18 @@ class _LockstepEngine:
         """
         guard = self.guard
         assert guard is not None
-        from repro.guard.invariants import InvariantViolation
+        from repro.guard.invariants import judge_halt
 
         self._guard_conservation()
-        guard.checks_run += 1
-        residual = self.sweeper.probe_residual()
-        tolerance = self.config.tolerance
-        slack = guard.config.halt_slack
-        verdict = {
-            "declared_converged": bool(self.converged),
-            "true_residual": residual,
-            "tolerance": tolerance,
-            "halt_slack": slack,
-        }
-        guard.halt_verdict = verdict
-        if self.converged and not residual <= tolerance * slack:
-            raise InvariantViolation(
-                f"invariant violated at t={self.now:.6g}: premature "
-                f"termination: convergence was declared but the true global "
-                f"residual is {residual:.6e} (tolerance {tolerance:.1e}, "
-                f"slack x{slack:g})"
-            )
-        return verdict
-
-    def _guard_reset(self) -> None:
-        """Undo mirror bookkeeping before falling back to the reference."""
-        guard = self.guard
-        if guard is not None:
-            guard.events_seen = 0
-            guard.checks_run = 0
-            guard.halt_verdict = None
-            guard._lockstep_verify = None
+        guard.halt_verdict, error = judge_halt(
+            self.converged,
+            self.sweeper.probe_residual(),
+            self.config.tolerance,
+            guard.config.halt_slack,
+        )
+        if error is not None:
+            guard._fail(error, self.now)
+        return guard.halt_verdict
 
     # ------------------------------------------------------------------
     # Collapsed dispatch keys
@@ -609,7 +564,6 @@ class _LockstepEngine:
 
             # ---- commit this complete round --------------------------
             if self._guard_divergence(residual, all_ranks):
-                self._guard_reset()
                 return None
             net = self.platform.network
             if n > 1:
@@ -800,7 +754,6 @@ class _LockstepEngine:
         T = self.T
         acc = order_end[: stop_pos + 1].astype(np.int64)
         if self._guard_divergence(residual, acc):
-            self._guard_reset()
             return None
         stop_rank = int(order_end[stop_pos])
         t_stop = float(t_se[stop_rank])
@@ -966,7 +919,6 @@ class _LockstepEngine:
         m = t_se <= h
         idx = np.nonzero(m)[0].astype(np.int64)
         if self._guard_divergence(residual, idx):
-            self._guard_reset()
             return None
         self.busy[idx] = (self.busy[idx] + t_se[idx]) - T
         self.iter_counts[idx] += 1

@@ -11,8 +11,8 @@ first: *what is the event loop actually doing* and *when*.
 The profiler never mutates simulation state and draws no randomness, so
 an attached profiler is observationally invisible: the DES event trace
 with and without it is bit-identical (regression-tested).  When no
-profiler is attached the simulator takes its original dispatch loop —
-the off state costs zero per-event work.
+profiler is attached the dispatch loop pays one ``is not None`` test per
+event.
 """
 
 from __future__ import annotations

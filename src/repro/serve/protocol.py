@@ -53,8 +53,12 @@ def _connect(address: str, timeout: float) -> socket.socket:
     if family == "tcp":
         return socket.create_connection(target, timeout=timeout)
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(timeout)
-    sock.connect(target)
+    try:
+        sock.settimeout(timeout)
+        sock.connect(target)
+    except BaseException:
+        sock.close()  # a refused connect must not leak the descriptor
+        raise
     return sock
 
 

@@ -90,3 +90,70 @@ def test_property_equal_times_fifo(items):
         expected = [tag for t, tag in items if t == bucket_time]
         actual = [tag for t, tag in out if t == bucket_time]
         assert actual == expected
+
+
+# One step of a random interleaving.  Times come from a tiny set so
+# equal timestamps and re-pushes at an already drained time are the
+# common case, not the rare one; integers pick a victim among the events
+# pushed so far (live, cancelled or already popped).
+_TIMES = st.sampled_from([0.0, 1.0, 1.5, 2.0])
+_OPS = st.one_of(
+    st.tuples(st.just("push"), _TIMES),
+    st.tuples(st.just("push_call"), _TIMES),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("pop_at"), _TIMES),
+    st.tuples(st.just("peek_time"), st.none()),
+    st.tuples(st.just("compact"), st.none()),
+)
+
+
+@given(st.lists(_OPS, max_size=120))
+def test_property_queue_matches_sorted_list_model(ops):
+    """Any interleaving agrees with a sorted list of live ``(time, seq)``."""
+    q = EventQueue()
+    model = []  # live (time, seq) keys, kept sorted
+    events = []  # every event ever pushed, indexed by seq
+    peak = 0
+    for op, arg in ops:
+        if op in ("push", "push_call"):
+            if op == "push":
+                event = q.push(arg, len)
+            else:
+                event = q.push_call(arg, len, ("xy",))
+                assert event.callback(*event.args) == 2
+            assert (event.time, event.seq) == (arg, len(events))
+            events.append(event)
+            model.append((arg, event.seq))
+            model.sort()
+            peak = max(peak, len(model))
+        elif op == "cancel":
+            if events:
+                victim = events[arg % len(events)]
+                victim.cancel()  # no-op on popped / already cancelled
+                key = (victim.time, victim.seq)
+                if key in model:
+                    model.remove(key)
+        elif op == "pop":
+            event = q.pop()
+            if model:
+                assert (event.time, event.seq) == model.pop(0)
+            else:
+                assert event is None
+        elif op == "pop_at":
+            event = q.pop_at(arg)
+            if model and model[0][0] == arg:
+                assert (event.time, event.seq) == model.pop(0)
+            else:
+                assert event is None
+        elif op == "peek_time":
+            assert q.peek_time() == (model[0][0] if model else None)
+        else:
+            q.compact()
+        assert len(q) == len(model)
+        assert q.peak_size == peak
+    drained = []
+    while (event := q.pop()) is not None:
+        assert not event.cancelled
+        drained.append((event.time, event.seq))
+    assert drained == model

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.des import Hold, Signal, Simulator, SimulationError, Wait
+from repro.guard import GuardConfig, InvariantMonitor
+from repro.obs.profile import SimProfiler
 
 
 def test_hold_advances_clock():
@@ -378,3 +380,70 @@ def test_profiled_run_matches_unprofiled_run():
     assert plain_log == prof_log
     assert sim1.now == sim2.now
     assert counter.n > 0
+
+
+# ----------------------------------------------------------------------
+# One dispatch loop, whatever sits in the observer slot
+# ----------------------------------------------------------------------
+def _observed_run(observer, *, until=None, poison=None):
+    """Run one fixed process set; return what the loop did and saw."""
+    sim = Simulator()
+    profiler = monitor = None
+    if observer != "none":
+        profiler = SimProfiler()
+        sim.attach_profiler(profiler)
+    if observer == "monitor+profiler":
+        # No ChainRun behind this simulator: count and forward only.
+        monitor = InvariantMonitor(GuardConfig(check_every=10**9))
+        sim.attach_monitor(monitor)
+        assert monitor.chain is profiler
+    log = []
+
+    def proc(sim, label, period, n):
+        for _ in range(n):
+            yield Hold(period)
+            log.append((sim.now, label))
+
+    sim.spawn("a", proc(sim, "a", 1.0, 6))
+    sim.spawn("b", proc(sim, "b", 1.5, 4))  # ties with "a" at t = 3, 6
+    sim.at(2.0, log.append, (2.0, "at"))
+    if poison is not None:
+        sim.at(poison, lambda: 1 / 0)
+    if until is None:
+        # stop() from inside a callback, with same-time events behind it.
+        sim.at(4.5, lambda: (log.append((sim.now, "stop")), sim.stop()))
+        sim.at(4.5, log.append, (4.5, "after-stop"))
+    error = None
+    try:
+        sim.run(until=until)
+    except SimulationError as exc:
+        error = exc
+    seen = None if profiler is None else profiler.n_dispatched
+    if monitor is not None:
+        assert monitor.events_seen == seen
+    return log, sim.n_dispatched, sim.n_batches, sim.now, seen, error
+
+
+@pytest.mark.parametrize("observer", ["none", "profiler", "monitor+profiler"])
+def test_dispatch_loop_is_the_same_under_every_observer(observer):
+    log, n_dispatched, n_batches, now, seen, error = _observed_run(observer)
+    assert error is None
+    # "b" (scheduled at t = 1.5) resumes before "a" (scheduled at t = 2)
+    # at the t = 3 tie; stop() halts after its own event, so the
+    # same-time event queued behind it never fires.
+    assert log == [
+        (1.0, "a"), (1.5, "b"), (2.0, "at"), (2.0, "a"),
+        (3.0, "b"), (3.0, "a"), (4.0, "a"), (4.5, "stop"),
+    ]  # fmt: skip
+    assert (n_dispatched, n_batches, now) == (10, 7, 4.5)
+    assert seen in (None, n_dispatched)  # the observer saw every dispatch
+
+    # A raising callback aborts the run as SimulationError, after the
+    # observer has seen the event that raised.
+    log, n_dispatched, _, now, seen, error = _observed_run(
+        observer, until=10.0, poison=2.5
+    )
+    assert isinstance(error, SimulationError)
+    assert isinstance(error.__cause__, ZeroDivisionError)
+    assert log[-1] == (2.0, "a") and now == 2.5
+    assert seen in (None, n_dispatched)

@@ -59,14 +59,15 @@ def test_serial_map_preserves_submission_order():
 
 
 def test_pool_map_merges_in_submission_order():
-    engine = SweepEngine(jobs=2)
-    results = engine.map(tasks_for(slow_square))
+    with SweepEngine(jobs=2) as engine:
+        results = engine.map(tasks_for(slow_square))
     assert results == [{"x": i, "sq": i * i} for i in range(3)]
 
 
 def test_serial_and_pool_payloads_identical():
     serial = SweepEngine().map(tasks_for(messy_payload))
-    pooled = SweepEngine(jobs=2).map(tasks_for(messy_payload))
+    with SweepEngine(jobs=2) as engine:
+        pooled = engine.map(tasks_for(messy_payload))
     assert serial == pooled
     # Canonicalised: tuples became lists on every path.
     assert serial[0] == {"a": 0, "b": [0, 1]}
@@ -87,8 +88,9 @@ def test_non_json_payload_raises_on_every_path():
 def test_task_error_propagates_serial_and_pool():
     with pytest.raises(RuntimeError, match="exploded"):
         SweepEngine().map(tasks_for(boom))
-    with pytest.raises(RuntimeError, match="exploded"):
-        SweepEngine(jobs=2).map(tasks_for(boom))
+    with SweepEngine(jobs=2) as engine:
+        with pytest.raises(RuntimeError, match="exploded"):
+            engine.map(tasks_for(boom))
 
 
 def test_jobs_must_be_positive():
@@ -181,6 +183,7 @@ def test_close_is_idempotent():
         {"x": i, "sq": i * i} for i in range(3)
     ]
     assert engine.stats.pool_starts == 2
+    engine.close()
 
 
 def test_maybe_reap_tears_down_idle_pool_only():

@@ -17,8 +17,8 @@ def run_three_ways(tmp_path, run):
     """serial / jobs=2+cold-cache / warm-cache reports for one sweep."""
     cache_dir = str(tmp_path / "cache")
     serial = run(SweepEngine())
-    cold_engine = SweepEngine(jobs=2, cache=RunCache(cache_dir))
-    cold = run(cold_engine)
+    with SweepEngine(jobs=2, cache=RunCache(cache_dir)) as cold_engine:
+        cold = run(cold_engine)
     warm_engine = SweepEngine(cache=RunCache(cache_dir))
     warm = run(warm_engine)
     assert cold_engine.stats.misses == cold_engine.stats.tasks

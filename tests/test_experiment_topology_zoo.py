@@ -45,7 +45,8 @@ def test_digest_is_reproducible_across_runs():
 def test_parallel_and_cached_runs_match_serial(tmp_path):
     scenario = _tiny()
     serial = run_topology_zoo(scenario)
-    parallel = run_topology_zoo(scenario, engine=SweepEngine(jobs=2))
+    with SweepEngine(jobs=2) as engine:
+        parallel = run_topology_zoo(scenario, engine=engine)
     assert parallel.digest() == serial.digest()
     cache = RunCache(str(tmp_path / "cache"))
     cold_engine = SweepEngine(cache=cache)

@@ -1,6 +1,7 @@
 """repro.guard.soak: schedule generation, shrinking, the soak harness."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,7 +185,7 @@ def test_soak_catches_seeded_conservation_bug(tmp_path, monkeypatch):
     assert failure["minimized_faults"] == ["HostCrash"]
     repro_path = failure["repro_path"]
     assert repro_path is not None
-    payload = json.loads(open(repro_path).read())
+    payload = json.loads(Path(repro_path).read_text())
     assert payload["schema"] == "repro-guard-repro/1"
     assert [f["type"] for f in payload["minimized"]["faults"]] == [
         "host_crash"

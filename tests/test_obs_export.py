@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 from repro.obs.export import (
     METRICS_SCHEMA,
@@ -115,7 +116,7 @@ def test_write_chrome_trace_accepts_prepared_events(tmp_path):
     ]
     path = str(tmp_path / "trace.json")
     assert write_chrome_trace(path, events) == 2
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert [e["name"] for e in doc["traceEvents"]] == ["a", "b"]
 
 
@@ -140,7 +141,7 @@ def test_write_metrics_jsonl_roundtrip(tmp_path):
     ]
     path = str(tmp_path / "m.jsonl")
     digest = write_metrics_jsonl(path, records)
-    text = open(path).read()
+    text = Path(path).read_text()
     lines = text.strip().split("\n")
     assert len(lines) == 3
     assert json.loads(lines[0])["digest"] == digest

@@ -10,6 +10,7 @@ The two load-bearing guarantees:
 """
 
 import json
+from pathlib import Path
 
 from repro.obs import MetricsSidecar, SimProfiler, run_observed
 from repro.obs.harness import collect_result_metrics
@@ -89,7 +90,7 @@ def test_sidecar_accumulates_and_digests(tmp_path):
     assert sidecar.n_runs == 2
     path = str(tmp_path / "m.jsonl")
     digest = sidecar.write(path, {"experiment": "test"})
-    head = json.loads(open(path).readline())
+    head = json.loads(Path(path).read_text().splitlines()[0])
     assert head["digest"] == digest == sidecar.digest()
     assert head["n_runs"] == 2
 
@@ -107,7 +108,8 @@ def test_run_observed_figure5_is_reproducible(tmp_path):
     obs1.write(p1)
     obs2.write(p2)
     assert (
-        open(p1 + ".metrics.jsonl").read() == open(p2 + ".metrics.jsonl").read()
+        Path(p1 + ".metrics.jsonl").read_text()
+        == Path(p2 + ".metrics.jsonl").read_text()
     )
 
 
@@ -119,7 +121,7 @@ def test_run_observed_emits_trace_and_profile(tmp_path):
     written = obs.write(str(tmp_path / "obs"))
     trace_path = str(tmp_path / "obs.trace.json")
     assert trace_path in written
-    doc = json.loads(open(trace_path).read())
+    doc = json.loads(Path(trace_path).read_text())
     assert doc["metadata"]["experiment"] == "figure5"
     assert len(doc["traceEvents"]) > 0
     # The profiled run contributed sim.* series to the sidecar.
@@ -157,7 +159,7 @@ def test_sidecar_scale_telemetry_header(tmp_path):
 
     path = str(tmp_path / "m.metrics.jsonl")
     sidecar.write(path, {"experiment": "x"})
-    header = json.loads(open(path).readline())
+    header = json.loads(Path(path).read_text().splitlines()[0])
     assert header["des.heap_size_peak"] == 9.0
     assert header["experiment"] == "x"
     assert header["peak_rss_bytes"] > 0

@@ -20,6 +20,7 @@ down:
 """
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -323,11 +324,17 @@ def test_cancel_is_idempotent_for_len():
 
 def test_compaction_keeps_order_and_bounds_heap():
     q = EventQueue()
-    events = [q.push(float(i), lambda i=i: i) for i in range(300)]
+    callbacks = [lambda i=i: i for i in range(300)]
+    held = weakref.WeakSet(callbacks)  # callbacks some event still holds
+    events = [q.push(float(i), cb) for i, cb in enumerate(callbacks)]
+    del callbacks
     # Cancel most of them; the queue should compact itself.
     for e in events[:250]:
         e.cancel()
-    assert q._size < 100  # tombstones physically removed
+    # Once ours are dropped, only the queue's backing store keeps a
+    # tombstone (and through it the callback) alive.
+    del events, e
+    assert len(held) < 100  # tombstones physically removed
     assert len(q) == 50
     times = []
     while (e := q.pop()) is not None:

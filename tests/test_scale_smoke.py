@@ -2,20 +2,16 @@
 
 CI-sized versions of the BENCH_scale.json acceptance criteria: a
 128-rank run must fingerprint identically whether executed serially,
-over a 2-worker process pool, or replayed from the run cache; the
-bucket-indexed event queue must agree with the legacy binary heap; and
-the invariant guard must stay attachable (and clean) at scale.
+over a 2-worker process pool, or replayed from the run cache; and the
+invariant guard must stay attachable (and clean) at scale.
 """
 
 from dataclasses import replace
 
 from repro.analysis.perf import run_fingerprint
-from repro.core.solver import build_chain
-from repro.des import Barrier, LegacyEventQueue
 from repro.exec import RunCache, SweepEngine, Task
 from repro.guard import GuardConfig, InvariantMonitor
 from repro.models import run_sisc_batched
-from repro.models.sisc import _sisc_process
 from repro.workloads import ScaleScenario
 
 RANKS = 128
@@ -55,7 +51,8 @@ def _tasks(n=3):
 def test_scale_digest_serial_pool_and_cache_agree(tmp_path):
     cache_dir = str(tmp_path / "cache")
     serial = SweepEngine(jobs=1).map(_tasks())
-    pooled = SweepEngine(jobs=2).map(_tasks())
+    with SweepEngine(jobs=2) as engine:
+        pooled = engine.map(_tasks())
     assert serial == pooled
 
     cold = SweepEngine(cache=RunCache(cache_dir))
@@ -64,34 +61,6 @@ def test_scale_digest_serial_pool_and_cache_agree(tmp_path):
     warm = SweepEngine(cache=RunCache(cache_dir))
     assert warm.map(_tasks()) == serial
     assert warm.stats.hits == len(_tasks()) and warm.stats.misses == 0
-
-
-def _event_driven(scenario, *, legacy_queue):
-    run = build_chain(
-        scenario.problem(),
-        scenario.platform(),
-        _capped_config(scenario),
-        model="sisc",
-    )
-    if legacy_queue:
-        assert run.sim._queue.peek_time() is None  # nothing scheduled yet
-        run.sim._queue = LegacyEventQueue()
-    barrier = Barrier(run.n_ranks, name="sisc")
-    for ctx in run.ranks:
-        run.sim.spawn(f"sisc-rank-{ctx.rank}", _sisc_process(run, ctx, barrier))
-    run.run()
-    return run
-
-
-def test_indexed_queue_matches_legacy_heap_at_scale():
-    scenario = ScaleScenario(n_ranks=64, components_per_rank=16)
-    legacy = _event_driven(scenario, legacy_queue=True)
-    indexed = _event_driven(scenario, legacy_queue=False)
-    assert legacy.sim.n_dispatched == indexed.sim.n_dispatched
-    assert legacy.sim._queue.peak_size == indexed.sim._queue.peak_size
-    assert run_fingerprint(legacy.result()) == run_fingerprint(
-        indexed.result()
-    )
 
 
 def test_brusselator_guard_stays_on_at_scale():
