@@ -1,11 +1,12 @@
 """§3 — the non-centralized load-balancing algorithm families.
 
 Compares the classical synchronous schemes (Cybenko diffusion,
-dimension exchange) and the asynchronous Bertsekas–Tsitsiklis model —
-both variants — on the solver's chain topology, plus the centralized
-baseline's message cost.  Supports the paper's §3 choice: the
-asynchronous lightest-neighbour variant balances without any global
-synchronisation, which is what the AIAC coupling requires.
+dimension exchange) and the Bertsekas–Tsitsiklis lightest-neighbour rule
+on stale neighbour views — the variant the paper selects — on the
+solver's chain topology, plus the centralized baseline's message cost.
+Supports the paper's §3 choice: the lightest-neighbour rule balances
+from local, possibly outdated information only, which is what the AIAC
+coupling requires.
 """
 
 import networkx as nx
@@ -14,14 +15,14 @@ from conftest import save_report
 
 from repro.analysis.reporting import format_table
 from repro.balancing import (
-    BertsekasParams,
+    ZooParams,
+    balance,
     centralized_balance,
-    diffusion_balance,
-    dimension_exchange_balance,
     imbalance_ratio,
-    simulate_bertsekas_lb,
+    make_policy,
 )
 from repro.balancing.centralized import centralized_cost_model
+from repro.balancing.zoo import ActiveView
 
 
 def test_balancing_families(once):
@@ -32,31 +33,35 @@ def test_balancing_families(once):
         load[0] = 160.0  # all load on one end of the chain
 
         rows = []
-        final, rounds = diffusion_balance(graph, load, tol=1e-3)
+        final, rounds = balance(graph, load, "diffusion", tol=1e-3)
         rows.append(("diffusion (Cybenko)", rounds, imbalance_ratio(final), "sync"))
-        final, cycles = dimension_exchange_balance(graph, load, tol=1e-3)
-        rows.append(("dimension exchange", cycles, imbalance_ratio(final), "sync"))
+        final, rounds = balance(graph, load, "dimension_exchange", tol=1e-3)
+        rows.append(("dimension exchange", rounds, imbalance_ratio(final), "sync"))
         # The Bertsekas model balances to within a *threshold-bounded
         # neighbourhood* of uniform (that is exactly what B&T prove):
         # on a chain the steady profile is geometric with ratio θ, so
         # max/mean plateaus at n(1-1/θ)/(1-θ^-n).  Two thresholds show
-        # the plateau tightening.
+        # the plateau tightening.  It never reaches a small tolerance,
+        # so drive the policy until it has nothing left to propose.
+        view = ActiveView.fault_free(graph)
         for theta in (1.2, 1.05):
-            res = simulate_bertsekas_lb(
-                graph,
-                load,
-                BertsekasParams(
-                    variant="lightest", threshold_ratio=theta, horizon=2500.0
-                ),
-                seed=11,
-            )
+            params = ZooParams(threshold_ratio=theta)
+            policy = make_policy("bertsekas", params)
+            current, transfers, idle = load.copy(), 0, 0
+            while idle < params.staleness:  # every stale view has caught up
+                plan = policy.plan(view, current)
+                idle = 0 if plan else idle + 1
+                transfers += len(plan)
+                for u, v, amount in plan:
+                    current[u] -= amount
+                    current[v] += amount
             bound = n * (1 - 1 / theta) / (1 - theta ** (-n))
             rows.append(
                 (
                     f"bertsekas (lightest, θ={theta})",
-                    res.transfers,
-                    res.final_imbalance,
-                    f"async (bound {bound:.2f})",
+                    transfers,
+                    imbalance_ratio(current),
+                    f"stale views (bound {bound:.2f})",
                 )
             )
         balanced, plan = centralized_balance(load)

@@ -6,18 +6,19 @@ Times the (topology × LB algorithm × fault schedule) sweep of
 (:func:`repro.balancing.zoo.run_zoo` on representative cells), and
 records each sweep's :func:`~repro.analysis.perf.stable_digest` in the
 result ``meta`` — so ``repro bench-compare`` flags wall-clock
-regressions and a digest change is visible in review.
+regressions and ``--check`` fails on a digest change.
 
 Run directly (not under pytest)::
 
     PYTHONPATH=src python benchmarks/bench_topology.py            # full grid
-    PYTHONPATH=src python benchmarks/bench_topology.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_topology.py --check    # CI gate
 
 ``--check`` exits non-zero unless
 
 * two back-to-back runs of the sweep produce the **same digest** (the
   byte-reproducibility acceptance criterion of ISSUE 8),
+* that digest equals the one committed in ``BENCH_topology.json`` (the
+  quick grid of ``repro topology-zoo`` has its pin in tier-1),
 * every diffusion-family algorithm actually balances the fault-free
   spike (final imbalance ≤ 1.15 on every topology), and
 * the decentralized winners table is fully populated.
@@ -26,8 +27,10 @@ Run directly (not under pytest)::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from pathlib import Path
 from typing import Any
 
 from repro.analysis.perf import BenchReport, BenchResult
@@ -35,6 +38,9 @@ from repro.balancing.zoo import ZooParams, make_zoo_schedule, run_zoo
 from repro.exec import SweepEngine
 from repro.experiments import TopologyZooScenario, run_topology_zoo
 from repro.topology.graphs import build_topology, spec_for_family
+
+#: The committed report: default ``-o``, and the digest ``--check`` pins.
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_topology.json"
 
 #: Per-cell microbenchmark points: (family, algorithm, schedule).
 CELLS: tuple[tuple[str, str, str], ...] = (
@@ -60,7 +66,7 @@ GATED_FAMILIES = ("mesh2d", "mesh3d", "torus", "hypercube", "expander", "hierarc
 
 
 def bench_sweep(
-    report: BenchReport, scenario: TopologyZooScenario, label: str, repeats: int
+    report: BenchReport, scenario: TopologyZooScenario, repeats: int
 ) -> dict[str, Any]:
     """Time ``repeats`` cold runs of the sweep; returns the summary.
 
@@ -78,7 +84,7 @@ def bench_sweep(
     n_cells = len(result.rows)
     report.add(
         BenchResult(
-            name=f"zoo_sweep_{label}",
+            name="zoo_sweep_full",
             best=min(walls),
             median=sorted(walls)[len(walls) // 2],
             mean=sum(walls) / len(walls),
@@ -92,14 +98,10 @@ def bench_sweep(
         )
     )
     print(
-        f"zoo_sweep_{label}: {n_cells} cells, best {min(walls):.3f}s, "
+        f"zoo_sweep_full: {n_cells} cells, best {min(walls):.3f}s, "
         f"digest {digests[0][:12]}"
     )
-    return {
-        "label": label,
-        "digests": digests,
-        "result": result,
-    }
+    return {"digests": digests, "result": result}
 
 
 def bench_cells(report: BenchReport, scenario: TopologyZooScenario) -> None:
@@ -138,12 +140,19 @@ def bench_cells(report: BenchReport, scenario: TopologyZooScenario) -> None:
         )
 
 
-def check(summary: dict[str, Any], scenario: TopologyZooScenario) -> list[str]:
+def check(
+    summary: dict[str, Any], scenario: TopologyZooScenario, pinned: str
+) -> list[str]:
     """The CI gates (see module docstring)."""
     problems: list[str] = []
     if len(set(summary["digests"])) != 1:
         problems.append(
             f"sweep is not reproducible: digests {summary['digests']}"
+        )
+    if summary["digests"][0] != pinned:
+        problems.append(
+            f"sweep drifted from {COMMITTED.name}: digest "
+            f"{summary['digests'][0]} != committed {pinned}"
         )
     result = summary["result"]
     for family in scenario.families:
@@ -171,45 +180,43 @@ def check(summary: dict[str, Any], scenario: TopologyZooScenario) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke grid")
     parser.add_argument(
         "-o", "--out", default=None,
         help="JSON output path (default: BENCH_topology.json, repo root)",
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero unless digests match across reruns and the "
-        "diffusion-family algorithms balance the fault-free spike",
+        help="exit non-zero unless the digest matches across reruns and the "
+        "committed one, and the diffusion-family algorithms balance the spike",
     )
     args = parser.parse_args(argv)
 
-    scenario = (
-        TopologyZooScenario.quick() if args.quick else TopologyZooScenario()
+    scenario = TopologyZooScenario()
+    # Read before the default -o rewrites it.
+    pinned = next(
+        row["meta"]["digest"]
+        for row in json.loads(COMMITTED.read_text())["results"]
+        if row["name"] == "zoo_sweep_full"
     )
-    label = "quick" if args.quick else "full"
     report = BenchReport("repro topology-zoo benchmarks")
-    summary = bench_sweep(report, scenario, label, repeats=2)
+    summary = bench_sweep(report, scenario, repeats=2)
     bench_cells(report, scenario)
     print(report.format_table())
     print(summary["result"].report())
 
-    out = args.out
-    if out is None:
-        from pathlib import Path
-
-        out = str(Path(__file__).resolve().parent.parent / "BENCH_topology.json")
+    out = args.out if args.out is not None else str(COMMITTED)
     report.save(out)
     print(f"[report saved to {out}]")
 
     if args.check:
-        problems = check(summary, scenario)
+        problems = check(summary, scenario, pinned)
         if problems:
             for p in problems:
                 print(f"CHECK FAILED: {p}", file=sys.stderr)
             return 1
         print(
-            "[--check passed: reproducible digest, diffusion-family "
-            "algorithms balanced, winners table full]"
+            "[--check passed: reproducible digest equal to the committed "
+            "one, diffusion-family algorithms balanced, winners table full]"
         )
     return 0
 

@@ -23,7 +23,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.problems` — Brusselator, heat, linear and synthetic problems;
 * :mod:`repro.grid`, :mod:`repro.runtime`, :mod:`repro.des` — the
   simulated computational grid;
-* :mod:`repro.balancing` — standalone non-centralized LB algorithms;
+* :mod:`repro.balancing` — the non-centralized LB algorithms as step
+  policies, and the loops that run them on arbitrary graphs;
 * :mod:`repro.workloads`, :mod:`repro.experiments`,
   :mod:`repro.analysis` — the evaluation harness.
 """

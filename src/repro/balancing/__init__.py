@@ -1,48 +1,37 @@
 """Non-centralized iterative load-balancing algorithms (paper Section 3).
 
-Standalone implementations of the algorithm families the paper surveys
-before picking its scheme, usable on any (connected) networkx graph:
+One step rule per algorithm family the paper surveys before picking its
+scheme — the policies of :mod:`repro.balancing.zoo`, built by
+:func:`~repro.balancing.zoo.make_policy`:
 
-* :func:`~repro.balancing.diffusion.diffusion_balance` — Cybenko's
-  first-order diffusion: every node exchanges load with *all* its
-  neighbours simultaneously each round;
-* :func:`~repro.balancing.dimension_exchange.dimension_exchange_balance`
-  — pairwise averaging along one edge colour (dimension) per round;
-* :func:`~repro.balancing.bertsekas.simulate_bertsekas_lb` — the
-  *asynchronous* Bertsekas–Tsitsiklis model the paper builds on: nodes
-  act on possibly stale neighbour information at their own pace, with
-  message delays, shipping load to lighter neighbours (either all of
-  them or only the lightest — the variant the paper selects);
-* :func:`~repro.balancing.centralized.centralized_balance` — the global
-  coordinator baseline the paper argues against (it needs global
-  synchronisation), used in ablations;
-* :mod:`~repro.balancing.analysis` — imbalance metrics shared by all of
-  them.
+* ``diffusion`` — Cybenko's first-order diffusion: every node exchanges
+  load with *all* its neighbours simultaneously each round;
+* ``accelerated`` — second-order (heavy-ball) diffusion, its momentum
+  set from the spectrum (:mod:`~repro.balancing.accelerated`);
+* ``dimension_exchange`` — pairwise averaging along one edge colour
+  (:func:`~repro.balancing.dimension_exchange.edge_colouring`) per round;
+* ``bertsekas`` — the Bertsekas–Tsitsiklis model the paper builds on:
+  nodes act on stale neighbour information and ship load to their
+  lightest neighbour (the variant the paper selects);
+* ``reactive_residual`` — the paper's own ratio rule, the decision
+  :mod:`repro.core.lb` makes (``core.estimators.surplus_fraction``);
+* ``centralized`` — the global coordinator baseline the paper argues
+  against (:func:`~repro.balancing.centralized.centralized_balance`).
+
+Two loops consume them: :func:`~repro.balancing.zoo.balance` (a bare
+connected graph, fault-free, until the spread is within a tolerance) and
+:func:`~repro.balancing.zoo.run_zoo` (any topology, under fault
+schedules and a trigger, with cost accounting).
+:mod:`~repro.balancing.analysis` holds the imbalance metrics.
 
 These operate on abstract load vectors; the *solver-integrated* balancer
 (residual-driven, component migration) is :mod:`repro.core.lb`.
 """
 
-from repro.balancing.accelerated import (
-    chebyshev_diffusion_balance,
-    diffusion_matrix,
-    second_eigenvalue,
-    second_order_diffusion_balance,
-)
+from repro.balancing.accelerated import diffusion_matrix, second_eigenvalue
 from repro.balancing.analysis import imbalance_ratio, load_stddev, mean_load
-from repro.balancing.bertsekas import BertsekasParams, simulate_bertsekas_lb
 from repro.balancing.centralized import centralized_balance
-from repro.balancing.diffusion import (
-    diffusion_balance,
-    diffusion_step,
-    max_stable_alpha,
-    optimal_alpha,
-)
-from repro.balancing.dimension_exchange import (
-    dimension_exchange_balance,
-    dimension_exchange_round,
-    edge_colouring,
-)
+from repro.balancing.dimension_exchange import edge_colouring
 from repro.balancing.zoo import (
     ZOO_ALGORITHMS,
     ZOO_SCHEDULES,
@@ -51,28 +40,20 @@ from repro.balancing.zoo import (
     ZooFaultSchedule,
     ZooParams,
     ZooRunResult,
+    balance,
     initial_load,
+    make_policy,
     make_zoo_schedule,
     run_zoo,
 )
 
 __all__ = [
-    "chebyshev_diffusion_balance",
     "diffusion_matrix",
     "second_eigenvalue",
-    "second_order_diffusion_balance",
     "imbalance_ratio",
     "load_stddev",
     "mean_load",
-    "BertsekasParams",
-    "simulate_bertsekas_lb",
     "centralized_balance",
-    "diffusion_balance",
-    "diffusion_step",
-    "max_stable_alpha",
-    "optimal_alpha",
-    "dimension_exchange_balance",
-    "dimension_exchange_round",
     "edge_colouring",
     "ZOO_ALGORITHMS",
     "ZOO_SCHEDULES",
@@ -81,7 +62,9 @@ __all__ = [
     "ZooFaultSchedule",
     "ZooParams",
     "ZooRunResult",
+    "balance",
     "initial_load",
+    "make_policy",
     "make_zoo_schedule",
     "run_zoo",
 ]

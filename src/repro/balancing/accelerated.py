@@ -1,30 +1,14 @@
-"""Accelerated diffusion schemes: second-order and Chebyshev.
+"""Spectral quantities of first-order diffusion.
 
-First-order diffusion (:mod:`repro.balancing.diffusion`) contracts the
-load error by the diffusion matrix's second eigenvalue per round — slow
-on high-diameter graphs (a chain needs O(n²) rounds).  Two classical
-accelerations (Ghosh/Muthukrishnan; Diekmann, Frommer & Monien's OPS/
-second-order schemes):
-
-* **Second-order diffusion (SOS)** — a momentum term::
-
-      x^{k+1} = β (M x^k) + (1 - β) x^{k-1}
-
-  with the optimal fixed ``β = 2 / (1 + sqrt(1 - λ₂²))``, contracting
-  like the heavy-ball method.
-
-* **Chebyshev diffusion** — the same recurrence with the round-dependent
-  optimal coefficients (Chebyshev polynomial iteration), the fastest
-  stationary scheme for a known spectral interval.
-
-Both need the diffusion matrix's second-largest eigenvalue modulus
-``λ₂`` (computed here by dense eigendecomposition — these graphs are the
-size of a processor pool, not a mesh).  Load is conserved exactly;
-iterates can transiently go negative (loads are *divisible* abstractions
-here — the classic caveat of accelerated schemes, asserted in tests as
-expected behaviour, and the reason the solver's component balancer does
-not use them), so convergence is measured with a plain standard
-deviation rather than the non-negative load metrics.
+One diffusion round is ``x <- M x`` with the doubly-stochastic
+``M = I - α L`` (``L`` the graph Laplacian); it contracts the load
+error by ``M``'s second-largest eigenvalue modulus ``λ₂`` per round —
+slow on high-diameter graphs (a chain needs O(n²) rounds).  ``λ₂`` is
+what the second-order scheme
+(:class:`repro.balancing.zoo.Accelerated`; Ghosh/Muthukrishnan,
+Diekmann, Frommer & Monien) derives its momentum coefficient from; it is
+computed here by dense eigendecomposition — these graphs are the size of
+a processor pool, not a mesh.
 """
 
 from __future__ import annotations
@@ -34,31 +18,25 @@ import math
 import networkx as nx
 import numpy as np
 
-from repro.balancing.diffusion import optimal_alpha
-
-def _spread(x: np.ndarray) -> float:
-    """Standard deviation (accelerated iterates may dip negative)."""
-    return float(np.std(x))
+__all__ = ["safe_alpha", "diffusion_matrix", "second_eigenvalue"]
 
 
-__all__ = [
-    "diffusion_matrix",
-    "second_eigenvalue",
-    "second_order_diffusion_balance",
-    "chebyshev_diffusion_balance",
-]
+def safe_alpha(deg_max: int) -> float:
+    """The diffusion parameter every scheme here uses: ``1/(deg_max+1)``.
 
-
-def diffusion_matrix(graph: nx.Graph, alpha: float | None = None) -> np.ndarray:
-    """The doubly-stochastic first-order diffusion matrix ``M``.
-
-    ``M = I - α L`` with ``L`` the graph Laplacian; one diffusion round
-    is ``x <- M x``.
+    Beyond ``1/deg_max`` the iteration matrix has an eigenvalue below
+    ``-1`` on high-degree graphs (e.g. stars) and diffusion oscillates
+    instead of converging; this choice stays inside that limit on every
+    graph and keeps ``M`` entrywise non-negative.
     """
+    return 1.0 / (deg_max + 1.0)
+
+
+def diffusion_matrix(graph: nx.Graph) -> np.ndarray:
+    """The doubly-stochastic first-order diffusion matrix ``M``."""
     if graph.number_of_nodes() == 0:
         raise ValueError("graph is empty")
-    if alpha is None:
-        alpha = optimal_alpha(graph)
+    alpha = safe_alpha(max(d for _, d in graph.degree()))
     lap = nx.laplacian_matrix(graph).toarray().astype(float)
     return np.eye(graph.number_of_nodes()) - alpha * lap
 
@@ -78,71 +56,3 @@ def second_eigenvalue(matrix: np.ndarray) -> float:
     if len(moduli) == 1:
         return 0.0
     return float(moduli[1])
-
-
-def second_order_diffusion_balance(
-    graph: nx.Graph,
-    load: np.ndarray,
-    *,
-    alpha: float | None = None,
-    tol: float = 1e-9,
-    max_rounds: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """Second-order (heavy-ball) diffusion with the optimal fixed β.
-
-    Returns ``(final_load, rounds)``.  Asymptotically needs
-    ``O(1 / sqrt(1 - λ₂))`` rounds against first-order's
-    ``O(1 / (1 - λ₂))``.
-    """
-    if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
-        raise ValueError("diffusion requires a connected graph")
-    matrix = diffusion_matrix(graph, alpha)
-    lam2 = second_eigenvalue(matrix)
-    beta = 2.0 / (1.0 + math.sqrt(max(1.0 - lam2 * lam2, 0.0)))
-    prev = np.asarray(load, dtype=float)
-    if _spread(prev) <= tol:
-        return prev, 0
-    current = matrix @ prev  # first round is plain diffusion
-    for rounds in range(1, max_rounds):
-        if _spread(current) <= tol:
-            return current, rounds
-        current, prev = beta * (matrix @ current) + (1.0 - beta) * prev, current
-    raise RuntimeError(
-        f"second-order diffusion did not balance in {max_rounds} rounds"
-    )
-
-
-def chebyshev_diffusion_balance(
-    graph: nx.Graph,
-    load: np.ndarray,
-    *,
-    alpha: float | None = None,
-    tol: float = 1e-9,
-    max_rounds: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """Chebyshev-accelerated diffusion (round-dependent coefficients).
-
-    Uses the standard Chebyshev recurrence on the spectral interval
-    ``[-λ₂, λ₂]``: ``β_1 = 1``, ``β_2 = 2/(2 - λ₂²)``,
-    ``β_{k+1} = 4 / (4 - λ₂² β_k)``.
-    """
-    if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
-        raise ValueError("diffusion requires a connected graph")
-    matrix = diffusion_matrix(graph, alpha)
-    lam2 = second_eigenvalue(matrix)
-    prev = np.asarray(load, dtype=float)
-    if _spread(prev) <= tol:
-        return prev, 0
-    current = matrix @ prev
-    beta = 2.0 / (2.0 - lam2 * lam2)
-    for rounds in range(1, max_rounds):
-        if _spread(current) <= tol:
-            return current, rounds
-        current, prev = (
-            beta * (matrix @ current) + (1.0 - beta) * prev,
-            current,
-        )
-        beta = 4.0 / (4.0 - lam2 * lam2 * beta)
-    raise RuntimeError(
-        f"chebyshev diffusion did not balance in {max_rounds} rounds"
-    )

@@ -1,27 +1,20 @@
-"""Dimension-exchange load balancing.
+"""Edge colouring for dimension-exchange load balancing.
 
 The second classical family the paper cites (Hosseini et al.; Cybenko):
 instead of exchanging with all neighbours at once, a node pairs up with
 *one* neighbour per round — the edges used in a round form a matching,
 obtained from a proper edge colouring (on a hypercube the colours are
-literally the dimensions, hence the name).  Each matched pair averages
-its load::
-
-    x_i, x_j  <-  (x_i + x_j) / 2
-
-Cycling through the colours balances any connected graph, and on a
-hypercube one full cycle balances *exactly* — a property the test suite
-checks.
+literally the dimensions, hence the name) — and each matched pair
+averages its load.  The step rule is
+:class:`repro.balancing.zoo.DimensionExchange`; this module computes the
+matchings it cycles through.
 """
 
 from __future__ import annotations
 
 import networkx as nx
-import numpy as np
 
-from repro.balancing.analysis import load_stddev
-
-__all__ = ["edge_colouring", "dimension_exchange_round", "dimension_exchange_balance"]
+__all__ = ["edge_colouring"]
 
 
 def edge_colouring(graph: nx.Graph) -> list[list[tuple]]:
@@ -52,56 +45,3 @@ def edge_colouring(graph: nx.Graph) -> list[list[tuple]]:
             colours.append([(u, v)])
             busy.append({u, v})
     return colours
-
-
-def dimension_exchange_round(
-    graph: nx.Graph,
-    load: np.ndarray,
-    matching: list[tuple],
-    *,
-    lam: float = 0.5,
-) -> np.ndarray:
-    """Exchange along one matching; ``lam = 0.5`` is plain averaging."""
-    load = np.asarray(load, dtype=float)
-    if not 0 < lam <= 0.5 + 1e-12:
-        raise ValueError(f"lam must be in (0, 0.5], got {lam!r}")
-    idx = {node: i for i, node in enumerate(graph.nodes())}
-    new = load.copy()
-    seen: set = set()
-    for u, v in matching:
-        if u in seen or v in seen:
-            raise ValueError(f"matching reuses a node: edge ({u}, {v})")
-        seen.add(u)
-        seen.add(v)
-        flow = lam * (load[idx[u]] - load[idx[v]])
-        new[idx[u]] -= flow
-        new[idx[v]] += flow
-    return new
-
-
-def dimension_exchange_balance(
-    graph: nx.Graph,
-    load: np.ndarray,
-    *,
-    lam: float = 0.5,
-    tol: float = 1e-9,
-    max_cycles: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """Cycle through the edge colours until the stddev drops below ``tol``.
-
-    Returns ``(final_load, cycles_used)`` where one cycle visits every
-    colour class once.
-    """
-    if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
-        raise ValueError("dimension exchange requires a connected graph")
-    colours = edge_colouring(graph)
-    current = np.asarray(load, dtype=float)
-    for cycles in range(max_cycles):
-        if load_stddev(current) <= tol:
-            return current, cycles
-        for matching in colours:
-            current = dimension_exchange_round(graph, current, matching, lam=lam)
-    raise RuntimeError(
-        f"dimension exchange did not balance within {max_cycles} cycles "
-        f"(stddev={load_stddev(current):.3e})"
-    )

@@ -1,34 +1,36 @@
-"""Topology-generic LB zoo: one driver, many algorithms, faults, triggers.
+"""Topology-generic LB zoo: one step rule per algorithm, two loops over it.
 
-:mod:`repro.balancing` implements each classical family against a bare
-networkx graph and a *fault-free, always-on* schedule.  This module is
-the harness that makes them comparable on **arbitrary topologies under
-faults** — the "which LB wins where" table of ROADMAP item 2:
+Every algorithm family of the paper's Section 3 is a **policy** with one
+interface — given the current :class:`ActiveView` (the topology minus
+whatever nodes/links a fault window has taken down) and the load vector,
+``plan(view, load)`` proposes *edge transfers* — and this module is the
+only implementation of each.  Two loops consume the policies:
 
-* every algorithm is wrapped as an adapter with one interface: given the
-  current :class:`ActiveView` (the topology minus whatever nodes/links a
-  fault window has taken down) and the load vector, propose *edge
-  transfers*;
-* a round-based driver advances a deterministic fault timeline
-  (:func:`make_zoo_schedule`: outages, link flaps, load shocks, lying
-  load sensors), applies
-  the SPARTA-style **trigger policy** (rebalance every ``check_every``
-  rounds *only if* the imbalance ratio exceeds ``threshold`` —
-  SNIPPETS.md, ``fix balance Nevery thresh``), applies the proposed
-  transfers, and accounts volume and link-class-weighted communication
-  cost (``wan`` edges cost ``wan_cost`` times a ``lan`` edge);
-* everything is a pure function of ``(topology, algorithm, params,
-  schedule, seed)`` — byte-reproducible, cacheable by the sweep engine.
+* :func:`balance` iterates one on a bare networkx graph, fault-free and
+  always-on, until the load spread drops below a tolerance;
+* :func:`run_zoo`, the round-based driver that makes them comparable on
+  **arbitrary topologies under faults**: it advances a deterministic
+  fault timeline (:func:`make_zoo_schedule`: outages, link flaps, load
+  shocks, lying load sensors), applies the SPARTA-style **trigger
+  policy** (rebalance every ``check_every`` rounds *only if* the
+  imbalance ratio exceeds ``threshold`` — SNIPPETS.md, ``fix balance
+  Nevery thresh``), applies the proposed transfers, and accounts volume
+  and link-class-weighted communication cost (``wan`` edges cost
+  ``wan_cost`` times a ``lan`` edge).  A run is a pure function of
+  ``(topology, algorithm, params, schedule, seed)`` — byte-reproducible,
+  cacheable by the sweep engine.
 
 Loads here are *divisible real values* (the Demirel & Sbalzarini
 setting), not solver components: the solver-integrated residual balancer
-stays :mod:`repro.core.lb`; its decision rule appears here as the
-``reactive_residual`` adapter so the paper's scheme can be benchmarked
+stays :mod:`repro.core.lb`; its decision rule
+(:func:`repro.core.estimators.surplus_fraction`) appears here as the
+``reactive_residual`` policy so the paper's scheme can be benchmarked
 on graphs the solver's 1-D decomposition could never host.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
@@ -36,8 +38,14 @@ from typing import Iterable
 import networkx as nx
 import numpy as np
 
+from repro.balancing.accelerated import (
+    diffusion_matrix,
+    safe_alpha,
+    second_eigenvalue,
+)
 from repro.balancing.centralized import centralized_balance
 from repro.balancing.dimension_exchange import edge_colouring
+from repro.core.estimators import surplus_fraction
 from repro.topology.graphs import Topology
 from repro.util.rng import spawn_generator
 from repro.util.validation import check_positive
@@ -54,20 +62,12 @@ __all__ = [
     "ZooFaultSchedule",
     "ZooParams",
     "ZooRunResult",
+    "balance",
     "initial_load",
+    "make_policy",
     "make_zoo_schedule",
     "run_zoo",
 ]
-
-#: Adapter registry order == report order.
-ZOO_ALGORITHMS = (
-    "reactive_residual",
-    "diffusion",
-    "accelerated",
-    "dimension_exchange",
-    "bertsekas",
-    "centralized",
-)
 
 #: Named fault timelines ``make_zoo_schedule`` builds.
 ZOO_SCHEDULES = (
@@ -102,10 +102,10 @@ class TriggerPolicy:
 
 @dataclass(frozen=True)
 class ZooParams:
-    """Zoo driver knobs shared by every algorithm adapter.
+    """Zoo driver knobs shared by every policy.
 
     ``staleness`` is measured in balancing steps: the asynchronous
-    adapters (``bertsekas``, ``reactive_residual``) act on neighbour
+    policies (``bertsekas``, ``reactive_residual``) act on neighbour
     loads as they were that many steps ago — the stale-view regime the
     Bertsekas–Tsitsiklis model is proved in.
     """
@@ -182,7 +182,7 @@ class ValueCorruption:
     load for rounds ``[start, end)`` — a lying load sensor.
 
     Only the measurement channel is corrupted: every observer (the
-    trigger policy and all adapters, including the node itself) sees the
+    trigger policy and all policies, including the node itself) sees the
     lie, while the true load — what transfers actually move — is
     untouched and stays conserved.  ``factor > 1`` makes the node look
     crushed (spurious triggers, neighbours refuse it load while it
@@ -302,17 +302,36 @@ def initial_load(topology: Topology, kind: str, *, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActiveView:
-    """What an adapter may touch this round: up nodes + live edges.
+    """What a policy may touch this round: up nodes + live edges.
 
-    ``key`` identifies the active edge set, so stateful adapters
-    (colourings, spectral coefficients) can cache against it and rebuild
-    only when a fault window opens or closes.
+    Stateful policies (colourings, spectral coefficients, shortest
+    paths) cache against ``edges`` and rebuild only when a fault window
+    opens or closes.
     """
 
     up: tuple[bool, ...]
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
-    key: int
+
+    @classmethod
+    def over(
+        cls, up: tuple[bool, ...], edges: tuple[tuple[int, int], ...]
+    ) -> "ActiveView":
+        """The view of ``edges`` (all between up nodes) among ``up``."""
+        neighbors: list[list[int]] = [[] for _ in up]
+        for u, v in edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        return cls(up, edges, tuple(tuple(sorted(nb)) for nb in neighbors))
+
+    @classmethod
+    def fault_free(cls, graph: nx.Graph) -> "ActiveView":
+        """All of ``graph``, its nodes indexed in iteration order."""
+        index = {node: i for i, node in enumerate(graph.nodes())}
+        return cls.over(
+            (True,) * len(index),
+            tuple((index[u], index[v]) for u, v in graph.edges()),
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -340,142 +359,133 @@ def _active_view(
         if o.start <= round_ < o.end
     }
     up = tuple(i not in down_nodes for i in range(topology.n_nodes))
-    edges = tuple(
-        (u, v)
-        for u, v in topology.edges()
-        if up[u] and up[v] and (u, v) not in down_edges
-    )
-    neighbors: list[list[int]] = [[] for _ in range(topology.n_nodes)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    return ActiveView(
-        up=up,
-        edges=edges,
-        neighbors=tuple(tuple(sorted(nb)) for nb in neighbors),
-        key=hash(edges),
+    return ActiveView.over(
+        up,
+        tuple(
+            (u, v)
+            for u, v in topology.edges()
+            if up[u] and up[v] and (u, v) not in down_edges
+        ),
     )
 
 
 # ---------------------------------------------------------------------------
-# Algorithm adapters
+# Policies: the one step rule of each algorithm
 # ---------------------------------------------------------------------------
-# An adapter's ``step(view, load)`` returns edge transfers
+# A policy's ``plan(view, load)`` returns edge transfers
 # ``(u, v, amount)`` with ``amount > 0`` meaning ``u`` ships ``amount``
-# to ``v`` over the (active) edge ``(u, v)``.  The driver applies them
-# simultaneously and accounts their cost.
+# to ``v`` over the (active) edge ``(u, v)``.  The loop driving it
+# applies them simultaneously, under the outflow limiter when the policy
+# sets ``needs_limiter``.
 
 Transfer = tuple[int, int, float]
 
 
-def _safe_alpha(view: ActiveView) -> float:
-    return 1.0 / (view.max_degree() + 1.0)
+def _oriented(flows: Iterable[Transfer]) -> list[Transfer]:
+    """Signed edge flows as transfers out of the heavier endpoint."""
+    out: list[Transfer] = []
+    for u, v, flow in flows:
+        if flow > 0.0:
+            out.append((u, v, flow))
+        elif flow < 0.0:
+            out.append((v, u, -flow))
+    return out
 
 
-class _Diffusion:
-    """Cybenko first-order diffusion on the active subgraph."""
+class Diffusion:
+    """Cybenko's first-order diffusion on the active subgraph.
+
+    Every node exchanges with all its neighbours at once,
+    ``x_i <- x_i + α Σ_{j~i} (x_j - x_i)`` with ``α = 1/(deg_max + 1)``:
+    the synchronous technique the paper deems "not convenient for the
+    AIAC class", kept as the classical reference point.
+    """
 
     needs_limiter = False
 
-    def step(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
-        alpha = _safe_alpha(view)
-        out: list[Transfer] = []
-        for u, v in view.edges:
-            flow = alpha * (load[u] - load[v])
-            if flow > 0.0:
-                out.append((u, v, flow))
-            elif flow < 0.0:
-                out.append((v, u, -flow))
-        return out
+    def plan(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
+        alpha = safe_alpha(view.max_degree())
+        return _oriented(
+            (u, v, alpha * (load[u] - load[v])) for u, v in view.edges
+        )
 
 
-class _Accelerated:
+class Accelerated:
     """Second-order (heavy-ball) diffusion in edge-flow form.
 
     ``x_{k+1} = β M x_k + (1-β) x_{k-1}`` rewrites per edge as
     ``f_e(k+1) = β α (x_u - x_v) + (β - 1) f_e(k)`` — the momentum term
-    keeps flowing along the edge it flowed last step.  β comes from the
-    active subgraph's second eigenvalue (cached per active-edge set) and
+    keeps flowing along the edge it flowed last step.  The optimal fixed
+    ``β = 2 / (1 + sqrt(1 - λ₂²))`` comes from the active subgraph's
+    second eigenvalue (cached per active-edge set) and contracts in
+    ``O(1/sqrt(1-λ₂))`` rounds against first-order's ``O(1/(1-λ₂))``;
     the flow memory of an edge resets when a fault window removes it.
-    Momentum can overdraw a node, so this adapter runs under the
-    driver's outflow limiter (the classic accelerated-scheme caveat).
+    Momentum can overdraw a node — iterates go transiently negative, the
+    classic caveat of accelerated schemes and the reason the solver's
+    component balancer does not use them — so this policy runs under the
+    outflow limiter.
     """
 
     needs_limiter = True
 
     def __init__(self) -> None:
         self._flows: dict[tuple[int, int], float] = {}
-        self._beta_cache: dict[int, float] = {}
+        self._beta_cache: dict[tuple[tuple[int, int], ...], float] = {}
 
     def _beta(self, view: ActiveView) -> float:
-        if view.key not in self._beta_cache:
-            graph = view.graph()
-            alpha = _safe_alpha(view)
-            lap = (
-                nx.laplacian_matrix(graph).toarray().astype(float)
-                if graph.number_of_edges()
-                else np.zeros((1, 1))
-            )
-            eig = np.linalg.eigvalsh(np.eye(lap.shape[0]) - alpha * lap)
-            moduli = np.sort(np.abs(eig))[::-1]
-            lam2 = float(moduli[1]) if len(moduli) > 1 else 0.0
-            self._beta_cache[view.key] = 2.0 / (
-                1.0 + float(np.sqrt(max(1.0 - lam2 * lam2, 0.0)))
-            )
-        return self._beta_cache[view.key]
+        beta = self._beta_cache.get(view.edges)
+        if beta is None:
+            lam2 = second_eigenvalue(diffusion_matrix(view.graph()))
+            beta = 2.0 / (1.0 + math.sqrt(max(1.0 - lam2 * lam2, 0.0)))
+            self._beta_cache[view.edges] = beta
+        return beta
 
-    def step(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
-        alpha = _safe_alpha(view)
+    def plan(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
+        if not view.edges:
+            self._flows.clear()
+            return []
+        alpha = safe_alpha(view.max_degree())
         beta = self._beta(view)
-        active = set(view.edges)
-        for edge in list(self._flows):
-            if edge not in active:
-                del self._flows[edge]
-        out: list[Transfer] = []
-        for u, v in view.edges:
-            flow = beta * alpha * (load[u] - load[v]) + (beta - 1.0) * (
-                self._flows.get((u, v), 0.0)
-            )
-            self._flows[(u, v)] = flow
-            if flow > 0.0:
-                out.append((u, v, flow))
-            elif flow < 0.0:
-                out.append((v, u, -flow))
-        return out
+        memory = self._flows
+        self._flows = {
+            (u, v): beta * alpha * (load[u] - load[v])
+            + (beta - 1.0) * memory.get((u, v), 0.0)
+            for u, v in view.edges
+        }
+        return _oriented((u, v, flow) for (u, v), flow in self._flows.items())
 
 
-class _DimensionExchange:
-    """Pairwise averaging along one colour class per step."""
+class DimensionExchange:
+    """Pairwise averaging along one colour class (matching) per step.
+
+    Cycling through the colours of :func:`edge_colouring` balances any
+    connected graph; on a hypercube the colours are the dimensions and
+    one full cycle balances *exactly*.
+    """
 
     needs_limiter = False
 
     def __init__(self) -> None:
         self._colours: list[list[tuple[int, int]]] = []
-        self._key: int | None = None
+        self._edges: tuple[tuple[int, int], ...] | None = None
         self._cursor = 0
 
-    def step(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
-        if view.key != self._key:
-            graph = view.graph()
-            self._colours = edge_colouring(graph)
-            self._key = view.key
+    def plan(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
+        if view.edges != self._edges:
+            self._colours = edge_colouring(view.graph())
+            self._edges = view.edges
             self._cursor = 0
         if not self._colours:
             return []
         matching = self._colours[self._cursor % len(self._colours)]
         self._cursor += 1
-        out: list[Transfer] = []
-        for u, v in matching:
-            flow = 0.5 * (load[u] - load[v])
-            if flow > 0.0:
-                out.append((u, v, flow))
-            elif flow < 0.0:
-                out.append((v, u, -flow))
-        return out
+        return _oriented((u, v, 0.5 * (load[u] - load[v])) for u, v in matching)
 
 
-class _StaleViewMixin:
-    """Shared stale-neighbour-view machinery of the async adapters."""
+class _StaleViewPolicy:
+    """Shared stale-neighbour-view machinery of the async policies."""
+
+    needs_limiter = False
 
     def __init__(self, params: ZooParams) -> None:
         self.params = params
@@ -487,12 +497,18 @@ class _StaleViewMixin:
         return stale
 
 
-class _Bertsekas(_StaleViewMixin):
-    """Bertsekas–Tsitsiklis lightest-neighbour pushing on stale views."""
+class Bertsekas(_StaleViewPolicy):
+    """Bertsekas–Tsitsiklis lightest-neighbour pushing on stale views.
 
-    needs_limiter = False
+    The model the paper's balancer instantiates (Section 3): a node
+    looks for the neighbours lighter than itself by more than
+    ``threshold_ratio`` and ships part of the difference "only to the
+    lightest loaded neighbor" — the variant "chosen for implementation
+    in our AIAC algorithms".  It balances to a threshold-bounded
+    neighbourhood of uniform, not to uniform.
+    """
 
-    def step(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
+    def plan(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
         params = self.params
         stale = self._stale(load)
         out: list[Transfer] = []
@@ -514,20 +530,18 @@ class _Bertsekas(_StaleViewMixin):
         return out
 
 
-class _ReactiveResidual(_StaleViewMixin):
+class ReactiveResidual(_StaleViewPolicy):
     """The paper's reactive residual-driven rule, topology-generic.
 
     Each node compares its own *fresh* load estimate against the stale
-    view of its lightest active neighbour and ships
-    ``accuracy * load * (1 - 1/ratio)`` when ``ratio > threshold_ratio``
-    — exactly the decision of :mod:`repro.core.lb` (Algorithm 5) with
-    divisible load standing in for residual-weighted components, plus
-    the same ``max_fraction`` famine guard.
+    view of its lightest active neighbour and ships ``accuracy * load *
+    surplus_fraction(load, theirs, threshold_ratio)`` — the decision of
+    :mod:`repro.core.lb` (Algorithm 5) with divisible load standing in
+    for residual-weighted components, plus the same ``max_fraction``
+    famine guard.
     """
 
-    needs_limiter = False
-
-    def step(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
+    def plan(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
         params = self.params
         stale = self._stale(load)
         out: list[Transfer] = []
@@ -535,13 +549,10 @@ class _ReactiveResidual(_StaleViewMixin):
             if not view.up[u] or not view.neighbors[u] or load[u] <= 0.0:
                 continue
             v = min(view.neighbors[u], key=lambda j: (stale[j], j))
-            theirs = stale[v]
-            ratio = load[u] / theirs if theirs > 0.0 else float("inf")
-            if ratio <= params.threshold_ratio:
-                continue
-            surplus_fraction = 1.0 - 1.0 / ratio if np.isfinite(ratio) else 1.0
             amount = min(
-                params.accuracy * load[u] * surplus_fraction,
+                params.accuracy
+                * load[u]
+                * surplus_fraction(load[u], stale[v], params.threshold_ratio),
                 params.max_fraction * load[u],
             )
             if amount > 0.0:
@@ -549,7 +560,7 @@ class _ReactiveResidual(_StaleViewMixin):
         return out
 
 
-class _Centralized:
+class Centralized:
     """Global coordinator: plan with :func:`centralized_balance`, then
     route every planned transfer hop-by-hop along active shortest paths
     (so its volume and WAN cost are honestly comparable with the
@@ -560,15 +571,15 @@ class _Centralized:
 
     def __init__(self) -> None:
         self._paths: dict[int, dict] = {}
-        self._key: int | None = None
+        self._edges: tuple[tuple[int, int], ...] | None = None
 
-    def step(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
+    def plan(self, view: ActiveView, load: np.ndarray) -> list[Transfer]:
         up = [i for i in range(view.n_nodes) if view.up[i]]
         if len(up) < 2:
             return []
-        if view.key != self._key:
+        if view.edges != self._edges:
             self._paths = dict(nx.all_pairs_shortest_path(view.graph()))
-            self._key = view.key
+            self._edges = view.edges
         _, plan = centralized_balance(load[up])
         out: list[Transfer] = []
         for src_idx, dst_idx, amount in plan:
@@ -581,22 +592,28 @@ class _Centralized:
         return out
 
 
-def _make_adapter(algorithm: str, params: ZooParams):
-    if algorithm == "diffusion":
-        return _Diffusion()
-    if algorithm == "accelerated":
-        return _Accelerated()
-    if algorithm == "dimension_exchange":
-        return _DimensionExchange()
-    if algorithm == "bertsekas":
-        return _Bertsekas(params)
-    if algorithm == "reactive_residual":
-        return _ReactiveResidual(params)
-    if algorithm == "centralized":
-        return _Centralized()
-    raise ValueError(
-        f"unknown zoo algorithm {algorithm!r}; choose from {ZOO_ALGORITHMS}"
-    )
+#: Registry order == report order.
+_POLICIES = {
+    "reactive_residual": ReactiveResidual,
+    "diffusion": Diffusion,
+    "accelerated": Accelerated,
+    "dimension_exchange": DimensionExchange,
+    "bertsekas": Bertsekas,
+    "centralized": Centralized,
+}
+ZOO_ALGORITHMS = tuple(_POLICIES)
+
+
+def make_policy(algorithm: str, params: ZooParams | None = None):
+    """A fresh policy (they carry per-run state) for a zoo algorithm."""
+    if algorithm not in _POLICIES:
+        raise ValueError(
+            f"unknown zoo algorithm {algorithm!r}; choose from {ZOO_ALGORITHMS}"
+        )
+    cls = _POLICIES[algorithm]
+    if issubclass(cls, _StaleViewPolicy):
+        return cls(params if params is not None else ZooParams())
+    return cls()
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +692,49 @@ def _limit_outflow(load: np.ndarray, transfers: list[Transfer]) -> list[Transfer
     ]
 
 
+def balance(
+    graph: nx.Graph,
+    load: np.ndarray,
+    algorithm: str,
+    *,
+    tol: float = 1e-9,
+    max_rounds: int = 100_000,
+) -> tuple[np.ndarray, int]:
+    """Iterate one policy on a fault-free ``graph`` until balanced.
+
+    Every round applies ``plan`` over the whole graph (no trigger, no
+    faults); returns ``(final_load, rounds)`` once the load's standard
+    deviation is within ``tol``.  The threshold policies (``bertsekas``,
+    ``reactive_residual``) stop at a plateau above any small ``tol`` by
+    design and run into ``max_rounds``.
+    """
+    n = graph.number_of_nodes()
+    if n == 0:
+        raise ValueError("graph is empty")
+    current = np.array(load, dtype=float)
+    if current.shape != (n,):
+        raise ValueError(
+            f"load must have one entry per node ({n}), got shape {current.shape}"
+        )
+    if not nx.is_connected(graph):
+        raise ValueError("balancing requires a connected graph")
+    view = ActiveView.fault_free(graph)
+    policy = make_policy(algorithm)
+    for rounds in range(max_rounds):
+        if float(np.std(current)) <= tol:
+            return current, rounds
+        transfers = policy.plan(view, current)
+        if policy.needs_limiter:
+            transfers = _limit_outflow(current, transfers)
+        for u, v, amount in transfers:
+            current[u] -= amount
+            current[v] += amount
+    raise RuntimeError(
+        f"{algorithm} did not balance within {max_rounds} rounds "
+        f"(stddev={float(np.std(current)):.3e})"
+    )
+
+
 def run_zoo(
     topology: Topology,
     algorithm: str,
@@ -688,7 +748,7 @@ def run_zoo(
 
     Per round: land the round's load shocks, compute the active view,
     apply the trigger policy (every ``check_every`` rounds, act only if
-    imbalanced past ``threshold``), let the adapter propose transfers
+    imbalanced past ``threshold``), let the policy propose transfers
     over active edges, apply them, and account volume / WAN volume /
     link-class-weighted cost.  Load is conserved to machine precision
     every round (asserted).
@@ -700,7 +760,7 @@ def run_zoo(
         else make_zoo_schedule("none", topology, params.rounds, seed=seed)
     )
     load = initial_load(topology, initial, seed=seed)
-    adapter = _make_adapter(algorithm, params)
+    policy = make_policy(algorithm, params)
     result = ZooRunResult(
         topology=topology.spec.label(),
         algorithm=algorithm,
@@ -723,7 +783,7 @@ def run_zoo(
         lies = [
             c for c in schedule.corruptions if c.start <= round_ < c.end
         ]
-        # Decisions (trigger + adapters) see the reported loads; the
+        # Decisions (trigger + policies) see the reported loads; the
         # transfers they propose move the *true* loads.  Lies can make a
         # node promise more than it holds, so the outflow limiter is
         # forced on whenever a corruption window is open.
@@ -736,8 +796,8 @@ def run_zoo(
             result.checks += 1
             if _imbalance(reported, view.up) > trigger.threshold:
                 result.triggers += 1
-                transfers = adapter.step(view, reported)
-                if adapter.needs_limiter or lies:
+                transfers = policy.plan(view, reported)
+                if policy.needs_limiter or lies:
                     transfers = _limit_outflow(load, transfers)
                 for u, v, amount in transfers:
                     load[u] -= amount

@@ -2,7 +2,7 @@
 
 Higher estimate = more loaded.  A node considers shipping components to
 a neighbour when ``my_estimate / neighbour_estimate`` exceeds the
-threshold ratio.
+threshold ratio (:func:`surplus_fraction`, the paper's decision rule).
 
 The paper (Section 5.2) argues for the **local residual**: "if a
 processor has a low residual, all its components are not evolving so
@@ -19,16 +19,33 @@ a better criterion") are implemented for the ablation benchmarks.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections import deque
 
 __all__ = [
+    "surplus_fraction",
     "LoadEstimator",
     "ResidualEstimator",
     "IterationTimeEstimator",
     "ComponentCountEstimator",
     "make_estimator",
 ]
+
+
+def surplus_fraction(mine: float, theirs: float, threshold_ratio: float) -> float:
+    """Algorithm 5's decision: the share of its load a node should shed.
+
+    ``mine`` and ``theirs`` are the estimates of a node and of the
+    neighbour it considers.  ``0.0`` when they are balanced
+    (``mine / theirs <= threshold_ratio``); otherwise ``1 - 1/ratio``,
+    the share that would level the pair, reaching ``1.0`` when the
+    neighbour reports no load at all (or so little the ratio overflows).
+    """
+    ratio = mine / theirs if theirs > 0.0 else math.inf
+    if ratio <= threshold_ratio:
+        return 0.0
+    return 1.0 - 1.0 / ratio if math.isfinite(ratio) else 1.0
 
 
 class LoadEstimator(ABC):

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.config import LBConfig, SolverConfig
-from repro.core.estimators import make_estimator
+from repro.core.estimators import make_estimator, surplus_fraction
 from repro.core.records import RunResult
 from repro.core.solver import ChainRun, RankContext, build_chain
 from repro.des import Wait
@@ -91,6 +91,10 @@ class LBRankState:
     offers_timed_out: int = 0
     #: Migration payloads re-absorbed after their transfer failed.
     reabsorbed: int = 0
+
+
+#: ``try_lb`` outcomes that mean there is genuinely nothing to ship.
+_FRUITLESS = frozenset({"balanced", "converged", "famine", "edge"})
 
 
 def _opposite(side: str) -> str:
@@ -216,11 +220,10 @@ class _BalancedRun:
             return "converged"
         if not math.isfinite(theirs):
             return "no_info"  # neighbour never reported
-        ratio = mine / theirs if theirs > 0.0 else math.inf
-        if ratio <= cfg.threshold_ratio:
+        surplus = surplus_fraction(mine, theirs, cfg.threshold_ratio)
+        if surplus == 0.0:
             return "balanced"
-        surplus_fraction = 1.0 - 1.0 / ratio if math.isfinite(ratio) else 1.0
-        nb = int(cfg.accuracy * ctx.n_local * surplus_fraction)
+        nb = int(cfg.accuracy * ctx.n_local * surplus)
         nb = min(
             nb,
             int(cfg.max_fraction * ctx.n_local),
@@ -296,6 +299,15 @@ class _BalancedRun:
             self.run.config.header_bytes,
         )
 
+    def _give_up_offer(self, state: LBRankState, side: str) -> None:
+        """The offer toward ``side`` came to nothing (refused, timed out,
+        undeliverable): free the edge and wait before trying again."""
+        state.outgoing[side] = None
+        _adapt_period(state, self.cfg, productive=False)
+        state.ok_to_try = (
+            state.current_period if self.cfg.adaptive else self.cfg.retry_delay
+        )
+
     def _on_reply(self, ctx: RankContext, side: str, msg: Message) -> None:
         """Our offer toward ``side`` was answered."""
         run, cfg = self.run, self.cfg
@@ -303,17 +315,14 @@ class _BalancedRun:
         offered = state.outgoing[side]
         if offered is None:
             return  # defensive: reply without an outstanding offer
+        if not msg.payload["accept"]:
+            state.offers_rejected += 1
+            self._give_up_offer(state, side)
+            return
         state.outgoing[side] = None
         neighbor = run.neighbor(ctx.rank, side)
         assert neighbor is not None
         data_kind = f"lb_data_from_{_opposite(side)}"
-        if not msg.payload["accept"]:
-            state.offers_rejected += 1
-            _adapt_period(state, cfg, productive=False)
-            state.ok_to_try = (
-                state.current_period if cfg.adaptive else cfg.retry_delay
-            )
-            return
         # Re-validate the amount against the current block (it may have
         # shrunk since the offer); cancel with a zero-count message so
         # the receiver clears its expectation.
@@ -430,12 +439,8 @@ class _BalancedRun:
         state = self.lb[ctx.rank]
         if state.offer_epoch[side] != epoch or state.outgoing[side] is None:
             return
-        state.outgoing[side] = None
         state.offers_timed_out += 1
-        _adapt_period(state, self.cfg, productive=False)
-        state.ok_to_try = (
-            state.current_period if self.cfg.adaptive else self.cfg.retry_delay
-        )
+        self._give_up_offer(state, side)
 
     def _expire_incoming(self, ctx: RankContext, side: str, epoch: int) -> None:
         """Protocol timeout: stop expecting data that never arrived."""
@@ -451,12 +456,8 @@ class _BalancedRun:
         state = self.lb[ctx.rank]
         if state.outgoing[side] is None:
             return
-        state.outgoing[side] = None
         state.offers_timed_out += 1
-        _adapt_period(state, self.cfg, productive=False)
-        state.ok_to_try = (
-            state.current_period if self.cfg.adaptive else self.cfg.retry_delay
-        )
+        self._give_up_offer(state, side)
 
     def _on_reply_failed(
         self, ctx: RankContext, side: str, msg: Message, delivered: bool
@@ -538,13 +539,12 @@ def _balanced_process(balanced: _BalancedRun, ctx: RankContext):
             # Adaptive mode: back off only when *both* sides are
             # genuinely balanced/converged/famine-blocked — transient
             # obstacles (in-flight data, missing info) retry next sweep.
-            fruitless = {"balanced", "converged", "famine", "edge"}
             if balanced.cfg.adaptive:
                 if left == "offered" or right == "offered":
                     # Imbalance detected: look again soon.
                     _adapt_period(state, balanced.cfg, productive=True)
                     state.fruitless_streak = 0
-                elif left in fruitless and right in fruitless:
+                elif left in _FRUITLESS and right in _FRUITLESS:
                     state.fruitless_streak += 1
                     if state.fruitless_streak >= 3:
                         _adapt_period(state, balanced.cfg, productive=False)

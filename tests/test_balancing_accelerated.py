@@ -1,22 +1,18 @@
-"""Tests for accelerated diffusion schemes."""
+"""Tests for the spectral helpers and the second-order (accelerated) policy."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.balancing import (
-    chebyshev_diffusion_balance,
-    diffusion_balance,
+    ZOO_ALGORITHMS,
+    balance,
     diffusion_matrix,
+    make_policy,
     second_eigenvalue,
-    second_order_diffusion_balance,
 )
-
-
-def end_loaded(n):
-    load = np.zeros(n)
-    load[0] = float(n)
-    return load
+from repro.balancing.zoo import ActiveView
+from tests.test_balancing import GRAPHS, assert_balances, step
 
 
 def test_diffusion_matrix_is_doubly_stochastic():
@@ -36,9 +32,8 @@ def test_second_eigenvalue_bounds():
     g = nx.path_graph(8)
     lam2 = second_eigenvalue(diffusion_matrix(g))
     assert 0.0 < lam2 < 1.0
-    # Complete graph with alpha = 1/n balances in one round: lambda2 = 0.
-    k = nx.complete_graph(5)
-    lam2_k = second_eigenvalue(diffusion_matrix(k, alpha=1.0 / 5.0))
+    # Complete graph (alpha = 1/n) balances in one round: lambda2 = 0.
+    lam2_k = second_eigenvalue(diffusion_matrix(nx.complete_graph(5)))
     assert lam2_k == pytest.approx(0.0, abs=1e-9)
 
 
@@ -47,74 +42,51 @@ def test_second_eigenvalue_rejects_non_diffusion_matrix():
         second_eigenvalue(np.diag([0.5, 0.2]))
 
 
-@pytest.mark.parametrize(
-    "balancer", [second_order_diffusion_balance, chebyshev_diffusion_balance]
-)
-def test_accelerated_schemes_balance_and_conserve(balancer):
-    g = nx.path_graph(12)
-    load = end_loaded(12)
-    final, rounds = balancer(g, load, tol=1e-8)
-    assert np.allclose(final, 1.0, atol=1e-6)
-    assert final.sum() == pytest.approx(load.sum(), rel=1e-12)
-    assert rounds > 0
+@pytest.mark.parametrize("graph", [nx.path_graph(12), *GRAPHS])
+def test_accelerated_schemes_balance_and_conserve(graph):
+    assert_balances("accelerated", graph, per_node=1.0)
 
 
-@pytest.mark.parametrize(
-    "balancer", [second_order_diffusion_balance, chebyshev_diffusion_balance]
-)
-def test_accelerated_faster_than_first_order_on_chain(balancer):
+def test_accelerated_faster_than_first_order_on_chain():
     g = nx.path_graph(16)
-    load = end_loaded(16)
-    _, first_order = diffusion_balance(g, load, tol=1e-6)
-    _, accelerated = balancer(g, load, tol=1e-6)
-    # Heavy-ball/Chebyshev: O(1/sqrt(1-λ2)) vs O(1/(1-λ2)): a chain of 16
-    # shows well over 3x fewer rounds.
+    load = 16.0 * np.eye(16)[0]
+    _, first_order = balance(g, load, "diffusion", tol=1e-6)
+    _, accelerated = balance(g, load, "accelerated", tol=1e-6)
+    # Heavy-ball: O(1/sqrt(1-λ2)) vs O(1/(1-λ2)) — a chain of 16 shows
+    # well over 3x fewer rounds.
     assert accelerated * 3 < first_order
 
 
-def test_chebyshev_at_least_as_fast_as_second_order():
-    g = nx.path_graph(20)
-    load = end_loaded(20)
-    _, sos = second_order_diffusion_balance(g, load, tol=1e-8)
-    _, cheb = chebyshev_diffusion_balance(g, load, tol=1e-8)
-    assert cheb <= sos * 1.1
-
-
 def test_already_balanced_returns_immediately():
-    g = nx.path_graph(5)
     load = np.full(5, 3.0)
-    final, rounds = second_order_diffusion_balance(g, load)
-    assert rounds == 0
-    assert np.array_equal(final, load)
+    for algorithm in ZOO_ALGORITHMS:
+        final, rounds = balance(nx.path_graph(5), load, algorithm)
+        assert rounds == 0
+        assert np.array_equal(final, load)
 
 
 def test_disconnected_rejected():
     g = nx.Graph()
     g.add_edges_from([(0, 1), (2, 3)])
-    with pytest.raises(ValueError, match="connected"):
-        second_order_diffusion_balance(g, np.array([4.0, 0, 0, 0]))
-    with pytest.raises(ValueError, match="connected"):
-        chebyshev_diffusion_balance(g, np.array([4.0, 0, 0, 0]))
+    for algorithm in ZOO_ALGORITHMS:
+        with pytest.raises(ValueError, match="connected"):
+            balance(g, np.array([4.0, 0, 0, 0]), algorithm)
 
 
 def test_transient_negativity_is_possible():
-    """Accelerated schemes overshoot: loads can transiently go negative
-    (documented caveat; the reason the component balancer is first-order).
-    A mid-chain spike produces the overshoot."""
-    import math
-
+    """Accelerated schemes overshoot: without the outflow limiter loads
+    transiently go negative (documented caveat; the reason the component
+    balancer is first-order).  A mid-chain spike produces the overshoot;
+    under the limiter — how both loops run the policy — it cannot."""
     g = nx.path_graph(13)
     load = np.zeros(13)
     load[6] = 13.0
-    matrix = diffusion_matrix(g)
-    lam2 = second_eigenvalue(matrix)
-    beta = 2.0 / (1.0 + math.sqrt(1.0 - lam2 * lam2))
-    prev = load
-    current = matrix @ prev
-    saw_negative = False
+    policy, view = make_policy("accelerated"), ActiveView.fault_free(g)
+    assert policy.needs_limiter
+    current, lowest = load, 0.0
     for _ in range(300):
-        current, prev = beta * (matrix @ current) + (1 - beta) * prev, current
-        if np.any(current < -1e-9):
-            saw_negative = True
-            break
-    assert saw_negative
+        current = step(policy, view, current)
+        lowest = min(lowest, current.min())
+    assert lowest < -1e-9
+    final, _ = balance(g, load, "accelerated", tol=1e-8)
+    assert final.min() > 0.0

@@ -7,6 +7,7 @@ from repro.core.estimators import (
     IterationTimeEstimator,
     ResidualEstimator,
     make_estimator,
+    surplus_fraction,
 )
 
 
@@ -59,3 +60,24 @@ def test_factory():
     assert isinstance(make_estimator("component_count"), ComponentCountEstimator)
     with pytest.raises(ValueError):
         make_estimator("nope")
+
+
+@pytest.mark.parametrize(
+    "mine, theirs, expected",
+    [
+        (1.0, 1.0, 0.0),
+        (2.0, 1.0, 0.0),  # at the threshold ratio: still balanced
+        (1.0, 3.0, 0.0),  # lighter than the neighbour
+        (3.0, 1.0, 2.0 / 3.0),
+        (3.0, 0.0, 1.0),  # the neighbour holds nothing
+        (3.0, 5e-324, 1.0),  # denormal: the ratio overflows
+    ],
+)
+def test_surplus_fraction(mine, theirs, expected):
+    assert surplus_fraction(mine, theirs, 2.0) == pytest.approx(expected)
+
+
+def test_surplus_fraction_grows_with_the_ratio():
+    fractions = [surplus_fraction(r, 1.0, 1.2) for r in (1.0, 1.3, 2.0, 10.0, 1e9)]
+    assert fractions == sorted(fractions)
+    assert fractions[0] == 0.0 < fractions[1] and fractions[-1] < 1.0

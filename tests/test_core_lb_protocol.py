@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core import LBConfig, SolverConfig, run_balanced_aiac
+from repro.core.lb import _BalancedRun
 from repro.core.partition import PartitionError
+from repro.core.solver import build_chain
 from repro.grid import homogeneous_cluster
 from repro.grid.host import Host
 from repro.grid.link import Link
@@ -166,3 +168,21 @@ def test_paper_mode_retries_every_sweep_once_triggered():
     )
     assert r.converged
     assert r.meta["offers_sent"] >= r.n_migrations
+
+
+@pytest.mark.parametrize(
+    "theirs, outcome, offered",
+    [(2.0, "balanced", None), (1.0, "offered", 4), (0.0, "offered", 6)],
+)
+def test_try_lb_offers_the_surplus_fraction_of_the_block(theirs, outcome, offered):
+    # Algorithm 5 on a hand-built pair: 12 components, estimate 3.0 against
+    # ``theirs``, threshold 2 -> floor(accuracy * 12 * (1 - 1/ratio)).
+    run = build_chain(imbalanced_problem(), two_rank_platform(), CFG, model="aiac+lb")
+    balanced = _BalancedRun(run, LBConfig(accuracy=0.5, max_fraction=1.0))
+    ctx = run.ranks[0]
+    assert ctx.n_local == 12
+    ctx.residual = 0.3
+    ctx.estimator.update(0.3, 3.0, 1.0, ctx.n_local)
+    ctx.neighbor_estimate["right"] = theirs
+    assert balanced.try_lb(ctx, "right") == outcome
+    assert balanced.lb[0].outgoing["right"] == offered
