@@ -66,6 +66,66 @@ def test_checksum_rejects_opaque_objects():
         payload_checksum(object())
 
 
+# Literal CRCs of every supported input type, recorded before the dtype
+# tag became a table lookup: stored stamps must keep verifying.
+PINNED_CHECKSUMS = [
+    (None, 1130791706),
+    (True, 1628777292),
+    (False, 370285530),
+    (7, 1297835806),
+    (-3, 666702404),
+    (np.int64(7), 1297835806),
+    (np.int32(-3), 666702404),
+    (1.5, 2742266376),
+    (-0.0, 617115552),
+    (np.float64(1.5), 2742266376),
+    (np.float32(0.25), 4264428706),
+    ("halo", 3683797915),
+    (b"\x00\xff", 2304992576),
+    (np.arange(4, dtype=np.float64), 1593971756),
+    (np.arange(4, dtype=np.float32), 3647896579),
+    (np.arange(6, dtype=np.int64).reshape(2, 3), 1423601098),
+    (np.array([True, False]), 863818405),
+    (np.zeros(3, dtype=np.complex128), 2979049313),
+    (np.arange(3, dtype=np.uint8), 3889837307),
+    ([1, 2.0, "x"], 2473731794),
+    ((1, 2.0, "x"), 2473731794),
+]
+
+
+@pytest.mark.parametrize(
+    "value,crc",
+    PINNED_CHECKSUMS,
+    ids=[f"{i}-{type(v).__name__}" for i, (v, _) in enumerate(PINNED_CHECKSUMS)],
+)
+def test_pinned_checksum_per_type(value, crc):
+    assert payload_checksum(value) == crc
+
+
+def test_pinned_halo_payload_and_checkpoint():
+    halo = {
+        "data": np.linspace(0.0, 1.0, 9),
+        "position": 12,
+        "estimate": 0.375,
+        "iteration": 40,
+    }
+    assert payload_checksum(halo) == 3462284031
+    snapshot = {
+        "iteration": 40,
+        "state": object(),
+        "lo": 8,
+        "hi": 20,
+        "halo_left": np.linspace(1.0, 2.0, 9),
+        "halo_right": None,
+        "halo_iter_left": 39,
+        "halo_iter_right": -1,
+        "estimator": object(),
+    }
+    assert checkpoint_crc(snapshot) == 2890027763
+    state = np.arange(24, dtype=float).reshape(12, 2)
+    assert checkpoint_crc(snapshot, state) == 1085106295
+
+
 # ----------------------------------------------------------------------
 # checkpoint_crc
 # ----------------------------------------------------------------------

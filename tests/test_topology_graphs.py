@@ -125,3 +125,35 @@ def test_disconnected_edge_set_rejected():
     g.add_edge(0, 1)
     with pytest.raises(ValueError):
         Topology(spec, g)
+
+
+# Literal values recorded before Topology stopped holding an nx.Graph:
+# the representation may change, the built edge sets may not.
+PINNED_FAMILY_DIGESTS = {
+    "chain": "36204efa72825aaae6b1f9fbf56ede48d8b325396c8e7eb2ee4f3e936c78e21f",
+    "ring": "9ab6cb6099ba961d609abb91f942db4ae93ebc5636f0f6918717ea15caba6612",
+    "mesh2d": "6132171f6d6f40311bc2d6eaafed0b6d0b28fbbe1e1e8a55948b90fe7c6b7783",
+    "mesh3d": "6e382ca938e3286c07ea3a894ebf1c93faebb3055f63ac1b1c24dc59cd24f9e9",
+    "torus": "87d455c87bef76d1abb049d11a73376469ce2851da37e913d83eceffbaa9a384",
+    "hypercube": "7bfcd3f996872e43516edb90aec3ecf33b3713f2596098255015d264b616431e",
+    "random_geometric": "97a29c5b862a6af863bb99585c740d801929a160eab677f6aaf1922289776de5",
+    "expander": "19a7dea4c7da9ec7129308c0d6cfe8a3f41391d422888c5d9d546441ba61de67",
+    "hierarchy": "b76c5859d1f8ad11fa73c0ae0a25bdc9820bcec5813ee170253607e4c1579984",
+}
+
+
+def test_pinned_family_digests():
+    assert set(PINNED_FAMILY_DIGESTS) == set(TOPOLOGY_FAMILIES)
+    built = {
+        family: build_topology(spec_for_family(family, 16, seed=1)).digest()
+        for family in TOPOLOGY_FAMILIES
+    }
+    assert built == PINNED_FAMILY_DIGESTS
+
+
+def test_pinned_solver_chain():
+    chain = Topology.chain(15)
+    assert chain.edges() == [(i, i + 1) for i in range(14)]
+    assert chain.digest() == (
+        "ac16bc573a5325e679918726750300cfcadfa12e26c53bea84f9aa7de7926cec"
+    )
