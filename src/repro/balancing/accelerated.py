@@ -14,9 +14,12 @@ a processor pool, not a mesh.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["safe_alpha", "diffusion_matrix", "second_eigenvalue"]
 
@@ -34,6 +37,8 @@ def safe_alpha(deg_max: int) -> float:
 
 def diffusion_matrix(graph: nx.Graph) -> np.ndarray:
     """The doubly-stochastic first-order diffusion matrix ``M``."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         raise ValueError("graph is empty")
     alpha = safe_alpha(max(d for _, d in graph.degree()))

@@ -33,9 +33,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.balancing.accelerated import (
@@ -49,6 +48,9 @@ from repro.core.estimators import surplus_fraction
 from repro.topology.graphs import Topology
 from repro.util.rng import spawn_generator
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "ZOO_ALGORITHMS",
@@ -341,6 +343,8 @@ class ActiveView:
         return max((len(nb) for nb in self.neighbors), default=0)
 
     def graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(i for i in range(self.n_nodes) if self.up[i])
         g.add_edges_from(self.edges)
@@ -578,6 +582,8 @@ class Centralized:
         if len(up) < 2:
             return []
         if view.edges != self._edges:
+            import networkx as nx
+
             self._paths = dict(nx.all_pairs_shortest_path(view.graph()))
             self._edges = view.edges
         _, plan = centralized_balance(load[up])
@@ -708,6 +714,8 @@ def balance(
     ``reactive_residual``) stop at a plateau above any small ``tol`` by
     design and run into ``max_rounds``.
     """
+    import networkx as nx
+
     n = graph.number_of_nodes()
     if n == 0:
         raise ValueError("graph is empty")

@@ -10,7 +10,10 @@ statistics that justify the neighbour-local balancing design.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["chain_dependency_graph", "dependency_graph_stats"]
 
@@ -19,8 +22,9 @@ def chain_dependency_graph(n_ranks: int) -> nx.Graph:
     """The undirected dependency graph of a chain decomposition."""
     if n_ranks < 1:
         raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-    graph = nx.path_graph(n_ranks)
-    return graph
+    import networkx as nx
+
+    return nx.path_graph(n_ranks)
 
 
 def dependency_graph_stats(graph: nx.Graph) -> dict:
@@ -30,6 +34,8 @@ def dependency_graph_stats(graph: nx.Graph) -> dict:
     of a node; ``diameter`` bounds how many migrations a component may
     need to traverse the system.
     """
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         raise ValueError("graph is empty")
     degrees = [d for _, d in graph.degree()]

@@ -11,8 +11,9 @@ the graph layer those regimes run on:
 * :class:`TopologySpec` — a frozen, JSON-round-trippable description of
   a topology (family + parameters + seed) whose :meth:`~TopologySpec.digest`
   is stable across processes and construction orders;
-* :class:`Topology` — the built artifact: integer nodes ``0..n-1``,
-  sorted neighbour sets, per-edge **link classes** (``"lan"`` vs
+* :class:`Topology` — the built artifact, a plain value: the node count
+  (nodes are the integers ``0..n-1``), the sorted edge tuple, sorted
+  per-node neighbour tuples, per-edge **link classes** (``"lan"`` vs
   ``"wan"`` — a hierarchy's inter-site links cost more, which the zoo's
   communication accounting charges for), and a content digest covering
   the exact edge set;
@@ -25,6 +26,13 @@ The PDE solver (:mod:`repro.core.solver`) consumes the *path* special
 case through :meth:`Topology.path_neighbor` — its 1-D block
 decomposition only admits chain migrations — while the balancing zoo
 (:mod:`repro.balancing.zoo`) runs on any family.
+
+:class:`Topology` is graph-free: it holds no ``networkx`` object and
+importing this module does not import networkx.  The chain generator is
+native, so a process that only runs the paper's experiments never loads
+the library.  Exactly two things here load it, inside the call:
+:func:`build_topology` for the eight non-chain families (their
+generators are networkx's) and :meth:`Topology.stats` (diameter).
 """
 
 from __future__ import annotations
@@ -32,13 +40,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.perf import stable_digest
 from repro.topology.dependency import dependency_graph_stats
 from repro.util.rng import spawn_generator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "TOPOLOGY_FAMILIES",
@@ -136,51 +147,71 @@ class TopologySpec:
 
 
 class Topology:
-    """A built communication topology: graph + link classes + digest.
+    """A built communication topology: edges + link classes + digest.
 
     Nodes are always the integers ``0..n-1`` (generators relabel
     structured node names deterministically), so load vectors index
     directly.  Edges carry a *link class* — ``"lan"`` by default,
     ``"wan"`` for a hierarchy's inter-site links — which the zoo's
     communication-cost accounting weights.
+
+    ``edges`` may list an edge in either orientation and more than
+    once; it is stored once as ``(u, v)`` with ``u < v``.  The edge set
+    must connect all ``n_nodes`` nodes.
     """
 
     def __init__(
         self,
         spec: TopologySpec,
-        graph: nx.Graph,
+        n_nodes: int,
+        edges: Iterable[tuple[int, int]],
         *,
         link_classes: dict[tuple[int, int], str] | None = None,
         coords: dict[int, tuple[float, float]] | None = None,
     ) -> None:
-        n = graph.number_of_nodes()
-        if n < 1:
+        if n_nodes < 1:
             raise ValueError("topology must have at least one node")
-        if sorted(graph.nodes()) != list(range(n)):
-            raise ValueError("topology nodes must be the integers 0..n-1")
-        if n > 1 and not nx.is_connected(graph):
-            raise ValueError(f"{spec.label()}: generated graph is not connected")
         self.spec = spec
-        self.graph = graph
+        self.n_nodes = n_nodes
         self.coords = coords
+        self._edges = tuple(sorted({_edge_key(u, v) for u, v in edges}))
+        neighbors: list[list[int]] = [[] for _ in range(n_nodes)]
+        for u, v in self._edges:
+            if not 0 <= u < v < n_nodes:
+                raise ValueError(
+                    f"edge ({u}, {v}): topology nodes must be the integers "
+                    f"0..{n_nodes - 1} and an edge joins two of them"
+                )
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        self._neighbors = [tuple(sorted(nb)) for nb in neighbors]
+        if not self._connected():
+            raise ValueError(f"{spec.label()}: generated graph is not connected")
         self._link_classes = {
             _edge_key(u, v): cls for (u, v), cls in (link_classes or {}).items()
         }
-        self._neighbors: list[tuple[int, ...]] = [
-            tuple(sorted(graph.neighbors(u))) for u in range(n)
-        ]
-        self._is_path: bool | None = None
+        self._is_path = self._edges == tuple(
+            (i, i + 1) for i in range(n_nodes - 1)
+        )
+
+    def _connected(self) -> bool:
+        """Does a search from node 0 reach every node?"""
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            u = frontier.pop()
+            for v in self._neighbors[u]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return len(seen) == self.n_nodes
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def n_nodes(self) -> int:
-        return self.graph.number_of_nodes()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``, sorted."""
-        return sorted(_edge_key(u, v) for u, v in self.graph.edges())
+        return list(self._edges)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbour set of ``u``."""
@@ -198,7 +229,12 @@ class Topology:
 
     def stats(self) -> dict:
         """Structural statistics + family metadata (report material)."""
-        stats = dependency_graph_stats(self.graph)
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n_nodes))
+        graph.add_edges_from(self._edges)
+        stats = dependency_graph_stats(graph)
         stats["family"] = self.spec.family
         stats["label"] = self.spec.label()
         stats["n_wan_edges"] = sum(
@@ -215,9 +251,9 @@ class Topology:
         return stable_digest(
             {
                 "spec": self.spec.to_dict(),
-                "edges": [list(e) for e in self.edges()],
+                "edges": [list(e) for e in self._edges],
                 "links": {
-                    f"{u}-{v}": self.link_class(u, v) for u, v in self.edges()
+                    f"{u}-{v}": self.link_class(u, v) for u, v in self._edges
                 },
             }
         )
@@ -232,9 +268,6 @@ class Topology:
         between chain neighbours; it asserts this before consuming the
         topology.
         """
-        if self._is_path is None:
-            n = self.n_nodes
-            self._is_path = self.edges() == [(i, i + 1) for i in range(n - 1)]
         return self._is_path
 
     def path_neighbor(self, rank: int, side: str) -> int | None:
@@ -245,7 +278,7 @@ class Topology:
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if not self.is_path():
+        if not self._is_path:
             raise ValueError(
                 f"{self.spec.label()} is not a path; path_neighbor is only "
                 f"defined on chain topologies"
@@ -265,10 +298,12 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _relabel_sorted(graph: nx.Graph) -> nx.Graph:
-    """Relabel arbitrary (tuple) node names to ``0..n-1`` by sorted order."""
-    mapping = {node: i for i, node in enumerate(sorted(graph.nodes()))}
-    return nx.relabel_nodes(graph, mapping, copy=True)
+def _from_graph(spec: TopologySpec, graph: nx.Graph, **kwargs) -> Topology:
+    """The :class:`Topology` of a networkx graph, its (possibly tuple)
+    node names relabelled to ``0..n-1`` by sorted order."""
+    index = {node: i for i, node in enumerate(sorted(graph.nodes()))}
+    edges = [(index[u], index[v]) for u, v in graph.edges()]
+    return Topology(spec, len(index), edges, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +314,15 @@ def _relabel_sorted(graph: nx.Graph) -> nx.Graph:
 def _gen_chain(spec: TopologySpec) -> Topology:
     if spec.n < 1:
         raise ValueError(f"chain needs n >= 1, got {spec.n}")
-    return Topology(spec, nx.path_graph(spec.n))
+    return Topology(spec, spec.n, [(i, i + 1) for i in range(spec.n - 1)])
 
 
 def _gen_ring(spec: TopologySpec) -> Topology:
     if spec.n < 3:
         raise ValueError(f"ring needs n >= 3, got {spec.n}")
-    return Topology(spec, nx.cycle_graph(spec.n))
+    import networkx as nx
+
+    return _from_graph(spec, nx.cycle_graph(spec.n))
 
 
 def _gen_mesh(spec: TopologySpec, ndim: int, *, periodic: bool) -> Topology:
@@ -296,8 +333,10 @@ def _gen_mesh(spec: TopologySpec, ndim: int, *, periodic: bool) -> Topology:
         )
     if periodic and any(d < 3 for d in dims):
         raise ValueError(f"torus needs every dim >= 3, got {dims!r}")
+    import networkx as nx
+
     graph = nx.grid_graph(dim=list(reversed(dims)), periodic=periodic)
-    return Topology(spec, _relabel_sorted(graph))
+    return _from_graph(spec, graph)
 
 
 def _gen_hypercube(spec: TopologySpec) -> Topology:
@@ -305,7 +344,9 @@ def _gen_hypercube(spec: TopologySpec) -> Topology:
     d = max(n.bit_length() - 1, 0)
     if n < 2 or 2**d != n:
         raise ValueError(f"hypercube needs n a power of two >= 2, got {n}")
-    return Topology(spec, _relabel_sorted(nx.hypercube_graph(d)))
+    import networkx as nx
+
+    return _from_graph(spec, nx.hypercube_graph(d))
 
 
 def _gen_random_geometric(spec: TopologySpec) -> Topology:
@@ -314,6 +355,8 @@ def _gen_random_geometric(spec: TopologySpec) -> Topology:
         raise ValueError(f"random_geometric needs n >= 2, got {n}")
     if not 0 < radius <= math.sqrt(2.0):
         raise ValueError(f"radius must be in (0, sqrt(2)], got {radius}")
+    import networkx as nx
+
     rng = spawn_generator(spec.seed, f"topology/random_geometric/{n}")
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
     graph = nx.Graph()
@@ -339,7 +382,7 @@ def _gen_random_geometric(spec: TopologySpec) -> Topology:
         assert best is not None
         graph.add_edge(best[1], best[2])
     coords = {i: (float(pos[i, 0]), float(pos[i, 1])) for i in range(n)}
-    return Topology(spec, graph, coords=coords)
+    return _from_graph(spec, graph, coords=coords)
 
 
 def _gen_expander(spec: TopologySpec) -> Topology:
@@ -356,6 +399,8 @@ def _gen_expander(spec: TopologySpec) -> Topology:
         raise ValueError(f"expander needs n >= 4, got {n}")
     if degree < 3:
         raise ValueError(f"expander needs degree >= 3, got {degree}")
+    import networkx as nx
+
     graph = nx.cycle_graph(n)
     rng = spawn_generator(spec.seed, f"topology/expander/{n}/{degree}")
     for round_ in range(degree - 2):
@@ -364,7 +409,7 @@ def _gen_expander(spec: TopologySpec) -> Topology:
             u, v = perm[i], perm[i + 1]
             if u != v and not graph.has_edge(u, v):
                 graph.add_edge(u, v)
-    return Topology(spec, graph)
+    return _from_graph(spec, graph)
 
 
 def _gen_hierarchy(spec: TopologySpec) -> Topology:
@@ -381,6 +426,8 @@ def _gen_hierarchy(spec: TopologySpec) -> Topology:
         raise ValueError(f"hierarchy needs sites >= 2, got {s}")
     if m < 1:
         raise ValueError(f"hierarchy needs site_size >= 1, got {m}")
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(s * m))
     link_classes: dict[tuple[int, int], str] = {}
@@ -395,7 +442,7 @@ def _gen_hierarchy(spec: TopologySpec) -> Topology:
         u, v = i * m, j * m
         graph.add_edge(u, v)
         link_classes[(u, v)] = "wan"
-    return Topology(spec, graph, link_classes=link_classes)
+    return _from_graph(spec, graph, link_classes=link_classes)
 
 
 _GENERATORS = {

@@ -1,0 +1,67 @@
+"""networkx and scipy stay off the paper experiments' import and run path.
+
+The solver's chain is a native :class:`~repro.topology.graphs.Topology`;
+only the LB zoo's non-chain families, graph statistics and spectral
+helpers need networkx, and they import it inside the call.  Checked in
+a fresh interpreter because this process has long since loaded both.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from dataclasses import replace
+
+    HEAVY = {"networkx", "scipy"}
+
+    def loaded(stage):
+        bad = HEAVY & set(sys.modules)
+        assert not bad, f"{stage}: loaded {sorted(bad)}"
+
+    import repro, repro.cli, repro.experiments, repro.workloads
+    import repro.obs, repro.serve
+    loaded("imports")
+
+    from repro.experiments import run_figure5, run_integrity, run_table1
+    from repro.workloads.scenarios import (
+        Figure5Scenario, IntegrityScenario, Table1Scenario,
+    )
+
+    run_figure5(Figure5Scenario.tiny())
+    loaded("run_figure5")
+    run_table1(
+        replace(Table1Scenario.quick(), n_points=45, n_steps=10, tolerance=1e-3)
+    )
+    loaded("run_table1")
+    run_integrity(replace(IntegrityScenario.tiny(), arms=("detect",)))
+    loaded("run_integrity")
+
+    # The check can fail: a non-chain family is built by networkx.
+    from repro.topology.graphs import build_topology, spec_for_family
+    build_topology(spec_for_family("chain", 8))
+    loaded("chain topology")
+    build_topology(spec_for_family("ring", 8))
+    assert "networkx" in sys.modules
+    print("ok")
+    """
+)
+
+
+def test_paper_experiments_never_load_networkx_or_scipy():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("ok")

@@ -120,11 +120,50 @@ def test_stats_include_family_and_label():
 
 def test_disconnected_edge_set_rejected():
     spec = TopologySpec(family="chain", n=4)
-    g = nx.Graph()
-    g.add_nodes_from(range(4))
-    g.add_edge(0, 1)
     with pytest.raises(ValueError):
-        Topology(spec, g)
+        Topology(spec, 4, [(0, 1)])
+
+
+def test_nodes_outside_zero_to_n_rejected():
+    spec = TopologySpec(family="chain", n=3)
+    with pytest.raises(ValueError, match="integers 0..2"):
+        Topology(spec, 3, [(0, 1), (1, 3)])
+    with pytest.raises(ValueError, match="integers 0..2"):
+        Topology(spec, 3, [(-1, 0), (0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        Topology(spec, 0, [])
+
+
+def test_edges_normalised_and_self_loop_rejected():
+    spec = TopologySpec(family="chain", n=3)
+    # Either orientation, listed twice: stored once as (u, v), u < v.
+    topo = Topology(spec, 3, [(1, 0), (0, 1), (2, 1), (1, 2)])
+    assert topo.edges() == [(0, 1), (1, 2)]
+    assert topo.neighbors(1) == (0, 2)
+    assert topo.is_path()
+    assert topo.digest() == Topology.chain(3).digest()
+    with pytest.raises(ValueError):
+        Topology(spec, 3, [(0, 1), (1, 2), (2, 2)])
+
+
+def test_single_node_topology():
+    topo = Topology.chain(1)
+    assert topo.n_nodes == 1
+    assert topo.edges() == []
+    assert topo.neighbors(0) == ()
+    assert topo.max_degree() == 0
+    assert topo.is_path()
+    assert topo.path_neighbor(0, "left") is None
+    assert topo.path_neighbor(0, "right") is None
+    assert topo.digest() == (
+        "08be40d4cbb721f2703f8d0a76df3e6fc39ded0d331779937ea8e2fa1f1a4072"
+    )
+
+
+def test_topology_holds_no_graph():
+    topo = build_topology(spec_for_family("ring", 8))
+    assert not hasattr(topo, "graph")
+    assert "n_nodes" in vars(topo)  # a stored integer, not a property
 
 
 # Literal values recorded before Topology stopped holding an nx.Graph:
