@@ -27,6 +27,11 @@ import numpy as np
 __all__ = ["payload_checksum", "checkpoint_crc"]
 
 
+#: ``str(dtype).encode()`` per dtype seen: formatting the name costs
+#: more than hashing a halo-sized array, and a run sees a handful.
+_DTYPE_TAGS: dict[np.dtype, bytes] = {}
+
+
 def _mix(crc: int, tag: bytes, data: bytes = b"") -> int:
     return zlib.crc32(data, zlib.crc32(tag, crc))
 
@@ -34,7 +39,7 @@ def _mix(crc: int, tag: bytes, data: bytes = b"") -> int:
 def _update(crc: int, obj: Any) -> int:
     if obj is None:
         return _mix(crc, b"N")
-    if isinstance(obj, bool):  # before int: bool is an int subclass
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
         return _mix(crc, b"b", b"\x01" if obj else b"\x00")
     if isinstance(obj, (int, np.integer)):
         return _mix(crc, b"i", str(int(obj)).encode())
@@ -45,7 +50,10 @@ def _update(crc: int, obj: Any) -> int:
     if isinstance(obj, bytes):
         return _mix(crc, b"y", obj)
     if isinstance(obj, np.ndarray):
-        crc = _mix(crc, b"a", str(obj.dtype).encode())
+        dtype_tag = _DTYPE_TAGS.get(obj.dtype)
+        if dtype_tag is None:
+            dtype_tag = _DTYPE_TAGS[obj.dtype] = str(obj.dtype).encode()
+        crc = _mix(crc, b"a", dtype_tag)
         crc = _mix(crc, b"#", repr(obj.shape).encode())
         return _mix(crc, b"@", np.ascontiguousarray(obj).tobytes())
     if isinstance(obj, dict):
@@ -100,7 +108,8 @@ def checkpoint_crc(
 
 def _fingerprintable(value: Any) -> bool:
     if value is None or isinstance(
-        value, (bool, int, float, str, bytes, np.integer, np.floating, np.ndarray)
+        value,
+        (bool, int, float, str, bytes, np.bool_, np.integer, np.floating, np.ndarray),
     ):
         return True
     if isinstance(value, dict):

@@ -270,15 +270,8 @@ class BrusselatorProblem(Problem):
         n = state.n
 
         skip = self._skip_mask(state, left_halo, right_halo)
-
-        # Lagged neighbour trajectories: u/v of components j-1 and j+1.
-        u_left = np.vstack([left_halo[0][None, :], old[:-1, 0, :]])
-        v_left = np.vstack([left_halo[1][None, :], old[:-1, 1, :]])
-        u_right = np.vstack([old[1:, 0, :], right_halo[0][None, :]])
-        v_right = np.vstack([old[1:, 1, :], right_halo[1][None, :]])
-
         new, work = self._sweep_batched(
-            old, u_left, v_left, u_right, v_right, skip, state.lo
+            self._padded(old, left_halo, right_halo), skip, state.lo
         )
 
         residuals = np.max(np.abs(new - old), axis=(1, 2))
@@ -298,28 +291,33 @@ class BrusselatorProblem(Problem):
             state.last_right_halo = np.array(right_halo, copy=True)
         return IterationResult(residuals=residuals, work=work)
 
+    @staticmethod
+    def _padded(
+        old: np.ndarray, left_halo: np.ndarray, right_halo: np.ndarray
+    ) -> np.ndarray:
+        """``(n + 2, 2, n_steps + 1)``: the rows ``old`` between two halos."""
+        ext = np.empty((old.shape[0] + 2,) + old.shape[1:])
+        ext[0] = left_halo
+        ext[1:-1] = old
+        ext[-1] = right_halo
+        return ext
+
     def _sweep_batched(
-        self,
-        old: np.ndarray,
-        u_left: np.ndarray,
-        v_left: np.ndarray,
-        u_right: np.ndarray,
-        v_right: np.ndarray,
-        skip: np.ndarray,
-        lo: int,
+        self, ext: np.ndarray, skip: np.ndarray, lo: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """One relaxation sweep over an arbitrary batch of components.
 
-        ``old`` is ``(n, 2, n_steps + 1)``; the neighbour arrays are
-        ``(n, n_steps + 1)`` lagged trajectories (one row per component,
-        regardless of where block boundaries fall — a row may come from
-        a halo or from the adjacent row of ``old``, the arithmetic
-        cannot tell).  Every operation is elementwise per component, so
-        the same code serves one rank's block (``iterate``) and the
-        whole concatenated chain (:class:`_BrusselatorChainSweeper`)
-        with bit-identical per-component results.  Returns ``(new,
+        ``ext`` is the :meth:`_padded` buffer: row ``j + 1`` is component
+        ``j``'s previous-sweep trajectory, rows ``j`` and ``j + 2`` its
+        lagged neighbours (a neighbour row may be a halo or the adjacent
+        component, the arithmetic cannot tell); it is read, never
+        written.  Every operation is elementwise per component, so the
+        same code serves one rank's block (``iterate``) and the whole
+        concatenated chain (:class:`_BrusselatorChainSweeper`) with
+        bit-identical per-component results.  Returns ``(new,
         per-component work)``.
         """
+        left, old, right = ext[:-2], ext[1:-1], ext[2:]
         n = old.shape[0]
         steps = self.n_steps
         dt, c = self.dt, self.c
@@ -349,17 +347,16 @@ class BrusselatorProblem(Problem):
             # verification decision is bit-identical to the sequential
             # pass-0 convergence test.
             sel = slice(None) if m == n else active
-            U = old[sel, 0, :]
-            V = old[sel, 1, :]
-            Uk = U[:, 1:]
-            Vk = V[:, 1:]
+            X, L, R = old[sel], left[sel], right[sel]
+            Xk = X[:, :, 1:]
+            Uk = Xk[:, 0]
+            Vk = Xk[:, 1]
             u_sq = Uk * Uk
             reaction_u = 1.0 + u_sq * Vk - 4.0 * Uk
             reaction_v = 3.0 * Uk - u_sq * Vk
-            diff_u = c * (u_left[sel, 1:] - 2.0 * Uk + u_right[sel, 1:])
-            diff_v = c * (v_left[sel, 1:] - 2.0 * Vk + v_right[sel, 1:])
-            f1 = Uk - U[:, :-1] - dt * (reaction_u + diff_u)
-            f2 = Vk - V[:, :-1] - dt * (reaction_v + diff_v)
+            diff = c * (L[:, :, 1:] - 2.0 * Xk + R[:, :, 1:])
+            f1 = Uk - X[:, 0, :-1] - dt * (reaction_u + diff[:, 0])
+            f2 = Vk - X[:, 1, :-1] - dt * (reaction_v + diff[:, 1])
             ok = np.maximum(np.abs(f1), np.abs(f2)) <= tol  # (m, steps)
             # verified[j] = number of leading steps of component j whose
             # old values pass the residual test (step k is ok[:, k-1]).
@@ -377,8 +374,7 @@ class BrusselatorProblem(Problem):
             k_start = int(verified.min()) + 1
             if k_start <= steps and m <= _SCALAR_SWEEP_MAX:
                 self._sweep_tail_scalar(
-                    new, work, old, u_left, v_left, u_right, v_right,
-                    active, verified, lo,
+                    new, work, X, L, R, active, verified, lo
                 )
                 k_start = steps + 1  # tail fully handled
             for k in range(k_start, steps + 1):
@@ -386,8 +382,8 @@ class BrusselatorProblem(Problem):
                 rows = part if m == n else active[part]
                 u_prev = new[rows, 0, k - 1]
                 v_prev = new[rows, 1, k - 1]
-                ul, ur = u_left[rows, k], u_right[rows, k]
-                vl, vr = v_left[rows, k], v_right[rows, k]
+                ul, ur = left[rows, 0, k], right[rows, 0, k]
+                vl, vr = left[rows, 1, k], right[rows, 1, k]
 
                 def f(
                     u: np.ndarray,
@@ -439,11 +435,9 @@ class BrusselatorProblem(Problem):
         self,
         new: np.ndarray,
         work: np.ndarray,
-        old: np.ndarray,
-        u_left: np.ndarray,
-        v_left: np.ndarray,
-        u_right: np.ndarray,
-        v_right: np.ndarray,
+        own: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
         active: np.ndarray,
         verified: np.ndarray,
         lo: int,
@@ -466,23 +460,21 @@ class BrusselatorProblem(Problem):
 
         ver = verified.tolist()
         rows = active.tolist()
-        u_traj = old[active, 0, :].tolist()
-        v_traj = old[active, 1, :].tolist()
-        ul_traj = u_left[active].tolist()
-        ur_traj = u_right[active].tolist()
-        vl_traj = v_left[active].tolist()
-        vr_traj = v_right[active].tolist()
+        # Three separate lists: a component's own rows are updated in
+        # place below, and were they also its neighbour's `left_rows`,
+        # component j + 1 would read component j's *new* values —
+        # Gauss-Seidel, where Algorithm 1 is Jacobi.
+        own_rows = own.tolist()
+        left_rows = left.tolist()
+        right_rows = right.tolist()
 
         failures: dict[int, int] = {}  # step -> failed component count
         for pos, start in enumerate(ver):
             if start >= steps:
                 continue
-            uu = u_traj[pos]
-            vv = v_traj[pos]
-            ult = ul_traj[pos]
-            urt = ur_traj[pos]
-            vlt = vl_traj[pos]
-            vrt = vr_traj[pos]
+            uu, vv = own_rows[pos]
+            ult, vlt = left_rows[pos]
+            urt, vrt = right_rows[pos]
             w_add = 0.0
             for k in range(start + 1, steps + 1):
                 up = uu[k - 1]
@@ -733,14 +725,10 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         p = self.problem
         skip = self._global_skip_mask()
-        # Lagged neighbour trajectories with the Dirichlet boundary
-        # trajectories at the domain edges (constant in time).
-        u_left = np.vstack([self._edge_left[0][None, :], old[:-1, 0, :]])
-        v_left = np.vstack([self._edge_left[1][None, :], old[:-1, 1, :]])
-        u_right = np.vstack([old[1:, 0, :], self._edge_right[0][None, :]])
-        v_right = np.vstack([old[1:, 1, :], self._edge_right[1][None, :]])
+        # The Dirichlet boundary trajectories (constant in time) are the
+        # lagged neighbours at the domain edges.
         new, work = p._sweep_batched(
-            old, u_left, v_left, u_right, v_right, skip, 0
+            p._padded(old, self._edge_left, self._edge_right), skip, 0
         )
         residuals = np.max(np.abs(new - old), axis=(1, 2))
         if skip.any() and self._prev_res is not None:

@@ -91,10 +91,27 @@ class HeatProblem(Problem):
         right_halo: np.ndarray,
     ) -> IterationResult:
         old = state.traj  # (n, steps+1)
-        n = state.n
+        new = self._relax(old, left_halo, right_halo)
+        residuals = np.max(np.abs(new - old), axis=1)
+        state.traj = new
+        # One work unit per (component, step): linear solve, no Newton.
+        work = np.full(state.n, float(self.n_steps))
+        return IterationResult(residuals=residuals, work=work)
+
+    def _relax(
+        self, old: np.ndarray, left_halo: np.ndarray, right_halo: np.ndarray
+    ) -> np.ndarray:
+        """One Jacobi waveform sweep of the rows ``old`` between two halos.
+
+        Neighbour rows come from the previous sweep, so their source
+        term is formed once for all steps; only each component's own
+        time recurrence is sequential.
+        """
         dt, c = self.dt, self.c
-        u_left = np.vstack([np.atleast_2d(left_halo), old[:-1]])
-        u_right = np.vstack([old[1:], np.atleast_2d(right_halo)])
+        ext = np.empty((old.shape[0] + 2, old.shape[1]))
+        ext[0] = left_halo
+        ext[1:-1] = old
+        ext[-1] = right_halo
         new = np.empty_like(old)
         new[:, 0] = old[:, 0]
         denom = 1.0 + 2.0 * c * dt
@@ -102,15 +119,10 @@ class HeatProblem(Problem):
         # residual *is* the signal the divergence/plausibility guards
         # roll back on, so the overflow is not worth a warning.
         with np.errstate(over="ignore"):
+            src = c * dt * (ext[:-2] + ext[2:])
             for k in range(1, self.n_steps + 1):
-                new[:, k] = (
-                    new[:, k - 1] + c * dt * (u_left[:, k] + u_right[:, k])
-                ) / denom
-        residuals = np.max(np.abs(new - old), axis=1)
-        state.traj = new
-        # One work unit per (component, step): linear solve, no Newton.
-        work = np.full(n, float(self.n_steps))
-        return IterationResult(residuals=residuals, work=work)
+                new[:, k] = (new[:, k - 1] + src[:, k]) / denom
+        return new
 
     # ------------------------------------------------------------------
     def initial_halo(self, global_index: int) -> np.ndarray:
@@ -210,14 +222,7 @@ class _HeatChainSweeper(TrajectoryChainSweeper):
 
     def _advance(self, old: np.ndarray):
         p = self.problem
-        dt, c = p.dt, p.c
-        u_left = np.vstack([self._edge_left, old[:-1]])
-        u_right = np.vstack([old[1:], self._edge_right])
-        new = np.empty_like(old)
-        new[:, 0] = old[:, 0]
-        denom = 1.0 + 2.0 * c * dt
-        for k in range(1, p.n_steps + 1):
-            new[:, k] = (new[:, k - 1] + c * dt * (u_left[:, k] + u_right[:, k])) / denom
+        new = p._relax(old, self._edge_left, self._edge_right)
         residuals = np.max(np.abs(new - old), axis=1)
         work = np.full(old.shape[0], float(p.n_steps))
         return new, residuals, work, None

@@ -61,6 +61,12 @@ def test_checksum_array_shape_and_dtype_matter():
     assert payload_checksum(a.astype(np.float32)) != payload_checksum(a)
 
 
+def test_checksum_treats_numpy_bool_as_bool():
+    assert payload_checksum(np.bool_(True)) == payload_checksum(True)
+    assert payload_checksum(np.bool_(False)) == payload_checksum(False)
+    assert payload_checksum(np.bool_(True)) != payload_checksum(1)
+
+
 def test_checksum_rejects_opaque_objects():
     with pytest.raises(TypeError, match="cannot fingerprint"):
         payload_checksum(object())
@@ -157,6 +163,14 @@ def test_checkpoint_crc_detects_missing_fields_and_state_damage():
     # ...and so is a truncated snapshot (the key list is fingerprinted).
     truncated = {k: v for k, v in snapshot.items() if k != "hi"}
     assert checkpoint_crc(truncated, state) != crc
+
+
+def test_checkpoint_crc_keeps_a_numpy_bool_field():
+    # A comparison on arrays hands back np.bool_; dropping such a field
+    # silently would let its loss go undetected.
+    flagged = {"converged": np.bool_(True), "hi": 12}
+    assert checkpoint_crc(flagged) == checkpoint_crc({"converged": True, "hi": 12})
+    assert checkpoint_crc(flagged) != checkpoint_crc({"hi": 12})
 
 
 # ----------------------------------------------------------------------

@@ -188,3 +188,25 @@ def test_solution_oscillates():
     # sign changes of the derivative => non-monotone behaviour
     diffs = np.diff(u_mid)
     assert np.any(diffs > 0) and np.any(diffs < 0)
+
+
+def test_block_sweep_is_jacobi_not_gauss_seidel(small_problem):
+    """Inside one block, component 1 reads component 0's *previous*
+    trajectory (Algorithm 1: ``Ynew[j] = Solve(Yold)``), bit for bit —
+    the scalar tail updates rows in place and must not leak them."""
+    p = small_problem
+    hl, hr = p.initial_halo(3), p.initial_halo(6)
+    pair = p.initial_state(4, 6)
+    first = p.initial_state(4, 5)
+    second = p.initial_state(5, 6)
+    leaky = p.initial_state(5, 6)
+    for _ in range(3):  # the first sweeps all run the Newton tail
+        old0, old1 = pair.traj[0].copy(), pair.traj[1].copy()
+        first.traj[0], second.traj[0], leaky.traj[0] = old0, old1, old1
+        p.iterate(pair, hl, hr)
+        p.iterate(first, hl, old1)
+        p.iterate(second, old0, hr)  # Jacobi: the old left neighbour
+        p.iterate(leaky, first.traj[0], hr)  # Gauss-Seidel: the new one
+        assert pair.traj[0].tobytes() == first.traj[0].tobytes()
+        assert pair.traj[1].tobytes() == second.traj[0].tobytes()
+        assert pair.traj[1].tobytes() != leaky.traj[0].tobytes()

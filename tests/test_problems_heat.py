@@ -74,3 +74,39 @@ def test_merge_validates_shape(problem):
     st = problem.initial_state(0, 15)
     with pytest.raises(ValueError):
         problem.merge(st, np.zeros((2, 3)), "left")
+
+
+def _iterate_reference(problem, old, left_halo, right_halo):
+    """The step loop as it was written before the padded buffer."""
+    dt, c = problem.dt, problem.c
+    u_left = np.vstack([np.atleast_2d(left_halo), old[:-1]])
+    u_right = np.vstack([old[1:], np.atleast_2d(right_halo)])
+    new = np.empty_like(old)
+    new[:, 0] = old[:, 0]
+    denom = 1.0 + 2.0 * c * dt
+    with np.errstate(over="ignore"):
+        for k in range(1, problem.n_steps + 1):
+            new[:, k] = (
+                new[:, k - 1] + c * dt * (u_left[:, k] + u_right[:, k])
+            ) / denom
+    return new, np.max(np.abs(new - old), axis=1)
+
+
+@pytest.mark.parametrize("n_local", [1, 2, 5, 8])
+def test_iterate_bit_identical_to_step_loop(n_local):
+    problem = HeatProblem(n_points=32, t_end=0.05, n_steps=8)
+    rng = np.random.default_rng(n_local)
+    for trial in range(20):
+        state = problem.initial_state(3, 3 + n_local)
+        state.traj = rng.normal(size=state.traj.shape)
+        left = rng.normal(size=(1, problem.n_steps + 1))
+        right = rng.normal(size=problem.n_steps + 1)  # 1-D halos are accepted
+        if trial % 4 == 3:
+            # A corrupted state: the sweep overflows to inf, silently.
+            state.traj[0, 2] = 1e308
+            left[0, 3] = 1.7e308
+        want_traj, want_res = _iterate_reference(problem, state.traj, left, right)
+        result = problem.iterate(state, left, right)
+        assert state.traj.tobytes() == want_traj.tobytes()
+        assert result.residuals.tobytes() == want_res.tobytes()
+    assert not np.isfinite(want_traj).all()  # the last trial did overflow
