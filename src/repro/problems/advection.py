@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.numerics.banded import thomas_solve
-from repro.problems.base import IterationResult, Problem
-from repro.problems.chain_sweeper import TrajectoryChainSweeper
+from repro.problems.base import IterationResult, Problem, padded
+from repro.problems.chain_sweeper import LinearChainSweeper
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["AdvectionDiffusionProblem", "AdvectionState"]
@@ -106,24 +106,26 @@ class AdvectionDiffusionProblem(Problem):
         right_halo: np.ndarray,
     ) -> IterationResult:
         old = state.traj
-        n = state.n
-        u_left = np.vstack([np.atleast_2d(left_halo), old[:-1]])
-        u_right = np.vstack([old[1:], np.atleast_2d(right_halo)])
-        new = np.empty_like(old)
-        new[:, 0] = old[:, 0]
-        denom = 1.0 + self.adv + 2.0 * self.dif
-        left_coeff = self.adv + self.dif
-        for k in range(1, self.n_steps + 1):
-            new[:, k] = (
-                new[:, k - 1]
-                + left_coeff * u_left[:, k]
-                + self.dif * u_right[:, k]
-            ) / denom
+        new = self._relax(old, left_halo, right_halo)
         residuals = np.max(np.abs(new - old), axis=1)
         state.traj = new
         return IterationResult(
-            residuals=residuals, work=np.full(n, float(self.n_steps))
+            residuals=residuals, work=np.full(state.n, float(self.n_steps))
         )
+
+    def _relax(
+        self, old: np.ndarray, left_halo: np.ndarray, right_halo: np.ndarray
+    ) -> np.ndarray:
+        """One Jacobi sweep of the rows ``old`` between two halos."""
+        ext = padded(old, left_halo, right_halo)
+        from_left = (self.adv + self.dif) * ext[:-2]
+        from_right = self.dif * ext[2:]
+        new = np.empty_like(old)
+        new[:, 0] = old[:, 0]
+        denom = 1.0 + self.adv + 2.0 * self.dif
+        for k in range(1, self.n_steps + 1):
+            new[:, k] = (new[:, k - 1] + from_left[:, k] + from_right[:, k]) / denom
+        return new
 
     # ------------------------------------------------------------------
     def initial_halo(self, global_index: int) -> np.ndarray:
@@ -173,8 +175,8 @@ class AdvectionDiffusionProblem(Problem):
     # ------------------------------------------------------------------
     def batched_chain_sweeper(
         self, blocks: list[tuple[int, int]]
-    ) -> "_AdvectionChainSweeper":
-        return _AdvectionChainSweeper(self, blocks)
+    ) -> LinearChainSweeper:
+        return LinearChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
     def solution(self, state: AdvectionState) -> np.ndarray:
@@ -200,42 +202,3 @@ class AdvectionDiffusionProblem(Problem):
         """Per-component total trajectory variation (where the pulse acts)."""
         return np.abs(np.diff(state.traj, axis=1)).sum(axis=1)
 
-
-class _AdvectionChainSweeper(TrajectoryChainSweeper):
-    """All ranks' advection–diffusion sweeps as one global update.
-
-    Same argument as the heat sweeper: linear, Jacobi in space,
-    sequential only along each component's own time axis, per-step
-    update elementwise per component with the exact expression order
-    of :meth:`AdvectionDiffusionProblem.iterate` — so every block's
-    slice of the global sweep is bit-identical to the per-rank call.
-    The coupling asymmetry (upwind advection) changes the coefficients,
-    not the dependency structure.
-    """
-
-    def __init__(
-        self,
-        problem: AdvectionDiffusionProblem,
-        blocks: list[tuple[int, int]],
-    ):
-        super().__init__(problem, blocks)
-        self._edge_left = problem.initial_halo(-1)
-        self._edge_right = problem.initial_halo(problem.n_components)
-
-    def _advance(self, old: np.ndarray):
-        p = self.problem
-        u_left = np.vstack([self._edge_left, old[:-1]])
-        u_right = np.vstack([old[1:], self._edge_right])
-        new = np.empty_like(old)
-        new[:, 0] = old[:, 0]
-        denom = 1.0 + p.adv + 2.0 * p.dif
-        left_coeff = p.adv + p.dif
-        for k in range(1, p.n_steps + 1):
-            new[:, k] = (
-                new[:, k - 1]
-                + left_coeff * u_left[:, k]
-                + p.dif * u_right[:, k]
-            ) / denom
-        residuals = np.max(np.abs(new - old), axis=1)
-        work = np.full(old.shape[0], float(p.n_steps))
-        return new, residuals, work, None

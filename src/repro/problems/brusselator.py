@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.numerics.euler import implicit_euler_banded
 from repro.numerics.newton import NewtonOptions, newton_batched_2x2
-from repro.problems.base import IterationResult, Problem
+from repro.problems.base import IterationResult, Problem, padded
 from repro.problems.chain_sweeper import TrajectoryChainSweeper
 from repro.util.validation import check_positive
 
@@ -170,13 +170,6 @@ class BrusselatorProblem(Problem):
     # ------------------------------------------------------------------
     # Initial data
     # ------------------------------------------------------------------
-    def x_of(self, global_index: int) -> float:
-        """Spatial coordinate ``x_i = (i+1) / (N+1)`` of component ``i``.
-
-        (The paper indexes components from 1; we use 0-based indices.)
-        """
-        return (global_index + 1) / (self.n_components + 1)
-
     def initial_values(self, lo: int, hi: int) -> np.ndarray:
         """Initial conditions for components ``[lo, hi)``: shape (n, 2)."""
         idx = np.arange(lo, hi)
@@ -251,12 +244,11 @@ class BrusselatorProblem(Problem):
         right_edge_quiet = state.last_right_halo is not None and bool(
             np.max(np.abs(right_halo - state.last_right_halo)) < thr
         )
-        left_neighbour = np.concatenate([[left_edge_quiet], quiet[:-1]])
-        right_neighbour = np.concatenate([quiet[1:], [right_edge_quiet]])
+        neighbours = padded(quiet, left_edge_quiet, right_edge_quiet)
         return (
             quiet
-            & left_neighbour
-            & right_neighbour
+            & neighbours[:-2]
+            & neighbours[2:]
             & (state.skip_streak < self.refresh_period)
         )
 
@@ -271,7 +263,7 @@ class BrusselatorProblem(Problem):
 
         skip = self._skip_mask(state, left_halo, right_halo)
         new, work = self._sweep_batched(
-            self._padded(old, left_halo, right_halo), skip, state.lo
+            padded(old, left_halo, right_halo), skip, state.lo
         )
 
         residuals = np.max(np.abs(new - old), axis=(1, 2))
@@ -291,23 +283,13 @@ class BrusselatorProblem(Problem):
             state.last_right_halo = np.array(right_halo, copy=True)
         return IterationResult(residuals=residuals, work=work)
 
-    @staticmethod
-    def _padded(
-        old: np.ndarray, left_halo: np.ndarray, right_halo: np.ndarray
-    ) -> np.ndarray:
-        """``(n + 2, 2, n_steps + 1)``: the rows ``old`` between two halos."""
-        ext = np.empty((old.shape[0] + 2,) + old.shape[1:])
-        ext[0] = left_halo
-        ext[1:-1] = old
-        ext[-1] = right_halo
-        return ext
-
     def _sweep_batched(
         self, ext: np.ndarray, skip: np.ndarray, lo: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """One relaxation sweep over an arbitrary batch of components.
 
-        ``ext`` is the :meth:`_padded` buffer: row ``j + 1`` is component
+        ``ext`` is the :func:`~repro.problems.base.padded` buffer
+        ``(n + 2, 2, n_steps + 1)``: row ``j + 1`` is component
         ``j``'s previous-sweep trajectory, rows ``j`` and ``j + 2`` its
         lagged neighbours (a neighbour row may be a halo or the adjacent
         component, the arithmetic cannot tell); it is read, never
@@ -690,8 +672,6 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
         self, problem: BrusselatorProblem, blocks: list[tuple[int, int]]
     ) -> None:
         super().__init__(problem, blocks)
-        self._edge_left = problem.initial_halo(-1)
-        self._edge_right = problem.initial_halo(problem.n_components)
         self._prev_res: np.ndarray | None = None
         self._skip_streak: np.ndarray | None = None
 
@@ -707,16 +687,12 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
             return np.zeros(n, dtype=bool)
         thr = p.skip_threshold
         quiet = self._prev_res < thr
-        left_neighbour = np.empty(n, dtype=bool)
-        left_neighbour[0] = True  # constant Dirichlet halo: always quiet
-        left_neighbour[1:] = quiet[:-1]
-        right_neighbour = np.empty(n, dtype=bool)
-        right_neighbour[-1] = True
-        right_neighbour[:-1] = quiet[1:]
+        # The constant Dirichlet halos are always quiet.
+        neighbours = padded(quiet, True, True)
         return (
             quiet
-            & left_neighbour
-            & right_neighbour
+            & neighbours[:-2]
+            & neighbours[2:]
             & (self._skip_streak < p.refresh_period)
         )
 
@@ -725,10 +701,8 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         p = self.problem
         skip = self._global_skip_mask()
-        # The Dirichlet boundary trajectories (constant in time) are the
-        # lagged neighbours at the domain edges.
         new, work = p._sweep_batched(
-            p._padded(old, self._edge_left, self._edge_right), skip, 0
+            padded(old, self._edge_left, self._edge_right), skip, 0
         )
         residuals = np.max(np.abs(new - old), axis=(1, 2))
         if skip.any() and self._prev_res is not None:

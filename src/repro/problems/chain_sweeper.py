@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.numerics.ragged import ChainSegments
 
-__all__ = ["TrajectoryChainSweeper"]
+__all__ = ["LinearChainSweeper", "TrajectoryChainSweeper"]
 
 
 class TrajectoryChainSweeper:
@@ -55,6 +55,9 @@ class TrajectoryChainSweeper:
         # computed elementwise from global indices, so this is
         # bit-identical to concatenating the per-block initial states.
         self.traj = problem.initial_state(0, problem.n_components).traj
+        # The domain-edge halos every global sweep is pinned between.
+        self._edge_left = problem.initial_halo(-1)
+        self._edge_right = problem.initial_halo(problem.n_components)
 
     def component_counts(self) -> np.ndarray:
         return self.segments.counts()
@@ -99,3 +102,21 @@ class TrajectoryChainSweeper:
         if residuals.size == 0:
             return 0.0
         return max(0.0, float(residuals.max()))
+
+
+class LinearChainSweeper(TrajectoryChainSweeper):
+    """Sweeper of a linear scalar problem (heat, advection–diffusion).
+
+    The problem's ``_relax(old, left_halo, right_halo)`` is the update
+    its ``iterate`` applies to one block — Jacobi in space, sequential
+    only along each component's own time axis — so the same call over
+    the whole chain between the domain-edge halos is every block's
+    sweep, bit for bit.  Each (component, step) costs one work unit.
+    """
+
+    def _advance(self, old: np.ndarray):
+        p = self.problem
+        new = p._relax(old, self._edge_left, self._edge_right)
+        residuals = np.max(np.abs(new - old), axis=1)
+        work = np.full(old.shape[0], float(p.n_steps))
+        return new, residuals, work, None

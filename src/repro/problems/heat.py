@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.numerics.banded import thomas_solve
-from repro.problems.base import IterationResult, Problem
-from repro.problems.chain_sweeper import TrajectoryChainSweeper
+from repro.problems.base import IterationResult, Problem, padded
+from repro.problems.chain_sweeper import LinearChainSweeper
 from repro.util.validation import check_positive
 
 __all__ = ["HeatProblem", "HeatState"]
@@ -101,17 +101,11 @@ class HeatProblem(Problem):
     def _relax(
         self, old: np.ndarray, left_halo: np.ndarray, right_halo: np.ndarray
     ) -> np.ndarray:
-        """One Jacobi waveform sweep of the rows ``old`` between two halos.
-
-        Neighbour rows come from the previous sweep, so their source
-        term is formed once for all steps; only each component's own
-        time recurrence is sequential.
-        """
+        """One Jacobi sweep of the rows ``old`` between two halos: the
+        neighbours are last sweep's, so their source term is formed once
+        for all steps; only a component's own recurrence is sequential."""
         dt, c = self.dt, self.c
-        ext = np.empty((old.shape[0] + 2, old.shape[1]))
-        ext[0] = left_halo
-        ext[1:-1] = old
-        ext[-1] = right_halo
+        ext = padded(old, left_halo, right_halo)
         new = np.empty_like(old)
         new[:, 0] = old[:, 0]
         denom = 1.0 + 2.0 * c * dt
@@ -172,8 +166,8 @@ class HeatProblem(Problem):
     # ------------------------------------------------------------------
     def batched_chain_sweeper(
         self, blocks: list[tuple[int, int]]
-    ) -> "_HeatChainSweeper":
-        return _HeatChainSweeper(self, blocks)
+    ) -> LinearChainSweeper:
+        return LinearChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
     def solution(self, state: HeatState) -> np.ndarray:
@@ -202,27 +196,3 @@ class HeatProblem(Problem):
         x = self.x_grid()
         return np.exp(-self.kappa * np.pi**2 * t)[None, :] * np.sin(np.pi * x)[:, None]
 
-
-class _HeatChainSweeper(TrajectoryChainSweeper):
-    """All ranks' heat sweeps as one vectorised global update.
-
-    The relaxation is linear, Jacobi in space (neighbour rows come from
-    the previous sweep) and sequential only in each component's own
-    time axis, so one global sweep over the concatenated trajectories
-    with the Dirichlet zero edges pinned reproduces every block's
-    :meth:`HeatProblem.iterate` bit for bit — the per-step update is
-    elementwise per component and written with the exact expression
-    order of ``iterate``.
-    """
-
-    def __init__(self, problem: HeatProblem, blocks: list[tuple[int, int]]):
-        super().__init__(problem, blocks)
-        self._edge_left = problem.initial_halo(-1)
-        self._edge_right = problem.initial_halo(problem.n_components)
-
-    def _advance(self, old: np.ndarray):
-        p = self.problem
-        new = p._relax(old, self._edge_left, self._edge_right)
-        residuals = np.max(np.abs(new - old), axis=1)
-        work = np.full(old.shape[0], float(p.n_steps))
-        return new, residuals, work, None

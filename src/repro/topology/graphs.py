@@ -27,11 +27,10 @@ case through :meth:`Topology.path_neighbor` — its 1-D block
 decomposition only admits chain migrations — while the balancing zoo
 (:mod:`repro.balancing.zoo`) runs on any family.
 
-:class:`Topology` is graph-free: it holds no ``networkx`` object and
-importing this module does not import networkx.  The chain generator is
-native, so a process that only runs the paper's experiments never loads
-the library.  Exactly two things here load it, inside the call:
-:func:`build_topology` for the eight non-chain families (their
+:class:`Topology` is graph-free: it holds no ``networkx`` object, and
+neither importing this module nor building a chain imports networkx, so
+the paper's experiments never load it.  Exactly two calls here do, inside
+the call: :func:`build_topology` for the eight non-chain families (their
 generators are networkx's) and :meth:`Topology.stats` (diameter).
 """
 
@@ -40,16 +39,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from repro.analysis.perf import stable_digest
 from repro.topology.dependency import dependency_graph_stats
 from repro.util.rng import spawn_generator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
 
 __all__ = [
     "TOPOLOGY_FAMILIES",
@@ -170,7 +166,7 @@ class Topology:
         coords: dict[int, tuple[float, float]] | None = None,
     ) -> None:
         if n_nodes < 1:
-            raise ValueError("topology must have at least one node")
+            raise ValueError(f"topology needs n_nodes >= 1, got {n_nodes}")
         self.spec = spec
         self.n_nodes = n_nodes
         self.coords = coords
@@ -179,13 +175,19 @@ class Topology:
         for u, v in self._edges:
             if not 0 <= u < v < n_nodes:
                 raise ValueError(
-                    f"edge ({u}, {v}): topology nodes must be the integers "
-                    f"0..{n_nodes - 1} and an edge joins two of them"
+                    f"edge ({u}, {v}) does not join two of the nodes "
+                    f"0..{n_nodes - 1}"
                 )
             neighbors[u].append(v)
             neighbors[v].append(u)
         self._neighbors = [tuple(sorted(nb)) for nb in neighbors]
-        if not self._connected():
+        seen, frontier = {0}, [0]  # connected iff a search from 0 sees all
+        while frontier:
+            for v in self._neighbors[frontier.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        if len(seen) != n_nodes:
             raise ValueError(f"{spec.label()}: generated graph is not connected")
         self._link_classes = {
             _edge_key(u, v): cls for (u, v), cls in (link_classes or {}).items()
@@ -193,18 +195,6 @@ class Topology:
         self._is_path = self._edges == tuple(
             (i, i + 1) for i in range(n_nodes - 1)
         )
-
-    def _connected(self) -> bool:
-        """Does a search from node 0 reach every node?"""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for v in self._neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == self.n_nodes
 
     # ------------------------------------------------------------------
     # Queries
@@ -298,9 +288,9 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _from_graph(spec: TopologySpec, graph: nx.Graph, **kwargs) -> Topology:
-    """The :class:`Topology` of a networkx graph, its (possibly tuple)
-    node names relabelled to ``0..n-1`` by sorted order."""
+def _from_graph(spec: TopologySpec, graph, **kwargs) -> Topology:
+    """The :class:`Topology` of a networkx ``graph``, its (possibly
+    tuple) node names relabelled to ``0..n-1`` by sorted order."""
     index = {node: i for i, node in enumerate(sorted(graph.nodes()))}
     edges = [(index[u], index[v]) for u, v in graph.edges()]
     return Topology(spec, len(index), edges, **kwargs)
@@ -312,8 +302,6 @@ def _from_graph(spec: TopologySpec, graph: nx.Graph, **kwargs) -> Topology:
 
 
 def _gen_chain(spec: TopologySpec) -> Topology:
-    if spec.n < 1:
-        raise ValueError(f"chain needs n >= 1, got {spec.n}")
     return Topology(spec, spec.n, [(i, i + 1) for i in range(spec.n - 1)])
 
 

@@ -114,3 +114,26 @@ def test_pure_diffusion_limit_is_symmetric():
         res = p.iterate(st, p.initial_halo(-1), p.initial_halo(16))
     assert res.local_residual < 1e-12
     assert np.max(np.abs(st.traj - p.reference_solution())) < 1e-9
+
+def test_iterate_bit_identical_to_step_loop():
+    """The padded-buffer sweep against the step loop it replaced."""
+    problem = AdvectionDiffusionProblem(n_points=40, n_steps=12)
+    rng = np.random.default_rng(3)
+    left_coeff = problem.adv + problem.dif
+    denom = 1.0 + problem.adv + 2.0 * problem.dif
+    for n_local in (1, 2, 5, 9):
+        state = problem.initial_state(4, 4 + n_local)
+        state.traj = old = rng.normal(size=state.traj.shape)
+        left = rng.normal(size=(1, problem.n_steps + 1))
+        right = rng.normal(size=problem.n_steps + 1)
+        u_left = np.vstack([left, old[:-1]])
+        u_right = np.vstack([old[1:], right[None, :]])
+        want = np.empty_like(old)
+        want[:, 0] = old[:, 0]
+        for k in range(1, problem.n_steps + 1):
+            want[:, k] = (
+                want[:, k - 1] + left_coeff * u_left[:, k] + problem.dif * u_right[:, k]
+            ) / denom
+        result = problem.iterate(state, left, right)
+        assert state.traj.tobytes() == want.tobytes()
+        assert result.residuals.tobytes() == np.max(np.abs(want - old), axis=1).tobytes()

@@ -126,9 +126,9 @@ def test_disconnected_edge_set_rejected():
 
 def test_nodes_outside_zero_to_n_rejected():
     spec = TopologySpec(family="chain", n=3)
-    with pytest.raises(ValueError, match="integers 0..2"):
+    with pytest.raises(ValueError, match="nodes 0..2"):
         Topology(spec, 3, [(0, 1), (1, 3)])
-    with pytest.raises(ValueError, match="integers 0..2"):
+    with pytest.raises(ValueError, match="nodes 0..2"):
         Topology(spec, 3, [(-1, 0), (0, 1), (1, 2)])
     with pytest.raises(ValueError):
         Topology(spec, 0, [])
