@@ -39,9 +39,9 @@ def padded(old: np.ndarray, left_halo: Any, right_halo: Any) -> np.ndarray:
     halo rows, so that ``[:-2]`` / ``[2:]`` are every component's left /
     right neighbour as views (a Jacobi sweep reads them, never writes)."""
     ext = np.empty((old.shape[0] + 2,) + old.shape[1:], dtype=old.dtype)
-    ext[0] = left_halo
+    ext[:1] = left_halo
     ext[1:-1] = old
-    ext[-1] = right_halo
+    ext[-1:] = right_halo
     return ext
 
 

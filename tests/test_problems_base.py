@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.problems import HeatProblem, SyntheticProblem
-from repro.problems.base import IterationResult
+from repro.problems.base import IterationResult, padded
 
 
 def test_iteration_result_aligns_shapes():
@@ -60,3 +60,45 @@ def test_brusselator_payload_edge_halo_drops_component_axis():
     assert np.array_equal(halo, payload[0])
     with pytest.raises(ValueError):
         prob.payload_edge_halo(payload, "center")
+
+
+def _halo_cases():
+    from repro.problems import AdvectionDiffusionProblem, BrusselatorProblem
+
+    n_steps = 6
+    synthetic = SyntheticProblem(np.full(5, 0.5))
+    heat = HeatProblem(5, t_end=0.05, n_steps=n_steps)
+    advection = AdvectionDiffusionProblem(5, t_end=0.05, n_steps=n_steps)
+    brusselator = BrusselatorProblem(5, t_end=1.0, n_steps=n_steps)
+    cases = []
+    for problem in (synthetic, heat, advection, brusselator):
+        state = problem.initial_state(0, 5)
+        cases.append(
+            pytest.param(
+                problem.state_array(state),
+                problem.initial_halo(-1),
+                problem.halo_out(state, "right"),
+                id=problem.name,
+            )
+        )
+    e = synthetic.state_array(synthetic.initial_state(0, 5))
+    cases.append(pytest.param(e, 9.0, 7.0, id="synthetic-scalar-halos"))
+    cases.append(pytest.param(e[:1], np.array([9.0]), 7.0, id="one-component"))
+    cases.append(pytest.param(e > 2.0, True, False, id="brusselator-quiet-mask"))
+    return cases
+
+
+@pytest.mark.parametrize("old, left, right", _halo_cases())
+def test_padded_places_every_problems_halos(old, left, right):
+    """Scalar, ``(1,)``, ``(1, n_steps+1)`` and ``(2, n_steps+1)`` halos
+    all land in the first/last row; ``padded(e, np.array([9.0]), ...)``
+    on 1-D state used to raise "setting an array element with a
+    sequence"."""
+    ext = padded(old, left, right)
+    assert ext.shape == (old.shape[0] + 2,) + old.shape[1:]
+    assert ext.dtype == old.dtype
+    assert np.array_equal(ext[1:-1], old)
+    row = (1,) + old.shape[1:]
+    assert np.array_equal(ext[:1], np.broadcast_to(left, row))
+    assert np.array_equal(ext[-1:], np.broadcast_to(right, row))
+    assert np.shares_memory(ext[:-2], ext) and np.shares_memory(ext[2:], ext)

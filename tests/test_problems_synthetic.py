@@ -136,3 +136,60 @@ def test_property_max_norm_contraction(n, coupling, seed):
     before = state.e.max()
     p.iterate(state, np.zeros(1), np.zeros(1))
     assert state.e.max() <= factor * before + 1e-15
+
+
+def _iterate_by_concatenation(problem, state, left_halo, right_halo):
+    """``SyntheticProblem.iterate`` as it was written before it took its
+    neighbours from the ``padded`` buffer: the reference the buffer
+    formulation must match bit for bit."""
+    e = state.e
+    rates = problem.rates[state.lo : state.lo + state.n]
+    e_left = np.concatenate([np.atleast_1d(left_halo), e[:-1]])
+    e_right = np.concatenate([e[1:], np.atleast_1d(right_halo)])
+    new = np.maximum(rates * e, problem.coupling * np.maximum(e_left, e_right))
+    work = np.full(state.n, problem.base_cost)
+    work[e > problem.active_threshold] += problem.active_cost
+    state.e = new
+    return new.copy(), work
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    lo=st.integers(0, 8),
+    scalar_halos=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_iterate_matches_the_concatenate_formulation_bitwise(
+    n, lo, scalar_halos, seed
+):
+    rng = np.random.default_rng(seed)
+    threshold = 1e-4
+    p = SyntheticProblem(
+        rng.uniform(0.0, 0.99, lo + n),
+        coupling=float(rng.uniform(0.0, 0.9)),
+        active_threshold=threshold,
+        base_cost=float(rng.uniform(0.5, 2.0)),
+        active_cost=float(rng.uniform(0.0, 30.0)),
+    )
+    # Errors on both sides of (and exactly at) the activity threshold.
+    e = threshold * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    e[rng.random(n) < 0.2] = threshold
+    halos = threshold * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+    left, right = (
+        (float(halos[0]), float(halos[1]))
+        if scalar_halos
+        else (halos[:1].copy(), halos[1:].copy())
+    )
+    state, reference = p.initial_state(lo, lo + n), p.initial_state(lo, lo + n)
+    state.e, reference.e = e.copy(), e.copy()
+    for _ in range(3):
+        result = p.iterate(state, left, right)
+        ref_residuals, ref_work = _iterate_by_concatenation(
+            p, reference, left, right
+        )
+        assert state.e.tobytes() == reference.e.tobytes()
+        assert result.residuals.tobytes() == ref_residuals.tobytes()
+        assert result.work.tobytes() == ref_work.tobytes()
+        assert result.residuals is not state.e
+        assert not np.shares_memory(result.residuals, state.e)

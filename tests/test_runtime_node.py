@@ -136,3 +136,59 @@ def test_handler_can_send_back():
     a.send(b, "ping", 10, 0)
     sim.run()
     assert log == [(2.0, 11)]
+
+
+def test_exclusive_channel_is_busy_until_exactly_the_delivery_event():
+    """The lossless transport frees an exclusive channel inside the
+    delivery event itself: an event scheduled at the arrival time but
+    *before* the send still sees it busy, the handler and anything
+    scheduled after the send see it free."""
+    sim, a, b, _ = make_pair(latency=4.0)
+    seen = []
+
+    def probe(label):
+        seen.append((label, sim.now, a.channel_busy("halo", b.rank),
+                     a.send(b, "halo", label, size_bytes=0, exclusive=True)))
+
+    b.register_handler(
+        "halo",
+        lambda msg: seen.append(
+            ("handler", sim.now, a.channel_busy("halo", b.rank), msg.payload)
+        ),
+    )
+    sim.at(4.0, probe, "before-delivery")  # same time, earlier sequence
+    assert a.send(b, "halo", "first", size_bytes=0, exclusive=True)
+    sim.at(2.0, probe, "in-flight")
+    sim.at(4.0, probe, "after-delivery")  # same time, later sequence
+    sim.run()
+    assert seen == [
+        ("in-flight", 2.0, True, False),
+        ("before-delivery", 4.0, True, False),
+        ("handler", 4.0, False, "first"),
+        ("after-delivery", 4.0, False, True),
+        ("handler", 8.0, False, "after-delivery"),
+    ]
+    assert not a.channel_busy("halo", b.rank)
+
+
+def test_non_exclusive_delivery_leaves_an_exclusive_channel_busy():
+    sim, a, b, _ = make_pair(latency=4.0)
+    b.register_handler("halo", lambda msg: None)
+    assert a.send(b, "halo", "slow", size_bytes=4e6, exclusive=True)  # t=8
+    assert a.send(b, "halo", "fast", size_bytes=0)  # arrives t=4
+    sim.run(until=5.0)
+    assert a.channel_busy("halo", b.rank)
+    sim.run()
+    assert not a.channel_busy("halo", b.rank)
+
+
+def test_missing_handler_error_names_rank_and_kind():
+    sim, a, b, _ = make_pair()
+    b.register_handler("known", lambda msg: None)
+    a.send(b, "known", None, size_bytes=0)
+    a.send(b, "mystery", None, size_bytes=0, exclusive=True)
+    with pytest.raises(SimulationError, match="scheduled callback") as info:
+        sim.run()
+    cause = info.value.__cause__
+    assert isinstance(cause, LookupError)
+    assert "rank 1" in str(cause) and "'mystery'" in str(cause)

@@ -1,7 +1,12 @@
 """White-box tests of the chain solver machinery."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SolverConfig, run_aiac
 from repro.core.solver import build_chain
@@ -122,3 +127,29 @@ def test_token_ring_result_time_not_before_oracle_time():
     assert r.meta["oracle_detection_time"] is not None
     assert r.time >= r.meta["oracle_detection_time"]
     assert r.meta["detection_messages"] > 0
+
+
+_FINITE_OR_NOT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            _FINITE_OR_NOT,
+            st.sampled_from([0.0, -0.0, 5e-324, 1e200, -1e200, 1e-200]),
+        ),
+        min_size=0,
+        max_size=64,
+    )
+)
+def test_estimator_l2_expression_is_np_linalg_norm_bitwise(values):
+    """``ChainRun.sweep`` forms the load estimator's l2 as
+    ``sqrt(r.r)``, the expression ``np.linalg.norm`` evaluates for a 1-D
+    float array — including subnormals, overflow to ``inf`` and the
+    ``nan``/``inf`` residuals a corrupted block reports."""
+    r = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        ours = math.sqrt(float(r.dot(r)))
+        theirs = float(np.linalg.norm(r))
+    assert struct.pack("<d", ours) == struct.pack("<d", theirs)
