@@ -51,7 +51,6 @@ from repro.des import Wait
 from repro.grid.platform import Platform
 from repro.problems.base import Problem
 from repro.runtime.message import Message
-from repro.runtime.tracer import FaultRecord, MigrationRecord
 
 __all__ = ["run_balanced_aiac", "LBRankState"]
 
@@ -378,14 +377,12 @@ class _BalancedRun:
             run.detector.reset_rank(ctx.rank)
             run.detector.reset_rank(neighbor.rank)
         run.tracer.migration(
-            MigrationRecord(
-                src_rank=ctx.rank,
-                dst_rank=neighbor.rank,
-                n_components=nb,
-                time=run.sim.now,
-                src_residual=ctx.estimator.value(),
-                dst_residual=ctx.neighbor_estimate[side],
-            )
+            src_rank=ctx.rank,
+            dst_rank=neighbor.rank,
+            n_components=nb,
+            time=run.sim.now,
+            src_residual=ctx.estimator.value(),
+            dst_residual=ctx.neighbor_estimate[side],
         )
 
     def _on_data(self, ctx: RankContext, side: str, msg: Message) -> None:
@@ -505,13 +502,11 @@ class _BalancedRun:
         if run.detector is not None:
             run.detector.reset_rank(ctx.rank)
         run.tracer.fault(
-            FaultRecord(
-                kind="reabsorb",
-                time=run.sim.now,
-                t_end=run.sim.now,
-                rank=ctx.rank,
-                detail=f"{payload['n']} components [{lo}, {hi})",
-            )
+            kind="reabsorb",
+            time=run.sim.now,
+            t_end=run.sim.now,
+            rank=ctx.rank,
+            detail=f"{payload['n']} components [{lo}, {hi})",
         )
 
 

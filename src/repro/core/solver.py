@@ -25,10 +25,9 @@ exclusion that "generates less communications" (Figure 4 variant).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
-
-import numpy as np
 
 from repro.core.config import SolverConfig
 from repro.core.convergence import SupervisorMonitor, TokenRingDetector
@@ -41,7 +40,7 @@ from repro.problems.base import Problem
 from repro.integrity import checkpoint_crc, corrupt_array_inplace
 from repro.runtime.message import Message
 from repro.runtime.node import GridNode
-from repro.runtime.tracer import FaultRecord, IterationSpan, ResidualRecord, Tracer
+from repro.runtime.tracer import Tracer
 from repro.topology.graphs import Topology
 
 __all__ = ["ChainRun", "RankContext", "run_aiac", "build_chain"]
@@ -313,13 +312,11 @@ class ChainRun:
             return snap
         injector.stats["corruptions_detected"] += 1
         self.tracer.fault(
-            FaultRecord(
-                kind="corruption_detected",
-                time=self.sim.now,
-                t_end=self.sim.now,
-                rank=ctx.rank,
-                detail="checkpoint CRC mismatch",
-            )
+            kind="corruption_detected",
+            time=self.sim.now,
+            t_end=self.sim.now,
+            rank=ctx.rank,
+            detail="checkpoint CRC mismatch",
         )
         prev = ctx.checkpoint_prev
         if (
@@ -537,8 +534,10 @@ class ChainRun:
         pre_estimate = ctx.estimator.value()
         epoch = ctx.node.crash_count
         result = self.problem.iterate(ctx.state, ctx.halo_left, ctx.halo_right)
-        t0 = ctx.node.sim.now
-        duration = ctx.node.host.duration_for_work(result.total_work, t0)
+        work = result.total_work
+        sim = ctx.node.sim
+        t0 = sim.now
+        duration = ctx.node.host.duration_for_work(work, t0)
         # Polling throttle for near-free (fully skipped) sweeps.
         duration = max(duration, self.config.min_sweep_duration)
         first = duration * self.config.overlap_split
@@ -572,28 +571,17 @@ class ChainRun:
             # — estimator update, trace spans, convergence reports —
             # may leak out.
             return duration
-        residual_l2 = float(np.linalg.norm(result.residuals))
-        ctx.estimator.update(ctx.residual, residual_l2, duration, ctx.n_local)
-        self.tracer.iteration(
-            IterationSpan(
-                rank=ctx.rank,
-                iteration=ctx.iteration,
-                t0=t0,
-                t1=ctx.node.sim.now,
-                work=result.total_work,
-            )
-        )
-        self.tracer.residual(
-            ResidualRecord(
-                rank=ctx.rank,
-                iteration=ctx.iteration,
-                time=ctx.node.sim.now,
-                residual=ctx.residual,
-                n_local=ctx.n_local,
-            )
-        )
+        now = sim.now
+        n_local = ctx.n_local
+        residuals = result.residuals
+        # What np.linalg.norm evaluates for a 1-D float array, without
+        # its dispatch (pinned bitwise in tests/test_solver_internals.py).
+        residual_l2 = math.sqrt(float(residuals.dot(residuals)))
+        ctx.estimator.update(ctx.residual, residual_l2, duration, n_local)
+        self.tracer.iteration(ctx.rank, ctx.iteration, t0, now, work)
+        self.tracer.residual(ctx.rank, ctx.iteration, now, ctx.residual, n_local)
         if self.injector is None or not self._halo_is_stale(ctx):
-            self.monitor.report(ctx.rank, ctx.residual, ctx.node.sim.now)
+            self.monitor.report(ctx.rank, ctx.residual, now)
         if self.detector is not None and not ctx.node.stop_requested:
             self._detection_after_sweep(ctx)
         if (

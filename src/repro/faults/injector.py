@@ -42,7 +42,6 @@ from repro.faults.models import (
 )
 from repro.integrity import corrupt_payload
 from repro.runtime.message import Message
-from repro.runtime.tracer import FaultRecord
 from repro.util.rng import RngTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,16 +151,14 @@ class FaultInjector:
             self._compile_timed(fault)
         for fault in self._partitions:
             self.tracer.fault(
-                FaultRecord(
-                    kind="partition",
-                    time=fault.t0,
-                    t_end=fault.t1,
-                    rank=None,
-                    detail=(
-                        f"ranks {sorted(fault.ranks_a)} | "
-                        f"{sorted(fault.ranks_b)}"
-                    ),
-                )
+                kind="partition",
+                time=fault.t0,
+                t_end=fault.t1,
+                rank=None,
+                detail=(
+                    f"ranks {sorted(fault.ranks_a)} | "
+                    f"{sorted(fault.ranks_b)}"
+                ),
             )
         period = self.resilience.heartbeat_period
         for ctx in run.ranks:
@@ -213,13 +210,11 @@ class FaultInjector:
                 sim.at(t, self._set_speed, host, base * factor)
             sim.at(fault.t1, self._set_speed, host, base)
             self.tracer.fault(
-                FaultRecord(
-                    kind="slowdown",
-                    time=fault.t0,
-                    t_end=fault.t1,
-                    rank=fault.rank,
-                    detail=f"speed floor x{fault.factor:g} in {steps} step(s)",
-                )
+                kind="slowdown",
+                time=fault.t0,
+                t_end=fault.t1,
+                rank=fault.rank,
+                detail=f"speed floor x{fault.factor:g} in {steps} step(s)",
             )
         else:  # LatencySpike
             network = self.run.platform.network
@@ -242,13 +237,11 @@ class FaultInjector:
             sim.at(fault.t1, self._restore_latency, unique, originals)
             where = "all links" if fault.sites is None else "-".join(fault.sites)
             self.tracer.fault(
-                FaultRecord(
-                    kind="latency_spike",
-                    time=fault.t0,
-                    t_end=fault.t1,
-                    rank=None,
-                    detail=f"{where} latency x{fault.factor:g}",
-                )
+                kind="latency_spike",
+                time=fault.t0,
+                t_end=fault.t1,
+                rank=None,
+                detail=f"{where} latency x{fault.factor:g}",
             )
 
     # ------------------------------------------------------------------
@@ -275,10 +268,7 @@ class FaultInjector:
             detail = f"restart after {downtime:.6g}s"
             self.sim.at(t_end, self._restart, fault.rank)
         self.tracer.fault(
-            FaultRecord(
-                kind="crash", time=now, t_end=t_end, rank=fault.rank,
-                detail=detail,
-            )
+            kind="crash", time=now, t_end=t_end, rank=fault.rank, detail=detail
         )
 
     def _restart(self, rank: int) -> None:
@@ -292,9 +282,7 @@ class FaultInjector:
         # parked (a dead host must not retransmit); re-arm them now.
         node.resume_parked()
         now = self.sim.now
-        self.tracer.fault(
-            FaultRecord(kind="restart", time=now, t_end=now, rank=rank)
-        )
+        self.tracer.fault(kind="restart", time=now, t_end=now, rank=rank)
         # Wake the rank's main process; it restores its last checkpoint
         # (GridNode.crash_count != RankContext.restored_epoch) and
         # resumes iterating.
@@ -310,13 +298,11 @@ class FaultInjector:
         self.stats["corruptions_injected"] += 1
         now = self.sim.now
         self.tracer.fault(
-            FaultRecord(
-                kind="state_corruption",
-                time=now,
-                t_end=now,
-                rank=fault.rank,
-                detail=f"{fault.target}: {detail}",
-            )
+            kind="state_corruption",
+            time=now,
+            t_end=now,
+            rank=fault.rank,
+            detail=f"{fault.target}: {detail}",
         )
 
     @staticmethod
@@ -418,13 +404,11 @@ class FaultInjector:
                     return message
                 self.stats["corruptions_injected"] += 1
                 self.tracer.fault(
-                    FaultRecord(
-                        kind="payload_corruption",
-                        time=now,
-                        t_end=now,
-                        rank=message.dst_rank,
-                        detail=f"{message.kind} from {message.src_rank}: {detail}",
-                    )
+                    kind="payload_corruption",
+                    time=now,
+                    t_end=now,
+                    rank=message.dst_rank,
+                    detail=f"{message.kind} from {message.src_rank}: {detail}",
                 )
                 return Message(
                     kind=message.kind,
@@ -477,13 +461,11 @@ class FaultInjector:
         self.stats["corruptions_detected"] += 1
         now = self.sim.now
         self.tracer.fault(
-            FaultRecord(
-                kind="corruption_detected",
-                time=now,
-                t_end=now,
-                rank=message.dst_rank,
-                detail=f"{message.kind} from {message.src_rank} rejected",
-            )
+            kind="corruption_detected",
+            time=now,
+            t_end=now,
+            rank=message.dst_rank,
+            detail=f"{message.kind} from {message.src_rank} rejected",
         )
 
     def note_corruption_recovered(self, rank: int, detail: str) -> None:
@@ -491,13 +473,11 @@ class FaultInjector:
         self.stats["corruption_rollbacks"] += 1
         now = self.sim.now
         self.tracer.fault(
-            FaultRecord(
-                kind="corruption_rollback",
-                time=now,
-                t_end=now,
-                rank=rank,
-                detail=detail,
-            )
+            kind="corruption_rollback",
+            time=now,
+            t_end=now,
+            rank=rank,
+            detail=detail,
         )
 
     # ------------------------------------------------------------------

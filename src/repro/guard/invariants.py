@@ -494,7 +494,14 @@ class InvariantMonitor:
         ):
             report = build_stall_report(run, horizon, self._stall_iterations)
             self.stall_reports.append(report)
-            run.tracer.fault(report.as_fault_record())
+            # Surface the stall on the tracer's fault channel (Gantt ✖).
+            run.tracer.fault(
+                kind="stall",
+                time=report.time,
+                t_end=report.time,
+                rank=report.suspect_rank,
+                detail=report.why,
+            )
             if self.config.on_stall == "raise":
                 raise InvariantViolation(report.format())
         self._stall_iterations = current

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.runtime.tracer import FaultRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.solver import ChainRun, RankContext
@@ -103,13 +102,11 @@ class PlausibilityGuard:
         )
         injector.stats["corruptions_detected"] += 1
         run.tracer.fault(
-            FaultRecord(
-                kind="corruption_detected",
-                time=now,
-                t_end=now,
-                rank=ctx.rank,
-                detail=f"plausibility screen: {why}",
-            )
+            kind="corruption_detected",
+            time=now,
+            t_end=now,
+            rank=ctx.rank,
+            detail=f"plausibility screen: {why}",
         )
         run.restore_checkpoint(ctx)
         injector.note_corruption_recovered(

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.runtime.tracer import FaultRecord
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.solver import ChainRun, RankContext
     from repro.guard.invariants import GuardConfig
@@ -76,16 +74,6 @@ class StallReport:
                 "right={lag_right})".format(**info)
             )
         return "\n".join(lines)
-
-    def as_fault_record(self) -> FaultRecord:
-        """Surface the stall on the tracer's fault channel (Gantt ✖)."""
-        return FaultRecord(
-            kind="stall",
-            time=self.time,
-            t_end=self.time,
-            rank=self.suspect_rank,
-            detail=self.why,
-        )
 
 
 def _halo_lag(run: "ChainRun", ctx: "RankContext", side: str) -> int | None:
@@ -223,13 +211,11 @@ class DivergenceGuard:
             }
         )
         run.tracer.fault(
-            FaultRecord(
-                kind="divergence-rollback",
-                time=run.sim.now,
-                t_end=run.sim.now,
-                rank=rank,
-                detail=f"residual {residual:.3e} (best {best})",
-            )
+            kind="divergence-rollback",
+            time=run.sim.now,
+            t_end=run.sim.now,
+            rank=rank,
+            detail=f"residual {residual:.3e} (best {best})",
         )
         run.restore_checkpoint(ctx)
         self._streak[rank] = 0

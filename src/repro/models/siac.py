@@ -20,7 +20,6 @@ from repro.des import Wait
 from repro.grid.platform import Platform
 from repro.models._recovery import install_sync_recovery, request_fresh_halos
 from repro.problems.base import Problem
-from repro.runtime.tracer import IdleSpan
 
 __all__ = ["run_siac"]
 
@@ -59,9 +58,7 @@ def _siac_process(run: ChainRun, ctx: RankContext):
             yield Wait(ctx.halo_signal)
         if not interrupted and sim.now > wait_start:
             run.tracer.idle(
-                IdleSpan(
-                    rank=ctx.rank, t0=wait_start, t1=sim.now, reason="siac-wait"
-                )
+                rank=ctx.rank, t0=wait_start, t1=sim.now, reason="siac-wait"
             )
 
 

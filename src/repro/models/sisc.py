@@ -19,7 +19,6 @@ from repro.des import Barrier, Signal, Wait
 from repro.grid.platform import Platform
 from repro.models._recovery import install_sync_recovery, request_fresh_halos
 from repro.problems.base import Problem
-from repro.runtime.tracer import IdleSpan
 
 __all__ = ["run_sisc"]
 
@@ -76,9 +75,7 @@ def _sisc_process(run: ChainRun, ctx: RankContext, barrier: Barrier):
             yield Wait(signal)
         if sim.now > wait_start:
             run.tracer.idle(
-                IdleSpan(
-                    rank=ctx.rank, t0=wait_start, t1=sim.now, reason="sisc-sync"
-                )
+                rank=ctx.rank, t0=wait_start, t1=sim.now, reason="sisc-sync"
             )
 
 
@@ -142,9 +139,7 @@ def _sisc_resilient_process(
             yield Wait(barrier.signal)
         if not interrupted and sim.now > wait_start:
             run.tracer.idle(
-                IdleSpan(
-                    rank=ctx.rank, t0=wait_start, t1=sim.now, reason="sisc-sync"
-                )
+                rank=ctx.rank, t0=wait_start, t1=sim.now, reason="sisc-sync"
             )
 
 

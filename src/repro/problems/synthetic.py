@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.problems.base import IterationResult, Problem
+from repro.problems.base import IterationResult, Problem, padded
 from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["SyntheticProblem", "SyntheticState"]
@@ -137,19 +137,28 @@ class SyntheticProblem(Problem):
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
-        e = state.e
         rates = self.rates[state.lo : state.lo + state.n]
-        e_left = np.concatenate([np.atleast_1d(left_halo), e[:-1]])
-        e_right = np.concatenate([e[1:], np.atleast_1d(right_halo)])
-        neighbour = np.maximum(e_left, e_right)
-        new = np.maximum(rates * e, self.coupling * neighbour)
-        active = e > self.active_threshold
-        work = np.full(state.n, self.base_cost)
-        work[active] += self.active_cost
+        new, work = self._relax(rates, state.e, left_halo, right_halo)
         state.e = new
         # The synthetic problem's residual IS the true error (idealised
         # estimator; see module docstring).
         return IterationResult(residuals=new.copy(), work=work)
+
+    def _relax(
+        self, rates: np.ndarray, e: np.ndarray, left_halo, right_halo
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One sweep of the errors ``e`` between two halos: (new errors,
+        per-component work).  Elementwise throughout, so a block's slice
+        of a longer sweep is bit-equal to sweeping the block alone."""
+        ext = padded(e, left_halo, right_halo)
+        neighbour = np.maximum(ext[:-2], ext[2:])
+        new = np.maximum(rates * e, self.coupling * neighbour)
+        work = np.where(
+            e > self.active_threshold,
+            self.base_cost + self.active_cost,
+            self.base_cost,
+        )
+        return new, work
 
     # ------------------------------------------------------------------
     # Halos
@@ -244,19 +253,9 @@ class _SyntheticChainSweeper:
 
     def _advance(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One global sweep from ``e``: (new errors, per-component work)."""
-        p = self.problem
-        n = e.shape[0]
-        e_left = np.empty(n)
-        e_left[0] = self._edge_left
-        e_left[1:] = e[:-1]
-        e_right = np.empty(n)
-        e_right[-1] = self._edge_right
-        e_right[:-1] = e[1:]
-        neighbour = np.maximum(e_left, e_right)
-        new = np.maximum(p.rates * e, p.coupling * neighbour)
-        work = np.full(n, p.base_cost)
-        work[e > p.active_threshold] += p.active_cost
-        return new, work
+        return self.problem._relax(
+            self.problem.rates, e, self._edge_left, self._edge_right
+        )
 
     def sweep(self) -> tuple[np.ndarray, np.ndarray]:
         """Advance every rank one iteration.

@@ -47,7 +47,7 @@ from repro.grid.host import Host
 from repro.grid.network import Network
 from repro.integrity import payload_checksum
 from repro.runtime.message import Message
-from repro.runtime.tracer import MessageRecord, Tracer
+from repro.runtime.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -349,28 +349,29 @@ class GridNode:
             arrival_time=arrival,
         )
 
-        def deliver() -> None:
-            if exclusive:
-                self._busy_channels.discard(channel)
-            handler = dst._handlers.get(kind)
-            if handler is None:
-                raise LookupError(
-                    f"rank {dst.rank} has no handler for message kind {kind!r}"
-                )
-            handler(message)
-
-        self.sim.schedule_at(arrival, deliver)
-        self.tracer.message(
-            MessageRecord(
-                kind=kind,
-                src_rank=self.rank,
-                dst_rank=dst.rank,
-                size_bytes=size_bytes,
-                send_time=now,
-                arrival_time=arrival,
-            )
+        self.sim.at(
+            arrival,
+            self._deliver_lossless,
+            dst,
+            message,
+            channel if exclusive else None,
         )
+        self.tracer.message(kind, self.rank, dst.rank, size_bytes, now, arrival)
         return True
+
+    def _deliver_lossless(
+        self, dst: "GridNode", message: Message, channel: tuple[str, int] | None
+    ) -> None:
+        """``message`` arrives; ``channel`` is the exclusive one it frees."""
+        if channel is not None:
+            self._busy_channels.discard(channel)
+        handler = dst._handlers.get(message.kind)
+        if handler is None:
+            raise LookupError(
+                f"rank {dst.rank} has no handler for message kind "
+                f"{message.kind!r}"
+            )
+        handler(message)
 
     # ------------------------------------------------------------------
     # Resilient transport (fault injection active)
@@ -439,14 +440,12 @@ class GridNode:
             transfer.in_flight += 1
             sim.at(arrival, self._deliver, transfer, arrival)
             self.tracer.message(
-                MessageRecord(
-                    kind=message.kind,
-                    src_rank=self.rank,
-                    dst_rank=transfer.dst.rank,
-                    size_bytes=message.size_bytes,
-                    send_time=now,
-                    arrival_time=arrival,
-                )
+                message.kind,
+                self.rank,
+                transfer.dst.rank,
+                message.size_bytes,
+                now,
+                arrival,
             )
         if reliable:
             rto = injector.retry_timeout(self.rank, transfer.attempt)

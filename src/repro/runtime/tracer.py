@@ -14,16 +14,19 @@ directly.
 
 Disabled-mode contract
 ----------------------
+The recording calls (:meth:`Tracer.iteration`, ``idle``, ``message``,
+``migration``, ``residual``, ``fault``) take the record's *fields*.
 ``Tracer(enabled=False)`` gates **all** record lists uniformly: none of
-``iterations`` / ``idles`` / ``messages`` / ``migrations`` / ``faults``
-accumulate (before the observability PR, migrations and faults leaked
-into a "disabled" tracer while busy/idle queries returned zero — the
-worst of both worlds).  Aggregate *accounting*, by contrast, is always
-on: cheap per-rank/per-kind totals are maintained on every recording
-call, so ``busy_time_of`` / ``idle_time_of`` / ``n_migrations`` /
-``components_migrated`` / ``n_messages`` are correct in both modes and
-:meth:`export_metrics` can build a full metrics snapshot even for
-untraced sweep runs.
+``iterations`` / ``idles`` / ``messages`` / ``migrations`` /
+``residuals`` / ``faults`` accumulate, and the record objects are not
+constructed at all — an untraced sweep pays for the aggregate updates
+only.  Aggregate *accounting* is always on: cheap per-rank/per-kind
+totals are maintained on every recording call, so ``busy_time_of`` /
+``idle_time_of`` / ``n_migrations`` / ``components_migrated`` /
+``n_messages`` are correct in both modes and :meth:`export_metrics` can
+build a full metrics snapshot even for untraced sweep runs.  (The
+lockstep engine appends whole batches of records to the lists itself,
+behind its own ``enabled`` test.)
 """
 
 from __future__ import annotations
@@ -147,42 +150,78 @@ class Tracer:
         self._components_migrated = 0
 
     # Recording -----------------------------------------------------------
-    def iteration(self, span: IterationSpan) -> None:
-        self._busy[span.rank] = (
-            self._busy.get(span.rank, 0.0) + span.t1 - span.t0
-        )
-        self._iter_counts[span.rank] = self._iter_counts.get(span.rank, 0) + 1
+    # Each call takes its record's fields, in the record's own order:
+    # the aggregates need only a few of them, and the record itself is
+    # built only for a tracer that keeps it.
+    def iteration(
+        self, rank: int, iteration: int, t0: float, t1: float, work: float
+    ) -> None:
+        self._busy[rank] = self._busy.get(rank, 0.0) + t1 - t0
+        self._iter_counts[rank] = self._iter_counts.get(rank, 0) + 1
         if self.enabled:
-            self.iterations.append(span)
+            self.iterations.append(IterationSpan(rank, iteration, t0, t1, work))
 
-    def idle(self, span: IdleSpan) -> None:
-        self._idle[span.rank] = self._idle.get(span.rank, 0.0) + span.t1 - span.t0
+    def idle(self, rank: int, t0: float, t1: float, reason: str) -> None:
+        self._idle[rank] = self._idle.get(rank, 0.0) + t1 - t0
         if self.enabled:
-            self.idles.append(span)
+            self.idles.append(IdleSpan(rank, t0, t1, reason))
 
-    def message(self, record: MessageRecord) -> None:
-        kind = record.kind
+    def message(
+        self,
+        kind: str,
+        src_rank: int,
+        dst_rank: int,
+        size_bytes: float,
+        send_time: float,
+        arrival_time: float,
+    ) -> None:
         self._msg_counts[kind] = self._msg_counts.get(kind, 0) + 1
-        self._msg_bytes[kind] = self._msg_bytes.get(kind, 0.0) + record.size_bytes
+        self._msg_bytes[kind] = self._msg_bytes.get(kind, 0.0) + size_bytes
         if self.enabled:
-            self.messages.append(record)
+            self.messages.append(
+                MessageRecord(
+                    kind, src_rank, dst_rank, size_bytes, send_time, arrival_time
+                )
+            )
 
-    def migration(self, record: MigrationRecord) -> None:
+    def migration(
+        self,
+        src_rank: int,
+        dst_rank: int,
+        n_components: int,
+        time: float,
+        src_residual: float,
+        dst_residual: float,
+    ) -> None:
         self._n_migrations += 1
-        self._components_migrated += record.n_components
+        self._components_migrated += n_components
         if self.enabled:
-            self.migrations.append(record)
+            self.migrations.append(
+                MigrationRecord(
+                    src_rank, dst_rank, n_components, time,
+                    src_residual, dst_residual,
+                )
+            )
 
-    def residual(self, record: ResidualRecord) -> None:
+    def residual(
+        self, rank: int, iteration: int, time: float, residual: float, n_local: int
+    ) -> None:
         if self.enabled:
-            self.residuals.append(record)
+            self.residuals.append(
+                ResidualRecord(rank, iteration, time, residual, n_local)
+            )
 
-    def fault(self, record: FaultRecord) -> None:
-        self._fault_counts[record.kind] = (
-            self._fault_counts.get(record.kind, 0) + 1
-        )
+    def fault(
+        self,
+        kind: str,
+        time: float,
+        t_end: float,
+        rank: int | None = None,
+        detail: str = "",
+    ) -> None:
+        self._fault_counts[kind] = self._fault_counts.get(kind, 0) + 1
         if self.enabled:
-            self.faults.append(record)
+            self.faults.append(FaultRecord(kind, time, t_end, rank, detail))
 
     # Convenience queries ---------------------------------------------------
     def iterations_of(self, rank: int) -> list[IterationSpan]:

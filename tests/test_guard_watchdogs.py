@@ -11,6 +11,7 @@ from repro.grid import homogeneous_cluster
 from repro.guard import GuardConfig, InvariantMonitor, InvariantViolation
 from repro.guard.watchdogs import DivergenceGuard, build_stall_report
 from repro.problems import HeatProblem
+from repro.runtime.tracer import Tracer
 
 
 def _small(n=24, ranks=3, speed=2000.0):
@@ -47,6 +48,9 @@ def test_stall_watchdog_records_report_and_fault():
     assert "stall" in report.format()
     faults = [f for f in run.tracer.faults if f.kind == "stall"]
     assert len(faults) == 3
+    assert (faults[0].time, faults[0].t_end) == (1.0, 1.0)
+    assert faults[0].rank == report.suspect_rank
+    assert faults[0].detail == report.why
 
 
 def test_stall_watchdog_raise_mode_escalates():
@@ -79,8 +83,6 @@ def test_stall_report_suspects_dead_rank_first():
     report = build_stall_report(run, 1.0, [0] * run.n_ranks)
     assert report.suspect_rank == 1
     assert "down" in report.why
-    assert report.as_fault_record().kind == "stall"
-    assert report.as_fault_record().rank == 1
 
 
 def test_stall_report_suspects_least_advanced_rank_and_channel():
@@ -115,20 +117,12 @@ def test_stall_report_suspects_busy_rank_over_slow_rank():
 # ----------------------------------------------------------------------
 # Divergence watchdog
 # ----------------------------------------------------------------------
-class _FakeTracer:
-    def __init__(self):
-        self.faults = []
-
-    def fault(self, record):
-        self.faults.append(record)
-
-
 class _FakeRun:
     """Just enough ChainRun surface for DivergenceGuard.after_sweep."""
 
     def __init__(self, checkpoint_every=20):
         self.checkpoint_every = checkpoint_every
-        self.tracer = _FakeTracer()
+        self.tracer = Tracer()
         self.restored = []
         self.checkpointed = []
         self.config = SolverConfig(tolerance=1e-6)

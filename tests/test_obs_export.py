@@ -12,33 +12,24 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics_jsonl,
 )
-from repro.runtime.tracer import (
-    FaultRecord,
-    IdleSpan,
-    IterationSpan,
-    MessageRecord,
-    MigrationRecord,
-    Tracer,
-)
+from repro.runtime.tracer import Tracer
 
 
 def make_tracer():
     t = Tracer()
-    t.iteration(IterationSpan(rank=0, iteration=1, t0=0.0, t1=2.0, work=10))
-    t.idle(IdleSpan(rank=1, t0=0.0, t1=0.5, reason="barrier"))
+    t.iteration(rank=0, iteration=1, t0=0.0, t1=2.0, work=10)
+    t.idle(rank=1, t0=0.0, t1=0.5, reason="barrier")
     t.message(
-        MessageRecord(
-            kind="halo_from_left",
-            src_rank=0,
-            dst_rank=1,
-            size_bytes=64.0,
-            send_time=1.0,
-            arrival_time=1.25,
-        )
+        kind="halo_from_left",
+        src_rank=0,
+        dst_rank=1,
+        size_bytes=64.0,
+        send_time=1.0,
+        arrival_time=1.25,
     )
-    t.migration(MigrationRecord(0, 1, 5, 2.0, 0.9, 0.1))
-    t.fault(FaultRecord(kind="crash", time=3.0, t_end=4.5, rank=1))
-    t.fault(FaultRecord(kind="reabsorb", time=5.0, t_end=5.0, rank=None))
+    t.migration(0, 1, 5, 2.0, 0.9, 0.1)
+    t.fault(kind="crash", time=3.0, t_end=4.5, rank=1)
+    t.fault(kind="reabsorb", time=5.0, t_end=5.0, rank=None)
     return t
 
 

@@ -1,22 +1,14 @@
 """Tests for the execution tracer."""
 
-from repro.runtime.tracer import (
-    FaultRecord,
-    IdleSpan,
-    IterationSpan,
-    MessageRecord,
-    MigrationRecord,
-    ResidualRecord,
-    Tracer,
-)
+from repro.runtime.tracer import Tracer
 
 
 def test_busy_and_idle_accounting():
     t = Tracer()
-    t.iteration(IterationSpan(rank=0, iteration=0, t0=0.0, t1=2.0, work=10))
-    t.iteration(IterationSpan(rank=0, iteration=1, t0=3.0, t1=5.0, work=10))
-    t.iteration(IterationSpan(rank=1, iteration=0, t0=0.0, t1=1.0, work=5))
-    t.idle(IdleSpan(rank=0, t0=2.0, t1=3.0, reason="barrier"))
+    t.iteration(rank=0, iteration=0, t0=0.0, t1=2.0, work=10)
+    t.iteration(rank=0, iteration=1, t0=3.0, t1=5.0, work=10)
+    t.iteration(rank=1, iteration=0, t0=0.0, t1=1.0, work=5)
+    t.idle(rank=0, t0=2.0, t1=3.0, reason="barrier")
     assert t.busy_time_of(0) == 4.0
     assert t.busy_time_of(1) == 1.0
     assert t.idle_time_of(0) == 1.0
@@ -31,12 +23,12 @@ def test_disabled_tracer_gates_all_lists_but_keeps_aggregates():
     migrations and faults, which used to leak), while every aggregate
     query stays correct."""
     t = Tracer(enabled=False)
-    t.iteration(IterationSpan(0, 0, 0.0, 1.5, 1))
-    t.idle(IdleSpan(0, 1.5, 2.0, "barrier"))
-    t.residual(ResidualRecord(0, 0, 1.0, 0.5, 10))
-    t.message(MessageRecord("halo_from_left", 0, 1, 64.0, 0.0, 0.1))
-    t.migration(MigrationRecord(0, 1, 5, 2.0, 0.9, 0.1))
-    t.fault(FaultRecord(kind="crash", time=3.0, t_end=4.0, rank=0))
+    t.iteration(0, 0, 0.0, 1.5, 1)
+    t.idle(0, 1.5, 2.0, "barrier")
+    t.residual(0, 0, 1.0, 0.5, 10)
+    t.message("halo_from_left", 0, 1, 64.0, 0.0, 0.1)
+    t.migration(0, 1, 5, 2.0, 0.9, 0.1)
+    t.fault(kind="crash", time=3.0, t_end=4.0, rank=0)
     # All lists empty, uniformly.
     assert t.iterations == []
     assert t.idles == []
@@ -56,8 +48,8 @@ def test_disabled_tracer_gates_all_lists_but_keeps_aggregates():
 
 def test_enabled_tracer_records_everything():
     t = Tracer()
-    t.migration(MigrationRecord(0, 1, 5, 2.0, 0.9, 0.1))
-    t.fault(FaultRecord(kind="crash", time=3.0, t_end=4.0, rank=0))
+    t.migration(0, 1, 5, 2.0, 0.9, 0.1)
+    t.fault(kind="crash", time=3.0, t_end=4.0, rank=0)
     assert len(t.migrations) == 1
     assert len(t.faults) == 1
     assert t.n_migrations() == 1
@@ -66,8 +58,8 @@ def test_enabled_tracer_records_everything():
 
 def test_migration_aggregates():
     t = Tracer()
-    t.migration(MigrationRecord(0, 1, 5, 1.0, 0.9, 0.1))
-    t.migration(MigrationRecord(2, 1, 3, 2.0, 0.8, 0.2))
+    t.migration(0, 1, 5, 1.0, 0.9, 0.1)
+    t.migration(2, 1, 3, 2.0, 0.8, 0.2)
     assert t.n_migrations() == 2
     assert t.components_migrated() == 8
 
@@ -78,12 +70,12 @@ def test_export_metrics_identical_for_enabled_and_disabled():
     from repro.obs.registry import MetricsRegistry
 
     def feed(t):
-        t.iteration(IterationSpan(0, 0, 0.0, 2.0, 10))
-        t.iteration(IterationSpan(1, 0, 0.0, 1.0, 5))
-        t.idle(IdleSpan(1, 1.0, 1.5, "wait"))
-        t.message(MessageRecord("halo_from_left", 0, 1, 64.0, 0.0, 0.1))
-        t.migration(MigrationRecord(0, 1, 4, 2.0, 0.9, 0.1))
-        t.fault(FaultRecord(kind="crash", time=3.0, t_end=4.0, rank=0))
+        t.iteration(0, 0, 0.0, 2.0, 10)
+        t.iteration(1, 0, 0.0, 1.0, 5)
+        t.idle(1, 1.0, 1.5, "wait")
+        t.message("halo_from_left", 0, 1, 64.0, 0.0, 0.1)
+        t.migration(0, 1, 4, 2.0, 0.9, 0.1)
+        t.fault(kind="crash", time=3.0, t_end=4.0, rank=0)
 
     on, off = Tracer(enabled=True), Tracer(enabled=False)
     feed(on)

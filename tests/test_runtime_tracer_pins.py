@@ -16,6 +16,7 @@ from repro.core.solver import run_aiac
 from repro.faults.injector import FaultInjector
 from repro.models.sisc import run_sisc
 from repro.obs.registry import MetricsRegistry
+from repro.runtime import tracer as tracer_module
 from repro.workloads.scenarios import Figure5Scenario, ResilienceScenario
 
 RECORD_LISTS = {
@@ -137,3 +138,42 @@ def test_fingerprint_does_not_depend_on_tracing(version):
     assert run_fingerprint(_solve(version, trace=True)) == run_fingerprint(
         _solve(version, trace=False)
     )
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Count every record object built through ``repro.runtime.tracer``."""
+    counts = {cls_name: 0 for cls_name in RECORD_LISTS.values()}
+
+    def counting(cls_name, cls):
+        def build(*args, **kwargs):
+            counts[cls_name] += 1
+            return cls(*args, **kwargs)
+
+        return build
+
+    for cls_name in counts:
+        monkeypatch.setattr(
+            tracer_module, cls_name, counting(cls_name, getattr(tracer_module, cls_name))
+        )
+    return counts
+
+
+@pytest.mark.parametrize("version", sorted(PINS))
+def test_untraced_run_constructs_no_record(version, constructed):
+    result = _solve(version, trace=False)
+    assert result.tracer.n_messages() > 0  # the run did report to its tracer
+    assert constructed == {cls_name: 0 for cls_name in RECORD_LISTS.values()}
+
+
+@pytest.mark.parametrize("version", sorted(PINS))
+def test_traced_run_constructs_exactly_the_records_it_keeps(version, constructed):
+    tracer = _solve(version, trace=True).tracer
+    assert constructed == {
+        cls_name: len(getattr(tracer, name))
+        for name, cls_name in RECORD_LISTS.items()
+    }
+    assert constructed == {
+        cls_name: PINS[version]["lengths"][name]
+        for name, cls_name in RECORD_LISTS.items()
+    }
