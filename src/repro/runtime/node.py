@@ -331,8 +331,9 @@ class GridNode:
         """
         if self.injector is not None:
             return self._send_resilient(dst, kind, payload, size_bytes, exclusive)
-        channel = (kind, dst.rank)
+        channel = None
         if exclusive:
+            channel = (kind, dst.rank)
             if channel in self._busy_channels:
                 return False
             self._busy_channels.add(channel)
@@ -349,13 +350,7 @@ class GridNode:
             arrival_time=arrival,
         )
 
-        self.sim.at(
-            arrival,
-            self._deliver_lossless,
-            dst,
-            message,
-            channel if exclusive else None,
-        )
+        self.sim.at(arrival, self._deliver_lossless, dst, message, channel)
         self.tracer.message(kind, self.rank, dst.rank, size_bytes, now, arrival)
         return True
 
