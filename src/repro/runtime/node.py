@@ -349,7 +349,6 @@ class GridNode:
             send_time=now,
             arrival_time=arrival,
         )
-
         self.sim.at(arrival, self._deliver_lossless, dst, message, channel)
         self.tracer.message(kind, self.rank, dst.rank, size_bytes, now, arrival)
         return True

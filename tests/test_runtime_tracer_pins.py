@@ -1,9 +1,10 @@
-"""Pins on what the tracer records for the paper's Figure 5 runs.
+"""Pins on what the tracer records: the two Figure 5 arms, a
+synchronous run and a faulted one.
 
-The digests below were taken before ``Tracer``'s recording calls
-started taking fields instead of records: an enabled tracer must keep
-building the same six record lists, every tracer the same aggregates,
-and an untraced run must stop building records at all.
+The digests were taken while ``Tracer``'s recording calls still took
+record objects.  Now that they take fields, an enabled tracer builds
+the same six record lists, every tracer keeps the same aggregates, and
+an untraced run builds no record at all.
 """
 
 from dataclasses import fields
