@@ -18,8 +18,7 @@ executes instead of trusting them:
 * Liveness watchdogs — a virtual-time stall detector emitting
   structured :class:`StallReport`\\ s, and a Newton/solver divergence
   guard that rolls a blowing-up rank back to its checkpoint instead of
-  propagating NaNs (see also
-  :func:`repro.numerics.newton.newton_batched_2x2_guarded`).
+  propagating NaNs.
 * :class:`PlausibilityGuard` — numerical screens (NaN/Inf, out-of-domain
   magnitudes, implausible residual jumps) that engage only while an
   attached fault injector has its corruption-detection layer armed,

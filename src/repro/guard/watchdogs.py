@@ -23,9 +23,7 @@ non-finite value rolls the rank back to its checkpoint immediately, a
 residual above ``max(best_so_far, tolerance) * divergence_factor`` does
 so after ``divergence_patience`` consecutive offences.  The baseline
 resets whenever load balancing changes the rank's block (a different
-subproblem has a different residual scale).  The batch-level
-counterpart (damped retry inside the Newton loop itself) is
-:func:`repro.numerics.newton.newton_batched_2x2_guarded`.
+subproblem has a different residual scale).
 """
 
 from __future__ import annotations

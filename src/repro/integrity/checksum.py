@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,40 +36,63 @@ def _mix(crc: int, tag: bytes, data: bytes = b"") -> int:
     return zlib.crc32(data, zlib.crc32(tag, crc))
 
 
+def _array(crc: int, obj: np.ndarray) -> int:
+    dtype_tag = _DTYPE_TAGS.get(obj.dtype)
+    if dtype_tag is None:
+        dtype_tag = _DTYPE_TAGS[obj.dtype] = str(obj.dtype).encode()
+    crc = _mix(crc, b"a", dtype_tag)
+    crc = _mix(crc, b"#", repr(obj.shape).encode())
+    return _mix(crc, b"@", np.ascontiguousarray(obj).tobytes())
+
+
+def _dict(crc: int, obj: dict) -> int:
+    crc = _mix(crc, b"d", str(len(obj)).encode())
+    for key in sorted(obj):
+        crc = _update(_update(crc, key), obj[key])
+    return crc
+
+
+def _sequence(crc: int, obj: Any) -> int:
+    crc = _mix(crc, b"l", str(len(obj)).encode())
+    for item in obj:
+        crc = _update(crc, item)
+    return crc
+
+
+#: Leaf tags inline; the order matters (``bool`` is an ``int``
+#: subclass).  ``_update`` walks this chain once per concrete type and
+#: then dispatches through ``_HANDLERS``, so what a value costs does not
+#: depend on how far down the chain its type sits.
+_CHAIN: tuple[tuple[Any, Callable[[int, Any], int]], ...] = (
+    (type(None), lambda crc, obj: _mix(crc, b"N")),
+    ((bool, np.bool_), lambda crc, obj: _mix(crc, b"b", b"\x01" if obj else b"\x00")),
+    ((int, np.integer), lambda crc, obj: _mix(crc, b"i", str(int(obj)).encode())),
+    (
+        (float, np.floating),
+        lambda crc, obj: _mix(crc, b"f", struct.pack("<d", float(obj))),
+    ),
+    (str, lambda crc, obj: _mix(crc, b"s", obj.encode())),
+    (bytes, lambda crc, obj: _mix(crc, b"y", obj)),
+    (np.ndarray, _array),
+    (dict, _dict),
+    ((list, tuple), _sequence),
+)
+_HANDLERS: dict[type, Callable[[int, Any], int]] = {}
+
+
+def _resolve(cls: type) -> Callable[[int, Any], int]:
+    for bases, handler in _CHAIN:
+        if issubclass(cls, bases):
+            return handler
+    raise TypeError(f"payload_checksum cannot fingerprint {cls.__name__!r}")
+
+
 def _update(crc: int, obj: Any) -> int:
-    if obj is None:
-        return _mix(crc, b"N")
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
-        return _mix(crc, b"b", b"\x01" if obj else b"\x00")
-    if isinstance(obj, (int, np.integer)):
-        return _mix(crc, b"i", str(int(obj)).encode())
-    if isinstance(obj, (float, np.floating)):
-        return _mix(crc, b"f", struct.pack("<d", float(obj)))
-    if isinstance(obj, str):
-        return _mix(crc, b"s", obj.encode())
-    if isinstance(obj, bytes):
-        return _mix(crc, b"y", obj)
-    if isinstance(obj, np.ndarray):
-        dtype_tag = _DTYPE_TAGS.get(obj.dtype)
-        if dtype_tag is None:
-            dtype_tag = _DTYPE_TAGS[obj.dtype] = str(obj.dtype).encode()
-        crc = _mix(crc, b"a", dtype_tag)
-        crc = _mix(crc, b"#", repr(obj.shape).encode())
-        return _mix(crc, b"@", np.ascontiguousarray(obj).tobytes())
-    if isinstance(obj, dict):
-        crc = _mix(crc, b"d", str(len(obj)).encode())
-        for key in sorted(obj):
-            crc = _update(crc, key)
-            crc = _update(crc, obj[key])
-        return crc
-    if isinstance(obj, (list, tuple)):
-        crc = _mix(crc, b"l", str(len(obj)).encode())
-        for item in obj:
-            crc = _update(crc, item)
-        return crc
-    raise TypeError(
-        f"payload_checksum cannot fingerprint {type(obj).__name__!r}"
-    )
+    cls = type(obj)
+    handler = _HANDLERS.get(cls)
+    if handler is None:
+        handler = _HANDLERS[cls] = _resolve(cls)
+    return handler(crc, obj)
 
 
 def payload_checksum(payload: Any) -> int:

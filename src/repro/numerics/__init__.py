@@ -17,12 +17,7 @@ faithful load estimator exactly as the paper argues (Section 5.2).
 """
 
 from repro.numerics.banded import BandedMatrix, solve_banded_system, thomas_solve
-from repro.numerics.newton import (
-    NewtonOptions,
-    NewtonResult,
-    newton_batched_2x2,
-    newton_batched_2x2_guarded,
-)
+from repro.numerics.newton import NewtonOptions, NewtonResult, newton_batched_2x2
 from repro.numerics.euler import implicit_euler_dense, implicit_euler_banded
 from repro.numerics.norms import max_abs_norm, l2_norm, relative_change
 from repro.numerics.ragged import ChainSegments, validate_chain_blocks
@@ -34,7 +29,6 @@ __all__ = [
     "NewtonOptions",
     "NewtonResult",
     "newton_batched_2x2",
-    "newton_batched_2x2_guarded",
     "implicit_euler_dense",
     "implicit_euler_banded",
     "max_abs_norm",

@@ -40,7 +40,6 @@ __all__ = [
     "NewtonOptions",
     "NewtonResult",
     "newton_batched_2x2",
-    "newton_batched_2x2_guarded",
 ]
 
 #: f(u, v) -> (F1, F2, J11, J12, J21, J22), all arrays of u's shape.
@@ -318,73 +317,3 @@ def newton_batched_2x2(
     np.maximum(iterations, 1, out=iterations)
     return NewtonResult(u=u, v=v, iterations=iterations, converged=converged)
 
-
-def newton_batched_2x2_guarded(
-    f: Residual2x2,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    options: NewtonOptions | None = None,
-    *,
-    max_retries: int = 2,
-    damping_factor: float = 0.5,
-) -> NewtonResult:
-    """Divergence-guarded :func:`newton_batched_2x2`.
-
-    Full Newton steps can overshoot into regions where the residual is
-    undefined (negative arguments to roots/logs) and poison components
-    with NaN/Inf; asynchronously, one poisoned halo then propagates
-    chain-wide (the run-level backstop is
-    :class:`repro.guard.watchdogs.DivergenceGuard`).  This wrapper is
-    the batch-level first line of defence:
-
-    1. solve with the caller's options;
-    2. if any component came back non-finite, re-solve with the step
-       damping multiplied by ``damping_factor`` (restarting from the
-       *original* guess — the poisoned iterate carries no information),
-       up to ``max_retries`` times;
-    3. components still non-finite after the last retry are returned as
-       the initial guess, marked not converged — finite data a caller
-       can iterate on, never NaN.
-
-    The happy path (all finite, the overwhelmingly common case) returns
-    the plain kernel's result object unchanged, so guarded and
-    unguarded solves are bit-identical whenever no retry fires.
-    """
-    if options is None:
-        options = NewtonOptions()
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
-    if not 0 < damping_factor < 1:
-        raise ValueError(
-            f"damping_factor must be in (0, 1), got {damping_factor!r}"
-        )
-    result = newton_batched_2x2(f, u0, v0, options)
-    bad = ~(np.isfinite(result.u) & np.isfinite(result.v))
-    if not bad.any():
-        return result
-    damping = options.damping
-    for _ in range(max_retries):
-        damping *= damping_factor
-        retry_options = NewtonOptions(
-            tol=options.tol,
-            max_iter=options.max_iter,
-            damping=damping,
-            compact_threshold=options.compact_threshold,
-            jacobian_refresh=options.jacobian_refresh,
-        )
-        retry = newton_batched_2x2(f, u0[bad], v0[bad], retry_options)
-        ok = np.isfinite(retry.u) & np.isfinite(retry.v)
-        bad_idx = np.flatnonzero(bad)
-        fixed = bad_idx[ok]
-        result.u[fixed] = retry.u[ok]
-        result.v[fixed] = retry.v[ok]
-        result.iterations[fixed] += retry.iterations[ok]
-        result.converged[fixed] = retry.converged[ok]
-        bad[fixed] = False
-        if not bad.any():
-            return result
-    # Last resort: surface the original guess, finite and honest.
-    result.u[bad] = u0[bad]
-    result.v[bad] = v0[bad]
-    result.converged[bad] = False
-    return result

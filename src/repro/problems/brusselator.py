@@ -62,10 +62,41 @@ __all__ = ["BrusselatorProblem", "BrusselatorState"]
 U_BOUNDARY = 1.0
 V_BOUNDARY = 3.0
 
-#: Blocks of at most this many components run the scalar Newton tail in
-#: :meth:`BrusselatorProblem._sweep_tail_scalar` (Python floats beat
-#: NumPy dispatch on tiny batches; both paths are bit-identical).
-_SCALAR_SWEEP_MAX = 24
+#: A batch of at most this many active (component, step) pairs is swept
+#: entirely by :meth:`BrusselatorProblem._sweep_scalar`, stage-1
+#: verification included.  NumPy stage 1 is ~30 calls, a flat 20-45 us
+#: up to 24 x 40; the scalar prefix costs ~0.4 us per *verified* pair.
+#: Table 1's traffic (0.1-0.5 verified) gains 16-44 us a call up to
+#: ~400 pairs, a fully verified block loses from ~60 pairs on.  160 is
+#: the smallest bound with ``Table1Scenario.quick()``'s 7 x 20 blocks
+#: inside, and where the worst-case loss (+35 us) still matches the
+#: typical gain (``docs/performance.md``, "Small-block Brusselator
+#: sweeps").
+_SCALAR_SWEEP_PAIRS = 160
+
+#: Above that bound stage 1 is NumPy; its unverified tail still runs in
+#: ``_sweep_scalar`` for at most this many active components, and in the
+#: per-step ``newton_batched_2x2`` loop beyond.  A batched step costs
+#: ~55 us whatever the batch, a scalar (component, step) ~1 us: blocks
+#: whose every component has a tail break even at 56-64 components,
+#: recorded traffic (a few long tails) between 64 and 96 (same section).
+_SCALAR_SWEEP_MAX = 64
+
+_NEWTON_FAILED = (
+    "brusselator Newton failed on {} component(s) at step {} "
+    "(block starting at {}); reduce dt or raise newton_max_iter"
+)
+
+
+def _next_streak(
+    streak: np.ndarray | None, skip: np.ndarray | None, n: int
+) -> np.ndarray:
+    """Consecutive-skip counts after a sweep that skipped ``skip``."""
+    if skip is None:
+        return np.zeros(n, dtype=np.int64)
+    streak[skip] += 1
+    streak[~skip] = 0
+    return streak
 
 
 @dataclass(slots=True)
@@ -217,8 +248,9 @@ class BrusselatorProblem(Problem):
         state: BrusselatorState,
         left_halo: np.ndarray,
         right_halo: np.ndarray,
-    ) -> np.ndarray:
-        """Which components may keep last sweep's trajectory untouched.
+    ) -> np.ndarray | None:
+        """Which components may keep last sweep's trajectory untouched
+        (``None``: skipping cannot engage this sweep).
 
         A component is skippable when its own residual *and* both its
         neighbours' residuals were below ``skip_threshold`` last sweep
@@ -229,13 +261,12 @@ class BrusselatorProblem(Problem):
         relaxation's own information flow, so skipping never hides a
         genuine change.
         """
-        n = state.n
         if (
             not self.skip_converged
             or state.prev_res is None
             or state.skip_streak is None
         ):
-            return np.zeros(n, dtype=bool)
+            return None
         thr = self.skip_threshold
         quiet = state.prev_res < thr
         left_edge_quiet = state.last_left_halo is not None and bool(
@@ -258,34 +289,26 @@ class BrusselatorProblem(Problem):
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
-        old = state.traj
-        n = state.n
-
         skip = self._skip_mask(state, left_halo, right_halo)
-        new, work = self._sweep_batched(
-            padded(old, left_halo, right_halo), skip, state.lo
+        new, work, residuals = self._sweep_batched(
+            padded(state.traj, left_halo, right_halo), skip, state.lo
         )
-
-        residuals = np.max(np.abs(new - old), axis=(1, 2))
-        if skip.any() and state.prev_res is not None:
+        if skip is not None and skip.any():
             # A skipped component's trajectory did not change; keep its
             # previous (below-threshold) residual rather than a fake 0.
             residuals[skip] = state.prev_res[skip]
 
         state.traj = new
         if self.skip_converged:
-            if state.skip_streak is None:
-                state.skip_streak = np.zeros(n, dtype=np.int64)
-            state.skip_streak[skip] += 1
-            state.skip_streak[~skip] = 0
+            state.skip_streak = _next_streak(state.skip_streak, skip, state.n)
             state.prev_res = residuals.copy()
             state.last_left_halo = np.array(left_halo, copy=True)
             state.last_right_halo = np.array(right_halo, copy=True)
         return IterationResult(residuals=residuals, work=work)
 
     def _sweep_batched(
-        self, ext: np.ndarray, skip: np.ndarray, lo: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, ext: np.ndarray, skip: np.ndarray | None, lo: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One relaxation sweep over an arbitrary batch of components.
 
         ``ext`` is the :func:`~repro.problems.base.padded` buffer
@@ -293,223 +316,247 @@ class BrusselatorProblem(Problem):
         ``j``'s previous-sweep trajectory, rows ``j`` and ``j + 2`` its
         lagged neighbours (a neighbour row may be a halo or the adjacent
         component, the arithmetic cannot tell); it is read, never
-        written.  Every operation is elementwise per component, so the
-        same code serves one rank's block (``iterate``) and the whole
-        concatenated chain (:class:`_BrusselatorChainSweeper`) with
-        bit-identical per-component results.  Returns ``(new,
-        per-component work)``.
+        written.  ``skip`` marks the components that keep their
+        trajectory (``None``: none do).  Every operation is elementwise
+        per component, so the same code serves one rank's block
+        (``iterate``) and the whole concatenated chain
+        (:class:`_BrusselatorChainSweeper`) with bit-identical
+        per-component results, whichever of the three routes below the
+        batch's size selects.  Returns ``(new, per-component work,
+        per-component residual max|new - old|)``.
         """
-        left, old, right = ext[:-2], ext[1:-1], ext[2:]
+        old = ext[1:-1]
         n = old.shape[0]
         steps = self.n_steps
-        dt, c = self.dt, self.c
-        tol = self.newton.tol
 
-        active = np.flatnonzero(~skip)
-        m = active.size
+        active = None if skip is None else np.flatnonzero(~skip)
+        m = n if active is None else active.size
 
         new = old.copy()  # skipped components keep their trajectories
         # A skipped component still pays the skip test (one unit/sweep).
         work = np.ones(n)
-        if m:
-            work[active] = 0.0
+        if m * steps <= _SCALAR_SWEEP_PAIRS:
+            return new, work, self._sweep_scalar(new, work, ext, active, None, lo)
 
-            # ---- Stage 1: optimistic batched verification ------------
-            # A (component, step) pair whose old trajectory value already
-            # satisfies the Newton residual test would converge in the
-            # verification pass with its value unchanged — *provided* the
-            # component's own previous steps are also unchanged (the
-            # neighbour inputs are frozen at `old` for the whole sweep,
-            # so only the component's own u_prev can differ).  One
-            # vectorized residual evaluation over every (component, step)
-            # finds, per component, the leading run of verified steps;
-            # those charge one work unit each, exactly like the
-            # sequential per-step Newton would, and keep `new == old`.
-            # The arithmetic below mirrors `f` term for term, so the
-            # verification decision is bit-identical to the sequential
-            # pass-0 convergence test.
-            sel = slice(None) if m == n else active
-            X, L, R = old[sel], left[sel], right[sel]
-            Xk = X[:, :, 1:]
-            Uk = Xk[:, 0]
-            Vk = Xk[:, 1]
-            u_sq = Uk * Uk
-            reaction_u = 1.0 + u_sq * Vk - 4.0 * Uk
-            reaction_v = 3.0 * Uk - u_sq * Vk
-            diff = c * (L[:, :, 1:] - 2.0 * Xk + R[:, :, 1:])
-            f1 = Uk - X[:, 0, :-1] - dt * (reaction_u + diff[:, 0])
-            f2 = Vk - X[:, 1, :-1] - dt * (reaction_v + diff[:, 1])
-            ok = np.maximum(np.abs(f1), np.abs(f2)) <= tol  # (m, steps)
-            # verified[j] = number of leading steps of component j whose
-            # old values pass the residual test (step k is ok[:, k-1]).
-            verified = np.where(ok.all(axis=1), steps, np.argmin(ok, axis=1))
-            work[active] += verified
+        left, right = ext[:-2], ext[2:]
+        dt, c = self.dt, self.c
+        tol = self.newton.tol
 
-            # ---- Stage 2: per-step Newton for the unverified tail ----
-            # Component j needs the sequential treatment from step
-            # verified[j] + 1 onward (once its own trajectory changed,
-            # u_prev comes from `new`, not `old`).  The participant set
-            # grows monotonically with k.  Small blocks (the common case
-            # after domain decomposition) take a scalar path where
-            # Python-float arithmetic beats NumPy's per-op dispatch on
-            # length-few arrays; both paths produce identical bits.
-            k_start = int(verified.min()) + 1
-            if k_start <= steps and m <= _SCALAR_SWEEP_MAX:
-                self._sweep_tail_scalar(
-                    new, work, X, L, R, active, verified, lo
-                )
-                k_start = steps + 1  # tail fully handled
-            for k in range(k_start, steps + 1):
-                part = np.flatnonzero(verified < k)
-                rows = part if m == n else active[part]
-                u_prev = new[rows, 0, k - 1]
-                v_prev = new[rows, 1, k - 1]
-                ul, ur = left[rows, 0, k], right[rows, 0, k]
-                vl, vr = left[rows, 1, k], right[rows, 1, k]
+        # ---- Stage 1: optimistic batched verification ----------------
+        # A (component, step) pair whose old trajectory value already
+        # satisfies the Newton residual test would converge in the
+        # verification pass with its value unchanged — *provided* the
+        # component's own previous steps are also unchanged (the
+        # neighbour inputs are frozen at `old` for the whole sweep, so
+        # only the component's own u_prev can differ).  One vectorized
+        # residual evaluation over every (component, step) finds, per
+        # component, the leading run of verified steps; those charge one
+        # work unit each, exactly like the sequential per-step Newton
+        # would, and keep `new == old`.  The arithmetic below mirrors
+        # `f` term for term, so the verification decision is
+        # bit-identical to the sequential pass-0 convergence test.
+        sel = slice(None) if active is None else active
+        X, L, R = old[sel], left[sel], right[sel]
+        Xk = X[:, :, 1:]
+        Uk = Xk[:, 0]
+        Vk = Xk[:, 1]
+        u_sq = Uk * Uk
+        reaction_u = 1.0 + u_sq * Vk - 4.0 * Uk
+        reaction_v = 3.0 * Uk - u_sq * Vk
+        diff = c * (L[:, :, 1:] - 2.0 * Xk + R[:, :, 1:])
+        f1 = Uk - X[:, 0, :-1] - dt * (reaction_u + diff[:, 0])
+        f2 = Vk - X[:, 1, :-1] - dt * (reaction_v + diff[:, 1])
+        ok = np.maximum(np.abs(f1), np.abs(f2)) <= tol  # (m, steps)
+        # verified[j] = number of leading steps of component j whose
+        # old values pass the residual test (step k is ok[:, k-1]).
+        verified = np.where(ok.all(axis=1), steps, np.argmin(ok, axis=1))
 
-                def f(
-                    u: np.ndarray,
-                    v: np.ndarray,
-                    idx: np.ndarray | None = None,
-                    up=u_prev,
-                    vp=v_prev,
-                    ul=ul,
-                    ur=ur,
-                    vl=vl,
-                    vr=vr,
-                ):
-                    if idx is not None:
-                        up, vp = up[idx], vp[idx]
-                        ul, ur = ul[idx], ur[idx]
-                        vl, vr = vl[idx], vr[idx]
-                    u_sq = u * u
-                    reaction_u = 1.0 + u_sq * v - 4.0 * u
-                    reaction_v = 3.0 * u - u_sq * v
-                    diff_u = c * (ul - 2.0 * u + ur)
-                    diff_v = c * (vl - 2.0 * v + vr)
-                    f1 = u - up - dt * (reaction_u + diff_u)
-                    f2 = v - vp - dt * (reaction_v + diff_v)
-                    j11 = 1.0 - dt * (2.0 * u * v - 4.0 - 2.0 * c)
-                    j12 = -dt * u_sq
-                    j21 = -dt * (3.0 - 2.0 * u * v)
-                    j22 = 1.0 + dt * (u_sq + 2.0 * c)
-                    return f1, f2, j11, j12, j21, j22
+        # ---- Stage 2: per-step Newton for the unverified tail --------
+        # Component j needs the sequential treatment from step
+        # verified[j] + 1 onward (once its own trajectory changed,
+        # u_prev comes from `new`, not `old`).
+        if m <= _SCALAR_SWEEP_MAX:
+            return new, work, self._sweep_scalar(
+                new, work, ext, active, verified, lo
+            )
 
-                f.newton_compactable = True
+        work[sel] = verified
+        # The participant set grows monotonically with k.
+        for k in range(int(verified.min()) + 1, steps + 1):
+            part = np.flatnonzero(verified < k)
+            rows = part if active is None else active[part]
+            u_prev = new[rows, 0, k - 1]
+            v_prev = new[rows, 1, k - 1]
+            ul, ur = left[rows, 0, k], right[rows, 0, k]
+            vl, vr = left[rows, 1, k], right[rows, 1, k]
 
-                result = newton_batched_2x2(
-                    f, old[rows, 0, k], old[rows, 1, k], self.newton
-                )
-                if not result.all_converged:
-                    bad = int(np.count_nonzero(~result.converged))
-                    raise RuntimeError(
-                        f"brusselator Newton failed on {bad} component(s) at "
-                        f"step {k} (block starting at {lo}); "
-                        "reduce dt or raise newton_max_iter"
-                    )
-                new[rows, 0, k] = result.u
-                new[rows, 1, k] = result.v
-                work[rows] += result.iterations
+            def f(
+                u: np.ndarray,
+                v: np.ndarray,
+                idx: np.ndarray | None = None,
+                up=u_prev,
+                vp=v_prev,
+                ul=ul,
+                ur=ur,
+                vl=vl,
+                vr=vr,
+            ):
+                if idx is not None:
+                    up, vp = up[idx], vp[idx]
+                    ul, ur = ul[idx], ur[idx]
+                    vl, vr = vl[idx], vr[idx]
+                u_sq = u * u
+                reaction_u = 1.0 + u_sq * v - 4.0 * u
+                reaction_v = 3.0 * u - u_sq * v
+                diff_u = c * (ul - 2.0 * u + ur)
+                diff_v = c * (vl - 2.0 * v + vr)
+                f1 = u - up - dt * (reaction_u + diff_u)
+                f2 = v - vp - dt * (reaction_v + diff_v)
+                j11 = 1.0 - dt * (2.0 * u * v - 4.0 - 2.0 * c)
+                j12 = -dt * u_sq
+                j21 = -dt * (3.0 - 2.0 * u * v)
+                j22 = 1.0 + dt * (u_sq + 2.0 * c)
+                return f1, f2, j11, j12, j21, j22
 
-        return new, work
+            f.newton_compactable = True
 
-    def _sweep_tail_scalar(
+            result = newton_batched_2x2(
+                f, old[rows, 0, k], old[rows, 1, k], self.newton
+            )
+            if not result.all_converged:
+                bad = int(np.count_nonzero(~result.converged))
+                raise RuntimeError(_NEWTON_FAILED.format(bad, k, lo))
+            new[rows, 0, k] = result.u
+            new[rows, 1, k] = result.v
+            work[rows] += result.iterations
+
+        return new, work, np.max(np.abs(new - old), axis=(1, 2))
+
+    def _sweep_scalar(
         self,
         new: np.ndarray,
         work: np.ndarray,
-        own: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        active: np.ndarray,
-        verified: np.ndarray,
+        ext: np.ndarray,
+        active: np.ndarray | None,
+        verified: np.ndarray | None,
         lo: int,
-    ) -> None:
-        """Scalar Newton over the unverified (component, step) tail.
+    ) -> np.ndarray:
+        """The sweep of the ``active`` components on Python floats.
 
-        Same arithmetic, same expression order and same iteration /
-        convergence bookkeeping as the batched
-        :func:`~repro.numerics.newton.newton_batched_2x2` path — Python
-        floats and NumPy float64 share IEEE-754 double semantics, so the
-        results (values *and* work counts) are bit-identical.  The win
-        is purely dispatch overhead: a 2x2 Newton step is ~30 flops,
-        which NumPy cannot amortise on length-3 arrays.
+        For each component, each step from ``verified + 1`` on (from 1
+        when stage 1 did not run) is the sequential per-step Newton the
+        batched route performs: pass 0 tests the residual at the old
+        value — while it holds the step is *verified*, one work unit and
+        no change — and a step that fails it iterates.  Same arithmetic,
+        same expression order and same iteration / convergence
+        bookkeeping as ``f`` + :func:`~repro.numerics.newton.
+        newton_batched_2x2`; Python floats and NumPy float64 share
+        IEEE-754 double semantics and only identical subexpressions are
+        shared (``u_sq * v``, ``2.0 * u``, ``(2.0 * u) * v``), none
+        regrouped, so values, work counts and the residual
+        ``max|new - old|`` taken in the same pass are bit-identical.
+        The win is purely dispatch overhead: NumPy cannot amortise ~30
+        calls on 3 x 20 arrays, nor a ~30-flop Newton step on length-3
+        ones.  Fills ``new`` and ``work`` in place, returns the residuals.
         """
         steps = self.n_steps
         dt, c = self.dt, self.c
         opts = self.newton
         tol, max_iter, damping = opts.tol, opts.max_iter, opts.damping
+        neg_tol = -tol
         two_c = 2.0 * c
+        residuals = np.zeros(new.shape[0])
 
-        ver = verified.tolist()
-        rows = active.tolist()
-        # Three separate lists: a component's own rows are updated in
-        # place below, and were they also its neighbour's `left_rows`,
-        # component j + 1 would read component j's *new* values —
-        # Gauss-Seidel, where Algorithm 1 is Jacobi.
-        own_rows = own.tolist()
-        left_rows = left.tolist()
-        right_rows = right.tolist()
-
+        order = range(new.shape[0]) if active is None else active.tolist()
+        starts = [0] * len(order) if verified is None else verified.tolist()
+        # Every row is read when the whole batch starts at step 1: one
+        # conversion.  Otherwise only the three rows of each component
+        # with steps left to take (a 290-row chain must not pay
+        # `.tolist()` of the whole buffer for its 3 active components).
+        rows = ext.tolist() if active is None and verified is None else None
         failures: dict[int, int] = {}  # step -> failed component count
-        for pos, start in enumerate(ver):
+        for j, start in zip(order, starts):
             if start >= steps:
+                work[j] = steps
                 continue
-            uu, vv = own_rows[pos]
-            ult, vlt = left_rows[pos]
-            urt, vrt = right_rows[pos]
-            w_add = 0.0
+            (ult, vlt), (uu, vv), (urt, vrt) = (
+                rows[j : j + 3] if rows else ext[j : j + 3].tolist()
+            )
+            # Copies made at the first changed step: `uu` / `vv` stay
+            # the old values the residual is measured against.
+            nu = nv = None
+            first = 0
+            res = 0.0
+            w = start
+            up = uu[start]
+            vp = vv[start]
             for k in range(start + 1, steps + 1):
-                up = uu[k - 1]
-                vp = vv[k - 1]
                 ul = ult[k]
                 ur = urt[k]
                 vl = vlt[k]
                 vr = vrt[k]
                 u = uu[k]  # initial guess: previous sweep's value
                 v = vv[k]
-                its = 0
-                conv = False
-                for p in range(max_iter + 1):
+                p = 0
+                while True:
                     u_sq = u * u
-                    reaction_u = 1.0 + u_sq * v - 4.0 * u
-                    reaction_v = 3.0 * u - u_sq * v
-                    diff_u = c * (ul - 2.0 * u + ur)
-                    diff_v = c * (vl - 2.0 * v + vr)
-                    f1 = u - up - dt * (reaction_u + diff_u)
-                    f2 = v - vp - dt * (reaction_v + diff_v)
-                    if abs(f1) <= tol and abs(f2) <= tol:
-                        conv = True
-                        its = p
+                    u_sq_v = u_sq * v
+                    two_u = 2.0 * u
+                    f1 = u - up - dt * (
+                        1.0 + u_sq_v - 4.0 * u + c * (ul - two_u + ur)
+                    )
+                    f2 = v - vp - dt * (
+                        3.0 * u - u_sq_v + c * (vl - 2.0 * v + vr)
+                    )
+                    converged = (
+                        neg_tol <= f1 <= tol and neg_tol <= f2 <= tol
+                    )
+                    if converged or p == max_iter:
                         break
-                    if p == max_iter:
-                        its = max_iter
-                        break
-                    j11 = 1.0 - dt * (2.0 * u * v - 4.0 - two_c)
+                    two_uv = two_u * v
+                    j11 = 1.0 - dt * (two_uv - 4.0 - two_c)
                     j12 = -dt * u_sq
-                    j21 = -dt * (3.0 - 2.0 * u * v)
+                    j21 = -dt * (3.0 - two_uv)
                     j22 = 1.0 + dt * (u_sq + two_c)
                     det = j11 * j22 - j12 * j21
                     if -1e-300 < det < 1e-300:
-                        its = p  # singular Jacobian: stop, unconverged
-                        break
+                        break  # singular Jacobian: stop, unconverged
                     u = u - damping * ((j22 * f1 - j12 * f2) / det)
                     v = v - damping * ((j11 * f2 - j21 * f1) / det)
-                uu[k] = u
-                vv[k] = v
-                w_add += its if its > 1 else 1
-                if not conv:
+                    p += 1
+                if not converged:
+                    # Later steps cannot lower the first failing one.
                     failures[k] = failures.get(k, 0) + 1
-            j = rows[pos]
-            new[j, 0, start + 1 :] = uu[start + 1 :]
-            new[j, 1, start + 1 :] = vv[start + 1 :]
-            work[j] += w_add
+                    break
+                w += p or 1
+                up = u
+                vp = v
+                if p:
+                    if nu is None:
+                        first = k
+                        nu = uu.copy()
+                        nv = vv.copy()
+                    nu[k] = u
+                    nv[k] = v
+                    d = u - uu[k]
+                    if d < 0.0:
+                        d = -d
+                    if d > res:
+                        res = d
+                    d = v - vv[k]
+                    if d < 0.0:
+                        d = -d
+                    if d > res:
+                        res = d
+            work[j] = w
+            if nu is not None:
+                new[j, 0, first:] = nu[first:]
+                new[j, 1, first:] = nv[first:]
+                residuals[j] = res
         if failures:
             k = min(failures)
-            raise RuntimeError(
-                f"brusselator Newton failed on {failures[k]} component(s) at "
-                f"step {k} (block starting at {lo}); "
-                "reduce dt or raise newton_max_iter"
-            )
+            raise RuntimeError(_NEWTON_FAILED.format(failures[k], k, lo))
+        return residuals
 
     # ------------------------------------------------------------------
     # Migration
@@ -675,16 +722,15 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
         self._prev_res: np.ndarray | None = None
         self._skip_streak: np.ndarray | None = None
 
-    def _global_skip_mask(self) -> np.ndarray:
+    def _global_skip_mask(self) -> np.ndarray | None:
         """Global reduction of :meth:`BrusselatorProblem._skip_mask`."""
         p = self.problem
-        n = p.n_components
         if (
             not p.skip_converged
             or self._prev_res is None
             or self._skip_streak is None
         ):
-            return np.zeros(n, dtype=bool)
+            return None
         thr = p.skip_threshold
         quiet = self._prev_res < thr
         # The constant Dirichlet halos are always quiet.
@@ -698,25 +744,22 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
 
     def _advance(
         self, old: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        p = self.problem
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         skip = self._global_skip_mask()
-        new, work = p._sweep_batched(
+        new, work, residuals = self.problem._sweep_batched(
             padded(old, self._edge_left, self._edge_right), skip, 0
         )
-        residuals = np.max(np.abs(new - old), axis=(1, 2))
-        if skip.any() and self._prev_res is not None:
+        if skip is not None and skip.any():
             residuals[skip] = self._prev_res[skip]
         return new, residuals, work, skip
 
     def _commit(
-        self, new: np.ndarray, residuals: np.ndarray, skip: np.ndarray
+        self, new: np.ndarray, residuals: np.ndarray, skip: np.ndarray | None
     ) -> None:
         self.traj = new
         p = self.problem
         if p.skip_converged:
-            if self._skip_streak is None:
-                self._skip_streak = np.zeros(p.n_components, dtype=np.int64)
-            self._skip_streak[skip] += 1
-            self._skip_streak[~skip] = 0
+            self._skip_streak = _next_streak(
+                self._skip_streak, skip, p.n_components
+            )
             self._prev_res = residuals.copy()

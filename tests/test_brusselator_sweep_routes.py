@@ -1,0 +1,304 @@
+"""The Brusselator sweep's three routes ≡ one reference formulation.
+
+``BrusselatorProblem._sweep_batched`` picks, from the batch's (active
+components, steps) alone, between the all-scalar sweep, NumPy stage 1
+with the scalar tail, and NumPy stage 1 with the per-step batched
+Newton loop.  With the small ``n_steps`` a property test can afford,
+both sides of ``tests/test_problems_batched_diff.py`` take the same
+route, so this module keeps a *test-local* copy of the formulation the
+routes must reproduce — NumPy stage 1 + per-step ``newton_batched_2x2``
+for every batch size — and forces each route through the two module
+constants.  Everything is compared bitwise (``tobytes()``): values,
+work counts and residuals, signs of zero included.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.problems.brusselator as brusselator
+from repro.numerics.newton import newton_batched_2x2
+from repro.problems.base import padded
+from repro.problems.brusselator import BrusselatorProblem
+from tests.test_problems_batched_diff import (
+    _halo,
+    assert_batched_matches_scalar,
+    chain_partitions,
+)
+
+INF = math.inf
+#: ``(_SCALAR_SWEEP_PAIRS, _SCALAR_SWEEP_MAX)`` that send every non-empty
+#: batch down one route.
+ROUTES = {
+    "scalar sweep": (INF, INF),
+    "numpy stage 1 + scalar tail": (0, INF),
+    "numpy stage 1 + batched loop": (0, 0),
+}
+
+
+def force_route(monkeypatch, pairs, max_components):
+    monkeypatch.setattr(brusselator, "_SCALAR_SWEEP_PAIRS", pairs)
+    monkeypatch.setattr(brusselator, "_SCALAR_SWEEP_MAX", max_components)
+
+
+def reference_sweep(problem, ext, skip):
+    """NumPy stage 1 + per-step batched Newton, whatever the size."""
+    left, old, right = ext[:-2], ext[1:-1], ext[2:]
+    n = old.shape[0]
+    steps, dt, c = problem.n_steps, problem.dt, problem.c
+    active = np.arange(n) if skip is None else np.flatnonzero(~skip)
+    new = old.copy()
+    work = np.ones(n)
+    if active.size:
+        X, L, R = old[active], left[active], right[active]
+        Xk = X[:, :, 1:]
+        Uk, Vk = Xk[:, 0], Xk[:, 1]
+        u_sq = Uk * Uk
+        reaction_u = 1.0 + u_sq * Vk - 4.0 * Uk
+        reaction_v = 3.0 * Uk - u_sq * Vk
+        diff = c * (L[:, :, 1:] - 2.0 * Xk + R[:, :, 1:])
+        f1 = Uk - X[:, 0, :-1] - dt * (reaction_u + diff[:, 0])
+        f2 = Vk - X[:, 1, :-1] - dt * (reaction_v + diff[:, 1])
+        ok = np.maximum(np.abs(f1), np.abs(f2)) <= problem.newton.tol
+        verified = np.where(ok.all(axis=1), steps, np.argmin(ok, axis=1))
+        work[active] = verified
+        for k in range(int(verified.min()) + 1, steps + 1):
+            rows = active[verified < k]
+            up, vp = new[rows, 0, k - 1], new[rows, 1, k - 1]
+            ul, ur = left[rows, 0, k], right[rows, 0, k]
+            vl, vr = left[rows, 1, k], right[rows, 1, k]
+
+            def f(u, v):
+                u_sq = u * u
+                reaction_u = 1.0 + u_sq * v - 4.0 * u
+                reaction_v = 3.0 * u - u_sq * v
+                diff_u = c * (ul - 2.0 * u + ur)
+                diff_v = c * (vl - 2.0 * v + vr)
+                f1 = u - up - dt * (reaction_u + diff_u)
+                f2 = v - vp - dt * (reaction_v + diff_v)
+                j11 = 1.0 - dt * (2.0 * u * v - 4.0 - 2.0 * c)
+                j12 = -dt * u_sq
+                j21 = -dt * (3.0 - 2.0 * u * v)
+                j22 = 1.0 + dt * (u_sq + 2.0 * c)
+                return f1, f2, j11, j12, j21, j22
+
+            result = newton_batched_2x2(
+                f, old[rows, 0, k], old[rows, 1, k], problem.newton
+            )
+            if not result.all_converged:
+                bad = int(np.count_nonzero(~result.converged))
+                raise RuntimeError(
+                    f"brusselator Newton failed on {bad} component(s) at "
+                    f"step {k} (block starting at 0); "
+                    "reduce dt or raise newton_max_iter"
+                )
+            new[rows, 0, k] = result.u
+            new[rows, 1, k] = result.v
+            work[rows] += result.iterations
+    return new, work, np.max(np.abs(new - old), axis=(1, 2))
+
+
+def assert_sweep_equals_reference(problem, ext, skip, lo=0):
+    got = problem._sweep_batched(ext, skip, lo)
+    want = reference_sweep(problem, ext, skip)
+    for name, g, w in zip(("new", "work", "residuals"), got, want):
+        assert g.dtype == w.dtype == np.float64, name
+        assert g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    return got
+
+
+def assert_blocks_follow_reference(problem, blocks, n_sweeps):
+    """Every block's every sweep equals the reference; the state then
+    advances through ``iterate`` (Jacobi round, halos read first)."""
+    states = {
+        r: problem.initial_state(lo, hi)
+        for r, (lo, hi) in enumerate(blocks)
+        if hi > lo
+    }
+    for _ in range(n_sweeps):
+        halos = {
+            r: (
+                _halo(problem, blocks, states, r, "left"),
+                _halo(problem, blocks, states, r, "right"),
+            )
+            for r in states
+        }
+        for r, state in states.items():
+            skip = problem._skip_mask(state, *halos[r])
+            ext = padded(state.traj, *halos[r])
+            _, work, _ = assert_sweep_equals_reference(
+                problem, ext, skip, state.lo
+            )
+            res = problem.iterate(state, *halos[r])
+            assert res.work.tobytes() == work.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    part=chain_partitions(),
+    n_steps=st.integers(4, 10),
+    skip=st.booleans(),
+    refresh_period=st.integers(1, 4),
+    damping=st.sampled_from([1.0, 0.5]),
+    # Each bound at 0, at / just under the size of a block of
+    # `boundary` components, and unbounded.
+    boundary=st.integers(1, 6),
+    pairs_at=st.sampled_from(["zero", "under", "at", "inf"]),
+    max_at=st.sampled_from(["zero", "under", "at", "inf"]),
+    n_sweeps=st.integers(1, 6),
+)
+def test_every_route_equals_reference(
+    part, n_steps, skip, refresh_period, damping, boundary, pairs_at,
+    max_at, n_sweeps,
+):
+    n, blocks = part
+    problem = BrusselatorProblem(
+        n,
+        t_end=1.0,
+        n_steps=n_steps,
+        skip_converged=skip,
+        skip_threshold=1e-2,
+        refresh_period=refresh_period,
+    )
+    problem.newton = dataclasses.replace(
+        problem.newton, damping=damping, max_iter=60
+    )
+    bound = {"zero": 0, "under": boundary - 1, "at": boundary, "inf": INF}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_route(monkeypatch, bound[pairs_at] * n_steps, bound[max_at])
+        assert_blocks_follow_reference(problem, blocks, n_sweeps)
+        # Chain sweeper and per-rank iterate on different routes.
+        assert_batched_matches_scalar(problem, blocks, n_sweeps)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_deterministic_shapes_on_each_route(monkeypatch, route):
+    force_route(monkeypatch, *ROUTES[route])
+    problem = BrusselatorProblem(
+        12, t_end=1.0, n_steps=6, skip_converged=True, skip_threshold=1e-3,
+        refresh_period=3,
+    )
+    # One-component blocks at both domain edges and inside, a large one.
+    blocks = [(0, 1), (1, 2), (2, 11), (11, 12)]
+    assert_blocks_follow_reference(problem, blocks, 25)
+
+    steps = problem.n_steps
+    # A block failing at step 1: constant-in-time initial trajectories.
+    state = problem.initial_state(0, 12)
+    edge = problem.initial_halo(-1)
+    ext = padded(state.traj, edge, edge)
+    _, work, residuals = assert_sweep_equals_reference(problem, ext, None)
+    assert (work > steps).all() and (residuals > 0.0).all()
+
+    # A fully verified block: the fixed point.  Nothing moves, every
+    # step costs one unit, and the residual is +0.0 (never -0.0).
+    plain = BrusselatorProblem(12, t_end=1.0, n_steps=6)
+    for _ in range(200):
+        if plain.iterate(state, edge, edge).local_residual == 0.0:
+            break
+    ext = padded(state.traj, edge, edge)
+    new, work, residuals = assert_sweep_equals_reference(plain, ext, None)
+    assert new.tobytes() == state.traj.tobytes()
+    assert work.tobytes() == np.full(12, float(steps)).tobytes()
+    assert residuals.tobytes() == np.zeros(12).tobytes()
+
+    # All but one component skipped, all skipped, no components at all.
+    only = np.ones(12, dtype=bool)
+    only[5] = False
+    assert_sweep_equals_reference(problem, ext, only)
+    new, work, residuals = assert_sweep_equals_reference(
+        problem, ext, np.ones(12, dtype=bool)
+    )
+    assert work.tobytes() == np.ones(12).tobytes()
+    new, work, residuals = problem._sweep_batched(ext[:2], None, 0)
+    assert new.shape == (0, 2, steps + 1)
+    assert work.shape == residuals.shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# Failure paths: the same RuntimeError from every route
+# ----------------------------------------------------------------------
+def failure_text(problem, ext, lo):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError) as excinfo:
+            problem._sweep_batched(ext, None, lo)
+    return str(excinfo.value)
+
+
+def texts_by_route(monkeypatch, problem, ext, lo, routes=ROUTES):
+    texts = {}
+    for route in routes:
+        force_route(monkeypatch, *ROUTES[route])
+        texts[route] = failure_text(problem, ext, lo)
+    return texts
+
+
+def test_newton_failure_raises_identical_text_on_every_route(monkeypatch):
+    # dt = 5: two Newton iterations cannot converge.  Five of the six
+    # components fail at step 1, the sixth does not: the message names
+    # the lowest failing step, how many failed *there*, the block start.
+    problem = BrusselatorProblem(9, t_end=40, n_steps=8, newton_max_iter=2)
+    state = problem.initial_state(3, 9)
+    ext = padded(state.traj, problem.initial_halo(2), problem.initial_halo(9))
+    with pytest.raises(RuntimeError) as excinfo:
+        reference_sweep(problem, ext, None)
+    want = str(excinfo.value).replace("starting at 0", "starting at 3")
+    assert "on 5 component(s) at step 1 (block starting at 3)" in want
+    texts = texts_by_route(monkeypatch, problem, ext, 3)
+    assert set(texts.values()) == {want}, texts
+
+    # Through the public call, too.
+    force_route(monkeypatch, *ROUTES["scalar sweep"])
+    with pytest.raises(RuntimeError) as excinfo:
+        problem.iterate(state, problem.initial_halo(2), problem.initial_halo(9))
+    assert str(excinfo.value) == want
+
+
+def test_singular_jacobian_is_unconverged_on_every_route(monkeypatch):
+    # dt = 1, c = 0.5, (u, v) = (2, 3): j11 j22 = -36 = j12 j21 exactly,
+    # so |det| < 1e-300 at pass 0 of step 1, whose residual is not zero.
+    problem = BrusselatorProblem(1, t_end=4.0, n_steps=4, alpha=0.125)
+    assert problem.dt == 1.0 and problem.c == 0.5
+    traj = np.empty((1, 2, 5))
+    traj[0, 0], traj[0, 1] = 2.0, 3.0
+    edge = problem.initial_halo(-1)
+    ext = padded(traj, edge, edge)
+    texts = texts_by_route(monkeypatch, problem, ext, 0)
+    assert set(texts.values()) == {
+        "brusselator Newton failed on 1 component(s) at step 1 "
+        "(block starting at 0); reduce dt or raise newton_max_iter"
+    }, texts
+
+
+def test_non_finite_input_ends_in_the_same_error(monkeypatch):
+    problem = BrusselatorProblem(4, t_end=1.0, n_steps=5)
+    state = problem.initial_state(0, 4)
+    left, right = problem.initial_halo(-1), problem.initial_halo(4)
+    want = (
+        "brusselator Newton failed on 1 component(s) at step 3 "
+        "(block starting at 0); reduce dt or raise newton_max_iter"
+    )
+    # NaN arithmetic raises no floating-point warning anywhere.
+    left[0, 3] = np.nan
+    texts = texts_by_route(monkeypatch, problem, padded(state.traj, left, right), 0)
+    assert set(texts.values()) == {want}, texts
+    # Python floats overflow to inf / NaN silently: the scalar routes
+    # report an infinite halo as the same Newton failure.  (NumPy's
+    # `inf - inf` in the batched loop is a RuntimeWarning, which tier-1
+    # turns into an error of its own before the Newton check runs.)
+    left[0, 3] = np.inf
+    ext = padded(state.traj, left, right)
+    scalar_routes = [r for r in ROUTES if "scalar" in r]
+    texts = texts_by_route(monkeypatch, problem, ext, 0, scalar_routes)
+    assert set(texts.values()) == {want}, texts
+    force_route(monkeypatch, *ROUTES["numpy stage 1 + batched loop"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            problem._sweep_batched(ext, None, 0)

@@ -132,6 +132,53 @@ def test_pinned_halo_payload_and_checkpoint():
     assert checkpoint_crc(snapshot, state) == 1085106295
 
 
+def test_pinned_dispatch_order_subclasses_and_nesting():
+    # Recorded before `_update` became a table keyed on `type(obj)`:
+    # bool (and np.bool_) before int, subclasses resolved through the
+    # same ordered chain, dict keys sorted at every depth.
+    from collections import OrderedDict
+
+    class MyInt(int):
+        pass
+
+    class MyDict(dict):
+        pass
+
+    assert payload_checksum(np.bool_(True)) == payload_checksum(True) == 1628777292
+    assert payload_checksum(np.bool_(False)) == payload_checksum(False) == 370285530
+    nested = {
+        "b": {"z": 1, "a": [True, 1, 1.0, None]},
+        "a": (np.bool_(False), np.int8(3), "k"),
+    }
+    reordered = {
+        "a": (np.bool_(False), np.int8(3), "k"),
+        "b": {"a": [True, 1, 1.0, None], "z": 1},
+    }
+    assert payload_checksum(nested) == payload_checksum(reordered) == 1297993226
+    assert payload_checksum({2: "x", 1: "y"}) == 3095959235
+    subclasses = [
+        MyInt(5), MyDict(k=1), OrderedDict(k=1), np.float16(0.5), np.uint8(9),
+        np.str_("s"),
+    ]
+    assert payload_checksum(subclasses) == 1465008750
+    # Twice: the second walk takes the types the first one resolved.
+    assert payload_checksum(subclasses) == 1465008750
+    assert payload_checksum([{}, [], (), "", b""]) == 376584999
+    assert payload_checksum(np.arange(12.0).reshape(3, 4)[:, ::2]) == 4093742221
+    assert payload_checksum(np.array(2.5)) == 1593112329
+    snapshot = {
+        "iteration": 3,
+        "nested": {"b": 1, "a": np.arange(3)},
+        "flag": np.bool_(True),
+        "opaque": object(),
+        "mixed": [1, object()],
+        "state": 5,
+        "crc": 9,
+    }
+    assert checkpoint_crc(snapshot) == 2935641089
+    assert checkpoint_crc(snapshot, np.ones((2, 3))) == 3631912676
+
+
 # ----------------------------------------------------------------------
 # checkpoint_crc
 # ----------------------------------------------------------------------

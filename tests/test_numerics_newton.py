@@ -135,87 +135,3 @@ def test_total_work_property():
     a = np.array([4.0, 9.0])
     res = newton_batched_2x2(quadratic_system(a, a), np.ones(2) * 5, np.ones(2) * 5)
     assert res.total_work == float(res.iterations.sum())
-
-
-# ----------------------------------------------------------------------
-# Divergence-guarded wrapper
-# ----------------------------------------------------------------------
-def sqrt_system():
-    """F = (sqrt(u) - 2, sqrt(v) - 2): full Newton from a far guess
-    overshoots into negative territory and the residual goes NaN;
-    damped steps converge to (4, 4)."""
-
-    def f(u, v):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            su = np.sqrt(u)
-            sv = np.sqrt(v)
-            j11 = 0.5 / su
-            j22 = 0.5 / sv
-        zero = np.zeros_like(u)
-        return su - 2.0, sv - 2.0, j11, zero, zero, j22
-
-    return f
-
-
-def test_guarded_matches_plain_kernel_on_happy_path():
-    from repro.numerics.newton import newton_batched_2x2_guarded
-
-    a = np.array([4.0, 9.0, 2.0])
-    b = np.array([16.0, 1.0, 3.0])
-    u0 = np.ones(3) * 3
-    v0 = np.ones(3) * 3
-    plain = newton_batched_2x2(quadratic_system(a, b), u0, v0)
-    guarded = newton_batched_2x2_guarded(quadratic_system(a, b), u0, v0)
-    np.testing.assert_array_equal(plain.u, guarded.u)
-    np.testing.assert_array_equal(plain.v, guarded.v)
-    np.testing.assert_array_equal(plain.iterations, guarded.iterations)
-    np.testing.assert_array_equal(plain.converged, guarded.converged)
-
-
-def test_guarded_recovers_nan_components_with_damped_retry():
-    from repro.numerics.newton import newton_batched_2x2_guarded
-
-    # From u0 = 100: step = (sqrt(100) - 2) / (0.5 / 10) = 160, so full
-    # Newton jumps to -60 and the next residual is NaN.
-    u0 = np.array([100.0, 4.5])
-    v0 = np.array([100.0, 4.5])
-    plain = newton_batched_2x2(
-        sqrt_system(), u0, v0, NewtonOptions(max_iter=50)
-    )
-    assert not np.isfinite(plain.u[0])  # the failure mode is real
-    guarded = newton_batched_2x2_guarded(
-        sqrt_system(), u0, v0, NewtonOptions(max_iter=50)
-    )
-    assert np.isfinite(guarded.u).all() and np.isfinite(guarded.v).all()
-    assert guarded.converged.all()
-    assert np.allclose(guarded.u, [4.0, 4.0], atol=1e-7)
-    # Retried components carry the retry's work on top of the first
-    # attempt's budget.
-    assert guarded.iterations[0] > plain.iterations[1]
-
-
-def test_guarded_falls_back_to_initial_guess_when_retries_exhausted():
-    from repro.numerics.newton import newton_batched_2x2_guarded
-
-    def always_nan(u, v):
-        bad = np.full_like(u, np.nan)
-        one = np.ones_like(u)
-        return bad, bad, one, np.zeros_like(u), np.zeros_like(u), one
-
-    u0 = np.array([1.5, 2.5])
-    v0 = np.array([0.5, 3.5])
-    res = newton_batched_2x2_guarded(always_nan, u0, v0, max_retries=1)
-    np.testing.assert_array_equal(res.u, u0)
-    np.testing.assert_array_equal(res.v, v0)
-    assert not res.converged.any()
-    assert (u0 == [1.5, 2.5]).all()  # inputs untouched
-
-
-def test_guarded_validates_retry_parameters():
-    from repro.numerics.newton import newton_batched_2x2_guarded
-
-    u = np.array([1.0])
-    with pytest.raises(ValueError, match="max_retries"):
-        newton_batched_2x2_guarded(sqrt_system(), u, u, max_retries=-1)
-    with pytest.raises(ValueError, match="damping_factor"):
-        newton_batched_2x2_guarded(sqrt_system(), u, u, damping_factor=1.0)

@@ -7,7 +7,8 @@ solution to the per-rank ``iterate()`` path the event-driven solver
 runs.  Hypothesis drives that claim across ragged partitions (including
 one-component and empty blocks), the Brusselator's adaptive-skip
 options (threshold, refresh cadence, the optimistic-step verification
-and its scalar tail) and Newton jacobian-refresh cadences.
+and the scalar sweep) and Newton jacobian-refresh cadences; the routes
+themselves are pinned in ``tests/test_brusselator_sweep_routes.py``.
 
 The scalar reference below replays exactly what a synchronous round
 does: gather every rank's previous-sweep boundary trajectories (walking
@@ -111,7 +112,7 @@ def test_brusselator_batched_equals_scalar(
 
 def test_brusselator_scalar_tail_and_empty_blocks():
     # Deterministic companion to the property test: blocks small enough
-    # for the scalar Newton tail, plus one-component and empty blocks
+    # for the scalar sweep, plus one-component and empty blocks
     # in one partition, swept long enough for skipping to engage.
     problem = BrusselatorProblem(
         12,

@@ -193,7 +193,8 @@ def test_solution_oscillates():
 def test_block_sweep_is_jacobi_not_gauss_seidel(small_problem):
     """Inside one block, component 1 reads component 0's *previous*
     trajectory (Algorithm 1: ``Ynew[j] = Solve(Yold)``), bit for bit —
-    the scalar tail updates rows in place and must not leak them."""
+    the scalar sweep shares one list per row between a component and
+    its neighbours and must write changed steps to a copy."""
     p = small_problem
     hl, hr = p.initial_halo(3), p.initial_halo(6)
     pair = p.initial_state(4, 6)
