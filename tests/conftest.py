@@ -1,0 +1,124 @@
+"""Session-wide sweep fixtures.
+
+The tiny/quick sweeps are the most expensive things tier-1 runs, and
+several test modules want the same ones (the shape tests, the
+determinism tests, the cache-key and digest pins of
+``test_experiment_pins.py``).  Each named sweep therefore runs once per
+session, through a :class:`SpyEngine` that also remembers the tasks it
+was handed; the results are read-only to every consumer.
+"""
+
+import pytest
+
+from repro.exec import SweepEngine
+
+
+class SpyEngine(SweepEngine):
+    """The default serial, uncached engine, remembering every task.
+
+    With ``payload`` set no task runs: ``map`` answers each one with
+    that payload — enough to see how a sweep *builds* its tasks.
+    """
+
+    def __init__(self, payload=None):
+        super().__init__()
+        self.seen = []
+        self.payload = payload
+
+    def map(self, tasks):
+        self.seen.extend(tasks)
+        if self.payload is not None:
+            return [self.payload for _ in tasks]
+        return super().map(tasks)
+
+
+def _figure5_tiny(engine, tmp):
+    from repro.experiments import run_figure5
+    from repro.workloads import Figure5Scenario
+
+    return run_figure5(Figure5Scenario.tiny(), engine=engine)
+
+
+def _resilience_tiny(engine, tmp):
+    from repro.experiments import run_resilience
+    from repro.workloads import ResilienceScenario
+
+    return run_resilience(ResilienceScenario.tiny(), engine=engine)
+
+
+def _integrity_tiny(engine, tmp):
+    from repro.experiments import run_integrity
+    from repro.workloads import IntegrityScenario
+
+    return run_integrity(IntegrityScenario.tiny(), engine=engine)
+
+
+def _zoo_quick(engine, tmp):
+    from repro.experiments import TopologyZooScenario, run_topology_zoo
+
+    return run_topology_zoo(TopologyZooScenario.quick(), engine=engine)
+
+
+def _soak_2(engine, tmp):
+    from repro.guard.soak import run_soak
+
+    return run_soak(
+        n_schedules=2, seed=0, out_dir=str(tmp), shrink=False, engine=engine
+    )
+
+
+_SWEEPS = {
+    "figure5-tiny": _figure5_tiny,
+    "resilience-tiny": _resilience_tiny,
+    "integrity-tiny": _integrity_tiny,
+    "zoo-quick": _zoo_quick,
+    "soak-2": _soak_2,
+}
+
+
+@pytest.fixture(scope="session")
+def spied_sweep(tmp_path_factory):
+    """``spied_sweep(name) -> (result, tasks)``, one real run per name."""
+    done = {}
+
+    def run(name):
+        if name not in done:
+            engine = SpyEngine()
+            result = _SWEEPS[name](engine, tmp_path_factory.mktemp("sweep"))
+            done[name] = (result, engine.seen)
+        return done[name]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def table1_quick_observed():
+    """``(result, sidecar)`` of the one real Table 1 quick run (~8 s).
+
+    It takes the observed path so that the sidecar digest can be pinned
+    from the same run the shape test reads; the engine path is held
+    equal to it at a smaller size in ``test_exec_sweeps.py``.
+    """
+    from repro.experiments import run_table1
+    from repro.obs import MetricsSidecar
+    from repro.workloads import Table1Scenario
+
+    sidecar = MetricsSidecar()
+    return run_table1(Table1Scenario.quick(), sidecar=sidecar), sidecar
+
+
+@pytest.fixture(scope="session")
+def observed_run():
+    """``observed_run(experiment, mode, **kwargs)``: a cached
+    :func:`~repro.obs.run_observed`."""
+    from repro.obs import run_observed
+
+    done = {}
+
+    def run(experiment, mode, **kwargs):
+        key = (experiment, mode, tuple(sorted(kwargs.items())))
+        if key not in done:
+            done[key] = run_observed(experiment, mode=mode, **kwargs)
+        return done[key]
+
+    return run

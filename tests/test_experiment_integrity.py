@@ -10,8 +10,8 @@ from repro.workloads import IntegrityScenario
 
 
 @pytest.fixture(scope="module")
-def tiny_result():
-    return run_integrity(IntegrityScenario.tiny())
+def tiny_result(spied_sweep):
+    return spied_sweep("integrity-tiny")[0]
 
 
 def test_sweep_covers_every_grid_cell(tiny_result):

@@ -10,8 +10,8 @@ from repro.workloads import ResilienceScenario
 
 
 @pytest.fixture(scope="module")
-def tiny_result():
-    return run_resilience(ResilienceScenario.tiny())
+def tiny_result(spied_sweep):
+    return spied_sweep("resilience-tiny")[0]
 
 
 def test_sweep_covers_every_schedule_model_pair(tiny_result):

@@ -113,8 +113,8 @@ def test_run_observed_figure5_is_reproducible(tmp_path):
     )
 
 
-def test_run_observed_emits_trace_and_profile(tmp_path):
-    obs = run_observed("figure5", mode="tiny", profile=True)
+def test_run_observed_emits_trace_and_profile(tmp_path, observed_run):
+    obs = observed_run("figure5", "tiny", profile=True)
     assert obs.traced is not None
     assert obs.traced.tracer.enabled
     assert obs.profiler is not None and obs.profiler.n_dispatched > 0

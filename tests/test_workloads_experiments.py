@@ -7,19 +7,13 @@ benchmarks check at paper scale.
 
 import pytest
 
-from repro.experiments import (
-    run_figure5,
-    run_models_comparison,
-    run_table1,
-    run_trace_figures,
-)
+from repro.experiments import run_models_comparison, run_trace_figures
 from repro.experiments.ablations import (
     compare_detection_protocols,
     sweep_estimator,
     sweep_lb_period,
 )
 from repro.workloads import (
-    Figure5Scenario,
     ModelsComparisonScenario,
     Table1Scenario,
     TraceFigureScenario,
@@ -27,8 +21,8 @@ from repro.workloads import (
 
 
 @pytest.fixture(scope="module")
-def figure5_tiny():
-    return run_figure5(Figure5Scenario.tiny())
+def figure5_tiny(spied_sweep):
+    return spied_sweep("figure5-tiny")[0]
 
 
 def test_figure5_lb_wins_everywhere(figure5_tiny):
@@ -86,8 +80,8 @@ def test_models_comparison_shape():
     assert grid["aiac"].time <= grid["siac"].time <= grid["sisc"].time
 
 
-def test_table1_quick_shape():
-    result = run_table1(Table1Scenario.quick())
+def test_table1_quick_shape(table1_quick_observed):
+    result, _ = table1_quick_observed
     assert result.ratio > 1.3  # balanced wins on the heterogeneous grid
     assert result.migrations > 0
     assert sum(result.final_sizes) == Table1Scenario.quick().n_points
