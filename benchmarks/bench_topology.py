@@ -5,8 +5,7 @@ Times the (topology × LB algorithm × fault schedule) sweep of
 :func:`repro.experiments.run_topology_zoo` plus the per-cell hot path
 (:func:`repro.balancing.zoo.run_zoo` on representative cells), and
 records each sweep's :func:`~repro.analysis.perf.stable_digest` in the
-result ``meta`` — so ``repro bench-compare`` flags wall-clock
-regressions and ``--check`` fails on a digest change.
+result ``meta`` — so ``--check`` fails on a digest change.
 
 Run directly (not under pytest)::
 

@@ -32,8 +32,6 @@ __all__ = [
     "bench",
     "BenchResult",
     "BenchReport",
-    "PerfComparison",
-    "compare",
     "stable_digest",
     "run_fingerprint",
     "save_report",
@@ -266,103 +264,3 @@ class BenchReport:
                 f"median {1e3 * r.median:9.3f} ms{extra}"
             )
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Report-to-report comparison (the ``repro bench-compare`` CI gate)
-# ----------------------------------------------------------------------
-@dataclass(slots=True)
-class PerfComparison:
-    """Outcome of comparing two ``BENCH_*.json`` reports.
-
-    ``rows`` hold one entry per benchmark name present in both reports:
-    ``{"name", "old_best_s", "new_best_s", "ratio", "regressed"}`` where
-    ``ratio = new/old`` (> 1 means the new run is slower).  Names present
-    in only one report are listed in ``only_old`` / ``only_new`` and
-    never fail the gate — adding or retiring benchmarks is not a
-    regression.
-    """
-
-    threshold: float
-    rows: list[dict[str, Any]] = field(default_factory=list)
-    only_old: list[str] = field(default_factory=list)
-    only_new: list[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[dict[str, Any]]:
-        return [row for row in self.rows if row["regressed"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def report(self) -> str:
-        lines = [
-            f"benchmark comparison (regression threshold: "
-            f"+{100.0 * self.threshold:.0f}% on best time)"
-        ]
-        width = max((len(r["name"]) for r in self.rows), default=4)
-        for row in self.rows:
-            flag = "  << REGRESSION" if row["regressed"] else ""
-            lines.append(
-                f"{row['name']:<{width}}  "
-                f"old {1e3 * row['old_best_s']:9.3f} ms  "
-                f"new {1e3 * row['new_best_s']:9.3f} ms  "
-                f"ratio {row['ratio']:5.2f}{flag}"
-            )
-        if self.only_old:
-            lines.append(f"only in old report: {', '.join(self.only_old)}")
-        if self.only_new:
-            lines.append(f"only in new report: {', '.join(self.only_new)}")
-        lines.append(
-            f"{len(self.regressions)} regression(s) in {len(self.rows)} "
-            f"compared benchmark(s)"
-        )
-        return "\n".join(lines)
-
-
-def compare(
-    old_json: str | dict[str, Any],
-    new_json: str | dict[str, Any],
-    threshold: float = 0.10,
-) -> PerfComparison:
-    """Compare two benchmark reports; flag >``threshold`` slowdowns.
-
-    ``old_json`` / ``new_json`` are paths to (or already-loaded dicts
-    of) reports in the :meth:`BenchReport.to_dict` shape.  A benchmark
-    regresses when its new best time exceeds the old best by more than
-    the fractional ``threshold`` (0.10 = 10% slower).  Best times are
-    the right basis: for deterministic CPU-bound kernels the minimum is
-    the least-noise estimate.
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    old = BenchReport.load(old_json) if isinstance(old_json, str) else old_json
-    new = BenchReport.load(new_json) if isinstance(new_json, str) else new_json
-    old_best = {
-        e["name"]: float(e["best_s"]) for e in old.get("results", ())
-    }
-    new_best = {
-        e["name"]: float(e["best_s"]) for e in new.get("results", ())
-    }
-    out = PerfComparison(threshold=threshold)
-    for name in old_best:
-        if name not in new_best:
-            out.only_old.append(name)
-            continue
-        ratio = (
-            new_best[name] / old_best[name]
-            if old_best[name] > 0
-            else float("inf")
-        )
-        out.rows.append(
-            {
-                "name": name,
-                "old_best_s": old_best[name],
-                "new_best_s": new_best[name],
-                "ratio": ratio,
-                "regressed": ratio > 1.0 + threshold,
-            }
-        )
-    out.only_new = [name for name in new_best if name not in old_best]
-    return out

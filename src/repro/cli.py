@@ -11,7 +11,6 @@ Usage::
     python -m repro integrity [--full] [--check] [--json BENCH_integrity.json]
     python -m repro soak [--schedules N] [--seed S] [--out-dir DIR]
     python -m repro ablations [--only period,estimator,...]
-    python -m repro bench-compare OLD.json NEW.json [--threshold 0.1]
     python -m repro metrics figure5 [--tiny|--full] [--out PREFIX] [--profile]
     python -m repro trace figure5 [--tiny|--full] [--out PREFIX] [--profile]
     python -m repro solve --problem brusselator --ranks 4 --lb [--gantt]
@@ -27,10 +26,11 @@ The experiment commands run the corresponding experiment of DESIGN.md §4
 and print the same report the benchmark writes to ``benchmarks/out/``;
 ``solve`` assembles a one-off run from flags.
 
-Every sweep verb (figure5 / table1 / resilience / ablations / soak)
-accepts ``--jobs N`` to fan its independent runs over N worker
-processes and caches finished runs under ``--cache-dir`` (default
-``.repro-cache/``; disable with ``--no-cache``).  Reports are
+Every sweep verb — the five rows of :data:`repro.sweeps.SWEEP_VERBS`
+(figure5 / table1 / resilience / integrity / topology-zoo), ablations
+and soak — accepts ``--jobs N`` to fan its independent runs over N
+worker processes and caches finished runs under ``--cache-dir``
+(default ``.repro-cache/``; disable with ``--no-cache``).  Reports are
 byte-identical whatever the jobs/cache combination — see
 ``docs/performance.md`` for the contract.
 """
@@ -40,7 +40,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import Callable
+
+from repro.sweeps import SWEEP_VERBS
 
 __all__ = ["main"]
 
@@ -56,99 +59,32 @@ def _engine_for(args: argparse.Namespace):
     return SweepEngine(jobs=args.jobs, cache=cache)
 
 
-def _figure5(args: argparse.Namespace) -> str:
-    from repro.experiments import run_figure5
-    from repro.workloads import Figure5Scenario
-
-    brusselator = getattr(args, "problem", "synthetic") == "brusselator"
-    if args.scale:
+def _experiment(args: argparse.Namespace) -> str:
+    """The engine-backed sweep verbs: one row of ``SWEEP_VERBS`` each."""
+    verb = SWEEP_VERBS[args.command]
+    mode = next((flag for flag in verb.flags if getattr(args, flag)), "quick")
+    scenario = verb.preset(mode)
+    if getattr(args, "problem", "synthetic") == "brusselator":
         # The Brusselator scale preset resizes the sweep (see the
-        # scenario docstring), so it is its own constructor rather than
-        # a field swap on the synthetic one.
+        # scenario docstring), so it is its own preset rather than a
+        # field swap on the synthetic one.
         scenario = (
-            Figure5Scenario.scale_brusselator()
-            if brusselator
-            else Figure5Scenario.scale()
+            verb.preset("scale_brusselator")
+            if mode == "scale"
+            else replace(scenario, problem_kind="brusselator")
         )
-    elif args.full:
-        scenario = Figure5Scenario()
-    else:
-        scenario = Figure5Scenario.quick()
-    if brusselator and not args.scale:
-        import dataclasses
-
-        scenario = dataclasses.replace(scenario, problem_kind="brusselator")
     engine = _engine_for(args)
-    result = run_figure5(scenario, engine=engine)
+    result = verb.run(scenario, engine=engine)
     report = result.report()
-    if args.json:
+    if getattr(args, "json", ""):
         from repro.analysis.perf import save_report
 
         data = result.to_dict()
-        data["engine"] = engine.stats.to_dict(timing=False)
+        if args.command == "figure5":
+            data["engine"] = engine.stats.to_dict(timing=False)
         save_report(args.json, data)
-        report += f"\nfigure5 report written to {args.json}"
-    return report + f"\n[{engine.stats.summary()}]"
-
-
-def _table1(args: argparse.Namespace) -> str:
-    from repro.experiments import run_table1
-    from repro.workloads import Table1Scenario
-
-    scenario = Table1Scenario() if args.full else Table1Scenario.quick()
-    engine = _engine_for(args)
-    report = run_table1(scenario, engine=engine).report()
-    return report + f"\n[{engine.stats.summary()}]"
-
-
-def _figures_1_4(args: argparse.Namespace) -> str:
-    from repro.experiments import run_trace_figures
-
-    return run_trace_figures().report()
-
-
-def _models(args: argparse.Namespace) -> str:
-    from repro.experiments import run_models_comparison
-
-    return run_models_comparison().report()
-
-
-def _resilience(args: argparse.Namespace) -> str:
-    from repro.experiments import run_resilience
-    from repro.workloads import ResilienceScenario
-
-    if args.full:
-        scenario = ResilienceScenario()
-    elif args.tiny:
-        scenario = ResilienceScenario.tiny()
-    else:
-        scenario = ResilienceScenario.quick()
-    engine = _engine_for(args)
-    result = run_resilience(scenario, engine=engine)
-    report = result.report()
-    if args.json:
-        result.save_json(args.json)
-        report += f"\nresilience report written to {args.json}"
-    return report + f"\n[{engine.stats.summary()}]"
-
-
-def _integrity(args: argparse.Namespace) -> str:
-    from repro.experiments import run_integrity
-    from repro.workloads import IntegrityScenario
-
-    if args.full:
-        scenario = IntegrityScenario()
-    elif args.tiny:
-        scenario = IntegrityScenario.tiny()
-    else:
-        scenario = IntegrityScenario.quick()
-    engine = _engine_for(args)
-    result = run_integrity(scenario, engine=engine)
-    report = result.report()
-    if args.json:
-        result.save_json(args.json)
-        report += f"\nintegrity report written to {args.json}"
-    if args.check:
+        report += f"\n{args.command} report written to {args.json}"
+    if getattr(args, "check", False):
         wrong = result.wrong_detected_rows()
         mismatched = result.clean_arm_mismatches()
         if wrong or mismatched:
@@ -169,19 +105,16 @@ def _integrity(args: argparse.Namespace) -> str:
     return report + f"\n[{engine.stats.summary()}]"
 
 
-def _topology_zoo(args: argparse.Namespace) -> str:
-    from repro.experiments import TopologyZooScenario, run_topology_zoo
+def _figures_1_4(args: argparse.Namespace) -> str:
+    from repro.experiments import run_trace_figures
 
-    scenario = (
-        TopologyZooScenario() if args.full else TopologyZooScenario.quick()
-    )
-    engine = _engine_for(args)
-    result = run_topology_zoo(scenario, engine=engine)
-    report = result.report()
-    if args.json:
-        result.save_json(args.json)
-        report += f"\ntopology-zoo report written to {args.json}"
-    return report + f"\n[{engine.stats.summary()}]"
+    return run_trace_figures().report()
+
+
+def _models(args: argparse.Namespace) -> str:
+    from repro.experiments import run_models_comparison
+
+    return run_models_comparison().report()
 
 
 def _obs_mode(args: argparse.Namespace) -> str:
@@ -263,9 +196,9 @@ def _ablations(args: argparse.Namespace) -> str:
 def _solve(args: argparse.Namespace) -> str:
     import numpy as np
 
-    from repro.core import LBConfig, SolverConfig, run_aiac, run_balanced_aiac
+    from repro.core import LBConfig, SolverConfig
     from repro.grid import Host, Link, Network, Platform, homogeneous_cluster
-    from repro.models import run_siac, run_sisc
+    from repro.models import MODELS
     from repro.problems import BrusselatorProblem, HeatProblem, SyntheticProblem
 
     if args.problem == "brusselator":
@@ -294,15 +227,11 @@ def _solve(args: argparse.Namespace) -> str:
 
     config = SolverConfig(tolerance=args.tolerance, max_iterations=500_000)
     if args.lb:
-        result = run_balanced_aiac(
+        result = MODELS["aiac+lb"](
             problem, platform, config, LBConfig(period=args.lb_period)
         )
-    elif args.model == "sisc":
-        result = run_sisc(problem, platform, config)
-    elif args.model == "siac":
-        result = run_siac(problem, platform, config)
     else:
-        result = run_aiac(problem, platform, config)
+        result = MODELS[args.model](problem, platform, config)
 
     lines = [result.summary()]
     if hasattr(problem, "reference_solution"):
@@ -355,22 +284,6 @@ def _soak(args: argparse.Namespace) -> str:
         raise SystemExit(
             f"soak failed: {len(result.failures)} (schedule x model) "
             f"run(s) violated guard assertions"
-        )
-    return report
-
-
-def _bench_compare(args: argparse.Namespace) -> str:
-    from repro.analysis.perf import compare
-
-    comparison = compare(args.old, args.new, threshold=args.threshold)
-    report = comparison.report()
-    if not comparison.ok:
-        # Print before raising: a regression must exit non-zero for CI.
-        print(report)
-        raise SystemExit(
-            f"bench-compare failed: {len(comparison.regressions)} "
-            f"benchmark(s) regressed by more than "
-            f"{100.0 * args.threshold:.0f}%"
         )
     return report
 
@@ -515,19 +428,14 @@ def _audit_replay(args: argparse.Namespace) -> str:
 
 def _list(args: argparse.Namespace) -> str:
     return "\n".join(
-        [
-            "figure5      time vs processors, with/without LB (paper Figure 5)",
-            "table1       heterogeneous 3-site grid (paper Table 1)",
+        [f"{name:<12} {verb.help}" for name, verb in SWEEP_VERBS.items()]
+        + [
             "figures-1-4  SISC/SIAC/AIAC execution flows (paper Figures 1-4)",
             "models       cluster vs grid model comparison (paper §6)",
-            "resilience   execution models under injected faults",
-            "integrity    silent-corruption injection vs detection/recovery",
-            "topology-zoo LB algorithms x topologies x fault schedules",
             "soak         chaos soak: random fault schedules under repro.guard",
             f"ablations    design-knob sweeps: {', '.join(sorted(_ABLATIONS))}",
             "metrics      experiment run with a metrics sidecar (repro.obs)",
             "trace        experiment run exported as a Perfetto trace",
-            "bench-compare  flag >threshold regressions between two BENCH_*.json",
             "serve        persistent job-queue daemon over the sweep engine",
             "submit       enqueue a job on a running serve daemon",
             "jobs         list a serve daemon's jobs",
@@ -576,109 +484,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, full_flag in [
-        ("figure5", _figure5, True),
-        ("table1", _table1, True),
-        ("figures-1-4", _figures_1_4, False),
-        ("models", _models, False),
-        ("list", _list, False),
-    ]:
-        cmd = sub.add_parser(name)
-        cmd.set_defaults(handler=fn)
-        if full_flag:
-            cmd.add_argument(
-                "--full",
-                action="store_true",
-                help="paper-scale run (minutes) instead of the quick one",
-            )
-            _add_engine_flags(cmd)
-        if name == "figure5":
-            cmd.add_argument(
-                "--json",
-                default="",
-                help="write rows + digest + engine stats to this JSON file",
-            )
-            cmd.add_argument(
-                "--scale",
-                action="store_true",
-                help="large-N preset: the same curves out to 1024 ranks "
-                "(overrides --full; expect minutes)",
-            )
-            cmd.add_argument(
-                "--problem",
-                choices=("synthetic", "brusselator"),
-                default="synthetic",
-                help="workload driving the sweep: the synthetic "
-                "activity-concentration problem (default) or the real "
-                "Brusselator PDE numerics",
-            )
-
-    resilience_cmd = sub.add_parser(
-        "resilience", help="execution models under injected faults"
+    for name, verb in SWEEP_VERBS.items():
+        cmd = sub.add_parser(name, help=verb.help)
+        cmd.set_defaults(handler=_experiment)
+        for flag, flag_help in verb.flags.items():
+            cmd.add_argument(f"--{flag}", action="store_true", help=flag_help)
+        if verb.json:
+            cmd.add_argument("--json", default="", help=verb.json)
+        _add_engine_flags(cmd)
+    sub.choices["figure5"].add_argument(
+        "--problem",
+        choices=("synthetic", "brusselator"),
+        default="synthetic",
+        help="workload driving the sweep: the synthetic "
+        "activity-concentration problem (default) or the real "
+        "Brusselator PDE numerics",
     )
-    resilience_cmd.set_defaults(handler=_resilience)
-    resilience_cmd.add_argument(
-        "--full",
-        action="store_true",
-        help="all fault schedules instead of the quick subset",
-    )
-    resilience_cmd.add_argument(
-        "--tiny",
-        action="store_true",
-        help="smallest sweep (CI smoke: clean baseline + loss-and-crash)",
-    )
-    resilience_cmd.add_argument(
-        "--json",
-        default="",
-        help="also write the report (rows + digest) to this JSON file",
-    )
-    _add_engine_flags(resilience_cmd)
-
-    integrity_cmd = sub.add_parser(
-        "integrity",
-        help="silent-corruption injection vs detection and recovery",
-    )
-    integrity_cmd.set_defaults(handler=_integrity)
-    integrity_cmd.add_argument(
-        "--full",
-        action="store_true",
-        help="all corruption schedules instead of the quick subset",
-    )
-    integrity_cmd.add_argument(
-        "--tiny",
-        action="store_true",
-        help="smallest sweep (clean baseline + one payload schedule)",
-    )
-    integrity_cmd.add_argument(
-        "--json",
-        default="",
-        help="also write the report (rows + digest) to this JSON file",
-    )
-    integrity_cmd.add_argument(
+    sub.choices["integrity"].add_argument(
         "--check",
         action="store_true",
         help="exit non-zero on any undetected wrong answer in the detect "
         "arm, or if zero-corruption rows differ between arms",
     )
-    _add_engine_flags(integrity_cmd)
-
-    zoo_cmd = sub.add_parser(
-        "topology-zoo",
-        help="LB algorithm zoo across topologies and fault schedules",
-    )
-    zoo_cmd.set_defaults(handler=_topology_zoo)
-    zoo_cmd.add_argument(
-        "--full",
-        action="store_true",
-        help="full grid (all families/algorithms/schedules) instead of "
-        "the quick CI cut",
-    )
-    zoo_cmd.add_argument(
-        "--json",
-        default="",
-        help="also write rows + winners + digest to this JSON file",
-    )
-    _add_engine_flags(zoo_cmd)
+    for name, fn in [
+        ("figures-1-4", _figures_1_4),
+        ("models", _models),
+        ("list", _list),
+    ]:
+        sub.add_parser(name).set_defaults(handler=fn)
 
     for name, fn, helptext in [
         (
@@ -760,20 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(sorted(_ABLATIONS))}",
     )
     _add_engine_flags(ablation_cmd)
-
-    bench_cmd = sub.add_parser(
-        "bench-compare",
-        help="compare two BENCH_*.json reports; non-zero exit on regression",
-    )
-    bench_cmd.set_defaults(handler=_bench_compare)
-    bench_cmd.add_argument("old", help="baseline BENCH_*.json")
-    bench_cmd.add_argument("new", help="candidate BENCH_*.json")
-    bench_cmd.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="fractional slowdown that counts as a regression (default 0.10)",
-    )
 
     serve_cmd = sub.add_parser(
         "serve", help="persistent job-queue daemon over the sweep engine"

@@ -23,6 +23,7 @@ from repro.exec.engine import (
     Task,
     default_jobs,
     normalise_payload,
+    sweep,
 )
 
 __all__ = [
@@ -37,4 +38,5 @@ __all__ = [
     "code_salt",
     "default_jobs",
     "normalise_payload",
+    "sweep",
 ]

@@ -40,8 +40,8 @@ import multiprocessing.pool
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.perf import canonical_json
 from repro.exec.cache import RunCache
@@ -53,6 +53,7 @@ __all__ = [
     "Task",
     "default_jobs",
     "normalise_payload",
+    "sweep",
 ]
 
 
@@ -95,7 +96,8 @@ class Task:
     ``fn`` must be a top-level function; ``args``/``kwargs`` must be
     picklable.  ``key`` is the cache-key material (any JSON structure
     fully determining the result) — ``None`` marks the task uncacheable.
-    ``label`` is used for error messages and metrics only.
+    ``label`` names the task for a human reading a task list; the
+    engine never reads it.
     """
 
     fn: Callable[..., Any]
@@ -430,3 +432,49 @@ class SweepEngine:
             self.stats.record_busy(worker, busy)
             payloads.append(payload)
         return payloads
+
+
+def sweep(
+    engine: SweepEngine | None,
+    experiment: str,
+    scenario: Any,
+    fn: Callable[..., Any],
+    cells: Iterable[Mapping[str, Any]],
+    *,
+    sidecar: Any = None,
+) -> list[Any]:
+    """Run one experiment's grid; return its payloads in cell order.
+
+    Each cell is the dict of one run's grid coordinates.  The run is
+    ``fn(scenario, *cell.values())`` and its cache key is
+    ``{"experiment", "scenario": asdict(scenario), **cell}``, so a cell
+    must hold JSON values that determine the run together with the
+    scenario dataclass.  ``engine=None`` is the serial, uncached
+    in-process engine.
+
+    ``sidecar`` optionally attaches a
+    :class:`~repro.obs.harness.MetricsSidecar`: it is handed to ``fn``
+    (as ``sidecar=``), which scrapes the live run record into it.  A
+    payload cannot carry that record across a process or out of the
+    cache, so an observed sweep always executes serially in process,
+    bypassing pool and cache; its payloads are normalised like every
+    other path's.
+    """
+    if sidecar is not None:
+        return [
+            normalise_payload(fn(scenario, *cell.values(), sidecar=sidecar))
+            for cell in cells
+        ]
+    engine = engine if engine is not None else SweepEngine()
+    scenario_key = asdict(scenario)
+    return engine.map(
+        [
+            Task(
+                fn=fn,
+                args=(scenario, *cell.values()),
+                key={"experiment": experiment, "scenario": scenario_key, **cell},
+                label="/".join([experiment, *map(str, cell.values())]),
+            )
+            for cell in cells
+        ]
+    )

@@ -4,6 +4,15 @@ Each ``run_*`` function executes the experiment and returns a result
 object with a ``report()`` method printing the same rows/series the
 paper shows; the benchmark files under ``benchmarks/`` are thin wrappers
 around these.
+
+An engine-backed sweep is five small things (``docs/architecture.md``,
+"Experiment layer"): a scenario dataclass with presets
+(:mod:`repro.workloads.scenarios`), one top-level task function that
+reduces one run (through :func:`repro.models.run_model`) to a JSON
+payload, the list of grid cells handed to :func:`repro.exec.sweep`, one
+fold of the payload list into the result object, and one row of
+:data:`repro.sweeps.SWEEP_VERBS` for the CLI, the serve daemon and the
+observed runs.
 """
 
 from repro.experiments.figure5 import Figure5Result, run_figure5

@@ -19,13 +19,6 @@ from repro.core.lb import run_balanced_aiac
 from repro.core.solver import run_aiac
 from repro.workloads.scenarios import Figure5Scenario
 
-
-def _engine_or_serial(engine):
-    """The caller's engine, or the default serial in-process one."""
-    from repro.exec import SweepEngine
-
-    return engine if engine is not None else SweepEngine()
-
 __all__ = [
     "AblationResult",
     "sweep_lb_period",
@@ -66,27 +59,54 @@ class AblationResult:
         )
 
 
-def _default_setup(n_procs: int = 8):
-    scenario = Figure5Scenario.quick()
-    problem_factory = scenario.problem
-    platform = scenario.platform(n_procs)
-    config = scenario.solver_config()
-    base_lb = scenario.lb_config()
-    return problem_factory, platform, config, base_lb
+def _fold(
+    name: str,
+    parameter: str,
+    values: Sequence[Any],
+    payloads: Sequence[dict[str, Any]],
+    extra: dict[str, str] | None = None,
+) -> AblationResult:
+    """One result row per payload; ``extra`` maps a report column to the
+    payload field it shows."""
+    return AblationResult(
+        name=name,
+        parameter=parameter,
+        values=list(values),
+        times=[payload["time"] for payload in payloads],
+        migrations=[payload["migrations"] for payload in payloads],
+        extra={
+            column: [payload[key] for payload in payloads]
+            for column, key in (extra or {}).items()
+        },
+    )
+
+
+def _balanced_run(scenario: Figure5Scenario, n_procs: int, lb: LBConfig):
+    """AIAC+LB on the ablation scenario at ``n_procs`` under ``lb`` (a
+    knob setting, not the scenario's own ``lb_config()``)."""
+    return run_balanced_aiac(
+        scenario.problem(),
+        scenario.platform(n_procs),
+        scenario.solver_config(),
+        lb,
+    )
 
 
 def _sweep_task(
-    n_procs: int, parameter: str, value: Any, fixed: dict[str, Any]
+    scenario: Figure5Scenario,
+    n_procs: int,
+    parameter: str,
+    value: Any,
+    fixed: dict[str, Any],
 ) -> dict[str, Any]:
     """Engine task: one balanced run at one knob setting.
 
     The whole setup is rebuilt from the (deterministic, RNG-free)
-    default scenario inside the task, so the worker-pool path computes
-    exactly what the serial loop computed.
+    scenario inside the task, so the worker-pool path computes exactly
+    what the serial loop computed.
     """
-    problem_factory, platform, config, base_lb = _default_setup(n_procs)
-    lb = replace(base_lb, **{parameter: value}, **fixed)
-    run = run_balanced_aiac(problem_factory(), platform, config, lb)
+    lb = replace(scenario.lb_config(), **{parameter: value}, **fixed)
+    run = _balanced_run(scenario, n_procs, lb)
     if not run.converged:
         raise RuntimeError(f"ablation run with {parameter}={value} diverged")
     return {"time": run.time, "migrations": run.n_migrations}
@@ -101,37 +121,24 @@ def _sweep(
     engine=None,
     **fixed,
 ) -> AblationResult:
-    from repro.exec import Task
+    from repro.exec import sweep
 
-    engine = _engine_or_serial(engine)
-    result = AblationResult(
-        name=name,
-        parameter=parameter,
-        values=list(values),
-        times=[],
-        migrations=[],
-        extra={},
-    )
-    tasks = [
-        Task(
-            fn=_sweep_task,
-            args=(n_procs, parameter, value, dict(fixed)),
-            key={
-                "experiment": "ablation-sweep",
-                "scenario": asdict(Figure5Scenario.quick()),
+    payloads = sweep(
+        engine,
+        "ablation-sweep",
+        Figure5Scenario.quick(),
+        _sweep_task,
+        [
+            {
                 "n_procs": n_procs,
                 "parameter": parameter,
                 "value": value,
                 "fixed": dict(fixed),
-            },
-            label=f"ablation/{parameter}={value}",
-        )
-        for value in values
-    ]
-    for payload in engine.map(tasks):
-        result.times.append(payload["time"])
-        result.migrations.append(payload["migrations"])
-    return result
+            }
+            for value in values
+        ],
+    )
+    return _fold(name, parameter, values, payloads)
 
 
 def sweep_lb_period(
@@ -206,10 +213,12 @@ def sweep_estimator(
     )
 
 
-def _candidate_task(n_procs: int, name: str, lb: LBConfig) -> dict[str, Any]:
-    """Engine task: one named LB-config candidate run."""
-    problem_factory, platform, config, _ = _default_setup(n_procs)
-    run = run_balanced_aiac(problem_factory(), platform, config, lb)
+def _candidate_task(
+    scenario: Figure5Scenario, n_procs: int, name: str, lb: dict[str, Any]
+) -> dict[str, Any]:
+    """Engine task: one named LB-config candidate run (``lb`` is the
+    candidate's ``asdict``, the form its cache key carries)."""
+    run = _balanced_run(scenario, n_procs, LBConfig(**lb))
     if not run.converged:
         raise RuntimeError(f"adaptive ablation: {name} diverged")
     return {
@@ -225,52 +234,39 @@ def compare_adaptive_period(*, n_procs: int = 8, engine=None) -> AblationResult:
     The adaptive variant should be competitive with the best fixed
     period while sending fewer offers once the system is balanced.
     """
-    from repro.exec import Task
+    from repro.exec import sweep
 
-    engine = _engine_or_serial(engine)
-    _, _, _, base_lb = _default_setup(n_procs)
-    result = AblationResult(
-        name="adaptive LB frequency (paper's future work)",
-        parameter="mode",
-        values=[],
-        times=[],
-        migrations=[],
-        extra={"offers": []},
-    )
-    candidates: list[tuple[str, LBConfig]] = [
-        ("fixed-5", replace(base_lb, period=5)),
-        ("fixed-20", replace(base_lb, period=20)),
-        ("fixed-80", replace(base_lb, period=80)),
-        (
-            "adaptive",
-            # A bounded ceiling keeps the controller's worst-case
-            # reaction lag at 20 sweeps; with an unbounded ceiling the
-            # quiet early phase parks the period at its maximum and the
-            # onset of imbalance is caught late (measured: ~35% slower).
-            replace(base_lb, period=5, adaptive=True, period_min=2, period_max=20),
+    scenario = Figure5Scenario.quick()
+    base_lb = scenario.lb_config()
+    candidates: dict[str, LBConfig] = {
+        "fixed-5": replace(base_lb, period=5),
+        "fixed-20": replace(base_lb, period=20),
+        "fixed-80": replace(base_lb, period=80),
+        # A bounded ceiling keeps the controller's worst-case
+        # reaction lag at 20 sweeps; with an unbounded ceiling the
+        # quiet early phase parks the period at its maximum and the
+        # onset of imbalance is caught late (measured: ~35% slower).
+        "adaptive": replace(
+            base_lb, period=5, adaptive=True, period_min=2, period_max=20
         ),
-    ]
-    tasks = [
-        Task(
-            fn=_candidate_task,
-            args=(n_procs, name, lb),
-            key={
-                "experiment": "ablation-adaptive",
-                "scenario": asdict(Figure5Scenario.quick()),
-                "n_procs": n_procs,
-                "candidate": name,
-                "lb": asdict(lb),
-            },
-            label=f"ablation/adaptive/{name}",
-        )
-        for name, lb in candidates
-    ]
-    for (name, _), payload in zip(candidates, engine.map(tasks)):
-        result.values.append(name)
-        result.times.append(payload["time"])
-        result.migrations.append(payload["migrations"])
-        result.extra["offers"].append(payload["offers"])
-    return result
+    }
+    payloads = sweep(
+        engine,
+        "ablation-adaptive",
+        scenario,
+        _candidate_task,
+        [
+            {"n_procs": n_procs, "candidate": name, "lb": asdict(lb)}
+            for name, lb in candidates.items()
+        ],
+    )
+    return _fold(
+        "adaptive LB frequency (paper's future work)",
+        "mode",
+        list(candidates),
+        payloads,
+        {"offers": "offers"},
+    )
 
 
 def _skip_task(skip: bool) -> dict[str, Any]:
@@ -337,40 +333,40 @@ def compare_skip_optimisation(*, engine=None) -> AblationResult:
     variant must produce the same trajectories with less total numerical
     work.
     """
-    from repro.exec import Task
+    from repro.exec import SweepEngine, Task
 
-    engine = _engine_or_serial(engine)
-    result = AblationResult(
-        name="Brusselator converged-component skip",
-        parameter="skip_converged",
-        values=[],
-        times=[],
-        migrations=[],
-        extra={"total work": [], "max error": []},
+    # Not exec.sweep: the run builds its own platform and problem, so
+    # there is no scenario dataclass to key it by.
+    engine = engine if engine is not None else SweepEngine()
+    payloads = engine.map(
+        [
+            Task(
+                fn=_skip_task,
+                args=(skip,),
+                key={"experiment": "ablation-skip", "skip": skip},
+                label=f"ablation-skip/{skip}",
+            )
+            for skip in (False, True)
+        ]
     )
-    tasks = [
-        Task(
-            fn=_skip_task,
-            args=(skip,),
-            key={"experiment": "ablation-skip", "skip": skip},
-            label=f"ablation/skip={skip}",
-        )
-        for skip in (False, True)
-    ]
-    for skip, payload in zip((False, True), engine.map(tasks)):
-        result.values.append(skip)
-        result.times.append(payload["time"])
-        result.migrations.append(payload["migrations"])
-        result.extra["total work"].append(payload["work"])
-        result.extra["max error"].append(payload["max_error"])
-    return result
+    return _fold(
+        "Brusselator converged-component skip",
+        "skip_converged",
+        (False, True),
+        payloads,
+        {"total work": "work", "max error": "max_error"},
+    )
 
 
-def _detection_task(n_procs: int, detection: str) -> dict[str, Any]:
+def _detection_task(
+    scenario: Figure5Scenario, n_procs: int, detection: str
+) -> dict[str, Any]:
     """Engine task: one run under one convergence-detection protocol."""
-    problem_factory, platform, config, _ = _default_setup(n_procs)
-    cfg = replace(config, detection=detection)
-    run = run_aiac(problem_factory(), platform, cfg)
+    run = run_aiac(
+        scenario.problem(),
+        scenario.platform(n_procs),
+        replace(scenario.solver_config(), detection=detection),
+    )
     if not run.converged:
         raise RuntimeError(f"detection={detection} run diverged")
     oracle_time = run.meta["oracle_detection_time"]
@@ -389,36 +385,20 @@ def compare_detection_protocols(
     *, n_procs: int = 8, engine=None
 ) -> AblationResult:
     """Oracle vs decentralized token-ring convergence detection."""
-    from repro.exec import Task
+    from repro.exec import sweep
 
-    engine = _engine_or_serial(engine)
-    result = AblationResult(
-        name="convergence detection protocol",
-        parameter="detection",
-        values=[],
-        times=[],
-        migrations=[],
-        extra={"detection messages": [], "overhead (s)": []},
-    )
     protocols = ("oracle", "token_ring")
-    tasks = [
-        Task(
-            fn=_detection_task,
-            args=(n_procs, detection),
-            key={
-                "experiment": "ablation-detection",
-                "scenario": asdict(Figure5Scenario.quick()),
-                "n_procs": n_procs,
-                "detection": detection,
-            },
-            label=f"ablation/detection={detection}",
-        )
-        for detection in protocols
-    ]
-    for detection, payload in zip(protocols, engine.map(tasks)):
-        result.values.append(detection)
-        result.times.append(payload["time"])
-        result.migrations.append(payload["migrations"])
-        result.extra["detection messages"].append(payload["messages"])
-        result.extra["overhead (s)"].append(payload["overhead"])
-    return result
+    payloads = sweep(
+        engine,
+        "ablation-detection",
+        Figure5Scenario.quick(),
+        _detection_task,
+        [{"n_procs": n_procs, "detection": detection} for detection in protocols],
+    )
+    return _fold(
+        "convergence detection protocol",
+        "detection",
+        protocols,
+        payloads,
+        {"detection messages": "messages", "overhead (s)": "overhead"},
+    )

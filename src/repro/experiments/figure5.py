@@ -15,15 +15,13 @@ substantially-greater-than-1 ratio.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.perf import save_report, stable_digest
 from repro.analysis.plots import ascii_plot
 from repro.analysis.reporting import format_table
-from repro.core.lb import run_balanced_aiac
-from repro.core.records import RunResult
-from repro.core.solver import run_aiac
+from repro.models import VERSIONS, run_model
 from repro.workloads.scenarios import Figure5Scenario
 
 __all__ = ["Figure5Result", "run_figure5"]
@@ -131,25 +129,19 @@ class Figure5Result:
         )
 
 
-def _solve_one(scenario: Figure5Scenario, p: int, version: str) -> RunResult:
-    """One Figure 5 run: ``version`` in {"unbalanced", "balanced"} at ``p``."""
-    platform = scenario.platform(p)
-    config = scenario.solver_config()
-    if version == "balanced":
-        return run_balanced_aiac(
-            scenario.problem(), platform, config, scenario.lb_config()
-        )
-    return run_aiac(scenario.problem(), platform, config)
-
-
-def _sweep_task(scenario: Figure5Scenario, p: int, version: str) -> dict:
-    """Engine task: one run reduced to its sweep payload (top-level so the
+def _sweep_task(
+    scenario: Figure5Scenario, p: int, version: str, sidecar=None
+) -> dict:
+    """One Figure 5 run — ``version`` in :data:`~repro.models.VERSIONS`
+    at ``p`` processors — reduced to its sweep payload (top-level so the
     worker pool can pickle it by reference)."""
-    result = _solve_one(scenario, p, version)
+    result = run_model(VERSIONS[version], scenario, platform=scenario.platform(p))
     if not result.converged:
         raise RuntimeError(
             f"figure5 run did not converge at p={p} ({version})"
         )
+    if sidecar is not None:
+        sidecar.collect(result, run=f"p{p}/{version}")
     return {"time": result.time, "migrations": result.n_migrations}
 
 
@@ -166,56 +158,28 @@ def run_figure5(
 
     ``sidecar`` optionally attaches a
     :class:`~repro.obs.harness.MetricsSidecar`: every run's metrics are
-    scraped into it under ``run="p{p}/{version}"`` labels.  The sidecar
-    scrapes live :class:`RunResult` objects, so an observed sweep always
-    executes serially in process, bypassing pool and cache.
+    scraped into it under ``run="p{p}/{version}"`` labels, serially in
+    process (see :func:`repro.exec.sweep`).
     """
-    from repro.exec import SweepEngine, Task
+    from repro.exec import sweep
 
     scenario = scenario if scenario is not None else Figure5Scenario()
-    result = Figure5Result(
-        proc_counts=list(scenario.proc_counts),
-        time_unbalanced=[],
-        time_balanced=[],
-        migrations=[],
+    payloads = sweep(
+        engine,
+        "figure5",
+        scenario,
+        _sweep_task,
+        [
+            {"p": p, "version": version}
+            for p in scenario.proc_counts
+            for version in VERSIONS
+        ],
+        sidecar=sidecar,
     )
-    if sidecar is not None:
-        for p in scenario.proc_counts:
-            unbalanced = _solve_one(scenario, p, "unbalanced")
-            balanced = _solve_one(scenario, p, "balanced")
-            if not (unbalanced.converged and balanced.converged):
-                raise RuntimeError(
-                    f"figure5 run did not converge at p={p}: "
-                    f"unbalanced={unbalanced.converged}, "
-                    f"balanced={balanced.converged}"
-                )
-            sidecar.collect(unbalanced, run=f"p{p}/unbalanced")
-            sidecar.collect(balanced, run=f"p{p}/balanced")
-            result.time_unbalanced.append(unbalanced.time)
-            result.time_balanced.append(balanced.time)
-            result.migrations.append(balanced.n_migrations)
-        return result
-
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        Task(
-            fn=_sweep_task,
-            args=(scenario, p, version),
-            key={
-                "experiment": "figure5",
-                "scenario": asdict(scenario),
-                "p": p,
-                "version": version,
-            },
-            label=f"figure5/p{p}/{version}",
-        )
-        for p in scenario.proc_counts
-        for version in ("unbalanced", "balanced")
-    ]
-    payloads = engine.map(tasks)
-    for i, p in enumerate(scenario.proc_counts):
-        unbalanced, balanced = payloads[2 * i], payloads[2 * i + 1]
-        result.time_unbalanced.append(unbalanced["time"])
-        result.time_balanced.append(balanced["time"])
-        result.migrations.append(balanced["migrations"])
-    return result
+    unbalanced, balanced = payloads[0::2], payloads[1::2]
+    return Figure5Result(
+        proc_counts=list(scenario.proc_counts),
+        time_unbalanced=[row["time"] for row in unbalanced],
+        time_balanced=[row["time"] for row in balanced],
+        migrations=[row["migrations"] for row in balanced],
+    )

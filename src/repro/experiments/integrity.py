@@ -46,13 +46,10 @@ from typing import Any
 
 from repro.analysis.perf import save_report, stable_digest
 from repro.analysis.reporting import format_table
-from repro.core.lb import run_balanced_aiac
 from repro.core.records import RunResult
-from repro.core.solver import run_aiac
 from repro.faults import FaultInjector
-from repro.guard import GuardConfig, InvariantMonitor
-from repro.models.siac import run_siac
-from repro.models.sisc import run_sisc
+from repro.guard import InvariantMonitor
+from repro.models import run_model
 from repro.workloads.scenarios import IntegrityScenario
 
 __all__ = ["IntegrityResult", "run_integrity"]
@@ -210,43 +207,6 @@ class IntegrityResult:
         )
 
 
-def _run_model(
-    model: str, scenario: IntegrityScenario, injector: FaultInjector
-) -> RunResult:
-    """One solve of ``model`` with the prepared (single-use) injector.
-
-    The invariant monitor (which hosts the plausibility guard) is
-    attached to *every* run, both arms: its divergence watchdog is part
-    of the baseline solver behaviour, while the plausibility screens
-    engage only when the injector's detection layer is armed — so the
-    arm contrast isolates exactly the integrity machinery.
-    """
-    problem = scenario.problem()
-    platform = scenario.platform()
-    config = scenario.solver_config()
-    guard = InvariantMonitor(scenario.guard_config())
-    if model == "aiac+lb":
-        result = run_balanced_aiac(
-            problem, platform, config, scenario.lb_config(),
-            injector=injector, guard=guard,
-        )
-    elif model == "aiac":
-        result = run_aiac(
-            problem, platform, config, injector=injector, guard=guard
-        )
-    elif model == "siac":
-        result = run_siac(
-            problem, platform, config, injector=injector, guard=guard
-        )
-    elif model == "sisc":
-        result = run_sisc(
-            problem, platform, config, injector=injector, guard=guard
-        )
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return result
-
-
 def _classify(
     converged: bool, max_error: float, injected: int, detected: int,
     error_tol: float,
@@ -307,6 +267,12 @@ def _sweep_task(
     That is a loud failure worth a row of its own — with detection
     armed the same corruption is rejected at receive time, so a
     detect-arm crash is a genuine bug and propagates.
+
+    The invariant monitor (which hosts the plausibility guard) is
+    attached to *every* run, both arms: its divergence watchdog is part
+    of the baseline solver behaviour, while the plausibility screens
+    engage only when the injector's detection layer is armed — so the
+    arm contrast isolates exactly the integrity machinery.
     """
     from repro.des.simulator import SimulationError
 
@@ -314,7 +280,12 @@ def _sweep_task(
         scenario.schedule(schedule_name, detect=(arm == "detect"))
     )
     try:
-        result = _run_model(model, scenario, injector)
+        result = run_model(
+            model,
+            scenario,
+            injector=injector,
+            guard=InvariantMonitor(scenario.guard_config()),
+        )
     except SimulationError as exc:
         if arm != "blind":
             raise
@@ -349,26 +320,17 @@ def run_integrity(
     and/or is served from its run cache, with rows merged in grid order
     so the report and its digest are byte-identical to the serial path.
     """
-    from repro.exec import SweepEngine, Task
+    from repro.exec import sweep
 
     scenario = scenario if scenario is not None else IntegrityScenario()
-    out = IntegrityResult(scenario=scenario)
-    engine = engine if engine is not None else SweepEngine()
-    scenario_key = asdict(scenario)
-    tasks = [
-        Task(
-            fn=_sweep_task,
-            args=(scenario, arm, schedule_name, model),
-            key={
-                "experiment": "integrity",
-                "scenario": scenario_key,
-                "arm": arm,
-                "schedule": schedule_name,
-                "model": model,
-            },
-            label=f"integrity/{arm}/{schedule_name}/{model}",
-        )
-        for arm, schedule_name, model in scenario.grid()
-    ]
-    out.rows.extend(engine.map(tasks))
-    return out
+    rows = sweep(
+        engine,
+        "integrity",
+        scenario,
+        _sweep_task,
+        [
+            {"arm": arm, "schedule": schedule_name, "model": model}
+            for arm, schedule_name, model in scenario.grid()
+        ],
+    )
+    return IntegrityResult(scenario=scenario, rows=rows)

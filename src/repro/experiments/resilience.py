@@ -31,12 +31,8 @@ from typing import Any
 
 from repro.analysis.perf import save_report, stable_digest
 from repro.analysis.reporting import format_table
-from repro.core.lb import run_balanced_aiac
-from repro.core.records import RunResult
-from repro.core.solver import run_aiac
 from repro.faults import FaultInjector
-from repro.models.siac import run_siac
-from repro.models.sisc import run_sisc
+from repro.models import run_model
 from repro.workloads.scenarios import ResilienceScenario
 
 __all__ = ["ResilienceResult", "run_resilience"]
@@ -138,51 +134,24 @@ class ResilienceResult:
         return "\n".join(lines)
 
 
-def _run_model(
-    model: str,
-    scenario: ResilienceScenario,
-    schedule_name: str,
-    *,
-    trace: bool = False,
-    profiler=None,
-) -> tuple[RunResult, FaultInjector]:
-    """One solve of ``model`` under the named fault schedule.
-
-    Problem, platform and injector are built fresh per run: injectors
-    are single-use (they hold per-run RNG streams and counters) and the
-    platform's host/link state is mutated by timed faults.  ``profiler``
-    optionally attaches a :class:`~repro.obs.profile.SimProfiler`
-    (AIAC models only — the synchronous drivers take no profiler).
-    """
-    problem = scenario.problem()
-    platform = scenario.platform()
-    config = scenario.solver_config(trace=trace)
-    injector = FaultInjector(scenario.schedule(schedule_name))
-    if model == "aiac+lb":
-        result = run_balanced_aiac(
-            problem, platform, config, scenario.lb_config(),
-            injector=injector, profiler=profiler,
-        )
-    elif model == "aiac":
-        result = run_aiac(
-            problem, platform, config, injector=injector, profiler=profiler
-        )
-    elif model == "siac":
-        result = run_siac(problem, platform, config, injector=injector)
-    elif model == "sisc":
-        result = run_sisc(problem, platform, config, injector=injector)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return result, injector
-
-
-def _make_row(
-    schedule_name: str,
-    model: str,
-    result: RunResult,
-    reference,
-    stats: dict[str, int],
+def _sweep_task(
+    scenario: ResilienceScenario, schedule_name: str, model: str, sidecar=None
 ) -> dict[str, Any]:
+    """Engine task: one (schedule, model) run reduced to its report row.
+
+    Top-level (picklable by reference) so the sweep engine's worker
+    pool can run it.  The injector is built per run — injectors are
+    single-use (they hold per-run RNG streams and counters) — and the
+    sequential reference is recomputed per task: it is a deterministic
+    function of the scenario, so every path sees the same values.
+    """
+    injector = FaultInjector(scenario.schedule(schedule_name))
+    result = run_model(model, scenario, injector=injector)
+    if sidecar is not None:
+        sidecar.collect(
+            result, run=f"{schedule_name}/{model}", injector=injector
+        )
+    reference = scenario.problem().reference_solution()
     row: dict[str, Any] = {
         "schedule": schedule_name,
         "model": model,
@@ -195,23 +164,8 @@ def _make_row(
         "offers_timed_out": int(result.meta.get("offers_timed_out", 0)),
     }
     for key in _STAT_COLUMNS:
-        row[key] = int(stats.get(key, 0))
+        row[key] = int(injector.stats.get(key, 0))
     return row
-
-
-def _sweep_task(
-    scenario: ResilienceScenario, schedule_name: str, model: str
-) -> dict[str, Any]:
-    """Engine task: one (schedule, model) run reduced to its report row.
-
-    Top-level (picklable by reference) so the sweep engine's worker
-    pool can run it; the sequential reference is recomputed per task —
-    it is a deterministic function of the scenario, so every path sees
-    the same values.
-    """
-    result, injector = _run_model(model, scenario, schedule_name)
-    reference = scenario.problem().reference_solution()
-    return _make_row(schedule_name, model, result, reference, injector.stats)
 
 
 def run_resilience(
@@ -224,58 +178,39 @@ def run_resilience(
     served from its run cache, with rows merged in grid order so the
     report and its digest are byte-identical to the serial path.  The
     traced headline run always executes in process (it feeds the Gantt
-    renderer a live tracer) and is never cached.
+    renderer a live tracer) and is never cached; the sweep runs stay
+    untraced and lean.
 
     ``sidecar`` optionally attaches a
     :class:`~repro.obs.harness.MetricsSidecar`: every sweep run's
     metrics (including the injector's counters) are scraped into it
-    under ``run="{schedule}/{model}"`` labels.  An observed sweep
-    always executes serially in process, bypassing pool and cache.
+    under ``run="{schedule}/{model}"`` labels, serially in process (see
+    :func:`repro.exec.sweep`).
     """
-    from repro.exec import SweepEngine, Task
+    from repro.exec import sweep
 
     scenario = scenario if scenario is not None else ResilienceScenario()
-    out = ResilienceResult(scenario=scenario)
-    if sidecar is not None:
-        reference = scenario.problem().reference_solution()
-        for schedule_name in scenario.schedule_names:
-            for model in scenario.models:
-                # The headline run is re-traced below; sweep runs stay lean.
-                result, injector = _run_model(model, scenario, schedule_name)
-                sidecar.collect(
-                    result,
-                    run=f"{schedule_name}/{model}",
-                    injector=injector,
-                )
-                out.rows.append(
-                    _make_row(
-                        schedule_name, model, result, reference, injector.stats
-                    )
-                )
-    else:
-        engine = engine if engine is not None else SweepEngine()
-        scenario_key = asdict(scenario)
-        tasks = [
-            Task(
-                fn=_sweep_task,
-                args=(scenario, schedule_name, model),
-                key={
-                    "experiment": "resilience",
-                    "scenario": scenario_key,
-                    "schedule": schedule_name,
-                    "model": model,
-                },
-                label=f"resilience/{schedule_name}/{model}",
-            )
+    rows = sweep(
+        engine,
+        "resilience",
+        scenario,
+        _sweep_task,
+        [
+            {"schedule": schedule_name, "model": model}
             for schedule_name in scenario.schedule_names
             for model in scenario.models
-        ]
-        out.rows.extend(engine.map(tasks))
+        ],
+        sidecar=sidecar,
+    )
+    gantt = ""
     if scenario.headline in scenario.schedule_names:
         from repro.analysis.gantt import render_gantt
 
-        traced, _ = _run_model(
-            "aiac+lb", scenario, scenario.headline, trace=True
+        traced = run_model(
+            "aiac+lb",
+            scenario,
+            trace=True,
+            injector=FaultInjector(scenario.schedule(scenario.headline)),
         )
-        out.headline_gantt = render_gantt(traced, width=80)
-    return out
+        gantt = render_gantt(traced, width=80)
+    return ResilienceResult(scenario=scenario, rows=rows, headline_gantt=gantt)

@@ -16,12 +16,10 @@ the network bytes spent on migrations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.core.lb import run_balanced_aiac
-from repro.core.records import RunResult
-from repro.core.solver import run_aiac
+from repro.models import VERSIONS, run_model
 from repro.workloads.scenarios import Table1Scenario
 
 __all__ = ["Table1Result", "run_table1"]
@@ -34,10 +32,6 @@ class Table1Result:
     migrations: int
     components_migrated: int
     final_sizes: list[int]
-    #: Full run records; populated only on the in-process (sidecar)
-    #: path — engine runs reduce to payloads before crossing processes.
-    unbalanced: RunResult | None = None
-    balanced: RunResult | None = None
 
     @property
     def ratio(self) -> float:
@@ -65,27 +59,20 @@ class Table1Result:
         )
 
 
-def _solve_one(scenario: Table1Scenario, version: str) -> RunResult:
-    """One Table 1 run: ``version`` in {"unbalanced", "balanced"}."""
+def _sweep_task(scenario: Table1Scenario, version: str, sidecar=None) -> dict:
+    """One Table 1 run — ``version`` in :data:`~repro.models.VERSIONS` —
+    reduced to its sweep payload."""
     platform = scenario.platform()
-    order = scenario.host_order(platform)
-    config = scenario.solver_config()
-    if version == "balanced":
-        return run_balanced_aiac(
-            scenario.problem(),
-            platform,
-            config,
-            scenario.lb_config(),
-            host_order=order,
-        )
-    return run_aiac(scenario.problem(), platform, config, host_order=order)
-
-
-def _sweep_task(scenario: Table1Scenario, version: str) -> dict:
-    """Engine task: one run reduced to its sweep payload."""
-    result = _solve_one(scenario, version)
+    result = run_model(
+        VERSIONS[version],
+        scenario,
+        platform=platform,
+        host_order=scenario.host_order(platform),
+    )
     if not result.converged:
         raise RuntimeError(f"table1 {version} run did not converge")
+    if sidecar is not None:
+        sidecar.collect(result, run=version)
     return {
         "time": result.time,
         "migrations": result.n_migrations,
@@ -103,53 +90,24 @@ def run_table1(
     (worker pool + run cache) for the two independent runs; the result
     values are byte-identical to the serial path.  ``sidecar``
     optionally attaches a :class:`~repro.obs.harness.MetricsSidecar`
-    scraping both runs; an observed sweep always executes serially in
-    process (the sidecar needs the live run records), bypassing pool
-    and cache.
+    scraping both runs, serially in process (see
+    :func:`repro.exec.sweep`).
     """
-    from repro.exec import SweepEngine, Task
+    from repro.exec import sweep
 
     scenario = scenario if scenario is not None else Table1Scenario()
-    if sidecar is not None:
-        unbalanced = _solve_one(scenario, "unbalanced")
-        balanced = _solve_one(scenario, "balanced")
-        if not (unbalanced.converged and balanced.converged):
-            raise RuntimeError(
-                f"table1 run did not converge: "
-                f"unbalanced={unbalanced.converged}, "
-                f"balanced={balanced.converged}"
-            )
-        sidecar.collect(unbalanced, run="unbalanced")
-        sidecar.collect(balanced, run="balanced")
-        return Table1Result(
-            time_unbalanced=unbalanced.time,
-            time_balanced=balanced.time,
-            migrations=balanced.n_migrations,
-            components_migrated=balanced.components_migrated,
-            final_sizes=balanced.meta["final_sizes"],
-            unbalanced=unbalanced,
-            balanced=balanced,
-        )
-
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        Task(
-            fn=_sweep_task,
-            args=(scenario, version),
-            key={
-                "experiment": "table1",
-                "scenario": asdict(scenario),
-                "version": version,
-            },
-            label=f"table1/{version}",
-        )
-        for version in ("unbalanced", "balanced")
-    ]
-    unbalanced_row, balanced_row = engine.map(tasks)
+    unbalanced, balanced = sweep(
+        engine,
+        "table1",
+        scenario,
+        _sweep_task,
+        [{"version": version} for version in VERSIONS],
+        sidecar=sidecar,
+    )
     return Table1Result(
-        time_unbalanced=unbalanced_row["time"],
-        time_balanced=balanced_row["time"],
-        migrations=balanced_row["migrations"],
-        components_migrated=balanced_row["components_migrated"],
-        final_sizes=balanced_row["final_sizes"],
+        time_unbalanced=unbalanced["time"],
+        time_balanced=balanced["time"],
+        migrations=balanced["migrations"],
+        components_migrated=balanced["components_migrated"],
+        final_sizes=balanced["final_sizes"],
     )

@@ -38,12 +38,13 @@ from repro.balancing.zoo import (
     run_zoo,
 )
 from repro.topology.graphs import TOPOLOGY_FAMILIES, build_topology, spec_for_family
+from repro.workloads.scenarios import Scenario
 
 __all__ = ["TopologyZooScenario", "TopologyZooResult", "run_topology_zoo"]
 
 
 @dataclass(frozen=True)
-class TopologyZooScenario:
+class TopologyZooScenario(Scenario):
     """The sweep grid plus every knob the zoo driver takes.
 
     The default is the full grid: all families × all algorithms × all
@@ -271,28 +272,19 @@ def run_topology_zoo(
     cache, with rows merged in grid order so the report and its digest
     are byte-identical to the serial path.
     """
-    from repro.exec import SweepEngine, Task
+    from repro.exec import sweep
 
     scenario = scenario if scenario is not None else TopologyZooScenario()
-    engine = engine if engine is not None else SweepEngine()
-    scenario_key = asdict(scenario)
-    tasks = [
-        Task(
-            fn=_zoo_task,
-            args=(scenario, family, algorithm, schedule_name),
-            key={
-                "experiment": "topology_zoo",
-                "scenario": scenario_key,
-                "family": family,
-                "algorithm": algorithm,
-                "schedule": schedule_name,
-            },
-            label=f"zoo/{family}/{algorithm}/{schedule_name}",
-        )
-        for family in scenario.families
-        for algorithm in scenario.algorithms
-        for schedule_name in scenario.schedules
-    ]
-    out = TopologyZooResult(scenario=scenario)
-    out.rows.extend(engine.map(tasks))
-    return out
+    rows = sweep(
+        engine,
+        "topology_zoo",
+        scenario,
+        _zoo_task,
+        [
+            {"family": family, "algorithm": algorithm, "schedule": schedule_name}
+            for family in scenario.families
+            for algorithm in scenario.algorithms
+            for schedule_name in scenario.schedules
+        ],
+    )
+    return TopologyZooResult(scenario=scenario, rows=rows)

@@ -164,41 +164,17 @@ def _run_model(
     schedule: FaultSchedule | None,
 ) -> tuple[Any, InvariantMonitor]:
     """Run ``model`` (fresh everything), guard attached; return result."""
-    from repro.core.lb import run_balanced_aiac
-    from repro.core.solver import run_aiac
-    from repro.models.siac import run_siac
-    from repro.models.sisc import run_sisc
+    from repro.models import run_model
 
-    problem = scenario.problem()
-    platform = scenario.platform()
-    config = scenario.solver_config()
-    injector = FaultInjector(schedule) if schedule is not None else None
     guard = InvariantMonitor(
         GuardConfig(stall_horizon=scenario.stall_horizon)
     )
-    if model == "aiac+lb":
-        result = run_balanced_aiac(
-            problem,
-            platform,
-            config,
-            scenario.lb_config(),
-            injector=injector,
-            guard=guard,
-        )
-    elif model == "aiac":
-        result = run_aiac(
-            problem, platform, config, injector=injector, guard=guard
-        )
-    elif model == "siac":
-        result = run_siac(
-            problem, platform, config, injector=injector, guard=guard
-        )
-    elif model == "sisc":
-        result = run_sisc(
-            problem, platform, config, injector=injector, guard=guard
-        )
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    result = run_model(
+        model,
+        scenario,
+        injector=FaultInjector(schedule) if schedule is not None else None,
+        guard=guard,
+    )
     return result, guard
 
 
@@ -421,9 +397,7 @@ def run_soak(
     byte-identical to the serial path.  Shrinking always happens in
     process (it is an adaptive sequential search).
     """
-    from dataclasses import asdict as _asdict
-
-    from repro.exec import SweepEngine, Task
+    from repro.exec import SweepEngine, Task, sweep
 
     scenario = scenario if scenario is not None else SoakScenario()
     if seed is not None:
@@ -431,26 +405,20 @@ def run_soak(
     if models is not None:
         scenario = replace(scenario, models=tuple(models))
     engine = engine if engine is not None else SweepEngine()
-    scenario_key = _asdict(scenario)
+    scenario_key = asdict(scenario)
     tree = RngTree(scenario.seed).child("guard-soak")
     rows: list[dict[str, Any]] = []
     failures: list[dict[str, Any]] = []
 
-    baseline_tasks = [
-        Task(
-            fn=_baseline_task,
-            args=(scenario, model),
-            key={
-                "experiment": "soak-baseline",
-                "scenario": scenario_key,
-                "model": model,
-            },
-            label=f"soak/baseline/{model}",
-        )
-        for model in scenario.models
-    ]
+    baseline_payloads = sweep(
+        engine,
+        "soak-baseline",
+        scenario,
+        _baseline_task,
+        [{"model": model} for model in scenario.models],
+    )
     baselines: dict[str, np.ndarray] = {}
-    for model, payload in zip(scenario.models, engine.map(baseline_tasks)):
+    for model, payload in zip(scenario.models, baseline_payloads):
         row = dict(payload["row"])
         row["schedule"] = "baseline"
         rows.append(row)

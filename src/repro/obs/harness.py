@@ -232,35 +232,6 @@ class ObsRun:
         return "\n".join(lines)
 
 
-def _scenario_for(experiment: str, mode: str):
-    from repro.workloads.scenarios import (
-        Figure5Scenario,
-        ResilienceScenario,
-        Table1Scenario,
-    )
-
-    if mode not in ("tiny", "quick", "full"):
-        raise ValueError(f"unknown mode {mode!r}; use tiny, quick or full")
-    if experiment == "figure5":
-        return {
-            "tiny": Figure5Scenario.tiny,
-            "quick": Figure5Scenario.quick,
-            "full": Figure5Scenario,
-        }[mode]()
-    if experiment == "table1":
-        # Table 1 has no tiny variant; quick is already CI-sized.
-        return Table1Scenario() if mode == "full" else Table1Scenario.quick()
-    if experiment == "resilience":
-        return {
-            "tiny": ResilienceScenario.tiny,
-            "quick": ResilienceScenario.quick,
-            "full": ResilienceScenario,
-        }[mode]()
-    raise ValueError(
-        f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}"
-    )
-
-
 def run_observed(
     experiment: str,
     *,
@@ -276,56 +247,50 @@ def run_observed(
     with ``profile=True``, a :class:`SimProfiler` on the DES kernel) to
     produce the Chrome trace.
     """
-    scenario = _scenario_for(experiment, mode)
+    from repro.models import run_model
+    from repro.sweeps import SWEEP_VERBS
+
+    if experiment not in EXPERIMENTS:
+        raise ValueError(
+            f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}"
+        )
+    verb = SWEEP_VERBS[experiment]
+    # Table 1 has no tiny variant; quick is already CI-sized.
+    tiny_means_quick = mode == "tiny" and not hasattr(
+        verb.scenario_class(), "tiny"
+    )
+    scenario = verb.preset("quick" if tiny_means_quick else mode)
     sidecar = MetricsSidecar()
     profiler = SimProfiler() if profile else None
     traced: RunResult | None = None
     traced_label = ""
 
-    if experiment == "figure5":
-        from repro.core.lb import run_balanced_aiac
-        from repro.experiments.figure5 import run_figure5
-
-        report = run_figure5(scenario, sidecar=sidecar).report()
-        if with_trace:
+    report = verb.run(scenario, sidecar=sidecar).report()
+    if with_trace:
+        platform = host_order = injector = None
+        if experiment == "figure5":
             p = scenario.proc_counts[-1]
-            traced = run_balanced_aiac(
-                scenario.problem(),
-                scenario.platform(p),
-                scenario.solver_config(trace=True),
-                scenario.lb_config(),
-                profiler=profiler,
-            )
+            platform = scenario.platform(p)
             traced_label = f"p{p}/balanced"
-    elif experiment == "table1":
-        from repro.core.lb import run_balanced_aiac
-        from repro.experiments.table1 import run_table1
-
-        report = run_table1(scenario, sidecar=sidecar).report()
-        if with_trace:
+        elif experiment == "table1":
             platform = scenario.platform()
-            traced = run_balanced_aiac(
-                scenario.problem(),
-                platform,
-                scenario.solver_config(trace=True),
-                scenario.lb_config(),
-                host_order=scenario.host_order(platform),
-                profiler=profiler,
-            )
+            host_order = scenario.host_order(platform)
             traced_label = "balanced"
-    else:  # resilience
-        from repro.experiments.resilience import _run_model, run_resilience
+        else:  # resilience
+            from repro.faults import FaultInjector
 
-        report = run_resilience(scenario, sidecar=sidecar).report()
-        if with_trace:
-            traced, injector = _run_model(
-                "aiac+lb",
-                scenario,
-                scenario.headline,
-                trace=True,
-                profiler=profiler,
-            )
+            injector = FaultInjector(scenario.schedule(scenario.headline))
             traced_label = f"{scenario.headline}/aiac+lb"
+        traced = run_model(
+            "aiac+lb",
+            scenario,
+            platform=platform,
+            trace=True,
+            host_order=host_order,
+            injector=injector,
+            profiler=profiler,
+        )
+        if injector is not None:
             sidecar.collect(
                 traced, run=f"headline/{traced_label}", injector=injector
             )

@@ -135,38 +135,19 @@ def execute_spec(
     kind = spec["kind"]
     base = {"kind": kind, "config_digest": stable_digest(spec)}
 
-    if kind == "figure5":
-        from repro.experiments import run_figure5
-        from repro.workloads import Figure5Scenario
+    if kind in ("figure5", "resilience"):
+        from repro.sweeps import SWEEP_VERBS
 
-        scenario = {
-            "tiny": Figure5Scenario.tiny,
-            "quick": Figure5Scenario.quick,
-            "full": Figure5Scenario,
-        }[spec["mode"]]()
-        result = run_figure5(scenario, engine=engine)
-        return {
-            **base,
-            "digest": result.digest(),
-            "mean_ratio": result.mean_ratio,
-            "proc_counts": list(result.proc_counts),
-        }
-
-    if kind == "resilience":
-        from repro.experiments import run_resilience
-        from repro.workloads import ResilienceScenario
-
-        scenario = {
-            "tiny": ResilienceScenario.tiny,
-            "quick": ResilienceScenario.quick,
-            "full": ResilienceScenario,
-        }[spec["mode"]]()
-        result = run_resilience(scenario, engine=engine)
-        return {
-            **base,
-            "digest": result.digest(),
-            "n_rows": len(result.rows),
-        }
+        verb = SWEEP_VERBS[kind]
+        result = verb.run(verb.preset(spec["mode"]), engine=engine)
+        if kind == "figure5":
+            summary = {
+                "mean_ratio": result.mean_ratio,
+                "proc_counts": list(result.proc_counts),
+            }
+        else:
+            summary = {"n_rows": len(result.rows)}
+        return {**base, "digest": result.digest(), **summary}
 
     if kind == "soak":
         import tempfile

@@ -3,6 +3,12 @@
 Each scenario is a dataclass of *tuned, frozen* parameters with methods
 producing fresh problem / platform / config objects, so that a benchmark
 and a reduced-size integration test build exactly the same set-up.
+Every scenario derives from :class:`Scenario`, whose :meth:`~Scenario.
+preset` is the one place a preset name (``--full``, ``--tiny``, a served
+job's ``mode``) becomes an instance; the three fault sweeps on the heat
+problem additionally share :class:`_HeatFaultScenario`.  A scenario's
+``asdict`` is its runs' cache key, so renaming a field or changing a
+default re-addresses every cached run of that sweep.
 
 Why the Figure 5 scenario uses the synthetic problem
 ----------------------------------------------------
@@ -22,7 +28,8 @@ all solver tests run it) and ``bench_ablations`` measures its real
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 
 from repro.core.config import LBConfig, SolverConfig
 from repro.grid.platform import Platform, homogeneous_cluster
@@ -32,6 +39,7 @@ from repro.topology.logical import interleaved_sites_order
 from repro.util.rng import RngTree
 
 __all__ = [
+    "Scenario",
     "Figure5Scenario",
     "IntegrityScenario",
     "ScaleScenario",
@@ -43,8 +51,26 @@ __all__ = [
 ]
 
 
+class Scenario:
+    """Base of every scenario dataclass: named presets, resolved once."""
+
+    @classmethod
+    def preset(cls, mode: str):
+        """The instance a preset name means: ``cls()`` for ``"full"``,
+        otherwise the class's own no-argument classmethod of that name
+        (``quick()``, ``tiny()``, ``scale()``, ...)."""
+        if mode == "full":
+            return cls()
+        factory = inspect.getattr_static(cls, mode, None)
+        if isinstance(factory, classmethod) and mode != "preset":
+            return getattr(cls, mode)()
+        raise ValueError(
+            f"unknown mode {mode!r}: {cls.__name__} has no such preset"
+        )
+
+
 @dataclass(frozen=True)
-class Figure5Scenario:
+class Figure5Scenario(Scenario):
     """Figure 5: homogeneous cluster, time vs #procs, with/without LB.
 
     Strong scaling of a fixed problem whose activity concentrates in a
@@ -184,7 +210,7 @@ class Figure5Scenario:
 
 
 @dataclass(frozen=True)
-class ScaleScenario:
+class ScaleScenario(Scenario):
     """Large-N scaling instances for the lockstep SISC replay.
 
     A ranks × components grid point: a homogeneous cluster (the replay
@@ -301,7 +327,7 @@ class ScaleScenario:
 
 
 @dataclass(frozen=True)
-class Table1Scenario:
+class Table1Scenario(Scenario):
     """Table 1: heterogeneous 15-machine, 3-site grid, balanced vs not.
 
     The paper's grid: five machines per French site, speeds spanning the
@@ -390,7 +416,7 @@ class Table1Scenario:
 
 
 @dataclass(frozen=True)
-class ModelsComparisonScenario:
+class ModelsComparisonScenario(Scenario):
     """§6 discussion: SISC vs SIAC vs AIAC on cluster and grid platforms.
 
     The claim to reproduce: on the local cluster the three models are
@@ -443,20 +469,17 @@ class ModelsComparisonScenario:
 
 
 @dataclass(frozen=True)
-class ResilienceScenario:
-    """Fault-injection sweep: AIAC+LB vs AIAC vs SIAC vs SISC under faults.
+class _HeatFaultScenario(Scenario):
+    """What the three fault sweeps (resilience, integrity, soak) share.
 
     The heat problem drives the numerics because it has an exact
     sequential reference, so every faulted run's *solution correctness*
     (not just its convergence flag) is checked against ground truth.
     The platform is a homogeneous cluster: any time difference between
-    the ``none`` schedule and a faulted one is then attributable to the
+    a fault-free run and a faulted one is then attributable to the
     faults and the recovery machinery alone, not to heterogeneity.
-
-    Every named schedule shares one :class:`ResilienceConfig` (tuned so
-    retransmissions and liveness detection resolve within a few virtual
-    seconds at this problem scale) and the scenario seed, so the whole
-    sweep is byte-reproducible.
+    All runs of a sweep share one :class:`ResilienceConfig` and the
+    scenario seed, so the whole sweep is byte-reproducible.
     """
 
     seed: int = 42
@@ -466,35 +489,8 @@ class ResilienceScenario:
     n_procs: int = 4
     host_speed: float = 2000.0
     tolerance: float = 1e-7
+    #: Run budget (virtual seconds).
     max_time: float = 5000.0
-    #: Message-fault intensities.
-    loss_low: float = 0.10
-    loss_high: float = 0.30
-    dup_rate: float = 0.10
-    reorder_rate: float = 0.20
-    reorder_delay: float = 0.5
-    #: Timed faults (virtual seconds).
-    crash_rank: int = 2
-    crash_at: float = 3.0
-    crash_downtime: tuple[float, float] = (1.5, 2.5)
-    partition_window: tuple[float, float] = (6.0, 9.0)
-    slowdown_window: tuple[float, float] = (4.0, 14.0)
-    slowdown_factor: float = 0.25
-    #: Which schedules the sweep runs (subset of ``SCHEDULE_BUILDERS``).
-    schedule_names: tuple[str, ...] = (
-        "none",
-        "loss10",
-        "loss30",
-        "dup+reorder",
-        "crash",
-        "loss10+crash",
-        "partition",
-        "slowdown",
-    )
-    models: tuple[str, ...] = ("aiac+lb", "aiac", "siac", "sisc")
-    #: The schedule whose AIAC+LB run headlines the report (Gantt + the
-    #: acceptance check "converges correctly under loss + crash").
-    headline: str = "loss10+crash"
 
     def problem(self):
         from repro.problems.heat import HeatProblem
@@ -523,23 +519,87 @@ class ResilienceScenario:
             max_fraction=0.5,
         )
 
-    def resilience(self):
+    def resilience(self, **overrides):
+        """The sweep's transport regime, tuned so retransmissions and
+        liveness detection resolve within a few virtual seconds at this
+        problem scale; ``overrides`` are :class:`ResilienceConfig`
+        fields (the integrity sweep arms ``integrity_checks``)."""
         from repro.faults.models import ResilienceConfig
 
         # base_timeout models a conservative TCP-like RTO on the LAN
         # (~250x the 0.2ms round trip): a dropped halo is retransmitted
         # within ~1-2 sweeps, so loss degrades throughput without
-        # freezing boundary data for long stretches.
+        # freezing boundary data for long stretches; checkpoints are
+        # frequent enough that a rollback costs little progress.
         return ResilienceConfig(
             base_timeout=0.05,
             heartbeat_period=1.0,
             liveness_timeout=3.0,
             checkpoint_every=20,
+            **overrides,
         )
 
-    # ------------------------------------------------------------------
     def faults_for(self, name: str) -> tuple:
-        """The fault models of one named schedule."""
+        """The fault models of one named schedule, from the subclass's
+        ``_fault_table()``."""
+        table = self._fault_table()
+        if name not in table:
+            raise ValueError(
+                f"unknown schedule {name!r}; choose from {sorted(table)}"
+            )
+        return table[name]
+
+    def schedule(self, name: str, **overrides):
+        """Build one named :class:`FaultSchedule` (fresh object per
+        call); ``overrides`` reach :meth:`resilience`."""
+        from repro.faults.models import FaultSchedule
+
+        return FaultSchedule(
+            faults=self.faults_for(name),
+            seed=self.seed,
+            resilience=self.resilience(**overrides),
+        )
+
+
+@dataclass(frozen=True)
+class ResilienceScenario(_HeatFaultScenario):
+    """Fault-injection sweep: AIAC+LB vs AIAC vs SIAC vs SISC under faults.
+
+    Every named schedule runs under each execution model on the shared
+    heat-problem set-up of :class:`_HeatFaultScenario`; the ``none``
+    schedule is each model's fault-free baseline.
+    """
+
+    #: Message-fault intensities.
+    loss_low: float = 0.10
+    loss_high: float = 0.30
+    dup_rate: float = 0.10
+    reorder_rate: float = 0.20
+    reorder_delay: float = 0.5
+    #: Timed faults (virtual seconds).
+    crash_rank: int = 2
+    crash_at: float = 3.0
+    crash_downtime: tuple[float, float] = (1.5, 2.5)
+    partition_window: tuple[float, float] = (6.0, 9.0)
+    slowdown_window: tuple[float, float] = (4.0, 14.0)
+    slowdown_factor: float = 0.25
+    #: Which schedules the sweep runs (subset of ``_fault_table()``).
+    schedule_names: tuple[str, ...] = (
+        "none",
+        "loss10",
+        "loss30",
+        "dup+reorder",
+        "crash",
+        "loss10+crash",
+        "partition",
+        "slowdown",
+    )
+    models: tuple[str, ...] = ("aiac+lb", "aiac", "siac", "sisc")
+    #: The schedule whose AIAC+LB run headlines the report (Gantt + the
+    #: acceptance check "converges correctly under loss + crash").
+    headline: str = "loss10+crash"
+
+    def _fault_table(self) -> dict[str, tuple]:
         from repro.faults.models import (
             HostCrash,
             HostSlowdown,
@@ -554,7 +614,7 @@ class ResilienceScenario:
             rank=self.crash_rank, at=self.crash_at,
             downtime=self.crash_downtime,
         )
-        builders: dict[str, tuple] = {
+        return {
             "none": (),
             "loss10": (MessageLoss(self.loss_low),),
             "loss30": (MessageLoss(self.loss_high),),
@@ -584,24 +644,6 @@ class ResilienceScenario:
                 ),
             ),
         }
-        if name not in builders:
-            raise ValueError(
-                f"unknown schedule {name!r}; choose from {sorted(builders)}"
-            )
-        return builders[name]
-
-    def schedule(self, name: str):
-        """Build one named :class:`FaultSchedule` (fresh object per call)."""
-        from repro.faults.models import FaultSchedule
-
-        return FaultSchedule(
-            faults=self.faults_for(name),
-            seed=self.seed,
-            resilience=self.resilience(),
-        )
-
-    def schedules(self) -> dict:
-        return {name: self.schedule(name) for name in self.schedule_names}
 
     @classmethod
     def quick(cls) -> "ResilienceScenario":
@@ -622,7 +664,7 @@ class ResilienceScenario:
 
 
 @dataclass(frozen=True)
-class IntegrityScenario:
+class IntegrityScenario(_HeatFaultScenario):
     """Silent-corruption sweep: detection recall vs wrong-answer rate.
 
     The data-integrity question behind ``repro integrity``: when values
@@ -634,28 +676,20 @@ class IntegrityScenario:
     unacceptable one, and the benchmark gate asserts it never happens
     while detection is armed.
 
-    Setup mirrors :class:`ResilienceScenario` (heat problem with exact
-    sequential reference; homogeneous cluster so faults alone explain
-    any degradation).  Every corruption schedule runs twice: the
-    ``detect`` arm with :attr:`~repro.faults.models.ResilienceConfig.
-    integrity_checks` armed (checksums, checkpoint CRC, plausibility
-    guard) and the ``blind`` arm with them off, measuring what
-    asynchronism absorbs unaided.  ``truncate`` payloads only run in
-    the detect arm: an unchecked truncated halo is a malformed message
-    no receiver contract covers (it would crash the handler, loudly —
-    not a silent-corruption datum).
+    Setup and transport regime are :class:`ResilienceScenario`'s (the
+    shared :class:`_HeatFaultScenario`).  Every corruption schedule
+    runs twice: the ``detect`` arm with :attr:`~repro.faults.models.
+    ResilienceConfig.integrity_checks` armed (checksums, checkpoint
+    CRC, plausibility guard) and the ``blind`` arm with them off,
+    measuring what asynchronism absorbs unaided.  ``truncate`` payloads
+    only run in the detect arm: an unchecked truncated halo is a
+    malformed message no receiver contract covers (it would crash the
+    handler, loudly — not a silent-corruption datum).
     """
 
-    seed: int = 42
-    n_points: int = 48
-    t_end: float = 0.05
-    n_steps: int = 12
-    n_procs: int = 4
-    host_speed: float = 2000.0
-    tolerance: float = 1e-7
-    #: Run budget (virtual seconds).  The clean run converges in ~10;
-    #: a blind run still iterating at 60x that is conclusively stalled,
-    #: and continuous payload corruption makes stalled runs expensive
+    #: The clean run converges in ~10 virtual seconds; a blind run
+    #: still iterating at 60x that is conclusively stalled, and
+    #: continuous payload corruption makes stalled runs expensive
     #: (every delivery keeps injecting), so the budget is deliberately
     #: tighter than ResilienceScenario's.
     max_time: float = 600.0
@@ -689,62 +723,19 @@ class IntegrityScenario:
     detect_only: tuple[str, ...] = ("truncate",)
     headline: str = "flip_hi"
 
-    def problem(self):
-        from repro.problems.heat import HeatProblem
-
-        return HeatProblem(
-            self.n_points, t_end=self.t_end, n_steps=self.n_steps
-        )
-
-    def platform(self) -> Platform:
-        return homogeneous_cluster(self.n_procs, speed=self.host_speed)
-
-    def solver_config(self, *, trace: bool = False) -> SolverConfig:
-        return SolverConfig(
-            tolerance=self.tolerance,
-            max_iterations=200_000,
-            max_time=self.max_time,
-            trace=trace,
-        )
-
-    def lb_config(self) -> LBConfig:
-        return LBConfig(
-            period=5,
-            threshold_ratio=2.0,
-            min_components=2,
-            accuracy=1.0,
-            max_fraction=0.5,
-        )
-
     def guard_config(self):
         from repro.guard import GuardConfig
 
         return GuardConfig()
 
-    def resilience(self, *, detect: bool):
-        from repro.faults.models import ResilienceConfig
-
-        # Same transport regime as ResilienceScenario: retransmissions
-        # resolve within a couple of sweeps, checkpoints are frequent
-        # enough that a rollback costs little progress.
-        return ResilienceConfig(
-            base_timeout=0.05,
-            heartbeat_period=1.0,
-            liveness_timeout=3.0,
-            checkpoint_every=20,
-            integrity_checks=detect,
-        )
-
-    # ------------------------------------------------------------------
-    def faults_for(self, name: str) -> tuple:
-        """The fault models of one named corruption schedule."""
+    def _fault_table(self) -> dict[str, tuple]:
         from repro.faults.models import (
             HostCrash,
             PayloadCorruption,
             StateCorruption,
         )
 
-        builders: dict[str, tuple] = {
+        return {
             "none": (),
             "flip_lo": (PayloadCorruption(self.rate_low, mode="bitflip"),),
             "flip_hi": (PayloadCorruption(self.rate_high, mode="bitflip"),),
@@ -780,21 +771,10 @@ class IntegrityScenario:
                 ),
             ),
         }
-        if name not in builders:
-            raise ValueError(
-                f"unknown schedule {name!r}; choose from {sorted(builders)}"
-            )
-        return builders[name]
 
     def schedule(self, name: str, *, detect: bool):
         """One named :class:`FaultSchedule` with detection armed or not."""
-        from repro.faults.models import FaultSchedule
-
-        return FaultSchedule(
-            faults=self.faults_for(name),
-            seed=self.seed,
-            resilience=self.resilience(detect=detect),
-        )
+        return super().schedule(name, integrity_checks=detect)
 
     def grid(self) -> list[tuple[str, str, str]]:
         """All (arm, schedule, model) cells the sweep runs, in order."""
@@ -829,13 +809,14 @@ class IntegrityScenario:
 
 
 @dataclass(frozen=True)
-class SoakScenario:
+class SoakScenario(_HeatFaultScenario):
     """Chaos soak (``repro soak``): random fault schedules, all models.
 
-    The heat problem (exact sequential reference) at the smallest scale
-    that still exercises crash recovery and load balancing: every run's
-    answer is checked against ground truth *and* against the fault-free
-    run of the same model, on top of the ``repro.guard`` invariants.
+    The shared heat-problem set-up at the smallest scale that still
+    exercises crash recovery and load balancing (the size and transport
+    regime of ``ResilienceScenario.tiny()``): every run's answer is
+    checked against ground truth *and* against the fault-free run of
+    the same model, on top of the ``repro.guard`` invariants.
     The fault-intensity knobs bound what :func:`repro.guard.soak.
     random_schedule` may draw, so a scenario instance fully determines
     the soak (schedules included) given its seed.
@@ -843,10 +824,7 @@ class SoakScenario:
 
     seed: int = 0
     n_points: int = 32
-    t_end: float = 0.05
     n_steps: int = 8
-    n_procs: int = 4
-    host_speed: float = 2000.0
     tolerance: float = 1e-6
     max_time: float = 2000.0
     models: tuple[str, ...] = ("sisc", "siac", "aiac", "aiac+lb")
@@ -869,47 +847,9 @@ class SoakScenario:
     slowdown_factor_range: tuple[float, float] = (0.3, 0.7)
     fault_window_range: tuple[float, float] = (0.5, 2.5)
 
-    def problem(self):
-        from repro.problems.heat import HeatProblem
-
-        return HeatProblem(
-            self.n_points, t_end=self.t_end, n_steps=self.n_steps
-        )
-
-    def platform(self) -> Platform:
-        return homogeneous_cluster(self.n_procs, speed=self.host_speed)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            tolerance=self.tolerance,
-            max_iterations=200_000,
-            max_time=self.max_time,
-        )
-
-    def lb_config(self) -> LBConfig:
-        return LBConfig(
-            period=5,
-            threshold_ratio=2.0,
-            min_components=2,
-            accuracy=1.0,
-            max_fraction=0.5,
-        )
-
-    def resilience(self):
-        from repro.faults.models import ResilienceConfig
-
-        # Same regime as ResilienceScenario.tiny(): retransmissions and
-        # liveness detection resolve within a few virtual seconds.
-        return ResilienceConfig(
-            base_timeout=0.05,
-            heartbeat_period=1.0,
-            liveness_timeout=3.0,
-            checkpoint_every=20,
-        )
-
 
 @dataclass(frozen=True)
-class TraceFigureScenario:
+class TraceFigureScenario(Scenario):
     """Figures 1-4: execution flows of the four models on two processors.
 
     Two unequal processors and a visible network latency, exactly the

@@ -1,11 +1,21 @@
 """Unit tests for the deterministic sweep engine (repro.exec.engine)."""
 
+import dataclasses
 import time
 
 import pytest
 
-from repro.exec import EngineStats, RunCache, SweepEngine, Task, normalise_payload
+from repro.exec import (
+    EngineStats,
+    RunCache,
+    SweepEngine,
+    Task,
+    normalise_payload,
+    sweep,
+)
 from repro.obs import MetricsRegistry
+
+from tests.conftest import SpyEngine
 
 
 # ----------------------------------------------------------------------
@@ -253,3 +263,82 @@ def test_export_metrics_into_registry():
     assert records[("exec.cache_misses", "")]["value"] == 3
     assert records[("exec.jobs", "")]["value"] == 2
     assert records[("exec.worker_busy_s", "worker-1")]["value"] == 0.5
+
+
+# ----------------------------------------------------------------------
+# sweep(): one experiment grid -> tasks -> payloads
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class GridScenario:
+    scale: int = 10
+    knobs: tuple = (1, 2)
+
+
+def grid_cell(scenario, row, column, sidecar=None):
+    if sidecar is not None:
+        sidecar.append((row, column))
+    return {"value": scenario.scale * row + column, "pair": (row, column)}
+
+
+GRID = [{"row": row, "column": column} for row in (2, 1) for column in (0, 5)]
+
+
+def test_sweep_builds_one_keyed_task_per_cell_in_cell_order():
+    engine = SpyEngine()
+    payloads = sweep(engine, "grid", GridScenario(), grid_cell, GRID)
+    assert [p["value"] for p in payloads] == [20, 25, 10, 15]
+    assert [task.args for task in engine.seen] == [
+        (GridScenario(), 2, 0),
+        (GridScenario(), 2, 5),
+        (GridScenario(), 1, 0),
+        (GridScenario(), 1, 5),
+    ]
+    assert all(task.fn is grid_cell for task in engine.seen)
+    assert engine.seen[1].key == {
+        "experiment": "grid",
+        "scenario": {"scale": 10, "knobs": (1, 2)},
+        "row": 2,
+        "column": 5,
+    }
+    assert engine.seen[1].label == "grid/2/5"
+
+
+def test_sweep_takes_any_iterable_of_cells_and_a_cache(tmp_path):
+    cells = ({"row": row, "column": 0} for row in range(3))
+    cold = SweepEngine(cache=RunCache(str(tmp_path)))
+    first = sweep(cold, "grid", GridScenario(), grid_cell, cells)
+    warm = SweepEngine(cache=RunCache(str(tmp_path)))
+    again = sweep(
+        warm,
+        "grid",
+        GridScenario(),
+        grid_cell,
+        [{"row": row, "column": 0} for row in range(3)],
+    )
+    assert first == again
+    assert (cold.stats.misses, warm.stats.hits, warm.stats.misses) == (3, 3, 0)
+    # Another scenario value is another address.
+    other = SweepEngine(cache=RunCache(str(tmp_path)))
+    sweep(other, "grid", GridScenario(scale=11), grid_cell, [{"row": 0, "column": 0}])
+    assert other.stats.hits == 0
+
+
+def test_sweep_without_an_engine_is_serial_and_uncached(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    payloads = sweep(None, "grid", GridScenario(), grid_cell, GRID)
+    # Normalised like every engine path: tuples come back as lists.
+    assert payloads[0] == {"value": 20, "pair": [2, 0]}
+    assert not any(tmp_path.iterdir())  # no default cache directory appeared
+
+
+def test_observed_sweep_runs_in_process_and_never_touches_the_engine():
+    class Untouchable(SweepEngine):
+        def map(self, tasks):
+            raise AssertionError("an observed sweep must bypass the engine")
+
+    seen = []
+    payloads = sweep(
+        Untouchable(), "grid", GridScenario(), grid_cell, GRID, sidecar=seen
+    )
+    assert seen == [(2, 0), (2, 5), (1, 0), (1, 5)]
+    assert payloads == sweep(None, "grid", GridScenario(), grid_cell, GRID)

@@ -92,15 +92,67 @@ def test_figure5_scenario_change_misses_cache(tmp_path):
     assert second.stats.misses == second.stats.tasks
 
 
-def test_sidecar_sweeps_bypass_pool_and_cache(tmp_path):
-    # An observed sweep must scrape live RunResult objects, so the
-    # sidecar path always runs serially in process: identical report,
-    # zero engine traffic recorded.
-    from repro.experiments import run_figure5
-    from repro.obs.harness import MetricsSidecar
-    from repro.workloads import Figure5Scenario
+def small_table1():
+    import dataclasses
 
-    scenario = Figure5Scenario.tiny()
-    plain = run_figure5(scenario)
-    observed = run_figure5(scenario, sidecar=MetricsSidecar())
-    assert plain.report() == observed.report()
+    from repro.workloads import Table1Scenario
+
+    return dataclasses.replace(
+        Table1Scenario.quick(), n_points=45, n_steps=10, tolerance=1e-3
+    )
+
+
+def test_sidecar_sweeps_bypass_pool_and_cache(spied_sweep):
+    # An observed sweep must scrape live RunResult objects, so the
+    # sidecar path always runs serially in process: the report is the
+    # engine path's byte for byte, one scrape per run of the grid.
+    from repro.experiments import run_figure5, run_resilience, run_table1
+    from repro.obs.harness import MetricsSidecar
+    from repro.workloads import Figure5Scenario, ResilienceScenario
+
+    for plain, run, scenario, n_runs in [
+        (spied_sweep("figure5-tiny")[0], run_figure5, Figure5Scenario.tiny(), 4),
+        (run_table1(small_table1()), run_table1, small_table1(), 2),
+        (
+            spied_sweep("resilience-tiny")[0],
+            run_resilience,
+            ResilienceScenario.tiny(),
+            8,
+        ),
+    ]:
+        sidecar = MetricsSidecar()
+        observed = run(scenario, sidecar=sidecar)
+        assert plain.report() == observed.report()
+        assert sidecar.n_runs == n_runs
+    # The resilience rows are digest material: equal as data, too.
+    assert plain.to_dict() == observed.to_dict()
+
+
+def test_non_convergence_reads_the_same_on_both_paths(monkeypatch):
+    from repro.core.config import SolverConfig
+    from repro.experiments import run_figure5, run_table1
+    from repro.obs.harness import MetricsSidecar
+    from repro.workloads import Figure5Scenario, Table1Scenario
+
+    def three_sweeps(self, *, trace=False):
+        return SolverConfig(tolerance=self.tolerance, max_iterations=3, trace=trace)
+
+    for cls, run, scenario, message in [
+        (
+            Figure5Scenario,
+            run_figure5,
+            Figure5Scenario.tiny(),
+            r"figure5 run did not converge at p=4 \(unbalanced\)",
+        ),
+        (
+            Table1Scenario,
+            run_table1,
+            small_table1(),
+            "table1 unbalanced run did not converge",
+        ),
+    ]:
+        monkeypatch.setattr(cls, "solver_config", three_sweeps)
+        with pytest.raises(RuntimeError, match=message):
+            run(scenario)
+        with pytest.raises(RuntimeError, match=message):
+            run(scenario, sidecar=MetricsSidecar())

@@ -268,7 +268,6 @@ CLI_SURFACE = {
         *_ENGINE_FLAGS,
     ],
     "ablations": [("--only", ""), *_ENGINE_FLAGS],
-    "bench-compare": [("old", None), ("new", None), ("--threshold", 0.1)],
     "serve": [
         ("--state-dir", ".repro-serve"),
         ("--socket", ""),

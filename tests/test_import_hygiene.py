@@ -65,3 +65,35 @@ def test_paper_experiments_never_load_networkx_or_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("ok")
+
+
+PARSER_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import repro.cli
+
+    repro.cli.build_parser()
+    stacks = (
+        "repro.experiments", "repro.faults", "repro.guard",
+        "repro.balancing", "repro.obs", "repro.serve",
+    )
+    bad = sorted(name for name in sys.modules if name.startswith(stacks))
+    assert not bad, bad
+    print("ok")
+    """
+)
+
+
+def test_building_the_cli_parser_loads_no_experiment_stack():
+    # Every verb pays for the parser, ``repro health`` included; the
+    # sweep-verb table it is built from names its targets as strings.
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_SCRIPT],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("ok")

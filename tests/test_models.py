@@ -111,3 +111,72 @@ def test_asynchronous_wins_on_slow_network():
     r_aiac = run_aiac(problem(45), plat, CFG)
     assert r_sisc.converged and r_aiac.converged
     assert r_aiac.time < r_sisc.time
+
+
+# ----------------------------------------------------------------------
+# run_model: a model name resolved in one place
+# ----------------------------------------------------------------------
+def test_run_model_rejects_an_unknown_name_and_lists_the_choices():
+    from repro.models import MODELS, run_model
+    from repro.workloads import ResilienceScenario
+
+    assert sorted(MODELS) == ["aiac", "aiac+lb", "siac", "sisc"]
+    with pytest.raises(ValueError, match=r"unknown model 'aiac\+rb'.*'aiac\+lb'"):
+        run_model("aiac+rb", ResilienceScenario.tiny())
+
+
+def test_run_model_builds_the_drivers_arguments(monkeypatch):
+    """``aiac+lb`` alone receives ``lb_config()``; ``trace`` reaches the
+    ``SolverConfig``; ``platform`` and the hooks are forwarded as given."""
+    import repro.models as models
+    from repro.workloads import ResilienceScenario
+
+    calls = []
+
+    def spy(name):
+        def driver(*args, **hooks):
+            calls.append((name, args, hooks))
+            return name
+
+        return driver
+
+    monkeypatch.setattr(models, "MODELS", {name: spy(name) for name in models.MODELS})
+    scenario = ResilienceScenario.tiny()
+    for model in ("aiac", "aiac+lb", "siac", "sisc"):
+        assert models.run_model(model, scenario) == model
+    assert [len(args) for _, args, _ in calls] == [3, 4, 3, 3]
+    assert calls[1][1][3] == scenario.lb_config()
+    assert all(args[2] == scenario.solver_config() for _, args, _ in calls)
+    assert all(not args[2].trace and hooks == {} for _, args, hooks in calls)
+
+    calls.clear()
+    platform, guard = object(), object()
+    models.run_model(
+        "sisc", scenario, platform=platform, trace=True, guard=guard, injector=None
+    )
+    ((_, args, hooks),) = calls
+    assert args[1] is platform
+    assert args[2] == scenario.solver_config(trace=True) and args[2].trace
+    assert hooks == {"guard": guard, "injector": None}
+
+
+@pytest.mark.parametrize("model", ["aiac", "aiac+lb", "siac", "sisc"])
+def test_run_model_equals_the_direct_driver_call(model):
+    from repro.analysis.perf import run_fingerprint
+    from repro.core import run_balanced_aiac
+    from repro.models import run_model
+    from repro.workloads import ResilienceScenario
+
+    scenario = ResilienceScenario.tiny()
+    direct = {
+        "aiac": run_aiac,
+        "aiac+lb": run_balanced_aiac,
+        "siac": run_siac,
+        "sisc": run_sisc,
+    }[model]
+    args = [scenario.problem(), scenario.platform(), scenario.solver_config()]
+    if model.endswith("+lb"):
+        args.append(scenario.lb_config())
+    assert run_fingerprint(run_model(model, scenario)) == run_fingerprint(
+        direct(*args)
+    )

@@ -1,11 +1,14 @@
 """Tests for the frozen scenario definitions themselves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.workloads import (
     Figure5Scenario,
     ModelsComparisonScenario,
+    ScaleScenario,
     Table1Scenario,
     TraceFigureScenario,
 )
@@ -155,3 +158,125 @@ def test_scale_scenario_brusselator_presets():
     assert ten_k.problem_kind == "synthetic"
     assert Figure5Scenario.scale_brusselator().proc_counts[-1] == 1024
     assert Figure5Scenario.scale_brusselator().problem_kind == "brusselator"
+
+
+# ----------------------------------------------------------------------
+# Scenario.preset: a preset name resolved in one place
+# ----------------------------------------------------------------------
+def scenario_presets():
+    from repro.experiments import TopologyZooScenario
+    from repro.workloads import (
+        IntegrityScenario,
+        ResilienceScenario,
+        SoakScenario,
+    )
+
+    return {
+        Figure5Scenario: ("quick", "tiny", "scale", "scale_brusselator"),
+        ScaleScenario: (
+            "smoke",
+            "flagship",
+            "brusselator_smoke",
+            "brusselator_gate",
+            "brusselator_flagship",
+            "synthetic_10k",
+        ),
+        Table1Scenario: ("quick",),
+        ResilienceScenario: ("quick", "tiny"),
+        IntegrityScenario: ("quick", "tiny"),
+        TopologyZooScenario: ("quick",),
+        SoakScenario: (),
+        ModelsComparisonScenario: (),
+        TraceFigureScenario: (),
+    }
+
+
+def test_preset_is_the_named_classmethod_and_full_is_the_default():
+    from repro.workloads.scenarios import Scenario
+
+    for cls, names in scenario_presets().items():
+        assert issubclass(cls, Scenario)
+        assert cls.preset("full") == cls()
+        for name in names:
+            assert cls.preset(name) == getattr(cls, name)()
+        # The literal lists above are every preset each class offers.
+        offered = {
+            name
+            for klass in cls.__mro__
+            for name, member in vars(klass).items()
+            if isinstance(member, classmethod) and name != "preset"
+        }
+        assert offered == set(names), cls.__name__
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "huge",  # unknown
+        "tiny",  # a preset of other classes, not of Table 1
+        "preset",  # the resolver itself
+        "_private",
+        "__init__",
+        "problem",  # an instance method
+        "n_points",  # a field default, not callable
+        "",
+    ],
+)
+def test_preset_rejects_everything_that_is_not_a_preset(name):
+    with pytest.raises(ValueError, match="unknown mode"):
+        Table1Scenario.preset(name)
+
+
+def test_heat_fault_scenarios_keep_their_cache_key_fields():
+    """A scenario's ``asdict`` keys the run cache: the shared base must
+    give the three fault scenarios exactly the fields they declared
+    one by one before it existed."""
+    from repro.workloads import IntegrityScenario, ResilienceScenario, SoakScenario
+
+    shared = {
+        "seed", "n_points", "t_end", "n_steps", "n_procs", "host_speed",
+        "tolerance", "max_time",
+    }
+    own = {
+        ResilienceScenario: {
+            "loss_low", "loss_high", "dup_rate", "reorder_rate",
+            "reorder_delay", "crash_rank", "crash_at", "crash_downtime",
+            "partition_window", "slowdown_window", "slowdown_factor",
+            "schedule_names", "models", "headline",
+        },
+        IntegrityScenario: {
+            "rate_low", "rate_high", "perturb_amplitude", "state_rank",
+            "state_at", "ckpt_at", "crash_rank", "crash_at",
+            "crash_downtime", "error_tol", "schedule_names", "models",
+            "arms", "detect_only", "headline",
+        },
+        SoakScenario: {
+            "models", "error_tol", "agreement_tol", "stall_horizon",
+            "max_faults", "loss_range", "dup_range", "reorder_range",
+            "reorder_delay_range", "crash_at_range", "crash_downtime_range",
+            "slowdown_factor_range", "fault_window_range",
+        },
+    }
+    for cls, fields in own.items():
+        assert set(dataclasses.asdict(cls())) == shared | fields, cls.__name__
+    # The defaults the subclasses override on the shared fields.
+    assert (ResilienceScenario().seed, ResilienceScenario().max_time) == (42, 5000.0)
+    assert IntegrityScenario().max_time == 600.0
+    soak = SoakScenario()
+    assert (soak.seed, soak.n_points, soak.n_steps, soak.tolerance, soak.max_time) == (
+        0, 32, 8, 1e-6, 2000.0,
+    )
+
+
+def test_heat_fault_scenarios_run_untraced_unless_asked():
+    # SolverConfig.trace defaults to True; a sweep run must not inherit it.
+    from repro.workloads import IntegrityScenario, ResilienceScenario, SoakScenario
+
+    for cls in (ResilienceScenario, IntegrityScenario, SoakScenario):
+        assert cls().solver_config().trace is False
+        assert cls().solver_config(trace=True).trace is True
+    armed = IntegrityScenario().schedule("flip_hi", detect=True).resilience
+    blind = IntegrityScenario().schedule("flip_hi", detect=False).resilience
+    assert (armed.integrity_checks, blind.integrity_checks) == (True, False)
+    assert dataclasses.replace(armed, integrity_checks=False) == blind
+    assert armed == ResilienceScenario().resilience() == SoakScenario().resilience()

@@ -7,6 +7,7 @@ benchmarks check at paper scale.
 
 import pytest
 
+from repro.analysis.perf import stable_digest
 from repro.experiments import run_models_comparison, run_trace_figures
 from repro.experiments.ablations import (
     compare_detection_protocols,
@@ -88,9 +89,18 @@ def test_table1_quick_shape(table1_quick_observed):
     assert "Table 1" in result.report()
 
 
+def ablation_digest(result):
+    return stable_digest(
+        [result.values, result.times, result.migrations, result.extra]
+    )
+
+
 def test_ablation_lb_period_sweep_runs():
     result = sweep_lb_period(values=(5, 40), n_procs=4)
     assert len(result.times) == 2
+    assert ablation_digest(result) == (
+        "393a889bb1f6a23d3ea7a8713f23f45f5836b11102d97ea2bffca7f4c6f4d576"
+    )
     assert result.best() in (5, 40)
     assert "period" in result.report()
 
@@ -98,6 +108,9 @@ def test_ablation_lb_period_sweep_runs():
 def test_ablation_estimator_sweep_runs():
     result = sweep_estimator(values=("residual", "component_count"), n_procs=4)
     assert len(result.times) == 2
+    assert ablation_digest(result) == (
+        "3adc591727a466214cc4bb4c8971ba09676673c5e0fe59f080e7bb443c74381e"
+    )
     # The residual estimator must beat the naive component count on an
     # activity-imbalanced workload (the paper's §5.2 argument).
     by_value = dict(zip(result.values, result.times))
@@ -106,6 +119,9 @@ def test_ablation_estimator_sweep_runs():
 
 def test_ablation_detection_protocols():
     result = compare_detection_protocols(n_procs=4)
+    assert ablation_digest(result) == (
+        "2b5661a99e01a2250e98242fd636fc749067119abc7458a1ff8d55dd0b3975f1"
+    )
     by_value = dict(zip(result.values, result.times))
     # The decentralized protocol detects no earlier than the oracle.
     assert by_value["token_ring"] >= by_value["oracle"] * 0.999
