@@ -42,7 +42,9 @@ def diffusion_matrix(graph: nx.Graph) -> np.ndarray:
     if graph.number_of_nodes() == 0:
         raise ValueError("graph is empty")
     alpha = safe_alpha(max(d for _, d in graph.degree()))
-    lap = nx.laplacian_matrix(graph).toarray().astype(float)
+    # Built from the adjacency: ``nx.laplacian_matrix`` loads scipy.sparse.
+    adjacency = nx.to_numpy_array(graph)
+    lap = np.diag(adjacency.sum(axis=1)) - adjacency
     return np.eye(graph.number_of_nodes()) - alpha * lap
 
 

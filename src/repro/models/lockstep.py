@@ -44,7 +44,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,11 @@ _FIFO_EPSILON = 1e-9
 #: event key (virtual times are >= 0), standing in for "pushed before
 #: anything else this round".
 _D_ROOT = (-1.0, ())
+
+#: ``_D_ROOT``'s counterpart: a push-tree position above every real one,
+#: so ``(h, _D_TOP)`` is the key everything dispatched at ``t <= h``
+#: sorts below.
+_D_TOP = ((math.inf,),)
 
 
 def _repeat_add(acc: float, x: float, count: int) -> float:
@@ -189,26 +194,54 @@ def run_sisc_batched(
         reason = "guard:stall_horizon"
     elif (sweeper := problem.batched_chain_sweeper(blocks)) is None:
         reason = "no_batched_sweeper"
-    if reason is not None:
-        return _fall_back(
-            reason, metrics, problem, platform, config, host_order, guard
-        )
-    engine = _LockstepEngine(
-        problem, platform, config, host_order, partition, blocks, sweeper, guard
-    )
-    result = engine.run()
-    if result is None:
+    if reason is None:
+        result = _LockstepEngine(
+            problem, platform, config, host_order, partition, blocks, sweeper, guard
+        ).run()
+        if result is not None:
+            return result
         # Divergence rollback would have fired: replay cannot express it.
-        return _fall_back(
-            "divergence_watchdog",
-            metrics,
-            problem,
-            platform,
-            config,
-            host_order,
-            guard,
-        )
-    return result
+        reason = "divergence_watchdog"
+    return _fall_back(
+        reason, metrics, problem, platform, config, host_order, guard
+    )
+
+
+class _Round(NamedTuple):
+    """One round's per-rank arrays, and the dispatch keys they imply.
+
+    The reference scheduler orders events by ``(time, push_seq)``.
+    Within one round the push tree is known: mids are pushed at round
+    start in ``pos0`` order, each end by its mid, each delivery by its
+    sender's end (left send first, then right), each wait-resume by
+    the delivery that triggered it.  Nested tuples of the form
+    ``(time, (parent_key, push_index))`` compare exactly like the
+    reference ``(time, seq)`` pairs for any two same-round events, so
+    they resolve exact float ties without simulating.
+    """
+
+    k: int  # rounds completed before this one
+    T: float  # barrier-open time
+    residual: np.ndarray
+    work: np.ndarray
+    t_mid: np.ndarray
+    t_se: np.ndarray
+    pos0: np.ndarray  # round-start scheduling order
+    arr_l: np.ndarray  # FIFO-clamped arrival of r's send to r-1
+    arr_r: np.ndarray  # ... and of its send to r+1
+
+    def key_mid(self, r: int) -> tuple:
+        return (float(self.t_mid[r]), (_D_ROOT, int(self.pos0[r])))
+
+    def key_end(self, r: int) -> tuple:
+        return (float(self.t_se[r]), (self.key_mid(r), 0))
+
+    def key_send(self, r: int, side: str) -> tuple:
+        # Push index inside r's end event: the left send is scheduled
+        # first, then the right send (rank 0 only sends right).
+        arr = self.arr_l[r] if side == "left" else self.arr_r[r]
+        idx = 0 if side == "left" or r == 0 else 1
+        return (float(arr), (self.key_end(r), idx))
 
 
 class _LockstepEngine:
@@ -388,43 +421,6 @@ class _LockstepEngine:
         return guard.halt_verdict
 
     # ------------------------------------------------------------------
-    # Collapsed dispatch keys
-    #
-    # The reference scheduler orders events by ``(time, push_seq)``.
-    # Within one round the push tree is known: mids are pushed at round
-    # start in ``pos0`` order, each end by its mid, each delivery by its
-    # sender's end (left send first, then right), each wait-resume by
-    # the delivery that triggered it.  Nested tuples of the form
-    # ``(time, (parent_key, push_index))`` compare exactly like the
-    # reference ``(time, seq)`` pairs for any two same-round events, so
-    # they resolve exact float ties without simulating.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _key_mid(r: int, t_mid: np.ndarray, pos0: np.ndarray) -> tuple:
-        return (float(t_mid[r]), (_D_ROOT, int(pos0[r])))
-
-    @classmethod
-    def _key_end(
-        cls, r: int, t_mid: np.ndarray, t_se: np.ndarray, pos0: np.ndarray
-    ) -> tuple:
-        return (float(t_se[r]), (cls._key_mid(r, t_mid, pos0), 0))
-
-    @classmethod
-    def _key_send(
-        cls,
-        r: int,
-        side: str,
-        arr: float,
-        t_mid: np.ndarray,
-        t_se: np.ndarray,
-        pos0: np.ndarray,
-    ) -> tuple:
-        # Push index inside r's end event: the left send is scheduled
-        # first, then the right send (rank 0 only sends right).
-        idx = 0 if side == "left" or r == 0 else 1
-        return (float(arr), (cls._key_end(r, t_mid, t_se, pos0), idx))
-
-    # ------------------------------------------------------------------
     # Convergence / abort scan
     # ------------------------------------------------------------------
     def _stop_scan(
@@ -449,8 +445,7 @@ class _LockstepEngine:
         pref = np.logical_and.accumulate(new_sat)
         suffix_after = np.empty(n, dtype=bool)
         suffix_after[-1] = True
-        if n > 1:
-            suffix_after[:-1] = np.logical_and.accumulate(old_sat[::-1])[::-1][1:]
+        suffix_after[:-1] = np.logical_and.accumulate(old_sat[::-1])[::-1][1:]
         cand = pref & suffix_after
         trigger_pos = int(np.argmax(cand)) if bool(cand.any()) else None
         abort_pos = 0 if (k + 1) >= cfg.max_iterations else None
@@ -465,7 +460,7 @@ class _LockstepEngine:
         """Replay the run round by round; ``None`` => fall back."""
         n = self.n
         cfg = self.config
-        horizon = cfg.max_time
+        horizon = None if cfg.max_time is None else float(cfg.max_time)
         neg_inf = -float("inf")
         all_ranks = np.arange(n)
         # The monitor sits in the profiler slot and sees every event,
@@ -492,62 +487,68 @@ class _LockstepEngine:
             mid_pos[order_mid] = np.arange(n)
             order_end = np.lexsort((mid_pos, t_se))
 
-            stop_pos, trigger_pos, abort_pos, streak_new = self._stop_scan(
-                k, residual, order_end
-            )
-            if stop_pos is not None:
-                t_stop = float(t_se[order_end[stop_pos]])
-                if horizon is None or t_stop <= horizon:
-                    return self._finish_stop(
-                        k,
-                        residual,
-                        work,
-                        t_mid,
-                        t_se,
-                        pos0,
-                        order_end,
-                        trigger_pos,
-                        abort_pos,
-                        stop_pos,
-                    )
-
             # Raw arrival times of this round's 2(n-1) halo sends
             # (FIFO-clamped against the previous round's arrivals).
             tl, tr = self._transfers(t_se)
             arr_l = np.full(n, neg_inf)  # r's send to r-1
             arr_r = np.full(n, neg_inf)  # r's send to r+1
-            if n > 1:
-                arr_l[1:] = np.maximum(
-                    t_se[1:] + tl[1:], self.last_left[1:] + _FIFO_EPSILON
-                )
-                arr_r[:-1] = np.maximum(
-                    t_se[:-1] + tr[:-1], self.last_right[:-1] + _FIFO_EPSILON
-                )
+            arr_l[1:] = np.maximum(
+                t_se[1:] + tl[1:], self.last_left[1:] + _FIFO_EPSILON
+            )
+            arr_r[:-1] = np.maximum(
+                t_se[:-1] + tr[:-1], self.last_right[:-1] + _FIFO_EPSILON
+            )
+            rnd = _Round(k, T, residual, work, t_mid, t_se, pos0, arr_l, arr_r)
+
+            stop_pos, trigger_pos, abort_pos, streak_new = self._stop_scan(
+                k, residual, order_end
+            )
+            if stop_pos is not None:
+                stop_rank = int(order_end[stop_pos])
+                t_stop = float(t_se[stop_rank])
+                if horizon is None or t_stop <= horizon:
+                    # The supervisor (or the abort) stops the sim inside
+                    # the stopping rank's end event, which is therefore
+                    # the last dispatched event: ends up to it complete
+                    # their accounting, the ones before it also send
+                    # their halos (the stop rank breaks before sending),
+                    # and everything else in the queue — later ends,
+                    # undelivered halos, pending mids — is abandoned.
+                    if stop_pos == trigger_pos:
+                        self.converged = True
+                        self.convergence_time = t_stop
+                    if stop_pos == abort_pos:
+                        self.aborted_reason = (
+                            f"rank {stop_rank} exceeded "
+                            f"max_iterations={cfg.max_iterations}"
+                        )
+                    return self._finish(
+                        rnd,
+                        order_end[: stop_pos + 1],
+                        order_end[:stop_pos],
+                        rnd.key_end(stop_rank),
+                        t_stop,
+                    )
+
             # Inbound arrivals per receiver, and "late" = the delivery
             # dispatches after the receiver's end event (the receiver
             # must block for it).
             in_l = np.full(n, neg_inf)
             in_r = np.full(n, neg_inf)
-            if n > 1:
-                in_l[1:] = arr_r[:-1]
-                in_r[:-1] = arr_l[1:]
+            in_l[1:] = arr_r[:-1]
+            in_r[:-1] = arr_l[1:]
             late_l = in_l > t_se
             late_r = in_r > t_se
             # An exact arrival/end tie resolves by dispatch key.  With
-            # the times equal, ``_key_send(s, ...) > _key_end(r, ...)``
+            # the times equal, ``key_send(s, ...) > key_end(r)``
             # collapses to comparing the sender's end key against the
             # receiver's mid key, which is decided by their times —
             # and on *that* tie the sender's end wins, because its key
             # nests one level deeper than the receiver's mid
-            # (``_key_mid``'s parent is ``_D_ROOT``, which loses to any
+            # (``key_mid``'s parent is ``_D_ROOT``, which loses to any
             # real event key).  Hence: late iff t_se[s] >= t_mid[r].
-            if n > 1:
-                late_l[1:] |= (in_l[1:] == t_se[1:]) & (
-                    t_se[:-1] >= t_mid[1:]
-                )
-                late_r[:-1] |= (in_r[:-1] == t_se[:-1]) & (
-                    t_se[1:] >= t_mid[:-1]
-                )
+            late_l[1:] |= (in_l[1:] == t_se[1:]) & (t_se[:-1] >= t_mid[1:])
+            late_r[:-1] |= (in_r[:-1] == t_se[:-1]) & (t_se[1:] >= t_mid[:-1])
             A = np.maximum(
                 t_se,
                 np.maximum(
@@ -557,32 +558,17 @@ class _LockstepEngine:
             )
             T_next = float(A.max())
             if horizon is not None and T_next > horizon:
-                return self._finish_horizon(
-                    k, residual, work, t_mid, t_se, pos0, order_end,
-                    arr_l, arr_r, late_l, late_r,
-                )
+                # ``max_time`` is a pure time cutoff: events at
+                # ``t <= max_time`` dispatch, the rest stay queued and
+                # the clock is advanced to exactly the horizon.  The
+                # barrier never opens (its release time is past the
+                # horizon), so no idle spans are recorded.
+                done = order_end[t_se[order_end] <= horizon]
+                return self._finish(rnd, done, done, (horizon, _D_TOP), horizon)
 
             # ---- commit this complete round --------------------------
-            if self._guard_divergence(residual, all_ranks):
+            if not self._account(rnd, order_end, order_end):
                 return None
-            net = self.platform.network
-            if n > 1:
-                self.last_left[1:] = arr_l[1:]
-                self.last_right[:-1] = arr_r[:-1]
-                net.bytes_sent = _repeat_add(
-                    net.bytes_sent, self.nbytes, 2 * (n - 1)
-                )
-                net.messages_sent += 2 * (n - 1)
-                for kind in ("halo_from_right", "halo_from_left"):
-                    self._msg_counts[kind] += n - 1
-                    self._msg_bytes[kind] = _repeat_add(
-                        self._msg_bytes[kind], self.nbytes, n - 1
-                    )
-            # NB: the tracer accumulates ``busy + t1 - t0`` left to
-            # right; replicate that association bitwise.
-            self.busy = (self.busy + t_se) - T
-            self.iter_counts += 1
-            self.residual_at[:] = residual
             self.streak = streak_new
 
             # Barrier arrival order (= dispatch order of each rank's
@@ -647,64 +633,12 @@ class _LockstepEngine:
             self.idle_acc[strict] = (self.idle_acc[strict] + T_next) - t_se[
                 strict
             ]
-
             if self.tracer.enabled:
-                tr_ = self.tracer
-                for r in order_end:
-                    r = int(r)
-                    tr_.iterations.append(
-                        IterationSpan(
-                            rank=r,
-                            iteration=k + 1,
-                            t0=T,
-                            t1=float(t_se[r]),
-                            work=float(work[r]),
-                        )
-                    )
-                    tr_.residuals.append(
-                        ResidualRecord(
-                            rank=r,
-                            iteration=k + 1,
-                            time=float(t_se[r]),
-                            residual=float(residual[r]),
-                            n_local=self.blocks[r][1] - self.blocks[r][0],
-                        )
-                    )
-                    if r > 0:
-                        tr_.messages.append(
-                            MessageRecord(
-                                kind="halo_from_right",
-                                src_rank=r,
-                                dst_rank=r - 1,
-                                size_bytes=self.nbytes,
-                                send_time=float(t_se[r]),
-                                arrival_time=float(arr_l[r]),
-                            )
-                        )
-                    if r < n - 1:
-                        tr_.messages.append(
-                            MessageRecord(
-                                kind="halo_from_left",
-                                src_rank=r,
-                                dst_rank=r + 1,
-                                size_bytes=self.nbytes,
-                                send_time=float(t_se[r]),
-                                arrival_time=float(arr_r[r]),
-                            )
-                        )
-                if T_next > t_se[releaser]:
-                    tr_.idles.append(
-                        IdleSpan(
-                            rank=releaser,
-                            t0=float(t_se[releaser]),
-                            t1=T_next,
-                            reason="sisc-sync",
-                        )
-                    )
-                for x in order_arr[:-1]:
-                    x = int(x)
+                # The releaser records its span first, then the waiters
+                # as they resume, in arrival order.
+                for x in np.roll(order_arr, 1).tolist():
                     if T_next > t_se[x]:
-                        tr_.idles.append(
+                        self.tracer.idles.append(
                             IdleSpan(
                                 rank=x,
                                 t0=float(t_se[x]),
@@ -718,143 +652,64 @@ class _LockstepEngine:
             # next round's mid events.
             new_pos0 = np.empty(n, dtype=np.int64)
             new_pos0[releaser] = 0
-            if n > 1:
-                new_pos0[order_arr[:-1]] = np.arange(1, n)
+            new_pos0[order_arr[:-1]] = np.arange(1, n)
             self.pos0 = new_pos0
             self.T = T_next
             self.now = T_next
             k += 1
 
     # ------------------------------------------------------------------
-    # Truncated final rounds
+    # Booking a round, and ending a run
     # ------------------------------------------------------------------
-    def _finish_stop(
-        self,
-        k: int,
-        residual: np.ndarray,
-        work: np.ndarray,
-        t_mid: np.ndarray,
-        t_se: np.ndarray,
-        pos0: np.ndarray,
-        order_end: np.ndarray,
-        trigger_pos: int | None,
-        abort_pos: int | None,
-        stop_pos: int,
-    ) -> RunResult | None:
-        """The round in which the supervisor (or the abort) stops the sim.
+    def _account(
+        self, rnd: _Round, done: np.ndarray, senders: np.ndarray
+    ) -> bool:
+        """Book round ``rnd`` for the ranks whose end event dispatched.
 
-        The stopping rank's end event is the last dispatched event:
-        ends at positions ``<= stop_pos`` complete their accounting,
-        positions ``< stop_pos`` also send their halos (the stop rank
-        breaks before sending), and everything else in the queue —
-        later ends, undelivered halos, pending mids — is abandoned.
+        ``done`` lists them in end-dispatch order; ``senders`` is the
+        prefix of ``done`` that went on to send its halos (every rank
+        of a complete round; all but the stopping rank of a stopped
+        one).  ``False`` => the divergence watchdog would have rolled a
+        rank back, and nothing was booked.
         """
+        k, T, residual, work, _, t_se, _, arr_l, arr_r = rnd
+        if self._guard_divergence(residual, done):
+            return False
         n = self.n
-        cfg = self.config
-        T = self.T
-        acc = order_end[: stop_pos + 1].astype(np.int64)
-        if self._guard_divergence(residual, acc):
-            return None
-        stop_rank = int(order_end[stop_pos])
-        t_stop = float(t_se[stop_rank])
-        senders = [int(r) for r in order_end[:stop_pos]]
-
-        self.busy[acc] = (self.busy[acc] + t_se[acc]) - T
-        self.iter_counts[acc] += 1
-        self.residual_at[acc] = residual[acc]
-        if trigger_pos is not None and stop_pos == trigger_pos:
-            self.converged = True
-            self.convergence_time = t_stop
-        if abort_pos is not None and stop_pos == abort_pos:
-            self.aborted_reason = (
-                f"rank {stop_rank} exceeded "
-                f"max_iterations={cfg.max_iterations}"
+        # NB: the tracer accumulates ``busy + t1 - t0`` left to
+        # right; replicate that association bitwise.
+        self.busy[done] = (self.busy[done] + t_se[done]) - T
+        self.iter_counts[done] += 1
+        self.residual_at[done] = residual[done]
+        # Rank 0 sends nothing left and rank n-1 nothing right: those
+        # slots hold -inf in ``arr_*`` as in ``last_*``.
+        self.last_left[senders] = arr_l[senders]
+        self.last_right[senders] = arr_r[senders]
+        # Every send adds the same ``nbytes``, so the sends of a round
+        # are one counted add on each of the three byte accumulators.
+        sent = {
+            "halo_from_right": int(np.count_nonzero(senders > 0)),
+            "halo_from_left": int(np.count_nonzero(senders < n - 1)),
+        }
+        for kind, count in sent.items():
+            self._msg_counts[kind] += count
+            self._msg_bytes[kind] = _repeat_add(
+                self._msg_bytes[kind], self.nbytes, count
             )
-        self.now = t_stop
-
-        # Sends from completed, non-stopping ends (in dispatch order).
-        tl, tr = self._transfers(t_se)
         net = self.platform.network
-        arr_l: dict[int, float] = {}
-        arr_r: dict[int, float] = {}
-        for r in senders:
-            if r > 0:
-                a = max(
-                    float(t_se[r] + tl[r]), self.last_left[r] + _FIFO_EPSILON
-                )
-                self.last_left[r] = a
-                arr_l[r] = a
-                net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, 1)
-                net.messages_sent += 1
-                self._msg_counts["halo_from_right"] += 1
-                self._msg_bytes["halo_from_right"] = _repeat_add(
-                    self._msg_bytes["halo_from_right"], self.nbytes, 1
-                )
-            if r < n - 1:
-                a = max(
-                    float(t_se[r] + tr[r]), self.last_right[r] + _FIFO_EPSILON
-                )
-                self.last_right[r] = a
-                arr_r[r] = a
-                net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, 1)
-                net.messages_sent += 1
-                self._msg_counts["halo_from_left"] += 1
-                self._msg_bytes["halo_from_left"] = _repeat_add(
-                    self._msg_bytes["halo_from_left"], self.nbytes, 1
-                )
-
-        # Events dispatched this round, bounded by the stop end's key.
-        # Mids at t <= t_stop all dispatch (a mid's key always sorts
-        # below an end key at the same instant: its parent is the
-        # round-start root).
-        d_stop = self._key_end(stop_rank, t_mid, t_se, pos0)
-        events = int((t_mid <= t_stop).sum()) + (stop_pos + 1)
-        deliv_keys: dict[tuple[int, str], tuple] = {}
-        for r in senders:
-            if r > 0:
-                key = self._key_send(r, "left", arr_l[r], t_mid, t_se, pos0)
-                if key < d_stop:
-                    events += 1
-                deliv_keys[(r - 1, "right_in")] = key
-            if r < n - 1:
-                key = self._key_send(r, "right", arr_r[r], t_mid, t_se, pos0)
-                if key < d_stop:
-                    events += 1
-                deliv_keys[(r + 1, "left_in")] = key
-        # Wait-resume chains of ranks that entered the halo wait (only
-        # completed, non-stopping ends do).
-        for w in senders:
-            end_key = self._key_end(w, t_mid, t_se, pos0)
-            lates = sorted(
-                key
-                for side in ("left_in", "right_in")
-                for key in (deliv_keys.get((w, side)),)
-                if key is not None and key > end_key
-            )
-            if not lates:
-                continue
-            if len(lates) == 2 and lates[0][0] == lates[1][0]:
-                chain = [(lates[0], (lates[0][0], (lates[0], 0)))]
-            else:
-                chain = [(kk, (kk[0], (kk, 0))) for kk in lates]
-            for deliv_key, resume_key in chain:
-                if deliv_key < d_stop and resume_key < d_stop:
-                    events += 1
-                else:
-                    break
-        self.n_dispatched += events
-        self._guard_events(events)
-
+        total = sum(sent.values())
+        net.messages_sent += total
+        net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, total)
         if self.tracer.enabled:
             tr_ = self.tracer
-            for pos in range(stop_pos + 1):
-                r = int(order_end[pos])
+            for pos, r in enumerate(done.tolist()):
+                t1 = float(t_se[r])
                 tr_.iterations.append(
                     IterationSpan(
                         rank=r,
                         iteration=k + 1,
                         t0=T,
-                        t1=float(t_se[r]),
+                        t1=t1,
                         work=float(work[r]),
                     )
                 )
@@ -862,136 +717,13 @@ class _LockstepEngine:
                     ResidualRecord(
                         rank=r,
                         iteration=k + 1,
-                        time=float(t_se[r]),
+                        time=t1,
                         residual=float(residual[r]),
                         n_local=self.blocks[r][1] - self.blocks[r][0],
                     )
                 )
-                if pos < stop_pos:
-                    if r > 0:
-                        tr_.messages.append(
-                            MessageRecord(
-                                kind="halo_from_right",
-                                src_rank=r,
-                                dst_rank=r - 1,
-                                size_bytes=self.nbytes,
-                                send_time=float(t_se[r]),
-                                arrival_time=arr_l[r],
-                            )
-                        )
-                    if r < n - 1:
-                        tr_.messages.append(
-                            MessageRecord(
-                                kind="halo_from_left",
-                                src_rank=r,
-                                dst_rank=r + 1,
-                                size_bytes=self.nbytes,
-                                send_time=float(t_se[r]),
-                                arrival_time=arr_r[r],
-                            )
-                        )
-        return self._assemble()
-
-    def _finish_horizon(
-        self,
-        k: int,
-        residual: np.ndarray,
-        work: np.ndarray,
-        t_mid: np.ndarray,
-        t_se: np.ndarray,
-        pos0: np.ndarray,
-        order_end: np.ndarray,
-        arr_l: np.ndarray,
-        arr_r: np.ndarray,
-        late_l: np.ndarray,
-        late_r: np.ndarray,
-    ) -> RunResult | None:
-        """The round cut by ``max_time``: a pure time cutoff.
-
-        Events at ``t <= max_time`` dispatch, the rest stay queued and
-        the clock is advanced to exactly the horizon.  The barrier
-        never opens (its release time is past the horizon), so no idle
-        spans are recorded.
-        """
-        n = self.n
-        h = float(self.config.max_time)
-        T = self.T
-        m = t_se <= h
-        idx = np.nonzero(m)[0].astype(np.int64)
-        if self._guard_divergence(residual, idx):
-            return None
-        self.busy[idx] = (self.busy[idx] + t_se[idx]) - T
-        self.iter_counts[idx] += 1
-        self.residual_at[idx] = residual[idx]
-        self.now = h
-
-        net = self.platform.network
-        accounted_in_order = [int(r) for r in order_end if m[r]]
-        for r in accounted_in_order:
-            if r > 0:
-                self.last_left[r] = arr_l[r]
-                net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, 1)
-                net.messages_sent += 1
-                self._msg_counts["halo_from_right"] += 1
-                self._msg_bytes["halo_from_right"] = _repeat_add(
-                    self._msg_bytes["halo_from_right"], self.nbytes, 1
-                )
-            if r < n - 1:
-                self.last_right[r] = arr_r[r]
-                net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, 1)
-                net.messages_sent += 1
-                self._msg_counts["halo_from_left"] += 1
-                self._msg_bytes["halo_from_left"] = _repeat_add(
-                    self._msg_bytes["halo_from_left"], self.nbytes, 1
-                )
-
-        events = int((t_mid <= h).sum()) + len(accounted_in_order)
-        for r in accounted_in_order:
-            if r > 0 and arr_l[r] <= h:
-                events += 1
-            if r < n - 1 and arr_r[r] <= h:
-                events += 1
-        # Wait-resumes: an accounted rank blocks on its late halos; a
-        # resume fires per late delivery that exists (sender accounted)
-        # and dispatches within the horizon — except that two late
-        # halos arriving at the same instant trigger a single resume.
-        for w in idx:
-            w = int(w)
-            times = []
-            if w > 0 and late_l[w] and m[w - 1]:
-                times.append(float(arr_r[w - 1]))
-            if w < n - 1 and late_r[w] and m[w + 1]:
-                times.append(float(arr_l[w + 1]))
-            if not times:
-                continue
-            times.sort()
-            if len(times) == 2 and times[0] == times[1]:
-                times = times[:1]
-            events += sum(1 for t in times if t <= h)
-        self.n_dispatched += events
-        self._guard_events(events)
-
-        if self.tracer.enabled:
-            tr_ = self.tracer
-            for r in accounted_in_order:
-                tr_.iterations.append(
-                    IterationSpan(
-                        rank=r,
-                        iteration=k + 1,
-                        t0=T,
-                        t1=float(t_se[r]),
-                        work=float(work[r]),
-                    )
-                )
-                tr_.residuals.append(
-                    ResidualRecord(
-                        rank=r,
-                        iteration=k + 1,
-                        time=float(t_se[r]),
-                        residual=float(residual[r]),
-                        n_local=self.blocks[r][1] - self.blocks[r][0],
-                    )
-                )
+                if pos >= len(senders):
+                    continue
                 if r > 0:
                     tr_.messages.append(
                         MessageRecord(
@@ -999,7 +731,7 @@ class _LockstepEngine:
                             src_rank=r,
                             dst_rank=r - 1,
                             size_bytes=self.nbytes,
-                            send_time=float(t_se[r]),
+                            send_time=t1,
                             arrival_time=float(arr_l[r]),
                         )
                     )
@@ -1010,10 +742,58 @@ class _LockstepEngine:
                             src_rank=r,
                             dst_rank=r + 1,
                             size_bytes=self.nbytes,
-                            send_time=float(t_se[r]),
+                            send_time=t1,
                             arrival_time=float(arr_r[r]),
                         )
                     )
+        return True
+
+    def _finish(
+        self,
+        rnd: _Round,
+        done: np.ndarray,
+        senders: np.ndarray,
+        cut: tuple,
+        now: float,
+    ) -> RunResult | None:
+        """The run's last, truncated round: what keys below ``cut`` ran.
+
+        ``cut`` is the dispatch key the run ends at — the stopping
+        rank's end key (itself the last dispatched event), or
+        ``(max_time, _D_TOP)`` — and ``now`` the clock it ends on.
+        """
+        if not self._account(rnd, done, senders):
+            return None
+        self.now = now
+        n = self.n
+        # Mids at ``t <= cut[0]`` all dispatch (a mid's key always
+        # sorts below an end key at the same instant: its parent is the
+        # round-start root), and so did the ``done`` ends.
+        events = int((rnd.t_mid <= cut[0]).sum()) + len(done)
+        inbound: dict[int, list[tuple]] = {}
+        senders = senders.tolist()
+        for s in senders:
+            if s > 0:
+                inbound.setdefault(s - 1, []).append(rnd.key_send(s, "left"))
+            if s < n - 1:
+                inbound.setdefault(s + 1, []).append(rnd.key_send(s, "right"))
+        events += sum(key < cut for keys in inbound.values() for key in keys)
+        # Wait-resume chains: only a rank that sent entered the halo
+        # wait, and it blocks on each inbound delivery that dispatches
+        # after its own end — resuming once per late delivery, except
+        # that two arriving at the same instant trigger a single resume
+        # (pushed by the earlier-keyed one, dispatched after both).
+        for w in senders:
+            end_key = rnd.key_end(w)
+            lates = sorted(key for key in inbound.get(w, ()) if key > end_key)
+            if len(lates) == 2 and lates[0][0] == lates[1][0]:
+                del lates[1]
+            for key in lates:
+                if (key[0], (key, 0)) >= cut:
+                    break
+                events += 1
+        self.n_dispatched += events
+        self._guard_events(events)
         return self._assemble()
 
     # ------------------------------------------------------------------

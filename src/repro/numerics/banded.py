@@ -447,9 +447,9 @@ def solve_banded_system(
     """Solve a banded system with the requested backend.
 
     ``backend="native"`` uses the from-scratch LU above; ``"scipy"``
-    delegates to :func:`scipy.linalg.solve_banded` when available (used
-    by the sequential reference solver for speed — results agree to
-    rounding, as the test suite asserts).
+    delegates to :func:`scipy.linalg.solve_banded` — an explicit oracle
+    for the tests (results agree to rounding), never a default: scipy
+    is a ``test`` extra, not a dependency of the package.
     """
     if backend == "native":
         return matrix.lu_factor().solve(np.asarray(b, dtype=float))

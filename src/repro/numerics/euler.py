@@ -12,7 +12,8 @@ Two variants:
 * :func:`implicit_euler_dense` — dense Newton, any small system;
 * :func:`implicit_euler_banded` — banded Newton for 1-D
   reaction–diffusion systems (the Brusselator's interleaved Jacobian has
-  ``kl = ku = 2``), with native or scipy banded solves.
+  ``kl = ku = 2``); banded solves are native unless a test passes
+  ``backend="scipy"`` to cross-check against that oracle.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def implicit_euler_banded(
     *,
     newton_tol: float = 1e-10,
     newton_max_iter: int = 50,
-    backend: str = "scipy",
+    backend: str = "native",
     options: NewtonOptions | None = None,
 ) -> np.ndarray:
     """Banded-Jacobian implicit Euler (reference solver for 1-D PDEs).

@@ -139,10 +139,6 @@ class BrusselatorProblem(Problem):
         Diffusion parameter (paper: 1/50).
     newton_tol, newton_max_iter:
         Inner Newton controls per (component, step).
-    newton_jacobian_refresh:
-        Forwarded to :class:`~repro.numerics.newton.NewtonOptions.
-        jacobian_refresh` (relevant to modified-Newton consumers; the
-        2x2 kernel itself uses the analytic per-pass Jacobian).
     """
 
     name = "brusselator"
@@ -156,7 +152,6 @@ class BrusselatorProblem(Problem):
         alpha: float = 1.0 / 50.0,
         newton_tol: float = 1e-8,
         newton_max_iter: int = 25,
-        newton_jacobian_refresh: int = 1,
         skip_converged: bool = False,
         skip_threshold: float = 1e-6,
         refresh_period: int = 20,
@@ -181,10 +176,7 @@ class BrusselatorProblem(Problem):
         # active subset once half the components have converged — the
         # iterate() callback below is compaction-aware (accepts idx).
         self.newton = NewtonOptions(
-            tol=newton_tol,
-            max_iter=newton_max_iter,
-            compact_threshold=0.5,
-            jacobian_refresh=newton_jacobian_refresh,
+            tol=newton_tol, max_iter=newton_max_iter, compact_threshold=0.5
         )
         self.skip_converged = bool(skip_converged)
         self.skip_threshold = float(skip_threshold)
@@ -637,7 +629,7 @@ class BrusselatorProblem(Problem):
     def solution(self, state: BrusselatorState) -> np.ndarray:
         return state.traj.copy()
 
-    def reference_solution(self, *, backend: str = "scipy") -> np.ndarray:
+    def reference_solution(self, *, backend: str = "native") -> np.ndarray:
         """Sequential solution of the fully-coupled implicit Euler system.
 
         Returns an array of shape ``(n_components, 2, n_steps + 1)``

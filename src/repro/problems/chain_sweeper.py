@@ -3,8 +3,9 @@
 A *chain sweeper* (see :meth:`repro.problems.base.Problem.
 batched_chain_sweeper`) advances every rank's block in one global
 vectorised sweep, for the lockstep SISC replay.  The correctness
-argument is the same for every trajectory-carrying problem in the
-library (Brusselator, heat, advection–diffusion):
+argument is the same for every problem in the library (Brusselator,
+heat, advection–diffusion, and the synthetic contraction, whose
+"trajectory" is one error per component):
 
 * the relaxation is **Jacobi in space** — neighbour trajectories are
   always read from the *previous* sweep's values, and in a synchronous
@@ -41,10 +42,11 @@ class TrajectoryChainSweeper:
 
     ``self.traj`` holds the global state with the component axis first
     (``(N, n_steps + 1)`` for scalar problems, ``(N, 2, n_steps + 1)``
-    for the Brusselator); blocks slice axis 0.  Empty blocks are
-    tolerated (residual/work ``0.0``), matching the guard's convention
-    for ranks that migrated everything away — though the lockstep gate
-    itself never builds a sweeper over empty blocks.
+    for the Brusselator, ``(N,)`` for the synthetic errors); blocks
+    slice axis 0.  Empty blocks are tolerated (residual/work ``0.0``),
+    matching the guard's convention for ranks that migrated everything
+    away — though the lockstep gate itself never builds a sweeper over
+    empty blocks.
     """
 
     def __init__(self, problem: Any, blocks: list[tuple[int, int]]) -> None:
@@ -54,7 +56,9 @@ class TrajectoryChainSweeper:
         # One global initial state: the problem's initial data is
         # computed elementwise from global indices, so this is
         # bit-identical to concatenating the per-block initial states.
-        self.traj = problem.initial_state(0, problem.n_components).traj
+        self.traj = problem.state_array(
+            problem.initial_state(0, problem.n_components)
+        )
         # The domain-edge halos every global sweep is pinned between.
         self._edge_left = problem.initial_halo(-1)
         self._edge_right = problem.initial_halo(problem.n_components)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.problems.base import IterationResult, Problem, padded
+from repro.problems.chain_sweeper import TrajectoryChainSweeper
 from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["SyntheticProblem", "SyntheticState"]
@@ -219,64 +220,19 @@ class SyntheticProblem(Problem):
         return _SyntheticChainSweeper(self, blocks)
 
 
-class _SyntheticChainSweeper:
+class _SyntheticChainSweeper(TrajectoryChainSweeper):
     """All ranks' synthetic sweeps as one vectorised global update.
 
-    In a synchronous round every block iterates against its neighbours'
-    *previous-iteration* boundary values — exactly the dependency
-    structure of one global Jacobi-style sweep over the concatenated
-    error vector with the domain-edge halos pinned.  Each per-block
-    slice of the global update therefore reproduces, bit for bit, what
-    :meth:`SyntheticProblem.iterate` computes for that block: every
-    operation involved (``max``, elementwise multiply) is elementwise,
-    so the partitioning of the array cannot change any result.
-
-    Per-rank reductions preserve bit-identity too: they go through
-    :class:`repro.numerics.ragged.ChainSegments`, whose ``max`` is
-    exact under any association and whose ``sum`` replays each rank's
-    own contiguous pairwise summation.
+    The base class's argument applies with the error vector as the
+    "trajectory": a synchronous round is one global Jacobi-style sweep
+    between the pinned domain-edge halos, and every operation of
+    :meth:`SyntheticProblem._relax` (``max``, elementwise multiply) is
+    elementwise, so each block's slice of it is bit for bit what
+    :meth:`SyntheticProblem.iterate` computes for that block.
     """
 
-    def __init__(self, problem: SyntheticProblem, blocks: list[tuple[int, int]]):
-        from repro.numerics.ragged import ChainSegments
-
-        self.problem = problem
-        self.segments = ChainSegments(blocks, problem.n_components)
-        self.blocks = self.segments.blocks
-        self.n_ranks = self.segments.n_ranks
-        self.e = np.full(problem.n_components, problem.init_error)
-        self._edge_left = float(problem.initial_halo(-1)[0])
-        self._edge_right = float(problem.initial_halo(problem.n_components)[0])
-
-    def component_counts(self) -> np.ndarray:
-        return self.segments.counts()
-
-    def _advance(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One global sweep from ``e``: (new errors, per-component work)."""
-        return self.problem._relax(
-            self.problem.rates, e, self._edge_left, self._edge_right
-        )
-
-    def sweep(self) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every rank one iteration.
-
-        Returns ``(residual, work)`` per rank: the max per-component
-        residual and the pairwise-summed total work of each block.
-        """
-        new, work = self._advance(self.e)
-        self.e = new
-        return self.segments.max(new), self.segments.sum(work)
-
-    def probe_residual(self) -> float:
-        """Max residual one additional sweep would report (state untouched).
-
-        Equivalent to the guard's ``true_global_residual``: iterate every
-        block once more against the neighbours' *current* boundaries and
-        take the worst per-component residual.
-        """
-        new, _ = self._advance(self.e)
-        return float(new.max())
-
-    def solution_block(self, rank: int) -> np.ndarray:
-        lo, hi = self.blocks[rank]
-        return self.e[lo:hi].copy()
+    def _advance(self, old: np.ndarray):
+        p = self.problem
+        new, work = p._relax(p.rates, old, self._edge_left, self._edge_right)
+        # The residual of a synthetic sweep is the new error itself.
+        return new, new, work, None

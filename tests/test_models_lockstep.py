@@ -9,6 +9,9 @@ answer but the tracer's span records, the dispatched-event count and
 the guard's observation stream.
 """
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,10 +195,86 @@ def test_lockstep_event_count_matches_reference(name):
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
-@pytest.mark.parametrize("name", ["hetero", "homo_ties", "abort"])
-def test_lockstep_guard_parity(name):
-    """The guard observes the identical event/check stream either way."""
-    problem, platform, cfg = CASES[name]
+# ----------------------------------------------------------------------
+# Runs cut mid-round.  A cut round books only the ranks whose end event
+# dispatched, and only their sends; where the cut falls inside the round
+# (on an end, on an arrival, between two) decides how many deliveries
+# and wait-resumes still ran.
+# ----------------------------------------------------------------------
+CUT_PLATFORMS = {
+    "hetero4": (hard_problem(), hetero_platform()),
+    # Equal blocks on equal hosts, eight of them: wide enough that a
+    # rank's two neighbours tie (both halos late at the same instant,
+    # one wait-resume) while a slower hard-region rank keeps the round
+    # open for the cut to fall after them.
+    "homo8_ties": (hard_problem(), homogeneous_cluster(8, speed=500.0)),
+    "two_ranks": (hard_problem(18), hetero_platform(speeds=(150.0, 100.0))),
+}
+CUT_BASE = SolverConfig(tolerance=1e-4)
+
+
+def _cut_configs(problem, platform, n_instants=6, seed=0):
+    """Truncations of one run: ``max_time`` exactly on seeded end/arrival
+    instants of the uncut trace and midway to the next instant, plus
+    ``max_iterations`` x ``persistence`` stops."""
+    ref = run_sisc(problem, platform, CUT_BASE)
+    instants = sorted(
+        {s.t1 for s in ref.tracer.iterations}
+        | {m.arrival_time for m in ref.tracer.messages}
+    )
+    picks = random.Random(seed).sample(range(len(instants) - 1), n_instants)
+    cuts = [
+        replace(CUT_BASE, max_time=t)
+        for i in sorted(picks)
+        for t in (instants[i], (instants[i] + instants[i + 1]) / 2)
+    ]
+    stops = [
+        replace(CUT_BASE, max_iterations=m, persistence=p)
+        for m in (1, 2, 7)
+        for p in (1, 3)
+    ]
+    return cuts, stops
+
+
+def _partly_booked(result):
+    """Some but not all ranks were accounted in the final round."""
+    return len(set(result.iterations)) > 1
+
+
+def _assert_same_run_and_events(problem, platform, cfg):
+    ref, ref_events = _reference_events(problem, platform, cfg)
+    fast = run_sisc_batched(problem, platform, cfg)
+    assert_same_run(ref, fast)
+    assert fast.meta["events_dispatched"] == ref_events, cfg
+    return fast
+
+
+@pytest.mark.parametrize("name", sorted(CUT_PLATFORMS))
+def test_lockstep_matches_reference_at_every_cut(name):
+    problem, platform = CUT_PLATFORMS[name]
+    cuts, stops = _cut_configs(problem, platform)
+    for cfg in stops:
+        _assert_same_run_and_events(problem, platform, cfg)
+    runs = [_assert_same_run_and_events(problem, platform, cfg) for cfg in cuts]
+    # At least one max_time cut must leave ranks (and their sends)
+    # booked in the cut round, or the sweep is not testing that path.
+    assert any(_partly_booked(fast) for fast in runs)
+
+
+def test_lockstep_cut_rounds_without_trace():
+    """Aggregates and meta of a partly booked cut round do not depend on
+    the record lists being kept."""
+    problem, platform = CUT_PLATFORMS["hetero4"]
+    cuts, _ = _cut_configs(problem, platform)
+    runs = [
+        _assert_same_run_and_events(problem, platform, replace(cfg, trace=False))
+        for cfg in cuts
+    ]
+    assert not any(fast.tracer.iterations or fast.tracer.messages for fast in runs)
+    assert any(_partly_booked(fast) for fast in runs)
+
+
+def _assert_guard_parity(problem, platform, cfg):
     gcfg = GuardConfig(check_every=16)
     g_ref = InvariantMonitor(gcfg)
     g_fast = InvariantMonitor(gcfg)
@@ -209,6 +288,20 @@ def test_lockstep_guard_parity(name):
     v_fast = g_fast.verify_halt()
     assert v_ref == v_fast
     assert run_fingerprint(ref) == run_fingerprint(fast)
+
+
+@pytest.mark.parametrize("name", ["hetero", "homo_ties", "abort"])
+def test_lockstep_guard_parity(name):
+    """The guard observes the identical event/check stream either way."""
+    _assert_guard_parity(*CASES[name])
+
+
+@pytest.mark.parametrize("name", ["hetero4", "homo8_ties"])
+def test_lockstep_guard_parity_at_every_cut(name):
+    problem, platform = CUT_PLATFORMS[name]
+    cuts, _ = _cut_configs(problem, platform)
+    for cfg in cuts:
+        _assert_guard_parity(problem, platform, cfg)
 
 
 def test_lockstep_brusselator_fingerprint_at_256_ranks():

@@ -88,12 +88,10 @@ def chain_partitions(draw, n_min=4, n_max=18, max_ranks=5):
     skip=st.booleans(),
     skip_threshold=st.sampled_from([1e-2, 1e-4]),
     refresh_period=st.integers(1, 4),
-    jacobian_refresh=st.integers(1, 3),
     n_sweeps=st.integers(1, 6),
 )
 def test_brusselator_batched_equals_scalar(
-    part, n_steps, skip, skip_threshold, refresh_period, jacobian_refresh,
-    n_sweeps,
+    part, n_steps, skip, skip_threshold, refresh_period, n_sweeps,
 ):
     n, blocks = part
     # t_end/n_steps keeps dt <= 0.25: large implicit Euler steps make
@@ -102,7 +100,6 @@ def test_brusselator_batched_equals_scalar(
         n,
         t_end=1.0,
         n_steps=n_steps,
-        newton_jacobian_refresh=jacobian_refresh,
         skip_converged=skip,
         skip_threshold=skip_threshold,
         refresh_period=refresh_period,
