@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.core.config import LBConfig, SolverConfig
@@ -96,8 +97,13 @@ class LBRankState:
 _FRUITLESS = frozenset({"balanced", "converged", "famine", "edge"})
 
 
-def _opposite(side: str) -> str:
-    return "right" if side == "left" else "left"
+#: The (offer, reply, data) kinds a rank sends *toward* each side.  A
+#: kind is named after the side its receiver sees it from — the opposite
+#: one — so the kinds toward "left" are the handlers' "..._from_right".
+_KINDS_TOWARD = {
+    "left": ("lb_offer_from_right", "lb_reply_from_right", "lb_data_from_right"),
+    "right": ("lb_offer_from_left", "lb_reply_from_left", "lb_data_from_left"),
+}
 
 
 def _adapt_period(state: LBRankState, cfg: LBConfig, *, productive: bool) -> None:
@@ -131,41 +137,24 @@ class _BalancedRun:
         run.rank_busy = self._rank_busy
         for ctx in run.ranks:
             ctx.estimator = make_estimator(lb_config.estimator)
-            for side in ("left", "right"):
-                ctx.node.register_handler(
-                    f"lb_offer_from_{side}",
-                    lambda msg, c=ctx, s=side: self._on_offer(c, s, msg),
+            # Kinds sent toward ``out_side`` arrive from ``side`` at the
+            # receiver.  The failure hooks (resilient transport only,
+            # inert on the lossless fast path) run at the *sender*, whose
+            # protocol state is keyed by the side it sent toward.
+            for side, out_side in (("left", "right"), ("right", "left")):
+                offer, reply, data = _KINDS_TOWARD[out_side]
+                node = ctx.node
+                node.register_handler(offer, partial(self._on_offer, ctx, side))
+                node.register_handler(reply, partial(self._on_reply, ctx, side))
+                node.register_handler(data, partial(self._on_data, ctx, side))
+                node.register_failure_handler(
+                    offer, partial(self._on_offer_failed, ctx, out_side)
                 )
-                ctx.node.register_handler(
-                    f"lb_reply_from_{side}",
-                    lambda msg, c=ctx, s=side: self._on_reply(c, s, msg),
+                node.register_failure_handler(
+                    reply, partial(self._on_reply_failed, ctx, out_side)
                 )
-                ctx.node.register_handler(
-                    f"lb_data_from_{side}",
-                    lambda msg, c=ctx, s=side: self._on_data(c, s, msg),
-                )
-                # Failure hooks for the resilient transport (inert on
-                # the lossless fast path): a protocol message of ours
-                # toward `side` carries the kind named after the side
-                # the *receiver* sees it from, i.e. the opposite one.
-                out_side = _opposite(side)
-                ctx.node.register_failure_handler(
-                    f"lb_offer_from_{side}",
-                    lambda msg, delivered, c=ctx, s=out_side: (
-                        self._on_offer_failed(c, s, msg, delivered)
-                    ),
-                )
-                ctx.node.register_failure_handler(
-                    f"lb_reply_from_{side}",
-                    lambda msg, delivered, c=ctx, s=out_side: (
-                        self._on_reply_failed(c, s, msg, delivered)
-                    ),
-                )
-                ctx.node.register_failure_handler(
-                    f"lb_data_from_{side}",
-                    lambda msg, delivered, c=ctx, s=out_side: (
-                        self._on_data_failed(c, s, msg, delivered)
-                    ),
+                node.register_failure_handler(
+                    data, partial(self._on_data_failed, ctx, out_side)
                 )
 
     def _rank_busy(self, rank: int) -> bool:
@@ -204,7 +193,7 @@ class _BalancedRun:
             return "dead_peer"
         if state.outgoing[side] is not None or state.incoming_expected[side]:
             return "pending"
-        data_kind = f"lb_data_from_{_opposite(side)}"
+        offer_kind, _, data_kind = _KINDS_TOWARD[side]
         if ctx.node.channel_busy(data_kind, neighbor.rank):
             return "busy"  # previous migration data still in flight
         mine = ctx.estimator.value()
@@ -230,7 +219,6 @@ class _BalancedRun:
         )
         if nb < 1:
             return "famine"  # famine guard (ThresholdData)
-        offer_kind = f"lb_offer_from_{_opposite(side)}"
         ctx.node.send(
             neighbor.node,
             offer_kind,
@@ -261,10 +249,11 @@ class _BalancedRun:
         state = self.lb[ctx.rank]
         neighbor = self.run.neighbor(ctx.rank, side)
         assert neighbor is not None
+        _, reply_kind, data_kind = _KINDS_TOWARD[side]
         accept = True
         if ctx.node.stop_requested or state.incoming_expected[side]:
             accept = False
-        elif ctx.node.channel_busy(f"lb_data_from_{_opposite(side)}", neighbor.rank):
+        elif ctx.node.channel_busy(data_kind, neighbor.rank):
             # Defensive: our own migration data toward that neighbour is
             # still in flight (cannot occur under FIFO channels, but the
             # invariant is cheap to enforce).
@@ -290,7 +279,6 @@ class _BalancedRun:
                     side,
                     state.incoming_epoch[side],
                 )
-        reply_kind = f"lb_reply_from_{_opposite(side)}"
         ctx.node.send(
             neighbor.node,
             reply_kind,
@@ -321,7 +309,7 @@ class _BalancedRun:
         state.outgoing[side] = None
         neighbor = run.neighbor(ctx.rank, side)
         assert neighbor is not None
-        data_kind = f"lb_data_from_{_opposite(side)}"
+        data_kind = _KINDS_TOWARD[side][2]
         # Re-validate the amount against the current block (it may have
         # shrunk since the offer); cancel with a zero-count message so
         # the receiver clears its expectation.

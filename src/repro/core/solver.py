@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import math
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
@@ -200,6 +201,18 @@ class ChainRun:
                 halo_right=problem.initial_halo(hi),
             )
             self.ranks.append(ctx)
+        # The chain is fixed for the run: who sits on each side of a rank
+        # and what a halo message weighs are resolved once, here.
+        path_neighbor = self.topology.path_neighbor
+        self._neighbors: list[dict[str, RankContext | None]] = [
+            {
+                side: None if (idx := path_neighbor(rank, side)) is None
+                else self.ranks[idx]
+                for side in ("left", "right")
+            }
+            for rank in range(n_ranks)
+        ]
+        self._halo_bytes = problem.halo_nbytes() + config.header_bytes
         for ctx in self.ranks:
             self._register_halo_handlers(ctx)
             if self.detector is not None:
@@ -216,10 +229,7 @@ class ChainRun:
         return len(self.ranks)
 
     def neighbor(self, rank: int, side: str) -> RankContext | None:
-        idx = self.topology.path_neighbor(rank, side)
-        if idx is None:
-            return None
-        return self.ranks[idx]
+        return self._neighbors[rank][side]
 
     def _on_converged(self) -> None:
         for ctx in self.ranks:
@@ -413,16 +423,12 @@ class ChainRun:
         # resilient transport a reordered older transmission must lose to
         # a fresher one already delivered (AIAC newest-wins semantics).
         # The flag is inert on the lossless fast path.
-        ctx.node.register_handler(
-            "halo_from_left",
-            lambda msg, c=ctx: self._on_halo(c, "left", msg),
-            newest_wins=True,
-        )
-        ctx.node.register_handler(
-            "halo_from_right",
-            lambda msg, c=ctx: self._on_halo(c, "right", msg),
-            newest_wins=True,
-        )
+        for side in ("left", "right"):
+            ctx.node.register_handler(
+                f"halo_from_{side}",
+                partial(self._on_halo, ctx, side),
+                newest_wins=True,
+            )
 
     def _on_halo(self, ctx: RankContext, side: str, msg: Message) -> None:
         """Receive handler (Algorithms 2/3/7): position-checked halo update."""
@@ -502,20 +508,21 @@ class ChainRun:
         synchronous models can wait for exactly their neighbours'
         previous-iteration data.
         """
-        neighbor = self.neighbor(ctx.rank, side)
+        neighbor = self._neighbors[ctx.rank][side]
         if neighbor is None:
             return False
-        kind = "halo_from_right" if side == "left" else "halo_from_left"
-        position = ctx.lo if side == "left" else ctx.hi - 1
+        if side == "left":
+            kind, position = "halo_from_right", ctx.lo
+        else:
+            kind, position = "halo_from_left", ctx.hi - 1
         payload = {
             "data": self.problem.halo_out(ctx.state, side),
             "position": position,
             "estimate": estimate,
             "iteration": ctx.iteration if iteration is None else iteration,
         }
-        nbytes = self.problem.halo_nbytes() + self.config.header_bytes
         return ctx.node.send(
-            neighbor.node, kind, payload, nbytes, exclusive=exclusive
+            neighbor.node, kind, payload, self._halo_bytes, exclusive=exclusive
         )
 
     # ------------------------------------------------------------------
@@ -531,18 +538,19 @@ class ChainRun:
         left boundary send fires *during* the sweep at the configured
         overlap point, as in Algorithm 1.
         """
+        node, config, rank = ctx.node, self.config, ctx.rank
         pre_estimate = ctx.estimator.value()
-        epoch = ctx.node.crash_count
+        epoch = node.crash_count
         result = self.problem.iterate(ctx.state, ctx.halo_left, ctx.halo_right)
         work = result.total_work
-        sim = ctx.node.sim
+        sim = node.sim
         t0 = sim.now
-        duration = ctx.node.host.duration_for_work(work, t0)
+        duration = node.host.duration_for_work(work, t0)
         # Polling throttle for near-free (fully skipped) sweeps.
-        duration = max(duration, self.config.min_sweep_duration)
-        first = duration * self.config.overlap_split
+        duration = max(duration, config.min_sweep_duration)
+        first = duration * config.overlap_split
         yield Hold(first)
-        if send_left_mid_sweep and ctx.node.alive:
+        if send_left_mid_sweep and node.alive:
             # Mid-sweep left send carries the *previous* sweep's estimate
             # (this sweep's residual is not known yet in the real code)
             # but the data and iteration stamp of the sweep in progress.
@@ -555,45 +563,45 @@ class ChainRun:
             )
         yield Hold(duration - first)
 
-        if not ctx.node.alive or ctx.node.crash_count != epoch:
+        if not node.alive or node.crash_count != epoch:
             # A crash hit this rank mid-sweep (possibly crash *and*
             # restart within one Hold): the sweep's results are lost.
             # Discard all accounting; the caller's recovery path restores
             # the last checkpoint before iterating again.
             return duration
-        ctx.iteration += 1
+        ctx.iteration = iteration = ctx.iteration + 1
         ctx.prev_residual = ctx.residual
-        ctx.residual = result.local_residual
+        ctx.residual = residual = result.local_residual
         if self.guard is not None and self.guard.after_sweep(self, ctx):
             # The divergence watchdog rolled this rank back to its last
             # checkpoint: the sweep's results are void (mirrors the
             # mid-sweep crash discard above), so none of its accounting
             # — estimator update, trace spans, convergence reports —
-            # may leak out.
+            # may leak out.  (A guard that returns False has written
+            # neither ``ctx.iteration`` nor ``ctx.residual``.)
             return duration
         now = sim.now
-        n_local = ctx.n_local
+        n_local = ctx.hi - ctx.lo
         residuals = result.residuals
         # What np.linalg.norm evaluates for a 1-D float array, without
         # its dispatch (pinned bitwise in tests/test_solver_internals.py).
         residual_l2 = math.sqrt(float(residuals.dot(residuals)))
-        ctx.estimator.update(ctx.residual, residual_l2, duration, n_local)
-        self.tracer.iteration(ctx.rank, ctx.iteration, t0, now, work)
-        self.tracer.residual(ctx.rank, ctx.iteration, now, ctx.residual, n_local)
+        ctx.estimator.update(residual, residual_l2, duration, n_local)
+        self.tracer.iteration(rank, iteration, t0, now, work)
+        self.tracer.residual(rank, iteration, now, residual, n_local)
         if self.injector is None or not self._halo_is_stale(ctx):
-            self.monitor.report(ctx.rank, ctx.residual, now)
-        if self.detector is not None and not ctx.node.stop_requested:
+            self.monitor.report(rank, residual, now)
+        if self.detector is not None and not node.stop_requested:
             self._detection_after_sweep(ctx)
         if (
             ctx.checkpoint is not None
             and self.checkpoint_every
-            and ctx.iteration % self.checkpoint_every == 0
+            and iteration % self.checkpoint_every == 0
         ):
             self.checkpoint(ctx)
-        if ctx.iteration >= self.config.max_iterations:
+        if iteration >= config.max_iterations:
             self.abort(
-                f"rank {ctx.rank} exceeded max_iterations="
-                f"{self.config.max_iterations}"
+                f"rank {rank} exceeded max_iterations={config.max_iterations}"
             )
         return duration
 
@@ -614,11 +622,12 @@ class ChainRun:
         fault-free fast path never calls this.
         """
         bound = self.injector.resilience.max_halo_staleness
+        neighbors = self._neighbors[ctx.rank]
         for side, halo_iter in (
             ("left", ctx.halo_iter_left),
             ("right", ctx.halo_iter_right),
         ):
-            neighbor = self.neighbor(ctx.rank, side)
+            neighbor = neighbors[side]
             if neighbor is not None and neighbor.iteration - halo_iter > bound:
                 return True
         return False

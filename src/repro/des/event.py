@@ -63,13 +63,15 @@ class ScheduledEvent:
         seq: int,
         callback: Callable[..., Any],
         args: tuple[Any, ...] = (),
+        queue: "EventQueue | None" = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._queue: "EventQueue | None" = None
+        #: The queue to tell about a cancellation; None once popped.
+        self._queue = queue
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it."""
@@ -118,8 +120,7 @@ class EventQueue:
         """Schedule ``callback(*args)`` at ``time`` (no closure needed)."""
         seq = self._count
         self._count = seq + 1
-        event = ScheduledEvent(time, seq, callback, args)
-        event._queue = self
+        event = ScheduledEvent(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, event))
         live = len(self._heap) - self._n_cancelled
         if live > self.peak_size:
@@ -137,12 +138,14 @@ class EventQueue:
             self._n_cancelled -= 1
         return None
 
-    def pop_at(self, time: float) -> ScheduledEvent | None:
-        """Pop the next event only if it fires at exactly ``time``.
+    def pop_due(self, until: float) -> ScheduledEvent | None:
+        """Pop the next live event unless it fires after ``until``.
 
-        The simulator's batched dispatch uses this to drain all
-        simultaneous events without re-checking its horizon per event;
-        events at later times are left queued and ``None`` is returned.
+        The simulator's dispatch loop: one call per dispatched event.
+        Tombstones at the head are discarded first, so a cancelled head
+        never hides the time of the live event behind it; an event later
+        than ``until`` stays queued and ``None`` is returned, as it is
+        when no live event remains (``len()`` tells the two apart).
         """
         heap = self._heap
         while heap:
@@ -150,24 +153,12 @@ class EventQueue:
             if event.cancelled:
                 heapq.heappop(heap)
                 self._n_cancelled -= 1
-            elif head_time != time:
+            elif head_time > until:
                 return None
             else:
                 heapq.heappop(heap)
                 event._queue = None
                 return event
-        return None
-
-    def peek_time(self) -> float | None:
-        """Return the time of the next non-cancelled event without popping."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2].cancelled:
-                heapq.heappop(heap)
-                self._n_cancelled -= 1
-                continue
-            return entry[0]
         return None
 
     # ------------------------------------------------------------------

@@ -17,6 +17,7 @@ within one step are atomic.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Any, Generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -30,14 +31,19 @@ class Hold:
 
     Treat instances as immutable — one is allocated per yield on the
     hottest path of every simulation, so this is a hand-rolled
-    ``__slots__`` class rather than a dataclass.
+    ``__slots__`` class rather than a dataclass.  The duration must be
+    finite and non-negative: ``Process._step`` adds it to the clock and
+    pushes the sum straight into the queue, so this is the check that
+    keeps NaN and ``inf`` event times out of it.
     """
 
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"Hold duration must be >= 0, got {duration!r}")
+        if not 0 <= duration < inf:
+            raise ValueError(
+                f"Hold duration must be finite and >= 0, got {duration!r}"
+            )
         self.duration = duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -106,6 +112,8 @@ class Signal:
         the deterministic event order.
         """
         self.trigger_count += 1
+        if not self._waiters:
+            return 0
         waiters, self._waiters = self._waiters, []
         for process in waiters:
             sim._schedule_resume(process, payload)

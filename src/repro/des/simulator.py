@@ -114,11 +114,14 @@ class Simulator:
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
-        Binds arguments without a closure.  Every scheduling entry point
-        validates here: a time in the past or a non-finite one names the
-        offending callback, so callers that compute event times (the
-        fault injector, retry timers) get a clear error instead of an
-        event that would silently corrupt the clock's monotonicity.
+        Binds arguments without a closure.  Every caller that computes
+        an event time (``schedule_at`` / ``schedule_in``, the fault
+        injector, retry timers) validates here: a time in the past or a
+        non-finite one names the offending callback instead of silently
+        corrupting the clock's monotonicity.  Process resumptions do not
+        pass through here — they push ``now + duration`` directly, and
+        :class:`~repro.des.process.Hold` rejects a negative or
+        non-finite duration at construction.
         """
         if time < self._now:
             raise ValueError(
@@ -175,42 +178,39 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         queue = self._queue
-        peek_time = queue.peek_time
-        pop_at = queue.pop_at
+        pop_due = queue.pop_due
+        horizon = math.inf if until is None else until
         record = None if self.profiler is None else self.profiler.record
+        n_events = n_batches = 0
+        batch_time = None  # timestamp of the previous event of this call
         try:
-            while not self._stop_requested:
-                next_time = peek_time()
-                if next_time is None:
+            while True:
+                event = pop_due(horizon)
+                if event is None:
+                    if until is not None and len(queue):
+                        self._now = until  # live events wait past the horizon
                     break
-                if until is not None and next_time > until:
-                    self._now = until
+                # A batch is a run of events sharing one timestamp, in
+                # scheduling order (the heap's (time, seq) total order),
+                # events scheduled at ``now`` from inside it included.
+                if event.time != batch_time:
+                    batch_time = self._now = event.time
+                    n_batches += 1
+                n_events += 1
+                if record is not None:
+                    record(event)
+                try:
+                    event.callback(*event.args)
+                except BaseException as exc:  # noqa: BLE001 - rewrapped below
+                    self._failure = (None, exc)
+                    self._stop_requested = True
                     break
-                self._now = next_time
-                # Batched dispatch: drain every event at this timestamp
-                # (still in scheduling order — pop_at preserves the
-                # (time, seq) total order) without re-checking the
-                # horizon per event.  stop() keeps its "stop after the
-                # current event" semantics via the inner check.
-                event = pop_at(next_time)
-                batch_n = 0
-                while event is not None:
-                    batch_n += 1
-                    if record is not None:
-                        record(event)
-                    try:
-                        event.callback(*event.args)
-                    except BaseException as exc:  # noqa: BLE001 - rewrapped below
-                        self._failure = (None, exc)
-                        self._stop_requested = True
-                        break
-                    if self._stop_requested:
-                        break
-                    event = pop_at(next_time)
-                self.n_dispatched += batch_n
-                self.n_batches += 1
+                if self._stop_requested:
+                    break
         finally:
             self._running = False
+            self.n_dispatched += n_events
+            self.n_batches += n_batches
         if self._failure is not None:
             process, exc = self._failure
             self._failure = None

@@ -106,19 +106,20 @@ class PiecewiseTrace(AvailabilityTrace):
             raise ValueError("times must be strictly increasing")
         for lv in levels:
             check_in_range("level", lv, MIN_AVAILABILITY, 1.0)
-        self._times = times_arr
-        self._levels = np.asarray(levels, dtype=float)
+        # Plain lists of Python floats, as in MarkovTrace: bisecting an
+        # ndarray boxes a NumPy scalar per probe.
+        self._times: list[float] = times_arr.tolist()
+        self._levels: list[float] = np.asarray(levels, dtype=float).tolist()
 
     def value(self, t: float) -> float:
         idx = bisect.bisect_right(self._times, t) - 1
-        idx = max(idx, 0)
-        return float(self._levels[idx])
+        return self._levels[max(idx, 0)]
 
     def next_change(self, t: float) -> float:
         idx = bisect.bisect_right(self._times, t)
         if idx >= len(self._times):
             return float("inf")
-        return float(self._times[idx])
+        return self._times[idx]
 
 
 class MarkovTrace(AvailabilityTrace):

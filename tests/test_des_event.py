@@ -38,17 +38,21 @@ def test_cancelled_events_skipped():
     assert fired == [2]
 
 
-def test_peek_time_skips_cancelled():
+def test_pop_due_skips_cancelled_head():
+    """A tombstone at the head hides neither the live event behind it
+    nor that event's time: a later-time event must not leak out."""
     q = EventQueue()
     e1 = q.push(1.0, lambda: None)
-    q.push(5.0, lambda: None)
-    assert q.peek_time() == 1.0
+    e5 = q.push(5.0, lambda: None)
     e1.cancel()
-    assert q.peek_time() == 5.0
+    assert q.pop_due(1.0) is None  # the head is now the t = 5 event
+    assert len(q) == 1  # ... and None left it queued
+    assert q.pop_due(5.0) is e5
+    assert len(q) == 0
 
 
-def test_peek_time_empty():
-    assert EventQueue().peek_time() is None
+def test_pop_due_empty():
+    assert EventQueue().pop_due(float("inf")) is None
     assert EventQueue().pop() is None
 
 
@@ -102,8 +106,7 @@ _OPS = st.one_of(
     st.tuples(st.just("push_call"), _TIMES),
     st.tuples(st.just("cancel"), st.integers(0, 10**6)),
     st.tuples(st.just("pop"), st.none()),
-    st.tuples(st.just("pop_at"), _TIMES),
-    st.tuples(st.just("peek_time"), st.none()),
+    st.tuples(st.just("pop_due"), st.one_of(_TIMES, st.just(float("inf")))),
     st.tuples(st.just("compact"), st.none()),
 )
 
@@ -140,14 +143,12 @@ def test_property_queue_matches_sorted_list_model(ops):
                 assert (event.time, event.seq) == model.pop(0)
             else:
                 assert event is None
-        elif op == "pop_at":
-            event = q.pop_at(arg)
-            if model and model[0][0] == arg:
+        elif op == "pop_due":
+            event = q.pop_due(arg)
+            if model and model[0][0] <= arg:
                 assert (event.time, event.seq) == model.pop(0)
             else:
-                assert event is None
-        elif op == "peek_time":
-            assert q.peek_time() == (model[0][0] if model else None)
+                assert event is None  # and the head stayed queued (len below)
         else:
             q.compact()
         assert len(q) == len(model)

@@ -97,6 +97,42 @@ def test_nonfinite_event_time_rejected():
         sim.schedule_in(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1e-300])
+def test_hold_rejects_durations_the_clock_cannot_take(duration):
+    """A NaN event time never matches or exceeds anything, so it used to
+    spin ``run()`` forever (no horizon ended it); ``inf`` ran the clock
+    to the value ``Simulator.at`` refuses."""
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        Hold(duration)
+
+
+def test_hold_accepts_zero_of_either_sign():
+    assert Hold(0.0).duration == 0.0
+    assert Hold(-0.0).duration == 0.0
+    assert Hold(0).duration == 0
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_process_yielding_a_bad_hold_fails_the_run_by_name(duration):
+    sim = Simulator()
+    log = []
+
+    def bad(sim):
+        yield Hold(1.0)
+        yield Hold(duration)  # raises inside the process, at t = 1
+
+    def bystander(sim):
+        yield Hold(3.0)
+        log.append(sim.now)
+
+    proc = sim.spawn("bad-hold", bad(sim))
+    sim.spawn("ok", bystander(sim))
+    with pytest.raises(SimulationError, match="process 'bad-hold' failed at t=1.0"):
+        sim.run(until=5.0)
+    assert isinstance(proc.error, ValueError) and not proc.alive
+    assert log == [] and sim.now == 1.0  # stopped there, finite clock
+
+
 def test_run_until_before_now_rejected():
     sim = Simulator()
     sim.schedule_at(5.0, lambda: None)

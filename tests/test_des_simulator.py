@@ -1,6 +1,10 @@
 """Tests for the simulation kernel: processes, clock, signals, errors."""
 
+import heapq
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.des import Hold, Signal, Simulator, SimulationError, Wait
 from repro.guard import GuardConfig, InvariantMonitor
@@ -447,3 +451,160 @@ def test_dispatch_loop_is_the_same_under_every_observer(observer):
     assert isinstance(error.__cause__, ZeroDivisionError)
     assert log[-1] == (2.0, "a") and now == 2.5
     assert seen in (None, n_dispatched)
+
+
+# ----------------------------------------------------------------------
+# The one-pop-per-event loop against the loop it replaced
+# ----------------------------------------------------------------------
+def _peek_time(queue):
+    """``EventQueue.peek_time`` as it was before ``pop_due`` replaced it."""
+    heap = queue._heap
+    while heap:
+        entry = heap[0]
+        if entry[2].cancelled:
+            heapq.heappop(heap)
+            queue._n_cancelled -= 1
+            continue
+        return entry[0]
+    return None
+
+
+def _pop_at(queue, time):
+    """``EventQueue.pop_at`` as it was before ``pop_due`` replaced it."""
+    heap = queue._heap
+    while heap:
+        head_time, _, event = heap[0]
+        if event.cancelled:
+            heapq.heappop(heap)
+            queue._n_cancelled -= 1
+        elif head_time != time:
+            return None
+        else:
+            heapq.heappop(heap)
+            event._queue = None
+            return event
+    return None
+
+
+class _PeekPopSimulator(Simulator):
+    """``Simulator`` with the previous ``run``: peek, then drain a batch."""
+
+    def run(self, until=None):
+        if self._running:
+            raise SimulationError("run() called re-entrantly")
+        if until is not None and until < self._now:
+            raise ValueError(f"until={until} is before now={self._now}")
+        self._running = True
+        self._stop_requested = False
+        queue = self._queue
+        record = None if self.profiler is None else self.profiler.record
+        try:
+            while not self._stop_requested:
+                next_time = _peek_time(queue)
+                if next_time is None:
+                    break
+                if until is not None and next_time > until:
+                    self._now = until
+                    break
+                self._now = next_time
+                event = _pop_at(queue, next_time)
+                batch_n = 0
+                while event is not None:
+                    batch_n += 1
+                    if record is not None:
+                        record(event)
+                    try:
+                        event.callback(*event.args)
+                    except BaseException as exc:  # noqa: BLE001
+                        self._failure = (None, exc)
+                        self._stop_requested = True
+                        break
+                    if self._stop_requested:
+                        break
+                    event = _pop_at(queue, next_time)
+                self.n_dispatched += batch_n
+                self.n_batches += 1
+        finally:
+            self._running = False
+        if self._failure is not None:
+            process, exc = self._failure
+            self._failure = None
+            where = f"process {process.name!r}" if process else "scheduled callback"
+            raise SimulationError(f"{where} failed at t={self._now}: {exc!r}") from exc
+
+
+def _play(sim, events, precancelled, untils):
+    """Run one generated schedule; return everything the loop decided."""
+    log, handles = [], []
+
+    def proc(label, delay):
+        log.append((label, "start", sim.now))
+        yield None  # requeued at the same timestamp, behind the batch
+        log.append((label, "again", sim.now))
+        yield Hold(delay)
+        log.append((label, "held", sim.now))
+        if delay == 1.0:
+            raise RuntimeError(f"{label} failed")
+
+    def fire(label, action, arg):
+        log.append((label, action, sim.now))
+        if action == "more":  # a new event at now + arg (arg = 0: same batch)
+            handles.append(sim.at(sim.now + arg, fire, label + "+", "log", None))
+        elif action == "cancel":  # any event so far: fired, pending, the head
+            handles[arg % len(handles)].cancel()
+        elif action == "stop":
+            sim.stop()
+        elif action == "raise":
+            raise RuntimeError(f"{label} raised")
+        elif action == "spawn":
+            sim.spawn(label, proc(label, arg))
+
+    for i, (time, action, arg) in enumerate(events):
+        handles.append(sim.at(time, fire, f"e{i}", action, arg))
+    for index in precancelled:
+        handles[index % len(handles)].cancel()
+    outcomes = []
+    for until in untils:
+        error = None
+        try:
+            sim.run(until=until)
+        except (SimulationError, ValueError) as exc:  # ValueError: until < now
+            error = f"{type(exc).__name__}: {exc}"
+        outcomes.append(
+            (sim.now, sim.n_dispatched, sim.n_batches, len(sim._queue), error)
+        )
+    return log, outcomes
+
+
+# Few distinct times: same-time batches, events exactly on a horizon and
+# runs resuming inside a timestamp are the common case, not the rare one.
+_EVENT_TIMES = st.sampled_from([0.0, 1.0, 2.0, 2.5, 4.0])
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0])
+_ACTIONS = st.one_of(
+    st.tuples(st.just("log"), st.none()),
+    st.tuples(st.just("more"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("stop"), st.none()),
+    st.tuples(st.just("raise"), st.none()),
+    st.tuples(st.just("spawn"), _DELAYS),
+)
+_UNTILS = st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 9.0]))
+
+
+@given(
+    st.lists(
+        st.tuples(_EVENT_TIMES, _ACTIONS).map(lambda e: (e[0], *e[1])),
+        min_size=1,
+        max_size=14,
+    ),
+    st.lists(st.integers(0, 10**6), max_size=3),
+    st.lists(_UNTILS, min_size=1, max_size=4),
+)
+def test_one_pop_per_event_loop_matches_the_peek_then_drain_loop(
+    events, precancelled, untils
+):
+    """Same callback order, clock, event / batch counts, queue length and
+    error text after every ``run()`` call of every schedule."""
+    new = _play(Simulator(), events, precancelled, untils)
+    old = _play(_PeekPopSimulator(), events, precancelled, untils)
+    assert new == old

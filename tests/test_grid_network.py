@@ -1,11 +1,19 @@
 """Tests for links, network routing and FIFO delivery."""
 
+import copy
+
 import pytest
 
 from repro.grid.host import Host
 from repro.grid.link import Link
-from repro.grid.network import Network
+from repro.grid.network import _FIFO_EPSILON, Network
+from repro.grid.platform import (
+    Platform,
+    homogeneous_cluster,
+    paper_heterogeneous_grid,
+)
 from repro.grid.traces import PiecewiseTrace
+from repro.util.rng import RngTree
 
 
 def make_hosts():
@@ -143,3 +151,99 @@ def test_export_metrics_reports_totals():
     assert records["net.bytes_sent"]["value"] == pytest.approx(3000.0)
     assert records["net.active_channels"]["value"] == 1
     assert records["net.messages_sent"]["labels"] == {"run": "x"}
+
+
+# ----------------------------------------------------------------------
+# The resolved route per directed host pair
+# ----------------------------------------------------------------------
+def _directed_pair_platform():
+    a, b, c = make_hosts()
+    wan = Link(
+        latency=0.02,
+        bandwidth=1e5,
+        bandwidth_trace=PiecewiseTrace([0.0, 3.0, 7.0], [1.0, 0.3, 0.8]),
+    )
+    net = Network(Link(latency=1e-3, bandwidth=1e6))
+    net.set_site_link("s1", "s2", wan)
+    net.set_pair_link(a, c, Link(latency=0.5, bandwidth=1e4))  # a -> c only
+    return Platform(hosts=[a, b, c], network=net)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: homogeneous_cluster(3),
+        lambda: paper_heterogeneous_grid(RngTree(7)),  # Table 1's three sites
+        _directed_pair_platform,
+    ],
+    ids=["default-link", "three-site-grid", "directed-pair"],
+)
+def test_arrival_times_equal_link_for_plus_the_formula(build):
+    """Byte-equal to resolving the link on every message."""
+    platform, reference = build(), build()
+    hosts = platform.hosts
+    pairs = [
+        (i, j)
+        for i in (0, 1, len(hosts) // 2, len(hosts) - 1)
+        for j in (0, 1, len(hosts) - 1)
+        if i != j
+    ]
+    last = {}
+    clamped = 0
+    for step in range(40):
+        # Bursts (two sends at one instant) make the FIFO clamp bind.
+        now = 0.37 * (step // 2)
+        for i, j in pairs:
+            nbytes = 64.0 + 1000.0 * ((step + i + 3 * j) % 5)
+            got = platform.network.arrival_time(hosts[i], hosts[j], nbytes, now)
+            src, dst = reference.hosts[i], reference.hosts[j]
+            link = reference.network.link_for(src, dst)
+            want = now + link.transfer_time(nbytes, now)
+            previous = last.get((i, j), -float("inf"))
+            clamped += previous + _FIFO_EPSILON > want
+            want = last[i, j] = max(want, previous + _FIFO_EPSILON)
+            assert got == want
+    assert clamped  # the probe exercised both branches of the clamp
+
+
+def test_registering_a_link_after_a_timed_message_reroutes_the_next_one():
+    a, b, c = make_hosts()
+    net = Network(Link(latency=1.0, bandwidth=1e9))
+    assert net.arrival_time(a, c, 0.0, 0.0) == 1.0  # resolved: default link
+    net.set_site_link("s2", "s1", Link(latency=2.0, bandwidth=1e9))
+    assert net.arrival_time(a, c, 0.0, 10.0) == 12.0
+    assert net.arrival_time(c, a, 0.0, 10.0) == 12.0
+    net.set_pair_link(a, c, Link(latency=3.0, bandwidth=1e9))
+    assert net.arrival_time(a, c, 0.0, 20.0) == 23.0
+    assert net.arrival_time(c, a, 0.0, 20.0) == 22.0  # pair links are directed
+    assert net.arrival_time(a, b, 0.0, 20.0) == 21.0  # untouched pair: default
+
+
+def test_in_place_latency_change_is_seen_through_the_resolved_route():
+    """What ``LatencySpike`` does: the link object is mutated, not replaced."""
+    a, b, _ = make_hosts()
+    link = Link(latency=1.0, bandwidth=1e9)
+    net = Network(link)
+    assert net.arrival_time(a, b, 0.0, 0.0) == 1.0
+    link.latency = 4.0
+    assert net.arrival_time(a, b, 0.0, 10.0) == 14.0
+    link.latency = 1.0
+    assert net.arrival_time(a, b, 0.0, 20.0) == 21.0
+
+
+def test_deep_copied_platform_keeps_its_own_routes_and_fifo_state():
+    platform = _directed_pair_platform()
+    a, _, c = platform.hosts
+    first = platform.network.arrival_time(a, c, 100.0, 0.0)  # resolves a -> c
+    clone = copy.deepcopy(platform)
+    ca, _, cc = clone.hosts
+    # The copy carries the FIFO clamp it was copied with ...
+    assert clone.network.arrival_time(ca, cc, 0.0, 0.0) == first + _FIFO_EPSILON
+    # ... its resolved route points at its *own* link objects ...
+    clone.network.link_for(ca, cc).latency = 9.0
+    assert clone.network.arrival_time(ca, cc, 0.0, 50.0) == 59.0
+    assert platform.network.arrival_time(a, c, 0.0, 50.0) == 50.5
+    # ... and a reset of one leaves the other's state alone.
+    clone.network.reset()
+    assert clone.network.messages_sent == 0
+    assert platform.network.messages_sent == 2

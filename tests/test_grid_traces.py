@@ -1,5 +1,8 @@
 """Tests for availability traces."""
 
+import bisect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -38,6 +41,29 @@ def test_piecewise_values_and_changes():
     assert t.next_change(0) == 10.0
     assert t.next_change(10.0) == 20.0
     assert t.next_change(20.0) == float("inf")
+
+
+def test_piecewise_lookups_equal_the_ndarray_bisection_they_replaced():
+    """Same doubles as bisecting float64 arrays, on breakpoints +- 1 ulp."""
+    rng = np.random.default_rng(11)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 9.0, 60))))
+    levels = rng.uniform(MIN_AVAILABILITY, 1.0, times.size)
+    # Sequences, ndarrays and integer breakpoints all validate as before.
+    for trace in (
+        PiecewiseTrace(times.tolist(), levels.tolist()),
+        PiecewiseTrace(times, levels),
+    ):
+        probes = [-1.0, times[-1] * 2, math.inf]
+        for t in times.tolist():
+            probes += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+            probes.append(t + 0.5e-3)
+        for t in probes:
+            idx = bisect.bisect_right(times, t)
+            assert trace.value(t) == float(levels[max(idx - 1, 0)])
+            want = float(times[idx]) if idx < times.size else math.inf
+            assert trace.next_change(t) == want
+            assert type(trace.value(t)) is type(trace.next_change(t)) is float
+    assert PiecewiseTrace([0, 2, 5], [1, 0.5, 1]).next_change(2) == 5.0
 
 
 def test_piecewise_mean_over():

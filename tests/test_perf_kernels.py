@@ -14,7 +14,7 @@ down:
 * equivalence of compacted vs full-batch ``newton_batched_2x2``;
 * modified-Newton (``jacobian_refresh``) reaching the same fixed point;
 * the event queue's live-only ``len()``, tombstone compaction and
-  ``pop_at`` batched dispatch;
+  ``pop_due`` horizon-bounded dispatch;
 * determinism of a full AIAC run — the event trace and solution bytes
   are identical run-to-run.
 """
@@ -342,25 +342,26 @@ def test_compaction_keeps_order_and_bounds_heap():
     assert times == [float(i) for i in range(250, 300)]
 
 
-def test_pop_at_only_drains_exact_timestamp():
+def test_pop_due_stops_at_the_horizon():
     q = EventQueue()
-    q.push(1.0, lambda: "a")
-    q.push(1.0, lambda: "b")
+    a = q.push(1.0, lambda: "a")
+    b = q.push(1.0, lambda: "b")
     q.push(2.0, lambda: "c")
-    assert q.pop_at(1.0) is not None
-    assert q.pop_at(1.0) is not None
-    assert q.pop_at(1.0) is None  # next event is at t=2.0
-    assert len(q) == 1
+    assert q.pop_due(1.0) is a
+    assert q.pop_due(1.0) is b  # same-time events in scheduling order
+    assert q.pop_due(1.0) is None  # next event is at t=2.0
+    assert len(q) == 1  # ... and it stayed queued
 
 
-def test_pop_at_skips_tombstone_but_not_later_times():
-    """A cancelled head must not let pop_at leak a later-time event."""
+def test_pop_due_skips_tombstone_but_not_later_times():
+    """A cancelled head must not let pop_due leak a later-time event."""
     q = EventQueue()
     e1 = q.push(1.0, lambda: "a")
-    q.push(2.0, lambda: "b")
+    e2 = q.push(2.0, lambda: "b")
     e1.cancel()
-    assert q.pop_at(1.0) is None
-    assert q.peek_time() == 2.0
+    assert q.pop_due(1.0) is None
+    assert len(q) == 1
+    assert q.pop_due(2.0) is e2
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """White-box tests of the chain solver machinery."""
 
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +13,17 @@ from hypothesis import strategies as st
 from repro.core import SolverConfig, run_aiac
 from repro.core.solver import build_chain
 from repro.grid import homogeneous_cluster
-from repro.problems import SyntheticProblem
+from repro.models import run_model
+from repro.problems import (
+    AdvectionDiffusionProblem,
+    BrusselatorProblem,
+    HeatProblem,
+    LinearFixedPointProblem,
+    SyntheticProblem,
+    random_contraction_system,
+)
 from repro.runtime.message import Message
+from repro.workloads import Figure5Scenario
 
 
 def make_run(n_ranks=3, n=24):
@@ -72,7 +83,12 @@ def test_send_halo_at_chain_edges_is_noop():
     run = make_run()
     assert not run.send_halo(run.ranks[0], "left", estimate=1.0, exclusive=False)
     assert not run.send_halo(run.ranks[2], "right", estimate=1.0, exclusive=False)
+    # Nothing was timed, scheduled or traced for the two edge "sends".
+    assert run.platform.network.messages_sent == 0
+    assert len(run.sim._queue) == 0
+    assert run.tracer.n_messages() == 0
     assert run.send_halo(run.ranks[0], "right", estimate=1.0, exclusive=False)
+    assert run.platform.network.messages_sent == 1
 
 
 def test_neighbor_resolution():
@@ -81,6 +97,37 @@ def test_neighbor_resolution():
     assert run.neighbor(0, "right") is run.ranks[1]
     assert run.neighbor(2, "right") is None
     assert run.neighbor(2, "left") is run.ranks[1]
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 5])
+def test_neighbor_table_is_the_topology_path_neighbors(n_ranks):
+    run = make_run(n_ranks=n_ranks)
+    for rank in range(n_ranks):
+        for side in ("left", "right"):
+            idx = run.topology.path_neighbor(rank, side)
+            want = None if idx is None else run.ranks[idx]
+            assert run.neighbor(rank, side) is want
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        SyntheticProblem(np.full(12, 0.8), coupling=0.3),
+        LinearFixedPointProblem(
+            *random_contraction_system(12, np.random.default_rng(0), contraction=0.7)
+        ),
+        HeatProblem(12, t_end=0.05, n_steps=8),
+        AdvectionDiffusionProblem(12, n_steps=10),
+        BrusselatorProblem(12, t_end=1.0, n_steps=6),
+    ],
+    ids=lambda problem: type(problem).__name__,
+)
+def test_halo_message_size_is_fixed_at_build(problem):
+    config = SolverConfig(header_bytes=48.0)
+    run = build_chain(problem, homogeneous_cluster(3, speed=100.0), config)
+    assert run._halo_bytes == problem.halo_nbytes() + config.header_bytes
+    assert run.send_halo(run.ranks[1], "left", estimate=1.0, exclusive=False)
+    assert run.platform.network.bytes_sent == run._halo_bytes
 
 
 def test_abort_sets_reason_once():
@@ -153,3 +200,40 @@ def test_estimator_l2_expression_is_np_linalg_norm_bitwise(values):
         ours = math.sqrt(float(r.dot(r)))
         theirs = float(np.linalg.norm(r))
     assert struct.pack("<d", ours) == struct.pack("<d", theirs)
+
+
+# ----------------------------------------------------------------------
+# Fixed cost of a sweep, counted in frames (independent of host speed)
+# ----------------------------------------------------------------------
+def _repro_frames_per_sweep(model):
+    """Python frames entered under ``repro/`` per sweep of one tiny run."""
+    scenario = Figure5Scenario.tiny()
+    platform = scenario.platform(8)
+    marker = os.sep + "repro" + os.sep
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call" and marker in frame.f_code.co_filename:
+            frames += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run_model(model, scenario, platform=platform)
+    finally:
+        sys.setprofile(previous)
+    assert result.converged
+    return frames / sum(result.iterations)
+
+
+@pytest.mark.parametrize(
+    ("model", "measured"), [("aiac", 66.44), ("aiac+lb", 84.10)]
+)
+def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(model, measured):
+    """The event-driven path's per-event and per-message fixed cost, as a
+    count that repeats exactly: what PR 20 measured (CPython 3.11; the
+    parent entered 79.5 / 108.8) plus 2 %.  A hot-path edit that adds a
+    call per event, message or sweep fails here by name.  A ceiling, not
+    an equality: CPython 3.12 inlines comprehensions."""
+    assert _repro_frames_per_sweep(model) <= measured * 1.02
