@@ -137,13 +137,13 @@ class _BalancedRun:
         run.rank_busy = self._rank_busy
         for ctx in run.ranks:
             ctx.estimator = make_estimator(lb_config.estimator)
+            node = ctx.node
             # Kinds sent toward ``out_side`` arrive from ``side`` at the
             # receiver.  The failure hooks (resilient transport only,
             # inert on the lossless fast path) run at the *sender*, whose
             # protocol state is keyed by the side it sent toward.
             for side, out_side in (("left", "right"), ("right", "left")):
                 offer, reply, data = _KINDS_TOWARD[out_side]
-                node = ctx.node
                 node.register_handler(offer, partial(self._on_offer, ctx, side))
                 node.register_handler(reply, partial(self._on_reply, ctx, side))
                 node.register_handler(data, partial(self._on_data, ctx, side))
@@ -309,7 +309,7 @@ class _BalancedRun:
         state.outgoing[side] = None
         neighbor = run.neighbor(ctx.rank, side)
         assert neighbor is not None
-        data_kind = _KINDS_TOWARD[side][2]
+        _, _, data_kind = _KINDS_TOWARD[side]
         # Re-validate the amount against the current block (it may have
         # shrunk since the offer); cancel with a zero-count message so
         # the receiver clears its expectation.

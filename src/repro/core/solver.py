@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import copy
 import math
-from functools import partial
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator
 
 from repro.core.config import SolverConfig
@@ -203,15 +203,13 @@ class ChainRun:
             self.ranks.append(ctx)
         # The chain is fixed for the run: who sits on each side of a rank
         # and what a halo message weighs are resolved once, here.
-        path_neighbor = self.topology.path_neighbor
-        self._neighbors: list[dict[str, RankContext | None]] = [
-            {
-                side: None if (idx := path_neighbor(rank, side)) is None
-                else self.ranks[idx]
-                for side in ("left", "right")
-            }
-            for rank in range(n_ranks)
-        ]
+        self._neighbors: list[dict[str, RankContext | None]] = []
+        for rank in range(n_ranks):
+            sides = {}
+            for side in ("left", "right"):
+                idx = self.topology.path_neighbor(rank, side)
+                sides[side] = None if idx is None else self.ranks[idx]
+            self._neighbors.append(sides)
         self._halo_bytes = problem.halo_nbytes() + config.header_bytes
         for ctx in self.ranks:
             self._register_halo_handlers(ctx)
@@ -581,7 +579,7 @@ class ChainRun:
             # neither ``ctx.iteration`` nor ``ctx.residual``.)
             return duration
         now = sim.now
-        n_local = ctx.hi - ctx.lo
+        n_local = ctx.n_local
         residuals = result.residuals
         # What np.linalg.norm evaluates for a 1-D float array, without
         # its dispatch (pinned bitwise in tests/test_solver_internals.py).

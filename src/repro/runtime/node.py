@@ -340,8 +340,9 @@ class GridNode:
 
         now = self.sim.now
         arrival = self.network.arrival_time(self.host, dst.host, size_bytes, now)
-        # Positional, in field order: kind, payload, size_bytes, src_rank,
-        # dst_rank, send_time, arrival_time.
+        # Positional (kind, payload, size_bytes, src_rank, dst_rank,
+        # send_time, arrival_time): half the cost of the keyword form,
+        # once per message.
         message = Message(kind, payload, size_bytes, self.rank, dst.rank, now, arrival)
         self.sim.at(arrival, self._deliver_lossless, dst, message, channel)
         self.tracer.message(kind, self.rank, dst.rank, size_bytes, now, arrival)
