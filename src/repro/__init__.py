@@ -29,53 +29,33 @@ Package map (see DESIGN.md for the full inventory):
   :mod:`repro.analysis` — the evaluation harness.
 """
 
-from repro.core import (
-    LBConfig,
-    RunResult,
-    SolverConfig,
-    run_aiac,
-    run_balanced_aiac,
-)
-from repro.grid import (
-    Host,
-    Link,
-    Network,
-    Platform,
-    homogeneous_cluster,
-    multi_site_grid,
-    paper_heterogeneous_grid,
-)
-from repro.models import run_aiac_model, run_siac, run_sisc
-from repro.problems import (
-    AdvectionDiffusionProblem,
-    BrusselatorProblem,
-    HeatProblem,
-    LinearFixedPointProblem,
-    SyntheticProblem,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SolverConfig",
-    "LBConfig",
-    "RunResult",
-    "run_aiac",
-    "run_balanced_aiac",
-    "run_sisc",
-    "run_siac",
-    "run_aiac_model",
-    "AdvectionDiffusionProblem",
-    "BrusselatorProblem",
-    "HeatProblem",
-    "LinearFixedPointProblem",
-    "SyntheticProblem",
-    "Host",
-    "Link",
-    "Network",
-    "Platform",
-    "homogeneous_cluster",
-    "multi_site_grid",
-    "paper_heterogeneous_grid",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "SolverConfig": "core.config",
+        "LBConfig": "core.config",
+        "RunResult": "core.records",
+        "run_aiac": "core.solver",
+        "run_balanced_aiac": "core.lb",
+        "run_sisc": "models.sisc",
+        "run_siac": "models.siac",
+        "run_aiac_model": "models.aiac",
+        "AdvectionDiffusionProblem": "problems.advection",
+        "BrusselatorProblem": "problems.brusselator",
+        "HeatProblem": "problems.heat",
+        "LinearFixedPointProblem": "problems.linear",
+        "SyntheticProblem": "problems.synthetic",
+        "Host": "grid.host",
+        "Link": "grid.link",
+        "Network": "grid.network",
+        "Platform": "grid.platform",
+        "homogeneous_cluster": "grid.platform",
+        "multi_site_grid": "grid.platform",
+        "paper_heterogeneous_grid": "grid.platform",
+    },
+)
+__all__ = [*__all__, "__version__"]

@@ -1,24 +1,18 @@
 """Analysis of run results: metrics, Gantt rendering, report tables."""
 
-from repro.analysis.metrics import (
-    efficiency,
-    idle_fraction,
-    speedup_series,
-    time_ratio,
-    work_imbalance,
-)
-from repro.analysis.gantt import render_gantt
-from repro.analysis.plots import ascii_plot
-from repro.analysis.reporting import format_series, format_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "idle_fraction",
-    "work_imbalance",
-    "speedup_series",
-    "efficiency",
-    "time_ratio",
-    "render_gantt",
-    "ascii_plot",
-    "format_table",
-    "format_series",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "idle_fraction": "metrics",
+        "work_imbalance": "metrics",
+        "speedup_series": "metrics",
+        "efficiency": "metrics",
+        "time_ratio": "metrics",
+        "render_gantt": "gantt",
+        "ascii_plot": "plots",
+        "format_table": "reporting",
+        "format_series": "reporting",
+    },
+)

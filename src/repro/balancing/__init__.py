@@ -28,43 +28,29 @@ These operate on abstract load vectors; the *solver-integrated* balancer
 (residual-driven, component migration) is :mod:`repro.core.lb`.
 """
 
-from repro.balancing.accelerated import diffusion_matrix, second_eigenvalue
-from repro.balancing.analysis import imbalance_ratio, load_stddev, mean_load
-from repro.balancing.centralized import centralized_balance
-from repro.balancing.dimension_exchange import edge_colouring
-from repro.balancing.zoo import (
-    ZOO_ALGORITHMS,
-    ZOO_SCHEDULES,
-    TriggerPolicy,
-    ValueCorruption,
-    ZooFaultSchedule,
-    ZooParams,
-    ZooRunResult,
-    balance,
-    initial_load,
-    make_policy,
-    make_zoo_schedule,
-    run_zoo,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "diffusion_matrix",
-    "second_eigenvalue",
-    "imbalance_ratio",
-    "load_stddev",
-    "mean_load",
-    "centralized_balance",
-    "edge_colouring",
-    "ZOO_ALGORITHMS",
-    "ZOO_SCHEDULES",
-    "TriggerPolicy",
-    "ValueCorruption",
-    "ZooFaultSchedule",
-    "ZooParams",
-    "ZooRunResult",
-    "balance",
-    "initial_load",
-    "make_policy",
-    "make_zoo_schedule",
-    "run_zoo",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "diffusion_matrix": "accelerated",
+        "second_eigenvalue": "accelerated",
+        "imbalance_ratio": "analysis",
+        "load_stddev": "analysis",
+        "mean_load": "analysis",
+        "centralized_balance": "centralized",
+        "edge_colouring": "dimension_exchange",
+        "ZOO_ALGORITHMS": "zoo",
+        "ZOO_SCHEDULES": "zoo",
+        "TriggerPolicy": "zoo",
+        "ValueCorruption": "zoo",
+        "ZooFaultSchedule": "zoo",
+        "ZooParams": "zoo",
+        "ZooRunResult": "zoo",
+        "balance": "zoo",
+        "initial_load": "zoo",
+        "make_policy": "zoo",
+        "make_zoo_schedule": "zoo",
+        "run_zoo": "zoo",
+    },
+)

@@ -15,32 +15,23 @@ The synchronous execution models (SISC, SIAC) built on the same
 machinery live in :mod:`repro.models`.
 """
 
-from repro.core.config import LBConfig, SolverConfig
-from repro.core.convergence import SupervisorMonitor, TokenRingDetector
-from repro.core.estimators import (
-    ComponentCountEstimator,
-    IterationTimeEstimator,
-    LoadEstimator,
-    ResidualEstimator,
-    make_estimator,
-)
-from repro.core.partition import PartitionRegistry
-from repro.core.records import RunResult
-from repro.core.solver import run_aiac
-from repro.core.lb import run_balanced_aiac
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SolverConfig",
-    "LBConfig",
-    "SupervisorMonitor",
-    "TokenRingDetector",
-    "LoadEstimator",
-    "ResidualEstimator",
-    "IterationTimeEstimator",
-    "ComponentCountEstimator",
-    "make_estimator",
-    "PartitionRegistry",
-    "RunResult",
-    "run_aiac",
-    "run_balanced_aiac",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "SolverConfig": "config",
+        "LBConfig": "config",
+        "SupervisorMonitor": "convergence",
+        "TokenRingDetector": "convergence",
+        "LoadEstimator": "estimators",
+        "ResidualEstimator": "estimators",
+        "IterationTimeEstimator": "estimators",
+        "ComponentCountEstimator": "estimators",
+        "make_estimator": "estimators",
+        "PartitionRegistry": "partition",
+        "RunResult": "records",
+        "run_aiac": "solver",
+        "run_balanced_aiac": "lb",
+    },
+)

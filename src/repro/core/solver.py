@@ -38,7 +38,7 @@ from repro.core.records import RunResult
 from repro.des import Hold, Signal, Simulator, Wait
 from repro.grid.platform import Platform
 from repro.problems.base import Problem
-from repro.integrity import checkpoint_crc, corrupt_array_inplace
+from repro.integrity import checkpoint_crc
 from repro.runtime.message import Message
 from repro.runtime.node import GridNode
 from repro.runtime.tracer import Tracer
@@ -402,6 +402,8 @@ class ChainRun:
         Returns a damage description, or None when there is nothing to
         poison (dead host; no checkpoint yet; opaque state layout).
         """
+        from repro.integrity import corrupt_array_inplace
+
         ctx = self.ranks[fault.rank]
         if fault.target == "checkpoint":
             snap = ctx.checkpoint

@@ -16,21 +16,21 @@ Determinism: simultaneous events are ordered by their scheduling sequence
 number, so a run is a pure function of its inputs (DESIGN.md §7).
 """
 
-from repro.des.event import EventQueue, ScheduledEvent
-from repro.des.process import Hold, Process, ProcessDied, Signal, Wait
-from repro.des.simulator import Simulator, SimulationError
-from repro.des.sync import Barrier, Mutex
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "ScheduledEvent",
-    "Hold",
-    "Wait",
-    "Signal",
-    "Process",
-    "ProcessDied",
-    "Simulator",
-    "SimulationError",
-    "Barrier",
-    "Mutex",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "EventQueue": "event",
+        "ScheduledEvent": "event",
+        "Hold": "process",
+        "Wait": "process",
+        "Signal": "process",
+        "Process": "process",
+        "ProcessDied": "process",
+        "Simulator": "simulator",
+        "SimulationError": "simulator",
+        "Barrier": "sync",
+        "Mutex": "sync",
+    },
+)

@@ -9,34 +9,22 @@ the serial path in every case.  See ``docs/performance.md`` for the
 determinism contract and the cache layout.
 """
 
-from repro.exec.cache import (
-    CACHE_EPOCH,
-    CACHE_SCHEMA,
-    DEFAULT_CACHE_DIR,
-    RunCache,
-    code_salt,
-)
-from repro.exec.engine import (
-    EngineStats,
-    SweepCancelled,
-    SweepEngine,
-    Task,
-    default_jobs,
-    normalise_payload,
-    sweep,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CACHE_EPOCH",
-    "CACHE_SCHEMA",
-    "DEFAULT_CACHE_DIR",
-    "EngineStats",
-    "RunCache",
-    "SweepCancelled",
-    "SweepEngine",
-    "Task",
-    "code_salt",
-    "default_jobs",
-    "normalise_payload",
-    "sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "CACHE_EPOCH": "cache",
+        "CACHE_SCHEMA": "cache",
+        "DEFAULT_CACHE_DIR": "cache",
+        "EngineStats": "engine",
+        "RunCache": "cache",
+        "SweepCancelled": "engine",
+        "SweepEngine": "engine",
+        "Task": "engine",
+        "code_salt": "cache",
+        "default_jobs": "engine",
+        "normalise_payload": "engine",
+        "sweep": "engine",
+    },
+)

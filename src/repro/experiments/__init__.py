@@ -15,35 +15,25 @@ fold of the payload list into the result object, and one row of
 observed runs.
 """
 
-from repro.experiments.figure5 import Figure5Result, run_figure5
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.figures_1_to_4 import TraceFiguresResult, run_trace_figures
-from repro.experiments.models_comparison import (
-    ModelsComparisonResult,
-    run_models_comparison,
-)
-from repro.experiments.integrity import IntegrityResult, run_integrity
-from repro.experiments.resilience import ResilienceResult, run_resilience
-from repro.experiments.topology_zoo import (
-    TopologyZooResult,
-    TopologyZooScenario,
-    run_topology_zoo,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "run_figure5",
-    "Figure5Result",
-    "run_table1",
-    "Table1Result",
-    "run_trace_figures",
-    "TraceFiguresResult",
-    "run_models_comparison",
-    "ModelsComparisonResult",
-    "run_integrity",
-    "IntegrityResult",
-    "run_resilience",
-    "ResilienceResult",
-    "run_topology_zoo",
-    "TopologyZooResult",
-    "TopologyZooScenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "run_figure5": "figure5",
+        "Figure5Result": "figure5",
+        "run_table1": "table1",
+        "Table1Result": "table1",
+        "run_trace_figures": "figures_1_to_4",
+        "TraceFiguresResult": "figures_1_to_4",
+        "run_models_comparison": "models_comparison",
+        "ModelsComparisonResult": "models_comparison",
+        "run_integrity": "integrity",
+        "IntegrityResult": "integrity",
+        "run_resilience": "resilience",
+        "ResilienceResult": "resilience",
+        "run_topology_zoo": "topology_zoo",
+        "TopologyZooResult": "topology_zoo",
+        "TopologyZooScenario": "topology_zoo",
+    },
+)

@@ -8,38 +8,25 @@ family (payload/state/storage) and its detection layer are documented in
 ``docs/robustness.md`` ("Data integrity").
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.models import (
-    CORRUPTION_MODES,
-    FAULT_TYPES,
-    FaultSchedule,
-    HostCrash,
-    HostSlowdown,
-    LatencySpike,
-    LinkPartition,
-    MessageDuplication,
-    MessageLoss,
-    MessageReordering,
-    PayloadCorruption,
-    ResilienceConfig,
-    StateCorruption,
-    StorageCorruption,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "FaultSchedule",
-    "ResilienceConfig",
-    "MessageLoss",
-    "MessageDuplication",
-    "MessageReordering",
-    "LinkPartition",
-    "HostCrash",
-    "HostSlowdown",
-    "LatencySpike",
-    "PayloadCorruption",
-    "StateCorruption",
-    "StorageCorruption",
-    "FAULT_TYPES",
-    "CORRUPTION_MODES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "FaultInjector": "injector",
+        "FaultSchedule": "models",
+        "ResilienceConfig": "models",
+        "MessageLoss": "models",
+        "MessageDuplication": "models",
+        "MessageReordering": "models",
+        "LinkPartition": "models",
+        "HostCrash": "models",
+        "HostSlowdown": "models",
+        "LatencySpike": "models",
+        "PayloadCorruption": "models",
+        "StateCorruption": "models",
+        "StorageCorruption": "models",
+        "FAULT_TYPES": "models",
+        "CORRUPTION_MODES": "models",
+    },
+)

@@ -13,34 +13,22 @@ Time is virtual (driven by :mod:`repro.des`); hosts convert *work units*
 integrating their effective speed over their availability trace.
 """
 
-from repro.grid.traces import (
-    AvailabilityTrace,
-    ConstantTrace,
-    MarkovTrace,
-    PiecewiseTrace,
-)
-from repro.grid.host import Host
-from repro.grid.link import Link
-from repro.grid.network import Network
-from repro.grid.platform import (
-    Platform,
-    homogeneous_cluster,
-    multi_site_grid,
-    paper_heterogeneous_grid,
-    SiteSpec,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AvailabilityTrace",
-    "ConstantTrace",
-    "PiecewiseTrace",
-    "MarkovTrace",
-    "Host",
-    "Link",
-    "Network",
-    "Platform",
-    "SiteSpec",
-    "homogeneous_cluster",
-    "multi_site_grid",
-    "paper_heterogeneous_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "AvailabilityTrace": "traces",
+        "ConstantTrace": "traces",
+        "PiecewiseTrace": "traces",
+        "MarkovTrace": "traces",
+        "Host": "host",
+        "Link": "link",
+        "Network": "network",
+        "Platform": "platform",
+        "SiteSpec": "platform",
+        "homogeneous_cluster": "platform",
+        "multi_site_grid": "platform",
+        "paper_heterogeneous_grid": "platform",
+    },
+)

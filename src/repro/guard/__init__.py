@@ -35,32 +35,21 @@ empty observer slot and the transport keeps its exact event trace
 (fingerprint-pinned, like the profiler).  See ``docs/robustness.md``.
 """
 
-from repro.guard.invariants import (
-    GuardConfig,
-    InvariantMonitor,
-    InvariantViolation,
-)
-from repro.guard.plausibility import PlausibilityGuard
-from repro.guard.soak import (
-    SoakFailure,
-    SoakResult,
-    SoakScenario,
-    random_schedule,
-    run_soak,
-    shrink_schedule,
-)
-from repro.guard.watchdogs import StallReport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GuardConfig",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "PlausibilityGuard",
-    "StallReport",
-    "SoakFailure",
-    "SoakResult",
-    "SoakScenario",
-    "random_schedule",
-    "run_soak",
-    "shrink_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "GuardConfig": "invariants",
+        "InvariantMonitor": "invariants",
+        "InvariantViolation": "invariants",
+        "PlausibilityGuard": "plausibility",
+        "StallReport": "watchdogs",
+        "SoakFailure": "soak",
+        "SoakResult": "soak",
+        "SoakScenario": "soak",
+        "random_schedule": "soak",
+        "run_soak": "soak",
+        "shrink_schedule": "soak",
+    },
+)

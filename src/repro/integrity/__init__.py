@@ -30,17 +30,15 @@ the WAL/audit/cache quarantine paths in :mod:`repro.serve` and
 integrity").
 """
 
-from repro.integrity.checksum import checkpoint_crc, payload_checksum
-from repro.integrity.damage import (
-    corrupt_array_inplace,
-    corrupt_file,
-    corrupt_payload,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "payload_checksum",
-    "checkpoint_crc",
-    "corrupt_payload",
-    "corrupt_array_inplace",
-    "corrupt_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "payload_checksum": "checksum",
+        "checkpoint_crc": "checksum",
+        "corrupt_payload": "damage",
+        "corrupt_array_inplace": "damage",
+        "corrupt_file": "damage",
+    },
+)

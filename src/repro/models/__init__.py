@@ -31,23 +31,23 @@ fewer dispatched events — used by the scale benchmarks and the
 
 from typing import Any
 
+from repro._exports import lazy_exports
 from repro.core.lb import run_balanced_aiac
 from repro.core.records import RunResult
 from repro.core.solver import run_aiac
 from repro.models.sisc import run_sisc
 from repro.models.siac import run_siac
-from repro.models.aiac import run_aiac_model
-from repro.models.lockstep import run_sisc_batched
 
-__all__ = [
-    "MODELS",
-    "VERSIONS",
-    "run_model",
-    "run_sisc",
-    "run_siac",
-    "run_aiac_model",
-    "run_sisc_batched",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "run_sisc": "sisc",
+        "run_siac": "siac",
+        "run_aiac_model": "aiac",
+        "run_sisc_batched": "lockstep",
+    },
+)
+__all__ = ["MODELS", "VERSIONS", "run_model", *__all__]
 
 #: Model name -> driver: the one place a model name is resolved.
 MODELS = {

@@ -16,24 +16,23 @@ iteration, active components take several, so the local residual is a
 faithful load estimator exactly as the paper argues (Section 5.2).
 """
 
-from repro.numerics.banded import BandedMatrix, solve_banded_system, thomas_solve
-from repro.numerics.newton import NewtonOptions, NewtonResult, newton_batched_2x2
-from repro.numerics.euler import implicit_euler_dense, implicit_euler_banded
-from repro.numerics.norms import max_abs_norm, l2_norm, relative_change
-from repro.numerics.ragged import ChainSegments, validate_chain_blocks
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BandedMatrix",
-    "solve_banded_system",
-    "thomas_solve",
-    "NewtonOptions",
-    "NewtonResult",
-    "newton_batched_2x2",
-    "implicit_euler_dense",
-    "implicit_euler_banded",
-    "max_abs_norm",
-    "l2_norm",
-    "relative_change",
-    "ChainSegments",
-    "validate_chain_blocks",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "BandedMatrix": "banded",
+        "solve_banded_system": "banded",
+        "thomas_solve": "banded",
+        "NewtonOptions": "newton",
+        "NewtonResult": "newton",
+        "newton_batched_2x2": "newton",
+        "implicit_euler_dense": "euler",
+        "implicit_euler_banded": "euler",
+        "max_abs_norm": "norms",
+        "l2_norm": "norms",
+        "relative_change": "norms",
+        "ChainSegments": "ragged",
+        "validate_chain_blocks": "ragged",
+    },
+)

@@ -26,35 +26,24 @@ sidecars — CI regression-checks the ``stable_digest`` exactly like the
 ``BENCH_*.json`` reports.  See ``docs/observability.md``.
 """
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.export import (
-    TraceRing,
-    iter_trace_events,
-    metrics_jsonl_lines,
-    write_chrome_trace,
-    write_metrics_jsonl,
-)
-from repro.obs.profile import SimProfiler
-from repro.obs.harness import (
-    MetricsSidecar,
-    ObsRun,
-    collect_result_metrics,
-    run_observed,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TraceRing",
-    "iter_trace_events",
-    "metrics_jsonl_lines",
-    "write_chrome_trace",
-    "write_metrics_jsonl",
-    "SimProfiler",
-    "MetricsSidecar",
-    "ObsRun",
-    "collect_result_metrics",
-    "run_observed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "MetricsRegistry": "registry",
+        "Counter": "registry",
+        "Gauge": "registry",
+        "Histogram": "registry",
+        "TraceRing": "export",
+        "iter_trace_events": "export",
+        "metrics_jsonl_lines": "export",
+        "write_chrome_trace": "export",
+        "write_metrics_jsonl": "export",
+        "SimProfiler": "profile",
+        "MetricsSidecar": "harness",
+        "ObsRun": "harness",
+        "collect_result_metrics": "harness",
+        "run_observed": "harness",
+    },
+)

@@ -20,20 +20,18 @@ Problems:
   equation, a second physical example.
 """
 
-from repro.problems.base import IterationResult, Problem
-from repro.problems.brusselator import BrusselatorProblem
-from repro.problems.synthetic import SyntheticProblem
-from repro.problems.linear import LinearFixedPointProblem, random_contraction_system
-from repro.problems.heat import HeatProblem
-from repro.problems.advection import AdvectionDiffusionProblem
+from repro._exports import lazy_exports
 
-__all__ = [
-    "IterationResult",
-    "Problem",
-    "BrusselatorProblem",
-    "SyntheticProblem",
-    "LinearFixedPointProblem",
-    "random_contraction_system",
-    "HeatProblem",
-    "AdvectionDiffusionProblem",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "IterationResult": "base",
+        "Problem": "base",
+        "BrusselatorProblem": "brusselator",
+        "SyntheticProblem": "synthetic",
+        "LinearFixedPointProblem": "linear",
+        "random_contraction_system": "linear",
+        "HeatProblem": "heat",
+        "AdvectionDiffusionProblem": "advection",
+    },
+)

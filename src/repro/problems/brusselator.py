@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.numerics.euler import implicit_euler_banded
 from repro.numerics.newton import NewtonOptions, newton_batched_2x2
 from repro.problems.base import IterationResult, Problem, padded
 from repro.problems.chain_sweeper import TrajectoryChainSweeper
@@ -637,6 +636,8 @@ class BrusselatorProblem(Problem):
         is the exact fixed point of the waveform relaxation on the same
         grid (up to Newton tolerance).
         """
+        from repro.numerics.euler import implicit_euler_banded
+
         n, c = self.n_components, self.c
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:

@@ -16,27 +16,20 @@ package reproduces that programming model on the DES:
   by the Gantt renderings (Figures 1–4) and all metrics.
 """
 
-from repro.runtime.memory import export_memory_metrics, peak_rss_bytes
-from repro.runtime.message import Message
-from repro.runtime.node import GridNode
-from repro.runtime.tracer import (
-    IterationSpan,
-    IdleSpan,
-    MessageRecord,
-    MigrationRecord,
-    ResidualRecord,
-    Tracer,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Message",
-    "GridNode",
-    "peak_rss_bytes",
-    "export_memory_metrics",
-    "Tracer",
-    "IterationSpan",
-    "IdleSpan",
-    "MessageRecord",
-    "MigrationRecord",
-    "ResidualRecord",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "Message": "message",
+        "GridNode": "node",
+        "peak_rss_bytes": "memory",
+        "export_memory_metrics": "memory",
+        "Tracer": "tracer",
+        "IterationSpan": "tracer",
+        "IdleSpan": "tracer",
+        "MessageRecord": "tracer",
+        "MigrationRecord": "tracer",
+        "ResidualRecord": "tracer",
+    },
+)

@@ -13,52 +13,37 @@ watchdog with kill + requeue-with-backoff, and a ``/healthz``-style
 status verb.  See ``docs/serving.md``.
 """
 
-from repro.serve.audit import (
-    AUDIT_SCHEMA,
-    AuditLog,
-    AuditReplayReport,
-    audit_replay,
-    read_audit,
-)
-from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.jobs import Job, JobTable, QuotaError, STATES, TERMINAL_STATES
-from repro.serve.protocol import PROTOCOL_SCHEMA, ServeClient, ServeError
-from repro.serve.scheduler import FairShareScheduler
-from repro.serve.spec import (
-    AdmissionError,
-    KINDS,
-    config_digest,
-    execute_spec,
-    validate_spec,
-)
-from repro.serve.wal import WAL_SCHEMA, JobWAL, WALError, fold, record_crc, replay
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AUDIT_SCHEMA",
-    "AdmissionError",
-    "AuditLog",
-    "AuditReplayReport",
-    "FairShareScheduler",
-    "Job",
-    "JobTable",
-    "JobWAL",
-    "KINDS",
-    "PROTOCOL_SCHEMA",
-    "QuotaError",
-    "STATES",
-    "ServeClient",
-    "ServeConfig",
-    "ServeDaemon",
-    "ServeError",
-    "TERMINAL_STATES",
-    "WALError",
-    "WAL_SCHEMA",
-    "audit_replay",
-    "config_digest",
-    "execute_spec",
-    "fold",
-    "read_audit",
-    "record_crc",
-    "replay",
-    "validate_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "AUDIT_SCHEMA": "audit",
+        "AdmissionError": "spec",
+        "AuditLog": "audit",
+        "AuditReplayReport": "audit",
+        "FairShareScheduler": "scheduler",
+        "Job": "jobs",
+        "JobTable": "jobs",
+        "JobWAL": "wal",
+        "KINDS": "spec",
+        "PROTOCOL_SCHEMA": "protocol",
+        "QuotaError": "jobs",
+        "STATES": "jobs",
+        "ServeClient": "protocol",
+        "ServeConfig": "daemon",
+        "ServeDaemon": "daemon",
+        "ServeError": "protocol",
+        "TERMINAL_STATES": "jobs",
+        "WALError": "wal",
+        "WAL_SCHEMA": "wal",
+        "audit_replay": "audit",
+        "config_digest": "spec",
+        "execute_spec": "spec",
+        "fold": "wal",
+        "read_audit": "audit",
+        "record_crc": "wal",
+        "replay": "wal",
+        "validate_spec": "spec",
+    },
+)

@@ -9,31 +9,21 @@ provides the chain orderings and the dependency-graph view used by the
 balancing library.
 """
 
-from repro.topology.logical import (
-    identity_order,
-    interleaved_sites_order,
-    random_order,
-    sorted_by_speed_order,
-)
-from repro.topology.dependency import chain_dependency_graph, dependency_graph_stats
-from repro.topology.graphs import (
-    TOPOLOGY_FAMILIES,
-    Topology,
-    TopologySpec,
-    build_topology,
-    spec_for_family,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "identity_order",
-    "interleaved_sites_order",
-    "random_order",
-    "sorted_by_speed_order",
-    "chain_dependency_graph",
-    "dependency_graph_stats",
-    "TOPOLOGY_FAMILIES",
-    "Topology",
-    "TopologySpec",
-    "build_topology",
-    "spec_for_family",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "identity_order": "logical",
+        "interleaved_sites_order": "logical",
+        "random_order": "logical",
+        "sorted_by_speed_order": "logical",
+        "chain_dependency_graph": "dependency",
+        "dependency_graph_stats": "dependency",
+        "TOPOLOGY_FAMILIES": "graphs",
+        "Topology": "graphs",
+        "TopologySpec": "graphs",
+        "build_topology": "graphs",
+        "spec_for_family": "graphs",
+    },
+)

@@ -44,7 +44,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.analysis.perf import stable_digest
-from repro.topology.dependency import dependency_graph_stats
 from repro.util.rng import spawn_generator
 
 __all__ = [
@@ -220,6 +219,8 @@ class Topology:
     def stats(self) -> dict:
         """Structural statistics + family metadata (report material)."""
         import networkx as nx
+
+        from repro.topology.dependency import dependency_graph_stats
 
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n_nodes))

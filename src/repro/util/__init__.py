@@ -1,20 +1,16 @@
 """Small shared utilities: seeded RNG trees and argument validation."""
 
-from repro.util.rng import RngTree, spawn_generator
-from repro.util.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_probability,
-    check_type,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "RngTree",
-    "spawn_generator",
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_probability",
-    "check_type",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "RngTree": "rng",
+        "spawn_generator": "rng",
+        "check_positive": "validation",
+        "check_non_negative": "validation",
+        "check_in_range": "validation",
+        "check_probability": "validation",
+        "check_type": "validation",
+    },
+)

@@ -1,23 +1,17 @@
 """Named experimental scenarios: one builder per paper experiment."""
 
-from repro.workloads.scenarios import (
-    Figure5Scenario,
-    IntegrityScenario,
-    ScaleScenario,
-    Table1Scenario,
-    ModelsComparisonScenario,
-    TraceFigureScenario,
-    ResilienceScenario,
-    SoakScenario,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Figure5Scenario",
-    "IntegrityScenario",
-    "ScaleScenario",
-    "Table1Scenario",
-    "ModelsComparisonScenario",
-    "TraceFigureScenario",
-    "ResilienceScenario",
-    "SoakScenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "Figure5Scenario": "scenarios",
+        "IntegrityScenario": "scenarios",
+        "ScaleScenario": "scenarios",
+        "Table1Scenario": "scenarios",
+        "ModelsComparisonScenario": "scenarios",
+        "TraceFigureScenario": "scenarios",
+        "ResilienceScenario": "scenarios",
+        "SoakScenario": "scenarios",
+    },
+)

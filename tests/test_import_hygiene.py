@@ -1,9 +1,13 @@
-"""networkx and scipy stay off the paper experiments' import and run path.
+"""What a process loads: no graph library, and no more of ``repro`` than
+its verb runs.
 
 The solver's chain is a native :class:`~repro.topology.graphs.Topology`;
 only the LB zoo's non-chain families, graph statistics and spectral
-helpers need networkx, and they import it inside the call.  Checked in
-a fresh interpreter because this process has long since loaded both.
+helpers need networkx, and they import it inside the call.  A package
+``__init__`` imports nothing it re-exports (``repro._exports``), so the
+client verbs run without numpy and a paper experiment without the
+serve / obs / balancing / soak / lockstep stacks.  Checked in fresh
+interpreters because this process has long since loaded everything.
 """
 
 import os
@@ -27,6 +31,11 @@ SCRIPT = textwrap.dedent(
 
     import repro, repro.cli, repro.experiments, repro.workloads
     import repro.obs, repro.serve
+    # A package imports an export when it is first read: read them all.
+    for package in (repro, repro.experiments, repro.workloads, repro.obs,
+                    repro.serve):
+        for name in package.__all__:
+            getattr(package, name)
     loaded("imports")
 
     from repro.experiments import run_figure5, run_integrity, run_table1
@@ -54,17 +63,22 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_paper_experiments_never_load_networkx_or_scipy():
-    env = {**os.environ, "PYTHONPATH": SRC}
+def run_fresh(script, *path_first, argv=()):
+    """``script`` in a fresh interpreter; it must end by printing ``ok``."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
-        env=env,
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([*path_first, SRC])},
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("ok")
+    return proc.stdout
+
+
+def test_paper_experiments_never_load_networkx_or_scipy():
+    run_fresh(SCRIPT)
 
 
 PARSER_SCRIPT = textwrap.dedent(
@@ -80,23 +94,106 @@ PARSER_SCRIPT = textwrap.dedent(
     )
     bad = sorted(name for name in sys.modules if name.startswith(stacks))
     assert not bad, bad
+    assert "numpy" not in sys.modules
+    ours = sorted(name for name in sys.modules if name.startswith("repro"))
+    assert len(ours) <= 10, ours
     print("ok")
     """
 )
 
 
-def test_building_the_cli_parser_loads_no_experiment_stack():
+def test_building_the_cli_parser_loads_no_experiment_stack_and_no_numpy():
     # Every verb pays for the parser, ``repro health`` included; the
     # sweep-verb table it is built from names its targets as strings.
-    proc = subprocess.run(
-        [sys.executable, "-c", PARSER_SCRIPT],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        timeout=60,
+    run_fresh(PARSER_SCRIPT)
+
+
+CLIENT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.serve import ServeClient
+
+    assert "numpy" not in sys.modules
+    ours = sorted(name for name in sys.modules if name.startswith("repro"))
+    assert len(ours) <= 10, ours
+    print("ok")
+    """
+)
+
+
+def test_the_serve_client_loads_no_numpy():
+    # A client verb writes one JSON line to a socket.
+    run_fresh(CLIENT_SCRIPT)
+
+
+FOOTPRINT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from dataclasses import replace
+
+    from repro.experiments import run_figure5, run_table1
+    from repro.workloads import Figure5Scenario, Table1Scenario
+
+    UNUSED = (
+        "repro.serve", "repro.obs", "repro.balancing", "repro.guard.soak",
+        "repro.models.lockstep", "repro.numerics.banded",
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().endswith("ok")
+
+    def footprint(stage):
+        bad = sorted(name for name in sys.modules if name.startswith(UNUSED))
+        assert not bad, f"{stage}: loaded {bad}"
+        ours = sorted(name for name in sys.modules if name.startswith("repro"))
+        assert len(ours) <= 62, f"{stage}: {len(ours)} repro modules: {ours}"
+
+    run_table1(
+        replace(Table1Scenario.quick(), n_points=45, n_steps=10, tolerance=1e-3)
+    )
+    footprint("run_table1")
+    run_figure5(Figure5Scenario.tiny())
+    footprint("run_figure5")
+    print("ok")
+    """
+)
+
+
+def test_a_paper_experiment_loads_only_the_stacks_it_runs():
+    run_fresh(FOOTPRINT_SCRIPT)
+
+
+COLD_DAEMON_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.serve import ServeClient, ServeConfig, ServeDaemon
+
+    spec = {"kind": "figure5", "mode": "tiny"}
+    # One worker: the job runs on the dispatcher thread of this process,
+    # which resolves the experiment stack while handler threads answer
+    # the client's polling below.
+    daemon = ServeDaemon(
+        ServeConfig(state_dir=sys.argv[1], workers=1, durable=False)
+    )
+    assert "repro.experiments" not in sys.modules
+    daemon.start()
+    try:
+        client = ServeClient(daemon.config.resolved_address())
+        client.wait_until_up()
+        job = client.result(client.submit(spec), follow=True, timeout=120.0)
+    finally:
+        daemon.stop()
+    assert job["state"] == "done", job
+
+    from repro.serve import execute_spec, validate_spec
+
+    assert job["result"]["digest"] == execute_spec(validate_spec(spec))["digest"]
+    print("ok")
+    """
+)
+
+
+def test_a_daemons_first_job_resolves_its_stack_under_handler_threads(tmp_path):
+    run_fresh(COLD_DAEMON_SCRIPT, argv=[str(tmp_path / "serve")])
 
 
 NO_SCIPY_SCRIPT = textwrap.dedent(
@@ -126,13 +223,5 @@ def test_the_product_runs_without_scipy(tmp_path):
     (stub / "__init__.py").write_text(
         "raise ImportError('scipy is poisoned for this test')\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), SRC])},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "max error vs sequential reference" in proc.stdout
-    assert proc.stdout.strip().endswith("ok")
+    stdout = run_fresh(NO_SCIPY_SCRIPT, str(tmp_path))
+    assert "max error vs sequential reference" in stdout
