@@ -297,6 +297,22 @@ def _serve_client(args: argparse.Namespace):
     return ServeClient(args.socket)
 
 
+def _client_verb(handler: Callable[[argparse.Namespace], str]):
+    """A verb that talks to a daemon: one that cannot be reached, or that
+    answers ``ok: false``, is one line on stderr and exit 2."""
+
+    def run(args: argparse.Namespace) -> str:
+        from repro.serve import ServeError
+
+        try:
+            return handler(args)
+        except ServeError as exc:
+            print(f"repro {args.command}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
+
+    return run
+
+
 def _serve(args: argparse.Namespace) -> str:
     """``repro serve``: run the job-queue daemon in the foreground."""
     from repro.serve import ServeConfig, ServeDaemon
@@ -336,6 +352,7 @@ def _spec_from_args(args: argparse.Namespace) -> dict:
     return spec
 
 
+@_client_verb
 def _submit(args: argparse.Namespace) -> str:
     client = _serve_client(args)
     job_id = client.submit(
@@ -352,6 +369,7 @@ def _submit(args: argparse.Namespace) -> str:
     return report
 
 
+@_client_verb
 def _jobs(args: argparse.Namespace) -> str:
     client = _serve_client(args)
     jobs = client.jobs(tenant=args.tenant or None)
@@ -370,6 +388,7 @@ def _jobs(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+@_client_verb
 def _result(args: argparse.Namespace) -> str:
     import json
 
@@ -383,6 +402,7 @@ def _result(args: argparse.Namespace) -> str:
     raise SystemExit(f"stream for {args.job_id} ended without a result")
 
 
+@_client_verb
 def _health(args: argparse.Namespace) -> str:
     import json
 

@@ -158,6 +158,29 @@ def test_serve_verbs_parse():
         parser.parse_args(["submit"])  # --kind is required
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["health"],
+        ["jobs"],
+        ["result", "j000001"],
+        ["submit", "--kind", "sleep"],
+    ],
+    ids=lambda verb: verb[0],
+)
+def test_client_verbs_without_a_daemon_fail_in_one_line(verb, capsys, tmp_path):
+    address = str(tmp_path / "nobody-listens.sock")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*verb, "--socket", address])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro {verb[0]}: cannot connect to daemon at {address!r} "
+        f"after 4 attempt(s): [Errno 2] No such file or directory\n"
+    )
+
+
 def test_engine_flags_accept_cache_cap():
     args = build_parser().parse_args(["figure5", "--cache-max-mb", "64"])
     assert args.cache_max_mb == 64.0
