@@ -10,7 +10,7 @@ testbed (the PM2 runtime on a 2003 computational grid).  It provides:
 * :class:`~repro.des.process.Hold` / :class:`~repro.des.process.Wait` —
   the commands a process yields to consume virtual time or block on a
   :class:`~repro.des.process.Signal`,
-* :mod:`~repro.des.sync` — barriers and mutexes in virtual time.
+* :mod:`~repro.des.sync` — the barrier of SISC iterations, in virtual time.
 
 Determinism: simultaneous events are ordered by their scheduling sequence
 number, so a run is a pure function of its inputs (DESIGN.md §7).
@@ -31,6 +31,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Simulator": "simulator",
         "SimulationError": "simulator",
         "Barrier": "sync",
-        "Mutex": "sync",
     },
 )

@@ -1,16 +1,8 @@
-"""Synchronisation primitives in virtual time.
-
-Only what the execution models need:
-
-* :class:`Mutex` — used to model the paper's per-channel "communication in
-  progress" exclusion (Algorithm 1/4) in its *non-blocking* form, and by
-  the SISC driver in its blocking form.
-* :class:`Barrier` — the global synchronisation of SISC iterations.
-"""
+"""Synchronisation in virtual time: :class:`Barrier`, the global
+synchronisation of SISC iterations."""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.des.process import Signal
@@ -18,51 +10,7 @@ from repro.des.process import Signal
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.simulator import Simulator
 
-__all__ = ["Mutex", "Barrier"]
-
-
-class Mutex:
-    """A mutual-exclusion flag with FIFO hand-off.
-
-    ``try_acquire`` is the non-blocking test the AIAC algorithms use
-    ("if there is no left communication in progress then ...").  A
-    blocking acquire is done by waiting on the signal returned from
-    :meth:`acquire_signal` when ``try_acquire`` failed.
-    """
-
-    __slots__ = ("name", "locked", "_waiters")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.locked = False
-        self._waiters: deque[Signal] = deque()
-
-    def try_acquire(self) -> bool:
-        """Acquire if free; return whether the lock was taken."""
-        if self.locked:
-            return False
-        self.locked = True
-        return True
-
-    def acquire_signal(self) -> Signal:
-        """Register a waiter; the signal fires when the lock is handed over.
-
-        The lock is *already held* by the waiter when its signal fires —
-        do not call :meth:`try_acquire` again.
-        """
-        signal = Signal(f"mutex:{self.name}")
-        self._waiters.append(signal)
-        return signal
-
-    def release(self, sim: "Simulator") -> None:
-        """Release, handing the lock to the oldest waiter if any."""
-        if not self.locked:
-            raise RuntimeError(f"mutex {self.name!r} released while not held")
-        if self._waiters:
-            # Hand-off: the lock stays locked, ownership moves.
-            self._waiters.popleft().trigger(sim)
-        else:
-            self.locked = False
+__all__ = ["Barrier"]
 
 
 class Barrier:

@@ -1,50 +1,8 @@
-"""Tests for virtual-time mutexes and barriers."""
+"""Tests for the virtual-time barrier."""
 
 import pytest
 
-from repro.des import Barrier, Hold, Mutex, Simulator, Wait
-
-
-def test_mutex_try_acquire_and_release():
-    sim = Simulator()
-    m = Mutex("chan")
-    assert m.try_acquire()
-    assert not m.try_acquire()
-    m.release(sim)
-    assert m.try_acquire()
-
-
-def test_mutex_release_unheld_raises():
-    with pytest.raises(RuntimeError):
-        Mutex().release(Simulator())
-
-
-def test_mutex_fifo_handoff():
-    sim = Simulator()
-    m = Mutex()
-    order = []
-
-    def holder(sim):
-        assert m.try_acquire()
-        yield Hold(5.0)
-        m.release(sim)
-        order.append(("holder-released", sim.now))
-
-    def contender(sim, label, arrival):
-        yield Hold(arrival)
-        if not m.try_acquire():
-            yield Wait(m.acquire_signal())
-        order.append((label, sim.now))
-        m.release(sim)
-
-    sim.spawn("h", holder(sim))
-    sim.spawn("c1", contender(sim, "c1", 1.0))
-    sim.spawn("c2", contender(sim, "c2", 2.0))
-    sim.run()
-    labels = [x[0] for x in order]
-    assert labels == ["holder-released", "c1", "c2"]
-    # Contenders get the lock only when the holder releases at t=5.
-    assert all(t == 5.0 for _, t in order)
+from repro.des import Barrier, Hold, Simulator, Wait
 
 
 def test_barrier_releases_all_on_last_arrival():
