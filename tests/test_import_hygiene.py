@@ -102,7 +102,7 @@ PARSER_SCRIPT = textwrap.dedent(
 )
 
 
-def test_building_the_cli_parser_loads_no_experiment_stack_and_no_numpy():
+def test_building_the_cli_parser_loads_no_experiment_stack():
     # Every verb pays for the parser, ``repro health`` included; the
     # sweep-verb table it is built from names its targets as strings.
     run_fresh(PARSER_SCRIPT)
