@@ -19,18 +19,18 @@ def lazy_exports(package: dict, exports: dict[str, str]):
     prefix = package["__name__"] + "."
 
     def __getattr__(name: str):
-        target = prefix + exports.get(name, name)
+        if name in exports:
+            module = import_module(prefix + exports[name])
+            value = package[name] = getattr(module, name)
+            return value
         try:
-            value = import_module(target)
+            return import_module(prefix + name)
         except ModuleNotFoundError as exc:
-            if name in exports or exc.name != target:
-                raise
+            if exc.name != prefix + name:
+                raise  # the submodule exists; an import inside it failed
             raise AttributeError(
                 f"module {package['__name__']!r} has no attribute {name!r}"
             ) from None
-        if name in exports:
-            value = package[name] = getattr(value, name)
-        return value
 
     def __dir__():
         return sorted({*package, *exports})

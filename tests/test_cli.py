@@ -168,7 +168,17 @@ def test_serve_verbs_parse():
     ],
     ids=lambda verb: verb[0],
 )
-def test_client_verbs_without_a_daemon_fail_in_one_line(verb, capsys, tmp_path):
+def test_client_verbs_without_a_daemon_fail_in_one_line(
+    verb, capsys, tmp_path, monkeypatch
+):
+    from repro.serve import ServeClient
+
+    # The CLI's client with the dial's retries (and their backoff
+    # sleeps) off; CI drives ``repro health`` with the defaults.
+    monkeypatch.setattr(
+        "repro.cli._serve_client",
+        lambda args: ServeClient(args.socket, connect_retries=0),
+    )
     address = str(tmp_path / "nobody-listens.sock")
     with pytest.raises(SystemExit) as excinfo:
         main([*verb, "--socket", address])
@@ -177,7 +187,7 @@ def test_client_verbs_without_a_daemon_fail_in_one_line(verb, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == (
         f"repro {verb[0]}: cannot connect to daemon at {address!r} "
-        f"after 4 attempt(s): [Errno 2] No such file or directory\n"
+        f"after 1 attempt(s): [Errno 2] No such file or directory\n"
     )
 
 

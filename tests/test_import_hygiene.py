@@ -24,33 +24,50 @@ SCRIPT = textwrap.dedent(
     from dataclasses import replace
 
     HEAVY = {"networkx", "scipy"}
+    UNUSED = (
+        "repro.serve", "repro.obs", "repro.balancing", "repro.guard.soak",
+        "repro.models.lockstep", "repro.numerics.banded",
+    )
 
     def loaded(stage):
         bad = HEAVY & set(sys.modules)
         assert not bad, f"{stage}: loaded {sorted(bad)}"
 
+    def footprint(stage):
+        loaded(stage)
+        bad = sorted(name for name in sys.modules if name.startswith(UNUSED))
+        assert not bad, f"{stage}: loaded {bad}"
+        ours = sorted(name for name in sys.modules if name.startswith("repro"))
+        assert len(ours) <= 62, f"{stage}: {len(ours)} repro modules: {ours}"
+
+    from repro.experiments import run_table1
+    from repro.workloads import Table1Scenario
+
+    run_table1(
+        replace(Table1Scenario.quick(), n_points=45, n_steps=10, tolerance=1e-3)
+    )
+    footprint("run_table1")
+
+    from repro.experiments import run_figure5
+    from repro.workloads import Figure5Scenario
+
+    run_figure5(Figure5Scenario.tiny())
+    footprint("run_figure5")
+
+    from repro.experiments import run_integrity
+    from repro.workloads import IntegrityScenario
+
+    run_integrity(replace(IntegrityScenario.tiny(), arms=("detect",)))
+    loaded("run_integrity")
+
+    # A package imports an export when it is first read: read them all.
     import repro, repro.cli, repro.experiments, repro.workloads
     import repro.obs, repro.serve
-    # A package imports an export when it is first read: read them all.
     for package in (repro, repro.experiments, repro.workloads, repro.obs,
                     repro.serve):
         for name in package.__all__:
             getattr(package, name)
-    loaded("imports")
-
-    from repro.experiments import run_figure5, run_integrity, run_table1
-    from repro.workloads.scenarios import (
-        Figure5Scenario, IntegrityScenario, Table1Scenario,
-    )
-
-    run_figure5(Figure5Scenario.tiny())
-    loaded("run_figure5")
-    run_table1(
-        replace(Table1Scenario.quick(), n_points=45, n_steps=10, tolerance=1e-3)
-    )
-    loaded("run_table1")
-    run_integrity(replace(IntegrityScenario.tiny(), arms=("detect",)))
-    loaded("run_integrity")
+    loaded("every export")
 
     # The check can fail: a non-chain family is built by networkx.
     from repro.topology.graphs import build_topology, spec_for_family
@@ -78,8 +95,19 @@ def run_fresh(script, *path_first, argv=()):
 
 
 def test_paper_experiments_never_load_networkx_or_scipy():
+    # ... nor, for Table 1 and Figure 5, a stack they do not run.
     run_fresh(SCRIPT)
 
+
+#: How a script ends whose process may load neither numpy nor much of us.
+LIGHT_PROCESS = textwrap.dedent(
+    """
+    assert "numpy" not in sys.modules
+    ours = sorted(name for name in sys.modules if name.startswith("repro"))
+    assert len(ours) <= 10, ours
+    print("ok")
+    """
+)
 
 PARSER_SCRIPT = textwrap.dedent(
     """
@@ -94,12 +122,8 @@ PARSER_SCRIPT = textwrap.dedent(
     )
     bad = sorted(name for name in sys.modules if name.startswith(stacks))
     assert not bad, bad
-    assert "numpy" not in sys.modules
-    ours = sorted(name for name in sys.modules if name.startswith("repro"))
-    assert len(ours) <= 10, ours
-    print("ok")
     """
-)
+) + LIGHT_PROCESS
 
 
 def test_building_the_cli_parser_loads_no_experiment_stack():
@@ -108,57 +132,12 @@ def test_building_the_cli_parser_loads_no_experiment_stack():
     run_fresh(PARSER_SCRIPT)
 
 
-CLIENT_SCRIPT = textwrap.dedent(
-    """
-    import sys
-
-    from repro.serve import ServeClient
-
-    assert "numpy" not in sys.modules
-    ours = sorted(name for name in sys.modules if name.startswith("repro"))
-    assert len(ours) <= 10, ours
-    print("ok")
-    """
-)
+CLIENT_SCRIPT = "import sys; from repro.serve import ServeClient\n" + LIGHT_PROCESS
 
 
 def test_the_serve_client_loads_no_numpy():
     # A client verb writes one JSON line to a socket.
     run_fresh(CLIENT_SCRIPT)
-
-
-FOOTPRINT_SCRIPT = textwrap.dedent(
-    """
-    import sys
-    from dataclasses import replace
-
-    from repro.experiments import run_figure5, run_table1
-    from repro.workloads import Figure5Scenario, Table1Scenario
-
-    UNUSED = (
-        "repro.serve", "repro.obs", "repro.balancing", "repro.guard.soak",
-        "repro.models.lockstep", "repro.numerics.banded",
-    )
-
-    def footprint(stage):
-        bad = sorted(name for name in sys.modules if name.startswith(UNUSED))
-        assert not bad, f"{stage}: loaded {bad}"
-        ours = sorted(name for name in sys.modules if name.startswith("repro"))
-        assert len(ours) <= 62, f"{stage}: {len(ours)} repro modules: {ours}"
-
-    run_table1(
-        replace(Table1Scenario.quick(), n_points=45, n_steps=10, tolerance=1e-3)
-    )
-    footprint("run_table1")
-    run_figure5(Figure5Scenario.tiny())
-    footprint("run_figure5")
-    print("ok")
-    """
-)
-
-
-def test_a_paper_experiment_loads_only_the_stacks_it_runs():
-    run_fresh(FOOTPRINT_SCRIPT)
 
 
 COLD_DAEMON_SCRIPT = textwrap.dedent(

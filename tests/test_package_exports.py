@@ -7,12 +7,11 @@ comes by its exports may change; this table may not.
 """
 
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from tests.test_import_hygiene import run_fresh
 
 HERE = Path(__file__).resolve().parent
 SRC = str(HERE.parent / "src")
@@ -81,12 +80,4 @@ def test_a_submodule_nobody_imported_resolves_by_attribute():
         "assert repro.core.solver.run_aiac is repro.run_aiac\n"
         "print('ok')\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    run_fresh(script)
