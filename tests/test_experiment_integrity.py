@@ -72,6 +72,40 @@ def test_sweep_is_deterministic(tiny_result):
     assert again.rows == tiny_result.rows
 
 
+def test_pinned_detect_arm_rows_and_counters(tiny_result):
+    # The detect arm is the protected path end to end (acks, retries,
+    # checksums, checkpoint CRCs, the guard): its rows, every injector
+    # counter and the guard's event / check counts, by digest.
+    from repro.faults import FaultInjector
+    from repro.guard import InvariantMonitor
+    from repro.models import run_model
+
+    scenario = IntegrityScenario.tiny()
+    rows = [row for row in tiny_result.rows if row["arm"] == "detect"]
+    assert stable_digest(rows) == (
+        "9ec890352338cd13ee3dc7e599b34046742bce81891dc87c828a7492173faae5"
+    )
+    injected, guarded = [], []
+    for arm, schedule, model in scenario.grid():
+        if arm != "detect":
+            continue
+        injector = FaultInjector(scenario.schedule(schedule, detect=True))
+        guard = InvariantMonitor(scenario.guard_config())
+        run_model(model, scenario, injector=injector, guard=guard)
+        injected.append(dict(injector.stats))
+        guarded.append(guard.stats())
+    assert injected[2]["corruptions_detected"] == 471
+    assert injected[2]["retries"] == 467 and injected[2]["acks_dropped"] == 236
+    assert stable_digest(injected) == (
+        "09a73deaca10966b716aca44bda3dfb80c8fd7d6d3c162549e663011187066f1"
+    )
+    assert [g["events_seen"] for g in guarded] == [7000, 6051, 8068, 7268]
+    assert [g["checks_run"] for g in guarded] == [109, 94, 126, 113]
+    assert stable_digest(guarded) == (
+        "716b0c442e581e89b5396adeda3510ffd745699cdb2a7d9f8085ab35eedfefcd"
+    )
+
+
 def test_report_carries_digest_and_gate_line(tiny_result):
     report = tiny_result.report()
     assert tiny_result.digest() in report

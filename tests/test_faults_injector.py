@@ -228,3 +228,37 @@ def test_checkpoint_restore_roundtrip():
     assert ctx.iteration == saved_iteration
     assert (ctx.lo, ctx.hi) == (saved_lo, saved_hi)
     assert ctx.halo_iter_left != 99
+
+
+# ----------------------------------------------------------------------
+# Retry jitter streams
+# ----------------------------------------------------------------------
+def test_pinned_retry_timeouts_per_rank_interleaved():
+    # Each rank draws its jitter from its own named stream, so the values
+    # a rank sees do not depend on how its draws interleave with other
+    # ranks'.  First five per rank, seed 7, drawn in a mixed order.
+    injector = FaultInjector(
+        FaultSchedule(
+            faults=(), seed=7, resilience=ResilienceConfig(base_timeout=0.5)
+        )
+    )
+    drawn = {0: [], 1: [], 2: []}
+    for rank in (0, 1, 2, 1, 0, 2, 2, 0, 1, 0, 1, 2, 2, 1, 0):
+        drawn[rank].append(injector.retry_timeout(rank, len(drawn[rank])))
+    assert {rank: [t.hex() for t in ts] for rank, ts in drawn.items()} == {
+        0: [
+            "0x1.2cffa2178ca29p-1", "0x1.04e2de7d7a426p+0",
+            "0x1.243c0bd272480p+1", "0x1.25410aeea9162p+2",
+            "0x1.065679ab717cdp+3",
+        ],
+        1: [
+            "0x1.022bba0dfbbd5p-1", "0x1.10e6db3b5a416p+0",
+            "0x1.2805e1aca9f75p+1", "0x1.0177fb60806a8p+2",
+            "0x1.05c981988e087p+3",
+        ],
+        2: [
+            "0x1.1c8bf8108e369p-1", "0x1.2b189eb140978p+0",
+            "0x1.160aa0a51f902p+1", "0x1.214342af13eb3p+2",
+            "0x1.1e2ded9048fc9p+3",
+        ],
+    }

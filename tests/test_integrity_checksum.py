@@ -1,5 +1,7 @@
 """Unit tests for the integrity primitives (repro.integrity)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,118 @@ def test_pinned_dispatch_order_subclasses_and_nesting():
     }
     assert checkpoint_crc(snapshot) == 2935641089
     assert checkpoint_crc(snapshot, np.ones((2, 3))) == 3631912676
+
+
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Literal CRCs of the shapes a one-pass walk (one parts list, one
+# ``zlib.crc32``, key / dtype / shape bytes from tables) could get wrong,
+# recorded while the walk still folded node by node.
+_GRID = np.arange(24, dtype=np.float64).reshape(4, 6)
+PINNED_SHAPES = {
+    "noncontiguous-columns": (_GRID[:, ::2], 2107036452),
+    "noncontiguous-transpose": (_GRID.T, 3145791661),
+    "noncontiguous-reversed": (np.arange(6.0)[::-1], 3226516591),
+    "zero-d-float": (np.array(2.5), 1593112329),
+    "zero-d-int32": (np.array(7, dtype=np.int32), 733523558),
+    "empty-array": (np.zeros(0), 2407595331),
+    "empty-2d-array": (np.zeros((0, 3)), 1084508384),
+    "empty-dict": ({}, 1720814832),
+    "empty-list": ([], 2923955960),
+    "empty-tuple": ((), 2923955960),
+    "empty-str": ("", 453955339),
+    "empty-bytes": (b"", 4225443349),
+    "nested-empties": ({"a": {}, "b": [], "c": ()}, 4137767972),
+    "int-keys": ({3: "x", 1: 2.5, 2: None}, 3439457606),
+    "tuple-keys": ({(1, 2): "a", (0, 5): "b"}, 1850680011),
+    "negative-zero-array": (np.array([0.0, -0.0]), 2093464362),
+    "negative-zero-value": ({"v": -0.0}, 283391490),
+    "positive-zero-value": ({"v": 0.0}, 4250711330),
+    "nan-default": (float("nan"), 3585076120),
+    "nan-quiet-payload": (_nan(0x7FF8000000000001), 419818246),
+    "nan-signalling-payload": (_nan(0x7FF0000000000001), 3520880910),
+    "nan-array": (
+        np.array([_nan(0x7FF8000000000001), _nan(0x7FF0000000000001), float("nan")]),
+        2791913069,
+    ),
+    "infinities": ([float("inf"), float("-inf")], 3278120486),
+    "big-int": (2**70, 3812646665),
+    "negative-int-value": ({"k": -12}, 619896309),
+    "bool-and-none-values": ({"t": True, "f": False, "n": None}, 1764118432),
+    "numpy-scalar-values": (
+        {"a": np.float64(0.375), "b": np.int64(40), "c": np.float32(1.5)},
+        3410999390,
+    ),
+    "halo-with-strided-data": (
+        {
+            "data": np.linspace(0.0, 1.0, 9)[::2],
+            "position": 12,
+            "estimate": 0.375,
+            "iteration": 40,
+        },
+        95052992,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SHAPES)
+def test_pinned_checksum_per_shape(name):
+    value, crc = PINNED_SHAPES[name]
+    assert payload_checksum(value) == crc
+    # Warm: whatever the first walk resolved must give the same bytes.
+    assert payload_checksum(value) == crc
+
+
+def test_pinned_key_seen_cold_then_warm():
+    # This key appears nowhere else in the suite: the first call meets it
+    # cold, the second warm.
+    payload = {"fresh_key_one": 1.0}
+    assert payload_checksum(payload) == 2894636935
+    assert payload_checksum(payload) == 2894636935
+
+
+def test_pinned_more_distinct_keys_than_any_table_holds():
+    # 300 distinct keys in one dict, then again: a bounded key table is
+    # full part-way through, and a key past the bound must encode the
+    # same as one inside it.
+    ints = {f"key{i:04d}": i for i in range(300)}
+    floats = {f"key{i:04d}": float(i) for i in range(300)}
+    for _ in range(2):
+        assert payload_checksum(ints) == 616889110
+        assert payload_checksum(floats) == 302306337
+    assert payload_checksum({"key0299": 299}) == payload_checksum(
+        {"key0299": np.int64(299)}
+    )
+    assert payload_checksum({"fresh_key_one": 1.0}) == 2894636935
+
+
+def test_pinned_nested_checkpoint_with_and_without_state_array():
+    snapshot = {
+        "iteration": 3,
+        "lo": 0,
+        "hi": 4,
+        "halo_left": {"u": np.arange(3.0), "v": [np.arange(2.0), None]},
+        "halo_right": (
+            np.array(1.5),
+            {"deep": {"deeper": np.ones((2, 2))[:, 0]}},
+        ),
+        "halo_iter_left": -1,
+        "halo_iter_right": 7,
+        "estimator": object(),
+        "state": object(),
+        "crc": 123,
+        "opaque_nested": {"x": object()},
+    }
+    state = np.arange(8.0).reshape(4, 2)
+    assert checkpoint_crc(snapshot) == 1851434091
+    assert checkpoint_crc(snapshot, state) == 1059481559
+    assert checkpoint_crc(snapshot, state[:, 1]) == 666298717
+    assert checkpoint_crc(snapshot, np.zeros(0)) == 801840213
+    assert checkpoint_crc({}) == payload_checksum({}) == 1720814832
+    assert checkpoint_crc({}, np.zeros(2)) == 1547780875
+    assert checkpoint_crc({"state": 1, "crc": 2}) == 1720814832
 
 
 # ----------------------------------------------------------------------

@@ -297,3 +297,47 @@ def test_two_seeds_give_identical_delivery_schedules():
 
     assert deliveries(7) == deliveries(7)
     assert deliveries(7) != deliveries(8)
+
+
+def test_pinned_transport_snapshot_under_reordering_and_duplication():
+    # What the guard's sequence check reads, mid-run and at the end: the
+    # send counters, the newest-wins marks and the highest sequence number
+    # seen per ordinary channel.
+    sim, a, b, _ = make_pair(
+        MessageReordering(0.8, max_extra_delay=3.0),
+        MessageDuplication(0.3),
+        seed=3,
+        latency=0.01,
+    )
+    got = []
+    b.register_handler("event", lambda m: got.append(m.payload))
+    b.register_handler("state", lambda m: None, newest_wins=True)
+
+    def sender(sim):
+        for i in range(20):
+            a.send(b, "event", i, 8.0)
+            a.send(b, "state", i, 8.0)
+            yield Hold(0.05)
+
+    sim.spawn("s", sender(sim))
+    sim.run(until=1.0)
+    assert b.transport_snapshot() == {
+        "send_seq": {},
+        "recv_latest": {("state", 0): 18},
+        "recv_seen_max": {("event", 0): 16},
+    }
+    sim.run()
+    assert a.transport_snapshot() == {
+        "send_seq": {("event", 1): 20, ("state", 1): 20},
+        "recv_latest": {},
+        "recv_seen_max": {},
+    }
+    assert b.transport_snapshot() == {
+        "send_seq": {},
+        "recv_latest": {("state", 0): 19},
+        "recv_seen_max": {("event", 0): 19},
+    }
+    assert got == [
+        2, 4, 12, 0, 1, 16, 11, 13, 6, 9, 8, 18, 19, 3, 5, 10, 14, 7, 17, 15,
+    ]
+    assert (b.duplicates_suppressed, b.stale_rejected) == (10, 19)
