@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Generator
 
+import numpy as np
+
 from repro.core.config import SolverConfig
 from repro.core.convergence import SupervisorMonitor, TokenRingDetector
 from repro.core.estimators import LoadEstimator, ResidualEstimator
@@ -45,6 +47,11 @@ from repro.runtime.tracer import Tracer
 from repro.topology.graphs import Topology
 
 __all__ = ["ChainRun", "RankContext", "run_aiac", "build_chain"]
+
+
+def _copy_halo(halo: Any) -> Any:
+    """A private copy of a halo: arrays directly, anything else deeply."""
+    return halo.copy() if type(halo) is np.ndarray else copy.deepcopy(halo)
 
 
 @dataclass(slots=True)
@@ -278,8 +285,8 @@ class ChainRun:
             "state": self.problem.copy_state(ctx.state),
             "lo": ctx.lo,
             "hi": ctx.hi,
-            "halo_left": copy.deepcopy(ctx.halo_left),
-            "halo_right": copy.deepcopy(ctx.halo_right),
+            "halo_left": _copy_halo(ctx.halo_left),
+            "halo_right": _copy_halo(ctx.halo_right),
             "halo_iter_left": ctx.halo_iter_left,
             "halo_iter_right": ctx.halo_iter_right,
             "estimator": copy.deepcopy(ctx.estimator),
@@ -318,14 +325,7 @@ class ChainRun:
             or self._checkpoint_crc(snap) == snap["crc"]
         ):
             return snap
-        injector.stats["corruptions_detected"] += 1
-        self.tracer.fault(
-            kind="corruption_detected",
-            time=self.sim.now,
-            t_end=self.sim.now,
-            rank=ctx.rank,
-            detail="checkpoint CRC mismatch",
-        )
+        injector.note_corruption_detected(ctx.rank, "checkpoint CRC mismatch")
         prev = ctx.checkpoint_prev
         if (
             prev is not None
@@ -348,9 +348,7 @@ class ChainRun:
         fresh["halo_right"] = self.problem.initial_halo(snap["hi"])
         fresh["halo_iter_left"] = -1
         fresh["halo_iter_right"] = -1
-        fresh["crc"] = self._checkpoint_crc(
-            {k: v for k, v in fresh.items() if k != "crc"}
-        )
+        fresh["crc"] = self._checkpoint_crc(fresh)  # the stale stamp is not read
         ctx.checkpoint = fresh
         ctx.checkpoint_prev = None
         injector.note_corruption_recovered(
@@ -379,8 +377,8 @@ class ChainRun:
         ctx.restored_epoch = ctx.node.crash_count
         ctx.iteration = snap["iteration"]
         ctx.state = self.problem.copy_state(snap["state"])
-        ctx.halo_left = copy.deepcopy(snap["halo_left"])
-        ctx.halo_right = copy.deepcopy(snap["halo_right"])
+        ctx.halo_left = _copy_halo(snap["halo_left"])
+        ctx.halo_right = _copy_halo(snap["halo_right"])
         ctx.halo_iter_left = snap["halo_iter_left"]
         ctx.halo_iter_right = snap["halo_iter_right"]
         ctx.estimator = copy.deepcopy(snap["estimator"])
@@ -623,14 +621,12 @@ class ChainRun:
         """
         bound = self.injector.resilience.max_halo_staleness
         neighbors = self._neighbors[ctx.rank]
-        for side, halo_iter in (
-            ("left", ctx.halo_iter_left),
-            ("right", ctx.halo_iter_right),
-        ):
-            neighbor = neighbors[side]
-            if neighbor is not None and neighbor.iteration - halo_iter > bound:
-                return True
-        return False
+        left, right = neighbors["left"], neighbors["right"]
+        return (
+            left is not None and left.iteration - ctx.halo_iter_left > bound
+        ) or (
+            right is not None and right.iteration - ctx.halo_iter_right > bound
+        )
 
     # ------------------------------------------------------------------
     # Running / result assembly
@@ -685,14 +681,7 @@ class ChainRun:
                 # Per-rank transport counters (all zeros on the lossless
                 # fast path; populated under the resilient transport).
                 "transport_per_rank": [
-                    {
-                        "rank": c.rank,
-                        "retries": c.node.retries,
-                        "sends_failed": c.node.sends_failed,
-                        "duplicates_suppressed": c.node.duplicates_suppressed,
-                        "stale_rejected": c.node.stale_rejected,
-                        "crashes": c.node.crash_count,
-                    }
+                    {"rank": c.rank, **c.node.transport_counters()}
                     for c in self.ranks
                 ],
             },

@@ -25,7 +25,8 @@ Gantt renderer can overlay them on the execution timeline.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.faults.models import (
     FaultSchedule,
@@ -41,12 +42,12 @@ from repro.faults.models import (
     StorageCorruption,
 )
 from repro.integrity import corrupt_payload
-from repro.runtime.message import Message
 from repro.util.rng import RngTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.solver import ChainRun
     from repro.obs.registry import MetricsRegistry
+    from repro.runtime.message import Message
     from repro.runtime.node import GridNode
 
 __all__ = ["FaultInjector"]
@@ -66,6 +67,9 @@ _STAT_KEYS = (
     "corruptions_detected",
     "corruption_rollbacks",
 )
+
+#: The transmission plan of an unfiltered wire: one copy, no extra delay.
+_ONE_COPY = (0.0,)
 
 
 class FaultInjector:
@@ -98,6 +102,16 @@ class FaultInjector:
         self._dups = [f for f in faults if isinstance(f, MessageDuplication)]
         self._reorders = [f for f in faults if isinstance(f, MessageReordering)]
         self._partitions = [f for f in faults if isinstance(f, LinkPartition)]
+        #: No fault decides a wire copy's fate: every transmission is
+        #: the one shared one-copy plan (and draws nothing).
+        self._plain_wire = not (
+            self._losses or self._dups or self._reorders or self._partitions
+        )
+        #: Acks suffer only the *unfiltered* losses and corruptions (a
+        #: kind-restricted fault targets payload kinds, not the ack channel).
+        self._ack_losses = [f for f in self._losses if f.kinds is None]
+        #: ``rank -> Generator.random`` of the rank's "retry/<rank>" stream.
+        self._retry_draws: dict[int, Callable[[], float]] = {}
         self._timed = [
             f
             for f in faults
@@ -105,6 +119,9 @@ class FaultInjector:
         ]
         self._payload_corruptions = [
             f for f in faults if isinstance(f, PayloadCorruption)
+        ]
+        self._ack_corruptions = [
+            f for f in self._payload_corruptions if f.kinds is None
         ]
         self._storage_corruptions = [
             f for f in faults if isinstance(f, StorageCorruption)
@@ -118,8 +135,12 @@ class FaultInjector:
         self._corrupt_rng = (
             self._rng.generator("corruption") if has_corruption else None
         )
-        #: The transport consults these flags on its hot path.
+        #: The transport consults these flags on its hot path: whether
+        #: :meth:`corrupt_delivery`, :meth:`ack_dropped` and
+        #: :meth:`ack_corrupted` have a fault that could apply.
         self.corrupts_payloads = bool(self._payload_corruptions)
+        self.drops_acks = bool(self._partitions or self._ack_losses)
+        self.corrupts_acks = bool(self._ack_corruptions)
         #: Detection layer armed: checksums stamped/verified, checkpoint
         #: CRCs enforced, plausibility guard live.  Off either because no
         #: corruption fault is scheduled (nothing to detect — zero
@@ -281,8 +302,7 @@ class FaultInjector:
         # Transfers whose retry timer fired during the downtime were
         # parked (a dead host must not retransmit); re-arm them now.
         node.resume_parked()
-        now = self.sim.now
-        self.tracer.fault(kind="restart", time=now, t_end=now, rank=rank)
+        self._mark("restart", rank)
         # Wake the rank's main process; it restores its last checkpoint
         # (GridNode.crash_count != RankContext.restored_epoch) and
         # resumes iterating.
@@ -296,14 +316,7 @@ class FaultInjector:
         if detail is None:
             return  # nothing to poison (dead host, no checkpoint yet)
         self.stats["corruptions_injected"] += 1
-        now = self.sim.now
-        self.tracer.fault(
-            kind="state_corruption",
-            time=now,
-            t_end=now,
-            rank=fault.rank,
-            detail=f"{fault.target}: {detail}",
-        )
+        self._mark("state_corruption", fault.rank, f"{fault.target}: {detail}")
 
     @staticmethod
     def _set_speed(host, speed: float) -> None:
@@ -324,14 +337,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def on_transmit(
         self, src: "GridNode", dst: "GridNode", message: "Message"
-    ) -> list[float]:
+    ) -> Sequence[float]:
         """Fate of one transmission attempt.
 
-        Returns the list of wire copies to schedule, as extra arrival
-        delays: ``[]`` = dropped, ``[0.0]`` = normal, ``[0.0, 0.0]`` =
+        Returns the wire copies to schedule, as extra arrival delays
+        (read-only): empty = dropped, ``(0.0,)`` = normal, two zeros =
         duplicated, a positive entry = reordered (delay added *after*
         FIFO clamping, so the copy may overtake later traffic).
         """
+        if self._plain_wire:
+            return _ONE_COPY
         now = self.sim.now
         for fault in self._partitions:
             if fault.severs(src.rank, dst.rank, now):
@@ -371,12 +386,9 @@ class FaultInjector:
             if fault.severs(dst.rank, src.rank, now):
                 self.stats["acks_dropped"] += 1
                 return True
-        for fault in self._losses:
-            if (
-                fault.kinds is None
-                and fault.t0 <= now <= fault.t1
-                and float(self._ack_rng.random()) < fault.rate
-            ):
+        rng = self._ack_rng
+        for fault in self._ack_losses:
+            if fault.t0 <= now <= fault.t1 and float(rng.random()) < fault.rate:
                 self.stats["acks_dropped"] += 1
                 return True
         return False
@@ -403,25 +415,12 @@ class FaultInjector:
                 if detail is None:
                     return message
                 self.stats["corruptions_injected"] += 1
-                self.tracer.fault(
-                    kind="payload_corruption",
-                    time=now,
-                    t_end=now,
-                    rank=message.dst_rank,
-                    detail=f"{message.kind} from {message.src_rank}: {detail}",
+                self._mark(
+                    "payload_corruption",
+                    message.dst_rank,
+                    f"{message.kind} from {message.src_rank}: {detail}",
                 )
-                return Message(
-                    kind=message.kind,
-                    payload=damaged,
-                    size_bytes=message.size_bytes,
-                    src_rank=message.src_rank,
-                    dst_rank=message.dst_rank,
-                    send_time=message.send_time,
-                    arrival_time=message.arrival_time,
-                    seq=message.seq,
-                    attempt=message.attempt,
-                    checksum=message.checksum,
-                )
+                return replace(message, payload=damaged)
         return message
 
     def ack_corrupted(
@@ -437,17 +436,10 @@ class FaultInjector:
         accepted as-is: acks carry no values, so the corruption is
         structurally masked.
         """
-        if not self._payload_corruptions:
-            return False
         now = self.sim.now
         rng = self._corrupt_rng
-        assert rng is not None
-        for fault in self._payload_corruptions:
-            if (
-                fault.kinds is None
-                and fault.t0 <= now <= fault.t1
-                and float(rng.random()) < fault.rate
-            ):
+        for fault in self._ack_corruptions:
+            if fault.t0 <= now <= fault.t1 and float(rng.random()) < fault.rate:
                 self.stats["corruptions_injected"] += 1
                 if self.detection_active:
                     self.stats["corruptions_detected"] += 1
@@ -456,38 +448,35 @@ class FaultInjector:
                 return False
         return False
 
-    def note_corruption_detected(self, message: "Message") -> None:
-        """The receiver's checksum rejected a delivery (treated as loss)."""
+    def note_corruption_detected(self, rank: int, detail: str) -> None:
+        """A detection surface caught corruption at ``rank``: a checksum
+        rejected a delivery (then treated as loss), a checkpoint failed
+        its CRC, or the plausibility screen fired."""
         self.stats["corruptions_detected"] += 1
-        now = self.sim.now
-        self.tracer.fault(
-            kind="corruption_detected",
-            time=now,
-            t_end=now,
-            rank=message.dst_rank,
-            detail=f"{message.kind} from {message.src_rank} rejected",
-        )
+        self._mark("corruption_detected", rank, detail)
 
     def note_corruption_recovered(self, rank: int, detail: str) -> None:
         """A detected corruption was repaired by rollback/refetch."""
         self.stats["corruption_rollbacks"] += 1
+        self._mark("corruption_rollback", rank, detail)
+
+    def _mark(self, kind: str, rank: int, detail: str = "") -> None:
+        """Record an instantaneous fault event at the current time."""
         now = self.sim.now
-        self.tracer.fault(
-            kind="corruption_rollback",
-            time=now,
-            t_end=now,
-            rank=rank,
-            detail=detail,
-        )
+        self.tracer.fault(kind=kind, time=now, t_end=now, rank=rank, detail=detail)
 
     # ------------------------------------------------------------------
     # Transport policy
     # ------------------------------------------------------------------
     def retry_timeout(self, rank: int, attempt: int) -> float:
         """Jittered exponential backoff for attempt ``attempt`` of ``rank``."""
+        draw = self._retry_draws.get(rank)
+        if draw is None:
+            draw = self._retry_draws[rank] = self._rng.generator(
+                f"retry/{rank}"
+            ).random
         rc = self.resilience
-        u = float(self._rng.generator(f"retry/{rank}").random())
-        return rc.base_timeout * rc.backoff**attempt * (1.0 + rc.jitter * u)
+        return rc.base_timeout * rc.backoff**attempt * (1.0 + rc.jitter * float(draw()))
 
     def export_metrics(self, registry: "MetricsRegistry", **labels) -> None:
         """Publish the injector's counters into a metrics registry.

@@ -205,6 +205,7 @@ class InvariantMonitor:
 
     def __init__(self, config: GuardConfig | None = None) -> None:
         self.config = config if config is not None else GuardConfig()
+        self._check_every = self.config.check_every
         self.run: "ChainRun | None" = None
         #: Next observer in the profiler slot (set by ``attach_monitor``).
         self.chain: Any = None
@@ -253,8 +254,8 @@ class InvariantMonitor:
         chain = self.chain
         if chain is not None:
             chain.record(event)
-        self.events_seen += 1
-        if self.events_seen % self.config.check_every == 0:
+        self.events_seen = seen = self.events_seen + 1
+        if seen % self._check_every == 0:
             self.check_invariants()
 
     def replay_events(self, events: int, check: Callable[[], None]) -> None:
@@ -266,7 +267,7 @@ class InvariantMonitor:
         batched state, which no collapsed event changes) runs once if
         any boundary was crossed — one run gives the verdict of all.
         """
-        every = self.config.check_every
+        every = self._check_every
         before = self.events_seen
         self.events_seen = before + events
         checks = self.events_seen // every - before // every

@@ -62,9 +62,11 @@ class PlausibilityGuard:
         cfg = self.config
         arr = run.problem.state_array(ctx.state)
         if arr is not None and arr.size:
-            if not np.isfinite(arr).all():
-                return "non-finite state values"
+            # One reduction decides both screens: a NaN or an infinity
+            # anywhere in the block is what ``max`` of the magnitudes gives.
             peak = float(np.abs(arr).max())
+            if not math.isfinite(peak):
+                return "non-finite state values"
             if peak > cfg.value_bound:
                 return f"state magnitude {peak:.3e} exceeds bound {cfg.value_bound:g}"
         # Residual-jump screen: one sweep legitimately moves the residual
@@ -100,14 +102,7 @@ class PlausibilityGuard:
                 "why": why,
             }
         )
-        injector.stats["corruptions_detected"] += 1
-        run.tracer.fault(
-            kind="corruption_detected",
-            time=now,
-            t_end=now,
-            rank=ctx.rank,
-            detail=f"plausibility screen: {why}",
-        )
+        injector.note_corruption_detected(ctx.rank, f"plausibility screen: {why}")
         run.restore_checkpoint(ctx)
         injector.note_corruption_recovered(
             ctx.rank, f"plausibility rollback ({why})"

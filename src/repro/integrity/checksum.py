@@ -27,77 +27,83 @@ import numpy as np
 __all__ = ["payload_checksum", "checkpoint_crc"]
 
 
-#: ``str(dtype).encode()`` per dtype seen: formatting the name costs
-#: more than hashing a halo-sized array, and a run sees a handful.
-_DTYPE_TAGS: dict[np.dtype, bytes] = {}
+#: Bound on each table below: a run sees a handful of dict keys and
+#: (dtype, shape) pairs; past the bound a value is encoded afresh, so the
+#: tables cost a few kilobytes whatever passes through.
+_TABLE_CAP = 256
+#: ``b"s" + key.encode()`` per ``str`` dict key seen.
+_KEY_PARTS: dict[str, bytes] = {}
+#: Tag, dtype name, shape and data tag of an array, per (dtype, shape):
+#: formatting them costs more than hashing a halo-sized array.
+_ARRAY_HEADS: dict[tuple[np.dtype, tuple[int, ...]], bytes] = {}
+_pack_double = struct.Struct("<d").pack
+
+Emit = Callable[[bytes], None]
 
 
-def _mix(crc: int, tag: bytes, data: bytes = b"") -> int:
-    return zlib.crc32(data, zlib.crc32(tag, crc))
-
-
-def _array(crc: int, obj: np.ndarray) -> int:
-    dtype_tag = _DTYPE_TAGS.get(obj.dtype)
-    if dtype_tag is None:
-        dtype_tag = _DTYPE_TAGS[obj.dtype] = str(obj.dtype).encode()
-    crc = _mix(crc, b"a", dtype_tag)
-    crc = _mix(crc, b"#", repr(obj.shape).encode())
-    return _mix(crc, b"@", np.ascontiguousarray(obj).tobytes())
-
-
-def _dict(crc: int, obj: dict) -> int:
-    crc = _mix(crc, b"d", str(len(obj)).encode())
-    for key in sorted(obj):
-        crc = _update(_update(crc, key), obj[key])
-    return crc
-
-
-def _sequence(crc: int, obj: Any) -> int:
-    crc = _mix(crc, b"l", str(len(obj)).encode())
-    for item in obj:
-        crc = _update(crc, item)
-    return crc
-
-
-#: Leaf tags inline; the order matters (``bool`` is an ``int``
-#: subclass).  ``_update`` walks this chain once per concrete type and
-#: then dispatches through ``_HANDLERS``, so what a value costs does not
-#: depend on how far down the chain its type sits.
-_CHAIN: tuple[tuple[Any, Callable[[int, Any], int]], ...] = (
-    (type(None), lambda crc, obj: _mix(crc, b"N")),
-    ((bool, np.bool_), lambda crc, obj: _mix(crc, b"b", b"\x01" if obj else b"\x00")),
-    ((int, np.integer), lambda crc, obj: _mix(crc, b"i", str(int(obj)).encode())),
-    (
-        (float, np.floating),
-        lambda crc, obj: _mix(crc, b"f", struct.pack("<d", float(obj))),
-    ),
-    (str, lambda crc, obj: _mix(crc, b"s", obj.encode())),
-    (bytes, lambda crc, obj: _mix(crc, b"y", obj)),
-    (np.ndarray, _array),
-    (dict, _dict),
-    ((list, tuple), _sequence),
-)
-_HANDLERS: dict[type, Callable[[int, Any], int]] = {}
-
-
-def _resolve(cls: type) -> Callable[[int, Any], int]:
-    for bases, handler in _CHAIN:
-        if issubclass(cls, bases):
-            return handler
-    raise TypeError(f"payload_checksum cannot fingerprint {cls.__name__!r}")
-
-
-def _update(crc: int, obj: Any) -> int:
+def _walk(emit: Emit, obj: Any) -> None:
+    """Serialise ``obj``'s structure through ``emit``, node by node: the
+    bytes a fold would feed ``zlib.crc32`` one call at a time
+    (``crc32(b, crc32(a)) == crc32(a + b)``).  The exact types a payload is
+    made of come first, then every other supported type, most specific
+    first (``bool`` is an ``int``); a subclass of an exact type re-enters
+    as that type, so each kind of node has one encoding."""
     cls = type(obj)
-    handler = _HANDLERS.get(cls)
-    if handler is None:
-        handler = _HANDLERS[cls] = _resolve(cls)
-    return handler(crc, obj)
+    if cls is float:
+        emit(b"f" + _pack_double(obj))
+    elif cls is int:
+        emit(b"i%d" % obj)
+    elif cls is np.ndarray:
+        key = (obj.dtype, obj.shape)
+        head = _ARRAY_HEADS.get(key)
+        if head is None:
+            head = b"a%b#%b@" % (str(obj.dtype).encode(), repr(obj.shape).encode())
+            if len(_ARRAY_HEADS) < _TABLE_CAP:
+                _ARRAY_HEADS[key] = head
+        emit(head)
+        emit(obj.tobytes())  # C order, whatever the strides
+    elif cls is dict:
+        emit(b"d%d" % len(obj))
+        for key in sorted(obj):
+            if type(key) is str:
+                part = _KEY_PARTS.get(key)
+                if part is None:
+                    part = b"s" + key.encode()
+                    if len(_KEY_PARTS) < _TABLE_CAP:
+                        _KEY_PARTS[key] = part
+                emit(part)
+            else:
+                _walk(emit, key)
+            _walk(emit, obj[key])
+    elif obj is None:
+        emit(b"N")
+    elif isinstance(obj, (bool, np.bool_)):
+        emit(b"b\x01" if obj else b"b\x00")
+    elif isinstance(obj, (int, np.integer)):
+        _walk(emit, int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        _walk(emit, float(obj))
+    elif isinstance(obj, str):
+        emit(b"s" + obj.encode())
+    elif isinstance(obj, bytes):
+        emit(b"y" + obj)
+    elif isinstance(obj, np.ndarray):
+        _walk(emit, obj.view(np.ndarray))
+    elif isinstance(obj, dict):
+        _walk(emit, dict(obj))
+    elif isinstance(obj, (list, tuple)):
+        emit(b"l%d" % len(obj))
+        for item in obj:
+            _walk(emit, item)
+    else:
+        raise TypeError(f"payload_checksum cannot fingerprint {cls.__name__!r}")
 
 
 def payload_checksum(payload: Any) -> int:
     """CRC32 fingerprint of an arbitrary message payload."""
-    return _update(0, payload)
+    parts: list[bytes] = []
+    _walk(parts.append, payload)
+    return zlib.crc32(b"".join(parts))
 
 
 def checkpoint_crc(
@@ -118,25 +124,24 @@ def checkpoint_crc(
     state_array`) — exactly the values in-memory corruption can poison.
     Stamp and verify must pass the same view or neither.
     """
-    content = {
-        key: value
-        for key, value in snapshot.items()
-        if key not in ("crc", "state") and _fingerprintable(value)
-    }
-    crc = _update(0, content)
+    # The walk is the one judge of what can be fingerprinted: a value it
+    # rejects, at any depth, is left out with its key, and the dict head
+    # counts the keys that stayed.
+    parts: list[bytes] = [b""]
+    emit = parts.append
+    kept = 0
+    for key in sorted(snapshot):
+        if key in ("crc", "state"):
+            continue
+        mark = len(parts)
+        try:
+            _walk(emit, key)
+            _walk(emit, snapshot[key])
+            kept += 1
+        except TypeError:
+            del parts[mark:]
+    parts[0] = b"d%d" % kept
     if state_array is not None:
-        crc = _update(_mix(crc, b"S"), state_array)
-    return crc
-
-
-def _fingerprintable(value: Any) -> bool:
-    if value is None or isinstance(
-        value,
-        (bool, int, float, str, bytes, np.bool_, np.integer, np.floating, np.ndarray),
-    ):
-        return True
-    if isinstance(value, dict):
-        return all(_fingerprintable(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_fingerprintable(v) for v in value)
-    return False
+        emit(b"S")
+        _walk(emit, state_array)
+    return zlib.crc32(b"".join(parts))

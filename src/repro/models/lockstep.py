@@ -55,6 +55,7 @@ from repro.grid.platform import Platform
 from repro.grid.traces import ConstantTrace
 from repro.problems.base import Problem
 from repro.runtime.tracer import (
+    TRANSPORT_COUNTERS,
     IdleSpan,
     IterationSpan,
     MessageRecord,
@@ -842,14 +843,7 @@ class _LockstepEngine:
                 "network_bytes": net.bytes_sent,
                 "network_messages": net.messages_sent,
                 "transport_per_rank": [
-                    {
-                        "rank": r,
-                        "retries": 0,
-                        "sends_failed": 0,
-                        "duplicates_suppressed": 0,
-                        "stale_rejected": 0,
-                        "crashes": 0,
-                    }
+                    {"rank": r, **dict.fromkeys(TRANSPORT_COUNTERS, 0)}
                     for r in range(n)
                 ],
                 "engine": "lockstep",

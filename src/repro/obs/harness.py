@@ -28,6 +28,7 @@ from repro.core.records import RunResult
 from repro.obs.export import write_chrome_trace, write_metrics_jsonl
 from repro.obs.profile import SimProfiler
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.tracer import TRANSPORT_COUNTERS
 
 __all__ = [
     "MetricsSidecar",
@@ -38,15 +39,6 @@ __all__ = [
 
 #: Experiments `run_observed` knows how to drive.
 EXPERIMENTS = ("figure5", "table1", "resilience")
-
-#: Per-rank transport counters copied from ``meta["transport_per_rank"]``.
-_TRANSPORT_KEYS = (
-    "retries",
-    "sends_failed",
-    "duplicates_suppressed",
-    "stale_rejected",
-    "crashes",
-)
 
 #: Per-rank LB protocol counters copied from ``meta["lb_rank_stats"]``.
 _LB_KEYS = (
@@ -82,7 +74,7 @@ def collect_result_metrics(
         )
     for entry in meta.get("transport_per_rank", ()):
         rank = entry["rank"]
-        for key in _TRANSPORT_KEYS:
+        for key in TRANSPORT_COUNTERS:
             registry.counter(f"transport.{key}", rank=rank, run=run).add(
                 entry[key]
             )

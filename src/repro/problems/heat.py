@@ -92,10 +92,11 @@ class HeatProblem(Problem):
     ) -> IterationResult:
         old = state.traj  # (n, steps+1)
         new = self._relax(old, left_halo, right_halo)
-        residuals = np.max(np.abs(new - old), axis=1)
+        residuals = np.abs(new - old).max(axis=1)
         state.traj = new
         # One work unit per (component, step): linear solve, no Newton.
-        work = np.full(state.n, float(self.n_steps))
+        work = np.empty(state.n)
+        work.fill(self.n_steps)
         return IterationResult(residuals=residuals, work=work)
 
     def _relax(

@@ -39,6 +39,7 @@ original lossless fast path, bit-identical to the pre-fault codebase.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.des.process import Hold, Signal
@@ -47,7 +48,7 @@ from repro.grid.host import Host
 from repro.grid.network import Network
 from repro.integrity import payload_checksum
 from repro.runtime.message import Message
-from repro.runtime.tracer import Tracer
+from repro.runtime.tracer import TRANSPORT_COUNTERS, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -97,6 +98,37 @@ class _Transfer:
         self.timer: Any = None
 
 
+class _ReceiveWindow:
+    """Which sequence numbers an ordinary channel has received (the
+    receive-window rule of ``docs/faults.md``): everything below ``floor``,
+    plus ``above`` past a gap — as small as the channel's reordering,
+    whatever the run's length.  ``highest`` is the maximum the guard reads."""
+
+    __slots__ = ("floor", "above", "highest")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.above: set[int] = set()
+        self.highest = -1
+
+    def admit(self, seq: int) -> bool:
+        """Record ``seq``; False if it had been recorded before."""
+        above = self.above
+        if seq < self.floor or seq in above:
+            return False
+        if seq > self.highest:
+            self.highest = seq
+        if seq != self.floor:
+            above.add(seq)
+            return True
+        floor = seq + 1
+        while floor in above:
+            above.remove(floor)
+            floor += 1
+        self.floor = floor
+        return True
+
+
 class GridNode:
     """One simulated machine participating in a parallel solve.
 
@@ -135,7 +167,7 @@ class GridNode:
         "_pending_latest",
         "_send_seq",
         "_recv_latest",
-        "_recv_seen",
+        "_recv_windows",
         "_last_heard",
         "_parked",
         "duplicates_suppressed",
@@ -177,7 +209,9 @@ class GridNode:
         self._pending_latest: dict[tuple[str, int], tuple[Any, Any, float]] = {}
         self._send_seq: dict[tuple[str, int], int] = {}
         self._recv_latest: dict[tuple[str, int], int] = {}
-        self._recv_seen: dict[tuple[str, int], set[int]] = {}
+        self._recv_windows: defaultdict[tuple[str, int], _ReceiveWindow] = (
+            defaultdict(_ReceiveWindow)
+        )
         self._last_heard: dict[int, float] = {}
         #: Transfers whose retry timer fired while this host was crashed;
         #: re-armed by :meth:`resume_parked` at restart.
@@ -272,28 +306,21 @@ class GridNode:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def export_metrics(self, registry: "MetricsRegistry", **labels) -> None:
-        """Publish this rank's transport counters into a registry.
+    def transport_counters(self) -> dict[str, int]:
+        """``TRANSPORT_COUNTERS`` of this rank (all zero on the lossless
+        fast path)."""
+        counts = (
+            self.retries, self.sends_failed, self.duplicates_suppressed,
+            self.stale_rejected, self.crash_count,
+        )
+        return dict(zip(TRANSPORT_COUNTERS, counts))
 
-        Counters are zero (and still exported, so snapshots keep a
-        stable shape) on the lossless fast path.
-        """
+    def export_metrics(self, registry: "MetricsRegistry", **labels) -> None:
+        """Publish this rank's transport counters into a registry (zeros
+        included, so snapshots keep a stable shape)."""
         rank = self.rank
-        registry.counter("transport.retries", rank=rank, **labels).add(
-            self.retries
-        )
-        registry.counter("transport.sends_failed", rank=rank, **labels).add(
-            self.sends_failed
-        )
-        registry.counter(
-            "transport.duplicates_suppressed", rank=rank, **labels
-        ).add(self.duplicates_suppressed)
-        registry.counter("transport.stale_rejected", rank=rank, **labels).add(
-            self.stale_rejected
-        )
-        registry.counter("transport.crashes", rank=rank, **labels).add(
-            self.crash_count
-        )
+        for name, count in self.transport_counters().items():
+            registry.counter(f"transport.{name}", rank=rank, **labels).add(count)
         registry.gauge("transport.alive", rank=rank, **labels).set(
             1.0 if self.alive else 0.0
         )
@@ -394,16 +421,11 @@ class GridNode:
         checksum = None
         if self.injector.detection_active and kind != HEARTBEAT_KIND:
             checksum = payload_checksum(payload)
+        # Positional, as on the lossless path: (..., send_time,
+        # arrival_time, seq, attempt, checksum).
         message = Message(
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            src_rank=self.rank,
-            dst_rank=dst.rank,
-            send_time=self.sim.now,
-            arrival_time=0.0,
-            seq=seq,
-            checksum=checksum,
+            kind, payload, size_bytes, self.rank, dst.rank, self.sim.now, 0.0,
+            seq, 0, checksum,
         )
         transfer = _Transfer(message, dst, channel, exclusive)
         self._transmit(transfer)
@@ -441,7 +463,8 @@ class GridNode:
             transfer.timer = sim.at(now + rto, self._on_timeout, transfer)
 
     def _deliver(self, transfer: _Transfer, arrival: float) -> None:
-        """One wire copy of ``transfer`` reaches the receiver."""
+        """One wire copy of ``transfer`` reaches the receiver, at ``arrival``
+        (the time this event was scheduled for: the clock reads the same)."""
         injector = self.injector
         assert injector is not None
         transfer.in_flight -= 1
@@ -462,7 +485,10 @@ class GridNode:
                 # handler, no ack — so the sender's retry timer
                 # retransmits the pristine buffered original
                 # (reject-and-refetch).
-                injector.note_corruption_detected(delivered)
+                injector.note_corruption_detected(
+                    message.dst_rank,
+                    f"{message.kind} from {message.src_rank} rejected",
+                )
                 return
         dst._on_receive(delivered)
         if message.kind == HEARTBEAT_KIND:
@@ -470,12 +496,12 @@ class GridNode:
         transfer.delivered = True
         if transfer.acked:
             return  # a duplicate copy arriving after completion
-        if injector.ack_dropped(dst, self, message):
+        if injector.drops_acks and injector.ack_dropped(dst, self, message):
             return  # the acknowledgement is lost; the sender will retry
-        if injector.ack_corrupted(dst, self, message):
+        if injector.corrupts_acks and injector.ack_corrupted(dst, self, message):
             return  # the acknowledgement is mangled; ditto
         ack_arrival = self.network.arrival_time(
-            dst.host, self.host, injector.resilience.ack_bytes, self.sim.now
+            dst.host, self.host, injector.resilience.ack_bytes, arrival
         )
         transfer.in_flight += 1
         self.sim.at(ack_arrival, self._on_ack, transfer)
@@ -490,7 +516,8 @@ class GridNode:
             transfer.timer = None
         if transfer.exclusive:
             self._busy_channels.discard(transfer.channel)
-            self._flush_pending(transfer.channel)
+            if transfer.channel in self._pending_latest:
+                self._flush_pending(transfer.channel)
 
     def _on_timeout(self, transfer: _Transfer) -> None:
         """Retry timer fired: retransmit, wait longer, or give up."""
@@ -525,14 +552,18 @@ class GridNode:
             injector.stats["retries"] += 1
             self._transmit(transfer)
             return
-        # Out of attempts: the transfer failed.
+        # Out of attempts: the transfer failed.  No copy is on the wire
+        # and none will follow, so a receive window must not wait for it.
         self.sends_failed += 1
         injector.stats["sends_failed"] += 1
+        message, dst = transfer.message, transfer.dst
+        if not transfer.delivered and message.kind not in dst._newest_wins:
+            dst._recv_windows[message.kind, self.rank].admit(message.seq)
         if transfer.exclusive:
             self._busy_channels.discard(transfer.channel)
-        failure = self._failure_handlers.get(transfer.message.kind)
+        failure = self._failure_handlers.get(message.kind)
         if failure is not None:
-            failure(transfer.message, transfer.delivered)
+            failure(message, transfer.delivered)
         if transfer.exclusive:
             self._flush_pending(transfer.channel)
 
@@ -570,9 +601,8 @@ class GridNode:
             "send_seq": dict(self._send_seq),
             "recv_latest": dict(self._recv_latest),
             "recv_seen_max": {
-                channel: max(seen)
-                for channel, seen in self._recv_seen.items()
-                if seen
+                channel: window.highest
+                for channel, window in self._recv_windows.items()
             },
         }
 
@@ -586,7 +616,7 @@ class GridNode:
 
     def _on_receive(self, message: Message) -> bool:
         """Receiver-side filtering: liveness, dedup, stale rejection."""
-        self._last_heard[message.src_rank] = self.sim.now
+        self._last_heard[message.src_rank] = message.arrival_time
         kind = message.kind
         if kind == HEARTBEAT_KIND:
             return True
@@ -598,11 +628,9 @@ class GridNode:
                 return False  # stale or duplicate state: newest wins
             self._recv_latest[channel] = message.seq
         else:
-            seen = self._recv_seen.setdefault(channel, set())
-            if message.seq in seen:
+            if not self._recv_windows[channel].admit(message.seq):
                 self.duplicates_suppressed += 1
                 return False
-            seen.add(message.seq)
         handler = self._handlers.get(kind)
         if handler is None:
             raise LookupError(

@@ -47,6 +47,12 @@ __all__ = [
     "Tracer",
 ]
 
+#: What a rank's transport counts, in report order: the keys of
+#: ``meta["transport_per_rank"]`` rows and the ``transport.*`` metric names.
+TRANSPORT_COUNTERS = (
+    "retries", "sends_failed", "duplicates_suppressed", "stale_rejected", "crashes",
+)
+
 
 @dataclass(slots=True, frozen=True)
 class IterationSpan:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.integrity import (
+    checksum,
     checkpoint_crc,
     corrupt_array_inplace,
     corrupt_file,
@@ -16,6 +17,14 @@ from repro.integrity import (
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+@pytest.fixture(autouse=True)
+def cold_tables(monkeypatch):
+    """Each test meets its keys and array shapes cold, and leaves the
+    process-wide tables as it found them."""
+    monkeypatch.setattr(checksum, "_KEY_PARTS", {})
+    monkeypatch.setattr(checksum, "_ARRAY_HEADS", {})
 
 
 # ----------------------------------------------------------------------
@@ -244,9 +253,8 @@ def test_pinned_checksum_per_shape(name):
 
 
 def test_pinned_key_seen_cold_then_warm():
-    # This key appears nowhere else in the suite: the first call meets it
-    # cold, the second warm.
     payload = {"fresh_key_one": 1.0}
+    assert "fresh_key_one" not in checksum._KEY_PARTS
     assert payload_checksum(payload) == 2894636935
     assert payload_checksum(payload) == 2894636935
 
@@ -291,6 +299,31 @@ def test_pinned_nested_checkpoint_with_and_without_state_array():
     assert checkpoint_crc({}) == payload_checksum({}) == 1720814832
     assert checkpoint_crc({}, np.zeros(2)) == 1547780875
     assert checkpoint_crc({"state": 1, "crc": 2}) == 1720814832
+
+
+def test_one_crc32_call_per_fingerprint_and_bounded_tables(monkeypatch):
+    calls = []
+    crc32 = checksum.zlib.crc32
+    monkeypatch.setattr(
+        checksum.zlib, "crc32", lambda *args: calls.append(args) or crc32(*args)
+    )
+    halo = {
+        "data": np.linspace(0.0, 1.0, 9),
+        "position": 12,
+        "estimate": 0.375,
+        "iteration": 40,
+    }
+    assert payload_checksum(halo) == 3462284031
+    assert payload_checksum([halo, (halo, {"nested": [halo]})]) is not None
+    assert checkpoint_crc({"halo_left": halo, "lo": 1}, np.ones((2, 3))) is not None
+    assert [len(args) for args in calls] == [1, 1, 1]
+    # More distinct keys and shapes than the tables hold: they stop
+    # growing at the cap, and the CRCs are the pinned ones either way.
+    many = {f"key{i:04d}": np.zeros(i % 300) for i in range(600)}
+    payload_checksum(many)
+    assert len(checksum._KEY_PARTS) <= checksum._TABLE_CAP
+    assert len(checksum._ARRAY_HEADS) <= checksum._TABLE_CAP
+    assert payload_checksum({f"key{i:04d}": i for i in range(300)}) == 616889110
 
 
 # ----------------------------------------------------------------------

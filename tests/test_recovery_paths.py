@@ -1,0 +1,192 @@
+"""One test per row of the recovery table in ``docs/robustness.md``.
+
+Each test *forces* its path — the fault is scheduled so that the recovery
+must run — and checks the path's own counters and trace records, not just
+that the run survived.  Rows whose forcing test lives elsewhere
+(``test_runtime_resilience.py``) are named in the table.
+"""
+
+import numpy as np
+
+from repro.core.config import LBConfig
+from repro.core.lb import run_balanced_aiac
+from repro.core.solver import build_chain, run_aiac
+from repro.faults import (
+    FaultInjector,
+    MessageLoss,
+    PayloadCorruption,
+    StateCorruption,
+)
+from repro.grid.platform import homogeneous_cluster
+from repro.guard import GuardConfig, InvariantMonitor
+
+from tests.test_faults_injector import make_config, make_problem, make_schedule
+from tests.test_runtime_resilience import make_pair
+
+
+def _fault_trace(tracer):
+    return [(fault.kind, fault.detail) for fault in tracer.faults]
+
+
+# ----------------------------------------------------------------------
+# Transport
+# ----------------------------------------------------------------------
+def test_checksum_reject_retransmits_the_pristine_original():
+    # Every delivery before t = 0.1 is damaged on the wire: the first copy
+    # fails its checksum and is dropped without handler or ack; the retry
+    # hands over the sender's buffered original, bit for bit.
+    sim, a, b, injector = make_pair(
+        PayloadCorruption(1.0, t0=0.0, t1=0.1), latency=0.01
+    )
+    got = []
+    b.register_handler("data", lambda m: got.append((m.attempt, m.payload)))
+    payload = np.arange(4.0)
+    a.send(b, "data", payload, 32.0)
+    sim.run()
+    assert [attempt for attempt, _ in got] == [1]
+    assert got[0][1] is payload and np.array_equal(payload, np.arange(4.0))
+    stats = injector.stats
+    assert (stats["corruptions_injected"], stats["corruptions_detected"]) == (1, 1)
+    assert (stats["retries"], stats["sends_failed"]) == (1, 0)
+    assert [kind for kind, _ in _fault_trace(a.tracer)] == [
+        "payload_corruption",
+        "corruption_detected",
+    ]
+
+
+def test_lost_ack_forces_a_retransmission_the_receiver_suppresses():
+    # The loss window opens after the data left and closes before the
+    # retry: only the acknowledgement is dropped.
+    sim, a, b, injector = make_pair(
+        MessageLoss(1.0, t0=0.005, t1=0.05), latency=0.01
+    )
+    got = []
+    b.register_handler("data", lambda m: got.append((m.attempt, m.payload)))
+    a.send(b, "data", "once", 8.0)
+    sim.run()
+    assert got == [(0, "once")]
+    assert injector.stats["acks_dropped"] == 1 and injector.stats["retries"] == 1
+    assert b.duplicates_suppressed == 1
+    assert not a.channel_busy("data", 1)
+
+
+def test_exhausted_migration_transfer_is_reabsorbed_by_its_sender():
+    # Every migration-data transmission before t = 4 is lost: each transfer
+    # exhausts its budget, the failure handler merges the orphaned
+    # components back, and conservation holds at every guard check.
+    problem = make_problem()
+    platform = homogeneous_cluster(4, speed=2000.0)
+    platform.hosts[0].speed = 500.0  # an imbalance worth migrating for
+    injector = FaultInjector(
+        make_schedule(
+            MessageLoss(
+                1.0, t0=0.0, t1=4.0, kinds=("lb_data_from_left", "lb_data_from_right")
+            )
+        )
+    )
+    guard = InvariantMonitor(GuardConfig())
+    result = run_balanced_aiac(
+        problem,
+        platform,
+        make_config(),
+        LBConfig(period=5, min_components=2),
+        injector=injector,
+        guard=guard,
+    )
+    guard.verify_halt()
+    assert result.converged
+    assert result.meta["reabsorbed"] == injector.stats["sends_failed"] == 3
+    assert [kind for kind, _ in _fault_trace(result.tracer)] == ["reabsorb"] * 3
+    assert result.max_error_vs(problem.reference_solution()) < 1e-3
+
+
+# ----------------------------------------------------------------------
+# Checkpoints
+# ----------------------------------------------------------------------
+def test_poisoned_checkpoint_falls_back_then_reinitialises_cold():
+    problem = make_problem()
+    run = build_chain(problem, homogeneous_cluster(4, speed=2000.0), make_config())
+    fault = StateCorruption(rank=1, at=1e6, target="checkpoint", mode="bitflip")
+    injector = FaultInjector(make_schedule(fault))
+    injector.install(run)
+    ctx = run.ranks[1]
+    values = problem.state_array(ctx.state)
+    initial = values.copy()
+
+    values += 1.0
+    ctx.iteration = 5
+    run.checkpoint(ctx)
+    older = ctx.checkpoint
+    values += 1.0
+    ctx.iteration = 9
+    run.checkpoint(ctx)
+    assert ctx.checkpoint_prev is older
+
+    # The freshest snapshot rots at rest: the restore lands on the one
+    # before it, which still verifies.
+    assert run.corrupt_block(fault, injector._corrupt_rng) is not None
+    run.restore_checkpoint(ctx)
+    assert ctx.checkpoint is older and ctx.checkpoint_prev is None
+    assert ctx.iteration == 5
+    assert np.array_equal(problem.state_array(ctx.state), initial + 1.0)
+    assert _fault_trace(run.tracer) == [
+        ("corruption_detected", "checkpoint CRC mismatch"),
+        ("corruption_rollback", "fell back to last verified checkpoint"),
+    ]
+
+    # That one rots too, and nothing verified is left: the block restarts
+    # from the problem's initial data, under a fresh, valid stamp.
+    assert run.corrupt_block(fault, injector._corrupt_rng) is not None
+    ctx.halo_iter_left = 4
+    run.restore_checkpoint(ctx)
+    assert ctx.iteration == 0 and ctx.halo_iter_left == -1
+    assert np.array_equal(problem.state_array(ctx.state), initial)
+    assert np.array_equal(ctx.halo_left, problem.initial_halo(ctx.lo - 1))
+    assert _fault_trace(run.tracer)[2:] == [
+        ("corruption_detected", "checkpoint CRC mismatch"),
+        ("corruption_rollback", "re-initialized block from problem initial data"),
+    ]
+    snapshot = ctx.checkpoint
+    assert snapshot["crc"] == run._checkpoint_crc(snapshot)
+    assert (snapshot["lo"], snapshot["hi"]) == (ctx.lo, ctx.hi)
+    stats = injector.stats
+    assert (stats["corruptions_detected"], stats["corruption_rollbacks"]) == (2, 2)
+
+
+# ----------------------------------------------------------------------
+# Live state
+# ----------------------------------------------------------------------
+def test_poisoned_live_block_is_rolled_back_by_the_plausibility_screen():
+    problem = make_problem()
+    injector = FaultInjector(
+        make_schedule(
+            StateCorruption(
+                rank=1, at=1.0, target="state", mode="perturb", amplitude=1e15
+            )
+        )
+    )
+    guard = InvariantMonitor(GuardConfig())
+    result = run_aiac(
+        problem,
+        homogeneous_cluster(4, speed=2000.0),
+        make_config(),
+        injector=injector,
+        guard=guard,
+    )
+    guard.verify_halt()
+    (event,) = guard.plausibility_events
+    assert event["rank"] == 1 and event["why"].startswith("state magnitude")
+    assert guard.divergence_events == []
+    stats = injector.stats
+    assert (
+        stats["corruptions_injected"],
+        stats["corruptions_detected"],
+        stats["corruption_rollbacks"],
+    ) == (1, 1, 1)
+    assert [kind for kind, _ in _fault_trace(result.tracer)] == [
+        "state_corruption",
+        "corruption_detected",
+        "corruption_rollback",
+    ]
+    assert result.converged
+    assert result.max_error_vs(problem.reference_solution()) < 1e-3

@@ -21,6 +21,7 @@ from repro.faults import (
 from repro.grid.host import Host
 from repro.grid.link import Link
 from repro.grid.network import Network
+from repro.runtime.message import Message
 from repro.runtime.node import GridNode
 from repro.runtime.tracer import Tracer
 
@@ -341,3 +342,72 @@ def test_pinned_transport_snapshot_under_reordering_and_duplication():
         2, 4, 12, 0, 1, 16, 11, 13, 6, 9, 8, 18, 19, 3, 5, 10, 14, 7, 17, 15,
     ]
     assert (b.duplicates_suppressed, b.stale_rejected) == (10, 19)
+
+
+# ----------------------------------------------------------------------
+# Receive window of an ordinary channel: exact, and bounded
+# ----------------------------------------------------------------------
+def _deliveries(node, seqs):
+    """Hand ``seqs`` to ``node``'s receive filter; the verdict of each."""
+    return [
+        node._on_receive(Message("event", seq, 8.0, 0, 1, seq=seq)) for seq in seqs
+    ]
+
+
+def test_receive_window_in_order_stores_nothing():
+    _, _, b, _ = make_pair()
+    b.register_handler("event", lambda m: None)
+    assert all(_deliveries(b, range(10_000)))
+    window = b._recv_windows["event", 0]
+    assert (window.floor, window.above, window.highest) == (10_000, set(), 9_999)
+    assert b.transport_snapshot()["recv_seen_max"] == {("event", 0): 9_999}
+    # Every one of them again: all duplicates, still nothing stored.
+    assert not any(_deliveries(b, range(10_000)))
+    assert b.duplicates_suppressed == 10_000 and window.above == set()
+
+
+def test_receive_window_matches_a_set_under_reordering_and_duplication():
+    # 10 000 deliveries: 7 500 sequence numbers, each arriving up to
+    # ``reach`` positions late, a third of them twice.  Verdicts must equal
+    # "have I seen it" over the set of everything received, while the
+    # window stores only what sits above a gap.
+    import random
+
+    reach = 32
+    rnd = random.Random(5)
+    arrivals = [(seq + rnd.uniform(0, reach), seq) for seq in range(7_500)]
+    arrivals += [
+        (seq + rnd.uniform(0, reach), seq) for seq in rnd.sample(range(7_500), 2_500)
+    ]
+    _, _, b, _ = make_pair()
+    b.register_handler("event", lambda m: None)
+    window = b._recv_windows["event", 0]
+    seen, highest, largest = set(), -1, 0
+    for _, seq in sorted(arrivals):
+        fresh = b._on_receive(Message("event", seq, 8.0, 0, 1, seq=seq))
+        assert fresh == (seq not in seen)
+        seen.add(seq)
+        highest = max(highest, seq)
+        largest = max(largest, len(window.above))
+        assert window.highest == highest
+    assert len(arrivals) == 10_000 and b.duplicates_suppressed == 2_500
+    assert 0 < largest < reach
+    assert (window.floor, window.above) == (7_500, set())
+
+
+def test_receive_window_does_not_wait_for_a_send_that_failed():
+    # Sequence number 0 is lost on every attempt: the sender gives up, and
+    # what follows must not pile up above the gap it left.
+    sim, a, b, injector = make_pair(
+        MessageLoss(1.0, t0=0.0, t1=5.0),
+        resilience=ResilienceConfig(base_timeout=0.1, max_attempts=3),
+    )
+    got = []
+    b.register_handler("event", lambda m: got.append(m.payload))
+    a.send(b, "event", "lost", 8.0)
+    sim.at(6.0, lambda: [a.send(b, "event", i, 8.0) for i in range(50)])
+    sim.run()
+    assert injector.stats["sends_failed"] == 1
+    window = b._recv_windows["event", 0]
+    assert got == list(range(50))
+    assert (window.floor, window.above, window.highest) == (51, set(), 50)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core import SolverConfig, run_aiac
 from repro.core.solver import build_chain
+from repro.faults import FaultInjector
 from repro.grid import homogeneous_cluster
+from repro.guard import InvariantMonitor
 from repro.models import run_model
 from repro.problems import (
     AdvectionDiffusionProblem,
@@ -23,7 +25,7 @@ from repro.problems import (
     random_contraction_system,
 )
 from repro.runtime.message import Message
-from repro.workloads import Figure5Scenario
+from repro.workloads import Figure5Scenario, IntegrityScenario
 
 
 def make_run(n_ranks=3, n=24):
@@ -205,10 +207,8 @@ def test_estimator_l2_expression_is_np_linalg_norm_bitwise(values):
 # ----------------------------------------------------------------------
 # Fixed cost of a sweep, counted in frames (independent of host speed)
 # ----------------------------------------------------------------------
-def _repro_frames_per_sweep(model):
-    """Python frames entered under ``repro/`` per sweep of one tiny run."""
-    scenario = Figure5Scenario.tiny()
-    platform = scenario.platform(8)
+def _repro_frames(model, scenario, **run_kwargs):
+    """Python frames entered under ``repro/`` by one run, and its result."""
     marker = os.sep + "repro" + os.sep
     frames = 0
 
@@ -220,10 +220,16 @@ def _repro_frames_per_sweep(model):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        result = run_model(model, scenario, platform=platform)
+        result = run_model(model, scenario, **run_kwargs)
     finally:
         sys.setprofile(previous)
     assert result.converged
+    return frames, result
+
+
+def _repro_frames_per_sweep(model):
+    scenario = Figure5Scenario.tiny()
+    frames, result = _repro_frames(model, scenario, platform=scenario.platform(8))
     return frames / sum(result.iterations)
 
 
@@ -237,3 +243,30 @@ def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(model, measure
     call per event, message or sweep fails here by name.  A ceiling, not
     an equality: CPython 3.12 inlines comprehensions."""
     assert _repro_frames_per_sweep(model) <= measured * 1.02
+
+
+@pytest.mark.parametrize(
+    ("schedule", "model", "measured"),
+    [
+        ("none", "aiac+lb", 74.03),
+        ("none", "aiac", 70.71),
+        ("flip_hi", "aiac+lb", 92.28),
+        ("flip_hi", "aiac", 87.93),
+    ],
+)
+def test_frames_entered_per_protected_message_stay_under_the_ceiling(
+    schedule, model, measured
+):
+    """The same count for the protected path: frames per message put on
+    the wire by the detect arm of ``IntegrityScenario.tiny()`` (acked
+    transport, checksums stamped and verified, checkpoints CRC-stamped,
+    the guard attached), what PR 23 measured plus 2 %.  The parent entered
+    81.6 / 78.5 without and 143.6 / 137.5 with payload corruption armed."""
+    scenario = IntegrityScenario.tiny()
+    frames, result = _repro_frames(
+        model,
+        scenario,
+        injector=FaultInjector(scenario.schedule(schedule, detect=True)),
+        guard=InvariantMonitor(scenario.guard_config()),
+    )
+    assert frames / result.tracer.n_messages() <= measured * 1.02
