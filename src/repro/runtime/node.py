@@ -616,6 +616,7 @@ class GridNode:
 
     def _on_receive(self, message: Message) -> bool:
         """Receiver-side filtering: liveness, dedup, stale rejection."""
+        # ``_deliver`` stamped the arrival: the time of the running event.
         self._last_heard[message.src_rank] = message.arrival_time
         kind = message.kind
         if kind == HEARTBEAT_KIND:
@@ -627,10 +628,9 @@ class GridNode:
                 self.stale_rejected += 1
                 return False  # stale or duplicate state: newest wins
             self._recv_latest[channel] = message.seq
-        else:
-            if not self._recv_windows[channel].admit(message.seq):
-                self.duplicates_suppressed += 1
-                return False
+        elif not self._recv_windows[channel].admit(message.seq):
+            self.duplicates_suppressed += 1
+            return False
         handler = self._handlers.get(kind)
         if handler is None:
             raise LookupError(
