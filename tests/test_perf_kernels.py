@@ -95,7 +95,25 @@ def test_lu_matches_scipy_edge_shapes(n, kl, ku):
     assert np.allclose(x, x_ref, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("n,kl,ku", [(45, 2, 2), (200, 1, 3), (30, 0, 2)])
+@pytest.mark.parametrize(
+    "n,kl,ku",
+    [
+        (45, 2, 2),
+        (200, 1, 3),
+        (30, 0, 2),
+        (1, 0, 0),  # scalar system
+        (2, 2, 2),  # band wider than the matrix
+        (3, 2, 2),
+        (40, 0, 4),  # no elimination
+        (40, 5, 0),  # no back-band
+        (40, 7, 0),
+        (40, 1, 1),
+        (40, 3, 3),
+        (40, 3, 4),  # kl * ku = 12, kl + ku = 7: the widest narrow shape
+        (40, 1, 6),
+        (40, 6, 1),
+    ],
+)
 def test_narrow_paths_bit_identical_to_scalar_reference(n, kl, ku):
     """Narrow-band factor/solve must reproduce the seed scalar path exactly.
 

@@ -5,6 +5,8 @@ one or two blocks) converge to the fully-coupled implicit Euler
 reference solution on the same grid.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.problems.brusselator import (
     U_BOUNDARY,
     V_BOUNDARY,
 )
+from repro.workloads import Table1Scenario
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +174,27 @@ def test_halo_out_matches_boundary_trajectories(small_problem):
 def test_sizes_positive(small_problem):
     assert small_problem.halo_nbytes() > 0
     assert small_problem.component_nbytes() > 0
+
+
+@pytest.mark.parametrize(
+    "make,digest",
+    [
+        (
+            lambda: BrusselatorProblem(16, t_end=1.0, n_steps=10),
+            "30391e6333b80df21482a12dd0f8ae1e3412072578c7c95562355472f09f6743",
+        ),
+        (
+            lambda: Table1Scenario.quick().problem(),
+            "6606baf708a842599a80f1cbfe524a7f276c9c5fb27ec6ea32ed1313f86e37e7",
+        ),
+    ],
+    ids=["n16", "table1_quick"],
+)
+def test_reference_solution_bytes_are_pinned(make, digest):
+    """Every parallel run is checked against this array; its bytes are
+    what a change under ``repro.numerics`` must leave alone."""
+    ref = make().reference_solution()
+    assert hashlib.sha256(np.ascontiguousarray(ref).tobytes()).hexdigest() == digest
 
 
 def test_reference_backends_agree():
