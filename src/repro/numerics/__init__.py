@@ -3,8 +3,8 @@
 These are the "Solve" building blocks of the paper's two-stage iteration
 (Section 5): implicit Euler for the time derivative and Newton for the
 resulting nonlinear systems.  Everything is implemented from scratch on
-numpy; :mod:`scipy` is an independent oracle the tests ask for by name
-(``backend="scipy"``), never a default: the project does not depend on it.
+numpy; :mod:`scipy` is an independent oracle the tests call themselves,
+imported by nothing here: the project does not depend on it.
 
 Work accounting: the batched Newton solvers return *per-component
 iteration counts*.  One Newton iteration on one component at one time
@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
         "BandedMatrix": "banded",
-        "solve_banded_system": "banded",
         "thomas_solve": "banded",
         "NewtonOptions": "newton",
         "NewtonResult": "newton",

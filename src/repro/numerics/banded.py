@@ -2,51 +2,33 @@
 
 Implicit Euler on a 1-D reaction–diffusion system produces Jacobians
 with small bandwidth (the Brusselator in interleaved ``(u1,v1,u2,v2,…)``
-ordering has ``kl = ku = 2``).  This module provides:
+ordering has ``kl = ku = 2``, the only band the product factors).  This
+module provides:
 
 * :class:`BandedMatrix` — LAPACK-style band storage with conversion
   helpers,
 * an LU factorization **without pivoting** (valid for the strictly
   diagonally dominant systems implicit Euler produces; singular or
   near-singular pivots raise),
-* :class:`BandedLUCache` — a reuse layer so modified-Newton loops can
-  keep a factorization across iterations / time steps,
 * :func:`thomas_solve` — the tridiagonal specialisation.
 
-The factor/solve kernels are hybrid: narrow bands (the kl=ku=2 hot
-case) run a tuned scalar sweep on plain Python lists, where per-element
-arithmetic beats NumPy's per-op dispatch overhead; wide bands run a
-column-sweep vectorized elimination over pre-built strided views of the
-packed band array.  ``lu_factor_scalar``/``solve_scalar`` retain the
-original closure-based reference implementation as an oracle (and for
-the scalar-vs-native ratio in ``benchmarks/bench_kernels.py``).
-
-Tested against dense ``numpy.linalg.solve`` and ``scipy`` oracles.
+Factor and solve are scalar sweeps on plain Python lists at every band
+width: at ``kl = ku = 2`` per-element arithmetic beats NumPy's per-op
+dispatch overhead, and a wider band is merely slower.
+``lu_factor_scalar`` / ``solve_scalar`` are the closure-based reference
+the tests hold the sweeps bitwise equal to (and the baseline of the
+scalar-vs-native ratio in ``benchmarks/bench_kernels.py``).
 """
 
 from __future__ import annotations
 
-from typing import Hashable
-
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-__all__ = [
-    "BandedMatrix",
-    "BandedLU",
-    "BandedLUCache",
-    "solve_banded_system",
-    "thomas_solve",
-]
+__all__ = ["BandedMatrix", "BandedLU", "thomas_solve"]
 
 #: Pivots smaller than this (relative to the largest diagonal entry)
 #: indicate the no-pivot factorization is untrustworthy.
 _PIVOT_RTOL = 1e-12
-
-#: Update blocks of at least this many elements (kl*ku) are eliminated
-#: with the vectorized column sweep; smaller blocks use the list kernel
-#: (NumPy per-op dispatch costs more than the arithmetic it replaces).
-_VECTOR_MIN_BLOCK = 16
 
 
 class BandedMatrix:
@@ -152,23 +134,49 @@ class BandedMatrix:
 
         Valid for diagonally dominant matrices; raises
         :class:`numpy.linalg.LinAlgError` on a (near-)zero pivot.
-        Dispatches between a tuned scalar sweep (narrow bands) and a
-        vectorized column sweep (wide bands); both produce the same
-        packed factors as :meth:`lu_factor_scalar`.
+        Scalar elimination on plain Python lists, bit-identical to
+        :meth:`lu_factor_scalar`: per pivot column, each multiplier is
+        an individual division and each update a single multiply-
+        subtract in the same order.
         """
         kl, ku, n = self.kl, self.ku, self.n
-        scale = float(np.max(np.abs(self.bands[ku]))) or 1.0
-        if kl * ku >= _VECTOR_MIN_BLOCK:
-            lu = _lu_factor_vectorized(self.bands, kl, ku, n, scale)
-        else:
-            lu = _lu_factor_lists(self.bands, kl, ku, n, scale)
-        return BandedLU(lu, kl, ku)
+        tiny = _PIVOT_RTOL * (float(np.max(np.abs(self.bands[ku]))) or 1.0)
+        rows = self.bands.tolist()
+        dr = rows[ku]
+        for k in range(n - 1):
+            pivot = dr[k]
+            if -tiny <= pivot <= tiny:
+                raise np.linalg.LinAlgError(
+                    f"near-zero pivot {pivot!r} at row {k}; "
+                    "banded LU without pivoting requires diagonal dominance"
+                )
+            rem = n - 1 - k
+            li = kl if kl <= rem else rem
+            lj = ku if ku <= rem else rem
+            if li == 0:
+                continue
+            factors = []
+            for di in range(1, li + 1):
+                row = rows[ku + di]
+                fac = row[k] / pivot
+                row[k] = fac  # store L below the diagonal
+                factors.append(fac)
+            for dj in range(1, lj + 1):
+                g = rows[ku - dj][k + dj]
+                if g != 0.0:
+                    col = k + dj
+                    for di in range(1, li + 1):
+                        rows[ku + di - dj][col] -= factors[di - 1] * g
+        pivot = dr[n - 1]
+        if -tiny <= pivot <= tiny:
+            raise np.linalg.LinAlgError("near-zero final pivot")
+        return BandedLU(np.array(rows, dtype=float), kl, ku)
 
     def lu_factor_scalar(self) -> "BandedLU":
         """Reference scalar factorization (the original implementation).
 
-        Kept as the oracle the vectorized paths are tested against and
-        as the baseline for the speedup ratio in ``bench_kernels.py``.
+        Kept as the oracle :meth:`lu_factor` is tested against and as
+        the baseline for the speedup ratio in ``bench_kernels.py``.
         """
         kl, ku, n = self.kl, self.ku, self.n
         # Work on a dense-band copy indexed [i, j] via band row ku+i-j.
@@ -201,110 +209,6 @@ class BandedMatrix:
         return BandedLU(lu, kl, ku)
 
 
-def _pivot_error(pivot: float, k: int) -> np.linalg.LinAlgError:
-    return np.linalg.LinAlgError(
-        f"near-zero pivot {pivot!r} at row {k}; "
-        "banded LU without pivoting requires diagonal dominance"
-    )
-
-
-def _lu_factor_lists(
-    bands: np.ndarray, kl: int, ku: int, n: int, scale: float
-) -> np.ndarray:
-    """Scalar elimination on plain Python lists (narrow-band fast path).
-
-    Bit-identical to :meth:`BandedMatrix.lu_factor_scalar`: per pivot
-    column, each multiplier is an individual division and each update a
-    single fused multiply-subtract in the same order.
-    """
-    tiny = _PIVOT_RTOL * scale
-    rows = bands.tolist()
-    dr = rows[ku]
-    for k in range(n - 1):
-        pivot = dr[k]
-        if -tiny <= pivot <= tiny:
-            raise _pivot_error(pivot, k)
-        rem = n - 1 - k
-        li = kl if kl <= rem else rem
-        lj = ku if ku <= rem else rem
-        if li == 0:
-            continue
-        factors = []
-        for di in range(1, li + 1):
-            row = rows[ku + di]
-            fac = row[k] / pivot
-            row[k] = fac  # store L below the diagonal
-            factors.append(fac)
-        for dj in range(1, lj + 1):
-            g = rows[ku - dj][k + dj]
-            if g != 0.0:
-                col = k + dj
-                for di in range(1, li + 1):
-                    rows[ku + di - dj][col] -= factors[di - 1] * g
-    pivot = dr[n - 1]
-    if -tiny <= pivot <= tiny:
-        raise np.linalg.LinAlgError("near-zero final pivot")
-    return np.array(rows, dtype=float)
-
-
-def _lu_factor_vectorized(
-    bands: np.ndarray, kl: int, ku: int, n: int, scale: float
-) -> np.ndarray:
-    """Column-sweep elimination with pre-built strided block views.
-
-    For pivot ``k`` the update touches the ``kl x ku`` block
-    ``A[k+1:k+1+kl, k+1:k+1+ku]``; in band storage that block is a
-    *sheared* view reachable with strides ``(s0, s1 - s0)`` from
-    ``lu[ku, k+1]``.  All per-pivot views over the in-range "bulk"
-    region are materialised once as 3-D/2-D strided arrays so the inner
-    loop is two NumPy ops; the boundary tail falls back to clamped
-    slices.
-    """
-    tiny = _PIVOT_RTOL * scale
-    lu = bands.copy()
-    diag = lu[ku]
-    # Pivots k < bulk have their full kl x ku update block in range.
-    bulk = n - 1 - max(kl, ku)
-    if bulk < 0 or kl == 0 or ku == 0:
-        bulk = 0
-    if bulk:
-        s0, s1 = lu.strides
-        cols = as_strided(lu[ku + 1 :, :], shape=(bulk, kl), strides=(s1, s0))
-        urows = as_strided(
-            lu[ku - 1 :, 1:], shape=(bulk, ku), strides=(s1, s1 - s0)
-        )
-        blocks = as_strided(
-            lu[ku:, 1:], shape=(bulk, kl, ku), strides=(s1, s0, s1 - s0)
-        )
-        for k in range(bulk):
-            pivot = diag[k]
-            if -tiny <= pivot <= tiny:
-                raise _pivot_error(float(pivot), k)
-            col = cols[k]
-            col /= pivot  # multipliers, stored in place of L's column
-            blocks[k] -= col[:, None] * urows[k]
-    # Boundary tail (and the kl==0 / ku==0 shapes): clamped slices.
-    for k in range(bulk, n - 1):
-        pivot = diag[k]
-        if -tiny <= pivot <= tiny:
-            raise _pivot_error(float(pivot), k)
-        rem = n - 1 - k
-        li = kl if kl <= rem else rem
-        lj = ku if ku <= rem else rem
-        if li == 0:
-            continue
-        col = lu[ku + 1 : ku + 1 + li, k]
-        col /= pivot
-        for d in range(1, lj + 1):
-            g = lu[ku - d, k + d]
-            if g != 0.0:
-                lu[ku + 1 - d : ku + 1 + li - d, k + d] -= col * g
-    pivot = diag[n - 1]
-    if -tiny <= pivot <= tiny:
-        raise np.linalg.LinAlgError("near-zero final pivot")
-    return lu
-
-
 class BandedLU:
     """The packed LU factors produced by :meth:`BandedMatrix.lu_factor`."""
 
@@ -317,17 +221,11 @@ class BandedLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` using the stored factors.
 
-        Narrow bands use a scalar sweep on lists (bit-identical to
-        :meth:`solve_scalar`); wide bands use vectorized column sweeps.
+        A scalar sweep on lists, bit-identical to :meth:`solve_scalar`.
         """
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"b must have shape ({self.n},), got {b.shape}")
-        if self.kl + self.ku >= 8:
-            return self._solve_colsweep(b)
-        return self._solve_lists(b)
-
-    def _solve_lists(self, b: np.ndarray) -> np.ndarray:
         kl, ku, n = self.kl, self.ku, self.n
         rows = self._lu.tolist()
         dr = rows[ku]
@@ -348,26 +246,6 @@ class BandedLU:
             x[i] = s / dr[i]
         return np.array(x, dtype=float)
 
-    def _solve_colsweep(self, b: np.ndarray) -> np.ndarray:
-        kl, ku, n, lu = self.kl, self.ku, self.n, self._lu
-        x = b.copy()
-        # Forward: as each x[j] is finalised, push it into the rows below.
-        for j in range(n - 1):
-            lj = kl if kl <= n - 1 - j else n - 1 - j
-            if lj:
-                xj = x[j]
-                if xj != 0.0:
-                    x[j + 1 : j + 1 + lj] -= lu[ku + 1 : ku + 1 + lj, j] * xj
-        # Backward: divide, then push the finalised x[j] upward.
-        diag = lu[ku]
-        for j in range(n - 1, -1, -1):
-            xj = x[j] / diag[j]
-            x[j] = xj
-            uj = ku if ku <= j else j
-            if uj and xj != 0.0:
-                x[j - uj : j] -= lu[ku - uj : ku, j] * xj
-        return x
-
     def solve_scalar(self, b: np.ndarray) -> np.ndarray:
         """Reference scalar solve (the original implementation)."""
         b = np.asarray(b, dtype=float)
@@ -387,79 +265,6 @@ class BandedLU:
                 x[i] -= lu[ku + i - j, j] * x[j]
             x[i] /= lu[ku, i]
         return x
-
-
-class BandedLUCache:
-    """Reuse a :class:`BandedLU` across Newton iterations / time steps.
-
-    A modified-Newton (frozen-Jacobian) loop factors the iteration
-    matrix once and reuses it while the step size is unchanged,
-    refreshing after ``max_uses`` solves.  ``max_uses=1`` degenerates to
-    factoring every iteration (exact Newton, the default everywhere).
-
-    Usage::
-
-        cache = BandedLUCache(max_uses=refresh)
-        lu = cache.get(dt) or cache.put(dt, matrix.lu_factor())
-    """
-
-    __slots__ = ("max_uses", "hits", "misses", "_key", "_lu", "_uses")
-
-    def __init__(self, max_uses: int | None = None) -> None:
-        if max_uses is not None and max_uses < 1:
-            raise ValueError(f"max_uses must be >= 1, got {max_uses}")
-        self.max_uses = max_uses
-        self.hits = 0
-        self.misses = 0
-        self._key: Hashable = None
-        self._lu: BandedLU | None = None
-        self._uses = 0
-
-    def get(self, key: Hashable) -> BandedLU | None:
-        """Return the cached LU for ``key``, or ``None`` if stale."""
-        if (
-            self._lu is None
-            or key != self._key
-            or (self.max_uses is not None and self._uses >= self.max_uses)
-        ):
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._uses += 1
-        return self._lu
-
-    def put(self, key: Hashable, lu: BandedLU) -> BandedLU:
-        """Cache ``lu`` under ``key`` (counts as its first use)."""
-        self._key = key
-        self._lu = lu
-        self._uses = 1
-        return lu
-
-    def invalidate(self) -> None:
-        self._lu = None
-        self._key = None
-        self._uses = 0
-
-
-def solve_banded_system(
-    matrix: BandedMatrix, b: np.ndarray, *, backend: str = "native"
-) -> np.ndarray:
-    """Solve a banded system with the requested backend.
-
-    ``backend="native"`` uses the from-scratch LU above; ``"scipy"``
-    delegates to :func:`scipy.linalg.solve_banded` — an explicit oracle
-    for the tests (results agree to rounding), never a default: scipy
-    is a ``test`` extra, not a dependency of the package.
-    """
-    if backend == "native":
-        return matrix.lu_factor().solve(np.asarray(b, dtype=float))
-    if backend == "scipy":
-        try:
-            from scipy.linalg import solve_banded as _scipy_solve_banded
-        except ImportError as exc:  # pragma: no cover - scipy is a test dep
-            raise RuntimeError("scipy backend requested but scipy missing") from exc
-        return _scipy_solve_banded((matrix.kl, matrix.ku), matrix.bands, b)
-    raise ValueError(f"unknown backend {backend!r}; use 'native' or 'scipy'")
 
 
 def thomas_solve(

@@ -12,8 +12,7 @@ Two variants:
 * :func:`implicit_euler_dense` — dense Newton, any small system;
 * :func:`implicit_euler_banded` — banded Newton for 1-D
   reaction–diffusion systems (the Brusselator's interleaved Jacobian has
-  ``kl = ku = 2``); banded solves are native unless a test passes
-  ``backend="scipy"`` to cross-check against that oracle.
+  ``kl = ku = 2``), factoring ``I - dt·J`` afresh every iteration.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.numerics.banded import BandedLUCache, BandedMatrix, solve_banded_system
-from repro.numerics.newton import NewtonOptions
+from repro.numerics.banded import BandedMatrix
 
 __all__ = ["implicit_euler_dense", "implicit_euler_banded"]
 
@@ -103,33 +101,13 @@ def implicit_euler_banded(
     *,
     newton_tol: float = 1e-10,
     newton_max_iter: int = 50,
-    backend: str = "native",
-    options: NewtonOptions | None = None,
 ) -> np.ndarray:
     """Banded-Jacobian implicit Euler (reference solver for 1-D PDEs).
 
     ``jac_banded`` must return band storage (see
     :class:`repro.numerics.banded.BandedMatrix`) of ``∂rhs/∂y``.  The
     Newton matrix ``I - dt·J`` is assembled in band storage directly.
-
-    When ``options`` is given, its ``tol``/``max_iter`` override the
-    keyword defaults, and ``options.jacobian_refresh > 1`` switches the
-    inner loop to *modified Newton*: the iteration matrix is factored
-    through a :class:`~repro.numerics.banded.BandedLUCache` and each
-    factorization is reused for up to ``jacobian_refresh`` solves while
-    the step size is unchanged (also across time steps on a uniform
-    grid).  The frozen-Jacobian mode always uses the native LU; the
-    ``backend`` knob only affects the exact-Newton (refresh = 1) path.
-    Convergence is still judged on the true residual, so the refresh
-    period trades factorizations for (possibly) extra iterations
-    without changing the fixed point.
     """
-    if options is not None:
-        newton_tol = options.tol
-        newton_max_iter = options.max_iter
-        refresh = options.jacobian_refresh
-    else:
-        refresh = 1
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must be 1-D with at least two points")
@@ -139,7 +117,6 @@ def implicit_euler_banded(
     n = y0.shape[0]
     out = np.empty((len(t_grid), n))
     out[0] = y0
-    cache = BandedLUCache(max_uses=refresh) if refresh > 1 else None
     for k in range(1, len(t_grid)):
         dt = t_grid[k] - t_grid[k - 1]
         t_new = t_grid[k]
@@ -150,18 +127,9 @@ def implicit_euler_banded(
             if np.max(np.abs(residual)) <= newton_tol:
                 converged = True
                 break
-            if cache is None:
-                bands = -dt * jac_banded(t_new, y)
-                bands[ku, :] += 1.0  # the I of I - dt*J
-                matrix = BandedMatrix(bands, kl, ku)
-                y = y - solve_banded_system(matrix, residual, backend=backend)
-            else:
-                lu = cache.get(dt)
-                if lu is None:
-                    bands = -dt * jac_banded(t_new, y)
-                    bands[ku, :] += 1.0  # the I of I - dt*J
-                    lu = cache.put(dt, BandedMatrix(bands, kl, ku).lu_factor())
-                y = y - lu.solve(residual)
+            bands = -dt * jac_banded(t_new, y)
+            bands[ku, :] += 1.0  # the I of I - dt*J
+            y = y - BandedMatrix(bands, kl, ku).lu_factor().solve(residual)
         if not converged:
             residual = y - out[k - 1] - dt * rhs(t_new, y)
             if np.max(np.abs(residual)) > newton_tol:

@@ -68,21 +68,12 @@ class NewtonOptions:
         active fraction drops below it — only honoured for callbacks
         that declare ``newton_compactable = True``.  ``None`` (default)
         keeps the original always-full-batch contract.
-    jacobian_refresh:
-        Refresh period for *modified-Newton* consumers that freeze a
-        factored Jacobian between iterations (see
-        ``repro.numerics.euler.implicit_euler_banded`` and
-        :class:`repro.numerics.banded.BandedLUCache`).  ``1`` (default)
-        means an exact Newton iteration matrix every iteration; ``k``
-        reuses each factorization for ``k`` iterations.  The batched
-        2x2 kernel itself always uses the analytic per-pass Jacobian.
     """
 
     tol: float = 1e-10
     max_iter: int = 25
     damping: float = 1.0
     compact_threshold: float | None = None
-    jacobian_refresh: int = 1
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
@@ -94,10 +85,6 @@ class NewtonOptions:
         if self.compact_threshold is not None and not 0 < self.compact_threshold <= 1:
             raise ValueError(
                 f"compact_threshold must be in (0, 1], got {self.compact_threshold!r}"
-            )
-        if self.jacobian_refresh < 1:
-            raise ValueError(
-                f"jacobian_refresh must be >= 1, got {self.jacobian_refresh!r}"
             )
 
 

@@ -628,7 +628,7 @@ class BrusselatorProblem(Problem):
     def solution(self, state: BrusselatorState) -> np.ndarray:
         return state.traj.copy()
 
-    def reference_solution(self, *, backend: str = "native") -> np.ndarray:
+    def reference_solution(self) -> np.ndarray:
         """Sequential solution of the fully-coupled implicit Euler system.
 
         Returns an array of shape ``(n_components, 2, n_steps + 1)``
@@ -671,8 +671,7 @@ class BrusselatorProblem(Problem):
         y0 = self.initial_values(0, n).ravel()  # already interleaved (u, v)
         t_grid = np.linspace(0.0, self.t_end, self.n_steps + 1)
         traj = implicit_euler_banded(
-            rhs, jac_banded, 2, 2, y0, t_grid,
-            newton_tol=self.newton.tol, backend=backend,
+            rhs, jac_banded, 2, 2, y0, t_grid, newton_tol=self.newton.tol
         )  # (n_steps + 1, 2n)
         out = np.empty((n, 2, self.n_steps + 1))
         out[:, 0, :] = traj[:, 0::2].T

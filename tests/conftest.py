@@ -1,4 +1,4 @@
-"""Session-wide sweep fixtures.
+"""Session-wide sweep fixtures, and the scipy oracle of the reference.
 
 The tiny/quick sweeps are the most expensive things tier-1 runs, and
 several test modules want the same ones (the shape tests, the
@@ -122,3 +122,27 @@ def observed_run():
         return done[key]
 
     return run
+
+
+@pytest.fixture
+def scipy_banded(monkeypatch):
+    """For one test, scipy does the sequential reference's banded solves.
+
+    ``implicit_euler_banded`` asks the matrix it builds for nothing but
+    ``lu_factor().solve(b)``, so swapping the class it names makes
+    ``scipy.linalg.solve_banded`` an independent oracle behind
+    ``BrusselatorProblem.reference_solution()``.
+    """
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+
+    class ScipyBanded:
+        def __init__(self, bands, kl, ku):
+            self.bands, self.kl, self.ku = bands, kl, ku
+
+        def lu_factor(self):
+            return self
+
+        def solve(self, b):
+            return solve_banded((self.kl, self.ku), self.bands, b)
+
+    monkeypatch.setattr("repro.numerics.euler.BandedMatrix", ScipyBanded)

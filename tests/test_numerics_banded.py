@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numerics.banded import BandedMatrix, solve_banded_system, thomas_solve
+from repro.numerics.banded import BandedMatrix, thomas_solve
 
 
 def random_banded_dd(n, kl, ku, rng):
@@ -76,20 +76,14 @@ def test_singular_matrix_raises():
 
 
 def test_scipy_backend_agrees_with_native():
-    pytest.importorskip("scipy")
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
     rng = np.random.default_rng(4)
     a = random_banded_dd(10, 2, 2, rng)
     b = rng.standard_normal(10)
     m = BandedMatrix.from_dense(a, 2, 2)
-    x_native = solve_banded_system(m, b, backend="native")
-    x_scipy = solve_banded_system(m, b, backend="scipy")
+    x_native = m.lu_factor().solve(b)
+    x_scipy = solve_banded((2, 2), m.bands, b)
     assert np.allclose(x_native, x_scipy, atol=1e-10)
-
-
-def test_unknown_backend_rejected():
-    m = BandedMatrix.from_dense(np.eye(3), 0, 0)
-    with pytest.raises(ValueError, match="backend"):
-        solve_banded_system(m, np.ones(3), backend="cuda")
 
 
 def test_thomas_matches_dense():

@@ -59,9 +59,9 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize("backend", ["native", "scipy"])
-def test_banded_matches_dense_on_heat_chain(backend):
+def test_banded_matches_dense_on_heat_chain(backend, request):
     if backend == "scipy":
-        pytest.importorskip("scipy")
+        request.getfixturevalue("scipy_banded")
     # y' = L y with L the 1-D Laplacian: tridiagonal, kl = ku = 1.
     n = 12
     main = -2.0 * np.ones(n)
@@ -84,7 +84,7 @@ def test_banded_matches_dense_on_heat_chain(backend):
     y0 = np.sin(np.linspace(0, np.pi, n))
     t = np.linspace(0, 0.5, 26)
     dense = implicit_euler_dense(rhs, jac_dense, y0, t)
-    banded = implicit_euler_banded(rhs, jac_banded, 1, 1, y0, t, backend=backend)
+    banded = implicit_euler_banded(rhs, jac_banded, 1, 1, y0, t)
     assert np.allclose(dense, banded, atol=1e-8)
 
 
@@ -100,7 +100,7 @@ def test_nonlinear_banded_newton_converges():
 
     y0 = np.full(n, 2.0)
     t = np.linspace(0, 1, 11)
-    traj = implicit_euler_banded(rhs, jac_banded, 0, 0, y0, t, backend="native")
+    traj = implicit_euler_banded(rhs, jac_banded, 0, 0, y0, t)
     # Monotone decay towards zero, no blow-up.
     assert np.all(np.diff(traj[:, 0]) < 0)
     assert traj[-1, 0] > 0

@@ -1,18 +1,16 @@
 """Regression tests for the optimised kernels (banded LU, Newton, DES).
 
-The performance rewrite (vectorized banded kernels, Newton active-set
+The performance rewrite (list-based banded kernels, Newton active-set
 compaction, slots-based DES events with batched dispatch) promises one
 thing above all: **no observable change**.  These tests pin that promise
 down:
 
-* property tests of the hybrid banded LU against the scipy oracle over
-  random bandwidths, including the degenerate shapes ``kl = 0``,
-  ``ku = 0``, ``kl != ku`` and ``n = 1``;
-* bit-identity of the tuned paths against the retained scalar reference
-  (``lu_factor_scalar`` / ``solve_scalar``);
-* :class:`~repro.numerics.banded.BandedLUCache` reuse semantics;
+* property tests of the banded LU against the scipy oracle over random
+  bandwidths, including the degenerate shapes ``kl = 0``, ``ku = 0``,
+  ``kl != ku`` and ``n = 1``;
+* bit-identity of the list kernels to the retained scalar reference
+  (``lu_factor_scalar`` / ``solve_scalar``) at every band width;
 * equivalence of compacted vs full-batch ``newton_batched_2x2``;
-* modified-Newton (``jacobian_refresh``) reaching the same fixed point;
 * the event queue's live-only ``len()``, tombstone compaction and
   ``pop_due`` horizon-bounded dispatch;
 * determinism of a full AIAC run — the event trace and solution bytes
@@ -28,13 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des.event import EventQueue
-from repro.numerics.banded import (
-    BandedLUCache,
-    BandedMatrix,
-    solve_banded_system,
-    thomas_solve,
-)
-from repro.numerics.euler import implicit_euler_banded
+from repro.numerics.banded import BandedMatrix, thomas_solve
 from repro.numerics.newton import NewtonOptions, newton_batched_2x2
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -79,9 +71,9 @@ def test_lu_matches_scipy_property(n, kl, ku, seed):
         (1, 0, 0),  # scalar system
         (128, 0, 5),  # upper triangular band (no elimination)
         (128, 5, 0),  # lower triangular band (no back-band)
-        (257, 12, 4),  # kl != ku, vectorized path
+        (257, 12, 4),  # kl != ku
         (64, 3, 9),  # kl != ku the other way
-        (513, 16, 16),  # wide symmetric band, bulk strided path
+        (513, 16, 16),  # wide symmetric band
         (40, 39, 39),  # full bandwidth (band == dense)
     ],
 )
@@ -109,19 +101,29 @@ def test_lu_matches_scipy_edge_shapes(n, kl, ku):
         (40, 7, 0),
         (40, 1, 1),
         (40, 3, 3),
-        (40, 3, 4),  # kl * ku = 12, kl + ku = 7: the widest narrow shape
+        (40, 3, 4),
         (40, 1, 6),
         (40, 6, 1),
     ],
 )
 def test_narrow_paths_bit_identical_to_scalar_reference(n, kl, ku):
-    """Narrow-band factor/solve must reproduce the seed scalar path exactly.
+    """Factor/solve must reproduce the seed scalar path exactly.
 
-    Narrow bands (the kl=ku=2 hot case) dispatch to the Python-list
-    sweep, which performs the same scalar operations in the same order
-    as the retained closure reference — the results are bitwise equal,
-    which is what keeps AIAC runs bit-identical to the seed.
+    The Python-list sweeps perform the same scalar operations in the
+    same order as the retained closure reference — the results are
+    bitwise equal, which is what keeps the sequential reference (the
+    kl=ku=2 case) bit-identical to the seed.
     """
+    _assert_bit_identical_to_scalar_reference(n, kl, ku)
+
+
+@pytest.mark.parametrize("n,kl,ku", [(64, 16, 16), (64, 8, 8), (64, 3, 7)])
+def test_wide_bands_bit_identical_to_scalar_reference(n, kl, ku):
+    """A wide band runs the same sweeps: slower, not different."""
+    _assert_bit_identical_to_scalar_reference(n, kl, ku)
+
+
+def _assert_bit_identical_to_scalar_reference(n, kl, ku):
     rng = np.random.default_rng(7)
     a = random_banded_dd(n, kl, ku, rng)
     b = rng.normal(size=n)
@@ -130,19 +132,6 @@ def test_narrow_paths_bit_identical_to_scalar_reference(n, kl, ku):
     lu_ref = m.lu_factor_scalar()
     np.testing.assert_array_equal(lu_new._lu, lu_ref._lu)
     np.testing.assert_array_equal(lu_new.solve(b), lu_ref.solve_scalar(b))
-
-
-def test_wide_path_close_to_scalar_reference():
-    """The vectorized wide-band path reorders the arithmetic, so it is
-    allclose (not bitwise equal) to the scalar reference."""
-    rng = np.random.default_rng(7)
-    n, kl, ku = 64, 16, 16
-    a = random_banded_dd(n, kl, ku, rng)
-    b = rng.normal(size=n)
-    m = BandedMatrix.from_dense(a, kl, ku)
-    x_new = m.lu_factor().solve(b)
-    x_ref = m.lu_factor_scalar().solve_scalar(b)
-    np.testing.assert_allclose(x_new, x_ref, rtol=1e-12, atol=1e-14)
 
 
 def test_thomas_matches_banded():
@@ -154,7 +143,7 @@ def test_thomas_matches_banded():
     x_thomas = thomas_solve(
         np.r_[0.0, np.diag(a, -1)], np.diag(a).copy(), np.r_[np.diag(a, 1), 0.0], b
     )
-    x_banded = solve_banded_system(m, b, backend="native")
+    x_banded = m.lu_factor().solve(b)
     assert np.allclose(x_thomas, x_banded, rtol=1e-12, atol=1e-14)
 
 
@@ -167,31 +156,6 @@ def test_singular_pivot_raises_on_both_paths():
         m.lu_factor()
     with pytest.raises(np.linalg.LinAlgError):
         m.lu_factor_scalar()
-
-
-# ----------------------------------------------------------------------
-# LU reuse cache
-# ----------------------------------------------------------------------
-def test_lu_cache_reuses_up_to_max_uses():
-    rng = np.random.default_rng(11)
-    m = BandedMatrix.from_dense(random_banded_dd(12, 2, 2, rng), 2, 2)
-    cache = BandedLUCache(max_uses=3)
-    assert cache.get(0.5) is None  # miss on empty cache
-    lu = cache.put(0.5, m.lu_factor())  # put counts as the first use
-    assert cache.get(0.5) is lu  # use 2
-    assert cache.get(0.5) is lu  # use 3
-    assert cache.get(0.5) is None  # exhausted -> refactor
-    assert cache.misses == 2 and cache.hits == 2
-
-
-def test_lu_cache_key_change_invalidates():
-    rng = np.random.default_rng(12)
-    m = BandedMatrix.from_dense(random_banded_dd(8, 1, 1, rng), 1, 1)
-    cache = BandedLUCache(max_uses=100)
-    cache.put(0.5, m.lu_factor())
-    assert cache.get(0.25) is None  # different dt -> stale
-    lu2 = cache.put(0.25, m.lu_factor())
-    assert cache.get(0.25) is lu2
 
 
 # ----------------------------------------------------------------------
@@ -256,51 +220,6 @@ def test_newton_default_options_not_shared():
     r2 = newton_batched_2x2(f, u0, v0, None)
     np.testing.assert_array_equal(r1.u, r2.u)
     np.testing.assert_array_equal(r1.iterations, r2.iterations)
-
-
-# ----------------------------------------------------------------------
-# Modified Newton (frozen Jacobian) in implicit Euler
-# ----------------------------------------------------------------------
-def test_implicit_euler_jacobian_refresh_same_fixed_point():
-    """Reusing the LU across Newton iterations must not move the answer.
-
-    Convergence is judged on the true residual, so modified Newton can
-    take more iterations but lands inside the same tolerance ball.
-    """
-    decay = np.array([0.5, 1.0, 2.0, 4.0])
-
-    def rhs(t, y):
-        return -decay * y
-
-    def jac_banded(t, y):
-        return -decay[None, :].copy()  # kl = ku = 0
-
-    y0 = np.ones(4)
-    t_grid = np.linspace(0.0, 1.0, 21)
-    exact = implicit_euler_banded(rhs, jac_banded, 0, 0, y0, t_grid)
-    frozen = implicit_euler_banded(
-        rhs, jac_banded, 0, 0, y0, t_grid,
-        options=NewtonOptions(tol=1e-10, max_iter=50, jacobian_refresh=5),
-    )
-    assert np.allclose(frozen, exact, rtol=1e-9, atol=1e-10)
-
-
-def test_implicit_euler_refresh_one_matches_seed_path():
-    """refresh=1 must take the exact-Newton branch (bitwise same result)."""
-    def rhs(t, y):
-        return np.sin(y) - y
-
-    def jac_banded(t, y):
-        return (np.cos(y) - 1.0)[None, :].copy()
-
-    y0 = np.array([0.3, 1.2, 2.0])
-    t_grid = np.linspace(0.0, 0.5, 6)
-    a = implicit_euler_banded(rhs, jac_banded, 0, 0, y0, t_grid, backend="native")
-    b = implicit_euler_banded(
-        rhs, jac_banded, 0, 0, y0, t_grid, backend="native",
-        options=NewtonOptions(tol=1e-10, max_iter=50, jacobian_refresh=1),
-    )
-    np.testing.assert_array_equal(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -77,21 +77,21 @@ def test_edge_halos_are_boundary_conditions(small_problem):
     assert np.allclose(right[0], U_BOUNDARY)
 
 
-def test_single_block_converges_to_reference(small_problem):
+def test_single_block_converges_to_reference(small_problem, scipy_banded):
     p = small_problem
     st = p.initial_state(0, p.n_components)
     sweeps = sweep_to_convergence(p, [st], tol=1e-9)
     assert sweeps > 1  # it is a genuine iteration, not a direct solve
-    ref = p.reference_solution(backend="scipy")
+    ref = p.reference_solution()
     assert np.max(np.abs(st.traj - ref)) < 1e-6
 
 
-def test_two_blocks_converge_to_reference(small_problem):
+def test_two_blocks_converge_to_reference(small_problem, scipy_banded):
     p = small_problem
     states = [p.initial_state(0, 7), p.initial_state(7, 12)]
     sweep_to_convergence(p, states, tol=1e-9)
     assembled = np.concatenate([states[0].traj, states[1].traj], axis=0)
-    ref = p.reference_solution(backend="scipy")
+    ref = p.reference_solution()
     assert np.max(np.abs(assembled - ref)) < 1e-6
 
 
@@ -197,17 +197,18 @@ def test_reference_solution_bytes_are_pinned(make, digest):
     assert hashlib.sha256(np.ascontiguousarray(ref).tobytes()).hexdigest() == digest
 
 
-def test_reference_backends_agree():
+def test_reference_backends_agree(request):
     p = BrusselatorProblem(n_points=6, t_end=1.0, n_steps=10)
-    ref_native = p.reference_solution(backend="native")
-    ref_scipy = p.reference_solution(backend="scipy")
+    ref_native = p.reference_solution()
+    request.getfixturevalue("scipy_banded")
+    ref_scipy = p.reference_solution()
     assert np.max(np.abs(ref_native - ref_scipy)) < 1e-8
 
 
 def test_solution_oscillates():
     """The Brusselator's hallmark: concentrations oscillate in time."""
     p = BrusselatorProblem(n_points=8, t_end=10.0, n_steps=100)
-    ref = p.reference_solution(backend="scipy")
+    ref = p.reference_solution()
     u_mid = ref[4, 0, :]
     # sign changes of the derivative => non-monotone behaviour
     diffs = np.diff(u_mid)
