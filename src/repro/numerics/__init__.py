@@ -1,4 +1,4 @@
-"""Numerical substrates: banded LU, batched Newton, implicit Euler, norms.
+"""Numerical substrates: banded LU, batched Newton, implicit Euler.
 
 These are the "Solve" building blocks of the paper's two-stage iteration
 (Section 5): implicit Euler for the time derivative and Newton for the
@@ -28,9 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "newton_batched_2x2": "newton",
         "implicit_euler_dense": "euler",
         "implicit_euler_banded": "euler",
-        "max_abs_norm": "norms",
-        "l2_norm": "norms",
-        "relative_change": "norms",
         "ChainSegments": "ragged",
         "validate_chain_blocks": "ragged",
     },

@@ -14,8 +14,6 @@ Problems:
   evaluation problem (Section 4), as nonlinear waveform relaxation.
 * :class:`~repro.problems.synthetic.SyntheticProblem` — a controllable
   contraction model used for large parameter sweeps.
-* :class:`~repro.problems.linear.LinearFixedPointProblem` — ``x = Ax+b``
-  contractions (the classical convergence-theory setting).
 * :class:`~repro.problems.heat.HeatProblem` — 1-D implicit heat
   equation, a second physical example.
 """
@@ -29,8 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Problem": "base",
         "BrusselatorProblem": "brusselator",
         "SyntheticProblem": "synthetic",
-        "LinearFixedPointProblem": "linear",
-        "random_contraction_system": "linear",
         "HeatProblem": "heat",
         "AdvectionDiffusionProblem": "advection",
     },

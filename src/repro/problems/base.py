@@ -17,7 +17,7 @@ problem creates, iterates, splits and merges:
 
 The solver never looks inside states or halos — everything
 problem-specific stays here, which is what lets one AIAC/LB
-implementation drive the Brusselator, linear systems, the heat equation
+implementation drive the Brusselator, the heat and advection equations
 and the synthetic model alike ("the principle of AIAC algorithms is
 generic", Section 5).
 """

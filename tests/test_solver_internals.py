@@ -20,9 +20,7 @@ from repro.problems import (
     AdvectionDiffusionProblem,
     BrusselatorProblem,
     HeatProblem,
-    LinearFixedPointProblem,
     SyntheticProblem,
-    random_contraction_system,
 )
 from repro.runtime.message import Message
 from repro.workloads import Figure5Scenario, IntegrityScenario
@@ -115,9 +113,6 @@ def test_neighbor_table_is_the_topology_path_neighbors(n_ranks):
     "problem",
     [
         SyntheticProblem(np.full(12, 0.8), coupling=0.3),
-        LinearFixedPointProblem(
-            *random_contraction_system(12, np.random.default_rng(0), contraction=0.7)
-        ),
         HeatProblem(12, t_end=0.05, n_steps=8),
         AdvectionDiffusionProblem(12, n_steps=10),
         BrusselatorProblem(12, t_end=1.0, n_steps=6),
