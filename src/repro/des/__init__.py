@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Wait": "process",
         "Signal": "process",
         "Process": "process",
-        "ProcessDied": "process",
         "Simulator": "simulator",
         "SimulationError": "simulator",
         "Barrier": "sync",

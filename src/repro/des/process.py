@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Generator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.simulator import Simulator
 
-__all__ = ["Hold", "Wait", "Signal", "Process", "ProcessDied"]
+__all__ = ["Hold", "Wait", "Signal", "Process"]
 
 
 class Hold:
@@ -118,10 +118,6 @@ class Signal:
         for process in waiters:
             sim._schedule_resume(process, payload)
         return len(waiters)
-
-
-class ProcessDied(RuntimeError):
-    """Raised when interacting with a process that terminated with an error."""
 
 
 class Process:

@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "SweepEngine": "engine",
         "Task": "engine",
         "code_salt": "cache",
-        "default_jobs": "engine",
         "normalise_payload": "engine",
         "sweep": "engine",
     },

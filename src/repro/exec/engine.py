@@ -51,7 +51,6 @@ __all__ = [
     "SweepCancelled",
     "SweepEngine",
     "Task",
-    "default_jobs",
     "normalise_payload",
     "sweep",
 ]
@@ -67,14 +66,6 @@ class SweepCancelled(RuntimeError):
     uninterruptible).  Either way the engine is reusable afterwards —
     the next :meth:`~SweepEngine.map` starts a fresh pool.
     """
-
-
-def default_jobs() -> int:
-    """Worker count matching the CPUs this process may actually use."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
 
 
 def normalise_payload(payload: Any) -> Any:

@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Message": "message",
         "GridNode": "node",
         "peak_rss_bytes": "memory",
-        "export_memory_metrics": "memory",
         "Tracer": "tracer",
         "IterationSpan": "tracer",
         "IdleSpan": "tracer",

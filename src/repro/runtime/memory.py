@@ -10,9 +10,8 @@ than failing the run.
 from __future__ import annotations
 
 import sys
-from typing import Any
 
-__all__ = ["peak_rss_bytes", "export_memory_metrics"]
+__all__ = ["peak_rss_bytes"]
 
 try:  # pragma: no cover - resource is always present on POSIX
     import resource
@@ -33,8 +32,3 @@ def peak_rss_bytes() -> int:
     if sys.platform == "darwin":
         return int(peak)
     return int(peak) * 1024
-
-
-def export_memory_metrics(registry: Any, **labels: Any) -> None:
-    """Publish ``runtime.peak_rss_bytes`` into a metrics registry."""
-    registry.gauge("runtime.peak_rss_bytes", **labels).set(peak_rss_bytes())
