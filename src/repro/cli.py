@@ -194,6 +194,14 @@ def _ablations(args: argparse.Namespace) -> str:
 
 
 def _solve(args: argparse.Namespace) -> str:
+    if args.lb and args.model != "aiac":
+        print(
+            f"repro solve: --lb balances the aiac model only, "
+            f"not --model {args.model}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+
     import numpy as np
 
     from repro.core import LBConfig, SolverConfig

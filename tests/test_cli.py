@@ -119,6 +119,20 @@ def test_solve_command_gantt(capsys):
     assert "█" in out
 
 
+@pytest.mark.parametrize("model", ["sisc", "siac"])
+def test_solve_rejects_lb_on_a_synchronous_model(capsys, model):
+    # It used to run aiac+lb and report that as if it had been asked for.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "heat", "--size", "16", "--ranks", "2",
+              "--model", model, "--lb"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro solve: --lb balances the aiac model only, not --model {model}\n"
+    )
+
+
 def test_solve_rejects_unknown_problem():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["solve", "--problem", "navier-stokes"])
