@@ -11,6 +11,7 @@ interpreters because this process has long since loaded everything.
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -194,9 +195,15 @@ NO_SCIPY_SCRIPT = textwrap.dedent(
 
 
 def test_the_product_runs_without_scipy(tmp_path):
-    # scipy is a ``test`` extra (an oracle some tests ask for by name),
-    # not a dependency: with an import-poisoned stub first on the path
-    # the verbs that used to reach it by default must still run.
+    # scipy is a ``test`` extra (an oracle the tests call themselves),
+    # not a dependency: no file under ``src/`` imports it, and with an
+    # import-poisoned stub first on the path the verbs that used to
+    # reach it by default still run.
+    assert not [
+        str(path)
+        for path in Path(SRC).rglob("*.py")
+        if re.search(r"\b(import|from) scipy\b", path.read_text())
+    ]
     stub = tmp_path / "scipy"
     stub.mkdir()
     (stub / "__init__.py").write_text(
