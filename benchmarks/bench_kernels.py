@@ -6,8 +6,7 @@ Times the hot paths every experiment funnels through:
 * banded LU factor+solve at ``kl = ku = 2``, the one band the product
   factors (native path, plus the retained scalar reference path for an
   in-run speedup ratio),
-* the batched 2x2 Newton kernel (with and without active-set
-  compaction when available),
+* the batched 2x2 Newton kernel,
 * the Thomas tridiagonal solve,
 * raw DES event dispatch (processes looping on ``Hold``),
 * two end-to-end ``run_aiac`` solves: a Brusselator grid run
@@ -38,7 +37,7 @@ from repro.analysis.perf import BenchReport, bench
 from repro.core.solver import run_aiac
 from repro.des import Hold, Simulator
 from repro.numerics.banded import BandedMatrix, thomas_solve
-from repro.numerics.newton import NewtonOptions, newton_batched_2x2
+from repro.numerics.newton import newton_batched_2x2
 from repro.workloads.scenarios import Figure5Scenario, Table1Scenario
 
 
@@ -58,18 +57,16 @@ def newton_problem(n: int):
     """Independent 2x2 systems u^2 = v^2 = target (from bench_numerics)."""
     targets = np.linspace(1.0, 9.0, n)
 
-    def f(u, v, idx=None):
-        t = targets if idx is None else targets[idx]
+    def f(u, v):
         return (
-            u * u - t,
-            v * v - t,
+            u * u - targets,
+            v * v - targets,
             2.0 * u,
             np.zeros_like(u),
             np.zeros_like(u),
             2.0 * v,
         )
 
-    f.newton_compactable = True
     return f
 
 
@@ -166,18 +163,6 @@ def build_report(quick: bool, baseline: dict | None) -> BenchReport:
         min_time=min_time,
         meta={"n": n_newton},
     )
-    try:
-        compact = NewtonOptions(compact_threshold=0.9)
-    except TypeError:  # seed NewtonOptions has no compaction knob
-        compact = None
-    if compact is not None:
-        report.run(
-            lambda: newton_batched_2x2(f, u0, v0, compact),
-            name=f"newton_batched_compacted_n{n_newton}",
-            repeats=repeats,
-            min_time=min_time,
-            meta={"n": n_newton, "compact_threshold": 0.9},
-        )
 
     # --- Thomas solve -------------------------------------------------
     n_tri = 4096

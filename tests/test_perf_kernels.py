@@ -1,7 +1,7 @@
 """Regression tests for the optimised kernels (banded LU, Newton, DES).
 
-The performance rewrite (list-based banded kernels, Newton active-set
-compaction, slots-based DES events with batched dispatch) promises one
+The performance rewrite (list-based banded kernels, counter-driven
+Newton bookkeeping, slots-based DES events with batched dispatch) promises one
 thing above all: **no observable change**.  These tests pin that promise
 down:
 
@@ -10,7 +10,7 @@ down:
   ``kl != ku`` and ``n = 1``;
 * bit-identity of the list kernels to the retained scalar reference
   (``lu_factor_scalar`` / ``solve_scalar``) at every band width;
-* equivalence of compacted vs full-batch ``newton_batched_2x2``;
+* ``newton_batched_2x2``'s default options are fresh per call;
 * the event queue's live-only ``len()``, tombstone compaction and
   ``pop_due`` horizon-bounded dispatch;
 * determinism of a full AIAC run — the event trace and solution bytes
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.des.event import EventQueue
 from repro.numerics.banded import BandedMatrix, thomas_solve
-from repro.numerics.newton import NewtonOptions, newton_batched_2x2
+from repro.numerics.newton import newton_batched_2x2
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -159,7 +159,7 @@ def test_singular_pivot_raises_on_both_paths():
 
 
 # ----------------------------------------------------------------------
-# Newton compaction equivalence
+# Newton defaults
 # ----------------------------------------------------------------------
 def _make_quadratic_problem(n, seed):
     """Independent 2x2 systems u^2 + v - a = 0, v^2 - u - b = 0."""
@@ -167,50 +167,12 @@ def _make_quadratic_problem(n, seed):
     a = rng.uniform(1.0, 3.0, size=n)
     b = rng.uniform(0.5, 2.0, size=n)
 
-    def f(u, v, idx=None):
-        aa = a if idx is None else a[idx]
-        bb = b if idx is None else b[idx]
-        f1 = u * u + v - aa
-        f2 = v * v - u - bb
+    def f(u, v):
+        f1 = u * u + v - a
+        f2 = v * v - u - b
         return f1, f2, 2.0 * u, np.ones_like(u), -np.ones_like(u), 2.0 * v
 
-    f.newton_compactable = True
     return f, rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)
-
-
-@pytest.mark.parametrize("threshold", [None, 0.99, 0.5, 0.1])
-def test_newton_compaction_bit_identical(threshold):
-    f, u0, v0 = _make_quadratic_problem(400, seed=21)
-    base = newton_batched_2x2(f, u0, v0, NewtonOptions(tol=1e-12))
-    opt = NewtonOptions(tol=1e-12, compact_threshold=threshold)
-    res = newton_batched_2x2(f, u0, v0, opt)
-    np.testing.assert_array_equal(res.u, base.u)
-    np.testing.assert_array_equal(res.v, base.v)
-    np.testing.assert_array_equal(res.iterations, base.iterations)
-    np.testing.assert_array_equal(res.converged, base.converged)
-    # The batch deliberately contains both kinds of exits: most systems
-    # converge (drop out of the active set) while a few exhaust the
-    # budget, so compaction and budget-exhaustion paths are both hit.
-    n_conv = int(res.converged.sum())
-    assert 0 < n_conv < res.converged.shape[0]
-    assert n_conv > 0.9 * res.converged.shape[0]
-
-
-def test_newton_compaction_requires_opt_in():
-    """Callbacks without the marker attribute never see an idx argument."""
-    n = 100
-    rng = np.random.default_rng(5)
-    target = rng.uniform(1.0, 2.0, size=n)
-
-    def f(u, v):  # no idx parameter, no newton_compactable attribute
-        one = np.ones_like(u)
-        return u - target, v - target, one, 0.0 * one, 0.0 * one, one
-
-    res = newton_batched_2x2(
-        f, np.zeros(n), np.zeros(n), NewtonOptions(compact_threshold=0.5)
-    )
-    assert res.all_converged
-    np.testing.assert_allclose(res.u, target)
 
 
 def test_newton_default_options_not_shared():
