@@ -1,5 +1,7 @@
 """Tests for the synthetic contraction problem."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,9 +155,31 @@ def _iterate_by_concatenation(problem, state, left_halo, right_halo):
     return new.copy(), work
 
 
-@settings(max_examples=200, deadline=None)
+def _bits(x):
+    return struct.pack("d", x)
+
+
+#: Non-finite and signed-zero values drawn into the errors and the halos:
+#: NaN with four sign / payload patterns, ±inf, ±0.0.  A synthetic sweep
+#: only *selects* between NaNs (``max``), it never adds two, so every
+#: payload must come out where the array formulation puts it.
+SPECIAL = np.array(
+    [
+        np.nan,
+        -np.nan,
+        struct.unpack("d", struct.pack("Q", 0x7FF8000000000123))[0],
+        struct.unpack("d", struct.pack("Q", 0xFFF8000000000456))[0],
+        np.inf,
+        -np.inf,
+        0.0,
+        -0.0,
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 40),
+    n=st.integers(1, 64),
     lo=st.integers(0, 8),
     scalar_halos=st.booleans(),
     seed=st.integers(0, 10_000),
@@ -176,6 +200,14 @@ def test_iterate_matches_the_concatenate_formulation_bitwise(
     e = threshold * 10.0 ** rng.uniform(-3.0, 3.0, n)
     e[rng.random(n) < 0.2] = threshold
     halos = threshold * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+    # Negative values, NaN, ±inf and ±0.0 in the errors and both halos;
+    # now and then a block of signed zeros only, whose max is a tie.
+    for values in (e, halos):
+        values[rng.random(values.size) < 0.2] *= -1.0
+        special = rng.random(values.size) < 0.15
+        values[special] = rng.choice(SPECIAL, int(special.sum()))
+    if rng.random() < 0.15:
+        e = rng.choice(SPECIAL[-2:], n)
     left, right = (
         (float(halos[0]), float(halos[1]))
         if scalar_halos
@@ -191,5 +223,7 @@ def test_iterate_matches_the_concatenate_formulation_bitwise(
         assert state.e.tobytes() == reference.e.tobytes()
         assert result.residuals.tobytes() == ref_residuals.tobytes()
         assert result.work.tobytes() == ref_work.tobytes()
+        assert _bits(result.local_residual) == _bits(float(ref_residuals.max()))
+        assert _bits(result.total_work) == _bits(float(ref_work.sum()))
         assert result.residuals is not state.e
         assert not np.shares_memory(result.residuals, state.e)
