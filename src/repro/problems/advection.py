@@ -109,8 +109,8 @@ class AdvectionDiffusionProblem(Problem):
         new = self._relax(old, left_halo, right_halo)
         residuals = np.max(np.abs(new - old), axis=1)
         state.traj = new
-        return IterationResult(
-            residuals=residuals, work=np.full(state.n, float(self.n_steps))
+        return IterationResult.from_arrays(
+            residuals, np.full(state.n, float(self.n_steps))
         )
 
     def _relax(

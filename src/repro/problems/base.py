@@ -8,7 +8,8 @@ problem creates, iterates, splits and merges:
 * :meth:`Problem.iterate` performs one local relaxation sweep given the
   current halo data from both neighbours, returns per-component
   residuals and per-component **work** (in work units; see
-  :mod:`repro.numerics`), and mutates the state in place;
+  :mod:`repro.numerics`) with their max and sum, and mutates the state
+  in place;
 * :meth:`Problem.split` / :meth:`Problem.merge` implement component
   migration for dynamic load balancing;
 * :meth:`Problem.halo_out` extracts the boundary data a neighbour needs
@@ -57,30 +58,33 @@ class IterationResult:
     work:
         Per-component work in work units (counted Newton component-steps
         or equivalent).
+    local_residual:
+        ``float(residuals.max())``, 0.0 for an empty block: the node's
+        load estimate.
+    total_work:
+        ``float(work.sum())``.
+
+    The problem reports the two reductions with the arrays, bit for bit
+    what NumPy's reductions of those arrays return: a sweep on Python
+    floats has them from its own loop, an array sweep builds the result
+    with :meth:`from_arrays`.
     """
 
     residuals: np.ndarray
     work: np.ndarray
+    local_residual: float
+    total_work: float
 
-    def __post_init__(self) -> None:
-        self.residuals = np.asarray(self.residuals, dtype=float)
-        self.work = np.asarray(self.work, dtype=float)
-        if self.residuals.shape != self.work.shape:
+    @classmethod
+    def from_arrays(cls, residuals: np.ndarray, work: np.ndarray) -> "IterationResult":
+        """The result of an array sweep, its reductions taken by NumPy."""
+        if residuals.shape != work.shape:
             raise ValueError(
-                f"residuals and work must align, got {self.residuals.shape} "
-                f"vs {self.work.shape}"
+                f"residuals and work must align, got {residuals.shape} "
+                f"vs {work.shape}"
             )
-
-    @property
-    def local_residual(self) -> float:
-        """Max residual over local components (the node's load estimate)."""
-        if self.residuals.size == 0:
-            return 0.0
-        return float(self.residuals.max())
-
-    @property
-    def total_work(self) -> float:
-        return float(self.work.sum())
+        local = float(residuals.max()) if residuals.size else 0.0
+        return cls(residuals, work, local, float(work.sum()))
 
 
 class Problem(ABC):

@@ -282,13 +282,14 @@ class BrusselatorProblem(Problem):
         right_halo: np.ndarray,
     ) -> IterationResult:
         skip = self._skip_mask(state, left_halo, right_halo)
-        new, work, residuals = self._sweep_batched(
+        new, work, residuals, reduced = self._sweep_batched(
             padded(state.traj, left_halo, right_halo), skip, state.lo
         )
         if skip is not None and skip.any():
             # A skipped component's trajectory did not change; keep its
             # previous (below-threshold) residual rather than a fake 0.
             residuals[skip] = state.prev_res[skip]
+            reduced = None
 
         state.traj = new
         if self.skip_converged:
@@ -296,11 +297,13 @@ class BrusselatorProblem(Problem):
             state.prev_res = residuals.copy()
             state.last_left_halo = np.array(left_halo, copy=True)
             state.last_right_halo = np.array(right_halo, copy=True)
-        return IterationResult(residuals=residuals, work=work)
+        if reduced is None:
+            return IterationResult.from_arrays(residuals, work)
+        return IterationResult(residuals, work, *reduced)
 
     def _sweep_batched(
         self, ext: np.ndarray, skip: np.ndarray | None, lo: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float] | None]:
         """One relaxation sweep over an arbitrary batch of components.
 
         ``ext`` is the :func:`~repro.problems.base.padded` buffer
@@ -315,7 +318,9 @@ class BrusselatorProblem(Problem):
         (:class:`_BrusselatorChainSweeper`) with bit-identical
         per-component results, whichever of the three routes below the
         batch's size selects.  Returns ``(new, per-component work,
-        per-component residual max|new - old|)``.
+        per-component residual max|new - old|, (residual max, work sum))``,
+        the last None when the batched loop ran (its caller reduces the
+        arrays).
         """
         old = ext[1:-1]
         n = old.shape[0]
@@ -328,7 +333,7 @@ class BrusselatorProblem(Problem):
         # A skipped component still pays the skip test (one unit/sweep).
         work = np.ones(n)
         if m * steps <= _SCALAR_SWEEP_PAIRS:
-            return new, work, self._sweep_scalar(new, work, ext, active, None, lo)
+            return new, work, *self._sweep_scalar(new, work, ext, active, None, lo)
 
         left, right = ext[:-2], ext[2:]
         dt, c = self.dt, self.c
@@ -367,9 +372,9 @@ class BrusselatorProblem(Problem):
         # Component j needs the sequential treatment from step
         # verified[j] + 1 onward (once its own trajectory changed,
         # u_prev comes from `new`, not `old`).
-        small = m <= _SCALAR_SWEEP_MAX
-        tail = self._sweep_scalar if small else self._sweep_steps
-        return new, work, tail(new, work, ext, active, verified, lo)
+        if m <= _SCALAR_SWEEP_MAX:
+            return new, work, *self._sweep_scalar(new, work, ext, active, verified, lo)
+        return new, work, self._sweep_steps(new, work, ext, active, verified, lo), None
 
     def _sweep_steps(
         self,
@@ -543,7 +548,9 @@ class BrusselatorProblem(Problem):
         ``max|new - old|`` taken in the same pass are bit-identical.
         The win is purely dispatch overhead: NumPy cannot amortise ~30
         calls on 3 x 20 arrays, nor a ~30-flop Newton step on length-3
-        ones.  Fills ``new`` and ``work`` in place, returns the residuals.
+        ones.  Fills ``new`` and ``work`` in place, returns the residuals
+        and ``(their max, the work's sum)`` — exact: residuals are +0.0 or
+        positive, work counts are integers.
         """
         steps = self.n_steps
         dt, c = self.dt, self.c
@@ -551,9 +558,12 @@ class BrusselatorProblem(Problem):
         tol, max_iter, damping = opts.tol, opts.max_iter, opts.damping
         neg_tol = -tol
         two_c = 2.0 * c
-        residuals = np.zeros(new.shape[0])
+        n = new.shape[0]
+        residuals = np.zeros(n)
 
-        order = range(new.shape[0]) if active is None else active.tolist()
+        order = range(n) if active is None else active.tolist()
+        top = 0.0
+        total = n - len(order)  # a skipped component's one unit
         starts = [0] * len(order) if verified is None else verified.tolist()
         # Every row is read when the whole batch starts at step 1: one
         # conversion.  Otherwise only the three rows of each component
@@ -564,6 +574,7 @@ class BrusselatorProblem(Problem):
         for j, start in zip(order, starts):
             if start >= steps:
                 work[j] = steps
+                total += steps
                 continue
             (ult, vlt), (uu, vv), (urt, vrt) = (
                 rows[j : j + 3] if rows else ext[j : j + 3].tolist()
@@ -635,14 +646,17 @@ class BrusselatorProblem(Problem):
                     if d > res:
                         res = d
             work[j] = w
+            total += w
             if nu is not None:
                 new[j, 0, first:] = nu[first:]
                 new[j, 1, first:] = nv[first:]
                 residuals[j] = res
+                if res > top:
+                    top = res
         if failures:
             k = min(failures)
             raise RuntimeError(_NEWTON_FAILED.format(failures[k], k, lo))
-        return residuals
+        return residuals, (top, float(total))
 
     # ------------------------------------------------------------------
     # Migration
@@ -833,7 +847,7 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
         self, old: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         skip = self._global_skip_mask()
-        new, work, residuals = self.problem._sweep_batched(
+        new, work, residuals, _ = self.problem._sweep_batched(
             padded(old, self._edge_left, self._edge_right), skip, 0
         )
         if skip is not None and skip.any():

@@ -25,6 +25,7 @@ balancer removes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,51 @@ from repro.problems.chain_sweeper import TrajectoryChainSweeper
 from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["SyntheticProblem", "SyntheticState"]
+
+#: Blocks of at most this many components sweep on Python floats
+#: (:meth:`SyntheticProblem._sweep_floats`).  With the solver's two
+#: reductions the array route costs a flat 8.2-8.8 us a sweep from 2 to
+#: 128 components, the float route 2.8 us at 2 plus ~0.26 us a
+#: component: 8.75 us at 24, 10.8 at 32.  Recorded ``figure5_cluster``
+#: traffic (blocks of 2, 16, 32 and 64 are 92 % of its calls) costs the
+#: same at every bound from 16 to 28 and more at 32 (``docs/
+#: performance.md``, "Per-sweep handoff of the small-block problems").
+_FLOAT_SWEEP_MAX = 24
+
+
+def _halo_value(halo) -> float:
+    """A synthetic halo (a float or a one-element array) as a float."""
+    return halo.item() if isinstance(halo, np.ndarray) else halo
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """``float(np.array(values).sum())`` for at most 128 values.
+
+    NumPy adds fewer than eight values in order and up to 128 in eight
+    interleaved partial sums combined pairwise; a left-to-right sum of
+    non-integer costs differs from that in most draws from eight on.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[end:]:
+        total += v
+    return total
 
 
 @dataclass(slots=True)
@@ -138,12 +184,57 @@ class SyntheticProblem(Problem):
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
+        # The synthetic problem's residual IS the true error (idealised
+        # estimator; see module docstring).
+        if state.n <= _FLOAT_SWEEP_MAX:
+            return self._sweep_floats(state, left_halo, right_halo)
         rates = self.rates[state.lo : state.lo + state.n]
         new, work = self._relax(rates, state.e, left_halo, right_halo)
         state.e = new
-        # The synthetic problem's residual IS the true error (idealised
-        # estimator; see module docstring).
-        return IterationResult(residuals=new.copy(), work=work)
+        return IterationResult.from_arrays(new.copy(), work)
+
+    def _sweep_floats(
+        self, state: SyntheticState, left_halo, right_halo
+    ) -> IterationResult:
+        """:meth:`_relax` of a small block on Python floats, with the
+        reductions taken in the same loop.
+
+        ``np.maximum(a, b)`` is ``a if a > b or a != a else b`` (of two
+        signed zeros the second operand, of two NaNs the first), and the
+        only arithmetic is a finite rate or coupling times one value, so
+        the errors, NaN payloads included, and the work are bit-identical
+        to the array route.  So is their max unless it is a signed zero
+        or a NaN, whose sign or payload NumPy's reduction order picks:
+        then it is taken from the array.  The work sum follows NumPy's
+        pairwise order (:func:`_numpy_sum`).
+        """
+        n, lo = state.n, state.lo
+        rates = self.rates[lo : lo + n].tolist()
+        e = state.e.tolist()
+        ext = [_halo_value(left_halo), *e, _halo_value(right_halo)]
+        g, threshold = self.coupling, self.active_threshold
+        base = self.base_cost
+        active = base + self.active_cost
+        new = []
+        work = []
+        top = -math.inf
+        nan = False
+        for j in range(n):
+            a, b = ext[j], ext[j + 2]
+            x = e[j]
+            u = rates[j] * x
+            w = g * (a if a > b or a != a else b)
+            v = u if u > w or u != u else w
+            new.append(v)
+            work.append(active if x > threshold else base)
+            if v > top:
+                top = v
+            elif v != v:
+                nan = True
+        state.e = values = np.array(new)
+        if nan or top == 0.0:
+            top = float(values.max())
+        return IterationResult(values.copy(), np.array(work), top, _numpy_sum(work))
 
     def _relax(
         self, rates: np.ndarray, e: np.ndarray, left_halo, right_halo

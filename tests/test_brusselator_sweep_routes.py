@@ -10,7 +10,8 @@ so this module keeps a *test-local* copy of the formulation the routes
 must reproduce — NumPy stage 1 + per-step ``newton_batched_2x2`` for
 every batch size — and forces each route through the three module
 constants.  Everything is compared bitwise (``tobytes()``): values,
-work counts and residuals, signs of zero included.
+work counts and residuals, signs of zero included, and the residual max
+and work sum a scalar route hands back with them.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import functools
 import hashlib
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -111,12 +113,20 @@ def reference_sweep(problem, ext, skip):
 
 
 def assert_sweep_equals_reference(problem, ext, skip, lo=0):
-    got = problem._sweep_batched(ext, skip, lo)
+    """The route's arrays equal the reference's bitwise, and so do the
+    reductions a scalar route hands back (None from the batched loop)."""
+    *got, reduced = problem._sweep_batched(ext, skip, lo)
     want = reference_sweep(problem, ext, skip)
     for name, g, w in zip(("new", "work", "residuals"), got, want):
         assert g.dtype == w.dtype == np.float64, name
         assert g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name
+    if reduced is not None:
+        _, work, residuals = want
+        top = float(residuals.max()) if residuals.size else 0.0
+        assert struct.pack("dd", *reduced) == struct.pack(
+            "dd", top, float(work.sum())
+        )
     return got
 
 
@@ -229,9 +239,10 @@ def test_deterministic_shapes_on_each_route(monkeypatch, route):
         problem, ext, np.ones(12, dtype=bool)
     )
     assert work.tobytes() == np.ones(12).tobytes()
-    new, work, residuals = problem._sweep_batched(ext[:2], None, 0)
+    new, work, residuals, reduced = problem._sweep_batched(ext[:2], None, 0)
     assert new.shape == (0, 2, steps + 1)
     assert work.shape == residuals.shape == (0,)
+    assert reduced == (0.0, 0.0)
 
 
 @functools.cache
@@ -383,7 +394,7 @@ SWEEP_DIGESTS = {
 def test_large_batch_sweep_digest(n):
     ext, skip = seeded_buffer(n)
     digest = hashlib.sha256()
-    for array in lockstep_problem(n)._sweep_batched(ext, skip, 0):
+    for array in lockstep_problem(n)._sweep_batched(ext, skip, 0)[:3]:
         digest.update(array.tobytes())
     assert digest.hexdigest() == SWEEP_DIGESTS[n]
 

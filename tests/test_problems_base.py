@@ -9,19 +9,20 @@ from repro.problems.base import IterationResult, padded
 
 def test_iteration_result_aligns_shapes():
     with pytest.raises(ValueError, match="align"):
-        IterationResult(residuals=np.zeros(3), work=np.zeros(2))
+        IterationResult.from_arrays(np.zeros(3), np.zeros(2))
 
 
 def test_iteration_result_metrics():
-    res = IterationResult(
-        residuals=np.array([0.1, 0.5, 0.2]), work=np.array([1.0, 2.0, 3.0])
+    res = IterationResult.from_arrays(
+        np.array([0.1, 0.5, 0.2]), np.array([1.0, 2.0, 3.0])
     )
     assert res.local_residual == 0.5
     assert res.total_work == 6.0
+    assert type(res.local_residual) is type(res.total_work) is float
 
 
 def test_iteration_result_empty_block():
-    res = IterationResult(residuals=np.zeros(0), work=np.zeros(0))
+    res = IterationResult.from_arrays(np.zeros(0), np.zeros(0))
     assert res.local_residual == 0.0
     assert res.total_work == 0.0
 
