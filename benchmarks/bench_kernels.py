@@ -4,8 +4,7 @@
 Times the hot paths every experiment funnels through:
 
 * banded LU factor+solve at ``kl = ku = 2``, the one band the product
-  factors (native path, plus the retained scalar reference path for an
-  in-run speedup ratio),
+  factors,
 * the batched 2x2 Newton kernel,
 * the Thomas tridiagonal solve,
 * raw DES event dispatch (processes looping on ``Hold``),
@@ -128,28 +127,16 @@ def build_report(quick: bool, baseline: dict | None) -> BenchReport:
     repeats = 3 if quick else 7
     min_time = 0.02 if quick else 0.25
 
-    # --- banded LU: native path vs retained scalar reference ----------
+    # --- banded LU ----------------------------------------------------
     for n in (512,) if quick else (512, 1024):
         matrix, b = banded_case(n)
-        native = report.run(
+        report.run(
             lambda m=matrix, rhs=b: m.lu_factor().solve(rhs),
             name=f"banded_lu_solve_n{n}_w5",
             repeats=repeats,
             min_time=min_time,
             meta={"n": n, "kl": 2, "ku": 2, "path": "native"},
         )
-        # The seed has no separate scalar path; the scalar reference is
-        # retained for exactly this ratio.
-        scalar_factor = getattr(matrix, "lu_factor_scalar", None)
-        if scalar_factor is not None:
-            scalar = report.run(
-                lambda m=matrix, rhs=b: m.lu_factor_scalar().solve_scalar(rhs),
-                name=f"banded_lu_solve_scalar_n{n}_w5",
-                repeats=max(2, repeats - 2),
-                min_time=min_time,
-                meta={"n": n, "kl": 2, "ku": 2, "path": "scalar-reference"},
-            )
-            native.meta["speedup_vs_scalar"] = scalar.best / native.best
 
     # --- batched Newton ----------------------------------------------
     n_newton = 1024 if quick else 4096

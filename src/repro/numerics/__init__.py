@@ -26,7 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "NewtonOptions": "newton",
         "NewtonResult": "newton",
         "newton_batched_2x2": "newton",
-        "implicit_euler_dense": "euler",
         "implicit_euler_banded": "euler",
         "ChainSegments": "ragged",
         "validate_chain_blocks": "ragged",

@@ -7,12 +7,10 @@ coupled system**: it is the fixed point towards which the parallel
 waveform relaxation converges (same time grid, same tolerance), and
 therefore the ground truth every parallel run is checked against.
 
-Two variants:
-
-* :func:`implicit_euler_dense` — dense Newton, any small system;
-* :func:`implicit_euler_banded` — banded Newton for 1-D
-  reaction–diffusion systems (the Brusselator's interleaved Jacobian has
-  ``kl = ku = 2``), factoring ``I - dt·J`` afresh every iteration.
+:func:`implicit_euler_banded` is banded Newton for 1-D
+reaction–diffusion systems (the Brusselator's interleaved Jacobian has
+``kl = ku = 2``), factoring ``I - dt·J`` afresh every iteration.  The
+tests check it against a dense-Newton reference of their own.
 """
 
 from __future__ import annotations
@@ -23,72 +21,12 @@ import numpy as np
 
 from repro.numerics.banded import BandedMatrix
 
-__all__ = ["implicit_euler_dense", "implicit_euler_banded"]
+__all__ = ["implicit_euler_banded"]
 
 #: rhs(t, y) -> dy/dt
 Rhs = Callable[[float, np.ndarray], np.ndarray]
-#: jac(t, y) -> dense Jacobian of rhs
-DenseJac = Callable[[float, np.ndarray], np.ndarray]
 #: jac_banded(t, y) -> band storage of the rhs Jacobian (kl+ku+1, n)
 BandedJac = Callable[[float, np.ndarray], np.ndarray]
-
-
-def _step_newton_dense(
-    rhs: Rhs,
-    jac: DenseJac,
-    t_new: float,
-    dt: float,
-    y_prev: np.ndarray,
-    y_guess: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> np.ndarray:
-    y = y_guess.copy()
-    identity = np.eye(y.shape[0])
-    for _ in range(max_iter):
-        residual = y - y_prev - dt * rhs(t_new, y)
-        if np.max(np.abs(residual)) <= tol:
-            return y
-        jacobian = identity - dt * jac(t_new, y)
-        y = y - np.linalg.solve(jacobian, residual)
-    residual = y - y_prev - dt * rhs(t_new, y)
-    if np.max(np.abs(residual)) > tol:
-        raise RuntimeError(
-            f"implicit Euler Newton failed to converge at t={t_new} "
-            f"(|F|={np.max(np.abs(residual)):.3e} > tol={tol:.3e})"
-        )
-    return y
-
-
-def implicit_euler_dense(
-    rhs: Rhs,
-    jac: DenseJac,
-    y0: np.ndarray,
-    t_grid: np.ndarray,
-    *,
-    newton_tol: float = 1e-10,
-    newton_max_iter: int = 50,
-) -> np.ndarray:
-    """Integrate ``y' = rhs(t, y)`` over ``t_grid`` with implicit Euler.
-
-    Returns the trajectory array of shape ``(len(t_grid), len(y0))``
-    (first row is ``y0``).
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError("t_grid must be 1-D with at least two points")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    y0 = np.asarray(y0, dtype=float)
-    out = np.empty((len(t_grid), y0.shape[0]))
-    out[0] = y0
-    for k in range(1, len(t_grid)):
-        dt = t_grid[k] - t_grid[k - 1]
-        out[k] = _step_newton_dense(
-            rhs, jac, t_grid[k], dt, out[k - 1], out[k - 1],
-            newton_tol, newton_max_iter,
-        )
-    return out
 
 
 def implicit_euler_banded(

@@ -1,9 +1,11 @@
-"""Tests for implicit Euler integrators (dense and banded)."""
+"""Tests for the banded implicit Euler integrator and its dense
+reference (``tests/oracles.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.numerics.euler import implicit_euler_banded, implicit_euler_dense
+from repro.numerics.euler import implicit_euler_banded
+from tests.oracles import implicit_euler_dense
 
 
 def test_scalar_decay_matches_backward_euler_formula():

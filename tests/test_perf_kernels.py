@@ -8,8 +8,9 @@ down:
 * property tests of the banded LU against the scipy oracle over random
   bandwidths, including the degenerate shapes ``kl = 0``, ``ku = 0``,
   ``kl != ku`` and ``n = 1``;
-* bit-identity of the list kernels to the retained scalar reference
-  (``lu_factor_scalar`` / ``solve_scalar``) at every band width;
+* bit-identity of the list kernels to the scalar reference
+  (``tests/oracles.py``: ``lu_factor_scalar`` / ``solve_scalar``) at
+  every band width;
 * ``newton_batched_2x2``'s default options are fresh per call;
 * the event queue's live-only ``len()``, tombstone compaction and
   ``pop_due`` horizon-bounded dispatch;
@@ -28,19 +29,14 @@ from hypothesis import strategies as st
 from repro.des.event import EventQueue
 from repro.numerics.banded import BandedMatrix, thomas_solve
 from repro.numerics.newton import newton_batched_2x2
+from tests.oracles import (
+    banded_from_dense,
+    lu_factor_scalar,
+    random_banded_dd,
+    solve_scalar,
+)
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
-
-
-def random_banded_dd(n, kl, ku, rng):
-    """Random strictly diagonally dominant banded matrix (dense)."""
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - kl), min(n, i + ku + 1)):
-            if i != j:
-                a[i, j] = rng.uniform(-1, 1)
-        a[i, i] = np.sum(np.abs(a[i])) + rng.uniform(1.0, 2.0)
-    return a
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +55,7 @@ def test_lu_matches_scipy_property(n, kl, ku, seed):
     ku = min(ku, n - 1)
     a = random_banded_dd(n, kl, ku, rng)
     b = rng.normal(size=n)
-    m = BandedMatrix.from_dense(a, kl, ku)
+    m = banded_from_dense(a, kl, ku)
     x = m.lu_factor().solve(b)
     x_ref = scipy_linalg.solve_banded((kl, ku), m.bands, b)
     assert np.allclose(x, x_ref, rtol=1e-10, atol=1e-12)
@@ -81,7 +77,7 @@ def test_lu_matches_scipy_edge_shapes(n, kl, ku):
     rng = np.random.default_rng(n * 1000 + kl * 10 + ku)
     a = random_banded_dd(n, kl, ku, rng)
     b = rng.normal(size=n)
-    m = BandedMatrix.from_dense(a, kl, ku)
+    m = banded_from_dense(a, kl, ku)
     x = m.lu_factor().solve(b)
     x_ref = scipy_linalg.solve_banded((kl, ku), m.bands, b)
     assert np.allclose(x, x_ref, rtol=1e-10, atol=1e-12)
@@ -127,11 +123,11 @@ def _assert_bit_identical_to_scalar_reference(n, kl, ku):
     rng = np.random.default_rng(7)
     a = random_banded_dd(n, kl, ku, rng)
     b = rng.normal(size=n)
-    m = BandedMatrix.from_dense(a, kl, ku)
+    m = banded_from_dense(a, kl, ku)
     lu_new = m.lu_factor()
-    lu_ref = m.lu_factor_scalar()
+    lu_ref = lu_factor_scalar(m)
     np.testing.assert_array_equal(lu_new._lu, lu_ref._lu)
-    np.testing.assert_array_equal(lu_new.solve(b), lu_ref.solve_scalar(b))
+    np.testing.assert_array_equal(lu_new.solve(b), solve_scalar(lu_ref, b))
 
 
 def test_thomas_matches_banded():
@@ -139,7 +135,7 @@ def test_thomas_matches_banded():
     n = 50
     a = random_banded_dd(n, 1, 1, rng)
     b = rng.normal(size=n)
-    m = BandedMatrix.from_dense(a, 1, 1)
+    m = banded_from_dense(a, 1, 1)
     x_thomas = thomas_solve(
         np.r_[0.0, np.diag(a, -1)], np.diag(a).copy(), np.r_[np.diag(a, 1), 0.0], b
     )
@@ -155,7 +151,7 @@ def test_singular_pivot_raises_on_both_paths():
     with pytest.raises(np.linalg.LinAlgError):
         m.lu_factor()
     with pytest.raises(np.linalg.LinAlgError):
-        m.lu_factor_scalar()
+        lu_factor_scalar(m)
 
 
 # ----------------------------------------------------------------------
