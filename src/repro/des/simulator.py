@@ -14,7 +14,7 @@ import math
 from typing import Any, Callable, Generator
 
 from repro.des.event import EventQueue, ScheduledEvent
-from repro.des.process import Process, Signal, Wait
+from repro.des.process import Process
 
 __all__ = ["Simulator", "SimulationError"]
 
@@ -227,22 +227,3 @@ class Simulator:
         registry.gauge("des.heap_size", **labels).set(self._queue.peak_size)
         registry.counter("des.batch_dispatch", **labels).add(self.n_batches)
         registry.counter("des.events_dispatched", **labels).add(self.n_dispatched)
-
-    def run_until_signal(self, signal: Signal, horizon: float | None = None) -> bool:
-        """Run until ``signal`` is next triggered.
-
-        Returns ``True`` if the signal fired, ``False`` if the queue
-        drained or the horizon was reached first.  Internally spawns a
-        watcher process that waits on the signal and stops the loop.
-        """
-        fired = False
-
-        def watcher(sim: "Simulator"):
-            nonlocal fired
-            yield Wait(signal)
-            fired = True
-            sim.stop()
-
-        self.spawn("_run_until_signal_watcher", watcher(self))
-        self.run(until=horizon)
-        return fired

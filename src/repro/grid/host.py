@@ -75,15 +75,3 @@ class Host:
                 return (t - t0) + remaining / rate
             remaining -= capacity
             t = seg_end
-
-    def work_capacity(self, t0: float, t1: float) -> float:
-        """Work units this host can complete in ``[t0, t1]``."""
-        if t1 <= t0:
-            return 0.0
-        total = 0.0
-        t = t0
-        while t < t1:
-            nxt = min(self.trace.next_change(t), t1)
-            total += self.effective_speed(t) * (nxt - t)
-            t = nxt
-        return total

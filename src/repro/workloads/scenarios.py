@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.config import LBConfig, SolverConfig
 from repro.grid.platform import Platform, homogeneous_cluster
-from repro.problems.brusselator import BrusselatorProblem
-from repro.problems.synthetic import SyntheticProblem
-from repro.topology.logical import interleaved_sites_order
 from repro.util.rng import RngTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.problems.brusselator import BrusselatorProblem
+    from repro.problems.synthetic import SyntheticProblem
 
 __all__ = [
     "Scenario",
@@ -109,6 +111,8 @@ class Figure5Scenario(Scenario):
 
     def problem(self) -> SyntheticProblem | BrusselatorProblem:
         if self.problem_kind == "synthetic":
+            from repro.problems.synthetic import SyntheticProblem
+
             return SyntheticProblem.with_hard_region(
                 self.n_components,
                 easy_rate=self.easy_rate,
@@ -122,6 +126,8 @@ class Figure5Scenario(Scenario):
             # mechanism (converged components verify cheaply / skip);
             # the threshold sits two decades above the tolerance, same
             # margin as the synthetic active_threshold.
+            from repro.problems.brusselator import BrusselatorProblem
+
             return BrusselatorProblem(
                 self.n_components,
                 t_end=self.t_end,
@@ -255,6 +261,8 @@ class ScaleScenario(Scenario):
 
     def problem(self) -> SyntheticProblem | BrusselatorProblem:
         if self.problem_kind == "synthetic":
+            from repro.problems.synthetic import SyntheticProblem
+
             return SyntheticProblem.with_hard_region(
                 self.n_components,
                 easy_rate=self.easy_rate,
@@ -262,6 +270,8 @@ class ScaleScenario(Scenario):
                 region=self.hard_region,
             )
         if self.problem_kind == "brusselator":
+            from repro.problems.brusselator import BrusselatorProblem
+
             return BrusselatorProblem(
                 self.n_components,
                 t_end=self.t_end,
@@ -359,6 +369,8 @@ class Table1Scenario(Scenario):
         # stays away from 1 at this N: the paper's parallel scheme has
         # the same N-vs-sweep-count coupling, it just ran far more
         # sweeps on real hardware than a simulation budget allows.
+        from repro.problems.brusselator import BrusselatorProblem
+
         return BrusselatorProblem(
             self.n_points,
             t_end=self.t_end,
@@ -387,6 +399,8 @@ class Table1Scenario(Scenario):
         return platform
 
     def host_order(self, platform: Platform) -> list[int]:
+        from repro.topology.logical import interleaved_sites_order
+
         return interleaved_sites_order(platform)
 
     def solver_config(self, *, trace: bool = False) -> SolverConfig:
@@ -433,6 +447,8 @@ class ModelsComparisonScenario(Scenario):
     def problem(self) -> SyntheticProblem:
         import numpy as np
 
+        from repro.problems.synthetic import SyntheticProblem
+
         return SyntheticProblem(
             np.full(self.n_components, self.rate), coupling=0.3
         )
@@ -460,6 +476,8 @@ class ModelsComparisonScenario(Scenario):
         )
 
     def host_order(self, platform: Platform) -> list[int]:
+        from repro.topology.logical import interleaved_sites_order
+
         return interleaved_sites_order(platform)
 
     def solver_config(self, *, trace: bool = False) -> SolverConfig:
@@ -866,6 +884,8 @@ class TraceFigureScenario(Scenario):
 
     def problem(self) -> SyntheticProblem:
         import numpy as np
+
+        from repro.problems.synthetic import SyntheticProblem
 
         return SyntheticProblem(
             np.full(self.n_components, self.rate), coupling=0.3

@@ -1,4 +1,4 @@
-"""In-repo reference implementations the numerics tests hold the product to.
+"""In-repo reference implementations the tests hold the product to.
 
 None of this runs in a product path; each is the formulation a kernel
 was written against (or rewritten from), kept here so a bitwise test
@@ -12,7 +12,9 @@ in ``conftest.py``.
   :class:`~repro.numerics.banded.BandedMatrix`;
 * :func:`lu_factor_scalar`, :func:`solve_scalar` — the closure-based
   factor and solve that ``BandedMatrix.lu_factor`` and
-  ``BandedLU.solve`` reproduce bit for bit.
+  ``BandedLU.solve`` reproduce bit for bit;
+* :func:`work_capacity` — the work a host completes in an interval,
+  the inverse :meth:`repro.grid.host.Host.duration_for_work` is held to.
 """
 
 from __future__ import annotations
@@ -201,3 +203,19 @@ def random_banded_dd(n: int, kl: int, ku: int, rng) -> np.ndarray:
                 a[i, j] = rng.uniform(-1, 1)
         a[i, i] = np.sum(np.abs(a[i])) + rng.uniform(1.0, 2.0)
     return a
+
+
+# ----------------------------------------------------------------------
+# Host work capacity (the inverse of Host.duration_for_work)
+# ----------------------------------------------------------------------
+def work_capacity(host, t0: float, t1: float) -> float:
+    """Work units ``host`` can complete in ``[t0, t1]``."""
+    if t1 <= t0:
+        return 0.0
+    total = 0.0
+    t = t0
+    while t < t1:
+        nxt = min(host.trace.next_change(t), t1)
+        total += host.effective_speed(t) * (nxt - t)
+        t = nxt
+    return total

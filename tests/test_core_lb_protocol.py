@@ -12,12 +12,14 @@ from repro.core import LBConfig, SolverConfig, run_balanced_aiac
 from repro.core.lb import _BalancedRun
 from repro.core.partition import PartitionError
 from repro.core.solver import build_chain
+from repro.faults import FaultInjector, FaultSchedule, ResilienceConfig
 from repro.grid import homogeneous_cluster
 from repro.grid.host import Host
 from repro.grid.link import Link
 from repro.grid.network import Network
 from repro.grid.platform import Platform
 from repro.problems import SyntheticProblem
+from repro.runtime.message import Message
 
 
 def two_rank_platform(latency=0.01):
@@ -186,3 +188,81 @@ def test_try_lb_offers_the_surplus_fraction_of_the_block(theirs, outcome, offere
     ctx.neighbor_estimate["right"] = theirs
     assert balanced.try_lb(ctx, "right") == outcome
     assert balanced.lb[0].outgoing["right"] == offered
+
+
+# ---------------------------------------------------------------------------
+# Protocol timeouts (resilient transport only)
+# ---------------------------------------------------------------------------
+#: A handshake step is abandoned this long (virtual s) after it started.
+TIMEOUT = 0.5
+
+
+def timed_pair():
+    """A loaded rank 0 next to an idle rank 1, a fault injector armed
+    with a short protocol timeout, and a link so slow that nothing sent
+    during a test arrives: a handler runs only when the test calls it,
+    and the timers are the only events that fire."""
+    run = build_chain(
+        imbalanced_problem(), two_rank_platform(latency=10.0), CFG, model="aiac+lb"
+    )
+    balanced = _BalancedRun(run, LBConfig(accuracy=0.5, max_fraction=1.0))
+    resilience = ResilienceConfig(protocol_timeout=TIMEOUT, base_timeout=5.0)
+    FaultInjector(FaultSchedule(resilience=resilience)).install(run)
+    ctx = run.ranks[0]
+    ctx.residual = 0.3
+    ctx.estimator.update(0.3, 3.0, 1.0, ctx.n_local)
+    ctx.neighbor_estimate["right"] = 1.0
+    return run, balanced
+
+
+def lb_message(kind, payload, src_rank):
+    return Message(
+        kind=kind, payload=payload, size_bytes=8, src_rank=src_rank,
+        dst_rank=1 - src_rank,
+    )
+
+
+def test_an_unanswered_offer_expires_and_frees_the_edge():
+    run, balanced = timed_pair()
+    ctx, state = run.ranks[0], balanced.lb[0]
+    assert balanced.try_lb(ctx, "right") == "offered"
+    run.sim.run(until=0.9 * TIMEOUT)
+    assert state.outgoing["right"] == 4 and state.offers_timed_out == 0
+    assert balanced.try_lb(ctx, "right") == "pending"
+    run.sim.run(until=1.1 * TIMEOUT)
+    assert state.offers_timed_out == 1
+    assert state.outgoing["right"] is None and not balanced._rank_busy(0)
+    assert state.ok_to_try == LBConfig().retry_delay
+    assert balanced.try_lb(ctx, "right") == "offered"
+    assert state.offers_sent == 2 and state.outgoing["right"] == 4
+
+
+def test_a_stale_offer_timer_is_a_no_op():
+    # The first offer is refused before its timer fires; when it does,
+    # a second offer is outstanding on the same edge and must survive.
+    run, balanced = timed_pair()
+    ctx, state = run.ranks[0], balanced.lb[0]
+    assert balanced.try_lb(ctx, "right") == "offered"
+    reply = lb_message("lb_reply_from_right", {"accept": False}, src_rank=1)
+    balanced._on_reply(ctx, "right", reply)
+    assert state.offers_rejected == 1 and state.outgoing["right"] is None
+    run.sim.run(until=0.6 * TIMEOUT)
+    assert balanced.try_lb(ctx, "right") == "offered"
+    run.sim.run(until=1.1 * TIMEOUT)  # the first offer's timer has fired
+    assert state.offers_timed_out == 0 and state.outgoing["right"] == 4
+    run.sim.run(until=1.7 * TIMEOUT)  # and now the second one's
+    assert state.offers_timed_out == 1 and state.outgoing["right"] is None
+
+
+def test_accepted_data_that_never_arrives_stops_being_expected():
+    run, balanced = timed_pair()
+    ctx, state = run.ranks[1], balanced.lb[1]
+    offer = lb_message("lb_offer_from_left", {"n": 2}, src_rank=0)
+    balanced._on_offer(ctx, "left", offer)
+    assert state.incoming_expected["left"] and balanced._rank_busy(1)
+    balanced._on_offer(ctx, "left", offer)  # refused: data still expected
+    assert state.incoming_epoch["left"] == 1
+    run.sim.run(until=1.1 * TIMEOUT)
+    assert not state.incoming_expected["left"] and not balanced._rank_busy(1)
+    balanced._on_offer(ctx, "left", offer)  # accepted again
+    assert state.incoming_expected["left"] and state.incoming_epoch["left"] == 2

@@ -198,6 +198,21 @@ def test_yield_none_requeues_same_time():
     assert sim.now == 0.0
 
 
+def run_until_signal(sim, signal, horizon=None):
+    """Run ``sim`` until ``signal`` is next triggered; ``True`` if it
+    fired, ``False`` if the queue drained or the horizon came first."""
+    fired = []
+
+    def watcher(sim):
+        yield Wait(signal)
+        fired.append(sim.now)
+        sim.stop()
+
+    sim.spawn("watcher", watcher(sim))
+    sim.run(until=horizon)
+    return bool(fired)
+
+
 def test_run_until_signal():
     sim = Simulator()
     sig = Signal()
@@ -208,7 +223,7 @@ def test_run_until_signal():
         yield Hold(100.0)
 
     sim.spawn("s", sender(sim))
-    fired = sim.run_until_signal(sig)
+    fired = run_until_signal(sim, sig)
     assert fired
     assert sim.now == 2.0
 
@@ -221,7 +236,7 @@ def test_run_until_signal_horizon_miss():
         yield Hold(10.0)
 
     sim.spawn("n", nothing(sim))
-    fired = sim.run_until_signal(sig, horizon=1.0)
+    fired = run_until_signal(sim, sig, horizon=1.0)
     assert not fired
     assert sim.now == 1.0
 
@@ -318,7 +333,7 @@ def test_run_until_signal_fires_exactly_at_horizon():
         sig.trigger(sim)
 
     sim.spawn("t", trigger(sim))
-    assert sim.run_until_signal(sig, horizon=5.0) is True
+    assert run_until_signal(sim, sig, horizon=5.0) is True
     assert sim.now == 5.0
 
 
@@ -331,7 +346,7 @@ def test_run_until_signal_just_past_horizon_returns_false():
         sig.trigger(sim)
 
     sim.spawn("t", trigger(sim))
-    assert sim.run_until_signal(sig, horizon=4.999) is False
+    assert run_until_signal(sim, sig, horizon=4.999) is False
     assert sim.now == 4.999
 
 

@@ -100,6 +100,61 @@ def test_paper_experiments_never_load_networkx_or_scipy():
     run_fresh(SCRIPT)
 
 
+SCALE_REPLAY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from dataclasses import replace
+
+    from repro.guard import InvariantMonitor
+    from repro.models import run_sisc_batched
+    from repro.workloads import ScaleScenario
+
+    ENGINE = (
+        "repro.des", "repro.core.solver", "repro.core.lb", "repro.runtime.node",
+        "repro.runtime.message", "repro.models.sisc", "repro.models.siac",
+        "repro.problems.synthetic", "repro.topology.graphs",
+    )
+    scenario = ScaleScenario(
+        problem_kind="brusselator", n_ranks=6, components_per_rank=4
+    )
+    config = replace(scenario.solver_config(), max_iterations=30)
+
+    def run(config):
+        return run_sisc_batched(
+            scenario.problem(), scenario.platform(), config,
+            guard=InvariantMonitor(),
+        )
+
+    replayed = run(config)
+    assert replayed.meta["engine"] == "lockstep", replayed.meta
+    bad = sorted(name for name in sys.modules if name.startswith(ENGINE))
+    assert not bad, f"the replay loaded {bad}"
+    ours = sorted(name for name in sys.modules if name.startswith("repro"))
+    assert len(ours) <= 32, f"{len(ours)} repro modules: {ours}"
+
+    # The one path that needs the event-driven engine still finds it.
+    fallen = run(replace(config, detection="token_ring"))
+    assert "repro.models.sisc" in sys.modules
+
+    from repro.analysis.perf import run_fingerprint
+    from repro.models import run_sisc
+
+    reference = run_sisc(
+        scenario.problem(), scenario.platform(),
+        replace(config, detection="token_ring"), guard=InvariantMonitor(),
+    )
+    assert run_fingerprint(fallen) == run_fingerprint(reference)
+    print("ok")
+    """
+)
+
+
+def test_the_scale_replay_loads_no_event_driven_engine():
+    # ``run_sisc_batched`` dispatches no event: its process compiles
+    # neither the DES, the AIAC solvers nor the problem it does not run.
+    run_fresh(SCALE_REPLAY_SCRIPT)
+
+
 #: How a script ends whose process may load neither numpy nor much of us.
 LIGHT_PROCESS = textwrap.dedent(
     """

@@ -128,7 +128,7 @@ def test_run_model_rejects_an_unknown_name_and_lists_the_choices():
 def test_run_model_builds_the_drivers_arguments(monkeypatch):
     """``aiac+lb`` alone receives ``lb_config()``; ``trace`` reaches the
     ``SolverConfig``; ``platform`` and the hooks are forwarded as given."""
-    import repro.models as models
+    import repro.models.registry as models
     from repro.workloads import ResilienceScenario
 
     calls = []

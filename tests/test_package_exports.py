@@ -6,6 +6,7 @@ order: package, name, the module that defines it, and the object's own
 comes by its exports may change; this table may not.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -30,6 +31,27 @@ def test_every_package_is_in_the_table():
         for path in Path(SRC, "repro").rglob("__init__.py")
     )
     assert on_disk == PACKAGES
+
+
+def test_no_package_init_imports_what_it_exports():
+    # The export rule of ``repro._exports``, read off the source: a
+    # package ``__init__`` imports at its top only what builds its table.
+    allowed = {"__future__", "typing", "repro._exports"}
+    offenders = []
+    for path in sorted(Path(SRC, "repro").rglob("__init__.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}: {module}"
+                for module in modules
+                if module not in allowed
+            ]
+    assert not offenders
 
 
 def test_export_table_is_unchanged():
