@@ -20,7 +20,7 @@ Package map (see DESIGN.md for the full inventory):
 
 * :mod:`repro.core` — AIAC solvers, load balancing, convergence detection;
 * :mod:`repro.models` — the SISC / SIAC / AIAC execution-model taxonomy;
-* :mod:`repro.problems` — Brusselator, heat, advection and synthetic problems;
+* :mod:`repro.problems` — Brusselator, heat and synthetic problems;
 * :mod:`repro.grid`, :mod:`repro.runtime`, :mod:`repro.des` — the
   simulated computational grid;
 * :mod:`repro.balancing` — the non-centralized LB algorithms as step
@@ -44,7 +44,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "run_sisc": "models.sisc",
         "run_siac": "models.siac",
         "run_aiac_model": "models.aiac",
-        "AdvectionDiffusionProblem": "problems.advection",
         "BrusselatorProblem": "problems.brusselator",
         "HeatProblem": "problems.heat",
         "SyntheticProblem": "problems.synthetic",

@@ -398,7 +398,7 @@ class ChainRun:
         ``target="checkpoint"`` poisons the saved snapshot *without*
         refreshing its CRC, so a later restore sees the mismatch.
         Returns a damage description, or None when there is nothing to
-        poison (dead host; no checkpoint yet; opaque state layout).
+        poison (dead host; no checkpoint yet).
         """
         from repro.integrity import corrupt_array_inplace
 
@@ -412,8 +412,6 @@ class ChainRun:
             if not ctx.node.alive:
                 return None
             target = self.problem.state_array(ctx.state)
-        if target is None or target.size == 0:
-            return None
         return corrupt_array_inplace(target, fault.mode, fault.amplitude, rng)
 
     def _register_halo_handlers(self, ctx: RankContext) -> None:

@@ -60,15 +60,13 @@ class PlausibilityGuard:
     def _implausible(self, run: "ChainRun", ctx: "RankContext") -> str | None:
         """Why ``ctx``'s post-sweep state is implausible, or None."""
         cfg = self.config
-        arr = run.problem.state_array(ctx.state)
-        if arr is not None and arr.size:
-            # One reduction decides both screens: a NaN or an infinity
-            # anywhere in the block is what ``max`` of the magnitudes gives.
-            peak = float(np.abs(arr).max())
-            if not math.isfinite(peak):
-                return "non-finite state values"
-            if peak > cfg.value_bound:
-                return f"state magnitude {peak:.3e} exceeds bound {cfg.value_bound:g}"
+        # One reduction decides both screens: a NaN or an infinity
+        # anywhere in the block is what ``max`` of the magnitudes gives.
+        peak = float(np.abs(run.problem.state_array(ctx.state)).max())
+        if not math.isfinite(peak):
+            return "non-finite state values"
+        if peak > cfg.value_bound:
+            return f"state magnitude {peak:.3e} exceeds bound {cfg.value_bound:g}"
         # Residual-jump screen: one sweep legitimately moves the residual
         # by O(1) factors; a corruption-scale perturbation moves it by
         # many orders of magnitude at once.  Migrations re-scale the

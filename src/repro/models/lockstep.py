@@ -27,10 +27,10 @@ Equivalence is enforced, not assumed:
   the reason is logged and exported as the ``lockstep.fallback_reason``
   metric (see :func:`run_sisc_batched`).
 
-All four bundled PDE-style problems batch: the synthetic contraction,
-the Brusselator (including its adaptive-skip and optimistic-
-verification machinery) and the linear heat / advection–diffusion
-relaxations each provide a ``batched_chain_sweeper`` built on
+All three bundled problems batch: the synthetic contraction, the
+Brusselator (including its adaptive-skip and optimistic-verification
+machinery) and the linear heat relaxation each provide a
+``batched_chain_sweeper`` built on
 :class:`repro.problems.chain_sweeper.TrajectoryChainSweeper` /
 :class:`repro.numerics.ragged.ChainSegments`.
 

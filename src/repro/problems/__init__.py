@@ -28,6 +28,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "BrusselatorProblem": "brusselator",
         "SyntheticProblem": "synthetic",
         "HeatProblem": "heat",
-        "AdvectionDiffusionProblem": "advection",
     },
 )

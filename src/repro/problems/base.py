@@ -2,37 +2,41 @@
 
 A problem defines a global index space of ``n_components`` *components*
 (the paper's migratable spatial unknowns).  Each solver rank owns a
-contiguous slice ``[lo, hi)`` and holds an opaque *local state* that the
-problem creates, iterates, splits and merges:
+contiguous slice ``[lo, hi)`` held as one :class:`BlockState`: ``lo``
+plus the array ``traj`` whose axis 0 is the component and whose trailing
+shape is the problem's :attr:`Problem.component_shape` (a trajectory
+``(n_steps + 1,)`` for heat, ``(2, n_steps + 1)`` for the Brusselator's
+``(u, v)``, ``()`` for the synthetic model's one error).
+
+That one layout is what lets :class:`Problem` own everything that only
+moves components around — the block range check, ``n_local``, halo
+extraction, ``split`` / ``merge`` for migration, checkpoint copies,
+solutions and wire sizes — so a problem supplies only its numerics:
 
 * :meth:`Problem.iterate` performs one local relaxation sweep given the
   current halo data from both neighbours, returns per-component
   residuals and per-component **work** (in work units; see
   :mod:`repro.numerics`) with their max and sum, and mutates the state
   in place;
-* :meth:`Problem.split` / :meth:`Problem.merge` implement component
-  migration for dynamic load balancing;
-* :meth:`Problem.halo_out` extracts the boundary data a neighbour needs
-  (what the paper's Algorithm 1 sends as "the two first/last local
-  components").
+* :meth:`Problem.initial_traj` / :meth:`Problem.initial_halo` give the
+  initial data and the boundary conditions.
 
-The solver never looks inside states or halos — everything
-problem-specific stays here, which is what lets one AIAC/LB
-implementation drive the Brusselator, the heat and advection equations
-and the synthetic model alike ("the principle of AIAC algorithms is
-generic", Section 5).
+The solver never looks inside halos, which is what lets one AIAC/LB
+implementation drive the Brusselator, the heat equation and the
+synthetic model alike ("the principle of AIAC algorithms is generic",
+Section 5).
 """
 
 from __future__ import annotations
 
-import copy
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-__all__ = ["IterationResult", "Problem", "padded"]
+__all__ = ["BlockState", "IterationResult", "Problem", "padded"]
 
 
 def padded(old: np.ndarray, left_halo: Any, right_halo: Any) -> np.ndarray:
@@ -44,6 +48,19 @@ def padded(old: np.ndarray, left_halo: Any, right_halo: Any) -> np.ndarray:
     ext[1:-1] = old
     ext[-1:] = right_halo
     return ext
+
+
+@dataclass(slots=True)
+class BlockState:
+    """A rank's components ``[lo, lo + n)``: row ``j`` of ``traj`` is
+    component ``lo + j``."""
+
+    lo: int
+    traj: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.traj.shape[0]
 
 
 @dataclass(slots=True)
@@ -90,61 +107,62 @@ class IterationResult:
 class Problem(ABC):
     """A fixed-point problem decomposable over a logical chain.
 
-    Subclasses must set :attr:`n_components` and implement the abstract
-    methods.  States and halos are opaque to callers; halos must be
-    cheap, self-contained arrays (they travel in messages).
+    Subclasses set :attr:`n_components` and :attr:`component_shape` and
+    implement :meth:`initial_traj`, :meth:`iterate` and
+    :meth:`initial_halo`; the block bookkeeping below is shared.  Halos
+    must be cheap, self-contained arrays (they travel in messages).
     """
 
     #: Global number of migratable components.
     n_components: int
+    #: Trailing shape of one component's row in :attr:`BlockState.traj`.
+    component_shape: tuple[int, ...]
     #: Human-readable problem name (used in reports).
     name: str = "problem"
+    #: The block class :meth:`initial_state` builds.
+    state_class: type[BlockState] = BlockState
 
     # ------------------------------------------------------------------
     # State lifecycle
     # ------------------------------------------------------------------
     @abstractmethod
-    def initial_state(self, lo: int, hi: int) -> Any:
+    def initial_traj(self, lo: int, hi: int) -> np.ndarray:
+        """Initial rows of global components ``[lo, hi)``, computed
+        elementwise from global indices (so one ``[0, N)`` call equals
+        the concatenated blocks: the chain sweepers rely on it)."""
+
+    def initial_state(self, lo: int, hi: int) -> BlockState:
         """Create the local state for global components ``[lo, hi)``."""
+        if not 0 <= lo < hi <= self.n_components:
+            raise ValueError(
+                f"invalid block [{lo}, {hi}) for {self.n_components} components"
+            )
+        return self.state_class(lo, self.initial_traj(lo, hi))
 
-    @abstractmethod
-    def n_local(self, state: Any) -> int:
+    def n_local(self, state: BlockState) -> int:
         """Number of components currently held by ``state``."""
+        return state.traj.shape[0]
 
     @abstractmethod
-    def iterate(self, state: Any, left_halo: Any, right_halo: Any) -> IterationResult:
+    def iterate(
+        self, state: BlockState, left_halo: Any, right_halo: Any
+    ) -> IterationResult:
         """One relaxation sweep; mutates ``state``, returns residual/work."""
 
-    def copy_state(self, state: Any) -> Any:
-        """Deep snapshot of a local state (checkpoints, verification).
+    def copy_state(self, state: BlockState) -> BlockState:
+        """Independent snapshot of a local state (checkpoints, which
+        ``faulted_guarded`` takes at every migration): one array copy."""
+        return self.state_class(state.lo, state.traj.copy())
 
-        The default is a generic ``copy.deepcopy``; problems whose state
-        is a thin wrapper around arrays override this with direct array
-        copies, which is both faster and far leaner in memory (deepcopy
-        builds a memo dict per call — measurable at thousands of ranks).
-        The copy must be numerically identical and fully independent of
-        the original.
-        """
-        return copy.deepcopy(state)
-
-    def state_array(self, state: Any) -> np.ndarray | None:
-        """The mutable array backing ``state``, or None.
+    def state_array(self, state: BlockState) -> np.ndarray:
+        """The mutable array backing ``state``.
 
         Consumed by the data-integrity layer: in-memory corruption
         injection (:class:`~repro.faults.models.StateCorruption`) and
         the plausibility guard's NaN/Inf screens need a raw view of the
-        block's values.  The default recognises a bare array and the
-        field names every bundled problem uses (``traj``/``e``/``x``);
-        a problem with an exotic state layout overrides this.  ``None``
-        means the state cannot be poisoned or screened.
+        block's values.
         """
-        if isinstance(state, np.ndarray):
-            return state
-        for name in ("traj", "e", "x"):
-            arr = getattr(state, name, None)
-            if isinstance(arr, np.ndarray):
-                return arr
-        return None
+        return state.traj
 
     def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> Any:
         """A vectorised whole-chain sweeper for static ``blocks``, or None.
@@ -164,9 +182,12 @@ class Problem(ABC):
     # ------------------------------------------------------------------
     # Halos
     # ------------------------------------------------------------------
-    @abstractmethod
-    def halo_out(self, state: Any, side: str) -> Any:
-        """Boundary data for the ``side`` neighbour ('left' or 'right')."""
+    def halo_out(self, state: BlockState, side: str) -> np.ndarray:
+        """Boundary data for the ``side`` neighbour ('left' or 'right'):
+        the edge component's row, ``(1,) + component_shape``."""
+        self.check_side(side)
+        idx = 0 if side == "left" else state.traj.shape[0] - 1
+        return state.traj[idx : idx + 1].copy()
 
     @abstractmethod
     def initial_halo(self, global_index: int) -> Any:
@@ -177,24 +198,47 @@ class Problem(ABC):
         ``n_components`` denote the domain edges (boundary conditions).
         """
 
-    @abstractmethod
     def halo_nbytes(self) -> float:
-        """Wire size of one halo payload (drives network timing)."""
+        """Wire size of one halo payload (drives network timing): one
+        component's row."""
+        return self.component_nbytes()
 
     # ------------------------------------------------------------------
     # Migration
     # ------------------------------------------------------------------
-    @abstractmethod
-    def split(self, state: Any, n: int, side: str) -> Any:
+    def split(self, state: BlockState, n: int, side: str) -> np.ndarray:
         """Remove the ``n`` components nearest ``side``; return the payload."""
+        self.check_side(side)
+        total = state.traj.shape[0]
+        if not 0 < n < total:
+            raise ValueError(f"cannot split {n} of {total} components")
+        if side == "left":
+            payload = state.traj[:n].copy()
+            state.traj = state.traj[n:].copy()
+            state.lo += n
+        else:
+            payload = state.traj[total - n :].copy()
+            state.traj = state.traj[: total - n].copy()
+        return payload
 
-    @abstractmethod
-    def merge(self, state: Any, payload: Any, side: str) -> None:
+    def merge(self, state: BlockState, payload: Any, side: str) -> None:
         """Attach a migrated payload on ``side`` of ``state`` (in place)."""
+        self.check_side(side)
+        payload = np.asarray(payload, dtype=float)
+        if payload.ndim == 0 or payload.shape[1:] != self.component_shape:
+            raise ValueError(
+                f"bad migration payload shape {payload.shape}; expected "
+                f"(n,) + {self.component_shape}"
+            )
+        if side == "left":
+            state.traj = np.concatenate([payload, state.traj], axis=0)
+            state.lo -= payload.shape[0]
+        else:
+            state.traj = np.concatenate([state.traj, payload], axis=0)
 
-    @abstractmethod
     def component_nbytes(self) -> float:
-        """Wire size per migrated component."""
+        """Wire size per migrated component (float64 values)."""
+        return 8.0 * math.prod(self.component_shape)
 
     def payload_edge_halo(self, payload: Any, edge: str) -> Any:
         """Halo-formatted view of a migration payload's first/last component.
@@ -202,11 +246,10 @@ class Problem(ABC):
         After shipping its ``n`` leftmost components, the sender's new
         left halo is the *last* component of the payload (its data
         dependency now lives on the neighbour); symmetrically for the
-        right.  The default implementation assumes payloads are arrays
-        indexed by component on axis 0 and halos are single-component
-        slices (``payload[:1]`` / ``payload[-1:]``); problems whose halo
-        format differs (e.g. the Brusselator drops the leading axis)
-        override this.
+        right.  Matches :meth:`halo_out`'s single-component slices
+        (``payload[:1]`` / ``payload[-1:]``); a problem whose halo
+        format differs (the Brusselator drops the leading axis)
+        overrides both.
         """
         if edge not in ("first", "last"):
             raise ValueError(f"edge must be 'first' or 'last', got {edge!r}")
@@ -215,9 +258,9 @@ class Problem(ABC):
     # ------------------------------------------------------------------
     # Solution access
     # ------------------------------------------------------------------
-    @abstractmethod
-    def solution(self, state: Any) -> np.ndarray:
+    def solution(self, state: BlockState) -> np.ndarray:
         """Local solution data, concatenable across ranks in global order."""
+        return state.traj.copy()
 
     def check_side(self, side: str) -> str:
         if side not in ("left", "right"):

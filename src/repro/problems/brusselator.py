@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.numerics.newton import NewtonOptions
-from repro.problems.base import IterationResult, Problem, padded
+from repro.problems.base import BlockState, IterationResult, Problem, padded
 from repro.problems.chain_sweeper import TrajectoryChainSweeper
 from repro.util.validation import check_positive
 
@@ -104,28 +104,28 @@ def _next_streak(
     return streak
 
 
+def _invalidate_skip_state(state: "BrusselatorState") -> None:
+    state.prev_res = None
+    state.skip_streak = None
+    state.last_left_halo = None
+    state.last_right_halo = None
+
+
 @dataclass(slots=True)
-class BrusselatorState:
-    """Local trajectories for components ``[lo, lo + n)``.
+class BrusselatorState(BlockState):
+    """A block of trajectories, ``traj`` of shape ``(n_local, 2, n_steps
+    + 1)``: axis 1 indexes ``(u, v)``, axis 2 the time grid including
+    ``t = 0``.
 
-    ``traj`` has shape ``(n_local, 2, n_steps + 1)``: axis 1 indexes
-    ``(u, v)``, axis 2 the time grid including ``t = 0``.
-
-    ``prev_res`` and ``skip_streak`` support the adaptive-skip
-    optimisation (see :class:`BrusselatorProblem`); they are ``None``
-    until the first sweep / when skipping is disabled.
+    The other fields support the adaptive-skip optimisation (see
+    :class:`BrusselatorProblem`); they are ``None`` until the first
+    sweep / when skipping is disabled, and after every migration.
     """
 
-    lo: int
-    traj: np.ndarray
     prev_res: np.ndarray | None = None
     skip_streak: np.ndarray | None = None
     last_left_halo: np.ndarray | None = None
     last_right_halo: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.traj.shape[0]
 
 
 class BrusselatorProblem(Problem):
@@ -147,6 +147,7 @@ class BrusselatorProblem(Problem):
     """
 
     name = "brusselator"
+    state_class = BrusselatorState
 
     def __init__(
         self,
@@ -174,6 +175,7 @@ class BrusselatorProblem(Problem):
         self.n_components = int(n_points)
         self.t_end = float(t_end)
         self.n_steps = int(n_steps)
+        self.component_shape = (2, self.n_steps + 1)
         self.dt = self.t_end / self.n_steps
         self.alpha = float(alpha)
         self.c = self.alpha * (self.n_components + 1) ** 2
@@ -201,14 +203,9 @@ class BrusselatorProblem(Problem):
         v0 = np.full_like(u0, V_BOUNDARY)
         return np.stack([u0, v0], axis=1)
 
-    def initial_state(self, lo: int, hi: int) -> BrusselatorState:
-        if not 0 <= lo < hi <= self.n_components:
-            raise ValueError(
-                f"invalid block [{lo}, {hi}) for {self.n_components} components"
-            )
+    def initial_traj(self, lo: int, hi: int) -> np.ndarray:
         init = self.initial_values(lo, hi)  # (n, 2)
-        traj = np.repeat(init[:, :, None], self.n_steps + 1, axis=2)
-        return BrusselatorState(lo=lo, traj=traj)
+        return np.repeat(init[:, :, None], self.n_steps + 1, axis=2)
 
     # ------------------------------------------------------------------
     # Halos
@@ -225,12 +222,14 @@ class BrusselatorProblem(Problem):
         return np.repeat(init[:, None], self.n_steps + 1, axis=1)
 
     def halo_out(self, state: BrusselatorState, side: str) -> np.ndarray:
+        # Halos are single-component trajectories of shape (2, n_steps+1).
         self.check_side(side)
-        idx = 0 if side == "left" else state.n - 1
-        return state.traj[idx].copy()
+        return state.traj[0 if side == "left" else -1].copy()
 
-    def halo_nbytes(self) -> float:
-        return 2.0 * (self.n_steps + 1) * 8.0
+    def payload_edge_halo(self, payload: np.ndarray, edge: str) -> np.ndarray:
+        if edge not in ("first", "last"):
+            raise ValueError(f"edge must be 'first' or 'last', got {edge!r}")
+        return payload[0].copy() if edge == "first" else payload[-1].copy()
 
     # ------------------------------------------------------------------
     # One waveform-relaxation sweep
@@ -659,69 +658,32 @@ class BrusselatorProblem(Problem):
         return residuals, (top, float(total))
 
     # ------------------------------------------------------------------
-    # Migration
+    # Migration: the block moves as in the base class, and the skip
+    # bookkeeping of a block that changed shape is recomputed from scratch
     # ------------------------------------------------------------------
-    def n_local(self, state: BrusselatorState) -> int:
-        return state.n
-
     def copy_state(self, state: BrusselatorState) -> BrusselatorState:
-        def _arr(a: np.ndarray | None) -> np.ndarray | None:
-            return None if a is None else a.copy()
-
         return BrusselatorState(
-            lo=state.lo,
-            traj=state.traj.copy(),
-            prev_res=_arr(state.prev_res),
-            skip_streak=_arr(state.skip_streak),
-            last_left_halo=_arr(state.last_left_halo),
-            last_right_halo=_arr(state.last_right_halo),
+            state.lo,
+            state.traj.copy(),
+            *(
+                None if a is None else a.copy()
+                for a in (
+                    state.prev_res,
+                    state.skip_streak,
+                    state.last_left_halo,
+                    state.last_right_halo,
+                )
+            ),
         )
 
-    def _invalidate_skip_state(self, state: BrusselatorState) -> None:
-        """After a migration the block changed shape: recompute everything
-        next sweep (the skip bookkeeping re-populates from scratch)."""
-        state.prev_res = None
-        state.skip_streak = None
-        state.last_left_halo = None
-        state.last_right_halo = None
-
     def split(self, state: BrusselatorState, n: int, side: str) -> np.ndarray:
-        self.check_side(side)
-        if not 0 < n < state.n:
-            raise ValueError(f"cannot split {n} of {state.n} components")
-        if side == "left":
-            payload = state.traj[:n].copy()
-            state.traj = state.traj[n:].copy()
-            state.lo += n
-        else:
-            payload = state.traj[state.n - n :].copy()
-            state.traj = state.traj[: state.n - n].copy()
-        self._invalidate_skip_state(state)
+        payload = super().split(state, n, side)
+        _invalidate_skip_state(state)
         return payload
 
     def merge(self, state: BrusselatorState, payload: np.ndarray, side: str) -> None:
-        self.check_side(side)
-        payload = np.asarray(payload, dtype=float)
-        if payload.ndim != 3 or payload.shape[1:] != (2, self.n_steps + 1):
-            raise ValueError(
-                f"bad migration payload shape {payload.shape}; expected "
-                f"(n, 2, {self.n_steps + 1})"
-            )
-        if side == "left":
-            state.traj = np.concatenate([payload, state.traj], axis=0)
-            state.lo -= payload.shape[0]
-        else:
-            state.traj = np.concatenate([state.traj, payload], axis=0)
-        self._invalidate_skip_state(state)
-
-    def component_nbytes(self) -> float:
-        return 2.0 * (self.n_steps + 1) * 8.0
-
-    def payload_edge_halo(self, payload: np.ndarray, edge: str) -> np.ndarray:
-        if edge not in ("first", "last"):
-            raise ValueError(f"edge must be 'first' or 'last', got {edge!r}")
-        # Halos are single-component trajectories of shape (2, n_steps+1).
-        return payload[0].copy() if edge == "first" else payload[-1].copy()
+        super().merge(state, payload, side)
+        _invalidate_skip_state(state)
 
     # ------------------------------------------------------------------
     # Rank-batched sweeps (lockstep SISC engine)
@@ -732,11 +694,6 @@ class BrusselatorProblem(Problem):
         return _BrusselatorChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
-    # Solutions
-    # ------------------------------------------------------------------
-    def solution(self, state: BrusselatorState) -> np.ndarray:
-        return state.traj.copy()
-
     def reference_solution(self) -> np.ndarray:
         """Sequential solution of the fully-coupled implicit Euler system.
 

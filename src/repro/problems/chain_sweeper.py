@@ -4,8 +4,8 @@ A *chain sweeper* (see :meth:`repro.problems.base.Problem.
 batched_chain_sweeper`) advances every rank's block in one global
 vectorised sweep, for the lockstep SISC replay.  The correctness
 argument is the same for every problem in the library (Brusselator,
-heat, advection–diffusion, and the synthetic contraction, whose
-"trajectory" is one error per component):
+heat, and the synthetic contraction, whose "trajectory" is one error
+per component):
 
 * the relaxation is **Jacobi in space** — neighbour trajectories are
   always read from the *previous* sweep's values, and in a synchronous
@@ -56,9 +56,7 @@ class TrajectoryChainSweeper:
         # One global initial state: the problem's initial data is
         # computed elementwise from global indices, so this is
         # bit-identical to concatenating the per-block initial states.
-        self.traj = problem.state_array(
-            problem.initial_state(0, problem.n_components)
-        )
+        self.traj = problem.initial_traj(0, problem.n_components)
         # The domain-edge halos every global sweep is pinned between.
         self._edge_left = problem.initial_halo(-1)
         self._edge_right = problem.initial_halo(problem.n_components)
@@ -109,7 +107,7 @@ class TrajectoryChainSweeper:
 
 
 class LinearChainSweeper(TrajectoryChainSweeper):
-    """Sweeper of a linear scalar problem (heat, advection–diffusion).
+    """Sweeper of a linear scalar problem (heat).
 
     The problem's ``_relax(old, left_halo, right_halo)`` is the update
     its ``iterate`` applies to one block — Jacobi in space, sequential

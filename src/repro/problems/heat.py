@@ -15,16 +15,14 @@ accuracy oracle beyond the discrete reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.numerics.banded import thomas_solve
-from repro.problems.base import IterationResult, Problem, padded
+from repro.problems.base import BlockState, IterationResult, Problem, padded
 from repro.problems.chain_sweeper import LinearChainSweeper
 from repro.util.validation import check_positive
 
-__all__ = ["HeatProblem", "HeatState"]
+__all__ = ["HeatProblem"]
 
 #: Blocks of at most this many components sweep on Python floats
 #: (:meth:`HeatProblem._sweep_floats`).  The array route pays NumPy
@@ -37,20 +35,9 @@ __all__ = ["HeatProblem", "HeatState"]
 _FLOAT_SWEEP_MAX = 10
 
 
-@dataclass(slots=True)
-class HeatState:
-    """Local trajectories ``(n_local, n_steps + 1)``."""
-
-    lo: int
-    traj: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.traj.shape[0]
-
-
 class HeatProblem(Problem):
-    """Waveform relaxation for the 1-D heat equation."""
+    """Waveform relaxation for the 1-D heat equation: a block holds its
+    components' trajectories, ``traj`` of shape ``(n, n_steps + 1)``."""
 
     name = "heat"
 
@@ -70,6 +57,7 @@ class HeatProblem(Problem):
         self.kappa = float(kappa)
         self.t_end = float(t_end)
         self.n_steps = int(n_steps)
+        self.component_shape = (self.n_steps + 1,)
         self.dt = self.t_end / self.n_steps
         dx = 1.0 / (self.n_components + 1)
         self.c = self.kappa / dx**2
@@ -78,25 +66,14 @@ class HeatProblem(Problem):
     def x_grid(self) -> np.ndarray:
         return np.arange(1, self.n_components + 1) / (self.n_components + 1)
 
-    def initial_state(self, lo: int, hi: int) -> HeatState:
-        if not 0 <= lo < hi <= self.n_components:
-            raise ValueError(
-                f"invalid block [{lo}, {hi}) for {self.n_components} components"
-            )
+    def initial_traj(self, lo: int, hi: int) -> np.ndarray:
         x = np.arange(lo + 1, hi + 1) / (self.n_components + 1)
         u0 = np.sin(np.pi * x)
-        traj = np.repeat(u0[:, None], self.n_steps + 1, axis=1)
-        return HeatState(lo=lo, traj=traj)
-
-    def n_local(self, state: HeatState) -> int:
-        return state.n
-
-    def copy_state(self, state: HeatState) -> HeatState:
-        return HeatState(lo=state.lo, traj=state.traj.copy())
+        return np.repeat(u0[:, None], self.n_steps + 1, axis=1)
 
     def iterate(
         self,
-        state: HeatState,
+        state: BlockState,
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
@@ -191,42 +168,6 @@ class HeatProblem(Problem):
         x = (global_index + 1) / (self.n_components + 1)
         return np.full((1, self.n_steps + 1), np.sin(np.pi * x))
 
-    def halo_out(self, state: HeatState, side: str) -> np.ndarray:
-        self.check_side(side)
-        idx = 0 if side == "left" else state.n - 1
-        return state.traj[idx : idx + 1].copy()
-
-    def halo_nbytes(self) -> float:
-        return (self.n_steps + 1) * 8.0
-
-    # ------------------------------------------------------------------
-    def split(self, state: HeatState, n: int, side: str) -> np.ndarray:
-        self.check_side(side)
-        if not 0 < n < state.n:
-            raise ValueError(f"cannot split {n} of {state.n} components")
-        if side == "left":
-            payload = state.traj[:n].copy()
-            state.traj = state.traj[n:].copy()
-            state.lo += n
-        else:
-            payload = state.traj[state.n - n :].copy()
-            state.traj = state.traj[: state.n - n].copy()
-        return payload
-
-    def merge(self, state: HeatState, payload: np.ndarray, side: str) -> None:
-        self.check_side(side)
-        payload = np.asarray(payload, dtype=float)
-        if payload.ndim != 2 or payload.shape[1] != self.n_steps + 1:
-            raise ValueError(f"bad migration payload shape {payload.shape}")
-        if side == "left":
-            state.traj = np.concatenate([payload, state.traj], axis=0)
-            state.lo -= payload.shape[0]
-        else:
-            state.traj = np.concatenate([state.traj, payload], axis=0)
-
-    def component_nbytes(self) -> float:
-        return (self.n_steps + 1) * 8.0
-
     # ------------------------------------------------------------------
     # Rank-batched sweeps (lockstep SISC engine)
     # ------------------------------------------------------------------
@@ -236,9 +177,6 @@ class HeatProblem(Problem):
         return LinearChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
-    def solution(self, state: HeatState) -> np.ndarray:
-        return state.traj.copy()
-
     def reference_solution(self) -> np.ndarray:
         """Fully-coupled implicit Euler solution, shape ``(n, steps+1)``."""
         n = self.n_components

@@ -26,15 +26,14 @@ balancer removes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.problems.base import IterationResult, Problem, padded
+from repro.problems.base import BlockState, IterationResult, Problem, padded
 from repro.problems.chain_sweeper import TrajectoryChainSweeper
 from repro.util.validation import check_in_range, check_positive
 
-__all__ = ["SyntheticProblem", "SyntheticState"]
+__all__ = ["SyntheticProblem"]
 
 #: Blocks of at most this many components sweep on Python floats
 #: (:meth:`SyntheticProblem._sweep_floats`).  With the solver's two
@@ -82,20 +81,9 @@ def _numpy_sum(values: list[float]) -> float:
     return total
 
 
-@dataclass(slots=True)
-class SyntheticState:
-    """Errors of components ``[lo, lo + len(e))``."""
-
-    lo: int
-    e: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.e.shape[0]
-
-
 class SyntheticProblem(Problem):
-    """Per-component contraction with activity-dependent cost.
+    """Per-component contraction with activity-dependent cost: a block
+    holds one error per component, ``traj`` of shape ``(n,)``.
 
     Parameters
     ----------
@@ -114,6 +102,7 @@ class SyntheticProblem(Problem):
     """
 
     name = "synthetic"
+    component_shape = ()
 
     def __init__(
         self,
@@ -163,24 +152,14 @@ class SyntheticProblem(Problem):
         return cls(rates, **kwargs)
 
     # ------------------------------------------------------------------
-    # State lifecycle
+    # Sweeps
     # ------------------------------------------------------------------
-    def initial_state(self, lo: int, hi: int) -> SyntheticState:
-        if not 0 <= lo < hi <= self.n_components:
-            raise ValueError(
-                f"invalid block [{lo}, {hi}) for {self.n_components} components"
-            )
-        return SyntheticState(lo=lo, e=np.full(hi - lo, self.init_error))
-
-    def n_local(self, state: SyntheticState) -> int:
-        return state.n
-
-    def copy_state(self, state: SyntheticState) -> SyntheticState:
-        return SyntheticState(lo=state.lo, e=state.e.copy())
+    def initial_traj(self, lo: int, hi: int) -> np.ndarray:
+        return np.full(hi - lo, self.init_error)
 
     def iterate(
         self,
-        state: SyntheticState,
+        state: BlockState,
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
@@ -189,12 +168,12 @@ class SyntheticProblem(Problem):
         if state.n <= _FLOAT_SWEEP_MAX:
             return self._sweep_floats(state, left_halo, right_halo)
         rates = self.rates[state.lo : state.lo + state.n]
-        new, work = self._relax(rates, state.e, left_halo, right_halo)
-        state.e = new
+        new, work = self._relax(rates, state.traj, left_halo, right_halo)
+        state.traj = new
         return IterationResult.from_arrays(new.copy(), work)
 
     def _sweep_floats(
-        self, state: SyntheticState, left_halo, right_halo
+        self, state: BlockState, left_halo, right_halo
     ) -> IterationResult:
         """:meth:`_relax` of a small block on Python floats, with the
         reductions taken in the same loop.
@@ -210,7 +189,7 @@ class SyntheticProblem(Problem):
         """
         n, lo = state.n, state.lo
         rates = self.rates[lo : lo + n].tolist()
-        e = state.e.tolist()
+        e = state.traj.tolist()
         ext = [_halo_value(left_halo), *e, _halo_value(right_halo)]
         g, threshold = self.coupling, self.active_threshold
         base = self.base_cost
@@ -231,7 +210,7 @@ class SyntheticProblem(Problem):
                 top = v
             elif v != v:
                 nan = True
-        state.e = values = np.array(new)
+        state.traj = values = np.array(new)
         if nan or top == 0.0:
             top = float(values.max())
         return IterationResult(values.copy(), np.array(work), top, _numpy_sum(work))
@@ -259,48 +238,6 @@ class SyntheticProblem(Problem):
         if global_index < 0 or global_index >= self.n_components:
             return np.zeros(1)  # domain edges are exact (converged)
         return np.full(1, self.init_error)
-
-    def halo_out(self, state: SyntheticState, side: str) -> np.ndarray:
-        self.check_side(side)
-        idx = 0 if side == "left" else state.n - 1
-        return state.e[idx : idx + 1].copy()
-
-    def halo_nbytes(self) -> float:
-        return 8.0
-
-    # ------------------------------------------------------------------
-    # Migration
-    # ------------------------------------------------------------------
-    def split(self, state: SyntheticState, n: int, side: str) -> np.ndarray:
-        self.check_side(side)
-        if not 0 < n < state.n:
-            raise ValueError(f"cannot split {n} of {state.n} components")
-        if side == "left":
-            payload = state.e[:n].copy()
-            state.e = state.e[n:].copy()
-            state.lo += n
-        else:
-            payload = state.e[state.n - n :].copy()
-            state.e = state.e[: state.n - n].copy()
-        return payload
-
-    def merge(self, state: SyntheticState, payload: np.ndarray, side: str) -> None:
-        self.check_side(side)
-        payload = np.atleast_1d(np.asarray(payload, dtype=float))
-        if side == "left":
-            state.e = np.concatenate([payload, state.e])
-            state.lo -= payload.shape[0]
-        else:
-            state.e = np.concatenate([state.e, payload])
-
-    def component_nbytes(self) -> float:
-        return 8.0
-
-    # ------------------------------------------------------------------
-    # Solution
-    # ------------------------------------------------------------------
-    def solution(self, state: SyntheticState) -> np.ndarray:
-        return state.e.copy()
 
     # ------------------------------------------------------------------
     # Rank-batched sweeps (lockstep SISC engine)

@@ -53,6 +53,35 @@ __all__ = [
 ]
 
 
+def _coupled_brusselator(scenario) -> BrusselatorProblem:
+    """The Brusselator a ``problem_kind="brusselator"`` scenario runs.
+
+    ``alpha`` is derived from the scenario's ``coupling``: the waveform
+    relaxation contracts at ``ρ = 2cδt/(1+2cδt)`` with ``c·δt =
+    coupling``, so the sweep count stays N-independent instead of
+    degenerating as (N+1)² grows.  ``skip_converged`` is the
+    Brusselator's native activity mechanism (converged components verify
+    cheaply / skip); the threshold sits two decades above the tolerance,
+    the same margin as the synthetic ``active_threshold``.
+    """
+    if scenario.problem_kind != "brusselator":
+        raise ValueError(
+            f"unknown problem_kind {scenario.problem_kind!r}; "
+            "choose 'synthetic' or 'brusselator'"
+        )
+    from repro.problems.brusselator import BrusselatorProblem
+
+    n, t_end, n_steps = scenario.n_components, scenario.t_end, scenario.n_steps
+    return BrusselatorProblem(
+        n,
+        t_end=t_end,
+        n_steps=n_steps,
+        alpha=scenario.coupling * n_steps / (t_end * (n + 1) ** 2),
+        skip_converged=True,
+        skip_threshold=100.0 * scenario.tolerance,
+    )
+
+
 class Scenario:
     """Base of every scenario dataclass: named presets, resolved once."""
 
@@ -93,52 +122,24 @@ class Figure5Scenario(Scenario):
     #: --problem brusselator``) — the real PDE numerics with adaptive
     #: skipping as the activity mechanism.
     problem_kind: str = "synthetic"
-    #: Brusselator knobs (``problem_kind="brusselator"`` only).  ``alpha``
-    #: is derived from ``coupling``: the waveform relaxation contracts at
-    #: ``ρ = 2cδt/(1+2cδt)`` with ``c·δt = coupling``, so the sweep count
-    #: stays N-independent instead of degenerating as (N+1)² grows.
+    #: Brusselator knobs (``problem_kind="brusselator"`` only; see
+    #: :func:`_coupled_brusselator`).
     t_end: float = 10.0
     n_steps: int = 40
     coupling: float = 0.4
 
-    def brusselator_alpha(self) -> float:
-        """Diffusion ``α`` giving ``c·δt = coupling`` at this ``N``."""
-        return (
-            self.coupling
-            * self.n_steps
-            / (self.t_end * (self.n_components + 1) ** 2)
-        )
-
     def problem(self) -> SyntheticProblem | BrusselatorProblem:
-        if self.problem_kind == "synthetic":
-            from repro.problems.synthetic import SyntheticProblem
+        if self.problem_kind != "synthetic":
+            return _coupled_brusselator(self)
+        from repro.problems.synthetic import SyntheticProblem
 
-            return SyntheticProblem.with_hard_region(
-                self.n_components,
-                easy_rate=self.easy_rate,
-                hard_rate=self.hard_rate,
-                region=self.hard_region,
-                active_cost=self.active_cost,
-                active_threshold=100.0 * self.tolerance,
-            )
-        if self.problem_kind == "brusselator":
-            # skip_converged is the Brusselator's native activity
-            # mechanism (converged components verify cheaply / skip);
-            # the threshold sits two decades above the tolerance, same
-            # margin as the synthetic active_threshold.
-            from repro.problems.brusselator import BrusselatorProblem
-
-            return BrusselatorProblem(
-                self.n_components,
-                t_end=self.t_end,
-                n_steps=self.n_steps,
-                alpha=self.brusselator_alpha(),
-                skip_converged=True,
-                skip_threshold=100.0 * self.tolerance,
-            )
-        raise ValueError(
-            f"unknown problem_kind {self.problem_kind!r}; "
-            "choose 'synthetic' or 'brusselator'"
+        return SyntheticProblem.with_hard_region(
+            self.n_components,
+            easy_rate=self.easy_rate,
+            hard_rate=self.hard_rate,
+            region=self.hard_region,
+            active_cost=self.active_cost,
+            active_threshold=100.0 * self.tolerance,
         )
 
     def platform(self, n_procs: int) -> Platform:
@@ -240,9 +241,7 @@ class ScaleScenario(Scenario):
     #: ``"synthetic"`` (default) or ``"brusselator"``: the real PDE
     #: numerics through the same lockstep/event-driven ladder.
     problem_kind: str = "synthetic"
-    #: Brusselator knobs; ``alpha`` derives from ``coupling`` exactly as
-    #: in :meth:`Figure5Scenario.brusselator_alpha`, keeping the sweep
-    #: count N-independent across grid points.
+    #: Brusselator knobs, as :class:`Figure5Scenario`'s.
     t_end: float = 10.0
     n_steps: int = 40
     coupling: float = 0.4
@@ -251,38 +250,16 @@ class ScaleScenario(Scenario):
     def n_components(self) -> int:
         return self.n_ranks * self.components_per_rank
 
-    def brusselator_alpha(self) -> float:
-        """Diffusion ``α`` giving ``c·δt = coupling`` at this ``N``."""
-        return (
-            self.coupling
-            * self.n_steps
-            / (self.t_end * (self.n_components + 1) ** 2)
-        )
-
     def problem(self) -> SyntheticProblem | BrusselatorProblem:
-        if self.problem_kind == "synthetic":
-            from repro.problems.synthetic import SyntheticProblem
+        if self.problem_kind != "synthetic":
+            return _coupled_brusselator(self)
+        from repro.problems.synthetic import SyntheticProblem
 
-            return SyntheticProblem.with_hard_region(
-                self.n_components,
-                easy_rate=self.easy_rate,
-                hard_rate=self.hard_rate,
-                region=self.hard_region,
-            )
-        if self.problem_kind == "brusselator":
-            from repro.problems.brusselator import BrusselatorProblem
-
-            return BrusselatorProblem(
-                self.n_components,
-                t_end=self.t_end,
-                n_steps=self.n_steps,
-                alpha=self.brusselator_alpha(),
-                skip_converged=True,
-                skip_threshold=100.0 * self.tolerance,
-            )
-        raise ValueError(
-            f"unknown problem_kind {self.problem_kind!r}; "
-            "choose 'synthetic' or 'brusselator'"
+        return SyntheticProblem.with_hard_region(
+            self.n_components,
+            easy_rate=self.easy_rate,
+            hard_rate=self.hard_rate,
+            region=self.hard_region,
         )
 
     def platform(self) -> Platform:

@@ -28,7 +28,6 @@ from repro.models import run_sisc, run_sisc_batched
 from repro.models.sisc import _sisc_process
 from repro.analysis.perf import run_fingerprint
 from repro.problems import SyntheticProblem
-from repro.problems.advection import AdvectionDiffusionProblem
 from repro.problems.brusselator import BrusselatorProblem
 from repro.problems.heat import HeatProblem
 
@@ -145,11 +144,6 @@ CASES = {
     ),
     "heat": (
         HeatProblem(32, n_steps=10),
-        hetero_platform(),
-        SolverConfig(tolerance=1e-7),
-    ),
-    "advection": (
-        AdvectionDiffusionProblem(32, n_steps=10),
         hetero_platform(),
         SolverConfig(tolerance=1e-7),
     ),
@@ -488,10 +482,10 @@ def test_batched_sweeper_matches_scalar_iterate(blocks):
             (
                 problem.initial_halo(-1)
                 if r == 0
-                else np.array([states[r - 1].e[-1]]),
+                else np.array([states[r - 1].traj[-1]]),
                 problem.initial_halo(problem.n_components)
                 if r == last
-                else np.array([states[r + 1].e[0]]),
+                else np.array([states[r + 1].traj[0]]),
             )
             for r in range(len(blocks))
         ]
@@ -500,7 +494,7 @@ def test_batched_sweeper_matches_scalar_iterate(blocks):
             assert res.local_residual == residual[r]
             assert res.total_work == work[r]
         for r in range(len(blocks)):
-            assert np.array_equal(sweeper.solution_block(r), states[r].e)
+            assert np.array_equal(sweeper.solution_block(r), states[r].traj)
 
 
 def test_run_fingerprint_ignores_engine_meta():

@@ -1,9 +1,11 @@
 """Tests for the Problem base class helpers and IterationResult."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.problems import HeatProblem, SyntheticProblem
+from repro.problems import BrusselatorProblem, HeatProblem, SyntheticProblem
 from repro.problems.base import IterationResult, padded
 
 
@@ -51,8 +53,6 @@ def test_default_payload_edge_halo_matches_halo_format():
 
 
 def test_brusselator_payload_edge_halo_drops_component_axis():
-    from repro.problems import BrusselatorProblem
-
     prob = BrusselatorProblem(10, t_end=1.0, n_steps=8)
     state = prob.initial_state(0, 10)
     payload = prob.split(state, 4, "right")
@@ -64,15 +64,12 @@ def test_brusselator_payload_edge_halo_drops_component_axis():
 
 
 def _halo_cases():
-    from repro.problems import AdvectionDiffusionProblem, BrusselatorProblem
-
     n_steps = 6
     synthetic = SyntheticProblem(np.full(5, 0.5))
     heat = HeatProblem(5, t_end=0.05, n_steps=n_steps)
-    advection = AdvectionDiffusionProblem(5, t_end=0.05, n_steps=n_steps)
     brusselator = BrusselatorProblem(5, t_end=1.0, n_steps=n_steps)
     cases = []
-    for problem in (synthetic, heat, advection, brusselator):
+    for problem in (synthetic, heat, brusselator):
         state = problem.initial_state(0, 5)
         cases.append(
             pytest.param(
@@ -103,3 +100,50 @@ def test_padded_places_every_problems_halos(old, left, right):
     assert np.array_equal(ext[:1], np.broadcast_to(left, row))
     assert np.array_equal(ext[-1:], np.broadcast_to(right, row))
     assert np.shares_memory(ext[:-2], ext) and np.shares_memory(ext[2:], ext)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        HeatProblem(6, t_end=0.05, n_steps=4),
+        SyntheticProblem(np.linspace(0.1, 0.9, 6)),
+        BrusselatorProblem(6, t_end=1.0, n_steps=4, skip_converged=True),
+    ],
+    ids=lambda problem: problem.name,
+)
+def test_every_problem_keeps_the_one_block_layout(problem):
+    """The block contract the solver, the migrations, the checkpoints and
+    the integrity layer share: ``lo`` plus one array whose axis 0 is the
+    component and whose trailing shape is ``component_shape``."""
+    state = problem.initial_state(1, 6)
+    problem.iterate(state, problem.initial_halo(0), problem.initial_halo(6))
+    assert problem.state_array(state) is state.traj
+    assert state.traj.shape == (5,) + problem.component_shape
+
+    # A checkpoint is a copy of every field (the Brusselator's skip
+    # bookkeeping, populated by the sweep, included) sharing no memory.
+    snapshot = problem.copy_state(state)
+    assert type(snapshot) is type(state)
+    for field in fields(state):
+        mine, theirs = getattr(state, field.name), getattr(snapshot, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.tobytes() == theirs.tobytes()
+            assert not np.shares_memory(mine, theirs)
+        else:
+            assert mine == theirs
+
+    before, lo = state.traj.tobytes(), state.lo
+    for side in ("left", "right"):
+        payload = problem.split(state, 2, side)
+        assert problem.n_local(state) == 3
+        problem.merge(state, payload, side)
+        assert state.traj.tobytes() == before and state.lo == lo
+
+    for block in ((3, 3), (-1, 2), (4, 7)):
+        with pytest.raises(ValueError, match="invalid block"):
+            problem.initial_state(*block)
+    shape = problem.component_shape
+    for bad in (np.float64(0.5), np.zeros((2,) + shape + (1,))):
+        with pytest.raises(ValueError, match="payload shape"):
+            problem.merge(state, bad, "left")
+    assert state.traj.tobytes() == before and state.lo == lo

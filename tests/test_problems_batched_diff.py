@@ -19,7 +19,6 @@ migration), then iterate each block against them.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.problems.advection import AdvectionDiffusionProblem
 from repro.problems.brusselator import BrusselatorProblem
 from repro.problems.heat import HeatProblem
 
@@ -128,16 +127,4 @@ def test_brusselator_scalar_tail_and_empty_blocks():
 def test_heat_batched_equals_scalar(part, n_sweeps):
     n, blocks = part
     problem = HeatProblem(n, n_steps=12)
-    assert_batched_matches_scalar(problem, blocks, n_sweeps)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    part=chain_partitions(),
-    velocity=st.sampled_from([0.0, 1.0]),
-    n_sweeps=st.integers(1, 5),
-)
-def test_advection_batched_equals_scalar(part, velocity, n_sweeps):
-    n, blocks = part
-    problem = AdvectionDiffusionProblem(n, n_steps=10, velocity=velocity)
     assert_batched_matches_scalar(problem, blocks, n_sweeps)

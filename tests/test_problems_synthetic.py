@@ -49,11 +49,11 @@ def test_hard_region_validation():
 def test_error_contracts_every_sweep():
     p = make_problem(16)
     state = p.initial_state(0, 16)
-    prev = state.e.copy()
+    prev = state.traj.copy()
     for _ in range(10):
         p.iterate(state, np.zeros(1), np.zeros(1))
-        assert np.all(state.e <= prev + 1e-15)
-        prev = state.e.copy()
+        assert np.all(state.traj <= prev + 1e-15)
+        prev = state.traj.copy()
 
 
 def test_converges_to_zero_fixed_point():
@@ -68,7 +68,7 @@ def test_hard_region_converges_last():
     state = p.initial_state(0, 20)
     relax(p, state, 30)
     hard = p.rates >= 0.95
-    assert state.e[hard].min() > state.e[~hard].max()
+    assert state.traj[hard].min() > state.traj[~hard].max()
 
 
 def test_active_components_cost_more():
@@ -84,28 +84,28 @@ def test_active_components_cost_more():
 def test_coupling_pulls_error_from_neighbours():
     p = SyntheticProblem(np.full(5, 0.1), coupling=0.9)
     state = p.initial_state(0, 5)
-    state.e[:] = 0.0
-    state.e[2] = 1.0
+    state.traj[:] = 0.0
+    state.traj[2] = 1.0
     p.iterate(state, np.zeros(1), np.zeros(1))
     # Components 1 and 3 absorbed 0.9 * neighbour error.
-    assert state.e[1] == pytest.approx(0.9)
-    assert state.e[3] == pytest.approx(0.9)
+    assert state.traj[1] == pytest.approx(0.9)
+    assert state.traj[3] == pytest.approx(0.9)
 
 
 def test_split_merge_roundtrip():
     p = make_problem(12)
     state = p.initial_state(0, 12)
-    state.e[:] = np.arange(12, dtype=float) / 100 + 0.001
-    original = state.e.copy()
+    state.traj[:] = np.arange(12, dtype=float) / 100 + 0.001
+    original = state.traj.copy()
     payload = p.split(state, 5, "right")
     assert state.n == 7
     p.merge(state, payload, "right")
-    assert np.array_equal(state.e, original)
+    assert np.array_equal(state.traj, original)
     payload = p.split(state, 3, "left")
     assert state.lo == 3
     p.merge(state, payload, "left")
     assert state.lo == 0
-    assert np.array_equal(state.e, original)
+    assert np.array_equal(state.traj, original)
 
 
 def test_rates_follow_components_after_migration():
@@ -120,7 +120,7 @@ def test_rates_follow_components_after_migration():
     p2 = SyntheticProblem(p.rates, coupling=0.0)
     st2 = p2.initial_state(3, 10)
     p2.iterate(st2, np.zeros(1), np.zeros(1))
-    assert np.allclose(st2.e, 0.5)
+    assert np.allclose(st2.traj, 0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,23 +135,23 @@ def test_property_max_norm_contraction(n, coupling, seed):
     p = SyntheticProblem(rates, coupling=coupling)
     state = p.initial_state(0, n)
     factor = max(rates.max(), coupling)
-    before = state.e.max()
+    before = state.traj.max()
     p.iterate(state, np.zeros(1), np.zeros(1))
-    assert state.e.max() <= factor * before + 1e-15
+    assert state.traj.max() <= factor * before + 1e-15
 
 
 def _iterate_by_concatenation(problem, state, left_halo, right_halo):
     """``SyntheticProblem.iterate`` as it was written before it took its
     neighbours from the ``padded`` buffer: the reference the buffer
     formulation must match bit for bit."""
-    e = state.e
+    e = state.traj
     rates = problem.rates[state.lo : state.lo + state.n]
     e_left = np.concatenate([np.atleast_1d(left_halo), e[:-1]])
     e_right = np.concatenate([e[1:], np.atleast_1d(right_halo)])
     new = np.maximum(rates * e, problem.coupling * np.maximum(e_left, e_right))
     work = np.full(state.n, problem.base_cost)
     work[e > problem.active_threshold] += problem.active_cost
-    state.e = new
+    state.traj = new
     return new.copy(), work
 
 
@@ -214,16 +214,16 @@ def test_iterate_matches_the_concatenate_formulation_bitwise(
         else (halos[:1].copy(), halos[1:].copy())
     )
     state, reference = p.initial_state(lo, lo + n), p.initial_state(lo, lo + n)
-    state.e, reference.e = e.copy(), e.copy()
+    state.traj, reference.traj = e.copy(), e.copy()
     for _ in range(3):
         result = p.iterate(state, left, right)
         ref_residuals, ref_work = _iterate_by_concatenation(
             p, reference, left, right
         )
-        assert state.e.tobytes() == reference.e.tobytes()
+        assert state.traj.tobytes() == reference.traj.tobytes()
         assert result.residuals.tobytes() == ref_residuals.tobytes()
         assert result.work.tobytes() == ref_work.tobytes()
         assert _bits(result.local_residual) == _bits(float(ref_residuals.max()))
         assert _bits(result.total_work) == _bits(float(ref_work.sum()))
-        assert result.residuals is not state.e
-        assert not np.shares_memory(result.residuals, state.e)
+        assert result.residuals is not state.traj
+        assert not np.shares_memory(result.residuals, state.traj)

@@ -9,7 +9,7 @@ that the run survived.  Rows whose forcing test lives elsewhere
 import numpy as np
 
 from repro.core.config import LBConfig
-from repro.core.lb import run_balanced_aiac
+from repro.core.lb import _BalancedRun, run_balanced_aiac
 from repro.core.solver import build_chain, run_aiac
 from repro.faults import (
     FaultInjector,
@@ -19,6 +19,7 @@ from repro.faults import (
 )
 from repro.grid.platform import homogeneous_cluster
 from repro.guard import GuardConfig, InvariantMonitor
+from repro.runtime.message import Message
 
 from tests.test_faults_injector import make_config, make_problem, make_schedule
 from tests.test_runtime_resilience import make_pair
@@ -98,6 +99,59 @@ def test_exhausted_migration_transfer_is_reabsorbed_by_its_sender():
     assert result.meta["reabsorbed"] == injector.stats["sends_failed"] == 3
     assert [kind for kind, _ in _fault_trace(result.tracer)] == ["reabsorb"] * 3
     assert result.max_error_vs(problem.reference_solution()) < 1e-3
+
+
+def lossy_handshake(kind):
+    """Two ranks of a balanced run, wired by hand, with every copy of
+    ``kind`` lost: a transfer of that kind exhausts its five attempts
+    within 1.9 s, long before the 30 s protocol timeout, so only the
+    transport's failure hook can resolve it.  The rank processes never
+    start; handlers run when the test calls them."""
+    run = build_chain(
+        make_problem(), homogeneous_cluster(2, speed=2000.0), make_config(),
+        model="aiac+lb",
+    )
+    balanced = _BalancedRun(run, LBConfig(accuracy=0.5, max_fraction=1.0))
+    injector = FaultInjector(make_schedule(MessageLoss(1.0, kinds=(kind,))))
+    injector.install(run)
+    return run, balanced, injector
+
+
+def test_an_offer_that_exhausts_its_retries_frees_the_edge():
+    run, balanced, injector = lossy_handshake("lb_offer_from_left")
+    ctx, state = run.ranks[0], balanced.lb[0]
+    ctx.residual = 0.3
+    ctx.estimator.update(0.3, 3.0, 1.0, ctx.n_local)
+    ctx.neighbor_estimate["right"] = 1.0
+    assert balanced.try_lb(ctx, "right") == "offered"
+    run.sim.run(until=1.0)  # still retransmitting
+    assert state.outgoing["right"] == 5 and balanced.try_lb(ctx, "right") == "pending"
+    run.sim.run(until=5.0)
+    stats = injector.stats
+    assert (stats["retries"], stats["sends_failed"]) == (4, 1)
+    assert state.offers_timed_out == 1 and state.offers_rejected == 0
+    assert state.outgoing["right"] is None and not balanced._rank_busy(0)
+    assert state.ok_to_try == LBConfig().retry_delay
+    assert balanced.try_lb(ctx, "right") == "offered"
+    assert state.offers_sent == 2
+
+
+def test_an_undelivered_acceptance_stops_being_expected_at_once():
+    run, balanced, injector = lossy_handshake("lb_reply_from_right")
+    ctx, state = run.ranks[1], balanced.lb[1]
+    offer = Message(
+        kind="lb_offer_from_left", payload={"n": 2}, size_bytes=8,
+        src_rank=0, dst_rank=1,
+    )
+    balanced._on_offer(ctx, "left", offer)
+    assert state.incoming_expected["left"] and balanced._rank_busy(1)
+    run.sim.run(until=1.0)  # the accepting reply is still retransmitting
+    assert state.incoming_expected["left"]
+    run.sim.run(until=5.0)
+    assert injector.stats["sends_failed"] == 1
+    assert not state.incoming_expected["left"] and not balanced._rank_busy(1)
+    balanced._on_offer(ctx, "left", offer)  # accepted again, epoch 1 pending
+    assert state.incoming_expected["left"] and state.incoming_epoch["left"] == 2
 
 
 # ----------------------------------------------------------------------

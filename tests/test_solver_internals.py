@@ -16,12 +16,7 @@ from repro.faults import FaultInjector
 from repro.grid import homogeneous_cluster
 from repro.guard import InvariantMonitor
 from repro.models import run_model
-from repro.problems import (
-    AdvectionDiffusionProblem,
-    BrusselatorProblem,
-    HeatProblem,
-    SyntheticProblem,
-)
+from repro.problems import BrusselatorProblem, HeatProblem, SyntheticProblem
 from repro.runtime.message import Message
 from repro.workloads import Figure5Scenario, IntegrityScenario
 
@@ -114,7 +109,6 @@ def test_neighbor_table_is_the_topology_path_neighbors(n_ranks):
     [
         SyntheticProblem(np.full(12, 0.8), coupling=0.3),
         HeatProblem(12, t_end=0.05, n_steps=8),
-        AdvectionDiffusionProblem(12, n_steps=10),
         BrusselatorProblem(12, t_end=1.0, n_steps=6),
     ],
     ids=lambda problem: type(problem).__name__,
