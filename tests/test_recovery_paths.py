@@ -7,19 +7,23 @@ that the run survived.  Rows whose forcing test lives elsewhere
 """
 
 import numpy as np
+import pytest
 
 from repro.core.config import LBConfig
 from repro.core.lb import _BalancedRun, run_balanced_aiac
 from repro.core.solver import build_chain, run_aiac
 from repro.faults import (
     FaultInjector,
+    HostCrash,
     MessageLoss,
     PayloadCorruption,
     StateCorruption,
 )
 from repro.grid.platform import homogeneous_cluster
 from repro.guard import GuardConfig, InvariantMonitor
+from repro.models import run_siac, run_sisc
 from repro.runtime.message import Message
+from repro.runtime.node import GridNode
 
 from tests.test_faults_injector import make_config, make_problem, make_schedule
 from tests.test_runtime_resilience import make_pair
@@ -152,6 +156,109 @@ def test_an_undelivered_acceptance_stops_being_expected_at_once():
     assert not state.incoming_expected["left"] and not balanced._rank_busy(1)
     balanced._on_offer(ctx, "left", offer)  # accepted again, epoch 1 pending
     assert state.incoming_expected["left"] and state.incoming_epoch["left"] == 2
+
+
+# ----------------------------------------------------------------------
+# Synchronous models: a lost halo is never superseded by a fresher one
+# ----------------------------------------------------------------------
+SYNC_DRIVERS = {"siac": run_siac, "sisc": run_sisc}
+
+
+@pytest.fixture
+def sends(monkeypatch):
+    """Every ``GridNode.send`` call of the test, as (time, src, dst, kind,
+    payload); a resend hands over the *same* payload object again."""
+    log = []
+    send = GridNode.send
+
+    def spy(node, dst, kind, payload, size_bytes, *, exclusive=False):
+        log.append((node.sim.now, node.rank, dst.rank, kind, payload))
+        return send(node, dst, kind, payload, size_bytes, exclusive=exclusive)
+
+    monkeypatch.setattr(GridNode, "send", spy)
+    return log
+
+
+def run_sync(model, *faults):
+    injector = FaultInjector(make_schedule(*faults))
+    result = SYNC_DRIVERS[model](
+        make_problem(), homogeneous_cluster(3, speed=2000.0), make_config(),
+        injector=injector,
+    )
+    assert result.converged
+    assert result.max_error_vs(make_problem().reference_solution()) < 1e-3
+    return result, injector
+
+
+@pytest.mark.parametrize(
+    "model, stamps_lost, stamps_resent, sends_failed",
+    [("siac", [1, 2], [2], 3), ("sisc", [1], [1], 2)],
+    ids=["siac", "sisc"],
+)
+def test_an_exhausted_halo_transfer_is_sent_again(
+    sends, model, stamps_lost, stamps_resent, sends_failed
+):
+    # Every rightward halo sent before t = 1 is lost: each such transfer
+    # exhausts its five attempts by ~1.7 s, and the receiver waits for
+    # that very iteration's data, so only the failure handler's resend
+    # can unblock the chain.  SIAC's rank 0 sends twice into the window
+    # (it already holds rank 1's first halo): the superseded first
+    # payload is not resent.
+    _, injector = run_sync(
+        model, MessageLoss(1.0, t0=0.0, t1=1.0, kinds=("halo_from_left",))
+    )
+    assert injector.stats["sends_failed"] == sends_failed
+    channel = [
+        (t, payload)
+        for t, src, dst, kind, payload in sends
+        if (src, dst, kind) == (0, 1, "halo_from_left")
+    ]
+    firsts = {}
+    resent = []
+    for i, (t, payload) in enumerate(channel):
+        if id(payload) in firsts:
+            # A resend repeats the channel's latest send.
+            assert channel[i - 1][1] is payload
+            resent.append(payload["iteration"])
+        firsts.setdefault(id(payload), (t, payload))
+    lost = [p["iteration"] for t, p in firsts.values() if t <= 1.0]
+    assert (lost, resent) == (stamps_lost, stamps_resent)
+
+
+@pytest.mark.parametrize("model", ["siac", "sisc"])
+def test_a_restored_rank_pulls_both_halos_again(model):
+    # Rank 1 of 3 crashes just after its checkpointed sweep 20, while it
+    # waits for its neighbours' halos of that sweep.  The restore rolls
+    # its halo stamps back and the neighbours owe it nothing: it asks
+    # both for their boundary, and both answer on arrival.  On SISC it
+    # also re-arrives at the barrier for iteration 20, which it never
+    # reached before the crash and re-execution resumes past it:
+    # without that the neighbours would wait at it forever.
+    reference, _ = run_sync(model, HostCrash(rank=1, at=1e6, downtime=1.0))
+    (t20,) = [
+        span.t1
+        for span in reference.tracer.iterations
+        if (span.rank, span.iteration) == (1, 20)
+    ]
+    result, injector = run_sync(model, HostCrash(rank=1, at=t20 + 1e-6, downtime=1.0))
+    assert (injector.stats["crashes"], injector.stats["restarts"]) == (1, 1)
+    (restart,) = [f.time for f in result.tracer.faults if f.kind == "restart"]
+    requests = [m for m in result.tracer.messages if m.kind == "halo_request"]
+    assert [(m.src_rank, m.dst_rank) for m in requests] == [(1, 0), (1, 2)]
+    assert all(m.send_time >= restart for m in requests)
+    answers = {
+        (m.kind, m.src_rank)
+        for m in result.tracer.messages
+        for req in requests
+        if m.dst_rank == 1 and m.send_time == req.arrival_time
+    }
+    assert answers == {("halo_from_left", 0), ("halo_from_right", 2)}
+    resumed = [
+        span.iteration
+        for span in result.tracer.iterations
+        if span.rank == 1 and span.t0 >= restart
+    ]
+    assert resumed[0] == 21
 
 
 # ----------------------------------------------------------------------
