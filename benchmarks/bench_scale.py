@@ -77,10 +77,8 @@ from typing import Any
 
 from repro.analysis.perf import BenchReport, BenchResult, run_fingerprint
 from repro.core.records import RunResult
-from repro.core.solver import build_chain
-from repro.des import Barrier
+from repro.core.solver import build_chain, run_chain
 from repro.models import run_sisc_batched
-from repro.models.sisc import _sisc_process
 from repro.runtime.memory import peak_rss_bytes
 from repro.workloads import ScaleScenario
 
@@ -147,11 +145,7 @@ def run_event(scenario: ScaleScenario, rounds: int) -> tuple[RunResult, int]:
         _config(scenario, rounds),
         model="sisc",
     )
-    barrier = Barrier(run.n_ranks, name="sisc")
-    for ctx in run.ranks:
-        run.sim.spawn(f"sisc-rank-{ctx.rank}", _sisc_process(run, ctx, barrier))
-    run.run()
-    return run.result(), run.sim.n_dispatched
+    return run_chain(run), run.sim.n_dispatched
 
 
 def run_lockstep(scenario: ScaleScenario, rounds: int) -> tuple[RunResult, int]:

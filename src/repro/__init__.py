@@ -43,7 +43,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "run_balanced_aiac": "core.lb",
         "run_sisc": "models.sisc",
         "run_siac": "models.siac",
-        "run_aiac_model": "models.aiac",
         "BrusselatorProblem": "problems.brusselator",
         "HeatProblem": "problems.heat",
         "SyntheticProblem": "problems.synthetic",

@@ -47,8 +47,7 @@ from typing import Any
 from repro.core.config import LBConfig, SolverConfig
 from repro.core.estimators import make_estimator, surplus_fraction
 from repro.core.records import RunResult
-from repro.core.solver import ChainRun, RankContext, build_chain
-from repro.des import Wait
+from repro.core.solver import ChainRun, RankContext, build_chain, run_chain
 from repro.grid.platform import Platform
 from repro.problems.base import Problem
 from repro.runtime.message import Message
@@ -122,7 +121,8 @@ def _adapt_period(state: LBRankState, cfg: LBConfig, *, productive: bool) -> Non
 
 
 class _BalancedRun:
-    """Glue object wiring LB handlers and the balanced main loop."""
+    """Glue object wiring the LB handlers and the trial each rank runs
+    before its sweeps."""
 
     def __init__(self, run: ChainRun, lb_config: LBConfig) -> None:
         self.run = run
@@ -168,6 +168,35 @@ class _BalancedRun:
         return any(v is not None for v in state.outgoing.values()) or any(
             state.incoming_expected.values()
         )
+
+    # ------------------------------------------------------------------
+    # The trial before each sweep (Algorithm 4)
+    # ------------------------------------------------------------------
+    def trial(self, ctx: RankContext) -> None:
+        """Count ``ok_to_try`` down; at zero try left first, then right."""
+        state = self.lb[ctx.rank]
+        if state.ok_to_try > 0:
+            state.ok_to_try -= 1
+            return
+        left = self.try_lb(ctx, "left")
+        right = left if left == "offered" else self.try_lb(ctx, "right")
+        # Fixed-period mode (the paper): the counter is reset only when a
+        # migration is actually performed (Algorithm 5); otherwise the
+        # node retries at the next iteration.  Adaptive mode: back off
+        # only when *both* sides are genuinely balanced/converged/
+        # famine-blocked — transient obstacles (in-flight data, missing
+        # info) retry next sweep.
+        if self.cfg.adaptive:
+            if left == "offered" or right == "offered":
+                # Imbalance detected: look again soon.
+                _adapt_period(state, self.cfg, productive=True)
+                state.fruitless_streak = 0
+            elif left in _FRUITLESS and right in _FRUITLESS:
+                state.fruitless_streak += 1
+                if state.fruitless_streak >= 3:
+                    _adapt_period(state, self.cfg, productive=False)
+                    state.ok_to_try = state.current_period
+                    state.fruitless_streak = 0
 
     # ------------------------------------------------------------------
     # Initiation (Algorithm 5, TryLeftLB / TryRightLB)
@@ -498,54 +527,6 @@ class _BalancedRun:
         )
 
 
-def _balanced_process(balanced: _BalancedRun, ctx: RankContext):
-    """The main loop of Algorithm 4."""
-    run = balanced.run
-    state = balanced.lb[ctx.rank]
-    exclusive = run.config.exclusive_sends
-    node = ctx.node
-    while not node.stop_requested:
-        # -- crash recovery (no-op on the lossless fast path) --
-        if not node.alive:
-            yield Wait(node.restart_signal)
-            continue
-        if node.crash_count != ctx.restored_epoch:
-            run.restore_checkpoint(ctx)
-            continue
-        # -- load-balancing trial (left first, then right: Algorithm 4) --
-        if state.ok_to_try <= 0:
-            left = balanced.try_lb(ctx, "left")
-            right = left if left == "offered" else balanced.try_lb(ctx, "right")
-            # Fixed-period mode (the paper): the counter is reset only
-            # when a migration is actually performed (Algorithm 5);
-            # otherwise the node retries at the next iteration.
-            # Adaptive mode: back off only when *both* sides are
-            # genuinely balanced/converged/famine-blocked — transient
-            # obstacles (in-flight data, missing info) retry next sweep.
-            if balanced.cfg.adaptive:
-                if left == "offered" or right == "offered":
-                    # Imbalance detected: look again soon.
-                    _adapt_period(state, balanced.cfg, productive=True)
-                    state.fruitless_streak = 0
-                elif left in _FRUITLESS and right in _FRUITLESS:
-                    state.fruitless_streak += 1
-                    if state.fruitless_streak >= 3:
-                        _adapt_period(state, balanced.cfg, productive=False)
-                        state.ok_to_try = state.current_period
-                        state.fruitless_streak = 0
-        else:
-            state.ok_to_try -= 1
-        # -- one sweep with mid-sweep left send (Algorithm 1 core) --
-        yield from run.sweep(ctx, send_left_mid_sweep=True, exclusive=exclusive)
-        if node.stop_requested:
-            break
-        if not node.alive or node.crash_count != ctx.restored_epoch:
-            continue  # the sweep was lost to a crash
-        run.send_halo(
-            ctx, "right", estimate=ctx.estimator.value(), exclusive=exclusive
-        )
-
-
 def run_balanced_aiac(
     problem: Problem,
     platform: Platform,
@@ -561,27 +542,19 @@ def run_balanced_aiac(
 
     This is the paper's contribution: the solver of
     :func:`repro.core.solver.run_aiac` plus the residual-driven,
-    neighbour-local migration protocol of Algorithms 4–7.  ``injector``
-    optionally arms a :class:`~repro.faults.injector.FaultInjector`
-    against the run (installed after the LB estimators are wired, so the
-    seeded checkpoints snapshot the configured estimator); ``profiler``
-    optionally attaches a :class:`~repro.obs.profile.SimProfiler` to the
-    DES kernel; ``guard`` a :class:`~repro.guard.InvariantMonitor`.
+    neighbour-local migration protocol of Algorithms 4–7, whose trial
+    (:meth:`_BalancedRun.trial`) runs before each sweep.  The hooks are
+    :func:`~repro.core.solver.run_chain`'s; the injector is installed
+    after the LB estimators are wired, so the seeded checkpoints
+    snapshot the configured estimator.
     """
     run = build_chain(
         problem, platform, config, model="aiac+lb", host_order=host_order
     )
     balanced = _BalancedRun(run, lb_config if lb_config is not None else LBConfig())
-    if injector is not None:
-        injector.install(run)
-    if profiler is not None:
-        run.sim.attach_profiler(profiler)
-    if guard is not None:
-        guard.attach(run)
-    for ctx in run.ranks:
-        run.sim.spawn(f"lb-rank-{ctx.rank}", _balanced_process(balanced, ctx))
-    run.run()
-    result = run.result()
+    result = run_chain(
+        run, injector=injector, profiler=profiler, guard=guard, trial=balanced.trial
+    )
     result.meta["offers_sent"] = sum(s.offers_sent for s in balanced.lb)
     result.meta["offers_rejected"] = sum(s.offers_rejected for s in balanced.lb)
     result.meta["offers_timed_out"] = sum(s.offers_timed_out for s in balanced.lb)

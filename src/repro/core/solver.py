@@ -1,8 +1,8 @@
-"""Chain machinery and the unbalanced AIAC solver (paper Algorithm 1).
+"""Chain machinery and the one rank loop of every execution model.
 
 One *rank* per host, organised in a logical linear chain (the paper maps
 the spatial components over linearly organised processors).  Each rank
-runs a simulated process:
+runs one simulated process, :func:`_rank_process` (Algorithm 1):
 
 1. perform one relaxation sweep on its block (the numerics run for real;
    the counted work is converted to virtual time by the host);
@@ -12,14 +12,22 @@ runs a simulated process:
 3. at the end of the sweep, send the *right* boundary component;
 4. repeat until the convergence monitor raises the stop flag.
 
+The four models of the paper's Figures 1–4 differ only in when a rank
+waits: AIAC never does; SIAC waits for both neighbours' data of the
+sweep it just finished; SISC sends both boundaries after the sweep,
+waits for that data, then passes a global barrier.  AIAC+LB adds a
+load-balancing trial before each sweep (:mod:`repro.core.lb`).
+
 Boundary messages carry the component's **global position** and the
 sender's residual/estimate (Algorithm 4); receive handlers drop data
 whose position no longer matches the expected halo index — exactly the
 paper's Algorithm 7 guard against messages crossing a repartition.
 
-With ``config.exclusive_sends`` (default) a boundary send is suppressed
-while the previous one on that channel is still in flight — the mutual
-exclusion that "generates less communications" (Figure 4 variant).
+With ``config.exclusive_sends`` (default) an AIAC boundary send is
+suppressed while the previous one on that channel is still in flight —
+the mutual exclusion that "generates less communications" (Figure 4);
+``False`` gives the eager AIAC of Figure 3.  The synchronous models
+always send.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from repro.runtime.node import GridNode
 from repro.runtime.tracer import Tracer
 from repro.topology.graphs import Topology
 
-__all__ = ["ChainRun", "RankContext", "run_aiac", "build_chain"]
+__all__ = ["ChainRun", "RankContext", "run_aiac", "build_chain", "run_chain"]
 
 
 def _copy_halo(halo: Any) -> Any:
@@ -445,6 +453,70 @@ class ChainRun:
         ctx.halo_signal.trigger(self.sim)
 
     # ------------------------------------------------------------------
+    # Halo recovery of the synchronous models (fault injection only)
+    # ------------------------------------------------------------------
+    def _arm_halo_recovery(self) -> None:
+        """Wire the two recoveries a synchronous model needs under faults.
+
+        SIAC and SISC cannot make progress without every halo of the
+        current iteration — unlike AIAC, whose next sweep supersedes a
+        lost message anyway.  A halo transfer that exhausts its
+        retransmission budget is sent again (:meth:`_resend_halo`), and a
+        rank restored from its checkpoint pulls both neighbours' halos
+        (:meth:`_request_halos`).
+        """
+        for ctx in self.ranks:
+            for side in ("left", "right"):
+                ctx.node.register_failure_handler(
+                    f"halo_from_{side}", partial(self._resend_halo, ctx)
+                )
+            ctx.node.register_handler(
+                "halo_request", partial(self._on_halo_request, ctx)
+            )
+
+    def _resend_halo(
+        self, ctx: RankContext, message: Message, delivered: bool
+    ) -> None:
+        """Failure handler: send an undelivered halo again.
+
+        A payload superseded by a newer send on the same channel is *not*
+        re-sent: delivering old state under a fresh sequence number would
+        defeat the newest-wins stale rejection.
+        """
+        node = ctx.node
+        if delivered or node.stop_requested or not node.alive:
+            return
+        if node.is_latest_send(message):
+            node.send(
+                self.ranks[message.dst_rank].node,
+                message.kind,
+                message.payload,
+                message.size_bytes,
+            )
+
+    def _request_halos(self, ctx: RankContext) -> None:
+        """Ask both neighbours to re-send their boundary facing ``ctx``.
+
+        Called right after a crash-restore: the restored halos may
+        predate deliveries the transport already acknowledged, and the
+        neighbours, blocked waiting for this rank, will not send again on
+        their own.  Their handlers answer at once (:meth:`_on_halo_request`
+        runs atomically while their main loops are blocked, like a PM2
+        handler thread).  The re-request doubles as the refetch half of
+        reject-and-refetch when a corrupted halo was discarded by the
+        receive-side checksum.
+        """
+        for neighbor in self._neighbors[ctx.rank].values():
+            if neighbor is not None:
+                ctx.node.send(
+                    neighbor.node, "halo_request", None, self.config.header_bytes
+                )
+
+    def _on_halo_request(self, ctx: RankContext, msg: Message) -> None:
+        side = "right" if msg.src_rank > ctx.rank else "left"
+        self.send_halo(ctx, side, estimate=ctx.estimator.value(), exclusive=False)
+
+    # ------------------------------------------------------------------
     # Decentralized detection (token ring; SolverConfig.detection)
     # ------------------------------------------------------------------
     def _send_token(self, ctx: RankContext, token: dict, direction: int) -> None:
@@ -709,7 +781,7 @@ def build_chain(
     model: str = "aiac",
     host_order: list[int] | None = None,
 ) -> ChainRun:
-    """Construct a chain run without starting it (for custom drivers)."""
+    """Construct a chain run without starting it (:func:`run_chain` runs it)."""
     return ChainRun(
         problem,
         platform,
@@ -719,30 +791,174 @@ def build_chain(
     )
 
 
-def _aiac_process(run: ChainRun, ctx: RankContext):
-    """The main loop of Algorithm 1 (no load balancing).
+class _IterationBarrier:
+    """SISC's global barrier: iteration ``k`` is passed once every rank
+    has completed it at least once.
 
-    The crash-recovery prologue is a no-op on the lossless fast path
-    (``alive`` is always True and ``crash_count == restored_epoch == 0``
-    without a fault injector): a crashed rank parks on its restart
-    signal, then rejoins from its last checkpoint before iterating.
+    It keeps the *highest* iteration each rank arrived with, which a
+    rank rolled back to its checkpoint cannot lower when it re-executes
+    and arrives again (a counting barrier would lose count for good).
+    ``level``, the lowest of them, is kept in O(1) amortised per
+    arrival.  A fault-free run wakes the waiters once per level, when
+    the last rank arrives (the event stream the lockstep replay
+    reproduces); under an injector every arrival wakes them.
     """
-    exclusive = run.config.exclusive_sends
-    node = ctx.node
+
+    def __init__(self, n_ranks: int, *, every_arrival: bool) -> None:
+        self.done = [0] * n_ranks
+        self.level = 0
+        self._at_level = n_ranks
+        self.every_arrival = every_arrival
+        self.signal = Signal("sisc-barrier")
+
+    def arrive(self, rank: int, iteration: int, sim: Simulator) -> None:
+        done = self.done
+        previous = done[rank]
+        rose = False
+        if iteration > previous:
+            done[rank] = iteration
+            if previous == self.level:
+                self._at_level -= 1
+                if not self._at_level:
+                    self.level = level = min(done)
+                    self._at_level = done.count(level)
+                    rose = True
+        if rose or self.every_arrival:
+            self.signal.trigger(sim)
+
+    def passed(self, iteration: int) -> bool:
+        return self.level >= iteration
+
+
+def _rank_process(
+    run: ChainRun,
+    ctx: RankContext,
+    waits: bool,
+    barrier: _IterationBarrier | None,
+    trial: Callable[[RankContext], None] | None,
+):
+    """One rank's main loop, the same for every execution model.
+
+    ``waits`` (SIAC, SISC): after each sweep, block until both
+    neighbours' halos of that sweep arrived.  ``barrier`` (SISC only):
+    send both boundaries after the sweep instead of the left one during
+    it, then pass the global barrier.  ``trial`` (AIAC+LB) runs before
+    each sweep.  The crash-recovery prologue is a no-op on the lossless
+    fast path (``alive`` is always True and ``crash_count ==
+    restored_epoch == 0`` without a fault injector): a crashed rank
+    parks on its restart signal, then rejoins from its last checkpoint.
+    """
+    node, sim, rank = ctx.node, run.sim, ctx.rank
+    exclusive = run.config.exclusive_sends and not waits
+    has_left, has_right = rank > 0, rank < run.n_ranks - 1
     while not node.stop_requested:
         if not node.alive:
             yield Wait(node.restart_signal)
             continue  # re-check stop/crash state after waking
         if node.crash_count != ctx.restored_epoch:
             run.restore_checkpoint(ctx)
+            if waits:
+                if barrier is not None:
+                    # The restored state attests every iteration up to
+                    # the checkpoint.  Arrive for it again: a crash
+                    # between the checkpointed sweep and its arrival
+                    # would otherwise leave the others at
+                    # ``passed(checkpoint iteration)`` forever, since
+                    # re-execution resumes past it.
+                    barrier.arrive(rank, ctx.iteration, sim)
+                run._request_halos(ctx)
             continue
-        yield from run.sweep(ctx, send_left_mid_sweep=True, exclusive=exclusive)
+        if trial is not None:
+            trial(ctx)
+        yield from run.sweep(
+            ctx, send_left_mid_sweep=barrier is None, exclusive=exclusive
+        )
         if node.stop_requested:
             break
         if not node.alive or node.crash_count != ctx.restored_epoch:
             continue  # the sweep was lost to a crash
-        self_estimate = ctx.estimator.value()
-        run.send_halo(ctx, "right", estimate=self_estimate, exclusive=exclusive)
+        estimate = ctx.estimator.value()
+        if barrier is not None:
+            run.send_halo(ctx, "left", estimate=estimate, exclusive=False)
+        run.send_halo(ctx, "right", estimate=estimate, exclusive=exclusive)
+        if not waits:
+            continue
+        wait_start, k = sim.now, ctx.iteration
+        interrupted = False
+        while not node.stop_requested:
+            if not node.alive or node.crash_count != ctx.restored_epoch:
+                interrupted = True
+                break
+            if not (
+                (has_left and ctx.halo_iter_left < k)
+                or (has_right and ctx.halo_iter_right < k)
+            ):
+                break
+            yield Wait(ctx.halo_signal)
+        if barrier is not None:
+            if interrupted or node.stop_requested:
+                continue
+            # Nobody starts iteration k+1 before everyone finished k.
+            barrier.arrive(rank, k, sim)
+            while not node.stop_requested and not barrier.passed(k):
+                if not node.alive or node.crash_count != ctx.restored_epoch:
+                    interrupted = True
+                    break
+                yield Wait(barrier.signal)
+        if not interrupted and sim.now > wait_start:
+            run.tracer.idle(
+                rank=rank,
+                t0=wait_start,
+                t1=sim.now,
+                reason="siac-wait" if barrier is None else "sisc-sync",
+            )
+
+
+#: The models that wait for their neighbours after each sweep; the
+#: others (``"aiac"``, ``"aiac+lb"``) never wait.
+_SYNCHRONOUS = ("siac", "sisc")
+
+
+def run_chain(
+    run: ChainRun,
+    *,
+    injector: Any = None,
+    profiler: Any = None,
+    guard: Any = None,
+    trial: Callable[[RankContext], None] | None = None,
+) -> RunResult:
+    """Run ``run`` to the end with one :func:`_rank_process` per rank.
+
+    ``run.model`` picks the waiting discipline.  ``injector`` optionally
+    arms a :class:`~repro.faults.injector.FaultInjector` (resilient
+    transport + fault schedule; the synchronous models also re-send
+    halos on permanent transfer failure and pull them after a restore);
+    ``profiler`` attaches a :class:`~repro.obs.profile.SimProfiler` to
+    the DES kernel (the event trace is bit-identical with or without
+    it); ``guard`` attaches a :class:`~repro.guard.InvariantMonitor`
+    (runtime safety invariants + watchdogs, see ``docs/robustness.md``),
+    after the profiler, whose slot it chains; ``trial`` runs before
+    every sweep.  Returns the :class:`RunResult`.
+    """
+    waits = run.model in _SYNCHRONOUS
+    if injector is not None:
+        if waits:
+            run._arm_halo_recovery()
+        injector.install(run)
+    if profiler is not None:
+        run.sim.attach_profiler(profiler)
+    if guard is not None:
+        guard.attach(run)
+    barrier = None
+    if run.model == "sisc":
+        barrier = _IterationBarrier(run.n_ranks, every_arrival=injector is not None)
+    for ctx in run.ranks:
+        run.sim.spawn(
+            f"{run.model}-rank-{ctx.rank}",
+            _rank_process(run, ctx, waits, barrier, trial),
+        )
+    run.run()
+    return run.result()
 
 
 def run_aiac(
@@ -757,26 +973,10 @@ def run_aiac(
 ) -> RunResult:
     """Solve ``problem`` with the unbalanced AIAC algorithm (Algorithm 1).
 
-    Every processor iterates on whatever halo data is available —
-    no waiting, no synchronisation.  ``injector`` optionally arms a
-    :class:`~repro.faults.injector.FaultInjector` (resilient transport +
-    fault schedule) against the run; ``profiler`` optionally attaches a
-    :class:`~repro.obs.profile.SimProfiler` to the DES kernel (the event
-    trace is bit-identical with or without it); ``guard`` optionally
-    attaches a :class:`~repro.guard.InvariantMonitor` (runtime safety
-    invariants + watchdogs, see ``docs/robustness.md``).  Returns the
-    :class:`RunResult`.
+    Every processor iterates on whatever halo data is available — no
+    waiting, no synchronisation.  The hooks are :func:`run_chain`'s.
     """
     run = build_chain(
         problem, platform, config, model="aiac", host_order=host_order
     )
-    if injector is not None:
-        injector.install(run)
-    if profiler is not None:
-        run.sim.attach_profiler(profiler)
-    if guard is not None:
-        guard.attach(run)
-    for ctx in run.ranks:
-        run.sim.spawn(f"aiac-rank-{ctx.rank}", _aiac_process(run, ctx))
-    run.run()
-    return run.result()
+    return run_chain(run, injector=injector, profiler=profiler, guard=guard)

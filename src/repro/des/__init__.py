@@ -9,8 +9,7 @@ testbed (the PM2 runtime on a 2003 computational grid).  It provides:
   processes (one per simulated machine / handler thread),
 * :class:`~repro.des.process.Hold` / :class:`~repro.des.process.Wait` —
   the commands a process yields to consume virtual time or block on a
-  :class:`~repro.des.process.Signal`,
-* :mod:`~repro.des.sync` — the barrier of SISC iterations, in virtual time.
+  :class:`~repro.des.process.Signal`.
 
 Determinism: simultaneous events are ordered by their scheduling sequence
 number, so a run is a pure function of its inputs (DESIGN.md §7).
@@ -29,6 +28,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Process": "process",
         "Simulator": "simulator",
         "SimulationError": "simulator",
-        "Barrier": "sync",
     },
 )

@@ -13,13 +13,13 @@ sends *fewer* halo messages than the eager Figure 3 variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.gantt import render_gantt
 from repro.analysis.metrics import idle_fraction
 from repro.analysis.reporting import format_table
 from repro.core.records import RunResult
-from repro.models.aiac import run_aiac_model
+from repro.core.solver import run_aiac
 from repro.models.siac import run_siac
 from repro.models.sisc import run_sisc
 from repro.workloads.scenarios import TraceFigureScenario
@@ -84,11 +84,11 @@ def run_trace_figures(
     runs = {
         "figure1_sisc": run_sisc(scenario.problem(), platform, config),
         "figure2_siac": run_siac(scenario.problem(), platform, config),
-        "figure3_aiac_eager": run_aiac_model(
-            scenario.problem(), platform, config, variant="eager"
+        "figure3_aiac_eager": run_aiac(
+            scenario.problem(), platform, replace(config, exclusive_sends=False)
         ),
-        "figure4_aiac_exclusive": run_aiac_model(
-            scenario.problem(), platform, config, variant="exclusive"
+        "figure4_aiac_exclusive": run_aiac(
+            scenario.problem(), platform, replace(config, exclusive_sends=True)
         ),
     }
     for key, run in runs.items():

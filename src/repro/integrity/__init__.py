@@ -23,8 +23,8 @@ story:
 
 Detection and recovery semantics live with their layers: the transport
 in :mod:`repro.runtime.node`, checkpoints in
-:mod:`repro.core.solver` / :mod:`repro.models._recovery`, the
-numerical-plausibility guard in :mod:`repro.guard.plausibility`, and
+:mod:`repro.core.solver` (with the synchronous models' halo resend and
+pull), the numerical-plausibility guard in :mod:`repro.guard.plausibility`, and
 the WAL/audit/cache quarantine paths in :mod:`repro.serve` and
 :mod:`repro.exec.cache`.  See ``docs/robustness.md`` ("Data
 integrity").

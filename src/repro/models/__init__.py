@@ -10,13 +10,13 @@ Three ways to run the same block-relaxation over the same platform:
   updated, overlapping communication with the rest of the sweep, but a
   rank still waits for its neighbours' previous-iteration data
   (Figure 2);
-* :func:`~repro.models.aiac.run_aiac_model` — Asynchronous Iterations,
-  Asynchronous Communications: no waiting at all (Figures 3/4); thin
-  wrapper over :func:`repro.core.solver.run_aiac` selecting the eager
-  (Figure 3) or mutual-exclusion (Figure 4) variant.
+* :func:`repro.core.solver.run_aiac` — Asynchronous Iterations,
+  Asynchronous Communications: no waiting at all; the eager (Figure 3)
+  or mutual-exclusion (Figure 4) variant by
+  ``SolverConfig.exclusive_sends``.
 
-All three share the chain machinery of :mod:`repro.core.solver`, so
-timing differences come only from the synchronisation semantics.
+All three run the one rank loop of :func:`repro.core.solver.run_chain`,
+so timing differences come only from when a rank waits.
 
 The experiment layer names models by string: :mod:`repro.models.
 registry` holds :data:`MODELS` (name -> driver), :data:`VERSIONS` and
@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "run_model": "registry",
         "run_sisc": "sisc",
         "run_siac": "siac",
-        "run_aiac_model": "aiac",
         "run_sisc_batched": "lockstep",
     },
 )

@@ -41,8 +41,9 @@ def run_model(
     ``platform`` replaces ``scenario.platform()`` for scenarios whose
     platform takes an argument (Figure 5's processor count) or whose
     caller needs it first (Table 1's host order).  ``hooks`` go to the
-    driver untouched: ``host_order``, ``injector``, ``guard`` and, for
-    the two AIAC drivers only, ``profiler``.
+    driver untouched; every driver takes the same ones: ``host_order``,
+    ``injector``, ``profiler`` and ``guard`` (see
+    :func:`repro.core.solver.run_chain`).
     """
     if model not in MODELS:
         raise ValueError(

@@ -110,12 +110,11 @@ def test_max_time_horizon():
 
 
 def test_eager_variant_sends_more_messages():
-    from repro.models import run_aiac_model
-
     plat = homogeneous_cluster(3, speed=100.0)
-    cfg = SolverConfig(tolerance=1e-8)
-    r_excl = run_aiac_model(synthetic(), plat, cfg, variant="exclusive")
-    r_eager = run_aiac_model(synthetic(), plat, cfg, variant="eager")
+    r_excl = run_aiac(synthetic(), plat, SolverConfig(tolerance=1e-8))
+    r_eager = run_aiac(
+        synthetic(), plat, SolverConfig(tolerance=1e-8, exclusive_sends=False)
+    )
     assert r_eager.converged and r_excl.converged
     n_excl = len([m for m in r_excl.tracer.messages if m.kind.startswith("halo")])
     n_eager = len([m for m in r_eager.tracer.messages if m.kind.startswith("halo")])

@@ -9,7 +9,7 @@ from repro.grid.host import Host
 from repro.grid.link import Link
 from repro.grid.network import Network
 from repro.grid.platform import Platform
-from repro.models import run_aiac_model, run_siac, run_sisc
+from repro.models import run_siac, run_sisc
 from repro.problems import SyntheticProblem
 
 
@@ -75,19 +75,6 @@ def test_sisc_fast_rank_waits_for_slow_rank():
     r = run_sisc(problem(), plat, CFG)
     # The fast host (rank 0) accumulates the idle time.
     assert r.tracer.idle_time_of(0) > r.tracer.idle_time_of(1)
-
-
-def test_aiac_variants_validation():
-    plat = homogeneous_cluster(2)
-    with pytest.raises(ValueError, match="variant"):
-        run_aiac_model(problem(), plat, CFG, variant="warp")
-
-
-def test_aiac_wrapper_reports_variant():
-    plat = homogeneous_cluster(2, speed=100.0)
-    r = run_aiac_model(problem(), plat, CFG, variant="eager")
-    assert r.meta["variant"] == "eager"
-    assert r.converged
 
 
 def test_models_agree_on_the_answer():

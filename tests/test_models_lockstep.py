@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import SolverConfig
-from repro.core.solver import build_chain
-from repro.des import Barrier
+from repro.core.solver import build_chain, run_chain
 from repro.grid import homogeneous_cluster
 from repro.grid.host import Host
 from repro.grid.link import Link
@@ -25,7 +24,6 @@ from repro.grid.network import Network
 from repro.grid.platform import Platform
 from repro.guard import GuardConfig, InvariantMonitor
 from repro.models import run_sisc, run_sisc_batched
-from repro.models.sisc import _sisc_process
 from repro.analysis.perf import run_fingerprint
 from repro.problems import SyntheticProblem
 from repro.problems.brusselator import BrusselatorProblem
@@ -170,11 +168,7 @@ def test_lockstep_matches_reference_host_order_permutation():
 def _reference_events(problem, platform, cfg):
     """run_sisc, but keeping the simulator to read its event counter."""
     run = build_chain(problem, platform, cfg, model="sisc")
-    barrier = Barrier(run.n_ranks, name="sisc")
-    for ctx in run.ranks:
-        run.sim.spawn(f"sisc-rank-{ctx.rank}", _sisc_process(run, ctx, barrier))
-    run.run()
-    return run.result(), run.sim.n_dispatched
+    return run_chain(run), run.sim.n_dispatched
 
 
 @pytest.mark.parametrize(

@@ -167,10 +167,8 @@ def test_sidecar_scale_telemetry_header(tmp_path):
 
 def test_sidecar_collect_scheduler_scrapes_des_series():
     from repro.core import SolverConfig
-    from repro.core.solver import build_chain
-    from repro.des import Barrier
+    from repro.core.solver import build_chain, run_chain
     from repro.grid import homogeneous_cluster
-    from repro.models.sisc import _sisc_process
     from repro.problems import SyntheticProblem
 
     import numpy as np
@@ -181,10 +179,7 @@ def test_sidecar_collect_scheduler_scrapes_des_series():
         SolverConfig(max_iterations=5),
         model="sisc",
     )
-    barrier = Barrier(run.n_ranks, name="sisc")
-    for ctx in run.ranks:
-        run.sim.spawn(f"sisc-rank-{ctx.rank}", _sisc_process(run, ctx, barrier))
-    run.run()
+    run_chain(run)
 
     sidecar = MetricsSidecar()
     sidecar.collect_scheduler(run.sim, run="smoke")
