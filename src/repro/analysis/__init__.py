@@ -6,13 +6,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
         "idle_fraction": "metrics",
-        "work_imbalance": "metrics",
-        "speedup_series": "metrics",
-        "efficiency": "metrics",
-        "time_ratio": "metrics",
         "render_gantt": "gantt",
         "ascii_plot": "plots",
         "format_table": "reporting",
-        "format_series": "reporting",
     },
 )

@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.records import RunResult
 
-__all__ = [
-    "idle_fraction",
-    "work_imbalance",
-    "speedup_series",
-    "efficiency",
-    "time_ratio",
-]
+__all__ = ["idle_fraction"]
 
 
 def idle_fraction(result: RunResult) -> float:
@@ -28,43 +20,3 @@ def idle_fraction(result: RunResult) -> float:
         return 0.0
     idle = sum(result.tracer.idle_time_of(r) for r in range(result.n_ranks))
     return idle / total
-
-
-def work_imbalance(result: RunResult) -> float:
-    """``max / mean`` of per-rank busy time (1.0 = perfectly balanced)."""
-    busy = np.array(
-        [result.tracer.busy_time_of(r) for r in range(result.n_ranks)]
-    )
-    mean = busy.mean()
-    if mean == 0:
-        return 1.0
-    return float(busy.max() / mean)
-
-
-def speedup_series(
-    times: dict[int, float], *, baseline_procs: int | None = None
-) -> dict[int, float]:
-    """Speedups from a ``{n_procs: time}`` scaling series.
-
-    The baseline defaults to the smallest processor count present.
-    """
-    if not times:
-        raise ValueError("empty series")
-    if baseline_procs is None:
-        baseline_procs = min(times)
-    base = times[baseline_procs]
-    return {p: base / t for p, t in sorted(times.items())}
-
-
-def efficiency(times: dict[int, float]) -> dict[int, float]:
-    """Parallel efficiency ``speedup(p) * base_p / p`` of a scaling series."""
-    base_p = min(times)
-    speedups = speedup_series(times, baseline_procs=base_p)
-    return {p: s * base_p / p for p, s in speedups.items()}
-
-
-def time_ratio(unbalanced: RunResult, balanced: RunResult) -> float:
-    """The paper's headline metric: unbalanced time / balanced time."""
-    if balanced.time <= 0:
-        raise ValueError("balanced run has non-positive time")
-    return unbalanced.time / balanced.time

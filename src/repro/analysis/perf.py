@@ -5,7 +5,6 @@ loop) are fast enough that naive one-shot timing is all noise.  This
 module provides the small amount of machinery a credible perf
 trajectory needs:
 
-* :class:`Timer` — a ``with``-block wall-clock timer,
 * :func:`bench` — warmup + repeat measurement returning robust stats
   (best / median / mean), the shape pytest-benchmark uses,
 * :class:`BenchReport` — accumulates named results, computes speedups
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 __all__ = [
-    "Timer",
     "bench",
     "BenchResult",
     "BenchReport",
@@ -104,29 +102,6 @@ def save_report(path: str, data: dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-class Timer:
-    """Context-manager wall-clock timer.
-
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed > 0
-    True
-    """
-
-    __slots__ = ("elapsed", "_t0")
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._t0: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.elapsed = time.perf_counter() - self._t0
 
 
 @dataclass(slots=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def _fmt(value: Any) -> str:
@@ -43,13 +43,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     out = [line(list(headers)), line(["-" * w for w in widths])]
     out.extend(line(r) for r in str_rows)
     return "\n".join(out)
-
-
-def format_series(
-    name: str, xs: Sequence[Any], ys: Sequence[Any], *, x_label: str = "x", y_label: str = "y"
-) -> str:
-    """Render a named (x, y) series as a two-column table."""
-    if len(xs) != len(ys):
-        raise ValueError(f"series length mismatch: {len(xs)} vs {len(ys)}")
-    body = format_table([x_label, y_label], list(zip(xs, ys)))
-    return f"{name}\n{body}"

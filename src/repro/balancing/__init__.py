@@ -36,8 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "diffusion_matrix": "accelerated",
         "second_eigenvalue": "accelerated",
         "imbalance_ratio": "analysis",
-        "load_stddev": "analysis",
-        "mean_load": "analysis",
         "centralized_balance": "centralized",
         "edge_colouring": "dimension_exchange",
         "ZOO_ALGORITHMS": "zoo",

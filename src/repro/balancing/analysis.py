@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mean_load", "load_stddev", "imbalance_ratio"]
+__all__ = ["imbalance_ratio"]
 
 
 def _as_loads(load) -> np.ndarray:
@@ -14,16 +14,6 @@ def _as_loads(load) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError("loads must be non-negative")
     return arr
-
-
-def mean_load(load) -> float:
-    """Average load (invariant under any conserving balancer)."""
-    return float(_as_loads(load).mean())
-
-
-def load_stddev(load) -> float:
-    """Standard deviation of the load vector (0 = perfectly balanced)."""
-    return float(_as_loads(load).std())
 
 
 def imbalance_ratio(load) -> float:

@@ -90,26 +90,19 @@ class EventQueue:
     """Deterministic priority queue of :class:`ScheduledEvent`.
 
     One ``(time, seq, event)`` heap entry per event; ``seq`` is unique,
-    so the event itself is never compared.  ``peak_size`` tracks the
-    high-water mark of live events (the ``des.heap_size`` telemetry
-    gauge).
+    so the event itself is never compared.
     """
 
-    __slots__ = ("_heap", "_count", "_n_cancelled", "peak_size")
+    __slots__ = ("_heap", "_count", "_n_cancelled")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._count = 0
         self._n_cancelled = 0
-        self.peak_size = 0
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events."""
         return len(self._heap) - self._n_cancelled
-
-    def push(self, time: float, callback: Callable[[], Any]) -> ScheduledEvent:
-        """Schedule ``callback()`` at ``time`` and return its event record."""
-        return self.push_call(time, callback, ())
 
     def push_call(
         self,
@@ -122,9 +115,6 @@ class EventQueue:
         self._count = seq + 1
         event = ScheduledEvent(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, event))
-        live = len(self._heap) - self._n_cancelled
-        if live > self.peak_size:
-            self.peak_size = live
         return event
 
     def pop(self) -> ScheduledEvent | None:

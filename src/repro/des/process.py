@@ -97,10 +97,6 @@ class Signal:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Signal({self.name!r}, waiters={len(self._waiters)})"
 
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiters)
-
     def _add_waiter(self, process: "Process") -> None:
         self._waiters.append(process)
 

@@ -55,10 +55,8 @@ class Simulator:
         self.processes: list[Process] = []
         #: Optional dispatch observer (see :meth:`attach_profiler`).
         self.profiler: Any = None
-        #: Dispatch telemetry: total events whose callback was invoked,
-        #: and the number of same-timestamp batches they arrived in.
+        #: Total events whose callback was invoked.
         self.n_dispatched = 0
-        self.n_batches = 0
 
     def attach_profiler(self, profiler: Any) -> "Simulator":
         """Attach a profiler whose ``record(event)`` sees every dispatch.
@@ -95,30 +93,16 @@ class Simulator:
         """Current virtual time."""
         return self._now
 
-    def schedule_at(
-        self, time: float, callback: Callable[[], Any]
-    ) -> ScheduledEvent:
-        """Schedule ``callback()`` at absolute virtual time ``time``."""
-        return self.at(time, callback)
-
-    def schedule_in(
-        self, delay: float, callback: Callable[[], Any]
-    ) -> ScheduledEvent:
-        """Schedule ``callback()`` after ``delay`` units of virtual time."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
-        return self.schedule_at(self._now + delay, callback)
-
     def at(
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
         Binds arguments without a closure.  Every caller that computes
-        an event time (``schedule_at`` / ``schedule_in``, the fault
-        injector, retry timers) validates here: a time in the past or a
-        non-finite one names the offending callback instead of silently
-        corrupting the clock's monotonicity.  Process resumptions do not
+        an event time (message deliveries, retry timers, the fault
+        injector) validates here: a time in the past or a non-finite one names the
+        offending callback instead of silently corrupting the clock's
+        monotonicity.  Process resumptions do not
         pass through here — they push ``now + duration`` directly, and
         :class:`~repro.des.process.Hold` rejects a negative or
         non-finite duration at construction.
@@ -181,8 +165,7 @@ class Simulator:
         pop_due = queue.pop_due
         horizon = math.inf if until is None else until
         record = None if self.profiler is None else self.profiler.record
-        n_events = n_batches = 0
-        batch_time = None  # timestamp of the previous event of this call
+        n_events = 0
         try:
             while True:
                 event = pop_due(horizon)
@@ -190,12 +173,7 @@ class Simulator:
                     if until is not None and len(queue):
                         self._now = until  # live events wait past the horizon
                     break
-                # A batch is a run of events sharing one timestamp, in
-                # scheduling order (the heap's (time, seq) total order),
-                # events scheduled at ``now`` from inside it included.
-                if event.time != batch_time:
-                    batch_time = self._now = event.time
-                    n_batches += 1
+                self._now = event.time
                 n_events += 1
                 if record is not None:
                     record(event)
@@ -210,20 +188,8 @@ class Simulator:
         finally:
             self._running = False
             self.n_dispatched += n_events
-            self.n_batches += n_batches
         if self._failure is not None:
             process, exc = self._failure
             self._failure = None
             where = f"process {process.name!r}" if process else "scheduled callback"
             raise SimulationError(f"{where} failed at t={self._now}: {exc!r}") from exc
-
-    def export_metrics(self, registry: Any, **labels: Any) -> None:
-        """Publish scheduler telemetry into a metrics registry.
-
-        ``des.heap_size`` is the high-water mark of pending events,
-        ``des.batch_dispatch`` the number of same-timestamp batches and
-        ``des.events_dispatched`` the total events dispatched.
-        """
-        registry.gauge("des.heap_size", **labels).set(self._queue.peak_size)
-        registry.counter("des.batch_dispatch", **labels).add(self.n_batches)
-        registry.counter("des.events_dispatched", **labels).add(self.n_dispatched)

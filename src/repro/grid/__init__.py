@@ -20,7 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "AvailabilityTrace": "traces",
         "ConstantTrace": "traces",
-        "PiecewiseTrace": "traces",
         "MarkovTrace": "traces",
         "Host": "host",
         "Link": "link",

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 import numpy as np
 
 from repro.util.validation import check_in_range, check_positive
 
-__all__ = ["AvailabilityTrace", "ConstantTrace", "PiecewiseTrace", "MarkovTrace"]
+__all__ = ["AvailabilityTrace", "ConstantTrace", "MarkovTrace"]
 
 #: Traces never report availability below this floor, guaranteeing that
 #: any finite amount of work completes in finite virtual time.
@@ -43,30 +42,6 @@ class AvailabilityTrace(ABC):
         Returns ``inf`` if the trace is constant from ``t`` on.
         """
 
-    def mean_over(self, t0: float, t1: float) -> float:
-        """Time-average availability over ``[t0, t1]`` (for diagnostics).
-
-        Raises ``RuntimeError`` if ``next_change`` fails its contract by
-        not advancing past ``t`` — without the guard a buggy subclass
-        (e.g. one whose breakpoints contain duplicates) spins this loop
-        forever instead of surfacing the defect.
-        """
-        if t1 <= t0:
-            return self.value(t0)
-        total = 0.0
-        t = t0
-        while t < t1:
-            nxt = min(self.next_change(t), t1)
-            if nxt <= t:
-                raise RuntimeError(
-                    f"{type(self).__name__}.next_change({t!r}) returned "
-                    f"{nxt!r}, which does not advance time; "
-                    f"next_change must return a value strictly after t"
-                )
-            total += self.value(t) * (nxt - t)
-            t = nxt
-        return total / (t1 - t0)
-
 
 class ConstantTrace(AvailabilityTrace):
     """Full-time constant availability (dedicated machine)."""
@@ -82,44 +57,6 @@ class ConstantTrace(AvailabilityTrace):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConstantTrace({self.level})"
-
-
-class PiecewiseTrace(AvailabilityTrace):
-    """Explicit breakpoints: ``levels[i]`` holds on ``[times[i], times[i+1])``.
-
-    The first segment is assumed to start at ``-inf`` conceptually
-    (``times[0]`` must be 0), and the last level holds forever.
-    """
-
-    def __init__(self, times: Sequence[float], levels: Sequence[float]) -> None:
-        if len(times) != len(levels):
-            raise ValueError(
-                f"times and levels must have equal length, "
-                f"got {len(times)} and {len(levels)}"
-            )
-        if len(times) == 0:
-            raise ValueError("need at least one segment")
-        if times[0] != 0:
-            raise ValueError(f"times[0] must be 0, got {times[0]!r}")
-        times_arr = np.asarray(times, dtype=float)
-        if np.any(np.diff(times_arr) <= 0):
-            raise ValueError("times must be strictly increasing")
-        for lv in levels:
-            check_in_range("level", lv, MIN_AVAILABILITY, 1.0)
-        # Plain lists of Python floats, as in MarkovTrace: bisecting an
-        # ndarray boxes a NumPy scalar per probe.
-        self._times: list[float] = times_arr.tolist()
-        self._levels: list[float] = np.asarray(levels, dtype=float).tolist()
-
-    def value(self, t: float) -> float:
-        idx = bisect.bisect_right(self._times, t) - 1
-        return self._levels[max(idx, 0)]
-
-    def next_change(self, t: float) -> float:
-        idx = bisect.bisect_right(self._times, t)
-        if idx >= len(self._times):
-            return float("inf")
-        return self._times[idx]
 
 
 class MarkovTrace(AvailabilityTrace):

@@ -11,8 +11,7 @@ This package gives that accounting a first-class home:
   fault injector;
 * :mod:`repro.obs.export` — streaming export of
   :class:`~repro.runtime.tracer.Tracer` records and metric snapshots to
-  JSONL and Chrome trace-event JSON (viewable in Perfetto), with a
-  bounded ring option for million-event sweeps;
+  JSONL and Chrome trace-event JSON (viewable in Perfetto);
 * :class:`~repro.obs.profile.SimProfiler` — per-event-kind dispatch
   counts and sim-time histograms for the DES kernel, attached via
   :meth:`repro.des.simulator.Simulator.attach_profiler` (zero overhead
@@ -35,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Counter": "registry",
         "Gauge": "registry",
         "Histogram": "registry",
-        "TraceRing": "export",
         "iter_trace_events": "export",
         "metrics_jsonl_lines": "export",
         "write_chrome_trace": "export",

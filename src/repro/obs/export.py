@@ -14,10 +14,6 @@ Two output formats:
 
 Both outputs contain only virtual-time quantities, so byte-identical
 files across repeated runs are the expected (and CI-checked) behaviour.
-
-For sweeps whose full event list would not fit in memory,
-:class:`TraceRing` bounds the in-memory window to the last *n* events
-while still counting everything that passed through.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from repro.analysis.perf import canonical_json, stable_digest
 from repro.runtime.tracer import Tracer
 
 __all__ = [
-    "TraceRing",
     "iter_trace_events",
     "metrics_jsonl_lines",
     "write_metrics_jsonl",
@@ -41,45 +36,6 @@ METRICS_SCHEMA = "repro-obs-metrics/1"
 
 #: Virtual seconds -> Chrome trace microseconds.
 _US = 1e6
-
-
-class TraceRing:
-    """Bounded ring buffer over trace events.
-
-    Keeps the *last* ``maxlen`` appended items in order and counts how
-    many were displaced, so a million-event sweep can export a bounded
-    tail without OOMing while still reporting true totals.
-    """
-
-    __slots__ = ("maxlen", "_items", "_start", "n_seen")
-
-    def __init__(self, maxlen: int) -> None:
-        if maxlen < 1:
-            raise ValueError(f"maxlen must be >= 1, got {maxlen}")
-        self.maxlen = maxlen
-        self._items: list[Any] = []
-        self._start = 0  # index of the oldest live item
-        self.n_seen = 0
-
-    def append(self, item: Any) -> None:
-        if len(self._items) < self.maxlen:
-            self._items.append(item)
-        else:
-            self._items[self._start] = item
-            self._start = (self._start + 1) % self.maxlen
-        self.n_seen += 1
-
-    @property
-    def n_dropped(self) -> int:
-        return self.n_seen - len(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Any]:
-        items, start = self._items, self._start
-        for i in range(len(items)):
-            yield items[(start + i) % len(items)]
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +128,8 @@ def write_chrome_trace(
     """Write a Chrome trace JSON file; returns the number of events.
 
     Accepts either a :class:`~repro.runtime.tracer.Tracer` (converted
-    via :func:`iter_trace_events`) or an iterable of prepared events
-    (e.g. a :class:`TraceRing`).  Events are sorted by ``(ts, name,
+    via :func:`iter_trace_events`) or an iterable of prepared events.
+    Events are sorted by ``(ts, name,
     ph)`` so the byte output is independent of record-list interleaving.
     """
     if isinstance(tracer_or_events, Tracer):

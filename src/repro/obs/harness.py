@@ -110,62 +110,12 @@ class MetricsSidecar:
         )
         self.n_runs += 1
 
-    def collect_scheduler(self, sim: Any, *, run: str = "") -> None:
-        """Scrape a DES scheduler's telemetry (``des.*``) into the registry.
-
-        Separate from :meth:`collect` because a finished
-        :class:`RunResult` no longer references its simulator; harnesses
-        that keep the sim around (the scale benchmark, the guard soak)
-        call this right after the run.
-        """
-        sim.export_metrics(self.registry, run=run)
-
     def digest(self) -> str:
         return self.registry.digest()
 
-    def scale_telemetry(self) -> dict[str, Any]:
-        """Memory/scheduler headline numbers for the JSONL header.
-
-        Empty unless a scheduler scrape (:meth:`collect_scheduler`)
-        reached the registry: ordinary experiment sidecars stay
-        byte-identical across reruns, which CI checks.  When ``des.*``
-        series are present, the header additionally documents the
-        run's footprint: ``peak_rss_bytes`` measured *now* (a
-        process-wide high-water mark — wall-side, machine-dependent,
-        hence header-only and outside the digest) plus the registry's
-        scheduler aggregates (heap-size gauges take the max across
-        runs, dispatch counters sum).
-        """
-        heap_peak = None
-        batches = 0.0
-        events = 0.0
-        for record in self.registry.snapshot():
-            name = record["name"]
-            if name == "des.heap_size":
-                value = record["value"]
-                heap_peak = value if heap_peak is None else max(heap_peak, value)
-            elif name == "des.batch_dispatch":
-                batches += record["value"]
-            elif name == "des.events_dispatched":
-                events += record["value"]
-        if heap_peak is None:
-            return {}
-        from repro.runtime.memory import peak_rss_bytes
-
-        return {
-            "peak_rss_bytes": peak_rss_bytes(),
-            "des.heap_size_peak": heap_peak,
-            "des.batch_dispatch": batches,
-            "des.events_dispatched": events,
-        }
-
     def write(self, path: str, header: Mapping[str, Any] | None = None) -> str:
         """Write the sidecar JSONL to ``path``; returns the digest."""
-        head = {
-            "n_runs": self.n_runs,
-            **self.scale_telemetry(),
-            **dict(header or {}),
-        }
+        head = {"n_runs": self.n_runs, **dict(header or {})}
         return write_metrics_jsonl(path, self.registry.snapshot(), head)
 
 

@@ -193,10 +193,3 @@ class HeatProblem(Problem):
             u = thomas_solve(lower, diag, upper, u)
             out[:, k] = u
         return out
-
-    def analytic_solution(self) -> np.ndarray:
-        """``exp(-κ π² t) sin(π x)`` on the discrete grid."""
-        t = np.linspace(0.0, self.t_end, self.n_steps + 1)
-        x = self.x_grid()
-        return np.exp(-self.kappa * np.pi**2 * t)[None, :] * np.sin(np.pi * x)[:, None]
-

@@ -230,17 +230,11 @@ class Tracer:
             self.faults.append(FaultRecord(kind, time, t_end, rank, detail))
 
     # Convenience queries ---------------------------------------------------
-    def iterations_of(self, rank: int) -> list[IterationSpan]:
-        return [s for s in self.iterations if s.rank == rank]
-
     def idle_time_of(self, rank: int) -> float:
         return self._idle.get(rank, 0.0)
 
     def busy_time_of(self, rank: int) -> float:
         return self._busy.get(rank, 0.0)
-
-    def iteration_count_of(self, rank: int) -> int:
-        return self._iter_counts.get(rank, 0)
 
     def n_messages(self) -> int:
         return sum(self._msg_counts.values())

@@ -14,11 +14,7 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
-        "identity_order": "logical",
         "interleaved_sites_order": "logical",
-        "random_order": "logical",
-        "sorted_by_speed_order": "logical",
-        "chain_dependency_graph": "dependency",
         "dependency_graph_stats": "dependency",
         "TOPOLOGY_FAMILIES": "graphs",
         "Topology": "graphs",

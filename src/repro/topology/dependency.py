@@ -3,9 +3,9 @@
 "The communications required for the execution of iteration (2) can be
 described by means of a directed graph called the dependency graph"
 (paper Section 1.1).  For the 1-D decompositions in this reproduction
-the graph is a chain; the helpers here build it explicitly (as a
-networkx object the balancing library can consume) and report the
-statistics that justify the neighbour-local balancing design.
+the graph is a chain (``networkx.path_graph``); the helper here reports
+the statistics of such a graph that justify the neighbour-local
+balancing design.
 """
 
 from __future__ import annotations
@@ -15,16 +15,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx as nx
 
-__all__ = ["chain_dependency_graph", "dependency_graph_stats"]
-
-
-def chain_dependency_graph(n_ranks: int) -> nx.Graph:
-    """The undirected dependency graph of a chain decomposition."""
-    if n_ranks < 1:
-        raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-    import networkx as nx
-
-    return nx.path_graph(n_ranks)
+__all__ = ["dependency_graph_stats"]
 
 
 def dependency_graph_stats(graph: nx.Graph) -> dict:

@@ -1,40 +1,20 @@
 """Chain orderings: which host runs which rank.
 
 A chain order is a permutation ``order`` with ``order[rank] ==
-host_index``; it is passed to the solvers as ``host_order``.  The
-orderings here reproduce the experimental set-ups:
-
-* :func:`identity_order` — hosts in declaration order (the local
-  cluster);
-* :func:`interleaved_sites_order` — round-robin across sites, so chain
-  neighbours usually sit on *different* sites and every boundary
-  exchange crosses a slow link: the paper's "logical organization ...
-  chosen irregular in order to get a grid computing context not
-  favorable to load balancing";
-* :func:`random_order` — seeded random permutation;
-* :func:`sorted_by_speed_order` — fastest host first (useful to place
-  the chain's rank 0, which initiates detection tokens, on a fast
-  machine).
+host_index``; it is passed to the solvers as ``host_order``.  Without
+one, rank ``i`` runs on host ``i`` (the local cluster).
+:func:`interleaved_sites_order` goes round-robin across sites, so chain
+neighbours usually sit on *different* sites and every boundary exchange
+crosses a slow link: the paper's "logical organization ... chosen
+irregular in order to get a grid computing context not favorable to
+load balancing".
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.grid.platform import Platform
-from repro.util.rng import spawn_generator
 
-__all__ = [
-    "identity_order",
-    "interleaved_sites_order",
-    "random_order",
-    "sorted_by_speed_order",
-]
-
-
-def identity_order(platform: Platform) -> list[int]:
-    """Rank ``i`` runs on host ``i``."""
-    return list(range(len(platform.hosts)))
+__all__ = ["interleaved_sites_order"]
 
 
 def interleaved_sites_order(platform: Platform) -> list[int]:
@@ -55,17 +35,3 @@ def interleaved_sites_order(platform: Platform) -> list[int]:
             order.append(queue.pop(0))
         cursor += 1
     return order
-
-
-def random_order(platform: Platform, seed: int) -> list[int]:
-    """Seeded random permutation of the hosts."""
-    rng = spawn_generator(seed, "topology/random_order")
-    perm = rng.permutation(len(platform.hosts))
-    return [int(i) for i in perm]
-
-
-def sorted_by_speed_order(platform: Platform, *, fastest_first: bool = True) -> list[int]:
-    """Hosts sorted by nominal speed."""
-    speeds = np.array([h.speed for h in platform.hosts])
-    idx = np.argsort(-speeds if fastest_first else speeds, kind="stable")
-    return [int(i) for i in idx]

@@ -10,7 +10,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "check_positive": "validation",
         "check_non_negative": "validation",
         "check_in_range": "validation",
-        "check_probability": "validation",
-        "check_type": "validation",
     },
 )

@@ -7,14 +7,10 @@ inside a simulation run.
 
 from __future__ import annotations
 
-from typing import Any
-
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_probability",
-    "check_type",
     "check_disjoint_intervals",
 ]
 
@@ -48,23 +44,6 @@ def check_in_range(
         raise ValueError(
             f"{name} must be in {bracket[0]}{lo}, {hi}{bracket[1]}, got {value!r}"
         )
-    return value
-
-
-def check_probability(name: str, value: float) -> float:
-    """Validate ``0 <= value <= 1`` and return it."""
-    return check_in_range(name, value, 0.0, 1.0)
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Validate ``isinstance(value, expected)`` and return the value."""
-    if not isinstance(value, expected):
-        names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " | ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
     return value
 
 

@@ -278,39 +278,10 @@ class ScaleScenario(Scenario):
         return cls(n_ranks=256, components_per_rank=400)
 
     @classmethod
-    def flagship(cls) -> "ScaleScenario":
-        """The headline BENCH_scale point: 1024 ranks, >10⁶ components."""
-        return cls(n_ranks=1024, components_per_rank=1024)
-
-    @classmethod
     def brusselator_smoke(cls) -> "ScaleScenario":
         """CI scale-smoke on the real PDE: 256 ranks, small blocks."""
         return cls(problem_kind="brusselator", n_ranks=256,
                    components_per_rank=4)
-
-    @classmethod
-    def brusselator_gate(cls) -> "ScaleScenario":
-        """The ``--check``-gated Brusselator point: 1024 ranks × 4.
-
-        Tiny per-rank blocks keep the round scheduler-bound, so the
-        gate measures the rank-batched replay, not the Newton kernel.
-        """
-        return cls(problem_kind="brusselator", n_ranks=1024,
-                   components_per_rank=4)
-
-    @classmethod
-    def brusselator_flagship(cls) -> "ScaleScenario":
-        """The headline Brusselator point: 4096 ranks through lockstep."""
-        return cls(problem_kind="brusselator", n_ranks=4096,
-                   components_per_rank=8)
-
-    @classmethod
-    def synthetic_10k(cls) -> "ScaleScenario":
-        """The 10k-rank synthetic point (lockstep-only in the bench:
-        an event-driven run at this width would take minutes for no
-        extra information — the 1024-rank points already anchor the
-        cross-engine comparison)."""
-        return cls(n_ranks=10_240, components_per_rank=100)
 
 
 @dataclass(frozen=True)

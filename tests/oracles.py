@@ -14,14 +14,21 @@ in ``conftest.py``.
   factor and solve that ``BandedMatrix.lu_factor`` and
   ``BandedLU.solve`` reproduce bit for bit;
 * :func:`work_capacity` — the work a host completes in an interval,
-  the inverse :meth:`repro.grid.host.Host.duration_for_work` is held to.
+  the inverse :meth:`repro.grid.host.Host.duration_for_work` is held to;
+* :class:`PiecewiseTrace` — an availability trace with scripted
+  breakpoints, and :func:`mean_over`, a trace's time average.
 """
 
 from __future__ import annotations
 
+import bisect
+from typing import Sequence
+
 import numpy as np
 
+from repro.grid.traces import MIN_AVAILABILITY, AvailabilityTrace
 from repro.numerics.banded import _PIVOT_RTOL, BandedLU, BandedMatrix
+from repro.util.validation import check_in_range
 
 
 # ----------------------------------------------------------------------
@@ -219,3 +226,67 @@ def work_capacity(host, t0: float, t1: float) -> float:
         total += host.effective_speed(t) * (nxt - t)
         t = nxt
     return total
+
+
+# ----------------------------------------------------------------------
+# Scripted availability traces
+# ----------------------------------------------------------------------
+class PiecewiseTrace(AvailabilityTrace):
+    """Explicit breakpoints: ``levels[i]`` holds on ``[times[i], times[i+1])``.
+
+    ``times[0]`` must be 0, and the last level holds forever.
+    """
+
+    def __init__(self, times: Sequence[float], levels: Sequence[float]) -> None:
+        if len(times) != len(levels):
+            raise ValueError(
+                f"times and levels must have equal length, "
+                f"got {len(times)} and {len(levels)}"
+            )
+        if len(times) == 0:
+            raise ValueError("need at least one segment")
+        if times[0] != 0:
+            raise ValueError(f"times[0] must be 0, got {times[0]!r}")
+        times_arr = np.asarray(times, dtype=float)
+        if np.any(np.diff(times_arr) <= 0):
+            raise ValueError("times must be strictly increasing")
+        for lv in levels:
+            check_in_range("level", lv, MIN_AVAILABILITY, 1.0)
+        # Plain lists of Python floats, as in MarkovTrace: bisecting an
+        # ndarray boxes a NumPy scalar per probe.
+        self._times: list[float] = times_arr.tolist()
+        self._levels: list[float] = np.asarray(levels, dtype=float).tolist()
+
+    def value(self, t: float) -> float:
+        idx = bisect.bisect_right(self._times, t) - 1
+        return self._levels[max(idx, 0)]
+
+    def next_change(self, t: float) -> float:
+        idx = bisect.bisect_right(self._times, t)
+        if idx >= len(self._times):
+            return float("inf")
+        return self._times[idx]
+
+
+def mean_over(trace: AvailabilityTrace, t0: float, t1: float) -> float:
+    """Time-average availability of ``trace`` over ``[t0, t1]``.
+
+    Raises ``RuntimeError`` if ``next_change`` fails its contract by not
+    advancing past ``t`` — without the guard such a trace spins this
+    loop forever instead of surfacing the defect.
+    """
+    if t1 <= t0:
+        return trace.value(t0)
+    total = 0.0
+    t = t0
+    while t < t1:
+        nxt = min(trace.next_change(t), t1)
+        if nxt <= t:
+            raise RuntimeError(
+                f"{type(trace).__name__}.next_change({t!r}) returned "
+                f"{nxt!r}, which does not advance time; "
+                f"next_change must return a value strictly after t"
+            )
+        total += trace.value(t) * (nxt - t)
+        t = nxt
+    return total / (t1 - t0)

@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    efficiency,
-    format_series,
-    format_table,
-    idle_fraction,
-    render_gantt,
-    speedup_series,
-    time_ratio,
-    work_imbalance,
-)
+from repro.analysis import format_table, idle_fraction, render_gantt
 from repro.core import SolverConfig, run_aiac
 from repro.core.records import RunResult
 from repro.grid import homogeneous_cluster
@@ -56,29 +47,6 @@ def test_idle_fraction_requires_trace():
     r = small_run(trace=False)
     with pytest.raises(ValueError, match="trace"):
         idle_fraction(r)
-
-
-def test_work_imbalance_near_one_for_uniform_problem():
-    r = small_run()
-    assert 1.0 <= work_imbalance(r) < 1.5
-
-
-def test_speedup_and_efficiency():
-    times = {1: 100.0, 2: 50.0, 4: 30.0}
-    s = speedup_series(times)
-    assert s[1] == 1.0
-    assert s[2] == 2.0
-    assert s[4] == pytest.approx(100 / 30)
-    e = efficiency(times)
-    assert e[2] == pytest.approx(1.0)
-    assert e[4] == pytest.approx(100 / 30 / 4)
-    with pytest.raises(ValueError):
-        speedup_series({})
-
-
-def test_time_ratio():
-    a = small_run()
-    assert time_ratio(a, a) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +121,3 @@ def test_format_table_validation():
         format_table([], [])
     with pytest.raises(ValueError):
         format_table(["a"], [[1, 2]])
-
-
-def test_format_series():
-    out = format_series("scaling", [1, 2], [10.0, 5.0], x_label="p", y_label="t")
-    assert out.startswith("scaling")
-    assert "p" in out and "t" in out
-    with pytest.raises(ValueError):
-        format_series("bad", [1], [1, 2])

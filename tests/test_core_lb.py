@@ -9,8 +9,8 @@ from repro.grid.host import Host
 from repro.grid.link import Link
 from repro.grid.network import Network
 from repro.grid.platform import Platform
-from repro.grid.traces import PiecewiseTrace
 from repro.problems import BrusselatorProblem, SyntheticProblem
+from tests.oracles import PiecewiseTrace
 
 
 def synthetic(n=64, hard=0.95):

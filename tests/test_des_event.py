@@ -9,9 +9,9 @@ from repro.des.event import EventQueue
 def test_pop_orders_by_time():
     q = EventQueue()
     order = []
-    q.push(3.0, lambda: order.append("c"))
-    q.push(1.0, lambda: order.append("a"))
-    q.push(2.0, lambda: order.append("b"))
+    q.push_call(3.0, lambda: order.append("c"), ())
+    q.push_call(1.0, lambda: order.append("a"), ())
+    q.push_call(2.0, lambda: order.append("b"), ())
     while (e := q.pop()) is not None:
         e.callback()
     assert order == ["a", "b", "c"]
@@ -21,7 +21,7 @@ def test_ties_break_in_scheduling_order():
     q = EventQueue()
     order = []
     for i in range(10):
-        q.push(1.0, lambda i=i: order.append(i))
+        q.push_call(1.0, lambda i=i: order.append(i), ())
     while (e := q.pop()) is not None:
         e.callback()
     assert order == list(range(10))
@@ -30,8 +30,8 @@ def test_ties_break_in_scheduling_order():
 def test_cancelled_events_skipped():
     q = EventQueue()
     fired = []
-    e1 = q.push(1.0, lambda: fired.append(1))
-    q.push(2.0, lambda: fired.append(2))
+    e1 = q.push_call(1.0, lambda: fired.append(1), ())
+    q.push_call(2.0, lambda: fired.append(2), ())
     e1.cancel()
     while (e := q.pop()) is not None:
         e.callback()
@@ -42,8 +42,8 @@ def test_pop_due_skips_cancelled_head():
     """A tombstone at the head hides neither the live event behind it
     nor that event's time: a later-time event must not leak out."""
     q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    e5 = q.push(5.0, lambda: None)
+    e1 = q.push_call(1.0, lambda: None, ())
+    e5 = q.push_call(5.0, lambda: None, ())
     e1.cancel()
     assert q.pop_due(1.0) is None  # the head is now the t = 5 event
     assert len(q) == 1  # ... and None left it queued
@@ -58,8 +58,8 @@ def test_pop_due_empty():
 
 def test_len_counts_entries():
     q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
+    q.push_call(1.0, lambda: None, ())
+    q.push_call(2.0, lambda: None, ())
     assert len(q) == 2
 
 
@@ -67,7 +67,7 @@ def test_len_counts_entries():
 def test_property_pops_sorted(times):
     q = EventQueue()
     for t in times:
-        q.push(t, lambda: None)
+        q.push_call(t, lambda: None, ())
     popped = []
     while (e := q.pop()) is not None:
         popped.append(e.time)
@@ -86,7 +86,7 @@ def test_property_equal_times_fifo(items):
     q = EventQueue()
     out = []
     for t, tag in items:
-        q.push(t, lambda t=t, tag=tag: out.append((t, tag)))
+        q.push_call(t, lambda t=t, tag=tag: out.append((t, tag)), ())
     while (e := q.pop()) is not None:
         e.callback()
     # Within each time bucket, tags appear in original scheduling order.
@@ -117,11 +117,10 @@ def test_property_queue_matches_sorted_list_model(ops):
     q = EventQueue()
     model = []  # live (time, seq) keys, kept sorted
     events = []  # every event ever pushed, indexed by seq
-    peak = 0
     for op, arg in ops:
         if op in ("push", "push_call"):
             if op == "push":
-                event = q.push(arg, len)
+                event = q.push_call(arg, len, ())
             else:
                 event = q.push_call(arg, len, ("xy",))
                 assert event.callback(*event.args) == 2
@@ -129,7 +128,6 @@ def test_property_queue_matches_sorted_list_model(ops):
             events.append(event)
             model.append((arg, event.seq))
             model.sort()
-            peak = max(peak, len(model))
         elif op == "cancel":
             if events:
                 victim = events[arg % len(events)]
@@ -152,7 +150,6 @@ def test_property_queue_matches_sorted_list_model(ops):
         else:
             q.compact()
         assert len(q) == len(model)
-        assert q.peak_size == peak
     drained = []
     while (event := q.pop()) is not None:
         assert not event.cancelled

@@ -37,7 +37,6 @@ def test_signal_trigger_counts():
     sim.spawn("f", fire(sim))
     sim.run()
     assert sig.trigger_count == 2
-    assert sig.n_waiting == 0
 
 
 def test_error_in_scheduled_callback_aborts_run():
@@ -46,7 +45,7 @@ def test_error_in_scheduled_callback_aborts_run():
     def boom():
         raise RuntimeError("callback exploded")
 
-    sim.schedule_in(1.0, boom)
+    sim.at(1.0, boom)
     with pytest.raises(SimulationError, match="callback"):
         sim.run()
 
@@ -92,9 +91,9 @@ def test_spawn_inside_process():
 def test_nonfinite_event_time_rejected():
     sim = Simulator()
     with pytest.raises(ValueError, match="finite"):
-        sim.schedule_at(float("inf"), lambda: None)
+        sim.at(float("inf"), lambda: None)
     with pytest.raises(ValueError):
-        sim.schedule_in(-1.0, lambda: None)
+        sim.at(sim.now - 1.0, lambda: None)
 
 
 @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1e-300])
@@ -135,7 +134,7 @@ def test_process_yielding_a_bad_hold_fails_the_run_by_name(duration):
 
 def test_run_until_before_now_rejected():
     sim = Simulator()
-    sim.schedule_at(5.0, lambda: None)
+    sim.at(5.0, lambda: None)
     sim.run()
     with pytest.raises(ValueError):
         sim.run(until=1.0)

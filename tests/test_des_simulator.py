@@ -155,10 +155,10 @@ def test_negative_hold_rejected():
 
 def test_schedule_in_past_rejected():
     sim = Simulator()
-    sim.schedule_at(1.0, sim.stop)
+    sim.at(1.0, sim.stop)
     sim.run()
     with pytest.raises(ValueError):
-        sim.schedule_at(0.5, lambda: None)
+        sim.at(0.5, lambda: None)
 
 
 def test_stop_halts_loop():
@@ -440,12 +440,12 @@ def _observed_run(observer, *, until=None, poison=None):
     seen = None if profiler is None else profiler.n_dispatched
     if monitor is not None:
         assert monitor.events_seen == seen
-    return log, sim.n_dispatched, sim.n_batches, sim.now, seen, error
+    return log, sim.n_dispatched, sim.now, seen, error
 
 
 @pytest.mark.parametrize("observer", ["none", "profiler", "monitor+profiler"])
 def test_dispatch_loop_is_the_same_under_every_observer(observer):
-    log, n_dispatched, n_batches, now, seen, error = _observed_run(observer)
+    log, n_dispatched, now, seen, error = _observed_run(observer)
     assert error is None
     # "b" (scheduled at t = 1.5) resumes before "a" (scheduled at t = 2)
     # at the t = 3 tie; stop() halts after its own event, so the
@@ -454,12 +454,12 @@ def test_dispatch_loop_is_the_same_under_every_observer(observer):
         (1.0, "a"), (1.5, "b"), (2.0, "at"), (2.0, "a"),
         (3.0, "b"), (3.0, "a"), (4.0, "a"), (4.5, "stop"),
     ]  # fmt: skip
-    assert (n_dispatched, n_batches, now) == (10, 7, 4.5)
+    assert (n_dispatched, now) == (10, 4.5)
     assert seen in (None, n_dispatched)  # the observer saw every dispatch
 
     # A raising callback aborts the run as SimulationError, after the
     # observer has seen the event that raised.
-    log, n_dispatched, _, now, seen, error = _observed_run(
+    log, n_dispatched, now, seen, error = _observed_run(
         observer, until=10.0, poison=2.5
     )
     assert isinstance(error, SimulationError)
@@ -538,7 +538,6 @@ class _PeekPopSimulator(Simulator):
                         break
                     event = _pop_at(queue, next_time)
                 self.n_dispatched += batch_n
-                self.n_batches += 1
         finally:
             self._running = False
         if self._failure is not None:
@@ -586,7 +585,7 @@ def _play(sim, events, precancelled, untils):
         except (SimulationError, ValueError) as exc:  # ValueError: until < now
             error = f"{type(exc).__name__}: {exc}"
         outcomes.append(
-            (sim.now, sim.n_dispatched, sim.n_batches, len(sim._queue), error)
+            (sim.now, sim.n_dispatched, len(sim._queue), error)
         )
     return log, outcomes
 
@@ -618,8 +617,8 @@ _UNTILS = st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 9.0]))
 def test_one_pop_per_event_loop_matches_the_peek_then_drain_loop(
     events, precancelled, untils
 ):
-    """Same callback order, clock, event / batch counts, queue length and
-    error text after every ``run()`` call of every schedule."""
+    """Same callback order, clock, event count, queue length and error
+    text after every ``run()`` call of every schedule."""
     new = _play(Simulator(), events, precancelled, untils)
     old = _play(_PeekPopSimulator(), events, precancelled, untils)
     assert new == old

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.host import Host
-from repro.grid.traces import ConstantTrace, MarkovTrace, PiecewiseTrace
+from repro.grid.traces import ConstantTrace, MarkovTrace
 from repro.util.rng import spawn_generator
-from tests.oracles import work_capacity
+from tests.oracles import PiecewiseTrace, work_capacity
 
 
 def test_dedicated_host_duration_is_work_over_speed():

@@ -12,8 +12,8 @@ from repro.grid.platform import (
     homogeneous_cluster,
     paper_heterogeneous_grid,
 )
-from repro.grid.traces import PiecewiseTrace
 from repro.util.rng import RngTree
+from tests.oracles import PiecewiseTrace
 
 
 def make_hosts():

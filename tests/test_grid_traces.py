@@ -8,13 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.grid.traces import (
-    MIN_AVAILABILITY,
-    ConstantTrace,
-    MarkovTrace,
-    PiecewiseTrace,
-)
+from repro.grid.traces import MIN_AVAILABILITY, ConstantTrace, MarkovTrace
 from repro.util.rng import spawn_generator
+from tests.oracles import PiecewiseTrace, mean_over
 
 
 def test_constant_trace():
@@ -22,7 +18,7 @@ def test_constant_trace():
     assert t.value(0) == 0.5
     assert t.value(1e9) == 0.5
     assert t.next_change(0) == float("inf")
-    assert t.mean_over(0, 10) == 0.5
+    assert mean_over(t, 0, 10) == 0.5
 
 
 def test_constant_trace_bounds():
@@ -68,8 +64,8 @@ def test_piecewise_lookups_equal_the_ndarray_bisection_they_replaced():
 
 def test_piecewise_mean_over():
     t = PiecewiseTrace([0.0, 10.0], [1.0, 0.5])
-    assert t.mean_over(0, 20) == pytest.approx(0.75)
-    assert t.mean_over(5, 15) == pytest.approx(0.75)
+    assert mean_over(t, 0, 20) == pytest.approx(0.75)
+    assert mean_over(t, 5, 15) == pytest.approx(0.75)
 
 
 def test_piecewise_validation():
@@ -147,7 +143,7 @@ class _StuckTrace(PiecewiseTrace):
 def test_mean_over_raises_on_non_advancing_trace():
     t = _StuckTrace(5.0)
     with pytest.raises(RuntimeError, match="does not advance"):
-        t.mean_over(0.0, 10.0)
+        mean_over(t, 0.0, 10.0)
 
 
 def test_piecewise_rejects_duplicate_breakpoints():
@@ -157,14 +153,14 @@ def test_piecewise_rejects_duplicate_breakpoints():
 
 def test_mean_over_exact_segments_unchanged():
     t = PiecewiseTrace([0.0, 10.0], [1.0, 0.5])
-    assert t.mean_over(0.0, 20.0) == pytest.approx(0.75)
-    assert t.mean_over(0.0, 10.0) == pytest.approx(1.0)
-    assert t.mean_over(10.0, 30.0) == pytest.approx(0.5)
+    assert mean_over(t, 0.0, 20.0) == pytest.approx(0.75)
+    assert mean_over(t, 0.0, 10.0) == pytest.approx(1.0)
+    assert mean_over(t, 10.0, 30.0) == pytest.approx(0.5)
     # Degenerate interval: the value at t0.
-    assert t.mean_over(5.0, 5.0) == 1.0
+    assert mean_over(t, 5.0, 5.0) == 1.0
 
 
 def test_mean_over_markov_terminates_and_averages():
     t = MarkovTrace(spawn_generator(5, "load"), mean_dwell=2.0, low=0.3, high=0.9)
-    m = t.mean_over(0.0, 50.0)
+    m = mean_over(t, 0.0, 50.0)
     assert 0.3 <= m <= 0.9

@@ -1,4 +1,4 @@
-"""Tests for trace export: TraceRing, Chrome events, metrics JSONL."""
+"""Tests for trace export: Chrome events, metrics JSONL."""
 
 import io
 import json
@@ -6,7 +6,6 @@ from pathlib import Path
 
 from repro.obs.export import (
     METRICS_SCHEMA,
-    TraceRing,
     iter_trace_events,
     metrics_jsonl_lines,
     write_chrome_trace,
@@ -31,34 +30,6 @@ def make_tracer():
     t.fault(kind="crash", time=3.0, t_end=4.5, rank=1)
     t.fault(kind="reabsorb", time=5.0, t_end=5.0, rank=None)
     return t
-
-
-# ----------------------------------------------------------------------
-# TraceRing
-# ----------------------------------------------------------------------
-def test_trace_ring_keeps_last_n_in_order():
-    ring = TraceRing(3)
-    for i in range(7):
-        ring.append(i)
-    assert list(ring) == [4, 5, 6]
-    assert len(ring) == 3
-    assert ring.n_seen == 7
-    assert ring.n_dropped == 4
-
-
-def test_trace_ring_below_capacity():
-    ring = TraceRing(5)
-    ring.append("a")
-    ring.append("b")
-    assert list(ring) == ["a", "b"]
-    assert ring.n_dropped == 0
-
-
-def test_trace_ring_rejects_zero_capacity():
-    import pytest
-
-    with pytest.raises(ValueError):
-        TraceRing(0)
 
 
 # ----------------------------------------------------------------------

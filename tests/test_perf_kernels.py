@@ -185,7 +185,7 @@ def test_newton_default_options_not_shared():
 # ----------------------------------------------------------------------
 def test_len_counts_only_live_events():
     q = EventQueue()
-    events = [q.push(float(i), lambda: None) for i in range(10)]
+    events = [q.push_call(float(i), lambda: None, ()) for i in range(10)]
     assert len(q) == 10
     for e in events[:4]:
         e.cancel()
@@ -197,8 +197,8 @@ def test_len_counts_only_live_events():
 
 def test_cancel_after_pop_does_not_corrupt_len():
     q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
+    e1 = q.push_call(1.0, lambda: None, ())
+    q.push_call(2.0, lambda: None, ())
     popped = q.pop()
     assert popped is e1
     popped.cancel()  # already out of the heap: must not decrement len
@@ -209,8 +209,8 @@ def test_cancel_after_pop_does_not_corrupt_len():
 
 def test_cancel_is_idempotent_for_len():
     q = EventQueue()
-    e = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
+    e = q.push_call(1.0, lambda: None, ())
+    q.push_call(2.0, lambda: None, ())
     e.cancel()
     e.cancel()
     e.cancel()
@@ -221,7 +221,7 @@ def test_compaction_keeps_order_and_bounds_heap():
     q = EventQueue()
     callbacks = [lambda i=i: i for i in range(300)]
     held = weakref.WeakSet(callbacks)  # callbacks some event still holds
-    events = [q.push(float(i), cb) for i, cb in enumerate(callbacks)]
+    events = [q.push_call(float(i), cb, ()) for i, cb in enumerate(callbacks)]
     del callbacks
     # Cancel most of them; the queue should compact itself.
     for e in events[:250]:
@@ -239,9 +239,9 @@ def test_compaction_keeps_order_and_bounds_heap():
 
 def test_pop_due_stops_at_the_horizon():
     q = EventQueue()
-    a = q.push(1.0, lambda: "a")
-    b = q.push(1.0, lambda: "b")
-    q.push(2.0, lambda: "c")
+    a = q.push_call(1.0, lambda: "a", ())
+    b = q.push_call(1.0, lambda: "b", ())
+    q.push_call(2.0, lambda: "c", ())
     assert q.pop_due(1.0) is a
     assert q.pop_due(1.0) is b  # same-time events in scheduling order
     assert q.pop_due(1.0) is None  # next event is at t=2.0
@@ -251,8 +251,8 @@ def test_pop_due_stops_at_the_horizon():
 def test_pop_due_skips_tombstone_but_not_later_times():
     """A cancelled head must not let pop_due leak a later-time event."""
     q = EventQueue()
-    e1 = q.push(1.0, lambda: "a")
-    e2 = q.push(2.0, lambda: "b")
+    e1 = q.push_call(1.0, lambda: "a", ())
+    e2 = q.push_call(2.0, lambda: "b", ())
     e1.cancel()
     assert q.pop_due(1.0) is None
     assert len(q) == 1

@@ -36,7 +36,9 @@ def test_reference_close_to_analytic():
     # Fine grids: discrete solution approaches the analytic one.
     p = HeatProblem(n_points=60, t_end=0.02, n_steps=400)
     ref = p.reference_solution()
-    exact = p.analytic_solution()
+    # exp(-κ π² t) sin(π x) on the discrete grid.
+    t = np.linspace(0.0, p.t_end, p.n_steps + 1)
+    exact = np.exp(-p.kappa * np.pi**2 * t)[None, :] * np.sin(np.pi * p.x_grid())[:, None]
     assert np.max(np.abs(ref - exact)) < 5e-3
 
 

@@ -1,6 +1,18 @@
 """Tests for the execution tracer."""
 
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.tracer import Tracer
+
+
+def _iterations_exported(t, rank):
+    """The ``trace.iterations`` count ``export_metrics`` publishes for ``rank``."""
+    registry = MetricsRegistry()
+    t.export_metrics(registry)
+    return sum(
+        r["value"]
+        for r in registry.snapshot()
+        if r["name"] == "trace.iterations" and r["labels"]["rank"] == rank
+    )
 
 
 def test_busy_and_idle_accounting():
@@ -13,9 +25,9 @@ def test_busy_and_idle_accounting():
     assert t.busy_time_of(1) == 1.0
     assert t.idle_time_of(0) == 1.0
     assert t.idle_time_of(1) == 0.0
-    assert len(t.iterations_of(0)) == 2
-    assert t.iteration_count_of(0) == 2
-    assert t.iteration_count_of(1) == 1
+    assert [s.iteration for s in t.iterations if s.rank == 0] == [0, 1]
+    assert _iterations_exported(t, 0) == 2
+    assert _iterations_exported(t, 1) == 1
 
 
 def test_disabled_tracer_gates_all_lists_but_keeps_aggregates():
@@ -39,7 +51,7 @@ def test_disabled_tracer_gates_all_lists_but_keeps_aggregates():
     # Aggregates are always on.
     assert t.busy_time_of(0) == 1.5
     assert t.idle_time_of(0) == 0.5
-    assert t.iteration_count_of(0) == 1
+    assert _iterations_exported(t, 0) == 1
     assert t.n_messages() == 1
     assert t.n_migrations() == 1
     assert t.components_migrated() == 5
@@ -67,8 +79,6 @@ def test_migration_aggregates():
 def test_export_metrics_identical_for_enabled_and_disabled():
     """export_metrics depends only on the aggregates, so an enabled and
     a disabled tracer fed the same records export the same snapshot."""
-    from repro.obs.registry import MetricsRegistry
-
     def feed(t):
         t.iteration(0, 0, 0.0, 2.0, 10)
         t.iteration(1, 0, 0.0, 1.0, 5)

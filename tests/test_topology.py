@@ -5,21 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid.platform import SiteSpec, homogeneous_cluster, multi_site_grid
-from repro.topology import (
-    chain_dependency_graph,
-    dependency_graph_stats,
-    identity_order,
-    interleaved_sites_order,
-    random_order,
-    sorted_by_speed_order,
-)
+from repro.grid.platform import SiteSpec, multi_site_grid
+from repro.topology import dependency_graph_stats, interleaved_sites_order
 from repro.util.rng import RngTree
-
-
-def test_identity_order():
-    plat = homogeneous_cluster(5)
-    assert identity_order(plat) == [0, 1, 2, 3, 4]
 
 
 def test_interleaved_sites_alternate():
@@ -75,38 +63,8 @@ def test_property_interleaved_sites_unequal_sizes(sizes):
         remaining[site] -= 1
 
 
-def test_random_order_is_seeded_permutation():
-    plat = homogeneous_cluster(8)
-    o1 = random_order(plat, seed=3)
-    o2 = random_order(plat, seed=3)
-    o3 = random_order(plat, seed=4)
-    assert o1 == o2
-    assert sorted(o1) == list(range(8))
-    assert o1 != o3
-
-
-def test_sorted_by_speed():
-    plat = multi_site_grid(
-        [SiteSpec("a", 6, speed_range=(100.0, 900.0))], RngTree(5)
-    )
-    order = sorted_by_speed_order(plat)
-    speeds = [plat.hosts[i].speed for i in order]
-    assert speeds == sorted(speeds, reverse=True)
-    order_slow = sorted_by_speed_order(plat, fastest_first=False)
-    assert order_slow == order[::-1]
-
-
-def test_chain_dependency_graph():
-    g = chain_dependency_graph(5)
-    assert g.number_of_nodes() == 5
-    assert g.number_of_edges() == 4
-    assert nx.is_connected(g)
-    with pytest.raises(ValueError):
-        chain_dependency_graph(0)
-
-
 def test_dependency_graph_stats():
-    stats = dependency_graph_stats(chain_dependency_graph(6))
+    stats = dependency_graph_stats(nx.path_graph(6))
     assert stats["n_nodes"] == 6
     assert stats["max_degree"] == 2
     assert stats["diameter"] == 5
@@ -116,6 +74,6 @@ def test_dependency_graph_stats():
 
 
 def test_single_rank_chain():
-    stats = dependency_graph_stats(chain_dependency_graph(1))
+    stats = dependency_graph_stats(nx.path_graph(1))
     assert stats["n_edges"] == 0
     assert stats["diameter"] == 0

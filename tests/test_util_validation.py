@@ -7,8 +7,6 @@ from repro.util.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_probability,
-    check_type,
 )
 
 
@@ -39,19 +37,6 @@ def test_check_in_range_exclusive():
     with pytest.raises(ValueError):
         check_in_range("x", 1.0, 1.0, 2.0, inclusive=False)
     assert check_in_range("x", 1.5, 1.0, 2.0, inclusive=False) == 1.5
-
-
-def test_check_probability():
-    assert check_probability("p", 0.5) == 0.5
-    with pytest.raises(ValueError):
-        check_probability("p", 1.01)
-
-
-def test_check_type_single_and_tuple():
-    assert check_type("x", 3, int) == 3
-    assert check_type("x", 3.0, (int, float)) == 3.0
-    with pytest.raises(TypeError, match="int"):
-        check_type("x", "s", int)
 
 
 def test_check_disjoint_intervals_sorts_and_accepts():

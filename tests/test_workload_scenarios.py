@@ -110,10 +110,10 @@ def test_scale_scenario_tiles_components_exactly():
 def test_scale_scenario_presets():
     from repro.workloads import ScaleScenario
 
-    smoke, flagship = ScaleScenario.smoke(), ScaleScenario.flagship()
-    assert smoke.n_ranks < flagship.n_ranks
-    assert flagship.n_ranks == 1024
-    assert flagship.n_components >= 1_000_000
+    smoke = ScaleScenario.smoke()
+    assert smoke.n_ranks == 256
+    assert smoke.n_components == smoke.n_ranks * smoke.components_per_rank >= 100_000
+    assert smoke.problem_kind == "synthetic"
 
 
 def test_figure5_scale_preset_reaches_1024_ranks():
@@ -148,14 +148,9 @@ def test_problem_kind_dispatch():
 def test_scale_scenario_brusselator_presets():
     from repro.workloads import ScaleScenario
 
-    gate = ScaleScenario.brusselator_gate()
-    flagship = ScaleScenario.brusselator_flagship()
-    assert gate.n_ranks == 1024
-    assert flagship.n_ranks >= 4096
-    assert flagship.problem_kind == gate.problem_kind == "brusselator"
-    ten_k = ScaleScenario.synthetic_10k()
-    assert ten_k.n_ranks >= 10_000
-    assert ten_k.problem_kind == "synthetic"
+    smoke = ScaleScenario.brusselator_smoke()
+    assert smoke.n_ranks == 256
+    assert smoke.problem_kind == "brusselator"
     assert Figure5Scenario.scale_brusselator().proc_counts[-1] == 1024
     assert Figure5Scenario.scale_brusselator().problem_kind == "brusselator"
 
@@ -173,14 +168,7 @@ def scenario_presets():
 
     return {
         Figure5Scenario: ("quick", "tiny", "scale", "scale_brusselator"),
-        ScaleScenario: (
-            "smoke",
-            "flagship",
-            "brusselator_smoke",
-            "brusselator_gate",
-            "brusselator_flagship",
-            "synthetic_10k",
-        ),
+        ScaleScenario: ("smoke", "brusselator_smoke"),
         Table1Scenario: ("quick",),
         ResilienceScenario: ("quick", "tiny"),
         IntegrityScenario: ("quick", "tiny"),
