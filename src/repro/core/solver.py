@@ -757,21 +757,6 @@ class ChainRun:
             },
         )
 
-    def export_metrics(self, registry: Any, **labels) -> None:
-        """Scrape every instrumented component of this run into ``registry``.
-
-        Pulls the tracer aggregates, per-rank transport counters, the
-        network traffic totals and (when attached) the fault injector's
-        counters.  Purely a read — calling it never perturbs the run.
-        """
-        self.tracer.export_metrics(registry, **labels)
-        self.sim.export_metrics(registry, **labels)
-        for ctx in self.ranks:
-            ctx.node.export_metrics(registry, **labels)
-        self.platform.network.export_metrics(registry, **labels)
-        if self.injector is not None:
-            self.injector.export_metrics(registry, **labels)
-
 
 def build_chain(
     problem: Problem,

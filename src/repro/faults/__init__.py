@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "LatencySpike": "models",
         "PayloadCorruption": "models",
         "StateCorruption": "models",
-        "StorageCorruption": "models",
         "FAULT_TYPES": "models",
         "CORRUPTION_MODES": "models",
     },

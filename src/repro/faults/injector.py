@@ -39,7 +39,6 @@ from repro.faults.models import (
     MessageReordering,
     PayloadCorruption,
     StateCorruption,
-    StorageCorruption,
 )
 from repro.integrity import corrupt_payload
 from repro.util.rng import RngTree
@@ -123,9 +122,6 @@ class FaultInjector:
         self._ack_corruptions = [
             f for f in self._payload_corruptions if f.kinds is None
         ]
-        self._storage_corruptions = [
-            f for f in faults if isinstance(f, StorageCorruption)
-        ]
         has_corruption = bool(self._payload_corruptions) or any(
             isinstance(f, StateCorruption) for f in faults
         )
@@ -158,11 +154,6 @@ class FaultInjector:
         """Attach to ``run``: wire nodes, compile events, start beacons."""
         if self.run is not None:
             raise RuntimeError("FaultInjector is already installed")
-        if self._storage_corruptions:
-            raise ValueError(
-                "StorageCorruption damages at-rest files, not a simulation "
-                "run; apply it with repro.integrity.corrupt_file"
-            )
         self.run = run
         self.sim = run.sim
         self.tracer = run.tracer

@@ -18,10 +18,7 @@ Taxonomy (see ``docs/faults.md``)
 * **Corruption faults** (see ``docs/robustness.md``, *Data integrity*):
   :class:`PayloadCorruption` (in-flight value damage, consulted per
   delivery), :class:`StateCorruption` (in-memory block/checkpoint
-  poisoning at a virtual time), :class:`StorageCorruption` (byte-level
-  damage to at-rest artifacts — serve WAL, audit log, run cache; pure
-  data here, applied by :func:`repro.integrity.corrupt_file`, never
-  compiled into DES events).
+  poisoning at a virtual time).
 
 Determinism: all randomness (loss coin flips, extra reorder delays,
 downtime draws, retry jitter) comes from named
@@ -54,7 +51,6 @@ __all__ = [
     "LatencySpike",
     "PayloadCorruption",
     "StateCorruption",
-    "StorageCorruption",
     "FaultSchedule",
     "FAULT_TYPES",
     "CORRUPTION_MODES",
@@ -403,34 +399,6 @@ class StateCorruption:
         check_positive("amplitude", self.amplitude)
 
 
-@dataclass(frozen=True)
-class StorageCorruption:
-    """Byte-level damage to an at-rest artifact: the serve WAL, the
-    audit log, or a run-cache envelope.
-
-    Unlike every other model this one never compiles into a DES event —
-    :class:`~repro.faults.injector.FaultInjector` rejects a schedule
-    that arms one against a run.  It is pure declarative data consumed
-    by :func:`repro.integrity.corrupt_file`, which flips ``n_bytes``
-    seeded random bytes (or bytes starting at ``offset`` when given) in
-    the target file.
-    """
-
-    target: str
-    n_bytes: int = 1
-    offset: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.target not in ("wal", "audit", "cache"):
-            raise ValueError(
-                f"unknown storage-corruption target {self.target!r}; "
-                "choose from ('wal', 'audit', 'cache')"
-            )
-        check_positive("n_bytes", self.n_bytes)
-        if self.offset is not None:
-            check_non_negative("offset", self.offset)
-
-
 #: Registry for (de)serialisation; keys are the ``type`` field of the
 #: dict form.
 FAULT_TYPES: dict[str, type] = {
@@ -443,7 +411,6 @@ FAULT_TYPES: dict[str, type] = {
     "latency_spike": LatencySpike,
     "payload_corruption": PayloadCorruption,
     "state_corruption": StateCorruption,
-    "storage_corruption": StorageCorruption,
 }
 _TYPE_NAMES = {cls: name for name, cls in FAULT_TYPES.items()}
 

@@ -1,9 +1,9 @@
 """The network: host-pair link selection and FIFO delivery times.
 
-The network owns one :class:`~repro.grid.link.Link` per (ordered) host
-pair — in practice builders register one *intra-site* link shared by all
-same-site pairs and one *inter-site* link per site pair, mirroring the
-paper's fast-LAN / slow-WAN structure.
+A host pair's :class:`~repro.grid.link.Link` is the one registered for
+its (unordered) site pair, else the default link — builders make the
+default the *intra-site* link and register one *inter-site* link per
+site pair, mirroring the paper's fast-LAN / slow-WAN structure.
 
 Delivery is FIFO per directed channel ``(src, dst)``: a message never
 overtakes an earlier message on the same channel (TCP-like), which the
@@ -13,13 +13,8 @@ paper's runtime (PM2 over TCP) provided.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.grid.host import Host
 from repro.grid.link import Link
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
 
 __all__ = ["Network"]
 
@@ -33,7 +28,6 @@ class Network:
 
     def __init__(self, default_link: Link) -> None:
         self.default_link = default_link
-        self._pair_links: dict[tuple[str, str], Link] = {}
         self._site_links: dict[tuple[str, str], Link] = {}
         #: Resolved link per directed host pair, filled by ``link_for``.
         #: Links are mutated in place (latency spikes), never replaced,
@@ -47,11 +41,6 @@ class Network:
     # ------------------------------------------------------------------
     # Topology construction
     # ------------------------------------------------------------------
-    def set_pair_link(self, src: Host, dst: Host, link: Link) -> None:
-        """Register a link for the directed pair ``src -> dst``."""
-        self._pair_links[(src.name, dst.name)] = link
-        self._routes.clear()
-
     @staticmethod
     def _site_key(site_a: str, site_b: str) -> tuple[str, str]:
         """Canonical (order-independent) key for a site pair.
@@ -79,15 +68,12 @@ class Network:
     def link_for(self, src: Host, dst: Host) -> Link:
         """Resolve the link used by ``src -> dst``.
 
-        Priority: explicit pair link, then site-pair link, then default.
+        Priority: site-pair link, then default.
         """
-        route = (src.name, dst.name)
-        link = self._pair_links.get(route)
+        link = self._site_links.get(self._site_key(src.site, dst.site))
         if link is None:
-            link = self._site_links.get(self._site_key(src.site, dst.site))
-            if link is None:
-                link = self.default_link
-        self._routes[route] = link
+            link = self.default_link
+        self._routes[(src.name, dst.name)] = link
         return link
 
     # ------------------------------------------------------------------
@@ -109,7 +95,7 @@ class Network:
         return arrival
 
     # ------------------------------------------------------------------
-    # Lifecycle / export
+    # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Clear per-run delivery state and traffic counters.
@@ -124,11 +110,3 @@ class Network:
         self._last_arrival.clear()
         self.bytes_sent = 0.0
         self.messages_sent = 0
-
-    def export_metrics(self, registry: "MetricsRegistry", **labels) -> None:
-        """Publish cumulative traffic totals into a metrics registry."""
-        registry.counter("net.bytes_sent", **labels).add(self.bytes_sent)
-        registry.counter("net.messages_sent", **labels).add(self.messages_sent)
-        registry.gauge("net.active_channels", **labels).set(
-            len(self._last_arrival)
-        )

@@ -16,10 +16,8 @@ story:
 * **seeded damage** — :func:`corrupt_payload` /
   :func:`corrupt_array_inplace` (the value-level faults
   :class:`~repro.faults.models.PayloadCorruption` and
-  :class:`~repro.faults.models.StateCorruption` compile to) and
-  :func:`corrupt_file` (the byte-level at-rest damage of
-  :class:`~repro.faults.models.StorageCorruption`), all driven by named
-  RNG streams so corrupted runs stay byte-reproducible.
+  :class:`~repro.faults.models.StateCorruption` compile to), driven by
+  named RNG streams so corrupted runs stay byte-reproducible.
 
 Detection and recovery semantics live with their layers: the transport
 in :mod:`repro.runtime.node`, checkpoints in
@@ -39,6 +37,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "checkpoint_crc": "checksum",
         "corrupt_payload": "damage",
         "corrupt_array_inplace": "damage",
-        "corrupt_file": "damage",
     },
 )

@@ -1,9 +1,9 @@
-"""Seeded value- and byte-level damage: what corruption faults *do*.
+"""Seeded value-level damage: what corruption faults *do*.
 
 Every function takes the RNG it draws from (a named stream owned by the
-caller — the fault injector's ``corruption`` stream, an experiment's
-storage stream, a fuzz test's seeded generator), so identical seeds
-produce identical damage byte-for-byte.
+caller — the fault injector's ``corruption`` stream, a fuzz test's
+seeded generator), so identical seeds produce identical damage
+byte-for-byte.
 
 Damage modes (``repro.faults.models.CORRUPTION_MODES``):
 
@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["corrupt_payload", "corrupt_array_inplace", "corrupt_file"]
+__all__ = ["corrupt_payload", "corrupt_array_inplace"]
 
 
 def _flip_float_bit(value: float, bit: int) -> float:
@@ -141,37 +141,3 @@ def corrupt_payload(
     _set(damaged, path, new)
     return damaged, f"{where}: {detail}"
 
-
-def corrupt_file(
-    path: str,
-    rng: np.random.Generator,
-    *,
-    n_bytes: int = 1,
-    offset: int | None = None,
-) -> list[int]:
-    """Flip ``n_bytes`` bytes of the file at ``path``; returns offsets.
-
-    Each damaged byte is XORed with a non-zero seeded mask, so the file
-    is guaranteed to differ.  ``offset`` pins the damage to a contiguous
-    run starting there (clipped to the file); ``None`` draws distinct
-    random offsets.  An empty or missing file is left alone (``[]``).
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = bytearray(fh.read())
-    except FileNotFoundError:
-        return []
-    if not data:
-        return []
-    if offset is not None:
-        offsets = [o for o in range(offset, offset + n_bytes) if o < len(data)]
-    else:
-        k = min(n_bytes, len(data))
-        offsets = sorted(
-            int(o) for o in rng.choice(len(data), size=k, replace=False)
-        )
-    for o in offsets:
-        data[o] ^= 1 + int(rng.integers(255))
-    with open(path, "wb") as fh:
-        fh.write(bytes(data))
-    return offsets

@@ -52,7 +52,6 @@ from repro.runtime.tracer import TRANSPORT_COUNTERS, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
-    from repro.obs.registry import MetricsRegistry
 
 __all__ = ["GridNode", "HEARTBEAT_KIND"]
 
@@ -314,16 +313,6 @@ class GridNode:
             self.stale_rejected, self.crash_count,
         )
         return dict(zip(TRANSPORT_COUNTERS, counts))
-
-    def export_metrics(self, registry: "MetricsRegistry", **labels) -> None:
-        """Publish this rank's transport counters into a registry (zeros
-        included, so snapshots keep a stable shape)."""
-        rank = self.rank
-        for name, count in self.transport_counters().items():
-            registry.counter(f"transport.{name}", rank=rank, **labels).add(count)
-        registry.gauge("transport.alive", rank=rank, **labels).set(
-            1.0 if self.alive else 0.0
-        )
 
     def is_latest_send(self, message: Message) -> bool:
         """Was ``message`` the most recent send on its channel?

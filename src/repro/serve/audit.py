@@ -8,12 +8,12 @@ record to ``audit.jsonl``::
      "config_digest": "...", "result_digest": "..." | null,
      "state": "done"}
 
-``crc`` is the same at-rest stamp the WAL uses
-(:func:`repro.serve.wal.record_crc`): an audit line whose bytes rotted
-no longer masquerades as a replayable claim.  Damaged lines are
-*quarantined* on read — skipped and reported, never silently accepted
-— while an intact record of a different audit schema version still
-raises (that is an operator error, not corruption).
+``crc`` and ``seq`` are the WAL's: the audit log is a second
+:class:`~repro.serve.wal.Journal`, so an audit line whose bytes rotted
+is quarantined on read (skipped and reported, never silently accepted,
+counted by the daemon as ``serve.audit_quarantined``) while an intact
+record of a different audit schema version raises
+:class:`~repro.serve.wal.WALError` (an operator error, not corruption).
 
 ``config_digest`` is the :func:`~repro.serve.spec.config_digest` of the
 validated spec; ``result_digest`` the served payload's ``digest``.
@@ -31,43 +31,23 @@ socket — just the log file and the simulator.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analysis.perf import canonical_json
 from repro.serve.spec import execute_spec
-from repro.serve.wal import JobWAL, record_crc
+from repro.serve.wal import Journal
 
 __all__ = ["AUDIT_SCHEMA", "AuditLog", "AuditReplayReport", "audit_replay", "read_audit"]
 
 AUDIT_SCHEMA = "repro-serve-audit/2"
 
-#: Recognised-but-unreadable predecessors (no CRC stamp): meeting one
-#: raises instead of quarantining — a version mismatch, not bit rot.
-_LEGACY_SCHEMAS = frozenset({"repro-serve-audit/1"})
 
+class AuditLog(Journal):
+    """The audit journal: one record per finished job."""
 
-class AuditLog:
-    """Appender over the audit JSONL file (same torn-tail healing and
-    quarantine semantics as the WAL: only verified lines are ever read
-    back, damaged ones are skipped and retained in :attr:`quarantined`)."""
-
-    def __init__(self, path: str, *, durable: bool = True) -> None:
-        self.path = path
-        self.durable = durable
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        self.tail_healed = JobWAL._heal_torn_tail(path)
-        self.quarantined: list[dict[str, Any]] = []
-        records = read_audit(path, quarantine=self.quarantined)
-        self.seq = records[-1]["seq"] if records else 0
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+    SCHEMA = AUDIT_SCHEMA
+    LEGACY = frozenset({"repro-serve-audit/1"})
 
     def append(
         self,
@@ -78,78 +58,24 @@ class AuditLog:
         config_digest: str,
         result_digest: str | None,
         state: str,
-    ) -> None:
-        self.seq += 1
-        record = {
-            "schema": AUDIT_SCHEMA,
-            "seq": self.seq,
-            "job_id": job_id,
-            "tenant": tenant,
-            "spec": spec,
-            "config_digest": config_digest,
-            "result_digest": result_digest,
-            "state": state,
-        }
-        record["crc"] = record_crc(record)
-        self._fh.write(canonical_json(record) + "\n")
-        self._fh.flush()
-        if self.durable:
-            os.fsync(self._fh.fileno())
+    ) -> int:
+        return self._append(
+            {
+                "job_id": job_id,
+                "tenant": tenant,
+                "spec": spec,
+                "config_digest": config_digest,
+                "result_digest": result_digest,
+                "state": state,
+            }
+        )
 
 
 def read_audit(
     path: str, *, quarantine: list[dict[str, Any]] | None = None
 ) -> list[dict[str, Any]]:
-    """All verified audit records at ``path`` (missing file = empty).
-
-    Lines that fail verification — unparsable JSON, missing or wrong
-    CRC — are skipped and, when ``quarantine`` is given, described into
-    it as ``{"lineno", "line", "reason"}`` entries.  An *intact* record
-    (CRC verifies) of a foreign schema, or any record of a known legacy
-    audit schema, still raises :class:`ValueError`.
-    """
-    records: list[dict[str, Any]] = []
-    try:
-        # errors="replace": invalid UTF-8 from bit rot must quarantine
-        # the affected line, not crash the replay (see wal.replay).
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            lines = fh.read().split("\n")
-    except FileNotFoundError:
-        return records
-    for lineno, line in enumerate(lines[:-1], start=1):
-        # the last slot is "" or a torn append
-        if not line.strip():
-            continue
-        reason = None
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            record, reason = None, f"malformed JSON: {exc}"
-        if record is not None and not isinstance(record, dict):
-            record, reason = None, "record is not an object"
-        if record is not None:
-            schema = record.get("schema")
-            if record.get("crc") == record_crc(record):
-                if schema != AUDIT_SCHEMA:
-                    raise ValueError(
-                        f"{path}:{lineno}: unexpected audit schema "
-                        f"{schema!r} (want {AUDIT_SCHEMA!r})"
-                    )
-                records.append(record)
-                continue
-            if schema in _LEGACY_SCHEMAS:
-                raise ValueError(
-                    f"{path}:{lineno}: audit log written by schema "
-                    f"{schema!r}; this build reads {AUDIT_SCHEMA!r}"
-                )
-            reason = (
-                "CRC mismatch" if "crc" in record else "missing CRC stamp"
-            )
-        if quarantine is not None:
-            quarantine.append(
-                {"lineno": lineno, "line": line, "reason": reason}
-            )
-    return records
+    """All verified audit records at ``path`` (see :meth:`Journal.read`)."""
+    return AuditLog.read(path, quarantine=quarantine)
 
 
 @dataclass

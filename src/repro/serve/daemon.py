@@ -49,7 +49,7 @@ from repro.serve.jobs import Job, JobTable, QuotaError
 from repro.serve.protocol import parse_address
 from repro.serve.scheduler import FairShareScheduler
 from repro.serve.spec import AdmissionError, config_digest, execute_spec, validate_spec
-from repro.serve.wal import JobWAL, fold, replay
+from repro.serve.wal import STATE_FIELDS, JobWAL, fold, replay
 
 __all__ = ["ServeConfig", "ServeDaemon"]
 
@@ -175,27 +175,28 @@ class ServeDaemon:
     def _recover(self) -> None:
         """Fold the WAL back into the table; requeue interrupted jobs.
 
-        Silent storage corruption surfaces here: lines the WAL replay
-        quarantined (damaged JSON, CRC mismatches) are counted, and any
-        ``state`` record whose ``submit`` was among them is tolerated as
-        an orphan instead of aborting recovery of every healthy job.
+        Silent storage corruption surfaces here: lines the WAL and the
+        audit log quarantined on open (damaged JSON, CRC mismatches) and
+        healed torn tails are counted, and any ``state`` record whose
+        ``submit`` was among the damage is tolerated as an orphan
+        instead of aborting recovery of every healthy job.
         """
-        quarantine: list[dict[str, Any]] = []
-        records = replay(self.wal.path, quarantine=quarantine)
         orphans: list[dict[str, Any]] = []
         jobs = fold(
-            records, orphan_states=orphans if quarantine else None
+            replay(self.wal.path),
+            orphan_states=orphans if self.wal.quarantined else None,
         )
-        if quarantine:
-            self.registry.counter("serve.wal_quarantined").inc(
-                len(quarantine)
-            )
         if orphans:
             self.registry.counter("serve.wal_orphan_states").inc(
                 len(orphans)
             )
-        if self.wal.tail_healed:
-            self.registry.counter("serve.wal_tail_healed").inc()
+        for name, journal in (("wal", self.wal), ("audit", self.audit)):
+            if journal.quarantined:
+                self.registry.counter(f"serve.{name}_quarantined").inc(
+                    len(journal.quarantined)
+                )
+            if journal.tail_healed:
+                self.registry.counter(f"serve.{name}_tail_healed").inc()
         to_requeue = self.table.restore(jobs)
         for job in to_requeue:
             if job.state == "running":
@@ -412,9 +413,8 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     def _transition_locked(self, job: Job, state: str, **fields: Any) -> None:
         job.state = state
-        for key in ("attempts", "error", "result", "not_before"):
-            if key in fields:
-                setattr(job, key, fields[key])
+        for key in fields.keys() & STATE_FIELDS:
+            setattr(job, key, fields[key])
         self.wal.state(job.job_id, state, **fields)
         if state in ("done", "failed", "killed"):
             job.finished_at = time.time()
@@ -594,6 +594,7 @@ class ServeDaemon:
                 "wal_seq": self.wal.seq,
                 "wal_quarantined": len(self.wal.quarantined),
                 "audit_seq": self.audit.seq,
+                "audit_quarantined": len(self.audit.quarantined),
                 "engine": stats.to_dict(),
                 "cache_hit_rate": stats.hits / lookups if lookups else 0.0,
                 "watchdog_kills": self.registry.counter(

@@ -17,7 +17,6 @@ from repro.faults.models import (
     PayloadCorruption,
     ResilienceConfig,
     StateCorruption,
-    StorageCorruption,
 )
 
 
@@ -114,7 +113,6 @@ def _full_schedule() -> FaultSchedule:
             LatencySpike(t0=2.0, t1=4.0, factor=8.0, sites=("a", "b")),
             PayloadCorruption(0.1, kinds=("halo_from_left",), mode="perturb"),
             StateCorruption(rank=0, at=3.0, target="checkpoint"),
-            StorageCorruption(target="wal", n_bytes=2, offset=10),
         ),
         seed=7,
         resilience=ResilienceConfig(base_timeout=0.5, max_attempts=3),

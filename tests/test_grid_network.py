@@ -53,15 +53,12 @@ def test_network_routing_priority():
     a, b, c = make_hosts()
     default = Link(latency=1.0, bandwidth=1e6, name="default")
     site = Link(latency=2.0, bandwidth=1e6, name="site")
-    pair = Link(latency=3.0, bandwidth=1e6, name="pair")
     net = Network(default)
     assert net.link_for(a, b) is default
     net.set_site_link("s1", "s2", site)
     assert net.link_for(a, c) is site
     assert net.link_for(c, a) is site  # registered both ways
-    net.set_pair_link(a, c, pair)
-    assert net.link_for(a, c) is pair
-    assert net.link_for(c, a) is site  # pair links are directed
+    assert net.link_for(a, b) is default  # same site: still the default
 
 
 def test_fifo_no_overtaking():
@@ -138,34 +135,18 @@ def test_without_reset_fifo_state_leaks_into_next_run():
     assert leaked[0] > first[0]
 
 
-def test_export_metrics_reports_totals():
-    from repro.obs.registry import MetricsRegistry
-
-    a, b, _ = make_hosts()
-    network = Network(Link(latency=0.01, bandwidth=1e6))
-    _arrival_sequence(network, a, b)
-    reg = MetricsRegistry()
-    network.export_metrics(reg, run="x")
-    records = {r["name"]: r for r in reg.snapshot()}
-    assert records["net.messages_sent"]["value"] == 3
-    assert records["net.bytes_sent"]["value"] == pytest.approx(3000.0)
-    assert records["net.active_channels"]["value"] == 1
-    assert records["net.messages_sent"]["labels"] == {"run": "x"}
-
-
 # ----------------------------------------------------------------------
 # The resolved route per directed host pair
 # ----------------------------------------------------------------------
-def _directed_pair_platform():
+def _two_site_platform():
     a, b, c = make_hosts()
     wan = Link(
-        latency=0.02,
-        bandwidth=1e5,
+        latency=0.5,
+        bandwidth=1e4,
         bandwidth_trace=PiecewiseTrace([0.0, 3.0, 7.0], [1.0, 0.3, 0.8]),
     )
     net = Network(Link(latency=1e-3, bandwidth=1e6))
     net.set_site_link("s1", "s2", wan)
-    net.set_pair_link(a, c, Link(latency=0.5, bandwidth=1e4))  # a -> c only
     return Platform(hosts=[a, b, c], network=net)
 
 
@@ -174,9 +155,9 @@ def _directed_pair_platform():
     [
         lambda: homogeneous_cluster(3),
         lambda: paper_heterogeneous_grid(RngTree(7)),  # Table 1's three sites
-        _directed_pair_platform,
+        _two_site_platform,
     ],
-    ids=["default-link", "three-site-grid", "directed-pair"],
+    ids=["default-link", "three-site-grid", "two-site"],
 )
 def test_arrival_times_equal_link_for_plus_the_formula(build):
     """Byte-equal to resolving the link on every message."""
@@ -213,9 +194,9 @@ def test_registering_a_link_after_a_timed_message_reroutes_the_next_one():
     net.set_site_link("s2", "s1", Link(latency=2.0, bandwidth=1e9))
     assert net.arrival_time(a, c, 0.0, 10.0) == 12.0
     assert net.arrival_time(c, a, 0.0, 10.0) == 12.0
-    net.set_pair_link(a, c, Link(latency=3.0, bandwidth=1e9))
+    net.set_site_link("s1", "s2", Link(latency=3.0, bandwidth=1e9))
     assert net.arrival_time(a, c, 0.0, 20.0) == 23.0
-    assert net.arrival_time(c, a, 0.0, 20.0) == 22.0  # pair links are directed
+    assert net.arrival_time(c, a, 0.0, 20.0) == 23.0
     assert net.arrival_time(a, b, 0.0, 20.0) == 21.0  # untouched pair: default
 
 
@@ -232,7 +213,7 @@ def test_in_place_latency_change_is_seen_through_the_resolved_route():
 
 
 def test_deep_copied_platform_keeps_its_own_routes_and_fifo_state():
-    platform = _directed_pair_platform()
+    platform = _two_site_platform()
     a, _, c = platform.hosts
     first = platform.network.arrival_time(a, c, 100.0, 0.0)  # resolves a -> c
     clone = copy.deepcopy(platform)

@@ -9,7 +9,6 @@ from repro.integrity import (
     checksum,
     checkpoint_crc,
     corrupt_array_inplace,
-    corrupt_file,
     corrupt_payload,
     payload_checksum,
 )
@@ -408,29 +407,3 @@ def test_corrupt_array_inplace_changes_exactly_one_element():
     detail = corrupt_array_inplace(arr, "bitflip", 0.0, rng(2))
     assert detail.startswith("bitflip")
     assert (arr != before).sum() == 1
-
-
-# ----------------------------------------------------------------------
-# corrupt_file
-# ----------------------------------------------------------------------
-def test_corrupt_file_damages_and_is_seeded(tmp_path):
-    path = tmp_path / "blob.bin"
-    path.write_bytes(bytes(range(64)))
-    offsets = corrupt_file(str(path), rng(3), n_bytes=4)
-    assert len(offsets) == 4
-    assert path.read_bytes() != bytes(range(64))
-    # Same seed, same pristine file -> identical damage.
-    path.write_bytes(bytes(range(64)))
-    again = corrupt_file(str(path), rng(3), n_bytes=4)
-    assert again == offsets
-
-
-def test_corrupt_file_pinned_offset_and_edge_cases(tmp_path):
-    path = tmp_path / "blob.bin"
-    path.write_bytes(b"\x00" * 16)
-    offsets = corrupt_file(str(path), rng(4), n_bytes=8, offset=12)
-    assert offsets == [12, 13, 14, 15]  # clipped to the file
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    assert corrupt_file(str(empty), rng(0)) == []
-    assert corrupt_file(str(tmp_path / "missing.bin"), rng(0)) == []

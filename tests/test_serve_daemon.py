@@ -2,6 +2,7 @@
 
 import contextlib
 import time
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +224,51 @@ def test_audit_log_replays_byte_identically(tmp_path):
     # ...and both served digests byte-verify against an offline replay
     # (serial engine, no cache — independent of how they were served).
     report = audit_replay(audit_path, sample=2)
+    assert report.ok, report.report()
+
+
+def test_audit_damage_is_quarantined_and_reported_after_restart(tmp_path):
+    with running_daemon(tmp_path) as (daemon, client):
+        for seconds in (0.01, 0.02, 0.03):
+            job_id = client.submit({**SLEEP, "seconds": seconds})
+            assert client.result(job_id, follow=True, timeout=60)["state"] == "done"
+        audit_path = daemon.audit.path
+    lines = Path(audit_path).read_text().splitlines(keepends=True)
+    assert len(lines) == 3
+    # Bit rot in the middle record (valid JSON, wrong CRC), then a torn
+    # append a crash left behind.
+    lines[1] = lines[1].replace('"tenant":"default"', '"tenant":"mallory"')
+    Path(audit_path).write_text(
+        "".join(lines) + '{"schema":"repro-serve-audit/2","seq":4'
+    )
+
+    config = ServeConfig(state_dir=daemon.config.state_dir, durable=False)
+    restarted = ServeDaemon(config)
+    restarted.start()
+    try:
+        client = ServeClient(config.resolved_address())
+        client.wait_until_up()
+        health = client.health()
+        assert health["audit_quarantined"] == 1
+        assert health["audit_seq"] == 3
+        counters = {r["name"]: r["value"] for r in client.metrics()}
+        assert counters["serve.audit_quarantined"] == 1
+        assert counters["serve.audit_tail_healed"] == 1
+        (entry,) = restarted.audit.quarantined
+        assert (entry["lineno"], entry["reason"]) == (2, "CRC mismatch")
+        # The next finished job lands after the healed tail.
+        job_id = client.submit(SLEEP)
+        assert client.result(job_id, follow=True, timeout=60)["state"] == "done"
+    finally:
+        restarted.stop()
+
+    quarantine = []
+    records = read_audit(audit_path, quarantine=quarantine)
+    assert [r["seq"] for r in records] == [1, 3, 4]
+    assert len(quarantine) == 1
+    report = audit_replay(audit_path, sample=3)
+    assert report.n_quarantined == 1
+    assert report.n_done == 3 and len(report.rows) == 3
     assert report.ok, report.report()
 
 
