@@ -2,7 +2,7 @@
 
 One *rank* per host, organised in a logical linear chain (the paper maps
 the spatial components over linearly organised processors).  Each rank
-runs one simulated process, :func:`_rank_process` (Algorithm 1):
+runs one simulated process, :class:`_RankLoop` (Algorithm 1):
 
 1. perform one relaxation sweep on its block (the numerics run for real;
    the counted work is converted to virtual time by the host);
@@ -36,7 +36,9 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Generator
+from heapq import heappush
+from math import inf
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,7 +47,8 @@ from repro.core.convergence import SupervisorMonitor, TokenRingDetector
 from repro.core.estimators import LoadEstimator, ResidualEstimator
 from repro.core.partition import PartitionRegistry
 from repro.core.records import RunResult
-from repro.des import Hold, Signal, Simulator, Wait
+from repro.des import Signal, Simulator
+from repro.des.process import Process, invalid_hold
 from repro.grid.platform import Platform
 from repro.problems.base import Problem
 from repro.integrity import checkpoint_crc
@@ -593,86 +596,6 @@ class ChainRun:
             neighbor.node, kind, payload, self._halo_bytes, exclusive=exclusive
         )
 
-    # ------------------------------------------------------------------
-    # The common sweep (used by every execution model)
-    # ------------------------------------------------------------------
-    def sweep(
-        self, ctx: RankContext, *, send_left_mid_sweep: bool, exclusive: bool
-    ) -> Generator[Any, Any, float]:
-        """Compute one sweep, holding virtual time; returns the duration.
-
-        The numerics run eagerly (their results are deterministic), but
-        the virtual time they cost is paid by two ``Hold``s so that the
-        left boundary send fires *during* the sweep at the configured
-        overlap point, as in Algorithm 1.
-        """
-        node, config, rank = ctx.node, self.config, ctx.rank
-        pre_estimate = ctx.estimator.value()
-        epoch = node.crash_count
-        result = self.problem.iterate(ctx.state, ctx.halo_left, ctx.halo_right)
-        work = result.total_work
-        sim = node.sim
-        t0 = sim.now
-        duration = node.host.duration_for_work(work, t0)
-        # Polling throttle for near-free (fully skipped) sweeps.
-        duration = max(duration, config.min_sweep_duration)
-        first = duration * config.overlap_split
-        yield Hold(first)
-        if send_left_mid_sweep and node.alive:
-            # Mid-sweep left send carries the *previous* sweep's estimate
-            # (this sweep's residual is not known yet in the real code)
-            # but the data and iteration stamp of the sweep in progress.
-            self.send_halo(
-                ctx,
-                "left",
-                estimate=pre_estimate,
-                exclusive=exclusive,
-                iteration=ctx.iteration + 1,
-            )
-        yield Hold(duration - first)
-
-        if not node.alive or node.crash_count != epoch:
-            # A crash hit this rank mid-sweep (possibly crash *and*
-            # restart within one Hold): the sweep's results are lost.
-            # Discard all accounting; the caller's recovery path restores
-            # the last checkpoint before iterating again.
-            return duration
-        ctx.iteration = iteration = ctx.iteration + 1
-        ctx.prev_residual = ctx.residual
-        ctx.residual = residual = result.local_residual
-        if self.guard is not None and self.guard.after_sweep(self, ctx):
-            # The divergence watchdog rolled this rank back to its last
-            # checkpoint: the sweep's results are void (mirrors the
-            # mid-sweep crash discard above), so none of its accounting
-            # — estimator update, trace spans, convergence reports —
-            # may leak out.  (A guard that returns False has written
-            # neither ``ctx.iteration`` nor ``ctx.residual``.)
-            return duration
-        now = sim.now
-        n_local = ctx.n_local
-        residuals = result.residuals
-        # What np.linalg.norm evaluates for a 1-D float array, without
-        # its dispatch (pinned bitwise in tests/test_solver_internals.py).
-        residual_l2 = math.sqrt(float(residuals.dot(residuals)))
-        ctx.estimator.update(residual, residual_l2, duration, n_local)
-        self.tracer.iteration(rank, iteration, t0, now, work)
-        self.tracer.residual(rank, iteration, now, residual, n_local)
-        if self.injector is None or not self._halo_is_stale(ctx):
-            self.monitor.report(rank, residual, now)
-        if self.detector is not None and not node.stop_requested:
-            self._detection_after_sweep(ctx)
-        if (
-            ctx.checkpoint is not None
-            and self.checkpoint_every
-            and iteration % self.checkpoint_every == 0
-        ):
-            self.checkpoint(ctx)
-        if iteration >= config.max_iterations:
-            self.abort(
-                f"rank {rank} exceeded max_iterations={config.max_iterations}"
-            )
-        return duration
-
     def _halo_is_stale(self, ctx: RankContext) -> bool:
         """Convergence-detection freshness gate (fault injection only).
 
@@ -815,88 +738,235 @@ class _IterationBarrier:
         return self.level >= iteration
 
 
-def _rank_process(
-    run: ChainRun,
-    ctx: RankContext,
-    waits: bool,
-    barrier: _IterationBarrier | None,
-    trial: Callable[[RankContext], None] | None,
-):
+class _RankLoop(Process):
     """One rank's main loop, the same for every execution model.
+
+    Algorithm 1 as four event callbacks, each pushed into the event
+    queue exactly where a generator would yield its ``Hold`` or
+    ``Wait`` (so the event stream is the generator's, seq for seq):
+
+    * :meth:`_start` — the loop's top: the crash-recovery prologue, the
+      ``trial`` (AIAC+LB), the sweep's numerics, and its first hold,
+      which ends at the overlap point;
+    * :meth:`_mid` — the mid-sweep left send, then the second hold;
+    * :meth:`_end` — the sweep's accounting, the boundary sends, the
+      waits, then :meth:`_start` again in the same event;
+    * :meth:`_await_halos` / :meth:`_await_barrier` — a wait's
+      continuation, run when its signal fires.
 
     ``waits`` (SIAC, SISC): after each sweep, block until both
     neighbours' halos of that sweep arrived.  ``barrier`` (SISC only):
     send both boundaries after the sweep instead of the left one during
-    it, then pass the global barrier.  ``trial`` (AIAC+LB) runs before
-    each sweep.  The crash-recovery prologue is a no-op on the lossless
-    fast path (``alive`` is always True and ``crash_count ==
-    restored_epoch == 0`` without a fault injector): a crashed rank
-    parks on its restart signal, then rejoins from its last checkpoint.
+    it, then pass the global barrier.  The crash-recovery prologue is a
+    no-op on the lossless fast path (``alive`` is always True and
+    ``crash_count == restored_epoch == 0`` without a fault injector): a
+    crashed rank parks on its restart signal, then rejoins from its
+    last checkpoint.  A crash during a sweep voids it: no iteration, no
+    estimator update, no convergence vote.
     """
-    node, sim, rank = ctx.node, run.sim, ctx.rank
-    exclusive = run.config.exclusive_sends and not waits
-    has_left, has_right = rank > 0, rank < run.n_ranks - 1
-    while not node.stop_requested:
-        if not node.alive:
-            yield Wait(node.restart_signal)
-            continue  # re-check stop/crash state after waking
-        if node.crash_count != ctx.restored_epoch:
-            run.restore_checkpoint(ctx)
-            if waits:
-                if barrier is not None:
-                    # The restored state attests every iteration up to
-                    # the checkpoint.  Arrive for it again: a crash
-                    # between the checkpointed sweep and its arrival
-                    # would otherwise leave the others at
-                    # ``passed(checkpoint iteration)`` forever, since
-                    # re-execution resumes past it.
-                    barrier.arrive(rank, ctx.iteration, sim)
-                run._request_halos(ctx)
-            continue
-        if trial is not None:
-            trial(ctx)
-        yield from run.sweep(
-            ctx, send_left_mid_sweep=barrier is None, exclusive=exclusive
-        )
-        if node.stop_requested:
-            break
-        if not node.alive or node.crash_count != ctx.restored_epoch:
-            continue  # the sweep was lost to a crash
-        estimate = ctx.estimator.value()
-        if barrier is not None:
-            run.send_halo(ctx, "left", estimate=estimate, exclusive=False)
-        run.send_halo(ctx, "right", estimate=estimate, exclusive=exclusive)
-        if not waits:
-            continue
-        wait_start, k = sim.now, ctx.iteration
-        interrupted = False
+
+    __slots__ = (
+        "run", "ctx", "node", "trial", "waits", "barrier", "exclusive",
+        "_heap", "_seqs", "_mid_phase", "_end_phase",
+        # The sweep in progress.
+        "_result", "_t0", "_duration", "_first", "_pre_estimate", "_epoch",
+        # The wait in progress.
+        "_wait_start", "_waited_for", "_interrupted",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        run: ChainRun,
+        ctx: RankContext,
+        waits: bool,
+        barrier: _IterationBarrier | None,
+        trial: Callable[[RankContext], None] | None,
+    ) -> None:
+        super().__init__(run.sim, f"{run.model}-rank-{ctx.rank}", None)
+        self.run, self.ctx, self.node = run, ctx, ctx.node
+        self.trial, self.waits, self.barrier = trial, waits, barrier
+        self.exclusive = run.config.exclusive_sends and not waits
+        queue = run.sim._queue
+        self._heap, self._seqs = queue._heap, queue._seqs
+        self._mid_phase, self._end_phase = self._mid, self._end
+        self._resume = self._start
+
+    def _start(self, _: Any = None) -> None:
+        """The loop's top, up to the sweep's first hold."""
+        node, ctx, run = self.node, self.ctx, self.run
         while not node.stop_requested:
-            if not node.alive or node.crash_count != ctx.restored_epoch:
-                interrupted = True
-                break
-            if not (
-                (has_left and ctx.halo_iter_left < k)
-                or (has_right and ctx.halo_iter_right < k)
-            ):
-                break
-            yield Wait(ctx.halo_signal)
-        if barrier is not None:
-            if interrupted or node.stop_requested:
+            if not node.alive:
+                self._resume = self._start  # re-check everything on waking
+                node.restart_signal._add_waiter(self)
+                return
+            if node.crash_count != ctx.restored_epoch:
+                run.restore_checkpoint(ctx)
+                if self.waits:
+                    if self.barrier is not None:
+                        # The restored state attests every iteration up
+                        # to the checkpoint.  Arrive for it again: a
+                        # crash between the checkpointed sweep and its
+                        # arrival would otherwise leave the others at
+                        # ``passed(checkpoint iteration)`` forever,
+                        # since re-execution resumes past it.
+                        self.barrier.arrive(ctx.rank, ctx.iteration, self.sim)
+                    run._request_halos(ctx)
                 continue
-            # Nobody starts iteration k+1 before everyone finished k.
-            barrier.arrive(rank, k, sim)
-            while not node.stop_requested and not barrier.passed(k):
-                if not node.alive or node.crash_count != ctx.restored_epoch:
-                    interrupted = True
-                    break
-                yield Wait(barrier.signal)
-        if not interrupted and sim.now > wait_start:
-            run.tracer.idle(
-                rank=rank,
-                t0=wait_start,
-                t1=sim.now,
-                reason="siac-wait" if barrier is None else "sisc-sync",
+            if self.trial is not None:
+                self.trial(ctx)
+            # The numerics run eagerly (their results are deterministic);
+            # the virtual time they cost is paid by two holds, so that the
+            # left boundary send fires *during* the sweep at the
+            # configured overlap point.
+            config = run.config
+            self._pre_estimate = ctx.estimator.value()
+            self._epoch = node.crash_count
+            result = run.problem.iterate(ctx.state, ctx.halo_left, ctx.halo_right)
+            self._result = result
+            self._t0 = t0 = self.sim._now
+            duration = node.host.duration_for_work(result.total_work, t0)
+            # Polling throttle for near-free (fully skipped) sweeps.
+            self._duration = duration = max(duration, config.min_sweep_duration)
+            self._first = first = duration * config.overlap_split
+            if not 0 <= first < inf:
+                raise invalid_hold(first)
+            event = self._event
+            event.time = time = t0 + first
+            event.callback = self._mid_phase
+            heappush(self._heap, (time, next(self._seqs), event))
+            return
+        self._finish(None)
+
+    def _mid(self, _: Any = None) -> None:
+        """The overlap point: the left send, then the rest of the sweep."""
+        ctx = self.ctx
+        if self.barrier is None and self.node.alive:
+            # Mid-sweep left send carries the *previous* sweep's estimate
+            # (this sweep's residual is not known yet in the real code)
+            # but the data and iteration stamp of the sweep in progress.
+            self.run.send_halo(
+                ctx,
+                "left",
+                estimate=self._pre_estimate,
+                exclusive=self.exclusive,
+                iteration=ctx.iteration + 1,
             )
+        second = self._duration - self._first
+        if not 0 <= second < inf:
+            raise invalid_hold(second)
+        event = self._event
+        event.time = time = self.sim._now + second
+        event.callback = self._end_phase
+        heappush(self._heap, (time, next(self._seqs), event))
+
+    def _end(self, _: Any = None) -> None:
+        """The sweep's end: accounting, boundary sends, then the waits."""
+        node, ctx, run = self.node, self.ctx, self.run
+        # A crash during the sweep (possibly crash *and* restart within
+        # one hold) loses its results: none of its accounting happens,
+        # and the prologue restores the last checkpoint before iterating
+        # again.
+        if node.alive and node.crash_count == self._epoch:
+            result, rank = self._result, ctx.rank
+            ctx.iteration = iteration = ctx.iteration + 1
+            ctx.prev_residual = ctx.residual
+            ctx.residual = residual = result.local_residual
+            # The divergence watchdog may roll this rank back to its last
+            # checkpoint: the sweep's results are then void, like a
+            # crashed one's.  (A guard that returns False has written
+            # neither ``ctx.iteration`` nor ``ctx.residual``.)
+            if run.guard is None or not run.guard.after_sweep(run, ctx):
+                now = self.sim._now
+                n_local = ctx.n_local
+                residuals = result.residuals
+                # What np.linalg.norm evaluates for a 1-D float array,
+                # without its dispatch (pinned bitwise in
+                # tests/test_solver_internals.py).
+                residual_l2 = math.sqrt(float(residuals.dot(residuals)))
+                ctx.estimator.update(residual, residual_l2, self._duration, n_local)
+                run.tracer.iteration(rank, iteration, self._t0, now, result.total_work)
+                run.tracer.residual(rank, iteration, now, residual, n_local)
+                if run.injector is None or not run._halo_is_stale(ctx):
+                    run.monitor.report(rank, residual, now)
+                if run.detector is not None and not node.stop_requested:
+                    run._detection_after_sweep(ctx)
+                if (
+                    ctx.checkpoint is not None
+                    and run.checkpoint_every
+                    and iteration % run.checkpoint_every == 0
+                ):
+                    run.checkpoint(ctx)
+                if iteration >= run.config.max_iterations:
+                    run.abort(
+                        f"rank {rank} exceeded "
+                        f"max_iterations={run.config.max_iterations}"
+                    )
+        if node.stop_requested:
+            self._finish(None)
+            return
+        if not node.alive or node.crash_count != ctx.restored_epoch:
+            self._start()  # the sweep was lost to a crash
+            return
+        estimate = ctx.estimator.value()
+        if self.barrier is not None:
+            run.send_halo(ctx, "left", estimate=estimate, exclusive=False)
+        run.send_halo(ctx, "right", estimate=estimate, exclusive=self.exclusive)
+        if not self.waits:
+            self._start()
+            return
+        self._wait_start, self._waited_for = self.sim._now, ctx.iteration
+        self._interrupted = False
+        self._await_halos()
+
+    def _interrupted_by_crash(self) -> bool:
+        node = self.node
+        return not node.alive or node.crash_count != self.ctx.restored_epoch
+
+    def _await_halos(self, _: Any = None) -> None:
+        """SIAC / SISC: wait for both neighbours' halos of this sweep."""
+        ctx, k = self.ctx, self._waited_for
+        if not self.node.stop_requested:
+            if self._interrupted_by_crash():
+                self._interrupted = True
+            elif (ctx.rank > 0 and ctx.halo_iter_left < k) or (
+                ctx.rank < self.run.n_ranks - 1 and ctx.halo_iter_right < k
+            ):
+                self._resume = self._await_halos
+                ctx.halo_signal._add_waiter(self)
+                return
+        barrier = self.barrier
+        if barrier is None:
+            self._waited()
+        elif self._interrupted or self.node.stop_requested:
+            self._start()
+        else:
+            # Nobody starts iteration k+1 before everyone finished k.
+            barrier.arrive(ctx.rank, k, self.sim)
+            self._await_barrier()
+
+    def _await_barrier(self, _: Any = None) -> None:
+        """SISC: wait until every rank finished this iteration."""
+        barrier = self.barrier
+        if not self.node.stop_requested and not barrier.passed(self._waited_for):
+            if self._interrupted_by_crash():
+                self._interrupted = True
+            else:
+                self._resume = self._await_barrier
+                barrier.signal._add_waiter(self)
+                return
+        self._waited()
+
+    def _waited(self) -> None:
+        """Trace the wait just over as idle time, then loop."""
+        now = self.sim._now
+        if not self._interrupted and now > self._wait_start:
+            self.run.tracer.idle(
+                rank=self.ctx.rank,
+                t0=self._wait_start,
+                t1=now,
+                reason="siac-wait" if self.barrier is None else "sisc-sync",
+            )
+        self._start()
 
 
 #: The models that wait for their neighbours after each sweep; the
@@ -912,7 +982,7 @@ def run_chain(
     guard: Any = None,
     trial: Callable[[RankContext], None] | None = None,
 ) -> RunResult:
-    """Run ``run`` to the end with one :func:`_rank_process` per rank.
+    """Run ``run`` to the end with one :class:`_RankLoop` per rank.
 
     ``run.model`` picks the waiting discipline.  ``injector`` optionally
     arms a :class:`~repro.faults.injector.FaultInjector` (resilient
@@ -938,10 +1008,7 @@ def run_chain(
     if run.model == "sisc":
         barrier = _IterationBarrier(run.n_ranks, every_arrival=injector is not None)
     for ctx in run.ranks:
-        run.sim.spawn(
-            f"{run.model}-rank-{ctx.rank}",
-            _rank_process(run, ctx, waits, barrier, trial),
-        )
+        run.sim.start(_RankLoop(run, ctx, waits, barrier, trial))
     run.run()
     return run.result()
 

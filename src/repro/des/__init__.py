@@ -5,8 +5,9 @@ testbed (the PM2 runtime on a 2003 computational grid).  It provides:
 
 * :class:`~repro.des.simulator.Simulator` — the event loop with a virtual
   clock,
-* :class:`~repro.des.process.Process` — generator-based cooperative
-  processes (one per simulated machine / handler thread),
+* :class:`~repro.des.process.Process` — cooperative processes (one per
+  simulated machine / handler thread): a generator, or a subclass whose
+  phases are event callbacks (the solver's rank loop),
 * :class:`~repro.des.process.Hold` / :class:`~repro.des.process.Wait` —
   the commands a process yields to consume virtual time or block on a
   :class:`~repro.des.process.Signal`.

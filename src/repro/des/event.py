@@ -19,7 +19,12 @@ Hot-path design notes:
 
 * :class:`ScheduledEvent` is a plain ``__slots__`` class carrying a
   ``(callback, args)`` pair, so schedulers never need to allocate a
-  closure just to bind arguments (see ``Simulator._schedule_resume``).
+  closure just to bind arguments.  One is built per :meth:`push_call`
+  (the cancellable handle ``Simulator.at`` returns); a process instead
+  owns a single record it re-queues with :meth:`push` for each resume,
+  so stepping a process allocates no event object at all.
+* The simulator's dispatch loop pops heap entries itself; this module
+  keeps :meth:`EventQueue.pop` for callers outside the loop.
 * Cancelled events are tombstones skipped lazily on pop — but the queue
   counts them, reports only *live* events from ``len()``, and compacts
   itself once tombstones dominate, so a cancel-heavy workload cannot
@@ -29,6 +34,7 @@ Hot-path design notes:
 from __future__ import annotations
 
 import heapq
+from itertools import count
 from typing import Any, Callable
 
 __all__ = ["ScheduledEvent", "EventQueue"]
@@ -46,7 +52,9 @@ class ScheduledEvent:
     time:
         Virtual time at which the callback fires.
     seq:
-        Scheduling sequence number; breaks ties among simultaneous events.
+        Scheduling sequence number; breaks ties among simultaneous events
+        (a process's re-queued record keeps the one it was built with:
+        the heap entry carries the live key).
     callback:
         Callable invoked by the simulator as ``callback(*args)``.
     args:
@@ -93,11 +101,12 @@ class EventQueue:
     so the event itself is never compared.
     """
 
-    __slots__ = ("_heap", "_count", "_n_cancelled")
+    __slots__ = ("_heap", "_seqs", "_n_cancelled")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
-        self._count = 0
+        #: Scheduling counter: ``next()`` is the next entry's ``seq``.
+        self._seqs = count()
         self._n_cancelled = 0
 
     def __len__(self) -> int:
@@ -111,11 +120,19 @@ class EventQueue:
         args: tuple[Any, ...],
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at ``time`` (no closure needed)."""
-        seq = self._count
-        self._count = seq + 1
+        seq = next(self._seqs)
         event = ScheduledEvent(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, event))
         return event
+
+    def push(self, time: float, event: ScheduledEvent) -> None:
+        """Queue an existing, uncancellable record again, at ``time``.
+
+        The record must not be queued already: a process, which owns
+        one, has at most one pending resume.
+        """
+        event.time = time
+        heapq.heappush(self._heap, (time, next(self._seqs), event))
 
     def pop(self) -> ScheduledEvent | None:
         """Return the next non-cancelled event, or ``None`` if empty."""
@@ -126,29 +143,6 @@ class EventQueue:
                 event._queue = None  # cancel() after pop must not miscount
                 return event
             self._n_cancelled -= 1
-        return None
-
-    def pop_due(self, until: float) -> ScheduledEvent | None:
-        """Pop the next live event unless it fires after ``until``.
-
-        The simulator's dispatch loop: one call per dispatched event.
-        Tombstones at the head are discarded first, so a cancelled head
-        never hides the time of the live event behind it; an event later
-        than ``until`` stays queued and ``None`` is returned, as it is
-        when no live event remains (``len()`` tells the two apart).
-        """
-        heap = self._heap
-        while heap:
-            head_time, _, event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._n_cancelled -= 1
-            elif head_time > until:
-                return None
-            else:
-                heapq.heappop(heap)
-                event._queue = None
-                return event
         return None
 
     # ------------------------------------------------------------------

@@ -13,6 +13,14 @@ A *process* is a Python generator that yields commands to the simulator:
 Processes share memory freely — exactly like the PM2 handler threads of
 the paper — but are never preempted between yields, so state mutations
 within one step are atomic.
+
+A process has at most one pending resume, so it owns one
+:class:`~repro.des.event.ScheduledEvent` record and re-queues it for
+every resume instead of building an event per step.  A subclass may
+drive that record itself, with bound-method callbacks in place of a
+generator (the solver's rank loop does); an exception escaping a
+process, from its generator or from a callback bound to it, fails the
+run in that process's name.
 """
 
 from __future__ import annotations
@@ -20,10 +28,20 @@ from __future__ import annotations
 from math import inf
 from typing import TYPE_CHECKING, Any, Generator
 
+from repro.des.event import ScheduledEvent
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.simulator import Simulator
 
 __all__ = ["Hold", "Wait", "Signal", "Process"]
+
+#: The args of a resume that sends nothing into the process.
+_NO_VALUE = (None,)
+
+
+def invalid_hold(duration: float) -> ValueError:
+    """The error for a hold the clock cannot take (NaN, ``inf``, < 0)."""
+    return ValueError(f"Hold duration must be finite and >= 0, got {duration!r}")
 
 
 class Hold:
@@ -34,16 +52,15 @@ class Hold:
     ``__slots__`` class rather than a dataclass.  The duration must be
     finite and non-negative: ``Process._step`` adds it to the clock and
     pushes the sum straight into the queue, so this is the check that
-    keeps NaN and ``inf`` event times out of it.
+    keeps NaN and ``inf`` event times out of it (a callback-driven
+    process makes the same check with :func:`invalid_hold`).
     """
 
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
         if not 0 <= duration < inf:
-            raise ValueError(
-                f"Hold duration must be finite and >= 0, got {duration!r}"
-            )
+            raise invalid_hold(duration)
         self.duration = duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -119,16 +136,20 @@ class Signal:
 class Process:
     """A running simulated process.
 
-    Not constructed directly — use :meth:`repro.des.Simulator.spawn`.
+    Not constructed directly — use :meth:`repro.des.Simulator.spawn`
+    (or :meth:`~repro.des.Simulator.start` for a subclass).
     """
 
-    __slots__ = ("sim", "name", "_generator", "alive", "error", "result", "done")
+    __slots__ = (
+        "sim", "name", "_generator", "alive", "error", "result", "done",
+        "_event", "_resume",
+    )  # fmt: skip
 
     def __init__(
         self,
         sim: "Simulator",
         name: str,
-        generator: Generator[Any, Any, Any],
+        generator: Generator[Any, Any, Any] | None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -138,6 +159,11 @@ class Process:
         self.result: Any = None
         #: Signal triggered (with the process return value) on termination.
         self.done = Signal(f"done:{name}")
+        #: The callback a start or a wake-up (``Signal.trigger``) runs,
+        #: with the payload as its one argument.
+        self._resume = self._step
+        #: The one queue record of this process's pending resume.
+        self._event = ScheduledEvent(0.0, -1, self._step, _NO_VALUE)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "dead"
@@ -151,32 +177,30 @@ class Process:
             self._finish(stop.value)
             return
         except BaseException as exc:
-            self.alive = False
-            self.error = exc
             self.sim._process_failed(self, exc)
             return
-
-        # Hot path: exact-class checks and a direct queue push (the
-        # equivalent of Simulator._schedule_resume without the extra
-        # call) — this runs once per event in every simulation.
+        # Hot path: exact-class checks first — this runs once per event
+        # of every generator process.
         cls = command.__class__
         sim = self.sim
         if command is None:
-            sim._queue.push_call(sim._now, self._step, (None,))
+            event = self._event
+            event.args = _NO_VALUE  # a wake-up may have sent a payload
+            sim._queue.push(sim._now, event)
         elif cls is Hold or isinstance(command, Hold):
-            sim._queue.push_call(
-                sim._now + command.duration, self._step, (None,)
-            )
+            event = self._event
+            event.args = _NO_VALUE
+            sim._queue.push(sim._now + command.duration, event)
         elif cls is Wait or isinstance(command, Wait):
             command.signal._add_waiter(self)
         else:
-            exc = TypeError(
-                f"process {self.name!r} yielded {command!r}; "
-                "expected Hold, Wait, or None"
+            self.sim._process_failed(
+                self,
+                TypeError(
+                    f"process {self.name!r} yielded {command!r}; "
+                    "expected Hold, Wait, or None"
+                ),
             )
-            self.alive = False
-            self.error = exc
-            self.sim._process_failed(self, exc)
 
     def _finish(self, result: Any) -> None:
         self.alive = False

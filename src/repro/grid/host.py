@@ -58,11 +58,17 @@ class Host:
         """Virtual seconds to complete ``work`` units starting at ``t0``.
 
         Integrates the effective speed over the availability trace's
-        piecewise-constant segments, so the inversion is exact.
+        piecewise-constant segments, so the inversion is exact.  A
+        constant trace has one segment: the walk's first step, without
+        the trace calls.
         """
         check_non_negative("work", work)
         if work == 0:
             return 0.0
+        trace = self.trace
+        if trace.__class__ is ConstantTrace:
+            # The walk returns (t0 - t0) + work / rate: the same float.
+            return work / (self.speed * trace.level)
         remaining = work
         t = t0
         while True:

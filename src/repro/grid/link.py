@@ -58,6 +58,15 @@ class Link:
     def transfer_time(self, nbytes: float, t: float) -> float:
         """Seconds to move ``nbytes`` across this link starting at ``t``."""
         check_non_negative("nbytes", nbytes)
-        lat = self.latency / self.latency_trace.value(t)
-        rate = self.bandwidth * self.bandwidth_trace.value(t)
+        lat_trace, bw_trace = self.latency_trace, self.bandwidth_trace
+        if (
+            lat_trace.__class__ is ConstantTrace
+            and bw_trace.__class__ is ConstantTrace
+        ):
+            # The same expression, without the trace calls.
+            return self.latency / lat_trace.level + nbytes / (
+                self.bandwidth * bw_trace.level
+            )
+        lat = self.latency / lat_trace.value(t)
+        rate = self.bandwidth * bw_trace.value(t)
         return lat + nbytes / rate

@@ -276,7 +276,7 @@ class InvariantMonitor:
             check()
 
     # ------------------------------------------------------------------
-    # Sweep hook (divergence watchdog; called from ChainRun.sweep)
+    # Sweep hook (divergence watchdog; called from the rank loop's _end)
     # ------------------------------------------------------------------
     def after_sweep(self, run: "ChainRun", ctx: "RankContext") -> bool:
         """Inspect a fresh residual; True if the rank was rolled back.

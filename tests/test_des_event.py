@@ -38,22 +38,22 @@ def test_cancelled_events_skipped():
     assert fired == [2]
 
 
-def test_pop_due_skips_cancelled_head():
-    """A tombstone at the head hides neither the live event behind it
-    nor that event's time: a later-time event must not leak out."""
-    q = EventQueue()
-    e1 = q.push_call(1.0, lambda: None, ())
-    e5 = q.push_call(5.0, lambda: None, ())
-    e1.cancel()
-    assert q.pop_due(1.0) is None  # the head is now the t = 5 event
-    assert len(q) == 1  # ... and None left it queued
-    assert q.pop_due(5.0) is e5
-    assert len(q) == 0
-
-
-def test_pop_due_empty():
-    assert EventQueue().pop_due(float("inf")) is None
+def test_pop_empty():
     assert EventQueue().pop() is None
+
+
+def test_push_requeues_a_record_in_scheduling_order():
+    """A process's one record, queued again: a fresh seq each time, so it
+    fires behind what was scheduled at the same time before it."""
+    q = EventQueue()
+    record = q.push_call(1.0, len, ("ab",))
+    assert q.pop() is record
+    other = q.push_call(2.0, len, ())
+    q.push(2.0, record)
+    assert record.time == 2.0 and len(q) == 2
+    assert q.pop() is other
+    assert q.pop() is record
+    assert q.pop() is None
 
 
 def test_len_counts_entries():
@@ -106,7 +106,6 @@ _OPS = st.one_of(
     st.tuples(st.just("push_call"), _TIMES),
     st.tuples(st.just("cancel"), st.integers(0, 10**6)),
     st.tuples(st.just("pop"), st.none()),
-    st.tuples(st.just("pop_due"), st.one_of(_TIMES, st.just(float("inf")))),
     st.tuples(st.just("compact"), st.none()),
 )
 
@@ -141,12 +140,6 @@ def test_property_queue_matches_sorted_list_model(ops):
                 assert (event.time, event.seq) == model.pop(0)
             else:
                 assert event is None
-        elif op == "pop_due":
-            event = q.pop_due(arg)
-            if model and model[0][0] <= arg:
-                assert (event.time, event.seq) == model.pop(0)
-            else:
-                assert event is None  # and the head stayed queued (len below)
         else:
             q.compact()
         assert len(q) == len(model)

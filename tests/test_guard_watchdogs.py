@@ -257,19 +257,21 @@ def _assert_recovers_from_injected_nan(problem, platform, config, reference):
 
     import repro.core.solver as solver_mod
 
-    original_sweep = solver_mod.ChainRun.sweep
+    # The sweep-start seam: each rank's loop top, which runs the sweep.
+    original_start = solver_mod._RankLoop._start
 
-    def poisoned_sweep(self, ctx, **kwargs):
+    def poisoned_start(self, *args):
+        ctx = self.ctx
         if ctx.rank == 1 and ctx.iteration == 30 and not victim:
             victim["hit"] = True
-            self.problem.state_array(ctx.state)[:] = np.nan
-        return original_sweep(self, ctx, **kwargs)
+            self.run.problem.state_array(ctx.state)[:] = np.nan
+        return original_start(self, *args)
 
-    solver_mod.ChainRun.sweep = poisoned_sweep
+    solver_mod._RankLoop._start = poisoned_start
     try:
         result = run_aiac(problem, platform, config, guard=guard)
     finally:
-        solver_mod.ChainRun.sweep = original_sweep
+        solver_mod._RankLoop._start = original_start
     assert victim.get("hit")
     assert result.converged
     assert len(guard.divergence_events) >= 1

@@ -12,8 +12,7 @@ down:
   (``tests/oracles.py``: ``lu_factor_scalar`` / ``solve_scalar``) at
   every band width;
 * ``newton_batched_2x2``'s default options are fresh per call;
-* the event queue's live-only ``len()``, tombstone compaction and
-  ``pop_due`` horizon-bounded dispatch;
+* the event queue's live-only ``len()`` and tombstone compaction;
 * determinism of a full AIAC run — the event trace and solution bytes
   are identical run-to-run.
 """
@@ -235,28 +234,6 @@ def test_compaction_keeps_order_and_bounds_heap():
     while (e := q.pop()) is not None:
         times.append(e.time)
     assert times == [float(i) for i in range(250, 300)]
-
-
-def test_pop_due_stops_at_the_horizon():
-    q = EventQueue()
-    a = q.push_call(1.0, lambda: "a", ())
-    b = q.push_call(1.0, lambda: "b", ())
-    q.push_call(2.0, lambda: "c", ())
-    assert q.pop_due(1.0) is a
-    assert q.pop_due(1.0) is b  # same-time events in scheduling order
-    assert q.pop_due(1.0) is None  # next event is at t=2.0
-    assert len(q) == 1  # ... and it stayed queued
-
-
-def test_pop_due_skips_tombstone_but_not_later_times():
-    """A cancelled head must not let pop_due leak a later-time event."""
-    q = EventQueue()
-    e1 = q.push_call(1.0, lambda: "a", ())
-    e2 = q.push_call(2.0, lambda: "b", ())
-    e1.cancel()
-    assert q.pop_due(1.0) is None
-    assert len(q) == 1
-    assert q.pop_due(2.0) is e2
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import struct
 import sys
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SolverConfig, run_aiac
-from repro.core.solver import build_chain
+from repro.core.solver import build_chain, run_chain
+from repro.des import SimulationError
 from repro.faults import FaultInjector
 from repro.grid import homogeneous_cluster
 from repro.guard import InvariantMonitor
@@ -223,24 +225,26 @@ def _repro_frames_per_sweep(model):
 
 
 @pytest.mark.parametrize(
-    ("model", "measured"), [("aiac", 67.44), ("aiac+lb", 85.10)]
+    ("model", "measured"), [("aiac", 44.55), ("aiac+lb", 62.10)]
 )
 def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(model, measured):
     """The event-driven path's per-event and per-message fixed cost, as a
-    count that repeats exactly: what PR 20 measured (CPython 3.11; the
-    parent entered 79.5 / 108.8) plus 2 %.  A hot-path edit that adds a
-    call per event, message or sweep fails here by name.  A ceiling, not
-    an equality: CPython 3.12 inlines comprehensions."""
+    count that repeats exactly: what the callback-driven rank loop
+    measured (CPython 3.11; the generator loop entered 66.6 / 85.1, and
+    79.5 / 108.8 before one resolved route per host pair) plus 2 %.  A
+    hot-path edit that adds a call per event, message or sweep fails
+    here by name.  A ceiling, not an equality: CPython 3.12 inlines
+    comprehensions."""
     assert _repro_frames_per_sweep(model) <= measured * 1.02
 
 
 @pytest.mark.parametrize(
     ("schedule", "model", "measured"),
     [
-        ("none", "aiac+lb", 74.03),
-        ("none", "aiac", 70.72),
-        ("flip_hi", "aiac+lb", 92.37),
-        ("flip_hi", "aiac", 88.20),
+        ("none", "aiac+lb", 56.54),
+        ("none", "aiac", 51.12),
+        ("flip_hi", "aiac+lb", 75.04),
+        ("flip_hi", "aiac", 68.81),
     ],
 )
 def test_frames_entered_per_protected_message_stay_under_the_ceiling(
@@ -249,8 +253,10 @@ def test_frames_entered_per_protected_message_stay_under_the_ceiling(
     """The same count for the protected path: frames per message put on
     the wire by the detect arm of ``IntegrityScenario.tiny()`` (acked
     transport, checksums stamped and verified, checkpoints CRC-stamped,
-    the guard attached), what PR 23 measured plus 2 %.  The parent entered
-    81.6 / 78.5 without and 143.6 / 137.5 with payload corruption armed."""
+    the guard attached), what the callback-driven rank loop measured plus
+    2 %.  The generator loop entered 72.3 / 68.1 without and 90.6 / 85.5
+    with payload corruption armed; before one serialising walk per
+    payload, 81.6 / 78.5 and 143.6 / 137.5."""
     scenario = IntegrityScenario.tiny()
     frames, result = _repro_frames(
         model,
@@ -259,3 +265,57 @@ def test_frames_entered_per_protected_message_stay_under_the_ceiling(
         guard=InvariantMonitor(scenario.guard_config()),
     )
     assert frames / result.tracer.n_messages() <= measured * 1.02
+
+
+# ----------------------------------------------------------------------
+# The rank loop's phases fail the run the way a generator process did
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("model", ["aiac", "aiac+lb", "siac", "sisc"])
+def test_a_raising_phase_fails_the_run_in_the_rank_s_name(model, monkeypatch):
+    """An exception from a sweep names the rank's process and the time,
+    as when the loop was a generator whose step raised."""
+    scenario = Figure5Scenario.tiny()
+    problem = scenario.problem()
+    iterate = problem.iterate
+    calls = []
+
+    def failing(state, left, right):
+        calls.append(None)
+        if len(calls) == 10:
+            raise RuntimeError("sweep failed")
+        return iterate(state, left, right)
+
+    monkeypatch.setattr(problem, "iterate", failing)
+    monkeypatch.setattr(scenario.__class__, "problem", lambda self: problem)
+    with pytest.raises(SimulationError) as caught:
+        run_model(model, scenario, platform=scenario.platform(4))
+    message = str(caught.value)
+    assert re.fullmatch(
+        rf"process '{re.escape(model)}-rank-\d' failed at t=[0-9.e-]+: "
+        r"RuntimeError\('sweep failed'\)",
+        message,
+    ), message
+    assert isinstance(caught.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    ("duration", "shown"), [(float("nan"), "nan"), (float("inf"), "inf")]
+)
+def test_a_sweep_duration_the_clock_cannot_take_is_rejected(
+    duration, shown, monkeypatch
+):
+    """What ``Hold`` rejects, the rank loop's holds reject: the run
+    fails in rank 0's name at t = 0 with ``Hold``'s message, and the
+    clock never takes the value."""
+    from repro.grid.host import Host
+
+    monkeypatch.setattr(Host, "duration_for_work", lambda self, work, t0: duration)
+    run = make_run()
+    with pytest.raises(SimulationError) as caught:
+        run_chain(run)
+    assert str(caught.value) == (
+        "process 'aiac-rank-0' failed at t=0.0: ValueError('Hold duration "
+        f"must be finite and >= 0, got {shown}')"
+    )
+    assert run.sim.now == 0.0
+    assert not run.sim.processes[0].alive
