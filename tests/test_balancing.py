@@ -22,7 +22,7 @@ from repro.balancing import (
 from repro.balancing.accelerated import safe_alpha
 from repro.balancing.centralized import centralized_cost_model
 from repro.balancing.zoo import ActiveView
-from repro.topology.graphs import Topology
+from repro.topology.graphs import TopologySpec, build_topology
 
 #: path, cycle, hypercube, star — the graphs every converging policy must level.
 GRAPHS = [nx.path_graph(6), nx.cycle_graph(7), nx.hypercube_graph(3), nx.star_graph(5)]
@@ -292,7 +292,11 @@ def test_centralized_cost_scales_linearly():
 def bertsekas_run(n, algorithm="bertsekas", initial="spike", seed=0, **params):
     params = ZooParams(trigger=ALWAYS, **params)
     return run_zoo(
-        Topology.chain(n), algorithm, params=params, initial=initial, seed=seed
+        build_topology(TopologySpec("chain", n)),
+        algorithm,
+        params=params,
+        initial=initial,
+        seed=seed,
     )
 
 

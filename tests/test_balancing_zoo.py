@@ -12,7 +12,7 @@ from repro.balancing.zoo import (
     make_zoo_schedule,
     run_zoo,
 )
-from repro.topology.graphs import Topology, build_topology, spec_for_family
+from repro.topology.graphs import TopologySpec, build_topology, spec_for_family
 
 
 def _params(rounds=48, **kwargs):
@@ -75,7 +75,7 @@ def test_trigger_check_every_skips_rounds():
 
 
 def test_node_outage_freezes_the_node():
-    topo = Topology.chain(6)
+    topo = build_topology(TopologySpec("chain", 6))
     params = _params(rounds=20)
     schedule = make_zoo_schedule("node_outage", topo, params.rounds, seed=3)
     assert len(schedule.node_outages) == 1
@@ -122,7 +122,7 @@ def test_wan_edges_cost_more_on_hierarchies():
 
 def test_accelerated_limiter_keeps_loads_nonnegative():
     # A chain spike is the worst case for momentum overdraw.
-    topo = Topology.chain(8)
+    topo = build_topology(TopologySpec("chain", 8))
     params = ZooParams(
         rounds=80, trigger=TriggerPolicy(check_every=1, threshold=1.01)
     )
@@ -147,7 +147,7 @@ def test_initial_load_kinds():
 
 
 def test_unknown_algorithm_and_schedule_raise():
-    topo = Topology.chain(4)
+    topo = build_topology(TopologySpec("chain", 4))
     with pytest.raises(ValueError):
         run_zoo(topo, "simulated_annealing", params=_params(rounds=2))
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_params_validation():
 def test_centralized_routes_through_the_graph():
     # On a chain, moving the spike from node 0 to node 5 must traverse
     # every intermediate edge: volume counts each hop.
-    topo = Topology.chain(6)
+    topo = build_topology(TopologySpec("chain", 6))
     params = ZooParams(
         rounds=4, trigger=TriggerPolicy(check_every=1, threshold=1.02)
     )
@@ -183,7 +183,7 @@ def test_centralized_routes_through_the_graph():
 
 
 def test_reactive_residual_levels_a_two_node_imbalance():
-    topo = Topology.chain(2)
+    topo = build_topology(TopologySpec("chain", 2))
     params = ZooParams(
         rounds=40, trigger=TriggerPolicy(check_every=1, threshold=1.02)
     )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.perf import stable_digest
+from repro.analysis.perf import save_report, stable_digest
 from repro.experiments.integrity import _classify, run_integrity
 from repro.workloads import IntegrityScenario
 
@@ -115,7 +115,7 @@ def test_report_carries_digest_and_gate_line(tiny_result):
 
 def test_save_json_round_trip(tiny_result, tmp_path):
     path = tmp_path / "bench.json"
-    tiny_result.save_json(str(path))
+    save_report(str(path), tiny_result.to_dict())
     data = json.loads(path.read_text())
     assert data["digest"] == tiny_result.digest()
     assert data["rows"] == tiny_result.rows

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.perf import save_report
 from repro.exec import RunCache, SweepEngine
 from repro.experiments import TopologyZooScenario, run_topology_zoo
 
@@ -81,7 +82,7 @@ def test_report_and_json(tmp_path):
     assert "reactive_residual" in report
     assert result.digest() in report
     path = tmp_path / "zoo.json"
-    result.save_json(str(path))
+    save_report(str(path), result.to_dict())
     data = json.loads(path.read_text())
     assert data["digest"] == result.digest()
     assert len(data["rows"]) == 8

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.perf import save_report
 from repro.faults.models import FaultSchedule, HostCrash, MessageLoss
 from repro.guard.soak import (
     SoakScenario,
@@ -130,7 +131,7 @@ def test_soak_report_mentions_models_and_digest(tmp_path):
 def test_soak_save_json_round_trips(tmp_path):
     result = run_soak(TINY, n_schedules=1, seed=0, out_dir=str(tmp_path))
     path = tmp_path / "soak.json"
-    result.save_json(str(path))
+    save_report(str(path), result.to_dict())
     data = json.loads(path.read_text())
     assert data["digest"] == result.digest()
     assert data["n_schedules"] == 1

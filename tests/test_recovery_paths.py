@@ -105,6 +105,45 @@ def test_exhausted_migration_transfer_is_reabsorbed_by_its_sender():
     assert result.max_error_vs(problem.reference_solution()) < 1e-3
 
 
+def test_migration_data_dropped_at_a_crashed_receiver_is_reabsorbed():
+    # The receiver of the first migration crashes the instant the data
+    # leaves (it has just accepted) and stays down for 5 s, longer than
+    # the sender's retry budget: every copy evaporates at the dead host,
+    # the transfer exhausts its attempts undelivered, and the sender
+    # merges the orphaned components back.
+    def balanced(*faults, guard=None):
+        problem = make_problem()
+        platform = homogeneous_cluster(4, speed=2000.0)
+        platform.hosts[0].speed = 500.0
+        injector = FaultInjector(make_schedule(*faults))
+        result = run_balanced_aiac(
+            problem,
+            platform,
+            make_config(),
+            LBConfig(period=5, min_components=2),
+            injector=injector,
+            guard=guard,
+        )
+        return problem, injector, result
+
+    _, _, clean = balanced()
+    first = clean.tracer.migrations[0]
+    guard = InvariantMonitor(GuardConfig())
+    problem, injector, result = balanced(
+        HostCrash(first.dst_rank, at=first.time, downtime=5.0), guard=guard
+    )
+    guard.verify_halt()
+    assert injector.stats["dropped_at_dead_host"] > 0
+    assert injector.stats["crashes"] == injector.stats["restarts"] == 1
+    reabsorbs = [f for f in result.tracer.faults if f.kind == "reabsorb"]
+    assert result.meta["reabsorbed"] >= 1
+    assert reabsorbs and reabsorbs[0].rank == first.src_rank
+    assert first.time < reabsorbs[0].time < first.time + 5.0
+    assert guard.checks_run > 0
+    assert result.converged
+    assert result.max_error_vs(problem.reference_solution()) < 1e-3
+
+
 def lossy_handshake(kind):
     """Two ranks of a balanced run, wired by hand, with every copy of
     ``kind`` lost: a transfer of that kind exhausts its five attempts

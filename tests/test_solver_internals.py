@@ -98,12 +98,14 @@ def test_neighbor_resolution():
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 5])
 def test_neighbor_table_is_the_topology_path_neighbors(n_ranks):
+    # The chain is the path 0-1-...-(n-1): left is rank - 1, right is
+    # rank + 1, and there is no neighbour past either end.
     run = make_run(n_ranks=n_ranks)
     for rank in range(n_ranks):
-        for side in ("left", "right"):
-            idx = run.topology.path_neighbor(rank, side)
-            want = None if idx is None else run.ranks[idx]
-            assert run.neighbor(rank, side) is want
+        left = run.ranks[rank - 1] if rank > 0 else None
+        right = run.ranks[rank + 1] if rank < n_ranks - 1 else None
+        assert run.neighbor(rank, "left") is left
+        assert run.neighbor(rank, "right") is right
 
 
 @pytest.mark.parametrize(
