@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "-o", "--out", default=None,
         help="JSON output path (default: BENCH_integrity_timing.json; the "
-        "committed BENCH_integrity.json is IntegrityResult.save_json)",
+        "committed BENCH_integrity.json is `repro integrity --full --json`)",
     )
     parser.add_argument(
         "--check", action="store_true",

@@ -280,7 +280,9 @@ def _soak(args: argparse.Namespace) -> str:
         engine=engine,
     )
     if args.json:
-        result.save_json(args.json)
+        from repro.analysis.perf import save_report
+
+        save_report(args.json, result.to_dict())
     report = result.report()
     report += f"\n[{engine.stats.summary()}]"
     if args.json:

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from repro.util.validation import check_in_range, check_positive
 
-__all__ = ["SolverConfig", "LBConfig"]
+__all__ = ["OVERLAP_SPLIT", "SolverConfig", "LBConfig"]
+
+#: Fraction of a sweep's virtual duration after which the *left*
+#: boundary data is sent (the paper's Algorithm 1 sends it once the two
+#: first components are updated, i.e. early in the sweep).  The right
+#: boundary always goes at the end of the sweep.  Read by the rank loop
+#: and by the lockstep replay.
+OVERLAP_SPLIT = 0.3
 
 
 @dataclass(slots=True)
@@ -36,11 +43,6 @@ class SolverConfig:
         non-converged.
     max_time:
         Virtual-time horizon (seconds); ``None`` = unbounded.
-    overlap_split:
-        Fraction of the sweep after which the *left* boundary data is
-        sent (the paper's Algorithm 1 sends it once the two first
-        components are updated, i.e. early in the sweep).  The right
-        boundary always goes at the end of the sweep.
     exclusive_sends:
         Apply the paper's per-channel mutual exclusion (Figure 4
         variant).  ``False`` gives the general AIAC of Figure 3.
@@ -71,7 +73,6 @@ class SolverConfig:
     persistence: int = 3
     max_iterations: int = 100_000
     max_time: float | None = None
-    overlap_split: float = 0.3
     exclusive_sends: bool = True
     trace: bool = True
     header_bytes: float = 64.0
@@ -85,7 +86,6 @@ class SolverConfig:
         check_positive("max_iterations", self.max_iterations)
         if self.max_time is not None:
             check_positive("max_time", self.max_time)
-        check_in_range("overlap_split", self.overlap_split, 0.0, 1.0)
         if self.header_bytes < 0:
             raise ValueError(f"header_bytes must be >= 0, got {self.header_bytes}")
         if self.detection not in ("oracle", "token_ring"):

@@ -19,10 +19,6 @@ tests drive it with random migration sequences (DESIGN.md §7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.topology.graphs import Topology
 
 __all__ = ["PartitionRegistry", "PartitionError"]
 
@@ -74,35 +70,12 @@ class PartitionRegistry:
     n_components:
         Global number of components.
     n_ranks:
-        Chain length.
-    topology:
-        Optional :class:`~repro.topology.graphs.Topology` supplying the
-        migration neighbourhood.  Contiguous 1-D blocks only admit
-        migrations along a path, so the topology must satisfy
-        :meth:`~repro.topology.graphs.Topology.is_path`; ``None`` keeps
-        the implicit ``rank ± 1`` chain.
+        Chain length; a rank migrates only to ``rank ± 1``.
     """
 
-    def __init__(
-        self,
-        n_components: int,
-        n_ranks: int,
-        *,
-        topology: "Topology | None" = None,
-    ) -> None:
+    def __init__(self, n_components: int, n_ranks: int) -> None:
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-        if topology is not None:
-            if topology.n_nodes != n_ranks:
-                raise ValueError(
-                    f"topology has {topology.n_nodes} nodes for {n_ranks} ranks"
-                )
-            if not topology.is_path():
-                raise ValueError(
-                    "contiguous block partitions require a path topology; "
-                    f"got {topology.spec.label()}"
-                )
-        self.topology = topology
         if n_components < n_ranks:
             raise ValueError(
                 f"need at least one component per rank "
@@ -160,13 +133,8 @@ class PartitionRegistry:
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if self.topology is not None:
-            dst = self.topology.path_neighbor(src, side)
-        else:
-            dst = src - 1 if side == "left" else src + 1
-            if not 0 <= dst < self.n_ranks:
-                dst = None
-        if dst is None:
+        dst = src - 1 if side == "left" else src + 1
+        if not 0 <= dst < self.n_ranks:
             raise PartitionError(f"rank {src} has no {side} neighbour")
         if not 0 < n < self.n_local(src):
             raise PartitionError(

@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.config import SolverConfig
+from repro.core.config import OVERLAP_SPLIT, SolverConfig
 from repro.core.convergence import SupervisorMonitor, TokenRingDetector
 from repro.core.estimators import LoadEstimator, ResidualEstimator
 from repro.core.partition import PartitionRegistry
@@ -55,7 +55,6 @@ from repro.integrity import checkpoint_crc
 from repro.runtime.message import Message
 from repro.runtime.node import GridNode
 from repro.runtime.tracer import Tracer
-from repro.topology.graphs import Topology
 
 __all__ = ["ChainRun", "RankContext", "run_aiac", "build_chain", "run_chain"]
 
@@ -127,7 +126,6 @@ class ChainRun:
         *,
         model: str,
         host_order: list[int] | None = None,
-        topology: Topology | None = None,
     ) -> None:
         self.problem = problem
         # Each run gets a private copy of the platform: network FIFO
@@ -151,16 +149,9 @@ class ChainRun:
                 f"got {host_order!r}"
             )
         self.host_order = host_order
-        # The migration neighbourhood.  The solver's contiguous 1-D
-        # block decomposition only admits path topologies (enforced by
-        # PartitionRegistry); arbitrary graphs are the balancing zoo's
-        # domain (repro.balancing.zoo).
-        self.topology = topology if topology is not None else Topology.chain(n_ranks)
         self.sim = Simulator()
         self.tracer = Tracer(enabled=config.trace)
-        self.partition = PartitionRegistry(
-            problem.n_components, n_ranks, topology=self.topology
-        )
+        self.partition = PartitionRegistry(problem.n_components, n_ranks)
         #: Overridden by the load-balanced driver: True while ``rank``
         #: has unfinished migration-protocol state (offer out, accepted
         #: incoming, data in flight) — detection must not conclude then.
@@ -220,14 +211,15 @@ class ChainRun:
             )
             self.ranks.append(ctx)
         # The chain is fixed for the run: who sits on each side of a rank
-        # and what a halo message weighs are resolved once, here.
-        self._neighbors: list[dict[str, RankContext | None]] = []
-        for rank in range(n_ranks):
-            sides = {}
-            for side in ("left", "right"):
-                idx = self.topology.path_neighbor(rank, side)
-                sides[side] = None if idx is None else self.ranks[idx]
-            self._neighbors.append(sides)
+        # (``rank - 1`` and ``rank + 1``, none past either end) and what a
+        # halo message weighs are resolved once, here.
+        self._neighbors: list[dict[str, RankContext | None]] = [
+            {
+                "left": self.ranks[rank - 1] if rank > 0 else None,
+                "right": self.ranks[rank + 1] if rank < n_ranks - 1 else None,
+            }
+            for rank in range(n_ranks)
+        ]
         self._halo_bytes = problem.halo_nbytes() + config.header_bytes
         for ctx in self.ranks:
             self._register_halo_handlers(ctx)
@@ -816,8 +808,8 @@ class _RankLoop(Process):
                 self.trial(ctx)
             # The numerics run eagerly (their results are deterministic);
             # the virtual time they cost is paid by two holds, so that the
-            # left boundary send fires *during* the sweep at the
-            # configured overlap point.
+            # left boundary send fires *during* the sweep, OVERLAP_SPLIT
+            # of the way through.
             config = run.config
             self._pre_estimate = ctx.estimator.value()
             self._epoch = node.crash_count
@@ -827,7 +819,7 @@ class _RankLoop(Process):
             duration = node.host.duration_for_work(result.total_work, t0)
             # Polling throttle for near-free (fully skipped) sweeps.
             self._duration = duration = max(duration, config.min_sweep_duration)
-            self._first = first = duration * config.overlap_split
+            self._first = first = duration * OVERLAP_SPLIT
             if not 0 <= first < inf:
                 raise invalid_hold(first)
             event = self._event

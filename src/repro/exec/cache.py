@@ -70,7 +70,7 @@ import os
 import zlib
 from typing import Any
 
-from repro.analysis.perf import stable_digest
+from repro.analysis.perf import canonical_json, stable_digest
 
 __all__ = [
     "CACHE_EPOCH",
@@ -109,11 +109,7 @@ _MISS = object()
 
 def _payload_crc(payload: Any) -> int:
     """CRC32 of a payload's canonical (sorted, compact) JSON bytes."""
-    return zlib.crc32(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-    )
+    return zlib.crc32(canonical_json(payload).encode("utf-8"))
 
 
 def code_salt() -> str:

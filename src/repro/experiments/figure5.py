@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analysis.perf import save_report, stable_digest
+from repro.analysis.perf import stable_digest
 from repro.analysis.plots import ascii_plot
 from repro.analysis.reporting import format_table
 from repro.models import VERSIONS, run_model
@@ -84,10 +84,6 @@ class Figure5Result:
                 "migrations": list(self.migrations),
             }
         )
-
-    def save_json(self, path: str) -> None:
-        """Write the result rows + digest as sorted-key JSON."""
-        save_report(path, self.to_dict())
 
     def report(self) -> str:
         # An empty migrations column (a result built before the sweep

@@ -44,7 +44,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.analysis.perf import save_report, stable_digest
+from repro.analysis.perf import stable_digest
 from repro.analysis.reporting import format_table
 from repro.core.records import RunResult
 from repro.faults import FaultInjector
@@ -121,10 +121,6 @@ class IntegrityResult:
             "rows": self.rows,
             "digest": self.digest(),
         }
-
-    def save_json(self, path: str) -> None:
-        """Write ``BENCH_integrity.json`` (sorted keys, no wall-clock)."""
-        save_report(path, self.to_dict())
 
     # ------------------------------------------------------------------
     def report(self) -> str:

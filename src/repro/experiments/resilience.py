@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.analysis.perf import save_report, stable_digest
+from repro.analysis.perf import stable_digest
 from repro.analysis.reporting import format_table
 from repro.faults import FaultInjector
 from repro.models import run_model
@@ -82,10 +82,6 @@ class ResilienceResult:
             "rows": self.rows,
             "digest": self.digest(),
         }
-
-    def save_json(self, path: str) -> None:
-        """Write ``BENCH_resilience.json`` (sorted keys, no wall-clock)."""
-        save_report(path, self.to_dict())
 
     # ------------------------------------------------------------------
     def report(self) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.analysis.perf import save_report, stable_digest
+from repro.analysis.perf import stable_digest
 from repro.analysis.reporting import format_table
 from repro.balancing.zoo import (
     ZOO_ALGORITHMS,
@@ -161,9 +161,6 @@ class TopologyZooResult:
             },
             "digest": self.digest(),
         }
-
-    def save_json(self, path: str) -> None:
-        save_report(path, self.to_dict())
 
     # ------------------------------------------------------------------
     def report(self) -> str:

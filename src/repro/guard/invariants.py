@@ -103,14 +103,6 @@ class GuardConfig:
         On unfaulted runs (no injector, so no periodic checkpoints)
         the guard refreshes each rank's rollback point every this many
         improving sweeps.  ``0`` disables refreshing.
-    value_bound:
-        Plausibility screen (armed-detection runs only, see
-        :class:`~repro.guard.plausibility.PlausibilityGuard`): any state
-        magnitude above this is treated as corruption.
-    residual_jump_factor:
-        Plausibility screen: a single sweep moving the residual more
-        than this factor above the previous sweep's is treated as
-        corruption (no patience — contrast ``divergence_factor``).
     """
 
     check_every: int = 64
@@ -120,8 +112,6 @@ class GuardConfig:
     divergence_factor: float = 1e4
     divergence_patience: int = 3
     rollback_refresh: int = 25
-    value_bound: float = 1e12
-    residual_jump_factor: float = 1e6
 
     def __post_init__(self) -> None:
         check_positive("check_every", self.check_every)
@@ -138,10 +128,6 @@ class GuardConfig:
             raise ValueError(
                 f"rollback_refresh must be >= 0, got {self.rollback_refresh}"
             )
-        check_positive("value_bound", self.value_bound)
-        check_in_range(
-            "residual_jump_factor", self.residual_jump_factor, 1.0, math.inf
-        )
 
 
 def conservation_error(
@@ -214,7 +200,7 @@ class InvariantMonitor:
         self.stall_reports: list[StallReport] = []
         self.halt_verdict: dict[str, Any] | None = None
         self._divergence = DivergenceGuard(self.config)
-        self._plausibility = PlausibilityGuard(self.config)
+        self._plausibility = PlausibilityGuard()
         self._prev_transport: dict[int, dict[str, dict]] = {}
         #: Installed by the lockstep replay engine (which never calls
         #: :meth:`attach`): a callable performing the native halt

@@ -9,11 +9,10 @@ rank right after its sweep for states no healthy run produces:
 
 * **non-finite values** anywhere in the block
   (via :meth:`~repro.problems.base.Problem.state_array`);
-* **out-of-domain magnitudes** — ``|value| > GuardConfig.value_bound``
+* **out-of-domain magnitudes** — ``|value| >`` :data:`VALUE_BOUND`
   (an exponent-bit flip turns an O(1) solution value into 1e300);
 * **implausible residual jumps** — a single sweep moving the residual
-  more than ``GuardConfig.residual_jump_factor`` above the previous
-  sweep's (floored at the tolerance, and suppressed across migrations,
+  more than :data:`RESIDUAL_JUMP_FACTOR` above the previous sweep's (floored at the tolerance, and suppressed across migrations,
   where the residual legitimately re-scales).
 
 The screen is owned by :class:`repro.guard.InvariantMonitor` and runs
@@ -43,30 +42,34 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.solver import ChainRun, RankContext
-    from repro.guard.invariants import GuardConfig
 
-__all__ = ["PlausibilityGuard"]
+__all__ = ["RESIDUAL_JUMP_FACTOR", "VALUE_BOUND", "PlausibilityGuard"]
+
+#: Any state magnitude above this is treated as corruption.
+VALUE_BOUND = 1e12
+#: A single sweep moving the residual more than this factor above the
+#: previous sweep's is treated as corruption (no patience — contrast
+#: ``GuardConfig.divergence_factor``).
+RESIDUAL_JUMP_FACTOR = 1e6
 
 
 @dataclass(slots=True)
 class PlausibilityGuard:
     """Post-sweep state screens + rollback, active under armed detection."""
 
-    config: "GuardConfig"
     #: One record per rollback: rank, time, iteration, reason.
     events: list[dict[str, Any]] = field(default_factory=list)
     _block: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def _implausible(self, run: "ChainRun", ctx: "RankContext") -> str | None:
         """Why ``ctx``'s post-sweep state is implausible, or None."""
-        cfg = self.config
         # One reduction decides both screens: a NaN or an infinity
         # anywhere in the block is what ``max`` of the magnitudes gives.
         peak = float(np.abs(run.problem.state_array(ctx.state)).max())
         if not math.isfinite(peak):
             return "non-finite state values"
-        if peak > cfg.value_bound:
-            return f"state magnitude {peak:.3e} exceeds bound {cfg.value_bound:g}"
+        if peak > VALUE_BOUND:
+            return f"state magnitude {peak:.3e} exceeds bound {VALUE_BOUND:g}"
         # Residual-jump screen: one sweep legitimately moves the residual
         # by O(1) factors; a corruption-scale perturbation moves it by
         # many orders of magnitude at once.  Migrations re-scale the
@@ -77,7 +80,7 @@ class PlausibilityGuard:
         if migrated or not math.isfinite(ctx.prev_residual):
             return None
         floor = max(ctx.prev_residual, run.config.tolerance)
-        if ctx.residual > floor * cfg.residual_jump_factor:
+        if ctx.residual > floor * RESIDUAL_JUMP_FACTOR:
             return (
                 f"residual jumped {ctx.prev_residual:.3e} -> "
                 f"{ctx.residual:.3e} in one sweep"

@@ -291,11 +291,6 @@ class SoakResult:
             "digest": self.digest(),
         }
 
-    def save_json(self, path: str) -> None:
-        from repro.analysis.perf import save_report
-
-        save_report(path, self.to_dict())
-
     def report(self) -> str:
         models = list(self.scenario.models)
         lines = [

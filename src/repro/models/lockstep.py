@@ -48,7 +48,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.core.config import SolverConfig
+from repro.core.config import OVERLAP_SPLIT, SolverConfig
 from repro.core.partition import PartitionRegistry
 from repro.core.records import RunResult
 from repro.grid.platform import Platform
@@ -473,7 +473,7 @@ class _LockstepEngine:
             residual = np.asarray(residual, dtype=float)
             work = np.asarray(work, dtype=float)
             d = self._durations(work)
-            first = d * cfg.overlap_split
+            first = d * OVERLAP_SPLIT
             t_mid = T + first
             t_se = t_mid + (d - first)
             # Dispatch order of mid / end events.  Both lexsorts are

@@ -1,12 +1,12 @@
-"""Logical organizations of processors and dependency graphs.
+"""Logical organizations of processors and the balancing zoo's graphs.
 
 The paper organises processors in a logical linear chain (the 1-D
 decomposition of the state vector) and, for the heterogeneous
 experiment, chooses that organisation *irregular* — machines of
 different sites and speeds interleaved along the chain, "a grid
 computing context not favorable to load balancing".  This package
-provides the chain orderings and the dependency-graph view used by the
-balancing library.
+provides the chain orderings (which host runs which rank) and the
+arbitrary graphs the balancing zoo runs on.
 """
 
 from repro._exports import lazy_exports
@@ -15,7 +15,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
         "interleaved_sites_order": "logical",
-        "dependency_graph_stats": "dependency",
         "TOPOLOGY_FAMILIES": "graphs",
         "Topology": "graphs",
         "TopologySpec": "graphs",

@@ -12,33 +12,32 @@ the graph layer those regimes run on:
   a topology (family + parameters + seed) whose :meth:`~TopologySpec.digest`
   is stable across processes and construction orders;
 * :class:`Topology` — the built artifact, a plain value: the node count
-  (nodes are the integers ``0..n-1``), the sorted edge tuple, sorted
-  per-node neighbour tuples, per-edge **link classes** (``"lan"`` vs
-  ``"wan"`` — a hierarchy's inter-site links cost more, which the zoo's
-  communication accounting charges for), and a content digest covering
-  the exact edge set;
+  (nodes are the integers ``0..n-1``), the sorted edge tuple, per-edge
+  **link classes** (``"lan"`` vs ``"wan"`` — a hierarchy's inter-site
+  links cost more, which the zoo's communication accounting charges
+  for), and a content digest covering the exact edge set;
 * :func:`build_topology` — the seeded generator dispatch; every family
   is deterministic for a given spec (randomness flows through
   :func:`~repro.util.rng.spawn_generator` named streams, never through
   library-internal RNG) and every built graph is connected.
 
-The PDE solver (:mod:`repro.core.solver`) consumes the *path* special
-case through :meth:`Topology.path_neighbor` — its 1-D block
-decomposition only admits chain migrations — while the balancing zoo
-(:mod:`repro.balancing.zoo`) runs on any family.
+These are the balancing zoo's types (:mod:`repro.balancing.zoo`,
+:mod:`repro.experiments.topology_zoo`).  The PDE solver does not use
+them: its chain is ``rank ± 1`` (:mod:`repro.core.solver`,
+:mod:`repro.core.partition`), so the paper's experiments never load
+this module.
 
 :class:`Topology` is graph-free: it holds no ``networkx`` object, and
-neither importing this module nor building a chain imports networkx, so
-the paper's experiments never load it.  Exactly two calls here do, inside
-the call: :func:`build_topology` for the eight non-chain families (their
-generators are networkx's) and :meth:`Topology.stats` (diameter).
+neither importing this module nor building a chain imports networkx.
+Only :func:`build_topology` does, inside the call, for the eight
+non-chain families (their generators are networkx's).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -142,7 +141,7 @@ class TopologySpec:
 
 
 class Topology:
-    """A built communication topology: edges + link classes + digest.
+    """A built communication topology: node count, edges, link classes.
 
     Nodes are always the integers ``0..n-1`` (generators relabel
     structured node names deterministically), so load vectors index
@@ -162,13 +161,11 @@ class Topology:
         edges: Iterable[tuple[int, int]],
         *,
         link_classes: dict[tuple[int, int], str] | None = None,
-        coords: dict[int, tuple[float, float]] | None = None,
     ) -> None:
         if n_nodes < 1:
             raise ValueError(f"topology needs n_nodes >= 1, got {n_nodes}")
         self.spec = spec
         self.n_nodes = n_nodes
-        self.coords = coords
         self._edges = tuple(sorted({_edge_key(u, v) for u, v in edges}))
         neighbors: list[list[int]] = [[] for _ in range(n_nodes)]
         for u, v in self._edges:
@@ -179,10 +176,9 @@ class Topology:
                 )
             neighbors[u].append(v)
             neighbors[v].append(u)
-        self._neighbors = [tuple(sorted(nb)) for nb in neighbors]
         seen, frontier = {0}, [0]  # connected iff a search from 0 sees all
         while frontier:
-            for v in self._neighbors[frontier.pop()]:
+            for v in neighbors[frontier.pop()]:
                 if v not in seen:
                     seen.add(v)
                     frontier.append(v)
@@ -191,9 +187,6 @@ class Topology:
         self._link_classes = {
             _edge_key(u, v): cls for (u, v), cls in (link_classes or {}).items()
         }
-        self._is_path = self._edges == tuple(
-            (i, i + 1) for i in range(n_nodes - 1)
-        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -202,36 +195,9 @@ class Topology:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``, sorted."""
         return list(self._edges)
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Sorted neighbour set of ``u``."""
-        return self._neighbors[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._neighbors[u])
-
-    def max_degree(self) -> int:
-        return max((len(nb) for nb in self._neighbors), default=0)
-
     def link_class(self, u: int, v: int) -> str:
         """The link class of edge ``(u, v)`` (``"lan"`` unless marked)."""
         return self._link_classes.get(_edge_key(u, v), "lan")
-
-    def stats(self) -> dict:
-        """Structural statistics + family metadata (report material)."""
-        import networkx as nx
-
-        from repro.topology.dependency import dependency_graph_stats
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n_nodes))
-        graph.add_edges_from(self._edges)
-        stats = dependency_graph_stats(graph)
-        stats["family"] = self.spec.family
-        stats["label"] = self.spec.label()
-        stats["n_wan_edges"] = sum(
-            1 for cls in self._link_classes.values() if cls == "wan"
-        )
-        return stats
 
     def digest(self) -> str:
         """Content digest: spec + exact edge set + link classes.
@@ -248,41 +214,6 @@ class Topology:
                 },
             }
         )
-
-    # ------------------------------------------------------------------
-    # The solver-facing path view
-    # ------------------------------------------------------------------
-    def is_path(self) -> bool:
-        """Is this exactly the chain ``0-1-...-(n-1)``?
-
-        The PDE solver's contiguous 1-D decomposition only migrates
-        between chain neighbours; it asserts this before consuming the
-        topology.
-        """
-        return self._is_path
-
-    def path_neighbor(self, rank: int, side: str) -> int | None:
-        """Chain neighbour of ``rank`` toward ``side`` (``None`` at ends).
-
-        Only valid for path topologies — the solver's replacement for
-        its previously hard-coded ``rank ± 1``.
-        """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if not self._is_path:
-            raise ValueError(
-                f"{self.spec.label()} is not a path; path_neighbor is only "
-                f"defined on chain topologies"
-            )
-        idx = rank - 1 if side == "left" else rank + 1
-        if 0 <= idx < self.n_nodes:
-            return idx
-        return None
-
-    @classmethod
-    def chain(cls, n: int) -> "Topology":
-        """The solver's default topology: the paper's logical chain."""
-        return build_topology(TopologySpec("chain", n))
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -370,8 +301,7 @@ def _gen_random_geometric(spec: TopologySpec) -> Topology:
                     best = (dist, u, v)
         assert best is not None
         graph.add_edge(best[1], best[2])
-    coords = {i: (float(pos[i, 0]), float(pos[i, 1])) for i in range(n)}
-    return _from_graph(spec, graph, coords=coords)
+    return _from_graph(spec, graph)
 
 
 def _gen_expander(spec: TopologySpec) -> Topology:

@@ -18,7 +18,7 @@ def test_solver_defaults_valid():
         {"persistence": 0},
         {"max_iterations": 0},
         {"max_time": -1.0},
-        {"overlap_split": 1.5},
+        {"detection": "gossip"},
         {"header_bytes": -1.0},
     ],
 )

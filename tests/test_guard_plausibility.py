@@ -7,7 +7,6 @@ import pytest
 from repro.core import SolverConfig
 from repro.core.solver import build_chain
 from repro.grid import homogeneous_cluster
-from repro.guard import GuardConfig
 from repro.guard.plausibility import PlausibilityGuard
 from repro.problems import HeatProblem
 
@@ -23,7 +22,7 @@ def screen():
         model="aiac",
     )
     ctx = run.ranks[1]
-    guard = PlausibilityGuard(GuardConfig())
+    guard = PlausibilityGuard()
 
     def verdict(value=None, prev=math.inf, residual=math.inf):
         arr = problem.state_array(ctx.state)

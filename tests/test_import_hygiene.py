@@ -1,9 +1,10 @@
 """What a process loads: no graph library, and no more of ``repro`` than
 its verb runs.
 
-The solver's chain is a native :class:`~repro.topology.graphs.Topology`;
-only the LB zoo's non-chain families, graph statistics and spectral
-helpers need networkx, and they import it inside the call.  A package
+The solver's chain is ``rank ± 1``, so a paper experiment never loads
+:mod:`repro.topology.graphs`, the LB zoo's graph layer; only the zoo's
+non-chain families and spectral helpers need networkx, and they import
+it inside the call.  A package
 ``__init__`` imports nothing it re-exports (``repro._exports``), so the
 client verbs run without numpy and a paper experiment without the
 serve / obs / balancing / soak / lockstep stacks.  Checked in fresh
@@ -28,6 +29,7 @@ SCRIPT = textwrap.dedent(
     UNUSED = (
         "repro.serve", "repro.obs", "repro.balancing", "repro.guard.soak",
         "repro.models.lockstep", "repro.numerics.banded",
+        "repro.topology.graphs",
     )
 
     def loaded(stage):
@@ -39,7 +41,7 @@ SCRIPT = textwrap.dedent(
         bad = sorted(name for name in sys.modules if name.startswith(UNUSED))
         assert not bad, f"{stage}: loaded {bad}"
         ours = sorted(name for name in sys.modules if name.startswith("repro"))
-        assert len(ours) <= 62, f"{stage}: {len(ours)} repro modules: {ours}"
+        assert len(ours) <= 55, f"{stage}: {len(ours)} repro modules: {ours}"
 
     from repro.experiments import run_table1
     from repro.workloads import Table1Scenario
@@ -147,6 +149,28 @@ SCALE_REPLAY_SCRIPT = textwrap.dedent(
     print("ok")
     """
 )
+
+
+FIGURE5_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.experiments import run_figure5
+    from repro.workloads import Figure5Scenario
+
+    run_figure5(Figure5Scenario.tiny())
+    bad = sorted(name for name in sys.modules if name.startswith("repro.topology"))
+    assert not bad, f"run_figure5 loaded {bad}"
+    print("ok")
+    """
+)
+
+
+def test_figure5_loads_no_topology_module():
+    # Figure 5 runs on a homogeneous cluster in rank order: neither a
+    # chain ordering nor a graph is built, so no ``repro.topology``
+    # module (the package included) is imported.
+    run_fresh(FIGURE5_SCRIPT)
 
 
 def test_the_scale_replay_loads_no_event_driven_engine():

@@ -1,12 +1,10 @@
-"""Tests for logical chain orderings and dependency graphs."""
+"""Tests for logical chain orderings."""
 
-import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.platform import SiteSpec, multi_site_grid
-from repro.topology import dependency_graph_stats, interleaved_sites_order
+from repro.topology import interleaved_sites_order
 from repro.util.rng import RngTree
 
 
@@ -61,19 +59,3 @@ def test_property_interleaved_sites_unequal_sizes(sizes):
         assert not [s for s in others_behind if placed[site] - placed[s] > 1]
         placed[site] += 1
         remaining[site] -= 1
-
-
-def test_dependency_graph_stats():
-    stats = dependency_graph_stats(nx.path_graph(6))
-    assert stats["n_nodes"] == 6
-    assert stats["max_degree"] == 2
-    assert stats["diameter"] == 5
-    assert stats["connected"]
-    with pytest.raises(ValueError):
-        dependency_graph_stats(nx.Graph())
-
-
-def test_single_rank_chain():
-    stats = dependency_graph_stats(nx.path_graph(1))
-    assert stats["n_edges"] == 0
-    assert stats["diameter"] == 0
