@@ -16,7 +16,11 @@ in ``conftest.py``.
 * :func:`work_capacity` — the work a host completes in an interval,
   the inverse :meth:`repro.grid.host.Host.duration_for_work` is held to;
 * :class:`PiecewiseTrace` — an availability trace with scripted
-  breakpoints, and :func:`mean_over`, a trace's time average.
+  breakpoints, and :func:`mean_over`, a trace's time average;
+* :func:`fault_free_view` and :func:`balance` — a zoo policy driven
+  over a bare graph, every round, until the load is level (the §3
+  comparison of the balancing families; :func:`repro.balancing.run_zoo`
+  is the product's loop).
 """
 
 from __future__ import annotations
@@ -290,3 +294,46 @@ def mean_over(trace: AvailabilityTrace, t0: float, t1: float) -> float:
         total += trace.value(t) * (nxt - t)
         t = nxt
     return total / (t1 - t0)
+
+
+# ----------------------------------------------------------------------
+# A zoo policy on a fault-free graph, every round, until level
+# ----------------------------------------------------------------------
+def fault_free_view(graph):
+    """The :class:`~repro.balancing.zoo.ActiveView` of all of ``graph``,
+    its nodes indexed in iteration order."""
+    from repro.balancing.zoo import ActiveView
+
+    index = {node: i for i, node in enumerate(graph.nodes())}
+    return ActiveView.over(
+        (True,) * len(index),
+        tuple((index[u], index[v]) for u, v in graph.edges()),
+    )
+
+
+def balance(graph, load, algorithm: str, *, tol: float = 1e-9, max_rounds=100_000):
+    """Apply ``algorithm``'s plan over all of ``graph`` each round until the
+    load's standard deviation is within ``tol``; ``(final_load, rounds)``.
+
+    No trigger and no faults; a policy that needs the outflow limiter
+    runs under it, as in :func:`repro.balancing.run_zoo`.  The caller's
+    ``load`` is not touched.
+    """
+    from repro.balancing.zoo import _limit_outflow, make_policy
+
+    view = fault_free_view(graph)
+    policy = make_policy(algorithm)
+    current = np.array(load, dtype=float)
+    for rounds in range(max_rounds):
+        if float(np.std(current)) <= tol:
+            return current, rounds
+        transfers = policy.plan(view, current)
+        if policy.needs_limiter:
+            transfers = _limit_outflow(current, transfers)
+        for u, v, amount in transfers:
+            current[u] -= amount
+            current[v] += amount
+    raise AssertionError(
+        f"{algorithm} did not balance within {max_rounds} rounds "
+        f"(stddev={float(np.std(current)):.3e})"
+    )
