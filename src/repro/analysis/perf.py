@@ -1,19 +1,13 @@
-"""Micro/macro benchmark plumbing: timers, warmup/repeat logic, JSON.
+"""Digests of run results and the JSON reports the gate scripts write.
 
-The kernels this repo runs (banded LU, batched Newton, the DES event
-loop) are fast enough that naive one-shot timing is all noise.  This
-module provides the small amount of machinery a credible perf
-trajectory needs:
-
-* :func:`bench` — warmup + repeat measurement returning robust stats
-  (best / median / mean), the shape pytest-benchmark uses,
-* :class:`BenchReport` — accumulates named results, computes speedups
-  against a baseline run, and writes the ``BENCH_kernels.json`` that
-  future PRs regress against.
-
-Everything here is wall-clock (``perf_counter``): the kernels are
-CPU-bound and single-threaded, and wall-clock is what the end-to-end
-experiments pay.
+* :func:`canonical_json`, :func:`stable_digest`, :func:`run_fingerprint`
+  — byte-stable digests of virtual-time results, the basis of every
+  determinism check;
+* :func:`save_report` — a diff-friendly JSON report;
+* :class:`BenchResult`, :class:`BenchReport` — the timing rows the
+  ``benchmarks/bench_*.py`` gate scripts collect, print and save beside
+  their committed ``BENCH_*.json``.  Per-layer timing of the product
+  is ``bench/run.py``'s job.
 """
 
 from __future__ import annotations
@@ -21,13 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-import statistics
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
-    "bench",
     "BenchResult",
     "BenchReport",
     "stable_digest",
@@ -126,93 +117,23 @@ class BenchResult:
         }
 
 
-def bench(
-    fn: Callable[[], Any],
-    *,
-    name: str = "",
-    repeats: int = 5,
-    warmup: int = 1,
-    min_time: float = 0.0,
-    meta: dict[str, Any] | None = None,
-) -> BenchResult:
-    """Time ``fn()`` with warmup and repeats.
-
-    ``min_time`` keeps repeating past ``repeats`` until the accumulated
-    measurement time exceeds it (useful for sub-millisecond kernels).
-    The *best* time is the headline number: for a deterministic
-    CPU-bound kernel the minimum is the least-noise estimate, while
-    mean/median document the spread.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    for _ in range(warmup):
-        fn()
-    times: list[float] = []
-    total = 0.0
-    while len(times) < repeats or total < min_time:
-        t0 = time.perf_counter()
-        fn()
-        dt = time.perf_counter() - t0
-        times.append(dt)
-        total += dt
-        if len(times) >= 10_000:  # safety valve
-            break
-    return BenchResult(
-        name=name or getattr(fn, "__name__", "bench"),
-        best=min(times),
-        median=statistics.median(times),
-        mean=statistics.fmean(times),
-        repeats=len(times),
-        meta=dict(meta or {}),
-    )
-
-
 class BenchReport:
-    """Accumulates :class:`BenchResult` rows and serialises the report.
+    """Accumulates :class:`BenchResult` rows and serialises the report."""
 
-    A report can embed a *baseline* (a previously saved report, e.g.
-    measured on the pre-optimisation seed): matching entry names then
-    get a ``speedup_vs_baseline`` field computed from best times.
-    """
-
-    def __init__(self, title: str, *, baseline: dict[str, Any] | None = None) -> None:
+    def __init__(self, title: str) -> None:
         self.title = title
         self.results: list[BenchResult] = []
-        self.baseline = baseline
 
     def add(self, result: BenchResult) -> BenchResult:
         self.results.append(result)
         return result
 
-    def run(self, fn: Callable[[], Any], **kwargs: Any) -> BenchResult:
-        """Benchmark ``fn`` via :func:`bench` and record the result."""
-        return self.add(bench(fn, **kwargs))
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def _baseline_best(self, name: str) -> float | None:
-        if not self.baseline:
-            return None
-        for entry in self.baseline.get("results", []):
-            if entry.get("name") == name:
-                return float(entry["best_s"])
-        return None
-
     def to_dict(self) -> dict[str, Any]:
-        rows = []
-        for r in self.results:
-            row = r.to_dict()
-            base = self._baseline_best(r.name)
-            if base is not None and r.best > 0:
-                row["baseline_best_s"] = base
-                row["speedup_vs_baseline"] = base / r.best
-            rows.append(row)
         return {
             "title": self.title,
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "results": rows,
+            "results": [r.to_dict() for r in self.results],
         }
 
     def save(self, path: str) -> None:
@@ -220,22 +141,13 @@ class BenchReport:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
-    @staticmethod
-    def load(path: str) -> dict[str, Any]:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-
     def format_table(self) -> str:
         """Plain-text rendering for terminal output."""
         lines = [self.title, "-" * len(self.title)]
         width = max((len(r.name) for r in self.results), default=4)
         for r in self.results:
-            base = self._baseline_best(r.name)
-            extra = ""
-            if base is not None and r.best > 0:
-                extra = f"  ({base / r.best:5.2f}x vs baseline)"
             lines.append(
                 f"{r.name:<{width}}  best {1e3 * r.best:9.3f} ms  "
-                f"median {1e3 * r.median:9.3f} ms{extra}"
+                f"median {1e3 * r.median:9.3f} ms"
             )
         return "\n".join(lines)

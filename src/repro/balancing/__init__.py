@@ -18,11 +18,8 @@ scheme — the policies of :mod:`repro.balancing.zoo`, built by
 * ``centralized`` — the global coordinator baseline the paper argues
   against (:func:`~repro.balancing.centralized.centralized_balance`).
 
-Two loops consume them: :func:`~repro.balancing.zoo.balance` (a bare
-connected graph, fault-free, until the spread is within a tolerance) and
-:func:`~repro.balancing.zoo.run_zoo` (any topology, under fault
-schedules and a trigger, with cost accounting).
-:mod:`~repro.balancing.analysis` holds the imbalance metrics.
+:func:`~repro.balancing.zoo.run_zoo` runs them on any topology, under
+fault schedules and a trigger, with cost accounting.
 
 These operate on abstract load vectors; the *solver-integrated* balancer
 (residual-driven, component migration) is :mod:`repro.core.lb`.
@@ -35,7 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "diffusion_matrix": "accelerated",
         "second_eigenvalue": "accelerated",
-        "imbalance_ratio": "analysis",
         "centralized_balance": "centralized",
         "edge_colouring": "dimension_exchange",
         "ZOO_ALGORITHMS": "zoo",
@@ -45,7 +41,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "ZooFaultSchedule": "zoo",
         "ZooParams": "zoo",
         "ZooRunResult": "zoo",
-        "balance": "zoo",
         "initial_load": "zoo",
         "make_policy": "zoo",
         "make_zoo_schedule": "zoo",

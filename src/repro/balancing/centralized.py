@@ -4,17 +4,16 @@ A coordinator gathers every node's load, computes the average and
 instructs transfers.  The *load vector* result is perfect in one round;
 the *cost* is the global synchronisation: ``2 (n - 1)`` messages through
 one coordinator per round plus the transfer messages, and every node
-stalls while the round runs.  :func:`centralized_cost_model` exposes the
-message/latency accounting used by ``bench_ablations`` to contrast with
-the neighbour-local scheme (whose per-migration cost is independent of
-``n``).
+stalls while the round runs: ``2 (n - 1) (latency + bytes / bandwidth)``
+of virtual time, where the neighbour-local scheme's per-migration cost
+is independent of ``n``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["centralized_balance", "centralized_cost_model"]
+__all__ = ["centralized_balance"]
 
 
 def centralized_balance(load: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
@@ -48,22 +47,3 @@ def centralized_balance(load: np.ndarray) -> tuple[np.ndarray, list[tuple[int, i
             di += 1
     return np.full_like(load, mean), plan
 
-
-def centralized_cost_model(
-    n_nodes: int,
-    *,
-    latency: float,
-    gather_bytes: float = 16.0,
-    bandwidth: float = 1e6,
-) -> float:
-    """Virtual time one coordinator round costs (gather + scatter).
-
-    Every node sends its load to the coordinator and receives a
-    directive: ``2 (n-1)`` sequentialised messages through the
-    coordinator's link — the scaling bottleneck the paper's
-    non-centralized choice avoids.
-    """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    per_message = latency + gather_bytes / bandwidth
-    return 2.0 * (n_nodes - 1) * per_message

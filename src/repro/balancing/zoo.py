@@ -1,24 +1,20 @@
-"""Topology-generic LB zoo: one step rule per algorithm, two loops over it.
+"""Topology-generic LB zoo: one step rule per algorithm, one loop over it.
 
 Every algorithm family of the paper's Section 3 is a **policy** with one
 interface — given the current :class:`ActiveView` (the topology minus
 whatever nodes/links a fault window has taken down) and the load vector,
 ``plan(view, load)`` proposes *edge transfers* — and this module is the
-only implementation of each.  Two loops consume the policies:
-
-* :func:`balance` iterates one on a bare networkx graph, fault-free and
-  always-on, until the load spread drops below a tolerance;
-* :func:`run_zoo`, the round-based driver that makes them comparable on
-  **arbitrary topologies under faults**: it advances a deterministic
-  fault timeline (:func:`make_zoo_schedule`: outages, link flaps, load
-  shocks, lying load sensors), applies the SPARTA-style **trigger
-  policy** (rebalance every ``check_every`` rounds *only if* the
-  imbalance ratio exceeds ``threshold`` — SNIPPETS.md, ``fix balance
-  Nevery thresh``), applies the proposed transfers, and accounts volume
-  and link-class-weighted communication cost (``wan`` edges cost
-  ``wan_cost`` times a ``lan`` edge).  A run is a pure function of
-  ``(topology, algorithm, params, schedule, seed)`` — byte-reproducible,
-  cacheable by the sweep engine.
+only implementation of each.  :func:`run_zoo` is the round-based driver
+that makes them comparable on **arbitrary topologies under faults**: it
+advances a deterministic fault timeline (:func:`make_zoo_schedule`:
+outages, link flaps, load shocks, lying load sensors), applies the
+SPARTA-style **trigger policy** (rebalance every ``check_every`` rounds
+*only if* the imbalance ratio exceeds ``threshold`` — SNIPPETS.md,
+``fix balance Nevery thresh``), applies the proposed transfers, and
+accounts volume and link-class-weighted communication cost (``wan``
+edges cost ``wan_cost`` times a ``lan`` edge).  A run is a pure function
+of ``(topology, algorithm, params, schedule, seed)`` — byte-reproducible,
+cacheable by the sweep engine.
 
 Loads here are *divisible real values* (the Demirel & Sbalzarini
 setting), not solver components: the solver-integrated residual balancer
@@ -325,15 +321,6 @@ class ActiveView:
             neighbors[u].append(v)
             neighbors[v].append(u)
         return cls(up, edges, tuple(tuple(sorted(nb)) for nb in neighbors))
-
-    @classmethod
-    def fault_free(cls, graph: nx.Graph) -> "ActiveView":
-        """All of ``graph``, its nodes indexed in iteration order."""
-        index = {node: i for i, node in enumerate(graph.nodes())}
-        return cls.over(
-            (True,) * len(index),
-            tuple((index[u], index[v]) for u, v in graph.edges()),
-        )
 
     @property
     def n_nodes(self) -> int:
@@ -665,8 +652,7 @@ class ZooRunResult:
 
 
 def _imbalance(load: np.ndarray, up: Iterable[bool]) -> float:
-    """max/mean over up nodes; 1.0 when degenerate (the metric of
-    :func:`repro.balancing.analysis.imbalance_ratio`, tolerant of the
+    """max/mean over up nodes; 1.0 when degenerate (tolerant of the
     transient negatives accelerated schemes may produce)."""
     active = load[np.fromiter(up, dtype=bool)]
     if active.size == 0:
@@ -696,51 +682,6 @@ def _limit_outflow(load: np.ndarray, transfers: list[Transfer]) -> list[Transfer
         for u, v, amount in transfers
         if amount * scale[u] > 0.0
     ]
-
-
-def balance(
-    graph: nx.Graph,
-    load: np.ndarray,
-    algorithm: str,
-    *,
-    tol: float = 1e-9,
-    max_rounds: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """Iterate one policy on a fault-free ``graph`` until balanced.
-
-    Every round applies ``plan`` over the whole graph (no trigger, no
-    faults); returns ``(final_load, rounds)`` once the load's standard
-    deviation is within ``tol``.  The threshold policies (``bertsekas``,
-    ``reactive_residual``) stop at a plateau above any small ``tol`` by
-    design and run into ``max_rounds``.
-    """
-    import networkx as nx
-
-    n = graph.number_of_nodes()
-    if n == 0:
-        raise ValueError("graph is empty")
-    current = np.array(load, dtype=float)
-    if current.shape != (n,):
-        raise ValueError(
-            f"load must have one entry per node ({n}), got shape {current.shape}"
-        )
-    if not nx.is_connected(graph):
-        raise ValueError("balancing requires a connected graph")
-    view = ActiveView.fault_free(graph)
-    policy = make_policy(algorithm)
-    for rounds in range(max_rounds):
-        if float(np.std(current)) <= tol:
-            return current, rounds
-        transfers = policy.plan(view, current)
-        if policy.needs_limiter:
-            transfers = _limit_outflow(current, transfers)
-        for u, v, amount in transfers:
-            current[u] -= amount
-            current[v] += amount
-    raise RuntimeError(
-        f"{algorithm} did not balance within {max_rounds} rounds "
-        f"(stddev={float(np.std(current)):.3e})"
-    )
 
 
 def run_zoo(

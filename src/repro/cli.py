@@ -12,7 +12,6 @@ Usage::
     python -m repro soak [--schedules N] [--seed S] [--out-dir DIR]
     python -m repro ablations [--only period,estimator,...]
     python -m repro metrics figure5 [--tiny|--full] [--out PREFIX] [--profile]
-    python -m repro trace figure5 [--tiny|--full] [--out PREFIX] [--profile]
     python -m repro solve --problem brusselator --ranks 4 --lb [--gantt]
     python -m repro serve [--state-dir D] [--socket S] [--workers N]
     python -m repro submit --kind figure5 --mode tiny [--wait] [--socket S]
@@ -23,7 +22,7 @@ Usage::
     python -m repro list
 
 The experiment commands run the corresponding experiment of DESIGN.md §4
-and print the same report the benchmark writes to ``benchmarks/out/``;
+and print its report (``--full`` for paper scale, where a verb has it);
 ``solve`` assembles a one-off run from flags.
 
 Every sweep verb — the five rows of :data:`repro.sweeps.SWEEP_VERBS`
@@ -138,26 +137,11 @@ def _metrics(args: argparse.Namespace) -> str:
     lines = [obs.report()]
     for path, info in obs.write(args.out).items():
         lines.append(f"wrote {path} ({info})")
-    return "\n".join(lines)
-
-
-def _trace(args: argparse.Namespace) -> str:
-    """``repro trace``: like ``metrics`` but leads with the trace info."""
-    from repro.obs import run_observed
-
-    obs = run_observed(
-        args.experiment, mode=_obs_mode(args), profile=args.profile
-    )
-    written = obs.write(args.out)
-    lines = [
-        f"traced headline run: {obs.traced_label}",
-        "open the .trace.json file at https://ui.perfetto.dev "
-        "(or chrome://tracing)",
-    ]
-    for path, info in written.items():
-        lines.append(f"wrote {path} ({info})")
-    if obs.profiler is not None:
-        lines.append(obs.profiler.summary())
+    if obs.traced is not None:
+        lines.append(
+            "open the .trace.json file at https://ui.perfetto.dev "
+            "(or chrome://tracing)"
+        )
     return "\n".join(lines)
 
 
@@ -464,8 +448,7 @@ def _list(args: argparse.Namespace) -> str:
             "models       cluster vs grid model comparison (paper §6)",
             "soak         chaos soak: random fault schedules under repro.guard",
             f"ablations    design-knob sweeps: {', '.join(sorted(_ABLATIONS))}",
-            "metrics      experiment run with a metrics sidecar (repro.obs)",
-            "trace        experiment run exported as a Perfetto trace",
+            "metrics      experiment run with a metrics sidecar and a Perfetto trace",
             "serve        persistent job-queue daemon over the sweep engine",
             "submit       enqueue a job on a running serve daemon",
             "jobs         list a serve daemon's jobs",
@@ -543,47 +526,36 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sub.add_parser(name).set_defaults(handler=fn)
 
-    for name, fn, helptext in [
-        (
-            "metrics",
-            _metrics,
-            "run an experiment and emit its metrics sidecar (+ trace)",
-        ),
-        (
-            "trace",
-            _trace,
-            "run an experiment and emit a Perfetto-viewable Chrome trace",
-        ),
-    ]:
-        obs_cmd = sub.add_parser(name, help=helptext)
-        obs_cmd.set_defaults(handler=fn)
-        obs_cmd.add_argument(
-            "experiment",
-            choices=("figure5", "table1", "resilience"),
-            help="which experiment to observe",
-        )
-        obs_cmd.add_argument(
-            "--tiny", action="store_true", help="smallest instance (CI smoke)"
-        )
-        obs_cmd.add_argument(
-            "--full", action="store_true", help="paper-scale run (minutes)"
-        )
-        obs_cmd.add_argument(
-            "--out",
-            default="obs",
-            help="output prefix: writes PREFIX.metrics.jsonl + PREFIX.trace.json",
-        )
-        obs_cmd.add_argument(
-            "--profile",
-            action="store_true",
-            help="attach the DES profiler to the traced headline run",
-        )
-        if name == "metrics":
-            obs_cmd.add_argument(
-                "--no-trace",
-                action="store_true",
-                help="skip the traced headline run (metrics sidecar only)",
-            )
+    obs_cmd = sub.add_parser(
+        "metrics", help="run an experiment and emit its metrics sidecar (+ trace)"
+    )
+    obs_cmd.set_defaults(handler=_metrics)
+    obs_cmd.add_argument(
+        "experiment",
+        choices=("figure5", "table1", "resilience"),
+        help="which experiment to observe",
+    )
+    obs_cmd.add_argument(
+        "--tiny", action="store_true", help="smallest instance (CI smoke)"
+    )
+    obs_cmd.add_argument(
+        "--full", action="store_true", help="paper-scale run (minutes)"
+    )
+    obs_cmd.add_argument(
+        "--out",
+        default="obs",
+        help="output prefix: writes PREFIX.metrics.jsonl + PREFIX.trace.json",
+    )
+    obs_cmd.add_argument(
+        "--profile",
+        action="store_true",
+        help="attach the DES profiler to the traced headline run",
+    )
+    obs_cmd.add_argument(
+        "--no-trace",
+        action="store_true",
+        help="skip the traced headline run (metrics sidecar only)",
+    )
 
     soak_cmd = sub.add_parser(
         "soak", help="chaos soak: random fault schedules under repro.guard"

@@ -5,7 +5,7 @@ is Algorithm 4's ``OkToTryLB`` reset; the trial order is left before
 right) and sensible engineering choices where it does not
 (``threshold_ratio``, the migration amount rule — see
 :class:`LBConfig`).  Every unspecified-by-the-paper knob is swept by
-``benchmarks/bench_ablations.py``.
+``python -m repro ablations`` (:mod:`repro.experiments.ablations`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.util.validation import check_in_range, check_positive
 
-__all__ = ["OVERLAP_SPLIT", "SolverConfig", "LBConfig"]
+__all__ = ["HEADER_BYTES", "OVERLAP_SPLIT", "SolverConfig", "LBConfig"]
 
 #: Fraction of a sweep's virtual duration after which the *left*
 #: boundary data is sent (the paper's Algorithm 1 sends it once the two
@@ -22,6 +22,11 @@ __all__ = ["OVERLAP_SPLIT", "SolverConfig", "LBConfig"]
 #: boundary always goes at the end of the sweep.  Read by the rank loop
 #: and by the lockstep replay.
 OVERLAP_SPLIT = 0.3
+
+#: Fixed per-message overhead added to every payload (positions,
+#: residual, protocol headers).  Read by the rank loop, the load
+#: balancer and the lockstep replay.
+HEADER_BYTES = 64.0
 
 
 @dataclass(slots=True)
@@ -49,9 +54,6 @@ class SolverConfig:
     trace:
         Record detailed iteration/idle/message spans (disable for large
         sweeps).
-    header_bytes:
-        Fixed per-message overhead added to every payload (positions,
-        residual, protocol headers).
     min_sweep_duration:
         Floor on one sweep's virtual duration (a polling throttle).
         Relevant with work-skipping problems
@@ -66,7 +68,8 @@ class SolverConfig:
         clean).  ``"token_ring"`` — the practical decentralized protocol
         of :class:`repro.core.convergence.TokenRingDetector` runs over
         real messages; the oracle still *records* its detection time so
-        the protocol's overhead is measurable (``bench_ablations``).
+        the protocol's overhead is measurable (the ``detection``
+        ablation of ``python -m repro ablations``).
     """
 
     tolerance: float = 1e-6
@@ -75,7 +78,6 @@ class SolverConfig:
     max_time: float | None = None
     exclusive_sends: bool = True
     trace: bool = True
-    header_bytes: float = 64.0
     detection: str = "oracle"
     min_sweep_duration: float = 0.0
 
@@ -86,8 +88,6 @@ class SolverConfig:
         check_positive("max_iterations", self.max_iterations)
         if self.max_time is not None:
             check_positive("max_time", self.max_time)
-        if self.header_bytes < 0:
-            raise ValueError(f"header_bytes must be >= 0, got {self.header_bytes}")
         if self.detection not in ("oracle", "token_ring"):
             raise ValueError(
                 f"detection must be 'oracle' or 'token_ring', got {self.detection!r}"

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
-from repro.core.config import LBConfig, SolverConfig
+from repro.core.config import HEADER_BYTES, LBConfig, SolverConfig
 from repro.core.estimators import make_estimator, surplus_fraction
 from repro.core.records import RunResult
 from repro.core.solver import ChainRun, RankContext, build_chain, run_chain
@@ -248,12 +248,7 @@ class _BalancedRun:
         )
         if nb < 1:
             return "famine"  # famine guard (ThresholdData)
-        ctx.node.send(
-            neighbor.node,
-            offer_kind,
-            {"n": nb},
-            run.config.header_bytes,
-        )
+        ctx.node.send(neighbor.node, offer_kind, {"n": nb}, HEADER_BYTES)
         state.outgoing[side] = nb
         state.offers_sent += 1
         if run.injector is not None:
@@ -308,12 +303,7 @@ class _BalancedRun:
                     side,
                     state.incoming_epoch[side],
                 )
-        ctx.node.send(
-            neighbor.node,
-            reply_kind,
-            {"accept": accept},
-            self.run.config.header_bytes,
-        )
+        ctx.node.send(neighbor.node, reply_kind, {"accept": accept}, HEADER_BYTES)
 
     def _give_up_offer(self, state: LBRankState, side: str) -> None:
         """The offer toward ``side`` came to nothing (refused, timed out,
@@ -344,9 +334,7 @@ class _BalancedRun:
         # the receiver clears its expectation.
         nb = min(offered, ctx.n_local - cfg.min_components)
         if nb < 1:
-            ctx.node.send(
-                neighbor.node, data_kind, {"n": 0}, run.config.header_bytes
-            )
+            ctx.node.send(neighbor.node, data_kind, {"n": 0}, HEADER_BYTES)
             return
         payload = run.problem.split(ctx.state, nb, side)
         lo, hi = run.partition.record_send(ctx.rank, nb, side)
@@ -364,7 +352,7 @@ class _BalancedRun:
         nbytes = (
             nb * run.problem.component_nbytes()
             + run.problem.halo_nbytes()
-            + run.config.header_bytes
+            + HEADER_BYTES
         )
         sent = ctx.node.send(
             neighbor.node,

@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.config import OVERLAP_SPLIT, SolverConfig
+from repro.core.config import HEADER_BYTES, OVERLAP_SPLIT, SolverConfig
 from repro.core.convergence import SupervisorMonitor, TokenRingDetector
 from repro.core.estimators import LoadEstimator, ResidualEstimator
 from repro.core.partition import PartitionRegistry
@@ -220,7 +220,7 @@ class ChainRun:
             }
             for rank in range(n_ranks)
         ]
-        self._halo_bytes = problem.halo_nbytes() + config.header_bytes
+        self._halo_bytes = problem.halo_nbytes() + HEADER_BYTES
         for ctx in self.ranks:
             self._register_halo_handlers(ctx)
             if self.detector is not None:
@@ -503,9 +503,7 @@ class ChainRun:
         """
         for neighbor in self._neighbors[ctx.rank].values():
             if neighbor is not None:
-                ctx.node.send(
-                    neighbor.node, "halo_request", None, self.config.header_bytes
-                )
+                ctx.node.send(neighbor.node, "halo_request", None, HEADER_BYTES)
 
     def _on_halo_request(self, ctx: RankContext, msg: Message) -> None:
         side = "right" if msg.src_rank > ctx.rank else "left"
@@ -517,9 +515,7 @@ class ChainRun:
     def _send_token(self, ctx: RankContext, token: dict, direction: int) -> None:
         neighbor = self.neighbor(ctx.rank, "right" if direction > 0 else "left")
         assert neighbor is not None, "token routed off the chain"
-        ctx.node.send(
-            neighbor.node, "detect_token", token, self.config.header_bytes
-        )
+        ctx.node.send(neighbor.node, "detect_token", token, HEADER_BYTES)
 
     def _on_detect_token(self, ctx: RankContext, msg: Message) -> None:
         assert self.detector is not None

@@ -4,8 +4,8 @@ The paper's §6 lists the conditions for effective load balancing —
 frequency "neither too high nor too low", the estimator design, and the
 accuracy/network-load trade-off — without quantifying them.  Each
 function here sweeps one knob on a fixed scenario and returns
-``(value, time, migrations)`` rows, so `bench_ablations` can print the
-actual trade-off curves.
+``(value, time, migrations)`` rows, so ``python -m repro ablations`` can
+print the actual trade-off curves.
 """
 
 from __future__ import annotations

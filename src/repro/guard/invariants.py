@@ -35,13 +35,12 @@ Invariant catalogue (see ``docs/robustness.md``)
    :meth:`InvariantMonitor.verify_halt` assembles the global state,
    recomputes every rank's residual against its neighbours' *true*
    boundary values, and fails loudly if convergence was declared while
-   the true global residual exceeds ``tolerance * halt_slack``.
+   the true global residual exceeds ``tolerance * HALT_SLACK``.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -52,12 +51,21 @@ from repro.guard.watchdogs import (
     StallReport,
     build_stall_report,
 )
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.solver import ChainRun, RankContext
 
-__all__ = ["GuardConfig", "InvariantMonitor", "InvariantViolation"]
+__all__ = ["HALT_SLACK", "GuardConfig", "InvariantMonitor", "InvariantViolation"]
+
+#: The halt oracle tolerates a true global residual up to ``tolerance *
+#: HALT_SLACK``: one extra sweep against true halos legitimately moves
+#: the residual of a genuinely converged state by a small factor, and the
+#: oracle must flag *wrong answers*, not detection latency.  Under fault
+#: injection the bound widens by ``1 + max_halo_staleness`` (see
+#: :meth:`InvariantMonitor.verify_halt`) to cover the drift the detection
+#: freshness gate deliberately admits.
+HALT_SLACK = 10.0
 
 
 class InvariantViolation(RuntimeError):
@@ -68,21 +76,15 @@ class InvariantViolation(RuntimeError):
 class GuardConfig:
     """Tuning knobs for :class:`InvariantMonitor`.
 
+    The fixed thresholds are module constants: :data:`HALT_SLACK` here,
+    the divergence watchdog's in :mod:`repro.guard.watchdogs`.
+
     Parameters
     ----------
     check_every:
         Sweep the invariant catalogue every N dispatched DES events.
         Checks are read-only and O(ranks); the default keeps guard
         overhead in the noise for the test-scale problems.
-    halt_slack:
-        The halt oracle tolerates a true global residual up to
-        ``tolerance * halt_slack``: one extra sweep against true halos
-        legitimately moves the residual of a genuinely converged state
-        by a small factor, and the oracle must flag *wrong answers*,
-        not detection latency.  Under fault injection the bound widens
-        by ``1 + max_halo_staleness`` (see :meth:`InvariantMonitor.
-        verify_halt`) to cover the drift the detection freshness gate
-        deliberately admits.
     stall_horizon:
         Virtual-time window of the stall watchdog; ``None`` disables
         it.  If no rank completes a sweep for a full horizon while the
@@ -93,40 +95,19 @@ class GuardConfig:
         ``"record"`` appends the report to ``stall_reports`` and the
         tracer's fault channel; ``"raise"`` escalates to
         :class:`InvariantViolation`.
-    divergence_factor:
-        A rank's residual exceeding ``best_so_far * divergence_factor``
-        counts as a blow-up step (NaN/inf always does).
-    divergence_patience:
-        Consecutive blow-up sweeps tolerated before rolling the rank
-        back to its checkpoint; non-finite residuals roll back at once.
-    rollback_refresh:
-        On unfaulted runs (no injector, so no periodic checkpoints)
-        the guard refreshes each rank's rollback point every this many
-        improving sweeps.  ``0`` disables refreshing.
     """
 
     check_every: int = 64
-    halt_slack: float = 10.0
     stall_horizon: float | None = None
     on_stall: str = "record"
-    divergence_factor: float = 1e4
-    divergence_patience: int = 3
-    rollback_refresh: int = 25
 
     def __post_init__(self) -> None:
         check_positive("check_every", self.check_every)
-        check_positive("halt_slack", self.halt_slack)
         if self.stall_horizon is not None:
             check_positive("stall_horizon", self.stall_horizon)
         if self.on_stall not in ("record", "raise"):
             raise ValueError(
                 f"on_stall must be 'record' or 'raise', got {self.on_stall!r}"
-            )
-        check_in_range("divergence_factor", self.divergence_factor, 1.0, math.inf)
-        check_positive("divergence_patience", self.divergence_patience)
-        if self.rollback_refresh < 0:
-            raise ValueError(
-                f"rollback_refresh must be >= 0, got {self.rollback_refresh}"
             )
 
 
@@ -199,7 +180,7 @@ class InvariantMonitor:
         self.checks_run = 0
         self.stall_reports: list[StallReport] = []
         self.halt_verdict: dict[str, Any] | None = None
-        self._divergence = DivergenceGuard(self.config)
+        self._divergence = DivergenceGuard()
         self._plausibility = PlausibilityGuard()
         self._prev_transport: dict[int, dict[str, dict]] = {}
         #: Installed by the lockstep replay engine (which never calls
@@ -419,7 +400,7 @@ class InvariantMonitor:
         residual exceeds the accepted bound, the declared halt was
         wrong — raise :class:`InvariantViolation`.
 
-        The accepted bound is ``tolerance * halt_slack`` on fault-free
+        The accepted bound is ``tolerance * HALT_SLACK`` on fault-free
         runs.  Under fault injection it widens by the staleness window:
         the detection freshness gate deliberately counts sweeps whose
         halos are up to ``max_halo_staleness`` iterations old, so at
@@ -443,7 +424,7 @@ class InvariantMonitor:
         )
         residual = self.true_global_residual()
         tolerance = run.config.tolerance
-        slack = self.config.halt_slack
+        slack = HALT_SLACK
         if run.injector is not None:
             slack *= 1 + run.injector.resilience.max_halo_staleness
         self.halt_verdict, error = judge_halt(

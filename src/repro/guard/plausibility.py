@@ -49,7 +49,7 @@ __all__ = ["RESIDUAL_JUMP_FACTOR", "VALUE_BOUND", "PlausibilityGuard"]
 VALUE_BOUND = 1e12
 #: A single sweep moving the residual more than this factor above the
 #: previous sweep's is treated as corruption (no patience — contrast
-#: ``GuardConfig.divergence_factor``).
+#: :data:`repro.guard.watchdogs.DIVERGENCE_PATIENCE`).
 RESIDUAL_JUMP_FACTOR = 1e6
 
 

@@ -20,10 +20,10 @@ into NaN territory); asynchronously, one poisoned halo then propagates
 NaNs chain-wide and the run spins until ``max_time``.
 :class:`DivergenceGuard` watches each rank's post-sweep residual: a
 non-finite value rolls the rank back to its checkpoint immediately, a
-residual above ``max(best_so_far, tolerance) * divergence_factor`` does
-so after ``divergence_patience`` consecutive offences.  The baseline
-resets whenever load balancing changes the rank's block (a different
-subproblem has a different residual scale).
+residual above ``max(best_so_far, tolerance) *`` :data:`DIVERGENCE_FACTOR`
+does so after :data:`DIVERGENCE_PATIENCE` consecutive offences.  The
+baseline resets whenever load balancing changes the rank's block (a
+different subproblem has a different residual scale).
 """
 
 from __future__ import annotations
@@ -34,9 +34,25 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.solver import ChainRun, RankContext
-    from repro.guard.invariants import GuardConfig
 
-__all__ = ["StallReport", "DivergenceGuard", "build_stall_report"]
+__all__ = [
+    "DIVERGENCE_FACTOR",
+    "DIVERGENCE_PATIENCE",
+    "ROLLBACK_REFRESH",
+    "StallReport",
+    "DivergenceGuard",
+    "build_stall_report",
+]
+
+#: A rank's residual exceeding ``max(best_so_far, tolerance) *
+#: DIVERGENCE_FACTOR`` counts as a blow-up step (NaN/inf always does).
+DIVERGENCE_FACTOR = 1e4
+#: Consecutive blow-up sweeps tolerated before rolling the rank back to
+#: its checkpoint; non-finite residuals roll back at once.
+DIVERGENCE_PATIENCE = 3
+#: On unfaulted runs (no injector, so no periodic checkpoints) the guard
+#: refreshes each rank's rollback point every this many improving sweeps.
+ROLLBACK_REFRESH = 25
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +160,6 @@ def build_stall_report(
 class DivergenceGuard:
     """Per-rank residual blow-up tracking + checkpoint rollback."""
 
-    config: "GuardConfig"
     events: list[dict[str, Any]] = field(default_factory=list)
     _best: dict[int, float] = field(default_factory=dict)
     _streak: dict[int, int] = field(default_factory=dict)
@@ -155,7 +170,6 @@ class DivergenceGuard:
         """Inspect ``ctx``'s fresh residual; True if rolled back."""
         residual = ctx.residual
         rank = ctx.rank
-        cfg = self.config
         # A migration changes the rank's block: its residual series now
         # measures a different subproblem, so the old best is not a
         # valid divergence baseline (a near-empty block's residual can
@@ -173,10 +187,10 @@ class DivergenceGuard:
             # On unfaulted runs nothing else refreshes checkpoints;
             # keep the rollback point near the best known state so a
             # later rollback does not rewind to t=0.
-            if cfg.rollback_refresh and run.checkpoint_every == 0:
+            if run.checkpoint_every == 0:
                 count = self._improvements.get(rank, 0) + 1
                 self._improvements[rank] = count
-                if count % cfg.rollback_refresh == 0:
+                if count % ROLLBACK_REFRESH == 0:
                     run.checkpoint(ctx)
             return False
         # The blow-up reference is floored at the solver tolerance:
@@ -189,14 +203,14 @@ class DivergenceGuard:
             or (
                 best is not None
                 and residual
-                > max(best, run.config.tolerance) * cfg.divergence_factor
+                > max(best, run.config.tolerance) * DIVERGENCE_FACTOR
             )
         )
         if not blowup:
             return False
         streak = self._streak.get(rank, 0) + 1
         self._streak[rank] = streak
-        if math.isfinite(residual) and streak < cfg.divergence_patience:
+        if math.isfinite(residual) and streak < DIVERGENCE_PATIENCE:
             return False
         self.events.append(
             {

@@ -48,7 +48,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.core.config import OVERLAP_SPLIT, SolverConfig
+from repro.core.config import HEADER_BYTES, OVERLAP_SPLIT, SolverConfig
 from repro.core.partition import PartitionRegistry
 from repro.core.records import RunResult
 from repro.grid.platform import Platform
@@ -271,7 +271,7 @@ class _LockstepEngine:
         self.n = len(blocks)
         self.hosts = [self.platform.hosts[host_order[r]] for r in range(self.n)]
         self.tracer = Tracer(enabled=config.trace)
-        self.nbytes = problem.halo_nbytes() + config.header_bytes
+        self.nbytes = problem.halo_nbytes() + HEADER_BYTES
         network = self.platform.network
         # Per-directed-channel links and (when constant) transfer times.
         self._links_left = [None] + [
@@ -375,24 +375,24 @@ class _LockstepEngine:
         whose own :class:`~repro.guard.watchdogs.DivergenceGuard`
         performs the actual rollback.
         """
-        guard = self.guard
-        if guard is None:
+        if self.guard is None:
             return False
-        cfg = guard.config
+        from repro.guard.watchdogs import DIVERGENCE_FACTOR, DIVERGENCE_PATIENCE
+
         res = residual[idx]
         best = self._g_best[idx]
         finite = np.isfinite(res)
         improved = finite & (res < best)
         floor = np.maximum(best, self.config.tolerance)
         blowup = ~finite | (
-            np.isfinite(best) & (res > floor * cfg.divergence_factor)
+            np.isfinite(best) & (res > floor * DIVERGENCE_FACTOR)
         )
         blowup &= ~improved
         self._g_best[idx] = np.where(improved, res, best)
         self._g_streak[idx[improved]] = 0
         self._g_streak[idx[blowup]] += 1
         if np.any(~finite) or np.any(
-            self._g_streak[idx] >= cfg.divergence_patience
+            self._g_streak[idx] >= DIVERGENCE_PATIENCE
         ):
             self._g_diverged = True
         return self._g_diverged
@@ -406,14 +406,14 @@ class _LockstepEngine:
         """
         guard = self.guard
         assert guard is not None
-        from repro.guard.invariants import judge_halt
+        from repro.guard.invariants import HALT_SLACK, judge_halt
 
         self._guard_conservation()
         guard.halt_verdict, error = judge_halt(
             self.converged,
             self.sweeper.probe_residual(),
             self.config.tolerance,
-            guard.config.halt_slack,
+            HALT_SLACK,
         )
         if error is not None:
             guard._fail(error, self.now)

@@ -16,8 +16,8 @@ This package gives that accounting a first-class home:
   counts and sim-time histograms for the DES kernel, attached via
   :meth:`repro.des.simulator.Simulator.attach_profiler` (zero overhead
   when not attached);
-* :mod:`repro.obs.harness` — `repro trace` / `repro metrics` CLI verbs
-  and the metrics sidecars the experiment harnesses emit.
+* :mod:`repro.obs.harness` — the `repro metrics` CLI verb and the
+  metrics sidecars the experiment harnesses emit.
 
 Everything exported is a pure function of virtual time and seeded
 randomness, so two runs of the same scenario produce byte-identical

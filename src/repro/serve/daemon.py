@@ -57,6 +57,9 @@ __all__ = ["ServeConfig", "ServeDaemon"]
 #: to multi-minute full sweeps.
 _LATENCY_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0)
 
+#: Idle worker-pool teardown horizon (seconds, wall-clock).
+IDLE_POOL_S = 60.0
+
 
 @dataclass
 class ServeConfig:
@@ -78,8 +81,6 @@ class ServeConfig:
     job_timeout_s: float = 600.0
     max_retries: int = 2
     retry_backoff_s: float = 1.0
-    #: Idle worker-pool teardown horizon.
-    idle_pool_s: float = 60.0
     #: fsync WAL/audit appends (benchmarks may relax this).
     durable: bool = True
 
@@ -547,7 +548,7 @@ class ServeDaemon:
                 self.engine.cancel()
                 # The dispatcher's SweepCancelled handler requeues/kills.
                 time.sleep(0.2)
-            self.engine.maybe_reap(self.config.idle_pool_s)
+            self.engine.maybe_reap(IDLE_POOL_S)
 
     # ------------------------------------------------------------------
     # Health / metrics

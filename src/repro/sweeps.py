@@ -6,7 +6,7 @@ through a :class:`~repro.exec.SweepEngine`, print its report — and
 three callers need to know which scenario class and runner a verb name
 means: the CLI (:mod:`repro.cli`), the served ``figure5`` /
 ``resilience`` job kinds (:mod:`repro.serve.spec`) and ``repro metrics``
-/ ``repro trace`` (:mod:`repro.obs.harness`).  They all read this table.
+(:mod:`repro.obs.harness`).  They all read this table.
 
 The table names its targets as ``"module:attribute"`` strings and
 imports them on first use: the CLI builds its parser from it for every

@@ -22,8 +22,8 @@ concentration that drives the paper's 6.8× must have been much stronger
 in their setting (their inner Solve can skip converged work entirely).
 The synthetic problem models exactly that mechanism with controllable
 strength; the Brusselator remains the correctness vehicle (Table 1 and
-all solver tests run it) and ``bench_ablations`` measures its real
-(weaker) activity spread.
+all solver tests run it) and ``python -m repro ablations`` measures its
+real (weaker) activity spread.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ class Table1Scenario(Scenario):
     def lb_config(self) -> LBConfig:
         # period=2: on a platform whose imbalance drifts continuously
         # (multi-user load), frequent cheap trials beat the paper's 20
-        # (swept in bench_ablations; the offer handshake keeps frequent
+        # (swept by ``repro ablations``; the offer handshake keeps frequent
         # trials nearly free).
         return LBConfig(
             period=2,

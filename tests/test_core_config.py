@@ -19,7 +19,7 @@ def test_solver_defaults_valid():
         {"max_iterations": 0},
         {"max_time": -1.0},
         {"detection": "gossip"},
-        {"header_bytes": -1.0},
+        {"min_sweep_duration": -1.0},
     ],
 )
 def test_solver_config_rejects(kwargs):

@@ -251,13 +251,6 @@ CLI_SURFACE = {
         ("--profile", False),
         ("--no-trace", False),
     ],
-    "trace": [
-        ("experiment", None),
-        ("--tiny", False),
-        ("--full", False),
-        ("--out", "obs"),
-        ("--profile", False),
-    ],
     "soak": [
         ("--schedules", 50),
         ("--seed", 0),

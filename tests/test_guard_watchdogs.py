@@ -9,6 +9,7 @@ from repro.core import SolverConfig, run_aiac
 from repro.core.solver import build_chain
 from repro.grid import homogeneous_cluster
 from repro.guard import GuardConfig, InvariantMonitor, InvariantViolation
+from repro.guard import watchdogs
 from repro.guard.watchdogs import DivergenceGuard, build_stall_report
 from repro.problems import HeatProblem, SyntheticProblem
 from repro.runtime.tracer import Tracer
@@ -150,7 +151,7 @@ class _FakeCtx:
 
 def test_divergence_guard_rolls_back_on_nan_immediately():
     run = _FakeRun()
-    guard = DivergenceGuard(GuardConfig())
+    guard = DivergenceGuard()
     ctx = _FakeCtx(residual=0.5)
     assert guard.after_sweep(run, ctx) is False
     ctx.residual = float("nan")
@@ -162,9 +163,10 @@ def test_divergence_guard_rolls_back_on_nan_immediately():
     assert run.tracer.faults[0].kind == "divergence-rollback"
 
 
-def test_divergence_guard_needs_patience_for_finite_blowup():
+def test_divergence_guard_needs_patience_for_finite_blowup(monkeypatch):
     run = _FakeRun()
-    guard = DivergenceGuard(GuardConfig(divergence_patience=3))
+    monkeypatch.setattr(watchdogs, "DIVERGENCE_PATIENCE", 3)
+    guard = DivergenceGuard()
     ctx = _FakeCtx()
     ctx.residual = 1e-3
     assert not guard.after_sweep(run, ctx)  # best = 1e-3
@@ -177,9 +179,10 @@ def test_divergence_guard_needs_patience_for_finite_blowup():
     assert not guard.after_sweep(run, ctx)
 
 
-def test_divergence_guard_improvement_resets_streak():
+def test_divergence_guard_improvement_resets_streak(monkeypatch):
     run = _FakeRun()
-    guard = DivergenceGuard(GuardConfig(divergence_patience=2))
+    monkeypatch.setattr(watchdogs, "DIVERGENCE_PATIENCE", 2)
+    guard = DivergenceGuard()
     ctx = _FakeCtx()
     ctx.residual = 1e-3
     guard.after_sweep(run, ctx)
@@ -192,10 +195,11 @@ def test_divergence_guard_improvement_resets_streak():
     assert run.restored == []
 
 
-def test_divergence_guard_tolerance_floor_ignores_reactivation():
+def test_divergence_guard_tolerance_floor_ignores_reactivation(monkeypatch):
     """Sub-tolerance noise is convergence, not a divergence baseline."""
     run = _FakeRun()
-    guard = DivergenceGuard(GuardConfig(divergence_patience=1))
+    monkeypatch.setattr(watchdogs, "DIVERGENCE_PATIENCE", 1)
+    guard = DivergenceGuard()
     ctx = _FakeCtx()
     ctx.residual = 1e-14  # locally quiescent block
     guard.after_sweep(run, ctx)
@@ -209,9 +213,10 @@ def test_divergence_guard_tolerance_floor_ignores_reactivation():
     assert guard.after_sweep(run, ctx) is True
 
 
-def test_divergence_guard_resets_baseline_on_migration():
+def test_divergence_guard_resets_baseline_on_migration(monkeypatch):
     run = _FakeRun()
-    guard = DivergenceGuard(GuardConfig(divergence_patience=1))
+    monkeypatch.setattr(watchdogs, "DIVERGENCE_PATIENCE", 1)
+    guard = DivergenceGuard()
     ctx = _FakeCtx(lo=0, hi=2)
     ctx.residual = 1e-15  # near-empty block at machine epsilon
     guard.after_sweep(run, ctx)
@@ -222,9 +227,10 @@ def test_divergence_guard_resets_baseline_on_migration():
     assert run.restored == []
 
 
-def test_divergence_guard_refreshes_checkpoints_on_unfaulted_runs():
+def test_divergence_guard_refreshes_checkpoints_on_unfaulted_runs(monkeypatch):
     run = _FakeRun(checkpoint_every=0)  # no injector = no periodic snaps
-    guard = DivergenceGuard(GuardConfig(rollback_refresh=5))
+    monkeypatch.setattr(watchdogs, "ROLLBACK_REFRESH", 5)
+    guard = DivergenceGuard()
     ctx = _FakeCtx()
     for i in range(11):
         ctx.residual = 1.0 / (i + 1)

@@ -386,24 +386,29 @@ FALLBACKS = {
         SolverConfig(tolerance=1e-7),
         None,
     ),
-    # Any residual above the best so far trips the watchdog on its first
-    # offence; the Brusselator's relaxation residual rises in its first
-    # sweeps, so the replay would have had to roll a rank back.
+    # With the watchdog's factor and patience patched to 1 (below), any
+    # residual above the best so far trips it on its first offence; the
+    # Brusselator's relaxation residual rises in its first sweeps, so
+    # the replay would have had to roll a rank back.
     "divergence_watchdog": (
         BrusselatorProblem(24, t_end=1.0, n_steps=8),
         hetero_platform(),
         SolverConfig(tolerance=1e-6),
-        GuardConfig(divergence_factor=1.0, divergence_patience=1),
+        GuardConfig(),
     ),
 }
 
 
 @pytest.mark.parametrize("reason", FALLBACKS)
-def test_lockstep_fallback_reason_is_forced(reason):
+def test_lockstep_fallback_reason_is_forced(reason, monkeypatch):
     """Each fallback branch, forced: counted under its reason string and
     nothing else, and the run is ``run_sisc``'s."""
+    import repro.guard.watchdogs as watchdogs
     from repro.obs import MetricsRegistry
 
+    if reason == "divergence_watchdog":
+        monkeypatch.setattr(watchdogs, "DIVERGENCE_FACTOR", 1.0)
+        monkeypatch.setattr(watchdogs, "DIVERGENCE_PATIENCE", 1)
     problem, platform, cfg, gcfg = FALLBACKS[reason]
     guard = None if gcfg is None else InvariantMonitor(gcfg)
     registry = MetricsRegistry()

@@ -209,8 +209,8 @@ def test_src_ships_only_what_an_entry_point_reaches():
 
 
 def test_a_def_only_a_dropped_entry_point_calls_is_reported():
-    # The analysis is not vacuous: ``analysis.perf.bench`` runs only
-    # under ``benchmarks/``, so without those scripts it is unreached.
-    assert "repro.analysis.perf:bench" not in unreached()
+    # The analysis is not vacuous: ``analysis.perf.BenchReport`` runs
+    # only under ``benchmarks/``, so without those scripts it is unreached.
+    assert "repro.analysis.perf:BenchReport" not in unreached()
     without = unreached(tuple(p for p in ENTRY_SCRIPTS if p != "benchmarks/*.py"))
-    assert "repro.analysis.perf:bench" in without
+    assert "repro.analysis.perf:BenchReport" in without

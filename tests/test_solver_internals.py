@@ -117,10 +117,12 @@ def test_neighbor_table_is_the_topology_path_neighbors(n_ranks):
     ],
     ids=lambda problem: type(problem).__name__,
 )
-def test_halo_message_size_is_fixed_at_build(problem):
-    config = SolverConfig(header_bytes=48.0)
-    run = build_chain(problem, homogeneous_cluster(3, speed=100.0), config)
-    assert run._halo_bytes == problem.halo_nbytes() + config.header_bytes
+def test_halo_message_size_is_fixed_at_build(problem, monkeypatch):
+    import repro.core.solver as solver
+
+    monkeypatch.setattr(solver, "HEADER_BYTES", 48.0)
+    run = build_chain(problem, homogeneous_cluster(3, speed=100.0), SolverConfig())
+    assert run._halo_bytes == problem.halo_nbytes() + 48.0
     assert run.send_halo(run.ranks[1], "left", estimate=1.0, exclusive=False)
     assert run.platform.network.bytes_sent == run._halo_bytes
 
