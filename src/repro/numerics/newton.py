@@ -14,9 +14,12 @@ a component whose trajectory has converged verifies in one iteration,
 an active one takes several, making the per-sweep cost proportional to
 how much of the local subdomain is still evolving.
 
-The Brusselator's sweeps (``BrusselatorProblem._sweep_scalar`` /
-``_sweep_steps``) run their own per-step loops with this kernel's
-arithmetic and bookkeeping; the tests hold them to it bitwise.
+The Brusselator's sweep runs its own per-(component, step) loop with
+this kernel's arithmetic and bookkeeping: compiled
+(``repro/problems/brusselator_sweep.c``) where ``cc`` builds it, and on
+Python floats (``BrusselatorProblem._sweep_scalar``, the kernel's
+reference) elsewhere.  No product path calls this function; the tests
+hold both sweep paths to it bitwise.
 """
 
 from __future__ import annotations

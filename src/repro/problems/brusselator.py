@@ -46,7 +46,9 @@ per step; active components take several — per-sweep cost tracks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -55,42 +57,26 @@ from repro.problems.base import BlockState, IterationResult, Problem, padded
 from repro.problems.chain_sweeper import TrajectoryChainSweeper
 from repro.util.validation import check_positive
 
-__all__ = ["BrusselatorProblem", "BrusselatorState"]
+__all__ = ["BrusselatorProblem", "BrusselatorState", "kernel_status"]
 
 #: Dirichlet boundary values (A and B of the reaction scheme).
 U_BOUNDARY = 1.0
 V_BOUNDARY = 3.0
 
-#: A batch of at most this many active (component, step) pairs is swept
-#: entirely by :meth:`BrusselatorProblem._sweep_scalar`, stage-1
-#: verification included.  NumPy stage 1 is ~30 calls, a flat 20-45 us
-#: up to 24 x 40; the scalar prefix costs ~0.4 us per *verified* pair.
-#: Table 1's traffic (0.1-0.5 verified) gains 16-44 us a call up to
-#: ~400 pairs, a fully verified block loses from ~60 pairs on.  160 is
-#: the smallest bound with ``Table1Scenario.quick()``'s 7 x 20 blocks
-#: inside, and where the worst-case loss (+35 us) still matches the
-#: typical gain (``docs/performance.md``, "Small-block Brusselator
-#: sweeps").
-_SCALAR_SWEEP_PAIRS = 160
-
-#: Above that bound stage 1 is NumPy; its unverified tail still runs in
-#: ``_sweep_scalar`` for at most this many active components and in
-#: ``_sweep_steps`` beyond (~125 us a step at 65-288 components, a
-#: scalar (component, step) ~1 us).  Recorded ``lockstep_sisc`` traffic
-#: favours the scalar tail up to 64 (0.42-0.86x) and the loop from 65
-#: (1.15-1.46x; ``docs/performance.md``, "Batched Brusselator sweeps").
-_SCALAR_SWEEP_MAX = 64
-
-#: ``_sweep_steps`` finishes a step on Python floats (~1 us a component
-#: pass) once at most this many components still iterate (a NumPy pass:
-#: 30-50 us however few).  Recorded traffic, relative to 0: 8: 0.98,
-#: 16: 0.97, 32: 0.95, 64: 0.99 (same section).
-_SCALAR_NEWTON_MAX = 32
-
 _NEWTON_FAILED = (
     "brusselator Newton failed on {} component(s) at step {} "
     "(block starting at {}); reduce dt or raise newton_max_iter"
 )
+
+#: The compiled sweep's source, and how it is built: no fused
+#: multiply-add and no reassociation, so it computes what the Python
+#: floats of ``_sweep_scalar`` do.
+_KERNEL_SOURCE = Path(__file__).with_name("brusselator_sweep.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: ``(sweep, status)``, resolved at a process's first sweep (never at
+#: import): see :func:`kernel_status`.
+_KERNEL: tuple[Callable, str] | None = None
 
 
 def _next_streak(
@@ -302,7 +288,7 @@ class BrusselatorProblem(Problem):
 
     def _sweep_batched(
         self, ext: np.ndarray, skip: np.ndarray | None, lo: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float] | None]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
         """One relaxation sweep over an arbitrary batch of components.
 
         ``ext`` is the :func:`~repro.problems.base.padded` buffer
@@ -311,245 +297,52 @@ class BrusselatorProblem(Problem):
         lagged neighbours (a neighbour row may be a halo or the adjacent
         component, the arithmetic cannot tell); it is read, never
         written.  ``skip`` marks the components that keep their
-        trajectory (``None``: none do).  Every operation is elementwise
-        per component, so the same code serves one rank's block
-        (``iterate``) and the whole concatenated chain
-        (:class:`_BrusselatorChainSweeper`) with bit-identical
-        per-component results, whichever of the three routes below the
-        batch's size selects.  Returns ``(new, per-component work,
-        per-component residual max|new - old|, (residual max, work sum))``,
-        the last None when the batched loop ran (its caller reduces the
-        arrays).
+        trajectory (``None``: none do).  Every component is swept on its
+        own, so the same call serves one rank's block (``iterate``) and
+        the whole concatenated chain (:class:`_BrusselatorChainSweeper`)
+        with bit-identical per-component results.  The sweep is the
+        compiled kernel when one loads (:func:`kernel_status`), else
+        :meth:`_sweep_scalar`, bit for bit the same.  Returns ``(new,
+        per-component work, per-component residual max|new - old|,
+        (residual max, work sum))``; a Newton failure raises
+        ``RuntimeError`` naming the lowest failing step.
         """
-        old = ext[1:-1]
-        n = old.shape[0]
-        steps = self.n_steps
-
         active = None if skip is None else np.flatnonzero(~skip)
-        m = n if active is None else active.size
-
-        new = old.copy()  # skipped components keep their trajectories
-        # A skipped component still pays the skip test (one unit/sweep).
-        work = np.ones(n)
-        if m * steps <= _SCALAR_SWEEP_PAIRS:
-            return new, work, *self._sweep_scalar(new, work, ext, active, None, lo)
-
-        left, right = ext[:-2], ext[2:]
-        dt, c = self.dt, self.c
-        tol = self.newton.tol
-
-        # ---- Stage 1: optimistic batched verification ----------------
-        # A (component, step) pair whose old trajectory value already
-        # satisfies the Newton residual test would converge in the
-        # verification pass with its value unchanged — *provided* the
-        # component's own previous steps are also unchanged (the
-        # neighbour inputs are frozen at `old` for the whole sweep, so
-        # only the component's own u_prev can differ).  One vectorized
-        # residual evaluation over every (component, step) finds, per
-        # component, the leading run of verified steps; those charge one
-        # work unit each, exactly like the sequential per-step Newton
-        # would, and keep `new == old`.  The arithmetic below mirrors
-        # the per-step residual term for term, so the verification
-        # decision is bit-identical to the sequential pass-0 test.
-        sel = slice(None) if active is None else active
-        X, L, R = old[sel], left[sel], right[sel]
-        Xk = X[:, :, 1:]
-        Uk = Xk[:, 0]
-        Vk = Xk[:, 1]
-        u_sq = Uk * Uk
-        reaction_u = 1.0 + u_sq * Vk - 4.0 * Uk
-        reaction_v = 3.0 * Uk - u_sq * Vk
-        diff = c * (L[:, :, 1:] - 2.0 * Xk + R[:, :, 1:])
-        f1 = Uk - X[:, 0, :-1] - dt * (reaction_u + diff[:, 0])
-        f2 = Vk - X[:, 1, :-1] - dt * (reaction_v + diff[:, 1])
-        ok = np.maximum(np.abs(f1), np.abs(f2)) <= tol  # (m, steps)
-        # verified[j] = number of leading steps of component j whose
-        # old values pass the residual test (step k is ok[:, k-1]).
-        verified = np.where(ok.all(axis=1), steps, np.argmin(ok, axis=1))
-
-        # ---- Stage 2: per-step Newton for the unverified tail --------
-        # Component j needs the sequential treatment from step
-        # verified[j] + 1 onward (once its own trajectory changed,
-        # u_prev comes from `new`, not `old`).
-        if m <= _SCALAR_SWEEP_MAX:
-            return new, work, *self._sweep_scalar(new, work, ext, active, verified, lo)
-        return new, work, self._sweep_steps(new, work, ext, active, verified, lo), None
-
-    def _sweep_steps(
-        self,
-        new: np.ndarray,
-        work: np.ndarray,
-        ext: np.ndarray,
-        active: np.ndarray | None,
-        verified: np.ndarray,
-        lo: int,
-    ) -> np.ndarray:
-        """The sweep of the ``active`` components, one step at a time.
-
-        The batched twin of :meth:`_sweep_scalar`: step ``k`` runs
-        Newton on NumPy arrays over every component with ``verified <
-        k`` — a prefix of the components sorted by ``verified`` — with
-        the scalar sweep's arithmetic and bookkeeping, so values, work
-        and failures are bit-identical.  A component leaves the working
-        arrays when it converges (its value goes to ``new``) or its
-        Jacobian is singular (counted as failed), and a step's last
-        ``_SCALAR_NEWTON_MAX`` finish on Python floats.  Fills ``new``
-        and ``work`` in place, returns the residuals.
-        """
-        steps = self.n_steps
-        dt, c = self.dt, self.c
-        opts = self.newton
-        tol, max_iter, damping = opts.tol, opts.max_iter, opts.damping
-        neg_tol = -tol
-        neg_dt = -dt
-        two_c = 2.0 * c
-        old, left, right = ext[1:-1], ext[:-2], ext[2:]
-
-        order = np.argsort(verified, kind="stable")
-        rows = order if active is None else active[order]
-        joined = np.searchsorted(verified[order], np.arange(steps + 1))
-        joined = joined.tolist()  # joined[k]: components with verified < k
-        # A step costs max(passes, 1): one unit for each of a component's
-        # steps, verified or not, plus passes - 1 where a step took two
-        # or more (added when it converges).
-        work[rows] = steps
-        for k in range(int(verified[order[0]]) + 1, steps + 1):
-            idx = rows[: joined[k]]
-            u = old[idx, 0, k]  # initial guess: previous sweep's value
-            v = old[idx, 1, k]
-            up = new[idx, 0, k - 1]
-            vp = new[idx, 1, k - 1]
-            ul = left[idx, 0, k]
-            ur = right[idx, 0, k]
-            vl = left[idx, 1, k]
-            vr = right[idx, 1, k]
-            failed = 0
-            p = 0
-            while idx.size > _SCALAR_NEWTON_MAX:
-                u_sq = u * u
-                u_sq_v = u_sq * v
-                two_u = 2.0 * u
-                f1 = u - up - dt * (
-                    1.0 + u_sq_v - 4.0 * u + c * (ul - two_u + ur)
-                )
-                f2 = v - vp - dt * (
-                    3.0 * u - u_sq_v + c * (vl - 2.0 * v + vr)
-                )
-                ok = np.maximum(np.abs(f1), np.abs(f2)) <= tol
-                n_ok = np.count_nonzero(ok)
-                if n_ok:
-                    done = idx[ok]
-                    new[done, 0, k] = u[ok]
-                    new[done, 1, k] = v[ok]
-                    if p > 1:
-                        work[done] += p - 1
-                    if n_ok == idx.size:
-                        break
-                    keep = np.flatnonzero(~ok)
-                    idx, u, v = idx[keep], u[keep], v[keep]
-                    up, vp, ul, ur = up[keep], vp[keep], ul[keep], ur[keep]
-                    vl, vr, f1, f2 = vl[keep], vr[keep], f1[keep], f2[keep]
-                    u_sq, two_u = u_sq[keep], two_u[keep]
-                if p == max_iter:
-                    failed += idx.size
-                    break
-                two_uv = two_u * v
-                j11 = 1.0 - dt * (two_uv - 4.0 - two_c)
-                j12 = neg_dt * u_sq
-                j21 = neg_dt * (3.0 - two_uv)
-                j22 = 1.0 + dt * (u_sq + two_c)
-                det = j11 * j22 - j12 * j21
-                singular = np.abs(det) < 1e-300
-                n_sing = np.count_nonzero(singular)
-                if n_sing:
-                    # Stop, unconverged: counted below, value unused.
-                    failed += n_sing
-                    if n_sing == idx.size:
-                        break
-                    keep = np.flatnonzero(~singular)
-                    idx, u, v = idx[keep], u[keep], v[keep]
-                    up, vp, ul, ur = up[keep], vp[keep], ul[keep], ur[keep]
-                    vl, vr, f1, f2 = vl[keep], vr[keep], f1[keep], f2[keep]
-                    j11, j12, j21 = j11[keep], j12[keep], j21[keep]
-                    j22, det = j22[keep], det[keep]
-                u = u - damping * ((j22 * f1 - j12 * f2) / det)
-                v = v - damping * ((j11 * f2 - j21 * f1) / det)
-                p += 1
-            else:
-                # At most _SCALAR_NEWTON_MAX left, none of them tested at
-                # pass p yet: _sweep_scalar's pass, on Python floats.
-                for j, u, v, up, vp, ul, ur, vl, vr in zip(
-                    idx.tolist(), u.tolist(), v.tolist(), up.tolist(),
-                    vp.tolist(), ul.tolist(), ur.tolist(), vl.tolist(),
-                    vr.tolist(),
-                ):
-                    q = p
-                    while True:
-                        u_sq = u * u
-                        u_sq_v = u_sq * v
-                        two_u = 2.0 * u
-                        f1 = u - up - dt * (
-                            1.0 + u_sq_v - 4.0 * u + c * (ul - two_u + ur)
-                        )
-                        f2 = v - vp - dt * (
-                            3.0 * u - u_sq_v + c * (vl - 2.0 * v + vr)
-                        )
-                        converged = (
-                            neg_tol <= f1 <= tol and neg_tol <= f2 <= tol
-                        )
-                        if converged or q == max_iter:
-                            break
-                        two_uv = two_u * v
-                        j11 = 1.0 - dt * (two_uv - 4.0 - two_c)
-                        j12 = -dt * u_sq
-                        j21 = -dt * (3.0 - two_uv)
-                        j22 = 1.0 + dt * (u_sq + two_c)
-                        det = j11 * j22 - j12 * j21
-                        if -1e-300 < det < 1e-300:
-                            break  # singular Jacobian: stop, unconverged
-                        u = u - damping * ((j22 * f1 - j12 * f2) / det)
-                        v = v - damping * ((j11 * f2 - j21 * f1) / det)
-                        q += 1
-                    if not converged:
-                        failed += 1
-                        continue
-                    new[j, 0, k] = u
-                    new[j, 1, k] = v
-                    if q > 1:
-                        work[j] += q - 1
-            if failed:
-                raise RuntimeError(_NEWTON_FAILED.format(failed, k, lo))
-        return np.max(np.abs(new - old), axis=(1, 2))
+        new, work, residuals, reduced, failure = _kernel()(self, ext, active)
+        if failure:
+            raise RuntimeError(_NEWTON_FAILED.format(*failure, lo))
+        return new, work, residuals, reduced
 
     def _sweep_scalar(
-        self,
-        new: np.ndarray,
-        work: np.ndarray,
-        ext: np.ndarray,
-        active: np.ndarray | None,
-        verified: np.ndarray | None,
-        lo: int,
-    ) -> np.ndarray:
-        """The sweep of the ``active`` components on Python floats.
+        self, ext: np.ndarray, active: np.ndarray | None
+    ) -> tuple[
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        tuple[float, float],
+        tuple[int, int] | None,
+    ]:
+        """The sweep of the ``active`` components on Python floats: the
+        reference the compiled kernel (``brusselator_sweep.c``) is held
+        to, and the path wherever no kernel loads.
 
-        For each component, each step from ``verified + 1`` on (from 1
-        when stage 1 did not run) is the sequential per-step Newton the
-        batched route performs: pass 0 tests the residual at the old
-        value — while it holds the step is *verified*, one work unit and
-        no change — and a step that fails it iterates.  Same arithmetic,
+        For each component, each step from 1 on is the sequential
+        per-step Newton: pass 0 tests the residual at the old value —
+        while it holds the step is *verified*, one work unit and no
+        change — and a step that fails it iterates.  Same arithmetic,
         same expression order and same iteration / convergence
-        bookkeeping as :meth:`_sweep_steps` and the per-step ``f`` +
-        :func:`~repro.numerics.newton.newton_batched_2x2` formulation
-        the tests hold both to; Python floats and NumPy float64 share
-        IEEE-754 double semantics and only identical subexpressions are
-        shared (``u_sq * v``, ``2.0 * u``, ``(2.0 * u) * v``), none
-        regrouped, so values, work counts and the residual
-        ``max|new - old|`` taken in the same pass are bit-identical.
-        The win is purely dispatch overhead: NumPy cannot amortise ~30
-        calls on 3 x 20 arrays, nor a ~30-flop Newton step on length-3
-        ones.  Fills ``new`` and ``work`` in place, returns the residuals
-        and ``(their max, the work's sum)`` — exact: residuals are +0.0 or
-        positive, work counts are integers.
+        bookkeeping as the per-step ``f`` +
+        :func:`~repro.numerics.newton.newton_batched_2x2` formulation the
+        tests hold it to; Python floats and NumPy float64 share IEEE-754
+        double semantics and only identical subexpressions are shared
+        (``u_sq * v``, ``2.0 * u``, ``(2.0 * u) * v``), none regrouped,
+        so values, work counts and the residual ``max|new - old|`` taken
+        in the same pass are bit-identical.  Returns ``(new, work,
+        residuals, (their max, the work's sum), failure)`` — the
+        reductions exact: residuals are +0.0 or positive, work counts are
+        integers — where ``failure`` is ``None`` or ``(failed components,
+        step)`` at the lowest step a component failed; a failing
+        component's arrays hold what it did before it failed.
         """
         steps = self.n_steps
         dt, c = self.dt, self.c
@@ -557,24 +350,21 @@ class BrusselatorProblem(Problem):
         tol, max_iter, damping = opts.tol, opts.max_iter, opts.damping
         neg_tol = -tol
         two_c = 2.0 * c
+        new = ext[1:-1].copy()  # skipped components keep their trajectories
         n = new.shape[0]
+        work = np.ones(n)  # a skipped component still pays the skip test
         residuals = np.zeros(n)
 
         order = range(n) if active is None else active.tolist()
         top = 0.0
         total = n - len(order)  # a skipped component's one unit
-        starts = [0] * len(order) if verified is None else verified.tolist()
-        # Every row is read when the whole batch starts at step 1: one
-        # conversion.  Otherwise only the three rows of each component
-        # with steps left to take (a 290-row chain must not pay
-        # `.tolist()` of the whole buffer for its 3 active components).
-        rows = ext.tolist() if active is None and verified is None else None
+        # Every row is read when no component is skipped: one conversion.
+        # Otherwise only the three rows of each active component (a
+        # 290-row chain must not pay `.tolist()` of the whole buffer for
+        # its 3 active components).
+        rows = ext.tolist() if active is None else None
         failures: dict[int, int] = {}  # step -> failed component count
-        for j, start in zip(order, starts):
-            if start >= steps:
-                work[j] = steps
-                total += steps
-                continue
+        for j in order:
             (ult, vlt), (uu, vv), (urt, vrt) = (
                 rows[j : j + 3] if rows else ext[j : j + 3].tolist()
             )
@@ -583,10 +373,10 @@ class BrusselatorProblem(Problem):
             nu = nv = None
             first = 0
             res = 0.0
-            w = start
-            up = uu[start]
-            vp = vv[start]
-            for k in range(start + 1, steps + 1):
+            w = 0
+            up = uu[0]
+            vp = vv[0]
+            for k in range(1, steps + 1):
                 ul = ult[k]
                 ur = urt[k]
                 vl = vlt[k]
@@ -652,10 +442,9 @@ class BrusselatorProblem(Problem):
                 residuals[j] = res
                 if res > top:
                     top = res
-        if failures:
-            k = min(failures)
-            raise RuntimeError(_NEWTON_FAILED.format(failures[k], k, lo))
-        return residuals, (top, float(total))
+        k = min(failures, default=0)
+        failure = (failures[k], k) if failures else None
+        return new, work, residuals, (top, float(total)), failure
 
     # ------------------------------------------------------------------
     # Migration: the block moves as in the base class, and the skip
@@ -746,18 +535,17 @@ class BrusselatorProblem(Problem):
 
 
 class _BrusselatorChainSweeper(TrajectoryChainSweeper):
-    """All ranks' Brusselator sweeps as one vectorised global update.
+    """All ranks' Brusselator sweeps as one global update.
 
     In a synchronous round every block sweeps against its neighbours'
     *previous-sweep* boundary trajectories — the same Jacobi-in-space
     dependency structure as one global sweep over the concatenated
     ``(N, 2, n_steps + 1)`` state with the Dirichlet edge trajectories
-    pinned.  The sweep arithmetic is
-    :meth:`BrusselatorProblem._sweep_batched`, shared verbatim with
-    :meth:`BrusselatorProblem.iterate`, and every stage (optimistic
-    verification, batched/scalar Newton, work accounting) is
-    elementwise per component, so each block's slice of the global
-    update is bit-identical to the per-rank call.
+    pinned.  The sweep is :meth:`BrusselatorProblem._sweep_batched`,
+    shared verbatim with :meth:`BrusselatorProblem.iterate`, and it
+    sweeps (and charges work to) each component on its own, so each
+    block's slice of the global update is bit-identical to the per-rank
+    call.
 
     The adaptive-skip machinery reduces globally too: a block-boundary
     component tests ``max|halo - last_halo| < thr`` against its
@@ -821,3 +609,195 @@ class _BrusselatorChainSweeper(TrajectoryChainSweeper):
                 self._skip_streak, skip, p.n_components
             )
             self._prev_res = residuals.copy()
+
+
+# ----------------------------------------------------------------------
+# The compiled sweep: built on first use, trusted after a probe
+# ----------------------------------------------------------------------
+def kernel_status() -> str:
+    """Which sweep this process runs, and why: ``"compiled: <library>"``
+    or ``"python: <reason>"`` (no ``cc``, a cache that cannot be
+    written, a failed compile or load, a failed probe).  Resolves the
+    kernel if no sweep has yet.  Kept out of every run result: both
+    paths give the same bits."""
+    _kernel()
+    return _KERNEL[1]
+
+
+def _kernel() -> Callable:
+    """The sweep ``(problem, ext, active) -> (new, work, residuals,
+    (residual max, work sum), failure)`` that
+    :meth:`BrusselatorProblem._sweep_batched` runs."""
+    global _KERNEL
+    if _KERNEL is None:
+        _KERNEL = _load_kernel()
+    return _KERNEL[0]
+
+
+def _load_kernel(
+    cache: Path | None = None, source: Path = _KERNEL_SOURCE
+) -> tuple[Callable, str]:
+    """``(sweep, status)``: ``source`` compiled with the system ``cc``
+    into ``cache`` (default ``~/.cache/repro``), loaded, and used only
+    if it reproduces :meth:`BrusselatorProblem._sweep_scalar` bit for
+    bit on :func:`_probe_cases`; otherwise that method, silently.
+
+    The library is named by the SHA-256 of the source, the compiler,
+    the flags and the platform, and carries the SHA-256 of its own
+    bytes appended: a truncated or foreign file at that name is rebuilt
+    rather than loaded.  A build goes to a temporary file first and then
+    ``os.replace``-s it in, so racing processes leave one valid library.
+    """
+    import ctypes
+    import hashlib
+    import shutil
+    import sysconfig
+
+    reference = BrusselatorProblem._sweep_scalar
+    cc = shutil.which("cc")
+    if cc is None:
+        return reference, "python: no C compiler (cc) on PATH"
+    try:
+        cache = Path.home() / ".cache" / "repro" if cache is None else cache
+        key = hashlib.sha256(
+            b"\0".join(
+                (
+                    source.read_bytes(),
+                    cc.encode(),
+                    " ".join(_CFLAGS).encode(),
+                    sysconfig.get_platform().encode(),
+                )
+            )
+        ).hexdigest()
+        lib = cache / f"brusselator_sweep-{key}.so"
+        try:
+            data = lib.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        if hashlib.sha256(data[:-32]).digest() != data[-32:]:
+            failed = _build(cc, source, lib)
+            if failed:
+                return reference, f"python: cc failed: {failed}"
+        fn = ctypes.CDLL(str(lib)).brusselator_sweep
+    except (OSError, RuntimeError, AttributeError) as exc:
+        return reference, f"python: {type(exc).__name__}: {exc}"
+    fn.restype = ctypes.c_int64
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn.argtypes = (ptr, ptr, ptr, i64, i64, i64, f64, f64, f64, i64, f64)
+
+    def sweep(problem, ext, active):
+        # The C reads rows at fixed strides; one buffer takes every
+        # output: one allocation, one address.
+        ext = np.ascontiguousarray(ext, dtype=np.float64)
+        n, steps = ext.shape[0] - 2, problem.n_steps
+        size = n * 2 * (steps + 1)
+        out = np.empty(size + 2 * n + 3)
+        opts = problem.newton
+        step = fn(
+            ext.ctypes.data,
+            out.ctypes.data,
+            None if active is None else active.ctypes.data,
+            n,
+            n if active is None else active.size,
+            steps,
+            problem.dt,
+            problem.c,
+            opts.tol,
+            opts.max_iter,
+            opts.damping,
+        )
+        top, total, failed = out[-3:].tolist()
+        return (
+            out[:size].reshape(n, 2, steps + 1),
+            out[size : size + n],
+            out[size + n : -3],
+            (top, total),
+            (int(failed), step) if step else None,
+        )
+
+    for case in _probe_cases():
+        if _trace(sweep, *case) != _trace(reference, *case):
+            return reference, f"python: {lib} failed the probe"
+    return sweep, f"compiled: {lib}"
+
+
+def _build(cc: str, source: Path, lib: Path) -> str:
+    """Compile ``source`` to ``lib`` with its SHA-256 appended, through a
+    temporary file renamed into place; the compiler's last error line on
+    failure, else ``""``."""
+    import hashlib
+    import os
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+    os.close(fd)
+    try:
+        built = subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, str(source)],
+            capture_output=True,
+            text=True,
+        )
+        if built.returncode:
+            return (built.stderr.strip().splitlines() or ["?"])[-1]
+        body = Path(tmp).read_bytes()
+        Path(tmp).write_bytes(body + hashlib.sha256(body).digest())
+        os.replace(tmp, lib)
+        return ""
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _probe_cases() -> list[
+    tuple[BrusselatorProblem, np.ndarray, np.ndarray | None]
+]:
+    """``(problem, ext, skip)`` batches a compiled sweep must reproduce
+    before its first use: verified and iterating steps, full and damped
+    Newton, skipped components, and every way a step fails."""
+    # At the steady state (u, v) = (1, 3) every residual is exactly 0:
+    # the three bumps make their steps and their neighbours' iterate.
+    calm = BrusselatorProblem(6, t_end=1.0, n_steps=5)
+    damped = BrusselatorProblem(6, t_end=1.0, n_steps=5)
+    damped.newton = replace(damped.newton, damping=0.5, max_iter=60)
+    traj = np.empty((6, 2, 6))
+    traj[:, 0], traj[:, 1] = U_BOUNDARY, V_BOUNDARY
+    traj[1, 0, 2] += 0.1
+    traj[3, 1, 4] -= 0.05
+    traj[4, 0, 1] += 0.3
+    edge = calm.initial_halo(-1)
+    skip = np.zeros(6, dtype=bool)
+    skip[2] = True
+    # dt = 1, c = 0.5, three passes at most: (2, 3) is a singular
+    # Jacobian at step 2 of component 1, its neighbours exhaust the
+    # passes there, the jump at step 1 of component 4 exhausts them at
+    # step 1 and so does the NaN halo of component 6 — after the
+    # failures at step 2, so the failed count must restart.
+    hard = BrusselatorProblem(
+        7, t_end=3.0, n_steps=3, alpha=0.5 / 64, newton_max_iter=3
+    )
+    rough = np.empty((7, 2, 4))
+    rough[:, 0], rough[:, 1] = U_BOUNDARY, V_BOUNDARY
+    rough[1, :, 2] = 2.0, 3.0
+    rough[4, 0, 1] = 5.0
+    nan_edge = hard.initial_halo(7)
+    nan_edge[0, 1] = np.nan
+    return [
+        (calm, padded(traj, edge, edge), None),
+        (damped, padded(traj, edge, edge), skip),
+        (hard, padded(rough, hard.initial_halo(-1), nan_edge), None),
+    ]
+
+
+def _trace(
+    sweep: Callable,
+    problem: BrusselatorProblem,
+    ext: np.ndarray,
+    skip: np.ndarray | None,
+) -> bytes:
+    """Everything one sweep hands back, as bytes."""
+    active = None if skip is None else np.flatnonzero(~skip)
+    new, work, residuals, reduced, failure = sweep(problem, ext, active)
+    tail = repr((reduced, failure)).encode()
+    return new.tobytes() + work.tobytes() + residuals.tobytes() + tail

@@ -1,4 +1,5 @@
-"""Session-wide sweep fixtures, and the scipy oracle of the reference.
+"""Session-wide sweep fixtures, the scipy oracle of the reference, and
+the two paths of the Brusselator sweep.
 
 The tiny/quick sweeps are the most expensive things tier-1 runs, and
 several test modules want the same ones (the shape tests, the
@@ -7,6 +8,8 @@ determinism tests, the cache-key and digest pins of
 session, through a :class:`SpyEngine` that also remembers the tasks it
 was handed; the results are read-only to every consumer.
 """
+
+import functools
 
 import pytest
 
@@ -146,3 +149,32 @@ def scipy_banded(monkeypatch):
             return solve_banded((self.kl, self.ku), self.bands, b)
 
     monkeypatch.setattr("repro.numerics.euler.BandedMatrix", ScipyBanded)
+
+
+#: The Brusselator sweep's two paths: the scalar sweep on Python floats,
+#: ``BrusselatorProblem._sweep_scalar``, and the compiled kernel held to
+#: it.
+SWEEP_PATHS = ("scalar sweep", "compiled")
+
+
+@functools.cache
+def compiled_kernel():
+    """``(sweep, status)`` of this host's kernel, loaded once."""
+    from repro.problems import brusselator
+
+    return brusselator._load_kernel()
+
+
+def force_sweep_path(monkeypatch, path):
+    """Make every Brusselator sweep take ``path`` (one of
+    :data:`SWEEP_PATHS`) by standing in for the loader's result; a host
+    where no kernel loads skips the compiled path (CI requires one)."""
+    from repro.problems import brusselator
+
+    if path == "scalar sweep":
+        kernel = (brusselator.BrusselatorProblem._sweep_scalar, "python: test")
+    else:
+        kernel = compiled_kernel()
+        if not kernel[1].startswith("compiled"):
+            pytest.skip(kernel[1])
+    monkeypatch.setattr(brusselator, "_KERNEL", kernel)

@@ -28,6 +28,7 @@ from repro.analysis.perf import run_fingerprint
 from repro.problems import SyntheticProblem
 from repro.problems.brusselator import BrusselatorProblem
 from repro.problems.heat import HeatProblem
+from tests.conftest import SWEEP_PATHS, force_sweep_path
 
 
 def hetero_platform(speeds=(200.0, 130.0, 100.0, 170.0), latency=0.02):
@@ -292,27 +293,29 @@ def test_lockstep_guard_parity_at_every_cut(name):
         _assert_guard_parity(problem, platform, cfg)
 
 
-def test_lockstep_brusselator_fingerprint_at_256_ranks():
+def test_lockstep_brusselator_fingerprint_at_256_ranks(monkeypatch):
     """The CI-sized version of the BENCH_scale Brusselator criterion:
     256 ranks of real PDE numerics, lockstep vs event-driven, identical
-    fingerprint at the round cap."""
+    fingerprint at the round cap — and the lockstep run's the same on
+    both Brusselator sweep paths."""
     from dataclasses import replace
 
     from repro.workloads import ScaleScenario
 
     scenario = ScaleScenario.brusselator_smoke()
     cfg = replace(scenario.solver_config(), max_iterations=12)
-    fast = run_sisc_batched(scenario.problem(), scenario.platform(), cfg)
-    assert fast.meta["engine"] == "lockstep"
     ref = run_sisc(scenario.problem(), scenario.platform(), cfg)
-    assert run_fingerprint(ref) == run_fingerprint(fast)
+    for path in SWEEP_PATHS:
+        force_sweep_path(monkeypatch, path)
+        fast = run_sisc_batched(scenario.problem(), scenario.platform(), cfg)
+        assert fast.meta["engine"] == "lockstep"
+        assert run_fingerprint(ref) == run_fingerprint(fast), path
 
 
-def test_lockstep_sisc_fingerprint_through_its_batched_rounds():
+def test_lockstep_sisc_fingerprint_through_its_batched_rounds(monkeypatch):
     """The ``lockstep_sisc`` workload's run (48 ranks x 6 components)
-    capped at 260 rounds: every round in which its chain sweep has more
-    than 64 active components after verification (rounds 0-259) runs,
-    and the result is pinned literally."""
+    capped at 260 rounds — the rounds whose chain sweeps are widest —
+    pinned literally on both Brusselator sweep paths."""
     from dataclasses import replace
 
     from repro.workloads import ScaleScenario
@@ -321,12 +324,14 @@ def test_lockstep_sisc_fingerprint_through_its_batched_rounds():
         problem_kind="brusselator", n_ranks=48, components_per_rank=6
     )
     cfg = replace(scenario.solver_config(), max_iterations=260)
-    fast = run_sisc_batched(scenario.problem(), scenario.platform(), cfg)
-    assert fast.meta["engine"] == "lockstep"
-    assert max(fast.iterations) == 260
-    assert run_fingerprint(fast) == (
-        "03259c30dc7e9ebe818d939fa6736b9b60e0f2c349f41caab6bc0b4b942ecbd2"
-    )
+    for path in SWEEP_PATHS:
+        force_sweep_path(monkeypatch, path)
+        fast = run_sisc_batched(scenario.problem(), scenario.platform(), cfg)
+        assert fast.meta["engine"] == "lockstep"
+        assert max(fast.iterations) == 260
+        assert run_fingerprint(fast) == (
+            "03259c30dc7e9ebe818d939fa6736b9b60e0f2c349f41caab6bc0b4b942ecbd2"
+        ), path
 
 
 def test_lockstep_fallback_is_observable(caplog):
