@@ -25,12 +25,16 @@ Run directly (not under pytest)::
   (detection machinery is inert when no corruption is scheduled), and
 * with detection armed, **every injected payload corruption was
   detected** (recall 1.0 on the wire-corruption schedules — a checksum
-  mismatch can hide only by colliding, which the gate would catch).
+  mismatch can hide only by colliding, which the gate would catch), and
+* with ``--quick``, the **zero-corruption fingerprint** is the pinned
+  one.
 
 The ``clean_digest`` in the sweep meta fingerprints just the
-zero-corruption rows; CI pins it so a behaviour drift on the clean path
-(the one every ordinary run takes) fails loudly even if the full digest
-is regenerated.
+zero-corruption rows.  Those rows take the exact code path of every
+ordinary (non-integrity) run, so the quick sweep's is pinned here: a
+behaviour drift on the clean path fails loudly even if a full digest is
+regenerated.  The full sweep's rows are held by the digest committed in
+``BENCH_integrity.json``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ from repro.workloads.scenarios import IntegrityScenario
 #: block that the contractive iteration absorbs before any plausibility
 #: screen fires is a legitimate ``masked`` outcome, not a regression.
 PAYLOAD_SCHEDULES = ("flip_lo", "flip_hi", "perturb", "truncate")
+
+#: ``clean_digest`` of the quick sweep.  If a change moves it on
+#: purpose, update it here in the same commit.
+QUICK_CLEAN_DIGEST = (
+    "6763ff5e5e46f66e7308b6656c5ad544fdc3f1ea1074422447a129b9ccdf8e21"
+)
 
 
 def clean_digest(result: IntegrityResult) -> str:
@@ -101,6 +111,12 @@ def check(summary: dict[str, Any]) -> list[str]:
             f"sweep is not reproducible: digests {summary['digests']}"
         )
     result: IntegrityResult = summary["result"]
+    if summary["label"] == "quick" and clean_digest(result) != QUICK_CLEAN_DIGEST:
+        problems.append(
+            f"zero-corruption fingerprint drifted: pinned "
+            f"{QUICK_CLEAN_DIGEST}, fresh {clean_digest(result)} — the "
+            "clean path changed behaviour"
+        )
     for row in result.wrong_detected_rows():
         problems.append(
             f"undetected wrong answer with detection armed: "

@@ -23,8 +23,8 @@ strategy**:
 
 Consequently a sweep report's ``stable_digest`` is independent of
 ``jobs`` and of whether any run came from the
-:class:`~repro.exec.cache.RunCache` — the contract the ``sweep-smoke``
-CI job and ``tests/test_exec_sweeps.py`` pin.
+:class:`~repro.exec.cache.RunCache` — the contract
+``tests/test_exec_sweeps.py`` pins.
 
 Task functions must be **top-level callables** (picklable by reference)
 taking picklable arguments; they return a JSON-serialisable payload.  A

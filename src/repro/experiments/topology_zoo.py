@@ -48,9 +48,10 @@ class TopologyZooScenario(Scenario):
     """The sweep grid plus every knob the zoo driver takes.
 
     The default is the full grid: all families × all algorithms × all
-    fault schedules.  :meth:`quick` is the CI cut — still ≥ 5 families,
-    the paper's scheme plus the full classical zoo, and multiple fault
-    schedules, but small enough to run twice in a smoke job.
+    fault schedules.  :meth:`quick` is the tier-1 cut — still ≥ 5
+    families, the paper's scheme plus the full classical zoo, and
+    multiple fault schedules, but small enough for the suite to run and
+    pin (``tests/test_experiment_pins.py``).
     """
 
     families: tuple[str, ...] = TOPOLOGY_FAMILIES

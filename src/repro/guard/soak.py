@@ -20,7 +20,9 @@ Workflow (CLI: ``repro soak --schedules 50 --seed 0``)
    error) for offline replay.
 
 Determinism contract: two invocations with the same scenario and seed
-produce byte-identical reports (pinned by the ``guard-soak`` CI job).
+produce byte-identical reports, pooled or serial (the CI ``reproduce``
+job diffs the two at 50 schedules; ``tests/test_experiment_pins.py``
+pins the 2-schedule digest).
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ class Topology:
         """Content digest: spec + exact edge set + link classes.
 
         Two processes building the same spec must agree byte-for-byte —
-        the property the ``topology-smoke`` CI job pins.
+        ``tests/test_topology_graphs.py`` pins each family's digest.
         """
         return stable_digest(
             {

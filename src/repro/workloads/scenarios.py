@@ -225,9 +225,9 @@ class ScaleScenario(Scenario):
     activity-concentration problem partitioned evenly (``n_components``
     is always ``components_per_rank * n_ranks``, so blocks never go
     empty and the batched sweeper's tiling stays rectangular).  Used by
-    ``benchmarks/bench_scale.py`` and the CI scale smoke; tracing is off
-    — per-event records at 10⁶+ events are exactly the memory profile
-    this scenario exists to avoid.
+    ``benchmarks/bench_scale.py`` and ``tests/test_scale_smoke.py``;
+    tracing is off — per-event records at 10⁶+ events are exactly the
+    memory profile this scenario exists to avoid.
     """
 
     n_ranks: int = 256
@@ -274,14 +274,9 @@ class ScaleScenario(Scenario):
 
     @classmethod
     def smoke(cls) -> "ScaleScenario":
-        """The CI scale-smoke point: 256 ranks, ~10⁵ components."""
+        """256 ranks, ~10⁵ components: the guarded run under a wall-clock
+        budget in ``tests/test_scale_smoke.py``."""
         return cls(n_ranks=256, components_per_rank=400)
-
-    @classmethod
-    def brusselator_smoke(cls) -> "ScaleScenario":
-        """CI scale-smoke on the real PDE: 256 ranks, small blocks."""
-        return cls(problem_kind="brusselator", n_ranks=256,
-                   components_per_rank=4)
 
 
 @dataclass(frozen=True)

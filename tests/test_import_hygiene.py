@@ -121,7 +121,7 @@ SCALE_REPLAY_SCRIPT = textwrap.dedent(
     )
     config = replace(scenario.solver_config(), max_iterations=30)
 
-    def run(config):
+    def run(config, scenario=scenario):
         return run_sisc_batched(
             scenario.problem(), scenario.platform(), config,
             guard=InvariantMonitor(),
@@ -133,6 +133,13 @@ SCALE_REPLAY_SCRIPT = textwrap.dedent(
     assert not bad, f"the replay loaded {bad}"
     ours = sorted(name for name in sys.modules if name.startswith("repro"))
     assert len(ours) <= 32, f"{len(ours)} repro modules: {ours}"
+
+    # The synthetic problem's replay loads no engine either.
+    replayed = run(config, ScaleScenario(n_ranks=6, components_per_rank=4))
+    assert replayed.meta["engine"] == "lockstep", replayed.meta
+    engine = tuple(m for m in ENGINE if m != "repro.problems.synthetic")
+    bad = sorted(name for name in sys.modules if name.startswith(engine))
+    assert not bad, f"the synthetic replay loaded {bad}"
 
     # The one path that needs the event-driven engine still finds it.
     fallen = run(replace(config, detection="token_ring"))

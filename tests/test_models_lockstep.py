@@ -302,7 +302,9 @@ def test_lockstep_brusselator_fingerprint_at_256_ranks(monkeypatch):
 
     from repro.workloads import ScaleScenario
 
-    scenario = ScaleScenario.brusselator_smoke()
+    scenario = ScaleScenario(
+        problem_kind="brusselator", n_ranks=256, components_per_rank=4
+    )
     cfg = replace(scenario.solver_config(), max_iterations=12)
     ref = run_sisc(scenario.problem(), scenario.platform(), cfg)
     for path in SWEEP_PATHS:

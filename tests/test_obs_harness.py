@@ -6,9 +6,11 @@ The two load-bearing guarantees:
   bit-identical (reuses the fingerprint harness of
   ``test_perf_kernels``);
 * an observed experiment produces byte-identical sidecar files across
-  repeated runs (the property CI's ``obs-smoke`` job checks via the CLI).
+  repeated runs, and the files ``repro metrics figure5 --tiny --profile``
+  writes are pinned byte for byte.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -124,6 +126,14 @@ def test_run_observed_emits_trace_and_profile(tmp_path, observed_run):
     doc = json.loads(Path(trace_path).read_text())
     assert doc["metadata"]["experiment"] == "figure5"
     assert len(doc["traceEvents"]) > 0
+    # What ``repro metrics figure5 --tiny --profile --out obs`` writes.
+    assert {
+        Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in written
+    } == {
+        "obs.metrics.jsonl": "e1b02c8375277527a4c642d327234547015cfe40a5a3c0fce9101f9f1da7070e",
+        "obs.trace.json": "f6f262fd2a65e1337e3881759b75ec5f9925595b8d5f726e6e410e600764ce80",
+    }
     # The profiled run contributed sim.* series to the sidecar.
     names = {r["name"] for r in obs.sidecar.registry.snapshot()}
     assert "sim.dispatches_total" in names

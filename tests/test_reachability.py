@@ -32,6 +32,9 @@ import re
 import textwrap
 from pathlib import Path
 
+import pytest
+import yaml
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ENTRY_MODULES = ("repro.__main__", "repro.cli")
@@ -133,6 +136,23 @@ def _parse_src():
     return modules, defs
 
 
+def ci_runs(workflow: Path = CI_WORKFLOW) -> list[str]:
+    """Every step's ``run``, read as YAML the way the CI service reads the
+    workflow, so a file it would reject fails here too."""
+    jobs = yaml.safe_load(workflow.read_text())["jobs"]
+    return [step.get("run", "") for job in jobs.values() for step in job["steps"]]
+
+
+def ci_scripts(workflow: Path = CI_WORKFLOW) -> list[str]:
+    """The Python the workflow's steps run: the ``python - <<'EOF'``
+    heredocs and ``python -c "..."`` bodies of every ``run``."""
+    scripts = []
+    for run in ci_runs(workflow):
+        scripts += re.findall(r"python - <<'EOF'\n(.*?)\n *EOF$", run, re.S | re.M)
+        scripts += re.findall(r'python -c "(.*?)"', run)
+    return [textwrap.dedent(script) for script in scripts]
+
+
 def unreached(entry_scripts=ENTRY_SCRIPTS) -> set[str]:
     """Keys (``module:qualname``) of the defs no entry point reaches."""
     modules, defs = _parse_src()
@@ -143,11 +163,8 @@ def unreached(entry_scripts=ENTRY_SCRIPTS) -> set[str]:
             reads = _reads(ast.parse(path.read_text()))
             names |= reads.names
             wanted |= reads.modules
-    ci = CI_WORKFLOW.read_text()
-    scripts = re.findall(r"python - <<'EOF'\n(.*?)\n *EOF\n", ci, re.S)
-    scripts += re.findall(r'python -c "(.*?)"', ci)
-    for script in scripts:
-        reads = _reads(ast.parse(textwrap.dedent(script)))
+    for script in ci_scripts():
+        reads = _reads(ast.parse(script))
         names |= reads.names
         wanted |= reads.modules
 
@@ -214,3 +231,21 @@ def test_a_def_only_a_dropped_entry_point_calls_is_reported():
     assert "repro.analysis.perf:BenchReport" not in unreached()
     without = unreached(tuple(p for p in ENTRY_SCRIPTS if p != "benchmarks/*.py"))
     assert "repro.analysis.perf:BenchReport" in without
+
+
+def test_ci_scripts_come_from_the_parsed_workflow(tmp_path):
+    # Every inline script of every step is read: none is lost to a
+    # pattern that stopped matching.
+    calls = sum(
+        run.count("python - <<'EOF'") + run.count('python -c "') for run in ci_runs()
+    )
+    assert calls and len(ci_scripts()) == calls
+    # A plain-scalar ``run`` holding ": " is a YAML error, for which the
+    # CI service rejects the whole workflow: it fails here too.
+    broken = tmp_path / "ci.yml"
+    broken.write_text(
+        "jobs:\n  test:\n    steps:\n"
+        "      - run: python -c \"assert s.startswith('compiled: ')\"\n"
+    )
+    with pytest.raises(yaml.YAMLError, match="mapping values are not allowed"):
+        ci_scripts(broken)

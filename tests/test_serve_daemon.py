@@ -45,19 +45,30 @@ SLEEP = {"kind": "sleep", "seconds": 0.01, "tasks": 2}
 # ----------------------------------------------------------------------
 # Submit / result / digest equality
 # ----------------------------------------------------------------------
+#: A job of each kind whose payload is a pure function of the spec; the
+#: two experiments are the served forms of ``figure5-tiny`` and ``soak-2``
+#: (tests/test_experiment_pins.py).
+SERVED_SPECS = [
+    SLEEP,
+    {"kind": "figure5", "mode": "tiny"},
+    {"kind": "soak", "schedules": 2, "seed": 0},
+]
+
+
 def test_served_digest_equals_direct_execution(tmp_path):
     with running_daemon(tmp_path) as (daemon, client):
-        job_id = client.submit(SLEEP)
-        job = client.result(job_id, follow=True, timeout=60)
-        assert job["state"] == "done"
-        # The serving contract: a served result digest is byte-equal to
-        # an offline run of the same spec (sleep payloads are pure
-        # functions of the spec, wall-clock never enters the digest).
-        assert job["result"]["digest"] == execute_spec(SLEEP)["digest"]
+        job_ids = [client.submit(spec) for spec in SERVED_SPECS]
+        for spec, job_id in zip(SERVED_SPECS, job_ids):
+            job = client.result(job_id, follow=True, timeout=600)
+            assert job["state"] == "done", job
+            # The serving contract: a served result digest is byte-equal
+            # to an offline run of the same spec (wall-clock never enters
+            # the digest).
+            assert job["result"]["digest"] == execute_spec(spec)["digest"], spec
 
-        # Terminal results are served instantly without follow too.
-        again = client.result(job_id)
-        assert again["result"]["digest"] == job["result"]["digest"]
+            # Terminal results are served instantly without follow too.
+            again = client.result(job_id)
+            assert again["result"]["digest"] == job["result"]["digest"]
 
 
 def test_follow_streams_transitions_then_result(tmp_path):

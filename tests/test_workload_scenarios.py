@@ -129,7 +129,7 @@ def test_problem_kind_dispatch():
 
     for sc in (
         dataclasses.replace(Figure5Scenario.quick(), problem_kind="brusselator"),
-        ScaleScenario.brusselator_smoke(),
+        ScaleScenario(problem_kind="brusselator", n_ranks=256, components_per_rank=4),
     ):
         prob = sc.problem()
         assert isinstance(prob, BrusselatorProblem)
@@ -146,11 +146,6 @@ def test_problem_kind_dispatch():
 
 
 def test_scale_scenario_brusselator_presets():
-    from repro.workloads import ScaleScenario
-
-    smoke = ScaleScenario.brusselator_smoke()
-    assert smoke.n_ranks == 256
-    assert smoke.problem_kind == "brusselator"
     assert Figure5Scenario.scale_brusselator().proc_counts[-1] == 1024
     assert Figure5Scenario.scale_brusselator().problem_kind == "brusselator"
 
@@ -168,7 +163,7 @@ def scenario_presets():
 
     return {
         Figure5Scenario: ("quick", "tiny", "scale", "scale_brusselator"),
-        ScaleScenario: ("smoke", "brusselator_smoke"),
+        ScaleScenario: ("smoke",),
         Table1Scenario: ("quick",),
         ResilienceScenario: ("quick", "tiny"),
         IntegrityScenario: ("quick", "tiny"),
