@@ -358,7 +358,8 @@ class InvariantMonitor:
         from its neighbours' *actual current* boundary values (domain
         edges use the problem's boundary conditions, exactly as the
         solver does), runs one extra iteration per block, and returns
-        the maximum local residual.  Pure: live state is not touched.
+        the maximum local residual: 0.0 at least, NaN if any block's is
+        (``max`` would drop it).  Pure: live state is not touched.
         """
         run = self.run
         assert run is not None
@@ -388,7 +389,9 @@ class InvariantMonitor:
             result = problem.iterate(
                 state, halo_for(i, "left"), halo_for(i, "right")
             )
-            worst = max(worst, result.local_residual)
+            local = result.local_residual
+            if local > worst or local != local:  # NaN wins, as in np.maximum
+                worst = local
         return worst
 
     def verify_halt(self) -> dict[str, Any]:

@@ -13,10 +13,11 @@ event dispatches, which is what lets the simulator reach 10k ranks
 
 Equivalence is enforced, not assumed:
 
-* the problem must supply a :meth:`~repro.problems.base.Problem.
-  batched_chain_sweeper` whose per-block numerics are bit-identical to
-  per-rank ``iterate`` calls (the synthetic problem's global Jacobi
-  update is proven so; differential tests pin fingerprints);
+* the problem must opt in through :meth:`~repro.problems.base.Problem.
+  batched_chain_sweeper`, whose :class:`~repro.problems.base.
+  ChainSweeper` runs the problem's own ``iterate`` over the whole chain
+  ``[0, N)``: bit-identical to the per-rank calls when ``iterate`` is
+  Jacobi in space (differential tests pin fingerprints);
 * event ordering — including ``(time, seq)`` ties — is replayed through
   collapsed dispatch keys that are order-isomorphic to the reference
   scheduler's sequence numbers, so record lists, trigger ranks and the
@@ -28,15 +29,13 @@ Equivalence is enforced, not assumed:
   metric (see :func:`run_sisc_batched`).
 
 All three bundled problems batch: the synthetic contraction, the
-Brusselator (including its adaptive-skip and optimistic-verification
-machinery) and the linear heat relaxation each provide a
-``batched_chain_sweeper`` built on
-:class:`repro.problems.chain_sweeper.TrajectoryChainSweeper` /
-:class:`repro.numerics.ragged.ChainSegments`.
+Brusselator (its adaptive skip included) and the linear heat relaxation
+each return a :class:`~repro.problems.base.ChainSweeper`, whose per-rank
+reductions are :class:`repro.numerics.ragged.ChainSegments`'.
 
 The engine is memory-lean by construction: no per-rank GridNode /
 Process / generator objects — per-rank state is a handful of numpy
-arrays plus the sweeper's single global state vector.
+arrays plus the sweeper's one whole-chain state.
 """
 
 from __future__ import annotations

@@ -36,7 +36,9 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["BlockState", "IterationResult", "Problem", "padded"]
+from repro.numerics.ragged import ChainSegments
+
+__all__ = ["BlockState", "ChainSweeper", "IterationResult", "Problem", "padded"]
 
 
 def padded(old: np.ndarray, left_halo: Any, right_halo: Any) -> np.ndarray:
@@ -129,7 +131,7 @@ class Problem(ABC):
     def initial_traj(self, lo: int, hi: int) -> np.ndarray:
         """Initial rows of global components ``[lo, hi)``, computed
         elementwise from global indices (so one ``[0, N)`` call equals
-        the concatenated blocks: the chain sweepers rely on it)."""
+        the concatenated blocks: :class:`ChainSweeper` relies on it)."""
 
     def initial_state(self, lo: int, hi: int) -> BlockState:
         """Create the local state for global components ``[lo, hi)``."""
@@ -147,7 +149,11 @@ class Problem(ABC):
     def iterate(
         self, state: BlockState, left_halo: Any, right_halo: Any
     ) -> IterationResult:
-        """One relaxation sweep; mutates ``state``, returns residual/work."""
+        """One relaxation sweep; mutates ``state``, returns residual/work.
+
+        A caller never mutates a halo it has passed: when the values
+        change it passes a new array (a problem may keep a reference and
+        take the same object for the same values)."""
 
     def copy_state(self, state: BlockState) -> BlockState:
         """Independent snapshot of a local state (checkpoints, which
@@ -164,18 +170,18 @@ class Problem(ABC):
         """
         return state.traj
 
-    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> Any:
-        """A vectorised whole-chain sweeper for static ``blocks``, or None.
+    def batched_chain_sweeper(
+        self, blocks: list[tuple[int, int]]
+    ) -> "ChainSweeper | None":
+        """The lockstep replay's sweeper over static ``blocks``, or None.
 
-        When a problem can express "every block sweeps once against its
-        neighbours' previous-iteration boundaries" as one global
-        vectorised operation, it returns an object with the interface
-        expected by :func:`repro.models.lockstep.run_sisc_batched`
-        (``sweep()``, ``solution_block()``, ``probe_residual()``,
-        ``component_counts()``).  The per-block numerics of the sweeper
-        must be *bit-identical* to per-rank :meth:`iterate` calls.  The
-        default (None) routes synchronous large-N runs down the ordinary
-        per-rank path.
+        A problem returns ``ChainSweeper(self, blocks)`` when its
+        :meth:`iterate` is Jacobi in space: it reads the neighbours only
+        through the halos and sweeps every component on its own, so one
+        sweep of the whole chain between the domain-edge halos is every
+        block's sweep against its neighbours' previous-iteration
+        boundaries, bit for bit.  The default (None) routes synchronous
+        large-N runs down the ordinary per-rank path.
         """
         return None
 
@@ -266,3 +272,39 @@ class Problem(ABC):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         return side
+
+
+class ChainSweeper:
+    """Every rank's block swept once, as one :meth:`Problem.iterate`
+    over the whole chain ``[0, N)`` between the domain-edge halos: a
+    synchronous round of the lockstep replay
+    (:func:`repro.models.lockstep.run_sisc_batched`).  The per-rank
+    reductions are :class:`~repro.numerics.ragged.ChainSegments`', bit
+    for bit each rank's own."""
+
+    def __init__(self, problem: Problem, blocks: list[tuple[int, int]]) -> None:
+        n = problem.n_components
+        self.problem = problem
+        self.segments = ChainSegments(blocks, n)
+        self.state = problem.initial_state(0, n)
+        self.edges = (problem.initial_halo(-1), problem.initial_halo(n))
+
+    def sweep(self) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every rank one iteration: per-rank (residual, work)."""
+        result = self.problem.iterate(self.state, *self.edges)
+        return self.segments.max(result.residuals), self.segments.sum(result.work)
+
+    def probe_residual(self) -> float:
+        """The worst residual one more sweep would report, state
+        untouched: the guard's ``true_global_residual``, 0.0 at least
+        and NaN if any residual is."""
+        copy = self.problem.copy_state(self.state)
+        worst = self.problem.iterate(copy, *self.edges).local_residual
+        return worst if worst > 0.0 or worst != worst else 0.0
+
+    def component_counts(self) -> np.ndarray:
+        return self.segments.counts()
+
+    def solution_block(self, rank: int) -> np.ndarray:
+        lo, hi = self.segments.blocks[rank]
+        return self.state.traj[lo:hi].copy()

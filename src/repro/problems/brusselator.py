@@ -53,8 +53,13 @@ from typing import Callable
 import numpy as np
 
 from repro.numerics.newton import NewtonOptions
-from repro.problems.base import BlockState, IterationResult, Problem, padded
-from repro.problems.chain_sweeper import TrajectoryChainSweeper
+from repro.problems.base import (
+    BlockState,
+    ChainSweeper,
+    IterationResult,
+    Problem,
+    padded,
+)
 from repro.util.validation import check_positive
 
 __all__ = ["BrusselatorProblem", "BrusselatorState", "kernel_status"]
@@ -85,9 +90,28 @@ def _next_streak(
     """Consecutive-skip counts after a sweep that skipped ``skip``."""
     if skip is None:
         return np.zeros(n, dtype=np.int64)
-    streak[skip] += 1
-    streak[~skip] = 0
-    return streak
+    return (streak + 1) * skip
+
+
+def _quiet_since(
+    halo: np.ndarray, last: np.ndarray | None, threshold: float
+) -> bool:
+    """Whether an incoming halo moved less than ``threshold`` everywhere
+    since ``last``, the halo the previous sweep kept (a NaN difference
+    is never quiet).  Callers pass a new array whenever halo values
+    change, so the same object is the same values."""
+    return last is not None and (
+        halo is last or bool((np.abs(halo - last) < threshold).all())
+    )
+
+
+def _kept_halo(
+    halo: np.ndarray, last: np.ndarray | None
+) -> np.ndarray | None:
+    """The halo a sweep keeps for the next one's :func:`_quiet_since`:
+    itself when every value is finite, else None (a non-finite halo is
+    never quiet, and neither is the next one measured against it)."""
+    return halo if halo is last or np.isfinite(halo).all() else None
 
 
 def _invalidate_skip_state(state: "BrusselatorState") -> None:
@@ -105,7 +129,9 @@ class BrusselatorState(BlockState):
 
     The other fields support the adaptive-skip optimisation (see
     :class:`BrusselatorProblem`); they are ``None`` until the first
-    sweep / when skipping is disabled, and after every migration.
+    sweep / when skipping is disabled, and after every migration.  The
+    last halos are the previous sweep's halo arrays themselves, kept only
+    when every value is finite (:func:`_kept_halo`).
     """
 
     prev_res: np.ndarray | None = None
@@ -236,7 +262,13 @@ class BrusselatorProblem(Problem):
         ``refresh_period`` consecutive sweeps (the safety refresh).
         Reactivation travels one component per sweep, exactly like the
         relaxation's own information flow, so skipping never hides a
-        genuine change.
+        genuine change.  The mask of the whole chain (a
+        :class:`~repro.problems.base.ChainSweeper` round) is every
+        rank's: a halo moves by exactly its component's residual (0 when
+        that component skipped, its residual then below threshold), so
+        "the incoming halo is quiet" and "the neighbour's residual is"
+        agree, and the chain's two edges, constant arrays passed again
+        each round, are quiet from the second sweep on.
         """
         if (
             not self.skip_converged
@@ -246,13 +278,11 @@ class BrusselatorProblem(Problem):
             return None
         thr = self.skip_threshold
         quiet = state.prev_res < thr
-        left_edge_quiet = state.last_left_halo is not None and bool(
-            np.max(np.abs(left_halo - state.last_left_halo)) < thr
+        neighbours = padded(
+            quiet,
+            _quiet_since(left_halo, state.last_left_halo, thr),
+            _quiet_since(right_halo, state.last_right_halo, thr),
         )
-        right_edge_quiet = state.last_right_halo is not None and bool(
-            np.max(np.abs(right_halo - state.last_right_halo)) < thr
-        )
-        neighbours = padded(quiet, left_edge_quiet, right_edge_quiet)
         return (
             quiet
             & neighbours[:-2]
@@ -267,24 +297,25 @@ class BrusselatorProblem(Problem):
         right_halo: np.ndarray,
     ) -> IterationResult:
         skip = self._skip_mask(state, left_halo, right_halo)
-        new, work, residuals, reduced = self._sweep_batched(
+        new, work, residuals, (top, total) = self._sweep_batched(
             padded(state.traj, left_halo, right_halo), skip, state.lo
         )
         if skip is not None and skip.any():
             # A skipped component's trajectory did not change; keep its
             # previous (below-threshold) residual rather than a fake 0.
-            residuals[skip] = state.prev_res[skip]
-            reduced = None
+            # Every residual is +0.0 or finite and positive (a non-finite
+            # one fails Newton), so the max folds in exactly.
+            kept = state.prev_res[skip]
+            residuals[skip] = kept
+            top = max(top, float(kept.max()))
 
         state.traj = new
         if self.skip_converged:
             state.skip_streak = _next_streak(state.skip_streak, skip, state.n)
             state.prev_res = residuals.copy()
-            state.last_left_halo = np.array(left_halo, copy=True)
-            state.last_right_halo = np.array(right_halo, copy=True)
-        if reduced is None:
-            return IterationResult.from_arrays(residuals, work)
-        return IterationResult(residuals, work, *reduced)
+            state.last_left_halo = _kept_halo(left_halo, state.last_left_halo)
+            state.last_right_halo = _kept_halo(right_halo, state.last_right_halo)
+        return IterationResult(residuals, work, top, total)
 
     def _sweep_batched(
         self, ext: np.ndarray, skip: np.ndarray | None, lo: int
@@ -298,16 +329,16 @@ class BrusselatorProblem(Problem):
         component, the arithmetic cannot tell); it is read, never
         written.  ``skip`` marks the components that keep their
         trajectory (``None``: none do).  Every component is swept on its
-        own, so the same call serves one rank's block (``iterate``) and
-        the whole concatenated chain (:class:`_BrusselatorChainSweeper`)
-        with bit-identical per-component results.  The sweep is the
+        own, so a rank's block and the whole chain that
+        :class:`~repro.problems.base.ChainSweeper` hands ``iterate`` get
+        bit-identical per-component results.  The sweep is the
         compiled kernel when one loads (:func:`kernel_status`), else
         :meth:`_sweep_scalar`, bit for bit the same.  Returns ``(new,
         per-component work, per-component residual max|new - old|,
         (residual max, work sum))``; a Newton failure raises
         ``RuntimeError`` naming the lowest failing step.
         """
-        active = None if skip is None else np.flatnonzero(~skip)
+        active = None if skip is None else (~skip).nonzero()[0]
         new, work, residuals, reduced, failure = _kernel()(self, ext, active)
         if failure:
             raise RuntimeError(_NEWTON_FAILED.format(*failure, lo))
@@ -477,10 +508,8 @@ class BrusselatorProblem(Problem):
     # ------------------------------------------------------------------
     # Rank-batched sweeps (lockstep SISC engine)
     # ------------------------------------------------------------------
-    def batched_chain_sweeper(
-        self, blocks: list[tuple[int, int]]
-    ) -> "_BrusselatorChainSweeper":
-        return _BrusselatorChainSweeper(self, blocks)
+    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> ChainSweeper:
+        return ChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
     def reference_solution(self) -> np.ndarray:
@@ -532,83 +561,6 @@ class BrusselatorProblem(Problem):
         out[:, 0, :] = traj[:, 0::2].T
         out[:, 1, :] = traj[:, 1::2].T
         return out
-
-
-class _BrusselatorChainSweeper(TrajectoryChainSweeper):
-    """All ranks' Brusselator sweeps as one global update.
-
-    In a synchronous round every block sweeps against its neighbours'
-    *previous-sweep* boundary trajectories — the same Jacobi-in-space
-    dependency structure as one global sweep over the concatenated
-    ``(N, 2, n_steps + 1)`` state with the Dirichlet edge trajectories
-    pinned.  The sweep is :meth:`BrusselatorProblem._sweep_batched`,
-    shared verbatim with :meth:`BrusselatorProblem.iterate`, and it
-    sweeps (and charges work to) each component on its own, so each
-    block's slice of the global update is bit-identical to the per-rank
-    call.
-
-    The adaptive-skip machinery reduces globally too: a block-boundary
-    component tests ``max|halo - last_halo| < thr`` against its
-    neighbour's incoming trajectory, and that difference *is* the
-    neighbour's boundary component's recorded residual (unchanged
-    trajectory => diff 0 and a retained below-threshold residual;
-    changed => diff equals the residual just recorded), so the
-    per-block test equals the global ``prev_res < thr`` of the
-    neighbouring component.  Domain-edge halos are constant, hence
-    quiet from the second sweep on — exactly when ``prev_res`` first
-    exists and skipping can first engage.  Work sums are integer-valued
-    floats far below 2**53, so the per-rank reductions are exact in any
-    order; residual maxes are exact by construction.
-    """
-
-    def __init__(
-        self, problem: BrusselatorProblem, blocks: list[tuple[int, int]]
-    ) -> None:
-        super().__init__(problem, blocks)
-        self._prev_res: np.ndarray | None = None
-        self._skip_streak: np.ndarray | None = None
-
-    def _global_skip_mask(self) -> np.ndarray | None:
-        """Global reduction of :meth:`BrusselatorProblem._skip_mask`."""
-        p = self.problem
-        if (
-            not p.skip_converged
-            or self._prev_res is None
-            or self._skip_streak is None
-        ):
-            return None
-        thr = p.skip_threshold
-        quiet = self._prev_res < thr
-        # The constant Dirichlet halos are always quiet.
-        neighbours = padded(quiet, True, True)
-        return (
-            quiet
-            & neighbours[:-2]
-            & neighbours[2:]
-            & (self._skip_streak < p.refresh_period)
-        )
-
-    def _advance(
-        self, old: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        skip = self._global_skip_mask()
-        new, work, residuals, _ = self.problem._sweep_batched(
-            padded(old, self._edge_left, self._edge_right), skip, 0
-        )
-        if skip is not None and skip.any():
-            residuals[skip] = self._prev_res[skip]
-        return new, residuals, work, skip
-
-    def _commit(
-        self, new: np.ndarray, residuals: np.ndarray, skip: np.ndarray | None
-    ) -> None:
-        self.traj = new
-        p = self.problem
-        if p.skip_converged:
-            self._skip_streak = _next_streak(
-                self._skip_streak, skip, p.n_components
-            )
-            self._prev_res = residuals.copy()
 
 
 # ----------------------------------------------------------------------
@@ -797,7 +749,7 @@ def _trace(
     skip: np.ndarray | None,
 ) -> bytes:
     """Everything one sweep hands back, as bytes."""
-    active = None if skip is None else np.flatnonzero(~skip)
+    active = None if skip is None else (~skip).nonzero()[0]
     new, work, residuals, reduced, failure = sweep(problem, ext, active)
     tail = repr((reduced, failure)).encode()
     return new.tobytes() + work.tobytes() + residuals.tobytes() + tail

@@ -18,8 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.numerics.banded import thomas_solve
-from repro.problems.base import BlockState, IterationResult, Problem, padded
-from repro.problems.chain_sweeper import LinearChainSweeper
+from repro.problems.base import (
+    BlockState,
+    ChainSweeper,
+    IterationResult,
+    Problem,
+    padded,
+)
 from repro.util.validation import check_positive
 
 __all__ = ["HeatProblem"]
@@ -171,10 +176,8 @@ class HeatProblem(Problem):
     # ------------------------------------------------------------------
     # Rank-batched sweeps (lockstep SISC engine)
     # ------------------------------------------------------------------
-    def batched_chain_sweeper(
-        self, blocks: list[tuple[int, int]]
-    ) -> LinearChainSweeper:
-        return LinearChainSweeper(self, blocks)
+    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> ChainSweeper:
+        return ChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
     def reference_solution(self) -> np.ndarray:

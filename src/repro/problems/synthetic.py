@@ -29,8 +29,13 @@ import math
 
 import numpy as np
 
-from repro.problems.base import BlockState, IterationResult, Problem, padded
-from repro.problems.chain_sweeper import TrajectoryChainSweeper
+from repro.problems.base import (
+    BlockState,
+    ChainSweeper,
+    IterationResult,
+    Problem,
+    padded,
+)
 from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["SyntheticProblem"]
@@ -242,25 +247,5 @@ class SyntheticProblem(Problem):
     # ------------------------------------------------------------------
     # Rank-batched sweeps (lockstep SISC engine)
     # ------------------------------------------------------------------
-    def batched_chain_sweeper(
-        self, blocks: list[tuple[int, int]]
-    ) -> "_SyntheticChainSweeper":
-        return _SyntheticChainSweeper(self, blocks)
-
-
-class _SyntheticChainSweeper(TrajectoryChainSweeper):
-    """All ranks' synthetic sweeps as one vectorised global update.
-
-    The base class's argument applies with the error vector as the
-    "trajectory": a synchronous round is one global Jacobi-style sweep
-    between the pinned domain-edge halos, and every operation of
-    :meth:`SyntheticProblem._relax` (``max``, elementwise multiply) is
-    elementwise, so each block's slice of it is bit for bit what
-    :meth:`SyntheticProblem.iterate` computes for that block.
-    """
-
-    def _advance(self, old: np.ndarray):
-        p = self.problem
-        new, work = p._relax(p.rates, old, self._edge_left, self._edge_right)
-        # The residual of a synthetic sweep is the new error itself.
-        return new, new, work, None
+    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> ChainSweeper:
+        return ChainSweeper(self, blocks)

@@ -8,6 +8,8 @@ plausibly did the equivalent inside its Solve — it is what makes
 converged regions nearly free and the residual a sharp load signal.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,52 @@ def test_halo_change_reactivates_boundary_component():
     assert res.work[0] > 1.0
     # Its residual jumps back above the threshold.
     assert res.residuals[0] > p.skip_threshold
+
+
+def test_skipped_component_can_hold_the_block_residual():
+    """A skipped component keeps its previous residual; when that is the
+    block's largest, the reported reductions are still NumPy's of the
+    arrays, bit for bit."""
+    p = make()
+    st = p.initial_state(0, 16)
+    hl, hr = p.initial_halo(-1), p.initial_halo(16)
+    relax(p, st, 200, hl, hr)
+    # Component 5 stays quiet but holds the largest residual; every
+    # other even component is due its safety refresh.
+    st.prev_res[5] = 0.9 * p.skip_threshold
+    st.skip_streak[:] = 0
+    st.skip_streak[::2] = p.refresh_period
+    res = p.iterate(st, hl, hr)
+    assert res.work[5] == 1.0 and (res.work[::2] > 1.0).all()
+    assert res.residuals[5] == 0.9 * p.skip_threshold
+    assert struct.pack("dd", res.local_residual, res.total_work) == struct.pack(
+        "dd", float(res.residuals.max()), float(res.work.sum())
+    )
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_halo_is_never_quiet(side, bad):
+    """A halo whose step-0 value (the one step a sweep never reads) is
+    not finite, passed as the same object sweep after sweep, never lets
+    the edge component skip; nor does the next finite halo, which is
+    measured against it."""
+    p = make()
+    st = p.initial_state(0, 16)
+    halos = {"left": p.initial_halo(-1), "right": p.initial_halo(16)}
+    relax(p, st, 200, halos["left"], halos["right"])
+    edge = 0 if side == "left" else 15
+    clean = halos[side]
+    assert p.iterate(st, halos["left"], halos["right"]).work[edge] == 1.0
+    halos[side] = clean.copy()
+    halos[side][1, 0] = bad
+    for _ in range(2):
+        res = p.iterate(st, halos["left"], halos["right"])
+        assert res.work[edge] > 1.0
+    halos[side] = clean.copy()
+    assert p.iterate(st, halos["left"], halos["right"]).work[edge] > 1.0
+    # The same finite halo again: quiet, and the edge skips once more.
+    assert p.iterate(st, halos["left"], halos["right"]).work[edge] == 1.0
 
 
 def test_reactivation_propagates_one_hop_per_sweep():

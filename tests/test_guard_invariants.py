@@ -221,6 +221,20 @@ def test_halt_oracle_accepts_honest_non_convergence():
     assert not verdict["declared_converged"]
 
 
+def test_halt_oracle_never_drops_a_nan_residual():
+    """A NaN in one block reaches ``judge_halt``, which never counts it
+    within tolerance (Python's ``max(x, nan)`` is ``x``)."""
+    from repro.models import run_model
+    from repro.workloads import SoakScenario
+
+    guard = InvariantMonitor()
+    assert run_model("aiac", SoakScenario(), guard=guard).converged
+    guard.run.ranks[1].state.traj[0, 3] = np.nan
+    assert np.isnan(guard.true_global_residual())
+    with pytest.raises(InvariantViolation, match="residual is nan"):
+        guard.verify_halt()
+
+
 def test_true_global_residual_handles_empty_blocks():
     problem, platform, config = _small()
     guard = InvariantMonitor()

@@ -1,14 +1,17 @@
-"""Property tests: batched chain sweepers ≡ per-rank scalar iterate().
+"""Property tests: the lockstep chain sweep ≡ per-rank iterate().
 
 The lockstep replay's correctness rests on one claim: a problem's
-``batched_chain_sweeper`` advancing the whole chain in one vectorised
-pass produces, for every rank, *bit-identical* residual / work /
-solution to the per-rank ``iterate()`` path the event-driven solver
-runs.  Hypothesis drives that claim across ragged partitions (including
-one-component and empty blocks), the Brusselator's adaptive-skip
-options (threshold, refresh cadence, the optimistic-step verification
-and the scalar sweep) and Newton jacobian-refresh cadences; the routes
-themselves are pinned in ``tests/test_brusselator_sweep_routes.py``.
+:class:`~repro.problems.base.ChainSweeper`, which runs the problem's own
+``iterate`` once over the whole chain ``[0, N)`` between the domain-edge
+halos, produces for every rank *bit-identical* residual / work /
+solution to the per-rank ``iterate()`` calls the event-driven solver
+makes.  Hypothesis drives that claim across ragged partitions (including
+one-component and empty blocks), the Brusselator's adaptive-skip options
+(threshold, refresh cadence), and chain lengths on both sides of the
+heat and synthetic problems' float-route bounds (``_FLOAT_SWEEP_MAX``:
+the whole chain and a rank's block may take different routes); the
+Brusselator's sweep paths themselves are pinned in
+``tests/test_brusselator_sweep_routes.py``.
 
 The scalar reference below replays exactly what a synchronous round
 does: gather every rank's previous-sweep boundary trajectories (walking
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.problems.brusselator import BrusselatorProblem
 from repro.problems.heat import HeatProblem
+from repro.problems.synthetic import SyntheticProblem
 
 
 def _halo(problem, blocks, states, rank, side):
@@ -128,3 +132,30 @@ def test_heat_batched_equals_scalar(part, n_sweeps):
     n, blocks = part
     problem = HeatProblem(n, n_steps=12)
     assert_batched_matches_scalar(problem, blocks, n_sweeps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    part=chain_partitions(n_max=40, max_ranks=6),
+    data=st.data(),
+    coupling=st.sampled_from([0.0, 0.3, 0.9]),
+    costs=st.sampled_from([(1.0, 4.0), (0.1, 0.7)]),
+    n_sweeps=st.integers(1, 8),
+)
+def test_synthetic_batched_equals_scalar(part, data, coupling, costs, n_sweeps):
+    # Chains of up to `_FLOAT_SWEEP_MAX` (24) components sweep whole on
+    # the float route, longer ones through `_relax`; blocks take either.
+    n, blocks = part
+    rates = data.draw(
+        st.lists(st.floats(0.0, 0.99), min_size=n, max_size=n), label="rates"
+    )
+    base_cost, active_cost = costs
+    problem = SyntheticProblem(
+        rates,
+        coupling=coupling,
+        active_threshold=0.05,
+        base_cost=base_cost,
+        active_cost=active_cost,
+    )
+    assert_batched_matches_scalar(problem, blocks, n_sweeps)
+
