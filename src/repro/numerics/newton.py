@@ -16,8 +16,8 @@ how much of the local subdomain is still evolving.
 
 The Brusselator's sweep runs its own per-(component, step) loop with
 this kernel's arithmetic and bookkeeping: compiled
-(``repro/problems/brusselator_sweep.c``) where ``cc`` builds it, and on
-Python floats (``BrusselatorProblem._sweep_scalar``, the kernel's
+(``repro/problems/_sweeps.c``) where ``cc`` builds it, and on Python
+floats (``BrusselatorProblem._sweep_scalar``, the compiled loop's
 reference) elsewhere.  No product path calls this function; the tests
 hold both sweep paths to it bitwise.
 """

@@ -1,0 +1,518 @@
+/* The three problems' sweeps, compiled: one CPython extension module.
+ *
+ *   brusselator  the loop of BrusselatorProblem._sweep_scalar
+ *                (repro/problems/brusselator.py);
+ *   heat         the loop of HeatProblem._sweep_floats, for every block
+ *                size (repro/problems/heat.py);
+ *   synthetic    the loop of SyntheticProblem._sweep_floats, for every
+ *                block size, with the work sum in NumPy's pairwise order
+ *                (repro/problems/synthetic.py).
+ *
+ * Each Python loop is its sweep's reference and the path that runs
+ * wherever this file cannot be compiled and loaded
+ * (repro/problems/_compiled.py).
+ *
+ * Bit identity with the Python floats of the references rests on three
+ * things: every expression below keeps the Python order and grouping
+ * (no subexpression is shared that the reference does not share, none
+ * is regrouped); the build flags are -O2 -ffp-contract=off, with no
+ * fast-math and no -march, so no multiply-add is fused and nothing is
+ * reassociated; and both sides compute in IEEE-754 doubles.  The loader
+ * still holds every sweep to its reference on probe cases before the
+ * module's first use.
+ *
+ * Arrays pass through the buffer protocol only (no NumPy headers): each
+ * must be C-contiguous, of format "d" (the Brusselator's active list:
+ * np.intp), and as long as n and steps say, else the call raises before
+ * it writes anything.  Output buffers are the caller's.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <string.h>
+
+/* One Brusselator waveform-relaxation sweep.
+ *
+ * Layout: ext is the padded (n + 2, 2, steps + 1) buffer, C-contiguous,
+ * read only; row j + 1 is component j's previous-sweep trajectory, rows
+ * j and j + 2 its lagged neighbours.  active lists the m swept
+ * components (NULL: all n).  out receives, one after the other, new
+ * (n, 2, steps + 1), work (n,), residuals max|new - old| (n,) and
+ * (residual max, work sum, failed count at the first failing step); the
+ * return value is that step, 0 when every step converged.
+ */
+static int64_t brusselator_sweep(
+    const double *ext, double *out, const ptrdiff_t *active, int64_t n,
+    int64_t m, int64_t steps, double dt, double c, double tol,
+    int64_t max_iter, double damping)
+{
+    const int64_t len = steps + 1, row = 2 * len;
+    const double neg_tol = -tol, two_c = 2.0 * c;
+    double *out_new = out, *work = out + n * row, *residuals = work + n;
+    double *reduced = residuals + n;
+    double top = 0.0;
+    int64_t total = n - m; /* a skipped component's one unit */
+    int64_t fail_step = 0, fail_count = 0;
+
+    /* Skipped components keep their trajectories and pay one unit. */
+    memcpy(out_new, ext + row, (size_t)(n * row) * sizeof(double));
+    for (int64_t j = 0; j < n; j++) {
+        work[j] = 1.0;
+        residuals[j] = 0.0;
+    }
+
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t j = active ? (int64_t)active[i] : i;
+        const double *ult = ext + j * row, *vlt = ult + len;
+        const double *uu = ult + row, *vv = uu + len;
+        const double *urt = uu + row, *vrt = urt + len;
+        double *nu = out_new + j * row, *nv = nu + len;
+        double res = 0.0, up = uu[0], vp = vv[0];
+        int64_t w = 0;
+        for (int64_t k = 1; k <= steps; k++) {
+            const double ul = ult[k], ur = urt[k], vl = vlt[k], vr = vrt[k];
+            double u = uu[k], v = vv[k]; /* guess: previous sweep's value */
+            int64_t p = 0;
+            int converged;
+            for (;;) {
+                const double u_sq = u * u;
+                const double u_sq_v = u_sq * v;
+                const double two_u = 2.0 * u;
+                const double f1 = u - up - dt * (
+                    1.0 + u_sq_v - 4.0 * u + c * (ul - two_u + ur));
+                const double f2 = v - vp - dt * (
+                    3.0 * u - u_sq_v + c * (vl - 2.0 * v + vr));
+                converged = neg_tol <= f1 && f1 <= tol
+                            && neg_tol <= f2 && f2 <= tol;
+                if (converged || p == max_iter)
+                    break;
+                const double two_uv = two_u * v;
+                const double j11 = 1.0 - dt * (two_uv - 4.0 - two_c);
+                const double j12 = -dt * u_sq;
+                const double j21 = -dt * (3.0 - two_uv);
+                const double j22 = 1.0 + dt * (u_sq + two_c);
+                const double det = j11 * j22 - j12 * j21;
+                if (-1e-300 < det && det < 1e-300)
+                    break; /* singular Jacobian: stop, unconverged */
+                u = u - damping * ((j22 * f1 - j12 * f2) / det);
+                v = v - damping * ((j11 * f2 - j21 * f1) / det);
+                p += 1;
+            }
+            if (!converged) {
+                /* Later steps cannot lower the first failing one. */
+                if (fail_count == 0 || k < fail_step) {
+                    fail_step = k;
+                    fail_count = 1;
+                } else if (k == fail_step) {
+                    fail_count += 1;
+                }
+                break;
+            }
+            w += p ? p : 1;
+            up = u;
+            vp = v;
+            if (p) {
+                nu[k] = u;
+                nv[k] = v;
+                double d = u - uu[k];
+                if (d < 0.0)
+                    d = -d;
+                if (d > res)
+                    res = d;
+                d = v - vv[k];
+                if (d < 0.0)
+                    d = -d;
+                if (d > res)
+                    res = d;
+            }
+        }
+        work[j] = (double)w;
+        total += w;
+        residuals[j] = res;
+        if (res > top)
+            top = res;
+    }
+    reduced[0] = top;
+    reduced[1] = (double)total;
+    reduced[2] = (double)fail_count;
+    return fail_step;
+}
+
+/* One heat waveform-relaxation sweep of the (n, steps + 1) block between
+ * the left and right halo trajectories (steps + 1 each).  out receives
+ * new (n, steps + 1), residuals max|new - old| (n,) and work (n,); the
+ * return value is the residuals' max.  *nan is set when a residual is
+ * NaN: the caller then takes them with NumPy, which picks the NaN.
+ */
+static double heat_sweep(
+    const double *left, const double *block, const double *right,
+    double *out, Py_ssize_t n, Py_ssize_t steps, double c_dt, double denom,
+    int *nan)
+{
+    const Py_ssize_t len = steps + 1;
+    double *residuals = out + n * len, *work = residuals + n;
+    double top = 0.0;
+
+    *nan = 0;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        const double *row = block + j * len;
+        const double *lt = j ? row - len : left;
+        const double *rt = j + 1 < n ? row + len : right;
+        double *nw = out + j * len;
+        double x = row[0];
+        double res = x - x; /* the step-0 term: 0.0, or NaN from inf / NaN */
+        nw[0] = x;
+        if (res != res)
+            *nan = 1;
+        for (Py_ssize_t k = 1; k <= steps; k++) {
+            x = (x + c_dt * (lt[k] + rt[k])) / denom;
+            nw[k] = x;
+            double d = x - row[k];
+            if (d < 0.0)
+                d = -d;
+            if (!(d <= res)) {
+                if (d != d)
+                    *nan = 1;
+                res = d;
+            }
+        }
+        residuals[j] = res;
+        work[j] = (double)steps;
+        if (res > top)
+            top = res;
+    }
+    return top;
+}
+
+/* float(np.array(a[:n]).sum()): NumPy's pairwise_sum, in order below 8
+ * values, in eight interleaved partial sums up to 128, and halved at a
+ * multiple of 8 above. */
+static double pairwise_sum(const double *a, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        double r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
+        Py_ssize_t i;
+        for (i = 8; i < n - n % 8; i += 8) {
+            r0 += a[i];
+            r1 += a[i + 1];
+            r2 += a[i + 2];
+            r3 += a[i + 3];
+            r4 += a[i + 4];
+            r5 += a[i + 5];
+            r6 += a[i + 6];
+            r7 += a[i + 7];
+        }
+        double res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    Py_ssize_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* One synthetic sweep of the n errors e (rates: theirs) between two halo
+ * values.  out receives new (n,), the same values again as residuals
+ * (n,) and work (n,); the return value is the max of new.  *redo is set
+ * when that max is NaN or a zero, whose payload or sign NumPy's
+ * reduction order picks: the caller then takes it with NumPy. */
+static double synthetic_sweep(
+    const double *rates, const double *e, double left, double right,
+    double *out, Py_ssize_t n, double g, double threshold, double base,
+    double active, int *redo)
+{
+    double *residuals = out + n, *work = residuals + n;
+    double top = -INFINITY;
+
+    *redo = 0;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        /* np.maximum(a, b) is a if a > b or a != a else b */
+        const double a = j ? e[j - 1] : left;
+        const double b = j + 1 < n ? e[j + 1] : right;
+        const double x = e[j];
+        const double u = rates[j] * x;
+        const double w = g * (a > b || a != a ? a : b);
+        const double v = u > w || u != u ? u : w;
+        out[j] = v;
+        residuals[j] = v;
+        work[j] = x > threshold ? active : base;
+        if (v > top)
+            top = v;
+        else if (v != v)
+            *redo = 1;
+    }
+    if (top == 0.0)
+        *redo = 1;
+    return top;
+}
+
+/* ------------------------------------------------------------------ */
+/* The module: argument checks, then the loops above                   */
+/* ------------------------------------------------------------------ */
+
+/* Fill view with obj's C-contiguous buffer of format "d" (kind 'd') or
+ * np.intp (kind 'p'), writable if asked; its item count in *count. */
+static int get_array(
+    PyObject *obj, Py_buffer *view, int writable, char kind,
+    const char *name, Py_ssize_t *count)
+{
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
+    if (writable)
+        flags |= PyBUF_WRITABLE;
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    const char *f = view->format ? view->format : "B";
+    int ok = kind == 'd'
+        ? view->itemsize == sizeof(double) && strcmp(f, "d") == 0
+        : view->itemsize == sizeof(ptrdiff_t) && f[0] && !f[1]
+              && strchr("lqn", f[0]);
+    if (!ok) {
+        PyErr_Format(
+            PyExc_TypeError, "%s must be %s, got format '%s'", name,
+            kind == 'd' ? "float64" : "intp", f);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    *count = view->len / view->itemsize;
+    return 0;
+}
+
+/* A halo value: a float, or a buffer holding one float64. */
+static int get_value(PyObject *obj, const char *name, double *value)
+{
+    if (PyFloat_Check(obj)) {
+        *value = PyFloat_AS_DOUBLE(obj);
+        return 0;
+    }
+    if (!PyObject_CheckBuffer(obj)) {
+        *value = PyFloat_AsDouble(obj);
+        return *value == -1.0 && PyErr_Occurred() ? -1 : 0;
+    }
+    Py_buffer view = {0};
+    Py_ssize_t count;
+    if (get_array(obj, &view, 0, 'd', name, &count) < 0)
+        return -1;
+    if (count == 1)
+        *value = *(const double *)view.buf;
+    PyBuffer_Release(&view);
+    if (count != 1) {
+        PyErr_Format(PyExc_ValueError, "%s must hold 1 value, got %zd",
+                     name, count);
+        return -1;
+    }
+    return 0;
+}
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                 name, want, nargs);
+    return -1;
+}
+
+static PyObject *length_error(const char *name)
+{
+    PyErr_Format(PyExc_ValueError,
+                 "%s(): buffer lengths do not match n and steps", name);
+    return NULL;
+}
+
+PyDoc_STRVAR(brusselator_doc,
+"brusselator(ext, out, active, steps, dt, c, tol, max_iter, damping)\n"
+"\n"
+"One Brusselator sweep of the padded buffer ext, (n + 2, 2, steps + 1),\n"
+"over the components active lists (None: all).  out, of\n"
+"n * 2 * (steps + 1) + 2 * n + 3 float64, receives new, work, residuals\n"
+"and (residual max, work sum, failed count); returns the first failing\n"
+"step, 0 when every step converged.");
+
+static PyObject *brusselator(
+    PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer ext = {0}, out = {0}, act = {0};
+    Py_ssize_t n_ext, n_out, m = 0;
+    PyObject *result = NULL;
+
+    if (check_nargs("brusselator", nargs, 9) < 0)
+        return NULL;
+    const Py_ssize_t steps = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
+    const double dt = PyFloat_AsDouble(args[4]);
+    const double c = PyFloat_AsDouble(args[5]);
+    const double tol = PyFloat_AsDouble(args[6]);
+    const long long max_iter = PyLong_AsLongLong(args[7]);
+    const double damping = PyFloat_AsDouble(args[8]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (get_array(args[0], &ext, 0, 'd', "ext", &n_ext) < 0
+        || get_array(args[1], &out, 1, 'd', "out", &n_out) < 0
+        || (args[2] != Py_None
+            && get_array(args[2], &act, 0, 'p', "active", &m) < 0))
+        goto done;
+    const Py_ssize_t row = 2 * (steps + 1);
+    const Py_ssize_t n = steps < 0 || steps >= n_ext ? -1 : n_ext / row - 2;
+    if (n < 0 || (n + 2) * row != n_ext || n_out != n * row + 2 * n + 3) {
+        length_error("brusselator");
+        goto done;
+    }
+    const ptrdiff_t *active = act.obj ? (const ptrdiff_t *)act.buf : NULL;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        if (active[i] < 0 || active[i] >= n) {
+            PyErr_Format(PyExc_IndexError,
+                         "brusselator(): active index %zd out of [0, %zd)",
+                         (Py_ssize_t)active[i], n);
+            goto done;
+        }
+    }
+    result = PyLong_FromLongLong(brusselator_sweep(
+        ext.buf, out.buf, active, n, active ? m : n, steps, dt, c, tol,
+        max_iter, damping));
+done:
+    PyBuffer_Release(&ext);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&act);
+    return result;
+}
+
+PyDoc_STRVAR(heat_doc,
+"heat(left, block, right, out, steps, c_dt, denom)\n"
+"\n"
+"One heat sweep of block, (n, steps + 1), between the halo trajectories\n"
+"left and right (steps + 1 each).  out, of n * (steps + 3) float64,\n"
+"receives new, residuals and work; returns the residuals' max, or None\n"
+"when one is NaN.");
+
+static PyObject *heat(
+    PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer left = {0}, block = {0}, right = {0}, out = {0};
+    Py_ssize_t n_left, n_block, n_right, n_out;
+    PyObject *result = NULL;
+    int nan;
+
+    if (check_nargs("heat", nargs, 7) < 0)
+        return NULL;
+    const Py_ssize_t steps = PyNumber_AsSsize_t(args[4], PyExc_OverflowError);
+    const double c_dt = PyFloat_AsDouble(args[5]);
+    const double denom = PyFloat_AsDouble(args[6]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (get_array(args[0], &left, 0, 'd', "left", &n_left) < 0
+        || get_array(args[1], &block, 0, 'd', "block", &n_block) < 0
+        || get_array(args[2], &right, 0, 'd', "right", &n_right) < 0
+        || get_array(args[3], &out, 1, 'd', "out", &n_out) < 0)
+        goto done;
+    const Py_ssize_t len = n_left;
+    const Py_ssize_t n = steps < 0 || steps != len - 1 ? -1 : n_block / len;
+    if (n < 0 || n * len != n_block || n_right != len
+        || n_out != n * (len + 2)) {
+        length_error("heat");
+        goto done;
+    }
+    const double top = heat_sweep(
+        left.buf, block.buf, right.buf, out.buf, n, steps, c_dt, denom,
+        &nan);
+    if (nan) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    } else {
+        result = PyFloat_FromDouble(top);
+    }
+done:
+    PyBuffer_Release(&left);
+    PyBuffer_Release(&block);
+    PyBuffer_Release(&right);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+PyDoc_STRVAR(synthetic_doc,
+"synthetic(rates, lo, errors, left, right, out, coupling, threshold,\n"
+"          base, active)\n"
+"\n"
+"One synthetic sweep of the n errors, whose rates are rates[lo:lo + n],\n"
+"between two halo values (floats or one-value buffers).  out, of 3 * n\n"
+"float64, receives new, residuals (new again) and work; returns (the\n"
+"max of new, or None when it is NaN or a zero; the work's sum).");
+
+static PyObject *synthetic(
+    PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer rates = {0}, errors = {0}, out = {0};
+    Py_ssize_t n_rates, n, n_out;
+    PyObject *result = NULL, *top_obj = NULL, *total_obj = NULL;
+    double left, right;
+    int redo;
+
+    if (check_nargs("synthetic", nargs, 10) < 0)
+        return NULL;
+    const Py_ssize_t lo = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    const double g = PyFloat_AsDouble(args[6]);
+    const double threshold = PyFloat_AsDouble(args[7]);
+    const double base = PyFloat_AsDouble(args[8]);
+    const double active = PyFloat_AsDouble(args[9]);
+    if (PyErr_Occurred() || get_value(args[3], "left", &left) < 0
+        || get_value(args[4], "right", &right) < 0)
+        return NULL;
+    if (get_array(args[0], &rates, 0, 'd', "rates", &n_rates) < 0
+        || get_array(args[2], &errors, 0, 'd', "errors", &n) < 0
+        || get_array(args[5], &out, 1, 'd', "out", &n_out) < 0)
+        goto done;
+    if (lo < 0 || lo > n_rates - n || n_out != 3 * n) {
+        length_error("synthetic");
+        goto done;
+    }
+    const double top = synthetic_sweep(
+        (const double *)rates.buf + lo, errors.buf, left, right, out.buf, n,
+        g, threshold, base, active, &redo);
+    const double total = pairwise_sum((const double *)out.buf + 2 * n, n);
+    if (redo) {
+        Py_INCREF(Py_None);
+        top_obj = Py_None;
+    } else {
+        top_obj = PyFloat_FromDouble(top);
+    }
+    total_obj = PyFloat_FromDouble(total);
+    if (top_obj && total_obj)
+        result = PyTuple_Pack(2, top_obj, total_obj);
+    Py_XDECREF(top_obj);
+    Py_XDECREF(total_obj);
+done:
+    PyBuffer_Release(&rates);
+    PyBuffer_Release(&errors);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+static PyMethodDef sweeps_methods[] = {
+    {"brusselator", (PyCFunction)(void (*)(void))brusselator, METH_FASTCALL,
+     brusselator_doc},
+    {"heat", (PyCFunction)(void (*)(void))heat, METH_FASTCALL, heat_doc},
+    {"synthetic", (PyCFunction)(void (*)(void))synthetic, METH_FASTCALL,
+     synthetic_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef sweeps_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_sweeps",
+    .m_doc = "The Brusselator, heat and synthetic sweeps, compiled.",
+    .m_size = 0,
+    .m_methods = sweeps_methods,
+};
+
+PyMODINIT_FUNC PyInit__sweeps(void)
+{
+    return PyModuleDef_Init(&sweeps_module);
+}

@@ -46,13 +46,12 @@ per step; active components take several — per-sweep cost tracks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.numerics.newton import NewtonOptions
+from repro.problems import _compiled
 from repro.problems.base import (
     BlockState,
     ChainSweeper,
@@ -62,7 +61,7 @@ from repro.problems.base import (
 )
 from repro.util.validation import check_positive
 
-__all__ = ["BrusselatorProblem", "BrusselatorState", "kernel_status"]
+__all__ = ["BrusselatorProblem", "BrusselatorState"]
 
 #: Dirichlet boundary values (A and B of the reaction scheme).
 U_BOUNDARY = 1.0
@@ -72,16 +71,6 @@ _NEWTON_FAILED = (
     "brusselator Newton failed on {} component(s) at step {} "
     "(block starting at {}); reduce dt or raise newton_max_iter"
 )
-
-#: The compiled sweep's source, and how it is built: no fused
-#: multiply-add and no reassociation, so it computes what the Python
-#: floats of ``_sweep_scalar`` do.
-_KERNEL_SOURCE = Path(__file__).with_name("brusselator_sweep.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-#: ``(sweep, status)``, resolved at a process's first sweep (never at
-#: import): see :func:`kernel_status`.
-_KERNEL: tuple[Callable, str] | None = None
 
 
 def _next_streak(
@@ -331,18 +320,43 @@ class BrusselatorProblem(Problem):
         trajectory (``None``: none do).  Every component is swept on its
         own, so a rank's block and the whole chain that
         :class:`~repro.problems.base.ChainSweeper` hands ``iterate`` get
-        bit-identical per-component results.  The sweep is the
-        compiled kernel when one loads (:func:`kernel_status`), else
-        :meth:`_sweep_scalar`, bit for bit the same.  Returns ``(new,
+        bit-identical per-component results.  Returns ``(new,
         per-component work, per-component residual max|new - old|,
         (residual max, work sum))``; a Newton failure raises
         ``RuntimeError`` naming the lowest failing step.
         """
         active = None if skip is None else (~skip).nonzero()[0]
-        new, work, residuals, reduced, failure = _kernel()(self, ext, active)
+        new, work, residuals, reduced, failure = self._sweep(
+            _compiled.brusselator, ext, active
+        )
         if failure:
             raise RuntimeError(_NEWTON_FAILED.format(*failure, lo))
         return new, work, residuals, reduced
+
+    def _sweep(self, kernel, ext: np.ndarray, active: np.ndarray | None):
+        """The sweep of the ``active`` components (None: all) of ``ext``
+        on the compiled ``kernel`` (:mod:`repro.problems._compiled`), or
+        :meth:`_sweep_scalar` when it is None: bit for bit the same, and
+        the same ``(new, work, residuals, reductions, failure)``."""
+        if kernel is None:
+            return self._sweep_scalar(ext, active)
+        # Every output goes to one buffer: one allocation.
+        n, steps = ext.shape[0] - 2, self.n_steps
+        size = n * 2 * (steps + 1)
+        out = np.empty(size + 2 * n + 3)
+        opts = self.newton
+        step = kernel.brusselator(
+            ext, out, active, steps, self.dt, self.c,
+            opts.tol, opts.max_iter, opts.damping,
+        )
+        top, total, failed = out[-3:].tolist()
+        return (
+            out[:size].reshape(n, 2, steps + 1),
+            out[size : size + n],
+            out[size + n : -3],
+            (top, total),
+            (int(failed), step) if step else None,
+        )
 
     def _sweep_scalar(
         self, ext: np.ndarray, active: np.ndarray | None
@@ -354,8 +368,8 @@ class BrusselatorProblem(Problem):
         tuple[int, int] | None,
     ]:
         """The sweep of the ``active`` components on Python floats: the
-        reference the compiled kernel (``brusselator_sweep.c``) is held
-        to, and the path wherever no kernel loads.
+        reference the compiled sweep (``_sweeps.c``) is held to, and the
+        path wherever it does not load.
 
         For each component, each step from 1 on is the sequential
         per-step Newton: pass 0 tests the residual at the old value —
@@ -561,195 +575,3 @@ class BrusselatorProblem(Problem):
         out[:, 0, :] = traj[:, 0::2].T
         out[:, 1, :] = traj[:, 1::2].T
         return out
-
-
-# ----------------------------------------------------------------------
-# The compiled sweep: built on first use, trusted after a probe
-# ----------------------------------------------------------------------
-def kernel_status() -> str:
-    """Which sweep this process runs, and why: ``"compiled: <library>"``
-    or ``"python: <reason>"`` (no ``cc``, a cache that cannot be
-    written, a failed compile or load, a failed probe).  Resolves the
-    kernel if no sweep has yet.  Kept out of every run result: both
-    paths give the same bits."""
-    _kernel()
-    return _KERNEL[1]
-
-
-def _kernel() -> Callable:
-    """The sweep ``(problem, ext, active) -> (new, work, residuals,
-    (residual max, work sum), failure)`` that
-    :meth:`BrusselatorProblem._sweep_batched` runs."""
-    global _KERNEL
-    if _KERNEL is None:
-        _KERNEL = _load_kernel()
-    return _KERNEL[0]
-
-
-def _load_kernel(
-    cache: Path | None = None, source: Path = _KERNEL_SOURCE
-) -> tuple[Callable, str]:
-    """``(sweep, status)``: ``source`` compiled with the system ``cc``
-    into ``cache`` (default ``~/.cache/repro``), loaded, and used only
-    if it reproduces :meth:`BrusselatorProblem._sweep_scalar` bit for
-    bit on :func:`_probe_cases`; otherwise that method, silently.
-
-    The library is named by the SHA-256 of the source, the compiler,
-    the flags and the platform, and carries the SHA-256 of its own
-    bytes appended: a truncated or foreign file at that name is rebuilt
-    rather than loaded.  A build goes to a temporary file first and then
-    ``os.replace``-s it in, so racing processes leave one valid library.
-    """
-    import ctypes
-    import hashlib
-    import shutil
-    import sysconfig
-
-    reference = BrusselatorProblem._sweep_scalar
-    cc = shutil.which("cc")
-    if cc is None:
-        return reference, "python: no C compiler (cc) on PATH"
-    try:
-        cache = Path.home() / ".cache" / "repro" if cache is None else cache
-        key = hashlib.sha256(
-            b"\0".join(
-                (
-                    source.read_bytes(),
-                    cc.encode(),
-                    " ".join(_CFLAGS).encode(),
-                    sysconfig.get_platform().encode(),
-                )
-            )
-        ).hexdigest()
-        lib = cache / f"brusselator_sweep-{key}.so"
-        try:
-            data = lib.read_bytes()
-        except FileNotFoundError:
-            data = b""
-        if hashlib.sha256(data[:-32]).digest() != data[-32:]:
-            failed = _build(cc, source, lib)
-            if failed:
-                return reference, f"python: cc failed: {failed}"
-        fn = ctypes.CDLL(str(lib)).brusselator_sweep
-    except (OSError, RuntimeError, AttributeError) as exc:
-        return reference, f"python: {type(exc).__name__}: {exc}"
-    fn.restype = ctypes.c_int64
-    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = (ptr, ptr, ptr, i64, i64, i64, f64, f64, f64, i64, f64)
-
-    def sweep(problem, ext, active):
-        # The C reads rows at fixed strides; one buffer takes every
-        # output: one allocation, one address.
-        ext = np.ascontiguousarray(ext, dtype=np.float64)
-        n, steps = ext.shape[0] - 2, problem.n_steps
-        size = n * 2 * (steps + 1)
-        out = np.empty(size + 2 * n + 3)
-        opts = problem.newton
-        step = fn(
-            ext.ctypes.data,
-            out.ctypes.data,
-            None if active is None else active.ctypes.data,
-            n,
-            n if active is None else active.size,
-            steps,
-            problem.dt,
-            problem.c,
-            opts.tol,
-            opts.max_iter,
-            opts.damping,
-        )
-        top, total, failed = out[-3:].tolist()
-        return (
-            out[:size].reshape(n, 2, steps + 1),
-            out[size : size + n],
-            out[size + n : -3],
-            (top, total),
-            (int(failed), step) if step else None,
-        )
-
-    for case in _probe_cases():
-        if _trace(sweep, *case) != _trace(reference, *case):
-            return reference, f"python: {lib} failed the probe"
-    return sweep, f"compiled: {lib}"
-
-
-def _build(cc: str, source: Path, lib: Path) -> str:
-    """Compile ``source`` to ``lib`` with its SHA-256 appended, through a
-    temporary file renamed into place; the compiler's last error line on
-    failure, else ``""``."""
-    import hashlib
-    import os
-    import subprocess
-    import tempfile
-
-    lib.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
-    os.close(fd)
-    try:
-        built = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, str(source)],
-            capture_output=True,
-            text=True,
-        )
-        if built.returncode:
-            return (built.stderr.strip().splitlines() or ["?"])[-1]
-        body = Path(tmp).read_bytes()
-        Path(tmp).write_bytes(body + hashlib.sha256(body).digest())
-        os.replace(tmp, lib)
-        return ""
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _probe_cases() -> list[
-    tuple[BrusselatorProblem, np.ndarray, np.ndarray | None]
-]:
-    """``(problem, ext, skip)`` batches a compiled sweep must reproduce
-    before its first use: verified and iterating steps, full and damped
-    Newton, skipped components, and every way a step fails."""
-    # At the steady state (u, v) = (1, 3) every residual is exactly 0:
-    # the three bumps make their steps and their neighbours' iterate.
-    calm = BrusselatorProblem(6, t_end=1.0, n_steps=5)
-    damped = BrusselatorProblem(6, t_end=1.0, n_steps=5)
-    damped.newton = replace(damped.newton, damping=0.5, max_iter=60)
-    traj = np.empty((6, 2, 6))
-    traj[:, 0], traj[:, 1] = U_BOUNDARY, V_BOUNDARY
-    traj[1, 0, 2] += 0.1
-    traj[3, 1, 4] -= 0.05
-    traj[4, 0, 1] += 0.3
-    edge = calm.initial_halo(-1)
-    skip = np.zeros(6, dtype=bool)
-    skip[2] = True
-    # dt = 1, c = 0.5, three passes at most: (2, 3) is a singular
-    # Jacobian at step 2 of component 1, its neighbours exhaust the
-    # passes there, the jump at step 1 of component 4 exhausts them at
-    # step 1 and so does the NaN halo of component 6 — after the
-    # failures at step 2, so the failed count must restart.
-    hard = BrusselatorProblem(
-        7, t_end=3.0, n_steps=3, alpha=0.5 / 64, newton_max_iter=3
-    )
-    rough = np.empty((7, 2, 4))
-    rough[:, 0], rough[:, 1] = U_BOUNDARY, V_BOUNDARY
-    rough[1, :, 2] = 2.0, 3.0
-    rough[4, 0, 1] = 5.0
-    nan_edge = hard.initial_halo(7)
-    nan_edge[0, 1] = np.nan
-    return [
-        (calm, padded(traj, edge, edge), None),
-        (damped, padded(traj, edge, edge), skip),
-        (hard, padded(rough, hard.initial_halo(-1), nan_edge), None),
-    ]
-
-
-def _trace(
-    sweep: Callable,
-    problem: BrusselatorProblem,
-    ext: np.ndarray,
-    skip: np.ndarray | None,
-) -> bytes:
-    """Everything one sweep hands back, as bytes."""
-    active = None if skip is None else (~skip).nonzero()[0]
-    new, work, residuals, reduced, failure = sweep(problem, ext, active)
-    tail = repr((reduced, failure)).encode()
-    return new.tobytes() + work.tobytes() + residuals.tobytes() + tail

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.numerics.banded import thomas_solve
+from repro.problems import _compiled
 from repro.problems.base import (
     BlockState,
     ChainSweeper,
@@ -29,14 +29,15 @@ from repro.util.validation import check_positive
 
 __all__ = ["HeatProblem"]
 
-#: Blocks of at most this many components sweep on Python floats
-#: (:meth:`HeatProblem._sweep_floats`).  The array route pays NumPy
-#: dispatch per step however small the block (23-25 us at 8 steps,
-#: 86-92 us at 50, for 1-16 components, the solver's reductions
-#: included); the float route 0.17-0.24 us per (component, step), so
-#: the two cross at 10 components at both lengths, and recorded
-#: ``faulted_guarded`` traffic is cheapest at 10 (``docs/
-#: performance.md``, "Per-sweep handoff of the small-block problems").
+#: Where no compiled sweep loads, blocks of at most this many
+#: components sweep on Python floats (:meth:`HeatProblem._sweep_floats`).
+#: The array route pays NumPy dispatch per step however small the block
+#: (23-25 us at 8 steps, 86-92 us at 50, for 1-16 components, the
+#: solver's reductions included); the float route 0.17-0.24 us per
+#: (component, step), so the two cross at 10 components at both
+#: lengths, and recorded ``faulted_guarded`` traffic is cheapest at 10
+#: (``docs/performance.md``, "Per-sweep handoff of the small-block
+#: problems").
 _FLOAT_SWEEP_MAX = 10
 
 
@@ -82,19 +83,42 @@ class HeatProblem(Problem):
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
+        return self._sweep(_compiled.heat, state, left_halo, right_halo)
+
+    def _sweep(
+        self, kernel, state: BlockState, left_halo, right_halo
+    ) -> IterationResult:
+        """:meth:`iterate` on the compiled ``kernel``
+        (:mod:`repro.problems._compiled`: the loop of
+        :meth:`_sweep_floats` for every block size, reading the halos and
+        the block in place), or on the Python routes when it is None: bit
+        for bit the same."""
         old = state.traj  # (n, steps+1)
-        n = state.n
+        n, steps = state.n, self.n_steps
         # One work unit per (component, step): linear solve, no Newton.
-        work = np.full(n, float(self.n_steps))
-        if n <= _FLOAT_SWEEP_MAX:
-            state.traj, residuals, top = self._sweep_floats(
-                old, left_halo, right_halo
+        # Integer-valued work: its sum is exact in any order.
+        total = float(n * steps)
+        if kernel is not None:
+            size = old.size
+            out = np.empty(size + 2 * n)
+            c, dt = self.c, self.dt
+            top = kernel.heat(
+                left_halo, old, right_halo, out, steps, c * dt, 1.0 + 2.0 * c * dt
             )
-            if residuals is not None:
-                # Integer-valued work: its sum is exact in any order.
-                return IterationResult(residuals, work, top, float(n * self.n_steps))
+            state.traj = out[:size].reshape(old.shape)
+            work = out[size + n :]
+            if top is not None:
+                return IterationResult(out[size : size + n], work, top, total)
         else:
-            state.traj = self._relax(old, left_halo, right_halo)
+            work = np.full(n, float(steps))
+            if n <= _FLOAT_SWEEP_MAX:
+                state.traj, residuals, top = self._sweep_floats(
+                    old, left_halo, right_halo
+                )
+                if residuals is not None:
+                    return IterationResult(residuals, work, top, total)
+            else:
+                state.traj = self._relax(old, left_halo, right_halo)
         return IterationResult.from_arrays(
             np.abs(state.traj - old).max(axis=1), work
         )
@@ -182,6 +206,8 @@ class HeatProblem(Problem):
     # ------------------------------------------------------------------
     def reference_solution(self) -> np.ndarray:
         """Fully-coupled implicit Euler solution, shape ``(n, steps+1)``."""
+        from repro.numerics.banded import thomas_solve
+
         n = self.n_components
         u = np.sin(np.pi * self.x_grid())
         out = np.empty((n, self.n_steps + 1))

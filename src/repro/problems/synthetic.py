@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from repro.problems import _compiled
 from repro.problems.base import (
     BlockState,
     ChainSweeper,
@@ -40,7 +41,8 @@ from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["SyntheticProblem"]
 
-#: Blocks of at most this many components sweep on Python floats
+#: Where no compiled sweep loads, blocks of at most this many
+#: components sweep on Python floats
 #: (:meth:`SyntheticProblem._sweep_floats`).  With the solver's two
 #: reductions the array route costs a flat 8.2-8.8 us a sweep from 2 to
 #: 128 components, the float route 2.8 us at 2 plus ~0.26 us a
@@ -49,11 +51,6 @@ __all__ = ["SyntheticProblem"]
 #: same at every bound from 16 to 28 and more at 32 (``docs/
 #: performance.md``, "Per-sweep handoff of the small-block problems").
 _FLOAT_SWEEP_MAX = 24
-
-
-def _halo_value(halo) -> float:
-    """A synthetic halo (a float or a one-element array) as a float."""
-    return halo.item() if isinstance(halo, np.ndarray) else halo
 
 
 def _numpy_sum(values: list[float]) -> float:
@@ -119,7 +116,7 @@ class SyntheticProblem(Problem):
         base_cost: float = 1.0,
         active_cost: float = 4.0,
     ) -> None:
-        self.rates = np.asarray(rates, dtype=float)
+        self.rates = np.asarray(rates, dtype=float, order="C")
         if self.rates.ndim != 1 or self.rates.size == 0:
             raise ValueError("rates must be a non-empty 1-D array")
         if np.any(self.rates < 0) or np.any(self.rates >= 1):
@@ -168,9 +165,31 @@ class SyntheticProblem(Problem):
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
+        return self._sweep(_compiled.synthetic, state, left_halo, right_halo)
+
+    def _sweep(
+        self, kernel, state: BlockState, left_halo, right_halo
+    ) -> IterationResult:
+        """:meth:`iterate` on the compiled ``kernel``
+        (:mod:`repro.problems._compiled`: the loop of
+        :meth:`_sweep_floats` for every block size, its work sum in
+        NumPy's pairwise order), or on the Python routes when it is None:
+        bit for bit the same."""
         # The synthetic problem's residual IS the true error (idealised
         # estimator; see module docstring).
-        if state.n <= _FLOAT_SWEEP_MAX:
+        n = state.n
+        if kernel is not None:
+            out = np.empty(3 * n)
+            top, total = kernel.synthetic(
+                self.rates, state.lo, state.traj, left_halo, right_halo, out,
+                self.coupling, self.active_threshold,
+                self.base_cost, self.base_cost + self.active_cost,
+            )
+            state.traj = values = out[:n]
+            if top is None:
+                top = float(values.max())
+            return IterationResult(out[n : 2 * n], out[2 * n :], top, total)
+        if n <= _FLOAT_SWEEP_MAX:
             return self._sweep_floats(state, left_halo, right_halo)
         rates = self.rates[state.lo : state.lo + state.n]
         new, work = self._relax(rates, state.traj, left_halo, right_halo)
@@ -195,7 +214,12 @@ class SyntheticProblem(Problem):
         n, lo = state.n, state.lo
         rates = self.rates[lo : lo + n].tolist()
         e = state.traj.tolist()
-        ext = [_halo_value(left_halo), *e, _halo_value(right_halo)]
+        # A halo is a float or a one-element array, read inline: no call.
+        ext = [
+            left_halo.item() if isinstance(left_halo, np.ndarray) else left_halo,
+            *e,
+            right_halo.item() if isinstance(right_halo, np.ndarray) else right_halo,
+        ]
         g, threshold = self.coupling, self.active_threshold
         base = self.base_cost
         active = base + self.active_cost

@@ -1,5 +1,5 @@
 """Session-wide sweep fixtures, the scipy oracle of the reference, and
-the two paths of the Brusselator sweep.
+the two paths of every problem's sweep.
 
 The tiny/quick sweeps are the most expensive things tier-1 runs, and
 several test modules want the same ones (the shape tests, the
@@ -151,30 +151,38 @@ def scipy_banded(monkeypatch):
     monkeypatch.setattr("repro.numerics.euler.BandedMatrix", ScipyBanded)
 
 
-#: The Brusselator sweep's two paths: the scalar sweep on Python floats,
-#: ``BrusselatorProblem._sweep_scalar``, and the compiled kernel held to
-#: it.
-SWEEP_PATHS = ("scalar sweep", "compiled")
+#: The two paths of every problem's sweep: the Python reference (the
+#: Brusselator's scalar sweep, the heat and synthetic problems' float and
+#: NumPy routes) and the compiled module held to it.
+SWEEP_PATHS = ("python", "compiled")
 
 
 @functools.cache
 def compiled_kernel():
-    """``(sweep, status)`` of this host's kernel, loaded once."""
-    from repro.problems import brusselator
+    """``(module, status)`` of this host's compiled sweeps, loaded once."""
+    from repro.problems import _compiled
 
-    return brusselator._load_kernel()
+    return _compiled._load_kernel()
 
 
 def force_sweep_path(monkeypatch, path):
-    """Make every Brusselator sweep take ``path`` (one of
+    """Make every sweep of every problem take ``path`` (one of
     :data:`SWEEP_PATHS`) by standing in for the loader's result; a host
-    where no kernel loads skips the compiled path (CI requires one)."""
-    from repro.problems import brusselator
-
-    if path == "scalar sweep":
-        kernel = (brusselator.BrusselatorProblem._sweep_scalar, "python: test")
+    where no module loads skips the compiled path (CI requires one)."""
+    if path == "python":
+        kernel = (None, "python: test")
     else:
         kernel = compiled_kernel()
-        if not kernel[1].startswith("compiled"):
+        if kernel[0] is None:
             pytest.skip(kernel[1])
-    monkeypatch.setattr(brusselator, "_KERNEL", kernel)
+    use_kernel(monkeypatch, kernel)
+
+
+def use_kernel(monkeypatch, kernel):
+    """Stand ``(module or None, status)`` in for the loader's result, every
+    sweep resolved to ``module``."""
+    from repro.problems import _compiled
+
+    monkeypatch.setattr(_compiled, "_KERNEL", kernel)
+    for sweep in _compiled.SWEEPS:
+        monkeypatch.setattr(_compiled, sweep, kernel[0], raising=False)

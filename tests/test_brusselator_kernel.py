@@ -1,11 +1,13 @@
-"""The loader of the compiled Brusselator sweep.
+"""The loader of the compiled sweeps, and what the module accepts.
 
-``brusselator._load_kernel(cache, source)`` builds ``source`` with the
-system ``cc`` into ``cache``, loads it, and uses it only if it sweeps
-the probe batches bit for bit like ``_sweep_scalar``; anything else —
-no ``cc``, a cache it cannot write, a failed compile or load, a failed
-probe — gives back the scalar sweep, silently.  Every test here builds
-into its own ``tmp_path``.
+``_compiled._load_kernel(cache, source)`` builds ``source`` with the
+system ``cc`` into ``cache``, loads it as an extension module, and uses
+it only if the Brusselator, heat and synthetic sweeps each reproduce
+their Python paths bit for bit on the probe cases; anything else — no
+``cc``, no ``Python.h``, a cache it cannot write, a failed or hung
+compile, a failed load or probe — gives back ``None``, every problem's
+Python path, silently.  Every test here builds into its own
+``tmp_path``.
 """
 
 import hashlib
@@ -13,13 +15,17 @@ import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-import repro.problems.brusselator as brusselator
+from repro.problems import _compiled
 from repro.problems.brusselator import BrusselatorProblem
+from tests.conftest import compiled_kernel, use_kernel
 from tests.test_brusselator_sweep_routes import (
     SWEEP_DIGESTS,
     lockstep_problem,
@@ -51,14 +57,11 @@ def test_without_cc_the_scalar_sweep_gives_the_same_digests(
     monkeypatch, tmp_path
 ):
     monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
-    kernel = brusselator._load_kernel(tmp_path)
-    assert kernel == (
-        BrusselatorProblem._sweep_scalar,
-        "python: no C compiler (cc) on PATH",
-    )
+    kernel = _compiled._load_kernel(tmp_path)
+    assert kernel == (None, "python: no C compiler (cc) on PATH")
     assert not any(tmp_path.iterdir())
-    monkeypatch.setattr(brusselator, "_KERNEL", kernel)
-    assert brusselator.kernel_status() == kernel[1]
+    use_kernel(monkeypatch, kernel)
+    assert _compiled.kernel_status() == kernel[1]
     for n, want in SWEEP_DIGESTS.items():
         ext, skip = seeded_buffer(n)
         digest = hashlib.sha256()
@@ -67,53 +70,140 @@ def test_without_cc_the_scalar_sweep_gives_the_same_digests(
         assert digest.hexdigest() == want
 
 
-#: Kernels that compile and run but are wrong, each in a way one probe
-#: batch exposes: (what is wrong, source text, its replacement).
+#: Modules that compile and run but are wrong, each in a way one probe
+#: case exposes: (what is wrong, the sweep whose probe fails, source
+#: text, its replacement).
 SABOTAGE = [
-    ("damping ignored", "u = u - damping *", "u = u - 1.0 *"),
-    ("verified steps free", "w += p ? p : 1;", "w += p;"),
-    ("skip ignored", "active ? (int64_t)active[i] : i", "i"),
-    ("regrouped", "c * (ul - two_u + ur)", "c * (ul + ur - two_u)"),
-    ("first failure kept", "fail_count == 0 || k < fail_step", "!fail_count"),
+    ("damping ignored", "brusselator", "u = u - damping *", "u = u - 1.0 *"),
+    ("verified steps free", "brusselator", "w += p ? p : 1;", "w += p;"),
+    ("skip ignored", "brusselator", "active ? (int64_t)active[i] : i", "i"),
+    (
+        "regrouped",
+        "brusselator",
+        "c * (ul - two_u + ur)",
+        "c * (ul + ur - two_u)",
+    ),
+    (
+        "first failure kept",
+        "brusselator",
+        "fail_count == 0 || k < fail_step",
+        "!fail_count",
+    ),
+    (
+        "heat update regrouped",
+        "heat",
+        "(x + c_dt * (lt[k] + rt[k])) / denom",
+        "(x + c_dt * lt[k] + c_dt * rt[k]) / denom",
+    ),
+    (
+        "work summed left to right",
+        "synthetic",
+        "const double total = pairwise_sum(",
+        "const double total = left_to_right(",
+    ),
+    ("no halving above 128", "synthetic", "if (n <= 128) {", "if (1) {"),
 ]
+
+LEFT_TO_RIGHT = """
+static double left_to_right(const double *a, Py_ssize_t n)
+{
+    double res = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++)
+        res += a[i];
+    return res;
+}
+"""
 
 
 @pytest.mark.parametrize(
-    "old, new", [s[1:] for s in SABOTAGE], ids=[s[0] for s in SABOTAGE]
+    "sweep, old, new", [s[1:] for s in SABOTAGE], ids=[s[0] for s in SABOTAGE]
 )
-def test_a_kernel_that_fails_the_probe_is_not_used(has_cc, tmp_path, old, new):
-    text = brusselator._KERNEL_SOURCE.read_text()
+def test_a_kernel_that_fails_the_probe_is_not_used(
+    has_cc, tmp_path, sweep, old, new
+):
+    text = _compiled._SOURCE.read_text()
     assert text.count(old) == 1
+    text = text.replace(old, new)
+    # The stand-in sum goes in before its caller.
+    at = text.index("/* One synthetic sweep")
     source = tmp_path / "sabotaged.c"
-    source.write_text(text.replace(old, new))
-    sweep, status = brusselator._load_kernel(tmp_path / "cache", source)
-    assert sweep is BrusselatorProblem._sweep_scalar
+    source.write_text(text[:at] + LEFT_TO_RIGHT + text[at:])
+    module, status = _compiled._load_kernel(tmp_path / "cache", source)
+    assert module is None
     assert status.startswith("python: ") and status.endswith(
-        " failed the probe"
+        f" failed the {sweep} probe"
     ), status
 
 
 def test_a_source_that_does_not_compile_falls_back(has_cc, tmp_path):
     source = tmp_path / "broken.c"
     source.write_text("this is not C\n")
-    sweep, status = brusselator._load_kernel(tmp_path / "cache", source)
-    assert sweep is BrusselatorProblem._sweep_scalar
+    module, status = _compiled._load_kernel(tmp_path / "cache", source)
+    assert module is None
     assert status.startswith("python: cc failed: "), status
     # The failed build leaves no temporary file behind.
     assert not any((tmp_path / "cache").iterdir())
 
 
+def test_a_hung_compiler_times_out_and_falls_back(monkeypatch, tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    fake = bin_dir / "cc"
+    fake.write_text(f"#!{sys.executable}\nimport time\ntime.sleep(60)\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setattr(_compiled, "_CC_TIMEOUT_S", 1.0)
+    start = time.monotonic()
+    kernel = _compiled._load_kernel(tmp_path / "cache")
+    assert kernel == (None, "python: cc timed out")
+    assert time.monotonic() - start < 30
+    assert not any((tmp_path / "cache").iterdir())
+
+
+def test_missing_python_headers_fall_back_with_that_reason(
+    has_cc, monkeypatch, tmp_path
+):
+    include = tmp_path / "include"
+    include.mkdir()
+    paths = {"include": str(include)}
+    monkeypatch.setattr(sysconfig, "get_paths", lambda *args, **kwargs: paths)
+    kernel = _compiled._load_kernel(tmp_path / "cache")
+    assert kernel == (None, f"python: no Python.h in {include}")
+    assert not (tmp_path / "cache").exists()
+    use_kernel(monkeypatch, kernel)
+    assert _compiled.kernel_status() == kernel[1]
+
+
+def test_the_cache_name_carries_the_interpreter_abi(has_cc, monkeypatch, tmp_path):
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    ours = library(_compiled._load_kernel(tmp_path)[1])
+    assert ours.name.startswith("_sweeps-") and ours.name.endswith(suffix)
+    # Another interpreter's build of the same source is a different
+    # file: it never loads this one, nor this one it.
+    real = sysconfig.get_config_var
+    other = ".cpython-399-elsewhere.so"
+    monkeypatch.setattr(
+        sysconfig,
+        "get_config_var",
+        lambda name: other if name == "EXT_SUFFIX" else real(name),
+    )
+    theirs = library(_compiled._load_kernel(tmp_path)[1])
+    assert theirs.name.endswith(other)
+    assert theirs.name.removesuffix(other) != ours.name.removesuffix(suffix)
+    assert sorted(tmp_path.iterdir()) == sorted([ours, theirs])
+
+
 def test_a_truncated_or_foreign_library_is_rebuilt(has_cc, tmp_path):
-    lib = library(brusselator._load_kernel(tmp_path)[1])
+    lib = library(_compiled._load_kernel(tmp_path)[1])
     good = lib.read_bytes()
-    foreign = Path(sys.modules["_ctypes"].__file__).read_bytes()
+    foreign = Path(np.random.bit_generator.__file__).read_bytes()
     for damaged in (good[: len(good) // 2], foreign, b"", b"not a library"):
         # A new file renamed over the old one, as a build does (the old
         # inode stays mapped in this process).
         tmp = tmp_path / "damaged"
         tmp.write_bytes(damaged)
         os.replace(tmp, lib)
-        assert brusselator._load_kernel(tmp_path)[1] == f"compiled: {lib}"
+        assert _compiled._load_kernel(tmp_path)[1] == f"compiled: {lib}"
         assert intact(lib)
     assert sorted(tmp_path.iterdir()) == [lib]
 
@@ -121,8 +211,8 @@ def test_a_truncated_or_foreign_library_is_rebuilt(has_cc, tmp_path):
 def test_an_unwritable_cache_falls_back(has_cc, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    sweep, status = brusselator._load_kernel(blocker / "cache")
-    assert sweep is BrusselatorProblem._sweep_scalar
+    module, status = _compiled._load_kernel(blocker / "cache")
+    assert module is None
     assert status.startswith("python: "), status
 
 
@@ -132,7 +222,7 @@ def test_concurrent_builds_leave_one_valid_library(has_cc, tmp_path):
 
     def build():
         start.wait()
-        statuses.append(brusselator._load_kernel(tmp_path)[1])
+        statuses.append(_compiled._load_kernel(tmp_path)[1])
 
     threads = [threading.Thread(target=build) for _ in range(2)]
     for thread in threads:
@@ -156,11 +246,20 @@ popen = subprocess.Popen
 def refuse(*args, **kwargs):
     raise AssertionError("a subprocess at import")
 subprocess.Popen = refuse
-import repro.problems.brusselator as brusselator
-assert brusselator._KERNEL is None
+import repro.problems.brusselator, repro.problems.heat, repro.problems.synthetic
+from repro.problems import _compiled
+assert _compiled._KERNEL is None
 assert not (Path.home() / ".cache").exists()
 subprocess.Popen = popen
-print(brusselator.kernel_status())
+# A sweep probes its own problem only: the others stay unloaded.
+del sys.modules["repro.problems.brusselator"], sys.modules["repro.problems.heat"]
+from repro.problems.synthetic import SyntheticProblem
+problem = SyntheticProblem.with_hard_region(8)
+problem.iterate(problem.initial_state(0, 8), 0.0, 0.0)
+assert [s for s in _compiled.SWEEPS if s in vars(_compiled)] == ["synthetic"]
+assert "repro.problems.heat" not in sys.modules
+assert "repro.problems.brusselator" not in sys.modules
+print(_compiled.kernel_status())
 """
     env = {**os.environ, "HOME": str(tmp_path), "PYTHONPATH": SRC}
     done = subprocess.run(
@@ -172,4 +271,97 @@ print(brusselator.kernel_status())
     )
     lib = library(done.stdout.strip())
     assert lib.parent == tmp_path / ".cache" / "repro"
-    assert lib.name.startswith("brusselator_sweep-") and intact(lib)
+    assert lib.name.startswith("_sweeps-") and intact(lib)
+    assert lib.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+# ----------------------------------------------------------------------
+# The module reads and writes only inside the buffers it is handed
+# ----------------------------------------------------------------------
+def valid_calls():
+    """``{sweep: (arguments, index of out)}``: one good call each."""
+    brusselator = BrusselatorProblem(4, t_end=1.0, n_steps=3)
+    ext = np.full((6, 2, 4), 1.0)
+    ext[:, 1] = 3.0
+    opts = brusselator.newton
+    rng = np.random.default_rng(0)
+    return {
+        "brusselator": (
+            [ext, np.empty(4 * 8 + 2 * 4 + 3), np.arange(4), 3, 0.25,
+             brusselator.c, opts.tol, opts.max_iter, opts.damping],
+            1,
+        ),
+        "heat": (
+            [rng.normal(size=(1, 6)), rng.normal(size=(4, 6)),
+             rng.normal(size=6), np.empty(4 * 8), 5, 0.5, 2.0],
+            3,
+        ),
+        "synthetic": (
+            [rng.uniform(0, 0.9, 10), 2, rng.uniform(0, 1, 5), 0.5,
+             np.full(1, 0.25), np.empty(15), 0.3, 1e-4, 1.0, 5.0],
+            5,
+        ),
+    }
+
+
+#: Bad arguments only one sweep takes: (what, argument index, value).
+ONLY = {
+    "brusselator": [
+        ("active out of range", 2, np.array([0, 4])),
+        ("active not intp", 2, np.arange(4, dtype=np.int32)),
+    ],
+    "heat": [("halo one long", 0, np.zeros(7))],
+    "synthetic": [("lo past the rates", 1, 6), ("halo of two", 4, np.zeros(2))],
+}
+
+
+def spoiled(sweep, args, at):
+    """Each way to hand ``sweep`` a bad buffer: (what, arguments)."""
+    read_only = args[at].copy()
+    read_only.setflags(write=False)
+    state = {"brusselator": 0, "heat": 1, "synthetic": 2}[sweep]
+    block = args[state]
+    for what, i, value in [
+        ("out one short", at, args[at][:-1]),
+        ("out read-only", at, read_only),
+        ("out float32", at, args[at].astype(np.float32)),
+        ("state float32", state, block.astype(np.float32)),
+        ("state strided", state, np.repeat(block, 2, axis=0)[::2]),
+        ("state one short", state, block.reshape(-1)[:-1]),
+        *ONLY[sweep],
+    ]:
+        yield what, [value if j == i else a for j, a in enumerate(args)]
+
+
+def test_the_module_rejects_bad_buffers_and_writes_nothing():
+    module, status = compiled_kernel()
+    if module is None:
+        pytest.skip(status)
+    for sweep, (args, at) in valid_calls().items():
+        getattr(module, sweep)(*args)  # the good call runs
+        for what, bad in spoiled(sweep, args, at):
+            arrays = [a for a in bad if isinstance(a, np.ndarray)]
+            before = [a.tobytes() for a in arrays]
+            with pytest.raises((TypeError, ValueError, BufferError, IndexError)):
+                getattr(module, sweep)(*bad)
+            assert [a.tobytes() for a in arrays] == before, (sweep, what)
+        with pytest.raises(TypeError):
+            getattr(module, sweep)(*args[:-1])
+
+
+def test_a_failed_probe_at_a_later_first_use_sends_every_sweep_to_python(
+    monkeypatch,
+):
+    module, status = compiled_kernel()
+    if module is None:
+        pytest.skip(status)
+    use_kernel(monkeypatch, (module, "compiled: lib"))
+    for sweep in ("brusselator", "heat"):  # not resolved yet
+        monkeypatch.delattr(_compiled, sweep)
+    monkeypatch.setattr(
+        _compiled, "_failed_probe", lambda module, sweep: sweep == "heat"
+    )
+    assert _compiled.brusselator is module
+    assert _compiled.heat is None
+    assert [getattr(_compiled, s) for s in _compiled.SWEEPS] == [None] * 3
+    assert _compiled.kernel_status() == "python: lib failed the heat probe"

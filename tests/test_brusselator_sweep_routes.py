@@ -1,7 +1,7 @@
 """The Brusselator sweep's two paths ≡ the formulations it has had.
 
-``BrusselatorProblem._sweep_batched`` runs the compiled kernel
-(``brusselator_sweep.c``) when one loads and its reference, the scalar
+``BrusselatorProblem._sweep_batched`` runs the compiled sweep
+(``_sweeps.c``) when it loads and its reference, the scalar
 sweep on Python floats (``_sweep_scalar``), otherwise; both are the same per
 (component, step) Newton loop for every batch size.  This module keeps
 *test-local* copies of the formulations both must reproduce — the
@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.problems.brusselator as brusselator
 from repro.numerics.newton import newton_batched_2x2
+from repro.problems import _compiled
 from repro.problems.base import padded
 from repro.problems.brusselator import BrusselatorProblem
 from repro.workloads import ScaleScenario
@@ -541,11 +541,46 @@ def test_both_paths_leave_the_same_bytes_behind_a_failure(damping):
     # failure before it raises: both paths leave the same bytes, and the
     # same for the loader's own probe batches.
     compiled, status = compiled_kernel()
-    if not status.startswith("compiled"):
+    if compiled is None:
         pytest.skip(status)
-    python = BrusselatorProblem._sweep_scalar
-    cases = [(p, ext, None) for p, ext in failing_batches()]
-    for problem, ext, skip in cases + brusselator._probe_cases():
+    cases = [(p, (ext, None)) for p, ext in failing_batches()]
+    for problem, args in cases + _compiled._probe_cases("brusselator"):
         problem.newton = dataclasses.replace(problem.newton, damping=damping)
-        want = brusselator._trace(python, problem, ext, skip)
-        assert brusselator._trace(compiled, problem, ext, skip) == want
+        want = _compiled._trace(None, problem, args)
+        assert _compiled._trace(compiled, problem, args) == want
+
+
+#: The NaN this machine's arithmetic makes (``inf - inf``): a NaN drawn
+#: into a block carries that payload, so where two NaNs meet, the operand
+#: order the C compiler picked cannot show in the bits.
+MACHINE_NAN = float("inf") - float("inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    n_steps=st.integers(1, 8),
+    skip=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_paths_agree_bitwise_on_any_block(n, n_steps, skip, seed):
+    # Blocks of 1-300 components, now and then a skip mask, ±0.0, NaN
+    # and ±inf in the trajectories and the halos: new state, work,
+    # residuals, their max and sum and the failure, as bytes.
+    compiled, status = compiled_kernel()
+    if compiled is None:
+        pytest.skip(status)
+    problem = BrusselatorProblem(n, t_end=1.0, n_steps=n_steps)
+    rng = np.random.default_rng(seed)
+    traj = problem.initial_traj(0, n)
+    traj += rng.normal(scale=0.05, size=traj.shape)
+    halos = [problem.initial_halo(-1), problem.initial_halo(n)]
+    for values in (traj.reshape(-1), *(h.reshape(-1) for h in halos)):
+        special = rng.random(values.size) < 0.01
+        values[special] = rng.choice(
+            [0.0, -0.0, MACHINE_NAN, np.inf, -np.inf], int(special.sum())
+        )
+    ext = padded(traj, *halos)
+    active = np.flatnonzero(rng.random(n) < 0.7) if skip else None
+    want = _compiled._trace(None, problem, (ext, active))
+    assert _compiled._trace(compiled, problem, (ext, active)) == want

@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.perf import run_fingerprint, stable_digest
 from repro.exec import RunCache
 
-from tests.conftest import SpyEngine
+from tests.conftest import SWEEP_PATHS, SpyEngine, force_sweep_path
 
 
 def cache_addresses(tasks):
@@ -78,6 +78,32 @@ def test_sweep_cache_keys_and_digest(spied_sweep, name):
     result, tasks = spied_sweep(name)
     assert cache_addresses(tasks) == (n_tasks, addresses, first)
     assert result.digest() == digest
+
+
+#: ``stable_digest`` of the ``faulted_guarded`` benchmark body's rows (the
+#: quick integrity sweep's detect arm, AIAC+LB and AIAC, on the heat
+#: problem).
+FAULTED_GUARDED_ROWS = (
+    "a54288e3c2ea57f31efa67b81bbe60a750acd61041b435d4aa79dec6903027e7"
+)
+
+
+@pytest.mark.parametrize("path", SWEEP_PATHS)
+def test_synthetic_and_heat_sweeps_pinned_on_both_paths(monkeypatch, path):
+    # The session's sweeps run on whichever path loads; here each path
+    # must give the figure5 tiny digest and the faulted_guarded rows.
+    from dataclasses import replace
+
+    from repro.experiments import run_figure5, run_integrity
+    from repro.workloads import Figure5Scenario, IntegrityScenario
+
+    force_sweep_path(monkeypatch, path)
+    figure5 = run_figure5(Figure5Scenario.tiny(), engine=SpyEngine())
+    assert figure5.digest() == SWEEP_PINS["figure5-tiny"][3]
+    scenario = replace(
+        IntegrityScenario.quick(), arms=("detect",), models=("aiac+lb", "aiac")
+    )
+    assert stable_digest(run_integrity(scenario).rows) == FAULTED_GUARDED_ROWS
 
 
 def test_resilience_report_text(spied_sweep):

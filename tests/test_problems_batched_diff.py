@@ -9,9 +9,9 @@ makes.  Hypothesis drives that claim across ragged partitions (including
 one-component and empty blocks), the Brusselator's adaptive-skip options
 (threshold, refresh cadence), and chain lengths on both sides of the
 heat and synthetic problems' float-route bounds (``_FLOAT_SWEEP_MAX``:
-the whole chain and a rank's block may take different routes); the
-Brusselator's sweep paths themselves are pinned in
-``tests/test_brusselator_sweep_routes.py``.
+the whole chain and a rank's block may take different routes), on both
+sweep paths (compiled and Python); the Brusselator's sweep paths
+themselves are pinned in ``tests/test_brusselator_sweep_routes.py``.
 
 The scalar reference below replays exactly what a synchronous round
 does: gather every rank's previous-sweep boundary trajectories (walking
@@ -20,11 +20,13 @@ migration), then iterate each block against them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.problems.brusselator import BrusselatorProblem
 from repro.problems.heat import HeatProblem
 from repro.problems.synthetic import SyntheticProblem
+from tests.conftest import SWEEP_PATHS, force_sweep_path
 
 
 def _halo(problem, blocks, states, rank, side):
@@ -127,11 +129,19 @@ def test_brusselator_scalar_tail_and_empty_blocks():
 
 
 @settings(max_examples=25, deadline=None)
+def assert_on_both_sweep_paths(problem, blocks, n_sweeps):
+    """:func:`assert_batched_matches_scalar` on each sweep path."""
+    for path in SWEEP_PATHS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_sweep_path(monkeypatch, path)
+            assert_batched_matches_scalar(problem, blocks, n_sweeps)
+
+
 @given(part=chain_partitions(), n_sweeps=st.integers(1, 5))
 def test_heat_batched_equals_scalar(part, n_sweeps):
     n, blocks = part
     problem = HeatProblem(n, n_steps=12)
-    assert_batched_matches_scalar(problem, blocks, n_sweeps)
+    assert_on_both_sweep_paths(problem, blocks, n_sweeps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,5 +167,5 @@ def test_synthetic_batched_equals_scalar(part, data, coupling, costs, n_sweeps):
         base_cost=base_cost,
         active_cost=active_cost,
     )
-    assert_batched_matches_scalar(problem, blocks, n_sweeps)
+    assert_on_both_sweep_paths(problem, blocks, n_sweeps)
 

@@ -4,8 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.problems.heat import HeatProblem
+from repro.problems.heat import _FLOAT_SWEEP_MAX, HeatProblem
+from tests.conftest import SWEEP_PATHS, force_sweep_path
 
 
 @pytest.fixture(scope="module")
@@ -110,34 +113,80 @@ def _bits(x):
         for n in range(1, 17)
     ],
 )
-def test_iterate_bit_identical_to_step_loop(n_local, n_steps):
+def test_iterate_bit_identical_to_step_loop(monkeypatch, n_local, n_steps):
     problem = HeatProblem(n_points=32, t_end=0.05, n_steps=n_steps)
-    rng = np.random.default_rng([n_local, n_steps])
     shapes = [(1, n_steps + 1), (n_steps + 1,)]  # 1-D halos are accepted
-    for trial in range(20):
-        state = problem.initial_state(3, 3 + n_local)
-        state.traj = rng.normal(size=state.traj.shape)
-        left = rng.normal(size=shapes[trial % 2])
-        right = rng.normal(size=shapes[trial // 2 % 2])
-        if trial % 4 == 3:
-            # A corrupted state: the sweep overflows to inf, silently.
-            state.traj[0, 2] = 1e308
-            left.reshape(-1)[3] = 1.7e308
-        elif trial % 4 == 1:
-            # NaN in the state (now and then at a row's step 0) and in
-            # both halos.  One NaN only: the payload of a NaN made from
-            # two different NaNs depends on operand order, which NumPy's
-            # vector body and scalar tail do not even agree on.
-            rows = rng.integers(0, n_local, 2)
-            state.traj[rows, rng.integers(0, n_steps + 1, 2)] = np.nan
-            left.reshape(-1)[rng.integers(1, n_steps + 1)] = np.nan
-            right.reshape(-1)[rng.integers(1, n_steps + 1)] = np.nan
-        want_traj, want_res = _iterate_reference(problem, state.traj, left, right)
-        want_work = np.full(n_local, float(n_steps))
-        result = problem.iterate(state, left, right)
-        assert state.traj.tobytes() == want_traj.tobytes()
-        assert result.residuals.tobytes() == want_res.tobytes()
-        assert result.work.tobytes() == want_work.tobytes()
-        assert _bits(result.local_residual) == _bits(float(want_res.max()))
-        assert _bits(result.total_work) == _bits(float(want_work.sum()))
-    assert not np.isfinite(want_traj).all()  # the last trial did overflow
+    for path in SWEEP_PATHS:
+        force_sweep_path(monkeypatch, path)
+        rng = np.random.default_rng([n_local, n_steps])
+        for trial in range(20):
+            state = problem.initial_state(3, 3 + n_local)
+            state.traj = rng.normal(size=state.traj.shape)
+            left = rng.normal(size=shapes[trial % 2])
+            right = rng.normal(size=shapes[trial // 2 % 2])
+            if trial % 4 == 3:
+                # A corrupted state: the sweep overflows to inf, silently.
+                state.traj[0, 2] = 1e308
+                left.reshape(-1)[3] = 1.7e308
+            elif trial % 4 == 1:
+                # NaN in the state (now and then at a row's step 0) and in
+                # both halos.  One NaN only: the payload of a NaN made from
+                # two different NaNs depends on operand order, which NumPy's
+                # vector body and scalar tail do not even agree on.
+                rows = rng.integers(0, n_local, 2)
+                state.traj[rows, rng.integers(0, n_steps + 1, 2)] = np.nan
+                left.reshape(-1)[rng.integers(1, n_steps + 1)] = np.nan
+                right.reshape(-1)[rng.integers(1, n_steps + 1)] = np.nan
+            want_traj, want_res = _iterate_reference(problem, state.traj, left, right)
+            want_work = np.full(n_local, float(n_steps))
+            result = problem.iterate(state, left, right)
+            assert state.traj.tobytes() == want_traj.tobytes()
+            assert result.residuals.tobytes() == want_res.tobytes()
+            assert result.work.tobytes() == want_work.tobytes()
+            assert _bits(result.local_residual) == _bits(float(want_res.max()))
+            assert _bits(result.total_work) == _bits(float(want_work.sum()))
+        assert not np.isfinite(want_traj).all()  # the last trial did overflow
+
+
+#: The NaN this machine's arithmetic makes (``inf - inf``).  A NaN drawn
+#: into the state or a halo carries that payload, so where two NaNs meet,
+#: the operand order — which the compiled loop, the Python floats and
+#: NumPy's vector body need not share — cannot show in the bits.
+MACHINE_NAN = float("inf") - float("inf")
+SPECIAL = np.array([0.0, -0.0, MACHINE_NAN, np.inf, -np.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # Both sides of the float route's bound, and blocks up to 300.
+    n=st.one_of(st.integers(1, 2 * _FLOAT_SWEEP_MAX), st.integers(1, 300)),
+    n_steps=st.integers(1, 12),
+    flat_halos=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_sweep_paths_agree_bitwise(n, n_steps, flat_halos, seed):
+    problem = HeatProblem(n_points=n + 4, t_end=0.05, n_steps=n_steps)
+    rng = np.random.default_rng(seed)
+    traj = rng.normal(size=(n, n_steps + 1))
+    halos = rng.normal(size=(2, n_steps + 1))
+    for values in (traj.reshape(-1), halos.reshape(-1)):
+        special = rng.random(values.size) < 0.05
+        values[special] = rng.choice(SPECIAL, int(special.sum()))
+    left, right = (halos[0], halos[1]) if flat_halos else (halos[:1], halos[1:])
+    traces = {}
+    for path in SWEEP_PATHS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_sweep_path(monkeypatch, path)
+            state = problem.initial_state(2, 2 + n)
+            state.traj = traj.copy()
+            with np.errstate(all="ignore"):
+                result = problem.iterate(state, left, right)
+        traces[path] = (
+            state.traj.tobytes(),
+            result.residuals.tobytes(),
+            result.work.tobytes(),
+            _bits(result.local_residual),
+            _bits(result.total_work),
+            type(result.local_residual),
+        )
+    assert traces["compiled"] == traces["python"]

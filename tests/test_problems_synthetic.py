@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.problems.synthetic import SyntheticProblem
+from tests.conftest import SWEEP_PATHS, force_sweep_path
 
 
 def make_problem(n=20, **kw):
@@ -213,17 +214,77 @@ def test_iterate_matches_the_concatenate_formulation_bitwise(
         if scalar_halos
         else (halos[:1].copy(), halos[1:].copy())
     )
-    state, reference = p.initial_state(lo, lo + n), p.initial_state(lo, lo + n)
-    state.traj, reference.traj = e.copy(), e.copy()
-    for _ in range(3):
-        result = p.iterate(state, left, right)
-        ref_residuals, ref_work = _iterate_by_concatenation(
-            p, reference, left, right
+    for path in SWEEP_PATHS:
+        state, reference = p.initial_state(lo, lo + n), p.initial_state(lo, lo + n)
+        state.traj, reference.traj = e.copy(), e.copy()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_sweep_path(monkeypatch, path)
+            for _ in range(3):
+                result = p.iterate(state, left, right)
+                ref_residuals, ref_work = _iterate_by_concatenation(
+                    p, reference, left, right
+                )
+                assert state.traj.tobytes() == reference.traj.tobytes()
+                assert result.residuals.tobytes() == ref_residuals.tobytes()
+                assert result.work.tobytes() == ref_work.tobytes()
+                assert _bits(result.local_residual) == _bits(
+                    float(ref_residuals.max())
+                )
+                assert _bits(result.total_work) == _bits(float(ref_work.sum()))
+                assert result.residuals is not state.traj
+                assert not np.shares_memory(result.residuals, state.traj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Each side of NumPy's pairwise-sum boundaries and of the float
+    # route's bound, and blocks up to 300.
+    n=st.one_of(
+        st.sampled_from([7, 8, 9, 24, 25, 127, 128, 129, 255, 256, 257]),
+        st.integers(1, 300),
+    ),
+    scalar_halos=st.booleans(),
+    # A cost of 2**53 swallows a later unit cost in a partial sum: a
+    # work sum in any other order than NumPy's shows.
+    huge_cost=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_sweep_paths_agree_bitwise(n, scalar_halos, huge_cost, seed):
+    rng = np.random.default_rng(seed)
+    threshold = 1e-4
+    p = SyntheticProblem(
+        rng.uniform(0.0, 0.99, n + 3),
+        coupling=float(rng.uniform(0.0, 0.9)),
+        active_threshold=threshold,
+        base_cost=1.0 if huge_cost else float(rng.uniform(0.5, 2.0)),
+        active_cost=2.0**53 if huge_cost else float(rng.uniform(0.0, 30.0)),
+    )
+    e = threshold * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    halos = threshold * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+    for values in (e, halos):
+        special = rng.random(values.size) < 0.1
+        values[special] = rng.choice(SPECIAL, int(special.sum()))
+    if rng.random() < 0.1:
+        e = rng.choice(SPECIAL[-2:], n)
+    left, right = (
+        (float(halos[0]), float(halos[1]))
+        if scalar_halos
+        else (halos[:1].copy(), halos[1:].copy())
+    )
+    traces = {}
+    for path in SWEEP_PATHS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_sweep_path(monkeypatch, path)
+            state = p.initial_state(3, 3 + n)
+            state.traj = e.copy()
+            result = p.iterate(state, left, right)
+        traces[path] = (
+            state.traj.tobytes(),
+            result.residuals.tobytes(),
+            result.work.tobytes(),
+            _bits(result.local_residual),
+            _bits(result.total_work),
+            type(result.local_residual),
+            type(result.total_work),
         )
-        assert state.traj.tobytes() == reference.traj.tobytes()
-        assert result.residuals.tobytes() == ref_residuals.tobytes()
-        assert result.work.tobytes() == ref_work.tobytes()
-        assert _bits(result.local_residual) == _bits(float(ref_residuals.max()))
-        assert _bits(result.total_work) == _bits(float(ref_work.sum()))
-        assert result.residuals is not state.traj
-        assert not np.shares_memory(result.residuals, state.traj)
+    assert traces["compiled"] == traces["python"]
