@@ -1,17 +1,17 @@
 """The compiled sweeps: built on first use, trusted after a probe.
 
-``_sweeps.c`` holds the loops of the three problems' Python sweeps —
-``BrusselatorProblem._sweep_scalar``, ``HeatProblem._sweep_floats`` and
-``SyntheticProblem._sweep_floats`` — as one CPython extension module of
-three functions that read and write NumPy arrays through the buffer
-protocol.  At a process's first sweep (never at import) the system
-``cc`` builds it against this interpreter's headers into a cache and it
-is loaded; each of its sweeps is used only once it has reproduced its
-Python path bit for bit on :func:`_probe_cases`, at that sweep's first
-use (so a process loads only the problems it runs).  Without a module,
-or from the first failed probe on, every problem takes its Python path,
-silently.  Both paths give the same bits, so nothing selects between
-them and no run result records which ran.
+``_sweeps.c`` holds the three problems' Python sweeps as loops — the
+loop of ``BrusselatorProblem._sweep_scalar`` and the NumPy sweeps of
+``HeatProblem._sweep`` and ``SyntheticProblem._sweep`` — as one CPython
+extension module of three functions that read and write NumPy arrays
+through the buffer protocol.  At a process's first sweep (never at
+import) the system ``cc`` builds it against this interpreter's headers
+into a cache and it is loaded; each of its sweeps is used only once it
+has reproduced its Python path bit for bit on :func:`_probe_cases`, at
+that sweep's first use (so a process loads only the problems it runs).
+Without a module, or from the first failed probe on, every problem
+takes its Python path, silently.  Both paths give the same bits, so
+nothing selects between them and no run result records which ran.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 __all__ = ["kernel_status"]
 
 #: The source, and how it is built: no fused multiply-add and no
-#: reassociation, so it computes what the Python floats do.
+#: reassociation, so it computes what the Python sweeps do.
 _SOURCE = Path(__file__).with_name("_sweeps.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
@@ -180,12 +180,12 @@ def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
     ``sweep`` must reproduce before its first use.
 
     Brusselator: verified and iterating steps, full and damped Newton,
-    skipped components, and every way a step fails.  Heat: blocks on both
-    sides of its float route's bound, both halo shapes, a NaN, ±inf, a
-    signed zero and an overflow.  Synthetic: blocks in each regime of
-    NumPy's pairwise sum (fewer than 8 values, up to 128, halved above)
-    with costs that tell every sum order apart, float and array halos, a
-    NaN and a max that is zero.
+    skipped components, and every way a step fails.  Heat, held to its
+    NumPy route: blocks of 3, 4 and 12 components, both halo shapes, a
+    NaN, ±inf, a signed zero and an overflow.  Synthetic, held to its
+    NumPy route: blocks in each regime of NumPy's pairwise sum (fewer
+    than 8 values, up to 128, halved above) with costs that tell every
+    sum order apart, float and array halos, a NaN and a max that is zero.
     """
     from repro.problems.base import BlockState, padded
 

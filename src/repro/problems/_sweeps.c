@@ -2,19 +2,19 @@
  *
  *   brusselator  the loop of BrusselatorProblem._sweep_scalar
  *                (repro/problems/brusselator.py);
- *   heat         the loop of HeatProblem._sweep_floats, for every block
- *                size (repro/problems/heat.py);
- *   synthetic    the loop of SyntheticProblem._sweep_floats, for every
- *                block size, with the work sum in NumPy's pairwise order
+ *   heat         the NumPy sweep of HeatProblem._sweep as one loop
+ *                (repro/problems/heat.py);
+ *   synthetic    the NumPy sweep of SyntheticProblem._sweep as one loop,
+ *                with the work sum in NumPy's pairwise order
  *                (repro/problems/synthetic.py).
  *
- * Each Python loop is its sweep's reference and the path that runs
- * wherever this file cannot be compiled and loaded
+ * Each problem's Python sweep is its loop's reference and the path that
+ * runs wherever this file cannot be compiled and loaded
  * (repro/problems/_compiled.py).
  *
- * Bit identity with the Python floats of the references rests on three
- * things: every expression below keeps the Python order and grouping
- * (no subexpression is shared that the reference does not share, none
+ * Bit identity with the references rests on three things: every
+ * expression below keeps the Python order and grouping (no
+ * subexpression is shared that the reference does not share, none
  * is regrouped); the build flags are -O2 -ffp-contract=off, with no
  * fast-math and no -march, so no multiply-add is fused and nothing is
  * reassociated; and both sides compute in IEEE-754 doubles.  The loader

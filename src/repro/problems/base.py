@@ -84,9 +84,9 @@ class IterationResult:
         ``float(work.sum())``.
 
     The problem reports the two reductions with the arrays, bit for bit
-    what NumPy's reductions of those arrays return: a sweep on Python
-    floats has them from its own loop, an array sweep builds the result
-    with :meth:`from_arrays`.
+    what NumPy's reductions of those arrays return: a compiled sweep and
+    the Brusselator's sweep on Python floats have them from their own
+    loop, a NumPy sweep builds the result with :meth:`from_arrays`.
     """
 
     residuals: np.ndarray

@@ -182,11 +182,7 @@ class BrusselatorProblem(Problem):
         self.c = self.alpha * (self.n_components + 1) ** 2
         self.newton = NewtonOptions(tol=newton_tol, max_iter=newton_max_iter)
         self.skip_converged = bool(skip_converged)
-        self.skip_threshold = float(skip_threshold)
-        if self.skip_threshold <= 0:
-            raise ValueError(
-                f"skip_threshold must be > 0, got {skip_threshold!r}"
-            )
+        self.skip_threshold = float(check_positive("skip_threshold", skip_threshold))
         self.refresh_period = int(refresh_period)
         if self.refresh_period < 1:
             raise ValueError(

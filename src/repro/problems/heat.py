@@ -29,18 +29,6 @@ from repro.util.validation import check_positive
 
 __all__ = ["HeatProblem"]
 
-#: Where no compiled sweep loads, blocks of at most this many
-#: components sweep on Python floats (:meth:`HeatProblem._sweep_floats`).
-#: The array route pays NumPy dispatch per step however small the block
-#: (23-25 us at 8 steps, 86-92 us at 50, for 1-16 components, the
-#: solver's reductions included); the float route 0.17-0.24 us per
-#: (component, step), so the two cross at 10 components at both
-#: lengths, and recorded ``faulted_guarded`` traffic is cheapest at 10
-#: (``docs/performance.md``, "Per-sweep handoff of the small-block
-#: problems").
-_FLOAT_SWEEP_MAX = 10
-
-
 class HeatProblem(Problem):
     """Waveform relaxation for the 1-D heat equation: a block holds its
     components' trajectories, ``traj`` of shape ``(n, n_steps + 1)``."""
@@ -89,10 +77,9 @@ class HeatProblem(Problem):
         self, kernel, state: BlockState, left_halo, right_halo
     ) -> IterationResult:
         """:meth:`iterate` on the compiled ``kernel``
-        (:mod:`repro.problems._compiled`: the loop of
-        :meth:`_sweep_floats` for every block size, reading the halos and
-        the block in place), or on the Python routes when it is None: bit
-        for bit the same."""
+        (:mod:`repro.problems._compiled`: this sweep as one loop, reading
+        the halos and the block in place), or in NumPy when it is None:
+        bit for bit the same."""
         old = state.traj  # (n, steps+1)
         n, steps = state.n, self.n_steps
         # One work unit per (component, step): linear solve, no Newton.
@@ -110,85 +97,26 @@ class HeatProblem(Problem):
             if top is not None:
                 return IterationResult(out[size : size + n], work, top, total)
         else:
+            # One Jacobi sweep: the neighbours are last sweep's, so their
+            # source term is formed once for all steps; only a
+            # component's own recurrence is sequential.
+            c, dt = self.c, self.dt
+            ext = padded(old, left_halo, right_halo)
+            new = np.empty_like(old)
+            new[:, 0] = old[:, 0]
+            denom = 1.0 + 2.0 * c * dt
+            # Injected state corruption can overflow here; the non-finite
+            # residual *is* the signal the divergence/plausibility guards
+            # roll back on, so the overflow is not worth a warning.
+            with np.errstate(over="ignore"):
+                src = c * dt * (ext[:-2] + ext[2:])
+                for k in range(1, steps + 1):
+                    new[:, k] = (new[:, k - 1] + src[:, k]) / denom
+            state.traj = new
             work = np.full(n, float(steps))
-            if n <= _FLOAT_SWEEP_MAX:
-                state.traj, residuals, top = self._sweep_floats(
-                    old, left_halo, right_halo
-                )
-                if residuals is not None:
-                    return IterationResult(residuals, work, top, total)
-            else:
-                state.traj = self._relax(old, left_halo, right_halo)
         return IterationResult.from_arrays(
             np.abs(state.traj - old).max(axis=1), work
         )
-
-    def _sweep_floats(
-        self, old: np.ndarray, left_halo: np.ndarray, right_halo: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """:meth:`_relax` of a small block on Python floats, each row's
-        residual ``max|new - old|`` taken in the same loop: ``(new,
-        residuals, their max)``.
-
-        Same expressions in the same order, so the values are
-        bit-identical (save the payload of a NaN made from two different
-        NaNs, which operand order decides and NumPy itself does not fix:
-        its vector body and scalar tail disagree).  The residuals are
-        bit-identical too unless one is NaN (a non-finite state or
-        halo): NumPy's max then decides which NaN, and ``residuals`` is
-        None for the caller to reduce the arrays.
-        """
-        steps = self.n_steps
-        c_dt = self.c * self.dt
-        denom = 1.0 + 2.0 * self.c * self.dt
-        rows = padded(old, left_halo, right_halo).tolist()
-        new = []
-        residuals = []
-        top = 0.0
-        nan = False
-        for left, row, right in zip(rows, rows[1:], rows[2:]):
-            x = row[0]
-            out = [x]
-            res = x - x  # the step-0 term: 0.0, or NaN from inf / NaN
-            if res != res:
-                nan = True
-            for k in range(1, steps + 1):
-                x = (x + c_dt * (left[k] + right[k])) / denom
-                out.append(x)
-                d = x - row[k]
-                if d < 0.0:
-                    d = -d
-                if not d <= res:
-                    if d != d:
-                        nan = True
-                    res = d
-            new.append(out)
-            residuals.append(res)
-            if res > top:
-                top = res
-        if nan:
-            return np.array(new), None, 0.0
-        return np.array(new), np.array(residuals), top
-
-    def _relax(
-        self, old: np.ndarray, left_halo: np.ndarray, right_halo: np.ndarray
-    ) -> np.ndarray:
-        """One Jacobi sweep of the rows ``old`` between two halos: the
-        neighbours are last sweep's, so their source term is formed once
-        for all steps; only a component's own recurrence is sequential."""
-        dt, c = self.dt, self.c
-        ext = padded(old, left_halo, right_halo)
-        new = np.empty_like(old)
-        new[:, 0] = old[:, 0]
-        denom = 1.0 + 2.0 * c * dt
-        # Injected state corruption can overflow here; the non-finite
-        # residual *is* the signal the divergence/plausibility guards
-        # roll back on, so the overflow is not worth a warning.
-        with np.errstate(over="ignore"):
-            src = c * dt * (ext[:-2] + ext[2:])
-            for k in range(1, self.n_steps + 1):
-                new[:, k] = (new[:, k - 1] + src[:, k]) / denom
-        return new
 
     # ------------------------------------------------------------------
     def initial_halo(self, global_index: int) -> np.ndarray:

@@ -25,8 +25,6 @@ balancer removes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.problems import _compiled
@@ -37,51 +35,13 @@ from repro.problems.base import (
     Problem,
     padded,
 )
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import (
+    check_in_range,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = ["SyntheticProblem"]
-
-#: Where no compiled sweep loads, blocks of at most this many
-#: components sweep on Python floats
-#: (:meth:`SyntheticProblem._sweep_floats`).  With the solver's two
-#: reductions the array route costs a flat 8.2-8.8 us a sweep from 2 to
-#: 128 components, the float route 2.8 us at 2 plus ~0.26 us a
-#: component: 8.75 us at 24, 10.8 at 32.  Recorded ``figure5_cluster``
-#: traffic (blocks of 2, 16, 32 and 64 are 92 % of its calls) costs the
-#: same at every bound from 16 to 28 and more at 32 (``docs/
-#: performance.md``, "Per-sweep handoff of the small-block problems").
-_FLOAT_SWEEP_MAX = 24
-
-
-def _numpy_sum(values: list[float]) -> float:
-    """``float(np.array(values).sum())`` for at most 128 values.
-
-    NumPy adds fewer than eight values in order and up to 128 in eight
-    interleaved partial sums combined pairwise; a left-to-right sum of
-    non-integer costs differs from that in most draws from eight on.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-    end = n - n % 8
-    for i in range(8, end, 8):
-        r0 += values[i]
-        r1 += values[i + 1]
-        r2 += values[i + 2]
-        r3 += values[i + 3]
-        r4 += values[i + 4]
-        r5 += values[i + 5]
-        r6 += values[i + 6]
-        r7 += values[i + 7]
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in values[end:]:
-        total += v
-    return total
-
 
 class SyntheticProblem(Problem):
     """Per-component contraction with activity-dependent cost: a block
@@ -119,16 +79,14 @@ class SyntheticProblem(Problem):
         self.rates = np.asarray(rates, dtype=float, order="C")
         if self.rates.ndim != 1 or self.rates.size == 0:
             raise ValueError("rates must be a non-empty 1-D array")
-        if np.any(self.rates < 0) or np.any(self.rates >= 1):
+        if not ((self.rates >= 0) & (self.rates < 1)).all():
             raise ValueError("all rates must lie in [0, 1)")
         self.n_components = int(self.rates.size)
         self.coupling = check_in_range("coupling", coupling, 0.0, 1.0 - 1e-12)
         self.init_error = check_positive("init_error", init_error)
         self.active_threshold = check_positive("active_threshold", active_threshold)
         self.base_cost = check_positive("base_cost", base_cost)
-        self.active_cost = float(active_cost)
-        if self.active_cost < 0:
-            raise ValueError(f"active_cost must be >= 0, got {active_cost!r}")
+        self.active_cost = float(check_non_negative("active_cost", active_cost))
 
     @classmethod
     def with_hard_region(
@@ -171,9 +129,8 @@ class SyntheticProblem(Problem):
         self, kernel, state: BlockState, left_halo, right_halo
     ) -> IterationResult:
         """:meth:`iterate` on the compiled ``kernel``
-        (:mod:`repro.problems._compiled`: the loop of
-        :meth:`_sweep_floats` for every block size, its work sum in
-        NumPy's pairwise order), or on the Python routes when it is None:
+        (:mod:`repro.problems._compiled`: this sweep as one loop, its
+        work sum in NumPy's pairwise order), or in NumPy when it is None:
         bit for bit the same."""
         # The synthetic problem's residual IS the true error (idealised
         # estimator; see module docstring).
@@ -189,76 +146,19 @@ class SyntheticProblem(Problem):
             if top is None:
                 top = float(values.max())
             return IterationResult(out[n : 2 * n], out[2 * n :], top, total)
-        if n <= _FLOAT_SWEEP_MAX:
-            return self._sweep_floats(state, left_halo, right_halo)
-        rates = self.rates[state.lo : state.lo + state.n]
-        new, work = self._relax(rates, state.traj, left_halo, right_halo)
-        state.traj = new
-        return IterationResult.from_arrays(new.copy(), work)
-
-    def _sweep_floats(
-        self, state: BlockState, left_halo, right_halo
-    ) -> IterationResult:
-        """:meth:`_relax` of a small block on Python floats, with the
-        reductions taken in the same loop.
-
-        ``np.maximum(a, b)`` is ``a if a > b or a != a else b`` (of two
-        signed zeros the second operand, of two NaNs the first), and the
-        only arithmetic is a finite rate or coupling times one value, so
-        the errors, NaN payloads included, and the work are bit-identical
-        to the array route.  So is their max unless it is a signed zero
-        or a NaN, whose sign or payload NumPy's reduction order picks:
-        then it is taken from the array.  The work sum follows NumPy's
-        pairwise order (:func:`_numpy_sum`).
-        """
-        n, lo = state.n, state.lo
-        rates = self.rates[lo : lo + n].tolist()
-        e = state.traj.tolist()
-        # A halo is a float or a one-element array, read inline: no call.
-        ext = [
-            left_halo.item() if isinstance(left_halo, np.ndarray) else left_halo,
-            *e,
-            right_halo.item() if isinstance(right_halo, np.ndarray) else right_halo,
-        ]
-        g, threshold = self.coupling, self.active_threshold
-        base = self.base_cost
-        active = base + self.active_cost
-        new = []
-        work = []
-        top = -math.inf
-        nan = False
-        for j in range(n):
-            a, b = ext[j], ext[j + 2]
-            x = e[j]
-            u = rates[j] * x
-            w = g * (a if a > b or a != a else b)
-            v = u if u > w or u != u else w
-            new.append(v)
-            work.append(active if x > threshold else base)
-            if v > top:
-                top = v
-            elif v != v:
-                nan = True
-        state.traj = values = np.array(new)
-        if nan or top == 0.0:
-            top = float(values.max())
-        return IterationResult(values.copy(), np.array(work), top, _numpy_sum(work))
-
-    def _relax(
-        self, rates: np.ndarray, e: np.ndarray, left_halo, right_halo
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One sweep of the errors ``e`` between two halos: (new errors,
-        per-component work).  Elementwise throughout, so a block's slice
-        of a longer sweep is bit-equal to sweeping the block alone."""
+        # Elementwise throughout, so a block's slice of a longer sweep is
+        # bit-equal to sweeping the block alone.
+        e = state.traj
         ext = padded(e, left_halo, right_halo)
         neighbour = np.maximum(ext[:-2], ext[2:])
-        new = np.maximum(rates * e, self.coupling * neighbour)
+        rates = self.rates[state.lo : state.lo + n]
+        state.traj = new = np.maximum(rates * e, self.coupling * neighbour)
         work = np.where(
             e > self.active_threshold,
             self.base_cost + self.active_cost,
             self.base_cost,
         )
-        return new, work
+        return IterationResult.from_arrays(new.copy(), work)
 
     # ------------------------------------------------------------------
     # Halos

@@ -152,8 +152,8 @@ def scipy_banded(monkeypatch):
 
 
 #: The two paths of every problem's sweep: the Python reference (the
-#: Brusselator's scalar sweep, the heat and synthetic problems' float and
-#: NumPy routes) and the compiled module held to it.
+#: Brusselator's scalar sweep, the heat and synthetic problems' NumPy
+#: sweeps) and the compiled module held to it.
 SWEEP_PATHS = ("python", "compiled")
 
 

@@ -38,6 +38,8 @@ def test_validation():
     with pytest.raises(ValueError):
         make(skip_threshold=0.0)
     with pytest.raises(ValueError):
+        make(skip_threshold=float("nan"))
+    with pytest.raises(ValueError):
         make(refresh_period=0)
 
 

@@ -248,9 +248,8 @@ def test_guarded_run_recovers_from_injected_nan():
 
 
 def test_guarded_synthetic_run_recovers_from_injected_nan():
-    """The same on a synthetic chain.  Both chains are 3 ranks x 8
-    components, so the NaN sweeps through either problem's small-block
-    float route."""
+    """The same on a synthetic chain of 3 ranks x 8 components: the NaN
+    goes through the synthetic sweep as well as the heat one."""
     _, platform, config = _small()
     problem = SyntheticProblem.with_hard_region(24, hard_rate=0.9)
     # The errors' fixed point is zero.

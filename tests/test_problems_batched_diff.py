@@ -7,11 +7,11 @@ halos, produces for every rank *bit-identical* residual / work /
 solution to the per-rank ``iterate()`` calls the event-driven solver
 makes.  Hypothesis drives that claim across ragged partitions (including
 one-component and empty blocks), the Brusselator's adaptive-skip options
-(threshold, refresh cadence), and chain lengths on both sides of the
-heat and synthetic problems' float-route bounds (``_FLOAT_SWEEP_MAX``:
-the whole chain and a rank's block may take different routes), on both
-sweep paths (compiled and Python); the Brusselator's sweep paths
-themselves are pinned in ``tests/test_brusselator_sweep_routes.py``.
+(threshold, refresh cadence), and synthetic chain lengths on both sides
+of eight components (the whole chain's work sum and a rank's block's may
+take different regimes of NumPy's pairwise sum), on both sweep paths
+(compiled and Python); the Brusselator's sweep paths themselves are
+pinned in ``tests/test_brusselator_sweep_routes.py``.
 
 The scalar reference below replays exactly what a synchronous round
 does: gather every rank's previous-sweep boundary trajectories (walking
@@ -153,8 +153,8 @@ def test_heat_batched_equals_scalar(part, n_sweeps):
     n_sweeps=st.integers(1, 8),
 )
 def test_synthetic_batched_equals_scalar(part, data, coupling, costs, n_sweeps):
-    # Chains of up to `_FLOAT_SWEEP_MAX` (24) components sweep whole on
-    # the float route, longer ones through `_relax`; blocks take either.
+    # Chains of up to 40 components: the chain's work sum and a block's
+    # may be taken in order (below 8 values) or in eight partial sums.
     n, blocks = part
     rates = data.draw(
         st.lists(st.floats(0.0, 0.99), min_size=n, max_size=n), label="rates"

@@ -33,6 +33,12 @@ def test_rates_validation():
         SyntheticProblem(np.array([]))
     with pytest.raises(ValueError):
         SyntheticProblem(np.full((2, 2), 0.5))
+    with pytest.raises(ValueError):
+        SyntheticProblem(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError):
+        SyntheticProblem.with_hard_region(10, hard_rate=np.nan)
+    with pytest.raises(ValueError):
+        SyntheticProblem(np.array([0.5]), active_cost=np.nan)
 
 
 def test_hard_region_rates():
@@ -237,8 +243,8 @@ def test_iterate_matches_the_concatenate_formulation_bitwise(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    # Each side of NumPy's pairwise-sum boundaries and of the float
-    # route's bound, and blocks up to 300.
+    # Each side of NumPy's pairwise-sum regimes (in order below 8, eight
+    # partial sums up to 128, halved above), and blocks up to 300.
     n=st.one_of(
         st.sampled_from([7, 8, 9, 24, 25, 127, 128, 129, 255, 256, 257]),
         st.integers(1, 300),

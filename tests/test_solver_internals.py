@@ -21,6 +21,7 @@ from repro.models import run_model
 from repro.problems import BrusselatorProblem, HeatProblem, SyntheticProblem
 from repro.runtime.message import Message
 from repro.workloads import Figure5Scenario, IntegrityScenario
+from tests.conftest import SWEEP_PATHS, force_sweep_path
 
 
 def make_run(n_ranks=3, n=24):
@@ -228,20 +229,25 @@ def _repro_frames_per_sweep(model):
     return frames / sum(result.iterations)
 
 
+@pytest.mark.parametrize("path", SWEEP_PATHS)
 @pytest.mark.parametrize(
     ("model", "measured"), [("aiac", 44.55), ("aiac+lb", 62.10)]
 )
-def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(model, measured):
+def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(
+    model, measured, path, monkeypatch
+):
     """The event-driven path's per-event and per-message fixed cost, as a
     count that repeats exactly: what the callback-driven rank loop
     measured (CPython 3.11; the generator loop entered 66.6 / 85.1, and
-    79.5 / 108.8 before one resolved route per host pair) plus 2 %.  A
-    hot-path edit that adds a call per event, message or sweep fails
-    here by name.  A ceiling, not an equality: CPython 3.12 inlines
-    comprehensions."""
+    79.5 / 108.8 before one resolved route per host pair) plus 2 %, on
+    each sweep path.  A hot-path edit that adds a call per event,
+    message or sweep fails here by name.  A ceiling, not an equality:
+    CPython 3.12 inlines comprehensions."""
+    force_sweep_path(monkeypatch, path)
     assert _repro_frames_per_sweep(model) <= measured * 1.02
 
 
+@pytest.mark.parametrize("path", SWEEP_PATHS)
 @pytest.mark.parametrize(
     ("schedule", "model", "measured"),
     [
@@ -252,15 +258,16 @@ def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(model, measure
     ],
 )
 def test_frames_entered_per_protected_message_stay_under_the_ceiling(
-    schedule, model, measured
+    schedule, model, measured, path, monkeypatch
 ):
     """The same count for the protected path: frames per message put on
     the wire by the detect arm of ``IntegrityScenario.tiny()`` (acked
     transport, checksums stamped and verified, checkpoints CRC-stamped,
     the guard attached), what the callback-driven rank loop measured plus
-    2 %.  The generator loop entered 72.3 / 68.1 without and 90.6 / 85.5
-    with payload corruption armed; before one serialising walk per
-    payload, 81.6 / 78.5 and 143.6 / 137.5."""
+    2 %, on each sweep path.  The generator loop entered 72.3 / 68.1
+    without and 90.6 / 85.5 with payload corruption armed; before one
+    serialising walk per payload, 81.6 / 78.5 and 143.6 / 137.5."""
+    force_sweep_path(monkeypatch, path)
     scenario = IntegrityScenario.tiny()
     frames, result = _repro_frames(
         model,
