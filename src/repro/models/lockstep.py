@@ -7,9 +7,10 @@ path, but replaces the per-rank DES processes with one vectorised
 rank starts iteration ``k`` at the same barrier-open time ``T_k`` and
 the whole round — sweep timings, halo arrivals, barrier release, idle
 spans, convergence votes — is a closed-form function of the per-rank
-sweep durations.  One ``numpy`` pass per round replaces thousands of
-event dispatches, which is what lets the simulator reach 10k ranks
-(see ``benchmarks/bench_scale.py``).
+sweep durations.  A few dozen whole-array ``numpy`` calls per round,
+whatever the rank count, replace thousands of event dispatches, which
+is what lets the simulator reach 10k ranks (see
+``benchmarks/bench_scale.py``).
 
 Equivalence is enforced, not assumed:
 
@@ -50,6 +51,7 @@ import numpy as np
 from repro.core.config import HEADER_BYTES, OVERLAP_SPLIT, SolverConfig
 from repro.core.partition import PartitionRegistry
 from repro.core.records import RunResult
+from repro.grid.network import _FIFO_EPSILON
 from repro.grid.platform import Platform
 from repro.grid.traces import ConstantTrace
 from repro.problems.base import Problem
@@ -65,9 +67,6 @@ from repro.runtime.tracer import (
 __all__ = ["run_sisc_batched"]
 
 logger = logging.getLogger(__name__)
-
-#: FIFO spacing used by :meth:`repro.grid.network.Network.arrival_time`.
-_FIFO_EPSILON = 1e-9
 
 #: Root ancestor for collapsed dispatch keys: compares below every real
 #: event key (virtual times are >= 0), standing in for "pushed before
@@ -225,8 +224,7 @@ class _Round(NamedTuple):
     t_mid: np.ndarray
     t_se: np.ndarray
     pos0: np.ndarray  # round-start scheduling order
-    arr_l: np.ndarray  # FIFO-clamped arrival of r's send to r-1
-    arr_r: np.ndarray  # ... and of its send to r+1
+    arr: np.ndarray  # (2, n) FIFO-clamped arrival of r's send to r-1, r+1
 
     def key_mid(self, r: int) -> tuple:
         return (float(self.t_mid[r]), (_D_ROOT, int(self.pos0[r])))
@@ -237,7 +235,7 @@ class _Round(NamedTuple):
     def key_send(self, r: int, side: str) -> tuple:
         # Push index inside r's end event: the left send is scheduled
         # first, then the right send (rank 0 only sends right).
-        arr = self.arr_l[r] if side == "left" else self.arr_r[r]
+        arr = self.arr[0 if side == "left" else 1, r]
         idx = 0 if side == "left" or r == 0 else 1
         return (float(arr), (self.key_end(r), idx))
 
@@ -272,7 +270,9 @@ class _LockstepEngine:
         self.tracer = Tracer(enabled=config.trace)
         self.nbytes = problem.halo_nbytes() + HEADER_BYTES
         network = self.platform.network
-        # Per-directed-channel links and (when constant) transfer times.
+        # Per-directed-channel links and (when constant) transfer times;
+        # the two channels that do not exist (rank 0 to its left, rank
+        # n-1 to its right) take -inf, so their arrivals stay -inf.
         self._links_left = [None] + [
             network.link_for(self.hosts[r], self.hosts[r - 1])
             for r in range(1, self.n)
@@ -281,17 +281,14 @@ class _LockstepEngine:
             network.link_for(self.hosts[r], self.hosts[r + 1])
             for r in range(self.n - 1)
         ] + [None]
-        tl = [
-            _constant_transfer(link, self.nbytes) if link else 0.0
-            for link in self._links_left
+        times = [
+            _constant_transfer(link, self.nbytes) if link else -math.inf
+            for link in self._links_left + self._links_right
         ]
-        tr = [
-            _constant_transfer(link, self.nbytes) if link else 0.0
-            for link in self._links_right
-        ]
-        self._const_links = all(t is not None for t in tl + tr)
-        self._tl = np.array([t if t is not None else 0.0 for t in tl])
-        self._tr = np.array([t if t is not None else 0.0 for t in tr])
+        self._const_links = all(t is not None for t in times)
+        self._t2 = np.array(
+            [t if t is not None else 0.0 for t in times]
+        ).reshape(2, -1)
         rates = [_constant_rate(h) for h in self.hosts]
         self._const_hosts = all(r is not None for r in rates)
         self._rates = np.array([r if r is not None else 1.0 for r in rates])
@@ -303,8 +300,7 @@ class _LockstepEngine:
         self.idle_acc = np.zeros(self.n)
         self.iter_counts = np.zeros(self.n, dtype=np.int64)
         self.residual_at = np.full(self.n, float("inf"))
-        self.last_left = np.full(self.n, -float("inf"))  # FIFO r -> r-1
-        self.last_right = np.full(self.n, -float("inf"))  # FIFO r -> r+1
+        self.last = np.full((2, self.n), -math.inf)  # FIFO r -> r-1, r -> r+1
         self.n_dispatched = self.n  # the n spawn steps at t = 0
         self.now = 0.0
         self.converged = False
@@ -332,19 +328,16 @@ class _LockstepEngine:
             )
         return np.maximum(d, self.config.min_sweep_duration)
 
-    def _transfers(self, t_se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (unclamped) transfer times for left/right sends this round."""
+    def _transfers(self, t_se: np.ndarray) -> np.ndarray:
+        """Raw (unclamped) transfer times, (2, n), for left/right sends."""
         if self._const_links:
-            return self._tl, self._tr
-        tl = np.zeros(self.n)
-        tr = np.zeros(self.n)
-        for r in range(1, self.n):
-            tl[r] = self._links_left[r].transfer_time(self.nbytes, float(t_se[r]))
-        for r in range(self.n - 1):
-            tr[r] = self._links_right[r].transfer_time(
-                self.nbytes, float(t_se[r])
-            )
-        return tl, tr
+            return self._t2
+        t2 = np.full((2, self.n), -math.inf)
+        for side, links in enumerate((self._links_left, self._links_right)):
+            for r, link in enumerate(links):
+                if link is not None:
+                    t2[side, r] = link.transfer_time(self.nbytes, float(t_se[r]))
+        return t2
 
     # ------------------------------------------------------------------
     # Guard hooks (InvariantMonitor compatibility, lockstep-native)
@@ -435,18 +428,22 @@ class _LockstepEngine:
         """
         cfg = self.config
         n = self.n
-        streak_new = np.where(
-            residual < cfg.tolerance, self.streak + 1, 0
-        ).astype(np.int64)
-        new_sat = (streak_new >= cfg.persistence)[order_end]
-        old_sat = (self.streak >= cfg.persistence)[order_end]
-        pref = np.logical_and.accumulate(new_sat)
+        streak_new = (self.streak + 1) * (residual < cfg.tolerance)
+        new_sat = streak_new >= cfg.persistence
+        old_sat = self.streak >= cfg.persistence
+        abort_pos = 0 if (k + 1) >= cfg.max_iterations else None
+        if np.count_nonzero(new_sat | old_sat) < n:
+            # A rank satisfied by neither streak breaks every report's
+            # prefix (if it ends before it) or suffix (if after).
+            return abort_pos, None, abort_pos, streak_new
+        pref = np.logical_and.accumulate(new_sat[order_end])
         suffix_after = np.empty(n, dtype=bool)
         suffix_after[-1] = True
-        suffix_after[:-1] = np.logical_and.accumulate(old_sat[::-1])[::-1][1:]
+        suffix_after[:-1] = np.logical_and.accumulate(
+            old_sat[order_end[::-1]]
+        )[::-1][1:]
         cand = pref & suffix_after
         trigger_pos = int(np.argmax(cand)) if bool(cand.any()) else None
-        abort_pos = 0 if (k + 1) >= cfg.max_iterations else None
         positions = [p for p in (trigger_pos, abort_pos) if p is not None]
         stop_pos = min(positions) if positions else None
         return stop_pos, trigger_pos, abort_pos, streak_new
@@ -459,8 +456,18 @@ class _LockstepEngine:
         n = self.n
         cfg = self.config
         horizon = None if cfg.max_time is None else float(cfg.max_time)
-        neg_inf = -float("inf")
-        all_ranks = np.arange(n)
+        ranks = np.arange(n)
+        # Row 0 of a (2, n) array is about a rank's left neighbour, row 1
+        # its right one: the sender of each inbound halo (clamped at the
+        # chain's ends, whose inbound halo is -inf and never late), and
+        # that halo's flat index in the round's sends ``arr`` (r-1's send
+        # right, r+1's send left; the ends wrap onto the -inf slots).
+        senders = np.stack(
+            (np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1))
+        )
+        inbound = np.stack((np.roll(ranks + n, 1), np.roll(ranks, -1)))
+        # n mids + n ends + 2(n-1) deliveries + (n-1) barrier resumes.
+        round_events = 2 * n + 2 * (n - 1) + (n - 1)
         # The monitor sits in the profiler slot and sees every event,
         # including the n spawn steps at t = 0.
         self._guard_events(n)
@@ -482,21 +489,15 @@ class _LockstepEngine:
             # order).
             order_mid = np.lexsort((pos0, t_mid))
             mid_pos = np.empty(n, dtype=np.int64)
-            mid_pos[order_mid] = np.arange(n)
+            mid_pos[order_mid] = ranks
             order_end = np.lexsort((mid_pos, t_se))
 
             # Raw arrival times of this round's 2(n-1) halo sends
             # (FIFO-clamped against the previous round's arrivals).
-            tl, tr = self._transfers(t_se)
-            arr_l = np.full(n, neg_inf)  # r's send to r-1
-            arr_r = np.full(n, neg_inf)  # r's send to r+1
-            arr_l[1:] = np.maximum(
-                t_se[1:] + tl[1:], self.last_left[1:] + _FIFO_EPSILON
+            arr = np.maximum(
+                t_se + self._transfers(t_se), self.last + _FIFO_EPSILON
             )
-            arr_r[:-1] = np.maximum(
-                t_se[:-1] + tr[:-1], self.last_right[:-1] + _FIFO_EPSILON
-            )
-            rnd = _Round(k, T, residual, work, t_mid, t_se, pos0, arr_l, arr_r)
+            rnd = _Round(k, T, residual, work, t_mid, t_se, pos0, arr)
 
             stop_pos, trigger_pos, abort_pos, streak_new = self._stop_scan(
                 k, residual, order_end
@@ -530,30 +531,17 @@ class _LockstepEngine:
 
             # Inbound arrivals per receiver, and "late" = the delivery
             # dispatches after the receiver's end event (the receiver
-            # must block for it).
-            in_l = np.full(n, neg_inf)
-            in_r = np.full(n, neg_inf)
-            in_l[1:] = arr_r[:-1]
-            in_r[:-1] = arr_l[1:]
-            late_l = in_l > t_se
-            late_r = in_r > t_se
-            # An exact arrival/end tie resolves by dispatch key.  With
-            # the times equal, ``key_send(s, ...) > key_end(r)``
-            # collapses to comparing the sender's end key against the
-            # receiver's mid key, which is decided by their times —
-            # and on *that* tie the sender's end wins, because its key
-            # nests one level deeper than the receiver's mid
+            # must block for it).  An exact arrival/end tie resolves by
+            # dispatch key.  With the times equal, ``key_send(s, ...) >
+            # key_end(r)`` collapses to comparing the sender's end key
+            # against the receiver's mid key, which is decided by their
+            # times — and on *that* tie the sender's end wins, because
+            # its key nests one level deeper than the receiver's mid
             # (``key_mid``'s parent is ``_D_ROOT``, which loses to any
             # real event key).  Hence: late iff t_se[s] >= t_mid[r].
-            late_l[1:] |= (in_l[1:] == t_se[1:]) & (t_se[:-1] >= t_mid[1:])
-            late_r[:-1] |= (in_r[:-1] == t_se[:-1]) & (t_se[1:] >= t_mid[:-1])
-            A = np.maximum(
-                t_se,
-                np.maximum(
-                    np.where(late_l, in_l, neg_inf),
-                    np.where(late_r, in_r, neg_inf),
-                ),
-            )
+            in2 = arr.take(inbound)
+            late = (in2 > t_se) | ((in2 == t_se) & (t_se[senders] >= t_mid))
+            A = np.maximum(*np.where(late, in2, t_se))  # barrier arrival
             T_next = float(A.max())
             if horizon is not None and T_next > horizon:
                 # ``max_time`` is a pure time cutoff: events at
@@ -570,67 +558,59 @@ class _LockstepEngine:
             self.streak = streak_new
 
             # Barrier arrival order (= dispatch order of each rank's
-            # arrival event: its own end, or its final wait-resume).
-            # The nested dispatch keys flatten to fixed-width rows of
-            # scalars that one ``np.lexsort`` orders exactly like the
-            # tuple comparison would — hot at scale, where a
-            # homogeneous cluster ties every rank every round:
+            # arrival event: its own end, or its final wait-resume),
+            # hot at scale, where a homogeneous cluster ties every rank
+            # every round.  One stable ``np.lexsort`` on three columns
+            # orders the nested dispatch keys exactly:
             #
-            #   no late halo:  (t_se, t_mid,  -1.0,    -1.0,    pos0,    0)
-            #     = key_end(r) flattened; note A == t_se here.
-            #   late halo:     (A,    arr*, t_se[s*], t_mid[s*], pos0[s*], idx*)
-            #     = (A[r], (d_star, 0)) flattened, s*/arr*/idx* the
-            #       governing delivery's sender, arrival and push index.
+            #   no late halo:  (t_se, t_mid, pos0)
+            #     = key_end(r); note A == t_se here.
+            #   late halo:     (A,    A,     n + end_pos[s*])
+            #     = (A[r], (d_star, 0)), s* the governing delivery's
+            #       sender; its arrival is A.
             #
-            # Cross-shape comparisons always resolve by column 2
-            # (-1.0 < any real t_se), exactly as ``_D_ROOT`` loses to
-            # any real event key inside the nested form; trailing pads
-            # are reached only against another no-late row, where they
-            # are equal and pos0 (a permutation) decides.
-            sL = np.maximum(all_ranks - 1, 0)  # sender of r's left-in halo
-            sR = np.minimum(all_ranks + 1, n - 1)  # sender of right-in halo
-            Lf2, Lf3, Li0 = t_se[sL], t_mid[sL], pos0[sL]
-            Rf2, Rf3, Ri0 = t_se[sR], t_mid[sR], pos0[sR]
-            Li1 = (sL != 0).astype(np.int64)  # right send: idx 1 unless rank 0
-            Ri1 = np.zeros(n, dtype=np.int64)  # left send is pushed first
+            # ``end_pos`` is each end's dispatch position, and ``d_star``
+            # = (A, (key_end(s*), idx*)): two ends' keys compare as their
+            # positions do, because ``order_end`` sorts on exactly
+            # (t_se, t_mid, pos0), the leading fields of ``key_end``, and
+            # pos0 is a permutation, so no two ranks' ends tie.  Across
+            # shapes, column 2 puts a no-late row first (pos0 < n), as
+            # ``_D_ROOT`` under ``key_mid`` loses to a real end key.  Two
+            # rows left tied have one sender s: they are s-1 and s+1,
+            # served by its left send (push index 0) and right send
+            # (index 1), so the stable sort's rank order is push order.
+            end_pos = np.empty(n, dtype=np.int64)
+            end_pos[order_end] = ranks
+            e_l, e_r = end_pos[senders]
+            in_l, in_r = in2
+            late_l, late_r = late
             # Both halos late: the governing delivery is the later one
             # — or, at the same arrival instant, the *earlier-keyed*
             # one (its resume dispatches after both halos are in).
-            # Senders r-1 and r+1 are distinct ranks, so pos0 breaks
-            # any remaining tie before the push index could matter.
-            L_lt_R = (
-                (Lf2 < Rf2)
-                | ((Lf2 == Rf2) & (Lf3 < Rf3))
-                | ((Lf2 == Rf2) & (Lf3 == Rf3) & (Li0 < Ri0))
+            same = in_l == in_r
+            both = late_l & late_r
+            use_L = np.where(
+                both, np.where(same, e_l < e_r, in_l > in_r), late_l
             )
-            use_L = np.where(in_l == in_r, L_lt_R, in_l > in_r)
-            use_L = np.where(late_l & late_r, use_L, late_l)
             has_late = late_l | late_r
-            f1 = np.where(has_late, np.where(use_L, in_l, in_r), t_mid)
-            f2 = np.where(has_late, np.where(use_L, Lf2, Rf2), -1.0)
-            f3 = np.where(has_late, np.where(use_L, Lf3, Rf3), -1.0)
-            i0 = np.where(has_late, np.where(use_L, Li0, Ri0), pos0)
-            i1 = np.where(has_late, np.where(use_L, Li1, Ri1), 0)
-            order_arr = np.lexsort((i1, i0, f3, f2, f1, A))
+            key2 = np.where(has_late, np.where(use_L, e_l, e_r) + n, pos0)
+            order_arr = np.lexsort((key2, np.where(has_late, A, t_mid), A))
             releaser = int(order_arr[-1])
 
-            # Dispatched-event count for the round: n mids + n ends +
-            # 2(n-1) deliveries + wait-resumes + (n-1) barrier resumes.
-            n_late = late_l.astype(np.int64) + late_r.astype(np.int64)
-            both_same = late_l & late_r & (in_l == in_r)
-            wait_resumes = int(
-                np.where(
-                    n_late == 0, 0, np.where((n_late == 1) | both_same, 1, 2)
-                ).sum()
+            # One wait-resume per late delivery, except that two late
+            # ones arriving at the same instant trigger a single resume.
+            events = (
+                round_events
+                + int(np.count_nonzero(late))
+                - int(np.count_nonzero(both & same))
             )
-            events = 2 * n + 2 * (n - 1) + wait_resumes + (n - 1)
             self.n_dispatched += events
             self._guard_events(events)
 
             strict = T_next > t_se
-            self.idle_acc[strict] = (self.idle_acc[strict] + T_next) - t_se[
-                strict
-            ]
+            self.idle_acc = np.where(
+                strict, (self.idle_acc + T_next) - t_se, self.idle_acc
+            )
             if self.tracer.enabled:
                 # The releaser records its span first, then the waiters
                 # as they resume, in arrival order.
@@ -650,7 +630,7 @@ class _LockstepEngine:
             # next round's mid events.
             new_pos0 = np.empty(n, dtype=np.int64)
             new_pos0[releaser] = 0
-            new_pos0[order_arr[:-1]] = np.arange(1, n)
+            new_pos0[order_arr[:-1]] = ranks[1:]
             self.pos0 = new_pos0
             self.T = T_next
             self.now = T_next
@@ -670,25 +650,35 @@ class _LockstepEngine:
         one).  ``False`` => the divergence watchdog would have rolled a
         rank back, and nothing was booked.
         """
-        k, T, residual, work, _, t_se, _, arr_l, arr_r = rnd
+        k, T, residual, work, _, t_se, _, arr = rnd
         if self._guard_divergence(residual, done):
             return False
         n = self.n
         # NB: the tracer accumulates ``busy + t1 - t0`` left to
-        # right; replicate that association bitwise.
-        self.busy[done] = (self.busy[done] + t_se[done]) - T
-        self.iter_counts[done] += 1
-        self.residual_at[done] = residual[done]
+        # right; replicate that association bitwise.  A complete round
+        # books every rank in place, not by a full permutation.
+        if len(done) == n:
+            self.busy += t_se
+            self.busy -= T
+            self.iter_counts += 1
+            self.residual_at[:] = residual
+        else:
+            self.busy[done] = (self.busy[done] + t_se[done]) - T
+            self.iter_counts[done] += 1
+            self.residual_at[done] = residual[done]
         # Rank 0 sends nothing left and rank n-1 nothing right: those
-        # slots hold -inf in ``arr_*`` as in ``last_*``.
-        self.last_left[senders] = arr_l[senders]
-        self.last_right[senders] = arr_r[senders]
+        # slots hold -inf in ``arr`` as in ``last``.
+        if len(senders) == n:
+            self.last = arr
+            sent = dict.fromkeys(("halo_from_right", "halo_from_left"), n - 1)
+        else:
+            self.last[:, senders] = arr[:, senders]
+            sent = {
+                "halo_from_right": int(np.count_nonzero(senders > 0)),
+                "halo_from_left": int(np.count_nonzero(senders < n - 1)),
+            }
         # Every send adds the same ``nbytes``, so the sends of a round
         # are one counted add on each of the three byte accumulators.
-        sent = {
-            "halo_from_right": int(np.count_nonzero(senders > 0)),
-            "halo_from_left": int(np.count_nonzero(senders < n - 1)),
-        }
         for kind, count in sent.items():
             self._msg_counts[kind] += count
             self._msg_bytes[kind] = _repeat_add(
@@ -700,6 +690,7 @@ class _LockstepEngine:
         net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, total)
         if self.tracer.enabled:
             tr_ = self.tracer
+            arr_l, arr_r = arr
             for pos, r in enumerate(done.tolist()):
                 t1 = float(t_se[r])
                 tr_.iterations.append(

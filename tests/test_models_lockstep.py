@@ -31,8 +31,10 @@ from repro.problems.heat import HeatProblem
 from tests.conftest import SWEEP_PATHS, force_sweep_path
 
 
-def hetero_platform(speeds=(200.0, 130.0, 100.0, 170.0), latency=0.02):
-    net = Network(Link(latency=latency, bandwidth=1e6))
+def hetero_platform(
+    speeds=(200.0, 130.0, 100.0, 170.0), latency=0.02, bandwidth=1e6
+):
+    net = Network(Link(latency=latency, bandwidth=bandwidth))
     hosts = [Host(f"h{i}", speed=s) for i, s in enumerate(speeds)]
     return Platform(hosts=hosts, network=net)
 
@@ -184,6 +186,28 @@ def test_lockstep_event_count_matches_reference(name):
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
+@pytest.mark.parametrize("max_time", [0.5, None])
+def test_lockstep_matches_reference_when_48_ranks_tie_every_round(max_time):
+    """The ``lockstep_sisc`` width, with every end of every round at one
+    instant (equal blocks, equal hosts, constant work per component):
+    the barrier order then rests wholly on the dispatch-position keys.
+    Cut at ``max_time`` mid-run, and run to convergence."""
+    problem = SyntheticProblem.with_hard_region(
+        96, easy_rate=0.5, hard_rate=0.9, active_cost=0.0
+    )
+    platform = homogeneous_cluster(48, speed=500.0)
+    cfg = SolverConfig(tolerance=1e-8, max_time=max_time)
+    ref, ref_events = _reference_events(problem, platform, cfg)
+    fast = run_sisc_batched(problem, platform, cfg)
+    assert_same_run(ref, fast)
+    assert fast.meta["events_dispatched"] == ref_events
+    assert fast.converged == (max_time is None) and max(fast.iterations) > 100
+    ends = {}
+    for span in fast.tracer.iterations:
+        ends.setdefault(span.iteration, set()).add(span.t1)
+    assert all(len(t1s) == 1 for t1s in ends.values())
+
+
 # ----------------------------------------------------------------------
 # Runs cut mid-round.  A cut round books only the ranks whose end event
 # dispatched, and only their sends; where the cut falls inside the round
@@ -261,6 +285,27 @@ def test_lockstep_cut_rounds_without_trace():
     ]
     assert not any(fast.tracer.iterations or fast.tracer.messages for fast in runs)
     assert any(_partly_booked(fast) for fast in runs)
+
+
+@pytest.mark.parametrize(
+    "speeds", [(200.0, 130.0, 100.0, 170.0), (400.0, 100.0, 130.0, 170.0)]
+)
+def test_lockstep_matches_reference_when_a_halo_lands_on_an_end(speeds):
+    """A halo delivered at exactly its receiver's end instant is late or
+    not by dispatch key alone.  The latency, on a link whose bandwidth
+    adds nothing, is the first round's gap between ranks 0 and 1's ends,
+    so rank 0's halo lands on rank 1's end: after rank 1's mid (late),
+    or, with rank 0 four times as fast, before it (not late)."""
+    problem, cfg = hard_problem(), SolverConfig(tolerance=1e-4)
+    unlagged = run_sisc(problem, hetero_platform(speeds, latency=0.0), cfg)
+    first = {s.rank: s.t1 for s in unlagged.tracer.iterations if s.iteration == 1}
+    gap = first[1] - first[0]
+    platform = hetero_platform(speeds, latency=gap, bandwidth=1e300)
+    fast = _assert_same_run_and_events(problem, platform, cfg)
+    ends = {(s.rank, s.iteration): s.t1 for s in fast.tracer.iterations}
+    assert fast.tracer.messages[0].arrival_time == ends[1, 1]
+    for t in sorted(set(ends.values()))[:12:3]:
+        _assert_same_run_and_events(problem, platform, replace(cfg, max_time=t))
 
 
 def _assert_guard_parity(problem, platform, cfg):

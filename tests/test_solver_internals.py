@@ -21,7 +21,7 @@ from repro.models import run_model
 from repro.problems import BrusselatorProblem, HeatProblem, SyntheticProblem
 from repro.runtime.message import Message
 from repro.workloads import Figure5Scenario, IntegrityScenario
-from tests.conftest import SWEEP_PATHS, force_sweep_path
+from tests.conftest import force_sweep_path
 
 
 def make_run(n_ranks=3, n=24):
@@ -229,44 +229,57 @@ def _repro_frames_per_sweep(model):
     return frames / sum(result.iterations)
 
 
-@pytest.mark.parametrize("path", SWEEP_PATHS)
-@pytest.mark.parametrize(
-    ("model", "measured"), [("aiac", 44.55), ("aiac+lb", 62.10)]
-)
+#: Frames entered per sweep, measured on CPython 3.11, by (model, sweep
+#: path): the compiled sweep enters two frames fewer than the Python one.
+SWEEP_FRAMES = {
+    ("aiac", "python"): 42.54,
+    ("aiac+lb", "python"): 60.12,
+    ("aiac", "compiled"): 40.54,
+    ("aiac+lb", "compiled"): 58.12,
+}
+
+
+@pytest.mark.parametrize(("model", "path"), sorted(SWEEP_FRAMES))
 def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(
-    model, measured, path, monkeypatch
+    model, path, monkeypatch
 ):
     """The event-driven path's per-event and per-message fixed cost, as a
     count that repeats exactly: what the callback-driven rank loop
-    measured (CPython 3.11; the generator loop entered 66.6 / 85.1, and
-    79.5 / 108.8 before one resolved route per host pair) plus 2 %, on
-    each sweep path.  A hot-path edit that adds a call per event,
+    measured on each sweep path (``SWEEP_FRAMES``; the generator loop
+    entered 66.6 / 85.1, and 79.5 / 108.8 before one resolved route per
+    host pair) plus 2 %.  A hot-path edit that adds a call per event,
     message or sweep fails here by name.  A ceiling, not an equality:
     CPython 3.12 inlines comprehensions."""
     force_sweep_path(monkeypatch, path)
-    assert _repro_frames_per_sweep(model) <= measured * 1.02
+    assert _repro_frames_per_sweep(model) <= SWEEP_FRAMES[model, path] * 1.02
 
 
-@pytest.mark.parametrize("path", SWEEP_PATHS)
-@pytest.mark.parametrize(
-    ("schedule", "model", "measured"),
-    [
-        ("none", "aiac+lb", 56.54),
-        ("none", "aiac", 51.12),
-        ("flip_hi", "aiac+lb", 75.04),
-        ("flip_hi", "aiac", 68.81),
-    ],
-)
+#: Frames entered per protected message, measured on CPython 3.11, by
+#: (corruption schedule, model, sweep path).
+MESSAGE_FRAMES = {
+    ("none", "aiac+lb", "python"): 57.00,
+    ("none", "aiac", "python"): 51.76,
+    ("flip_hi", "aiac+lb", "python"): 75.50,
+    ("flip_hi", "aiac", "python"): 69.46,
+    ("none", "aiac+lb", "compiled"): 55.85,
+    ("none", "aiac", "compiled"): 50.46,
+    ("flip_hi", "aiac+lb", "compiled"): 74.33,
+    ("flip_hi", "aiac", "compiled"): 68.15,
+}
+
+
+@pytest.mark.parametrize(("schedule", "model", "path"), sorted(MESSAGE_FRAMES))
 def test_frames_entered_per_protected_message_stay_under_the_ceiling(
-    schedule, model, measured, path, monkeypatch
+    schedule, model, path, monkeypatch
 ):
     """The same count for the protected path: frames per message put on
     the wire by the detect arm of ``IntegrityScenario.tiny()`` (acked
     transport, checksums stamped and verified, checkpoints CRC-stamped,
-    the guard attached), what the callback-driven rank loop measured plus
-    2 %, on each sweep path.  The generator loop entered 72.3 / 68.1
-    without and 90.6 / 85.5 with payload corruption armed; before one
-    serialising walk per payload, 81.6 / 78.5 and 143.6 / 137.5."""
+    the guard attached), what the callback-driven rank loop measured on
+    each sweep path (``MESSAGE_FRAMES``) plus 2 %.  The generator loop
+    entered 72.3 / 68.1 without and 90.6 / 85.5 with payload corruption
+    armed; before one serialising walk per payload, 81.6 / 78.5 and
+    143.6 / 137.5."""
     force_sweep_path(monkeypatch, path)
     scenario = IntegrityScenario.tiny()
     frames, result = _repro_frames(
@@ -275,6 +288,7 @@ def test_frames_entered_per_protected_message_stay_under_the_ceiling(
         injector=FaultInjector(scenario.schedule(schedule, detect=True)),
         guard=InvariantMonitor(scenario.guard_config()),
     )
+    measured = MESSAGE_FRAMES[schedule, model, path]
     assert frames / result.tracer.n_messages() <= measured * 1.02
 
 
