@@ -6,8 +6,9 @@ component axis, then needs per-rank scalars back: the block-max residual
 and the block-sum work.  Both reductions must be **bit-identical** to
 what each rank computes on its own contiguous slice:
 
-* ``max`` is exact under any association, so any reduction order works
-  (``np.maximum.reduceat``, reshape tricks, per-slice calls all agree);
+* ``max`` is exact under any association: ``np.maximum.reduceat``
+  gives each slice's ``.max()`` bit for bit, signed zeros and NaNs
+  included;
 * ``sum`` is *not* — numpy's pairwise summation depends on the operand
   layout.  A rank computes ``work.sum()`` on its contiguous 1-D slice,
   which matches a per-slice ``values[lo:hi].sum()`` and, for equal-width
@@ -18,7 +19,7 @@ what each rank computes on its own contiguous slice:
 
 :class:`ChainSegments` packages the block layout validation and both
 reductions, choosing the fastest bit-preserving path per layout
-(equal-width reshape > ``reduceat`` max / per-slice sum), and tolerates
+(``reduceat`` max, equal-width reshape > per-slice sum), and tolerates
 empty (``lo == hi``) blocks — a rank that migrated everything away
 reports residual ``0.0`` (matching
 :attr:`repro.problems.base.IterationResult.local_residual` on a size-0
@@ -87,8 +88,6 @@ class ChainSegments:
 
     def max(self, values: np.ndarray) -> np.ndarray:
         """Per-rank max; ``0.0`` for empty blocks (size-0 residual)."""
-        if self._equal_width:
-            return values.reshape(self.n_ranks, self._width).max(axis=1)
         if not self._has_empty:
             return np.maximum.reduceat(values, self._starts)
         return np.array(

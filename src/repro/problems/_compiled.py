@@ -1,8 +1,8 @@
 """The compiled sweeps: built on first use, trusted after a probe.
 
 ``_sweeps.c`` holds the three problems' Python sweeps as loops — the
-loop of ``BrusselatorProblem._sweep_scalar`` and the NumPy sweeps of
-``HeatProblem._sweep`` and ``SyntheticProblem._sweep`` — as one CPython
+Brusselator's skip mask and ``_sweep_scalar`` loop, and the NumPy sweeps
+of ``HeatProblem._sweep`` and ``SyntheticProblem._sweep`` — as one CPython
 extension module of three functions that read and write NumPy arrays
 through the buffer protocol.  At a process's first sweep (never at
 import) the system ``cc`` builds it against this interpreter's headers
@@ -17,6 +17,7 @@ nothing selects between them and no run result records which ran.
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from pathlib import Path
 from types import ModuleType
 
@@ -180,14 +181,17 @@ def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
     ``sweep`` must reproduce before its first use.
 
     Brusselator: verified and iterating steps, full and damped Newton,
-    skipped components, and every way a step fails.  Heat, held to its
+    each clause of the skip test (a component's own residual, each
+    neighbour's, each block edge's halo, the refresh period) alone
+    keeping a component swept, a kept residual that is the block's max
+    and a carried streak, and every way a step fails.  Heat, held to its
     NumPy route: blocks of 3, 4 and 12 components, both halo shapes, a
     NaN, ±inf, a signed zero and an overflow.  Synthetic, held to its
     NumPy route: blocks in each regime of NumPy's pairwise sum (fewer
     than 8 values, up to 128, halved above) with costs that tell every
     sum order apart, float and array halos, a NaN and a max that is zero.
     """
-    from repro.problems.base import BlockState, padded
+    from repro.problems.base import BlockState
 
     rng = np.random.default_rng(0)
     if sweep == "heat":
@@ -229,22 +233,39 @@ def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
                 (0, np.array([-0.0, 0.0, -0.0]), -0.0, np.zeros(1)),
             )
         ]
+    from copy import copy
     from dataclasses import replace
 
     from repro.problems.brusselator import U_BOUNDARY, V_BOUNDARY
     from repro.problems.brusselator import BrusselatorProblem as Brusselator
+    from repro.problems.brusselator import BrusselatorState as State
 
     # At the steady state (u, v) = (1, 3) every residual is exactly 0:
     # the three bumps make their steps and their neighbours' iterate.
     calm = Brusselator(6, t_end=1.0, n_steps=5)
-    damped = Brusselator(6, t_end=1.0, n_steps=5)
-    damped.newton = replace(damped.newton, damping=0.5, max_iter=60)
-    traj = np.empty((6, 2, 6))
-    traj[:, 0], traj[:, 1] = U_BOUNDARY, V_BOUNDARY
+    steady = np.empty((6, 2, 6))
+    steady[:, 0], steady[:, 1] = U_BOUNDARY, V_BOUNDARY
+    traj = steady.copy()
     traj[1, 0, 2] += 0.1
     traj[3, 1, 4] -= 0.05
     traj[4, 0, 1] += 0.3
     edge = calm.initial_halo(-1)
+    # Skipping below 1e-3, refreshed every 3 sweeps: each clause of the
+    # skip test alone keeps a component swept.  On the steady state, a
+    # moved left halo keeps component 0, the loud residual of 2 keeps 1,
+    # 2 and 3, the refresh keeps 4; 5 skips, its kept residual the max
+    # and its streak carried.  The bumped block under damped Newton is
+    # the mirror image.
+    skipper = Brusselator(
+        6, t_end=1.0, n_steps=5, skip_converged=True, skip_threshold=1e-3,
+        refresh_period=3,
+    )
+    damped = copy(skipper)
+    damped.newton = replace(damped.newton, damping=0.5, max_iter=60)
+    res, streak = np.array([[0, 0, 1, 0, 0, 2e-4], [0, 0, 0, 0, 3, 1.0]])
+    moved = edge + 0.01
+    left_moved = State(0, steady, res, streak, moved, edge.copy())
+    right_moved = State(0, traj, res[::-1], streak[::-1], edge.copy(), moved)
     # dt = 1, c = 0.5, three passes at most: (2, 3) is a singular
     # Jacobian at step 2 of component 1, its neighbours exhaust the
     # passes there, the jump at step 1 of component 4 exhausts them at
@@ -257,25 +278,31 @@ def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
     rough[4, 0, 1] = 5.0
     nan_edge = hard.initial_halo(7)
     nan_edge[0, 1] = np.nan
-    skip_2 = np.array([0, 1, 3, 4, 5], dtype=np.intp)
     return [
-        (calm, (padded(traj, edge, edge), None)),
-        (damped, (padded(traj, edge, edge), skip_2)),
-        (hard, (padded(rough, hard.initial_halo(-1), nan_edge), None)),
+        (calm, (State(0, traj), edge, edge)),
+        (skipper, (left_moved, edge, edge)),
+        (damped, (right_moved, edge, edge)),
+        (hard, (State(0, rough), hard.initial_halo(-1), nan_edge)),
     ]
 
 
 def _trace(module: ModuleType | None, problem, args: tuple) -> bytes:
-    """Everything one ``problem._sweep(module, *args)`` hands back, as
-    bytes: a Brusselator sweep takes ``(ext, active)``, a heat or
-    synthetic one ``(state, left, right)`` and runs on a copy of it."""
-    if len(args) == 2:
-        new, work, residuals, reduced, failure = problem._sweep(module, *args)
-        tail = repr((reduced, failure)).encode()
-        return new.tobytes() + work.tobytes() + residuals.tobytes() + tail
+    """Everything one ``problem._sweep(module, state, left, right)`` hands
+    back and leaves in the state, as bytes, run on a copy of ``state``:
+    the result's arrays and reductions, or a failure's text."""
     state = problem.copy_state(args[0])
-    result = problem._sweep(module, state, *args[1:])
-    reduced = (result.local_residual, result.total_work)
-    arrays = (state.traj, result.residuals, result.work)
-    tail = struct.pack("dd", *reduced) + repr(reduced).encode()
-    return b"".join(array.tobytes() for array in arrays) + tail
+    try:
+        result = problem._sweep(module, state, *args[1:])
+    except RuntimeError as exc:
+        parts = [str(exc).encode()]
+    else:
+        reduced = (result.local_residual, result.total_work)
+        parts = [result.residuals.tobytes(), result.work.tobytes()]
+        parts.append(struct.pack("dd", *reduced) + repr(reduced).encode())
+    for field in fields(state):
+        value = getattr(state, field.name)
+        if isinstance(value, np.ndarray):
+            parts.append(value.dtype.str.encode() + value.tobytes())
+        else:
+            parts.append(repr(value).encode())
+    return b"|".join(parts)

@@ -1,7 +1,8 @@
 /* The three problems' sweeps, compiled: one CPython extension module.
  *
- *   brusselator  the loop of BrusselatorProblem._sweep_scalar
- *                (repro/problems/brusselator.py);
+ *   brusselator  BrusselatorProblem._sweep as one loop: the NumPy skip
+ *                mask, the loop of _sweep_scalar and the kept residuals
+ *                of the skipped components (repro/problems/brusselator.py);
  *   heat         the NumPy sweep of HeatProblem._sweep as one loop
  *                (repro/problems/heat.py);
  *   synthetic    the NumPy sweep of SyntheticProblem._sweep as one loop,
@@ -22,53 +23,69 @@
  * module's first use.
  *
  * Arrays pass through the buffer protocol only (no NumPy headers): each
- * must be C-contiguous, of format "d" (the Brusselator's active list:
- * np.intp), and as long as n and steps say, else the call raises before
- * it writes anything.  Output buffers are the caller's.
+ * must be C-contiguous, of format "d", and as long as n and steps say,
+ * else the call raises before it writes anything.  Output buffers are the
+ * caller's.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-/* One Brusselator waveform-relaxation sweep.
+/* One Brusselator waveform-relaxation sweep of block, (n, 2, steps + 1),
+ * between the halo trajectories left and right, (2, steps + 1) each, all
+ * read only: a component's lagged neighbours are the rows either side of
+ * it, a halo at the block's edges.
  *
- * Layout: ext is the padded (n + 2, 2, steps + 1) buffer, C-contiguous,
- * read only; row j + 1 is component j's previous-sweep trajectory, rows
- * j and j + 2 its lagged neighbours.  active lists the m swept
- * components (NULL: all n).  out receives, one after the other, new
- * (n, 2, steps + 1), work (n,), residuals max|new - old| (n,) and
- * (residual max, work sum, failed count at the first failing step); the
- * return value is that step, 0 when every step converged.
+ * Skipping (streak not NULL): component j keeps its trajectory, pays one
+ * work unit and reports its kept residual prev_res[j] when its own
+ * residual and both its neighbours' (at the block's edges: whether that
+ * halo is quiet) were below threshold and its streak is below period.
+ *
+ * out receives, one after the other, new (n, 2, steps + 1), work (n,),
+ * residuals max|new - old| (n,), the next streak (n,: one more where
+ * skipped, else 0) and (residual max, work sum, failed count at the first
+ * failing step); the return value is that step, 0 when every step
+ * converged.
  */
 static int64_t brusselator_sweep(
-    const double *ext, double *out, const ptrdiff_t *active, int64_t n,
-    int64_t m, int64_t steps, double dt, double c, double tol,
+    const double *left, const double *block, const double *right,
+    double *out, const double *prev_res, const double *streak,
+    int left_quiet, int right_quiet, double threshold, double period,
+    int64_t n, int64_t steps, double dt, double c, double tol,
     int64_t max_iter, double damping)
 {
     const int64_t len = steps + 1, row = 2 * len;
     const double neg_tol = -tol, two_c = 2.0 * c;
     double *out_new = out, *work = out + n * row, *residuals = work + n;
-    double *reduced = residuals + n;
+    double *next = residuals + n, *reduced = next + n;
     double top = 0.0;
-    int64_t total = n - m; /* a skipped component's one unit */
+    int64_t total = 0;
     int64_t fail_step = 0, fail_count = 0;
 
-    /* Skipped components keep their trajectories and pay one unit. */
-    memcpy(out_new, ext + row, (size_t)(n * row) * sizeof(double));
+    /* Every component starts from its old trajectory: a skipped one
+     * keeps it, a swept one changes the steps Newton moves. */
+    memcpy(out_new, block, (size_t)(n * row) * sizeof(double));
     for (int64_t j = 0; j < n; j++) {
-        work[j] = 1.0;
-        residuals[j] = 0.0;
-    }
-
-    for (int64_t i = 0; i < m; i++) {
-        const int64_t j = active ? (int64_t)active[i] : i;
-        const double *ult = ext + j * row, *vlt = ult + len;
-        const double *uu = ult + row, *vv = uu + len;
-        const double *urt = uu + row, *vrt = urt + len;
+        const double *uu = block + j * row, *vv = uu + len;
+        const double *ult = j ? uu - row : left, *vlt = ult + len;
+        const double *urt = j + 1 < n ? uu + row : right, *vrt = urt + len;
         double *nu = out_new + j * row, *nv = nu + len;
+        if (streak
+            && prev_res[j] < threshold
+            && (j ? prev_res[j - 1] < threshold : left_quiet)
+            && (j + 1 < n ? prev_res[j + 1] < threshold : right_quiet)
+            && streak[j] < period) {
+            const double kept = prev_res[j];
+            work[j] = 1.0;
+            total += 1;
+            residuals[j] = kept;
+            if (kept > top)
+                top = kept;
+            next[j] = streak[j] + 1.0;
+            continue;
+        }
         double res = 0.0, up = uu[0], vp = vv[0];
         int64_t w = 0;
         for (int64_t k = 1; k <= steps; k++) {
@@ -133,6 +150,7 @@ static int64_t brusselator_sweep(
         residuals[j] = res;
         if (res > top)
             top = res;
+        next[j] = 0.0;
     }
     reduced[0] = top;
     reduced[1] = (double)total;
@@ -260,11 +278,11 @@ static double synthetic_sweep(
 /* The module: argument checks, then the loops above                   */
 /* ------------------------------------------------------------------ */
 
-/* Fill view with obj's C-contiguous buffer of format "d" (kind 'd') or
- * np.intp (kind 'p'), writable if asked; its item count in *count. */
+/* Fill view with obj's C-contiguous buffer of format "d", writable if
+ * asked; its item count in *count. */
 static int get_array(
-    PyObject *obj, Py_buffer *view, int writable, char kind,
-    const char *name, Py_ssize_t *count)
+    PyObject *obj, Py_buffer *view, int writable, const char *name,
+    Py_ssize_t *count)
 {
     int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
     if (writable)
@@ -272,14 +290,9 @@ static int get_array(
     if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
     const char *f = view->format ? view->format : "B";
-    int ok = kind == 'd'
-        ? view->itemsize == sizeof(double) && strcmp(f, "d") == 0
-        : view->itemsize == sizeof(ptrdiff_t) && f[0] && !f[1]
-              && strchr("lqn", f[0]);
-    if (!ok) {
-        PyErr_Format(
-            PyExc_TypeError, "%s must be %s, got format '%s'", name,
-            kind == 'd' ? "float64" : "intp", f);
+    if (view->itemsize != sizeof(double) || strcmp(f, "d") != 0) {
+        PyErr_Format(PyExc_TypeError, "%s must be float64, got format '%s'",
+                     name, f);
         PyBuffer_Release(view);
         return -1;
     }
@@ -300,7 +313,7 @@ static int get_value(PyObject *obj, const char *name, double *value)
     }
     Py_buffer view = {0};
     Py_ssize_t count;
-    if (get_array(obj, &view, 0, 'd', name, &count) < 0)
+    if (get_array(obj, &view, 0, name, &count) < 0)
         return -1;
     if (count == 1)
         *value = *(const double *)view.buf;
@@ -330,58 +343,70 @@ static PyObject *length_error(const char *name)
 }
 
 PyDoc_STRVAR(brusselator_doc,
-"brusselator(ext, out, active, steps, dt, c, tol, max_iter, damping)\n"
+"brusselator(left, block, right, out, prev_res, streak, left_quiet,\n"
+"            right_quiet, steps, dt, c, tol, max_iter, damping, threshold,\n"
+"            period)\n"
 "\n"
-"One Brusselator sweep of the padded buffer ext, (n + 2, 2, steps + 1),\n"
-"over the components active lists (None: all).  out, of\n"
-"n * 2 * (steps + 1) + 2 * n + 3 float64, receives new, work, residuals\n"
-"and (residual max, work sum, failed count); returns the first failing\n"
-"step, 0 when every step converged.");
+"One Brusselator sweep of block, (n, 2, steps + 1), between the halo\n"
+"trajectories left and right, (2, steps + 1) each.  With a streak (None:\n"
+"no skipping), a component keeps its trajectory and its prev_res when its\n"
+"own and both neighbours' prev_res are below threshold (a block edge's:\n"
+"its halo quiet) and its streak is below period.  out, of\n"
+"n * 2 * (steps + 1) + 3 * n + 3 float64, receives new, work, residuals,\n"
+"the next streak and (residual max, work sum, failed count); returns the\n"
+"first failing step, 0 when every step converged.");
 
 static PyObject *brusselator(
     PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer ext = {0}, out = {0}, act = {0};
-    Py_ssize_t n_ext, n_out, m = 0;
+    Py_buffer left = {0}, block = {0}, right = {0}, out = {0};
+    Py_buffer prev = {0}, streak = {0};
+    Py_ssize_t n_left, n_block, n_right, n_out, n_prev = 0, n_streak = 0;
     PyObject *result = NULL;
 
-    if (check_nargs("brusselator", nargs, 9) < 0)
+    if (check_nargs("brusselator", nargs, 16) < 0)
         return NULL;
-    const Py_ssize_t steps = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
-    const double dt = PyFloat_AsDouble(args[4]);
-    const double c = PyFloat_AsDouble(args[5]);
-    const double tol = PyFloat_AsDouble(args[6]);
-    const long long max_iter = PyLong_AsLongLong(args[7]);
-    const double damping = PyFloat_AsDouble(args[8]);
+    const int left_quiet = PyObject_IsTrue(args[6]);
+    const int right_quiet = PyObject_IsTrue(args[7]);
+    const Py_ssize_t steps = PyNumber_AsSsize_t(args[8], PyExc_OverflowError);
+    const double dt = PyFloat_AsDouble(args[9]);
+    const double c = PyFloat_AsDouble(args[10]);
+    const double tol = PyFloat_AsDouble(args[11]);
+    const long long max_iter = PyLong_AsLongLong(args[12]);
+    const double damping = PyFloat_AsDouble(args[13]);
+    const double threshold = PyFloat_AsDouble(args[14]);
+    const double period = PyFloat_AsDouble(args[15]);
     if (PyErr_Occurred())
         return NULL;
-    if (get_array(args[0], &ext, 0, 'd', "ext", &n_ext) < 0
-        || get_array(args[1], &out, 1, 'd', "out", &n_out) < 0
-        || (args[2] != Py_None
-            && get_array(args[2], &act, 0, 'p', "active", &m) < 0))
+    const int skipping = args[5] != Py_None;
+    if (get_array(args[0], &left, 0, "left", &n_left) < 0
+        || get_array(args[1], &block, 0, "block", &n_block) < 0
+        || get_array(args[2], &right, 0, "right", &n_right) < 0
+        || get_array(args[3], &out, 1, "out", &n_out) < 0
+        || (skipping
+            && (get_array(args[4], &prev, 0, "prev_res", &n_prev) < 0
+                || get_array(args[5], &streak, 0, "streak", &n_streak) < 0)))
         goto done;
     const Py_ssize_t row = 2 * (steps + 1);
-    const Py_ssize_t n = steps < 0 || steps >= n_ext ? -1 : n_ext / row - 2;
-    if (n < 0 || (n + 2) * row != n_ext || n_out != n * row + 2 * n + 3) {
+    const Py_ssize_t n = steps < 0 || steps >= n_left ? -1 : n_block / row;
+    if (n < 0 || n * row != n_block || n_left != row || n_right != row
+        || n_out != n * row + 3 * n + 3
+        || (skipping && (n_prev != n || n_streak != n))) {
         length_error("brusselator");
         goto done;
     }
-    const ptrdiff_t *active = act.obj ? (const ptrdiff_t *)act.buf : NULL;
-    for (Py_ssize_t i = 0; i < m; i++) {
-        if (active[i] < 0 || active[i] >= n) {
-            PyErr_Format(PyExc_IndexError,
-                         "brusselator(): active index %zd out of [0, %zd)",
-                         (Py_ssize_t)active[i], n);
-            goto done;
-        }
-    }
     result = PyLong_FromLongLong(brusselator_sweep(
-        ext.buf, out.buf, active, n, active ? m : n, steps, dt, c, tol,
+        left.buf, block.buf, right.buf, out.buf,
+        skipping ? prev.buf : NULL, skipping ? streak.buf : NULL,
+        left_quiet, right_quiet, threshold, period, n, steps, dt, c, tol,
         max_iter, damping));
 done:
-    PyBuffer_Release(&ext);
+    PyBuffer_Release(&left);
+    PyBuffer_Release(&block);
+    PyBuffer_Release(&right);
     PyBuffer_Release(&out);
-    PyBuffer_Release(&act);
+    PyBuffer_Release(&prev);
+    PyBuffer_Release(&streak);
     return result;
 }
 
@@ -408,10 +433,10 @@ static PyObject *heat(
     const double denom = PyFloat_AsDouble(args[6]);
     if (PyErr_Occurred())
         return NULL;
-    if (get_array(args[0], &left, 0, 'd', "left", &n_left) < 0
-        || get_array(args[1], &block, 0, 'd', "block", &n_block) < 0
-        || get_array(args[2], &right, 0, 'd', "right", &n_right) < 0
-        || get_array(args[3], &out, 1, 'd', "out", &n_out) < 0)
+    if (get_array(args[0], &left, 0, "left", &n_left) < 0
+        || get_array(args[1], &block, 0, "block", &n_block) < 0
+        || get_array(args[2], &right, 0, "right", &n_right) < 0
+        || get_array(args[3], &out, 1, "out", &n_out) < 0)
         goto done;
     const Py_ssize_t len = n_left;
     const Py_ssize_t n = steps < 0 || steps != len - 1 ? -1 : n_block / len;
@@ -465,9 +490,9 @@ static PyObject *synthetic(
     if (PyErr_Occurred() || get_value(args[3], "left", &left) < 0
         || get_value(args[4], "right", &right) < 0)
         return NULL;
-    if (get_array(args[0], &rates, 0, 'd', "rates", &n_rates) < 0
-        || get_array(args[2], &errors, 0, 'd', "errors", &n) < 0
-        || get_array(args[5], &out, 1, 'd', "out", &n_out) < 0)
+    if (get_array(args[0], &rates, 0, "rates", &n_rates) < 0
+        || get_array(args[2], &errors, 0, "errors", &n) < 0
+        || get_array(args[5], &out, 1, "out", &n_out) < 0)
         goto done;
     if (lo < 0 || lo > n_rates - n || n_out != 3 * n) {
         length_error("synthetic");

@@ -73,15 +73,6 @@ _NEWTON_FAILED = (
 )
 
 
-def _next_streak(
-    streak: np.ndarray | None, skip: np.ndarray | None, n: int
-) -> np.ndarray:
-    """Consecutive-skip counts after a sweep that skipped ``skip``."""
-    if skip is None:
-        return np.zeros(n, dtype=np.int64)
-    return (streak + 1) * skip
-
-
 def _quiet_since(
     halo: np.ndarray, last: np.ndarray | None, threshold: float
 ) -> bool:
@@ -231,128 +222,108 @@ class BrusselatorProblem(Problem):
     # ------------------------------------------------------------------
     # One waveform-relaxation sweep
     # ------------------------------------------------------------------
-    def _skip_mask(
-        self,
-        state: BrusselatorState,
-        left_halo: np.ndarray,
-        right_halo: np.ndarray,
-    ) -> np.ndarray | None:
-        """Which components may keep last sweep's trajectory untouched
-        (``None``: skipping cannot engage this sweep).
-
-        A component is skippable when its own residual *and* both its
-        neighbours' residuals were below ``skip_threshold`` last sweep
-        (neighbours across the block boundary count as quiet only if the
-        incoming halo is unchanged), and it has not been skipped for
-        ``refresh_period`` consecutive sweeps (the safety refresh).
-        Reactivation travels one component per sweep, exactly like the
-        relaxation's own information flow, so skipping never hides a
-        genuine change.  The mask of the whole chain (a
-        :class:`~repro.problems.base.ChainSweeper` round) is every
-        rank's: a halo moves by exactly its component's residual (0 when
-        that component skipped, its residual then below threshold), so
-        "the incoming halo is quiet" and "the neighbour's residual is"
-        agree, and the chain's two edges, constant arrays passed again
-        each round, are quiet from the second sweep on.
-        """
-        if (
-            not self.skip_converged
-            or state.prev_res is None
-            or state.skip_streak is None
-        ):
-            return None
-        thr = self.skip_threshold
-        quiet = state.prev_res < thr
-        neighbours = padded(
-            quiet,
-            _quiet_since(left_halo, state.last_left_halo, thr),
-            _quiet_since(right_halo, state.last_right_halo, thr),
-        )
-        return (
-            quiet
-            & neighbours[:-2]
-            & neighbours[2:]
-            & (state.skip_streak < self.refresh_period)
-        )
-
     def iterate(
         self,
         state: BrusselatorState,
         left_halo: np.ndarray,
         right_halo: np.ndarray,
     ) -> IterationResult:
-        skip = self._skip_mask(state, left_halo, right_halo)
-        new, work, residuals, (top, total) = self._sweep_batched(
-            padded(state.traj, left_halo, right_halo), skip, state.lo
-        )
-        if skip is not None and skip.any():
-            # A skipped component's trajectory did not change; keep its
-            # previous (below-threshold) residual rather than a fake 0.
-            # Every residual is +0.0 or finite and positive (a non-finite
-            # one fails Newton), so the max folds in exactly.
-            kept = state.prev_res[skip]
-            residuals[skip] = kept
-            top = max(top, float(kept.max()))
+        return self._sweep(_compiled.brusselator, state, left_halo, right_halo)
 
+    def _sweep(
+        self, kernel, state: BrusselatorState, left_halo, right_halo
+    ) -> IterationResult:
+        """:meth:`iterate` on the compiled ``kernel``
+        (:mod:`repro.problems._compiled`: the skip test, the sweep and the
+        kept residuals as one loop reading the halos and the block in
+        place), or with a NumPy skip mask and :meth:`_sweep_scalar` when
+        it is None: bit for bit the same.
+
+        A component keeps last sweep's trajectory, pays one work unit and
+        reports its kept (below-threshold) residual when its own and both
+        its neighbours' residuals were below ``skip_threshold`` last sweep
+        (across the block boundary: the incoming halo is unchanged) and it
+        has not been skipped ``refresh_period`` sweeps in a row (the
+        safety refresh).  Reactivation travels one component per sweep,
+        like the relaxation's own information flow, so skipping never
+        hides a genuine change.  Every component is swept on its own, and
+        a halo moves by exactly its component's residual, so a
+        :class:`~repro.problems.base.ChainSweeper` round's skips and
+        results are every rank's, bit for bit.
+
+        A halo that is not ``2 * (n_steps + 1)`` C-contiguous float64
+        values raises ``TypeError`` or ``ValueError``, a Newton failure
+        ``RuntimeError``; either way the state is left as it was.
+        """
+        n, steps, thr = len(state.traj), self.n_steps, self.skip_threshold
+        skipping = self.skip_converged and not (
+            state.prev_res is None or state.skip_streak is None
+        )
+        if kernel is None:
+            halos = [self._halo_rows(left_halo), self._halo_rows(right_halo)]
+        left_quiet = skipping and _quiet_since(left_halo, state.last_left_halo, thr)
+        right_quiet = skipping and _quiet_since(
+            right_halo, state.last_right_halo, thr
+        )
+        if kernel is not None:
+            # Every output goes to one buffer: one allocation.
+            size = n * 2 * (steps + 1)
+            out = np.empty(size + 3 * n + 3)
+            opts = self.newton
+            step = kernel.brusselator(
+                left_halo, state.traj, right_halo, out,
+                state.prev_res if skipping else None,
+                state.skip_streak if skipping else None,
+                left_quiet, right_quiet,
+                steps, self.dt, self.c, opts.tol, opts.max_iter, opts.damping,
+                thr, self.refresh_period,
+            )
+            top, total, failed = out[-3:].tolist()
+            failure = (int(failed), step) if step else None
+            new = out[:size].reshape(state.traj.shape)
+            work = out[size : size + n]
+            residuals = out[size + n : size + 2 * n]
+            streak = out[size + 2 * n : -3]
+        else:
+            skip = np.zeros(n, dtype=bool)
+            streak = np.zeros(n)
+            if skipping:
+                below = state.prev_res < thr
+                neighbours = padded(below, left_quiet, right_quiet)
+                skip = below & neighbours[:-2] & neighbours[2:]
+                skip &= state.skip_streak < self.refresh_period
+                streak = np.where(skip, state.skip_streak + 1.0, 0.0)
+            new, work, residuals, (top, total), failure = self._sweep_scalar(
+                padded(state.traj, *halos),
+                (~skip).nonzero()[0] if skip.any() else None,
+            )
+            if skip.any():
+                # Every residual is +0.0 or finite and positive (a
+                # non-finite one fails Newton): the max folds in exactly.
+                kept = state.prev_res[skip]
+                residuals[skip] = kept
+                top = max(top, float(kept.max()))
+        if failure:
+            raise RuntimeError(_NEWTON_FAILED.format(*failure, state.lo))
         state.traj = new
         if self.skip_converged:
-            state.skip_streak = _next_streak(state.skip_streak, skip, state.n)
+            state.skip_streak = streak
             state.prev_res = residuals.copy()
             state.last_left_halo = _kept_halo(left_halo, state.last_left_halo)
             state.last_right_halo = _kept_halo(right_halo, state.last_right_halo)
         return IterationResult(residuals, work, top, total)
 
-    def _sweep_batched(
-        self, ext: np.ndarray, skip: np.ndarray | None, lo: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
-        """One relaxation sweep over an arbitrary batch of components.
-
-        ``ext`` is the :func:`~repro.problems.base.padded` buffer
-        ``(n + 2, 2, n_steps + 1)``: row ``j + 1`` is component
-        ``j``'s previous-sweep trajectory, rows ``j`` and ``j + 2`` its
-        lagged neighbours (a neighbour row may be a halo or the adjacent
-        component, the arithmetic cannot tell); it is read, never
-        written.  ``skip`` marks the components that keep their
-        trajectory (``None``: none do).  Every component is swept on its
-        own, so a rank's block and the whole chain that
-        :class:`~repro.problems.base.ChainSweeper` hands ``iterate`` get
-        bit-identical per-component results.  Returns ``(new,
-        per-component work, per-component residual max|new - old|,
-        (residual max, work sum))``; a Newton failure raises
-        ``RuntimeError`` naming the lowest failing step.
-        """
-        active = None if skip is None else (~skip).nonzero()[0]
-        new, work, residuals, reduced, failure = self._sweep(
-            _compiled.brusselator, ext, active
-        )
-        if failure:
-            raise RuntimeError(_NEWTON_FAILED.format(*failure, lo))
-        return new, work, residuals, reduced
-
-    def _sweep(self, kernel, ext: np.ndarray, active: np.ndarray | None):
-        """The sweep of the ``active`` components (None: all) of ``ext``
-        on the compiled ``kernel`` (:mod:`repro.problems._compiled`), or
-        :meth:`_sweep_scalar` when it is None: bit for bit the same, and
-        the same ``(new, work, residuals, reductions, failure)``."""
-        if kernel is None:
-            return self._sweep_scalar(ext, active)
-        # Every output goes to one buffer: one allocation.
-        n, steps = ext.shape[0] - 2, self.n_steps
-        size = n * 2 * (steps + 1)
-        out = np.empty(size + 2 * n + 3)
-        opts = self.newton
-        step = kernel.brusselator(
-            ext, out, active, steps, self.dt, self.c,
-            opts.tol, opts.max_iter, opts.damping,
-        )
-        top, total, failed = out[-3:].tolist()
-        return (
-            out[:size].reshape(n, 2, steps + 1),
-            out[size : size + n],
-            out[size + n : -3],
-            (top, total),
-            (int(failed), step) if step else None,
-        )
+    def _halo_rows(self, halo) -> np.ndarray:
+        """``halo`` as ``(2, n_steps + 1)`` rows, or what the compiled
+        sweep raises for it: ``TypeError`` with no buffer (a float, say)
+        or not float64, ``ValueError`` for other than that many
+        C-contiguous values."""
+        view = memoryview(halo)
+        if view.format != "d":
+            raise TypeError(f"halo must be float64, got format {view.format!r}")
+        if not view.c_contiguous or view.nbytes != 16 * (self.n_steps + 1):
+            raise ValueError(f"halo must be {2 * (self.n_steps + 1)} values")
+        return np.asarray(halo).reshape(self.component_shape)
 
     def _sweep_scalar(
         self, ext: np.ndarray, active: np.ndarray | None

@@ -30,6 +30,7 @@ from tests.test_brusselator_sweep_routes import (
     SWEEP_DIGESTS,
     lockstep_problem,
     seeded_buffer,
+    sweep_block,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,18 +66,46 @@ def test_without_cc_the_scalar_sweep_gives_the_same_digests(
     for n, want in SWEEP_DIGESTS.items():
         ext, skip = seeded_buffer(n)
         digest = hashlib.sha256()
-        for array in lockstep_problem(n)._sweep_batched(ext, skip, 0)[:3]:
+        for array in sweep_block(lockstep_problem(n), ext, skip)[:3]:
             digest.update(array.tobytes())
         assert digest.hexdigest() == want
 
 
 #: Modules that compile and run but are wrong, each in a way one probe
 #: case exposes: (what is wrong, the sweep whose probe fails, source
-#: text, its replacement).
+#: text, its replacement).  The ``skip:`` ones each drop one clause of
+#: the Brusselator's skip test, or what a skip reports.
 SABOTAGE = [
     ("damping ignored", "brusselator", "u = u - damping *", "u = u - 1.0 *"),
     ("verified steps free", "brusselator", "w += p ? p : 1;", "w += p;"),
-    ("skip ignored", "brusselator", "active ? (int64_t)active[i] : i", "i"),
+    (
+        "skip: own residual ignored",
+        "brusselator",
+        "&& prev_res[j] < threshold\n",
+        "\n",
+    ),
+    (
+        "skip: left neighbour ignored",
+        "brusselator",
+        "j ? prev_res[j - 1] < threshold : left_quiet",
+        "j ? 1 : left_quiet",
+    ),
+    (
+        "skip: right neighbour ignored",
+        "brusselator",
+        "j + 1 < n ? prev_res[j + 1] < threshold : right_quiet",
+        "j + 1 < n ? 1 : right_quiet",
+    ),
+    ("skip: left halo always quiet", "brusselator", ": left_quiet)", ": 1)"),
+    ("skip: right halo always quiet", "brusselator", ": right_quiet)", ": 1)"),
+    ("skip: no refresh", "brusselator", "&& streak[j] < period", ""),
+    ("skip: kept residual not in the max", "brusselator", "if (kept > top)", "if (0)"),
+    (
+        "skip: streak not carried",
+        "brusselator",
+        "next[j] = streak[j] + 1.0;",
+        "next[j] = 1.0;",
+    ),
     (
         "regrouped",
         "brusselator",
@@ -287,9 +316,11 @@ def valid_calls():
     rng = np.random.default_rng(0)
     return {
         "brusselator": (
-            [ext, np.empty(4 * 8 + 2 * 4 + 3), np.arange(4), 3, 0.25,
-             brusselator.c, opts.tol, opts.max_iter, opts.damping],
-            1,
+            [ext[0], ext[1:-1], ext[-1], np.empty(4 * 8 + 3 * 4 + 3),
+             np.zeros(4), np.array([0.0, 3.0, 0.0, 3.0]), True, False, 3,
+             0.25, brusselator.c, opts.tol, opts.max_iter, opts.damping,
+             1e-6, 3],
+            3,
         ),
         "heat": (
             [rng.normal(size=(1, 6)), rng.normal(size=(4, 6)),
@@ -307,8 +338,11 @@ def valid_calls():
 #: Bad arguments only one sweep takes: (what, argument index, value).
 ONLY = {
     "brusselator": [
-        ("active out of range", 2, np.array([0, 4])),
-        ("active not intp", 2, np.arange(4, dtype=np.int32)),
+        ("halo a float", 0, 1.0),
+        ("halo one long", 2, np.zeros(9)),
+        ("last residuals one short", 4, np.zeros(3)),
+        ("last residuals missing", 4, None),
+        ("streak int64", 5, np.zeros(4, dtype=np.int64)),
     ],
     "heat": [("halo one long", 0, np.zeros(7))],
     "synthetic": [("lo past the rates", 1, 6), ("halo of two", 4, np.zeros(2))],
@@ -319,7 +353,7 @@ def spoiled(sweep, args, at):
     """Each way to hand ``sweep`` a bad buffer: (what, arguments)."""
     read_only = args[at].copy()
     read_only.setflags(write=False)
-    state = {"brusselator": 0, "heat": 1, "synthetic": 2}[sweep]
+    state = {"brusselator": 1, "heat": 1, "synthetic": 2}[sweep]
     block = args[state]
     for what, i, value in [
         ("out one short", at, args[at][:-1]),

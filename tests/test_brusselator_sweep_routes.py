@@ -1,16 +1,21 @@
 """The Brusselator sweep's two paths ≡ the formulations it has had.
 
-``BrusselatorProblem._sweep_batched`` runs the compiled sweep
-(``_sweeps.c``) when it loads and its reference, the scalar
-sweep on Python floats (``_sweep_scalar``), otherwise; both are the same per
-(component, step) Newton loop for every batch size.  This module keeps
-*test-local* copies of the formulations both must reproduce — the
-groupings of that loop the sweep's earlier routes used, NumPy stage 1 +
-per-step ``newton_batched_2x2`` among them — and forces each path by
-standing in for the loader's result (``force_sweep_path``).  Everything
-is compared bitwise (``tobytes()``): values, work counts and residuals,
-signs of zero included, the residual max and work sum handed back with
-them, and the failure text."""
+``BrusselatorProblem._sweep(kernel, state, left, right)`` runs the
+compiled sweep (``_sweeps.c``: the skip test, the sweep and the
+reductions in one loop) when it loads and its reference, the NumPy skip
+mask and the scalar sweep on Python floats (``_sweep_scalar``),
+otherwise; both are the same per (component, step) Newton loop for every
+batch size.  This module keeps *test-local* copies of the formulations
+both must reproduce — the groupings of that loop the sweep's earlier
+routes used, NumPy stage 1 + per-step ``newton_batched_2x2`` among them,
+and the skip mask the sweep once took from NumPy — and forces each path
+by standing in for the loader's result (``force_sweep_path``).
+Everything is compared bitwise (``tobytes()``): values, work counts and
+residuals, signs of zero included, the residual max and work sum handed
+back with them, the skip bookkeeping left in the state, and the failure
+text."""
+
+import copy
 
 import dataclasses
 import functools
@@ -26,7 +31,11 @@ from hypothesis import given, settings, strategies as st
 from repro.numerics.newton import newton_batched_2x2
 from repro.problems import _compiled
 from repro.problems.base import padded
-from repro.problems.brusselator import BrusselatorProblem
+from repro.problems.brusselator import (
+    BrusselatorProblem,
+    BrusselatorState,
+    _quiet_since,
+)
 from repro.workloads import ScaleScenario
 from tests.conftest import SWEEP_PATHS as ROUTES
 from tests.conftest import compiled_kernel, force_sweep_path
@@ -123,6 +132,49 @@ def newton_step(problem, ext, new, work, rows, k):
     return int(np.count_nonzero(~result.converged))
 
 
+def reference_skip(problem, state, left, right):
+    """The components ``state`` keeps this sweep, as the sweep's NumPy
+    mask once chose them (None: skipping cannot engage)."""
+    if (
+        not problem.skip_converged
+        or state.prev_res is None
+        or state.skip_streak is None
+    ):
+        return None
+    thr = problem.skip_threshold
+    quiet = state.prev_res < thr
+    neighbours = padded(
+        quiet,
+        _quiet_since(left, state.last_left_halo, thr),
+        _quiet_since(right, state.last_right_halo, thr),
+    )
+    return (
+        quiet
+        & neighbours[:-2]
+        & neighbours[2:]
+        & (state.skip_streak < problem.refresh_period)
+    )
+
+
+def sweep_block(problem, ext, skip=None, lo=0):
+    """The forced path's sweep of the block between the halos of the
+    padded buffer ``ext``, starting at ``lo``, as ``(new, work,
+    residuals, (their max, the work's sum))``.  The components ``skip``
+    marks keep their trajectories: the block's last residuals are all 0
+    beside halos that have not moved, and every other component is due
+    its refresh."""
+    state = BrusselatorState(lo, ext[1:-1])
+    if skip is not None:
+        problem = copy.copy(problem)
+        problem.skip_converged = True
+        state.prev_res = np.zeros(state.n)
+        state.skip_streak = np.where(skip, 0.0, problem.refresh_period)
+        state.last_left_halo, state.last_right_halo = ext[0], ext[-1]
+    result = problem.iterate(state, ext[0], ext[-1])
+    reduced = (result.local_residual, result.total_work)
+    return state.traj, result.work, result.residuals, reduced
+
+
 def assert_sweep_equals_reference(
     problem, ext, skip, lo=0, formulation="numpy stage 1 + batched loop",
     want=None,
@@ -130,7 +182,7 @@ def assert_sweep_equals_reference(
     """The path's arrays equal ``formulation``'s bitwise (``want``, when
     already computed), and so do the residual max and work sum it hands
     back."""
-    *got, reduced = problem._sweep_batched(ext, skip, lo)
+    *got, reduced = sweep_block(problem, ext, skip, lo)
     if want is None:
         want = reference_sweep(problem, ext, skip, formulation)
     for name, g, w in zip(("new", "work", "residuals"), got, want):
@@ -148,8 +200,10 @@ def assert_sweep_equals_reference(
 def assert_blocks_follow_reference(
     problem, blocks, n_sweeps, formulation="numpy stage 1 + batched loop"
 ):
-    """Every block's every sweep equals ``formulation``'s; the state
-    then advances through ``iterate`` (Jacobi round, halos read first)."""
+    """Every block's every ``iterate`` (Jacobi round, halos read first)
+    equals ``formulation``'s sweep with the reference skip mask: the new
+    state, the work, the residuals with each skipped component's kept
+    one, their max and sum, and the next skip streaks."""
     states = {
         r: problem.initial_state(lo, hi)
         for r, (lo, hi) in enumerate(blocks)
@@ -164,13 +218,27 @@ def assert_blocks_follow_reference(
             for r in states
         }
         for r, state in states.items():
-            skip = problem._skip_mask(state, *halos[r])
+            skip = reference_skip(problem, state, *halos[r])
             ext = padded(state.traj, *halos[r])
-            _, work, _ = assert_sweep_equals_reference(
-                problem, ext, skip, state.lo, formulation
+            new, work, residuals = reference_sweep(
+                problem, ext, skip, formulation
             )
+            streak = np.zeros(state.n)
+            if skip is not None:
+                residuals[skip] = state.prev_res[skip]
+                streak = np.where(skip, state.skip_streak + 1.0, 0.0)
             res = problem.iterate(state, *halos[r])
-            assert res.work.tobytes() == work.tobytes()
+            for got, want in [
+                (state.traj, new),
+                (res.work, work),
+                (res.residuals, residuals),
+            ]:
+                assert got.tobytes() == want.tobytes()
+            assert struct.pack("dd", res.local_residual, res.total_work) == (
+                struct.pack("dd", residuals.max(), work.sum())
+            )
+            if problem.skip_converged:
+                assert state.skip_streak.tobytes() == streak.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,9 +314,7 @@ def test_deterministic_shapes_on_each_route(monkeypatch, formulation):
         sweep(problem, ext, only)
         new, work, residuals = sweep(problem, ext, np.ones(12, dtype=bool))
         assert work.tobytes() == np.ones(12).tobytes()
-        new, work, residuals, reduced = problem._sweep_batched(
-            ext[:2], None, 0
-        )
+        new, work, residuals, reduced = sweep_block(problem, ext[:2])
         assert new.shape == (0, 2, steps + 1)
         assert work.shape == residuals.shape == (0,)
         assert reduced == (0.0, 0.0)
@@ -413,7 +479,7 @@ def test_large_batch_sweep_digest(monkeypatch, n):
     for route in ROUTES:
         force_sweep_path(monkeypatch, route)
         digest = hashlib.sha256()
-        for array in lockstep_problem(n)._sweep_batched(ext, skip, 0)[:3]:
+        for array in sweep_block(lockstep_problem(n), ext, skip)[:3]:
             digest.update(array.tobytes())
         assert digest.hexdigest() == SWEEP_DIGESTS[n], route
 
@@ -439,7 +505,7 @@ def failure_text(problem, ext, lo):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError) as excinfo:
-            problem._sweep_batched(ext, None, lo)
+            sweep_block(problem, ext, None, lo)
     return str(excinfo.value)
 
 
@@ -537,13 +603,15 @@ def failing_batches():
 
 @pytest.mark.parametrize("damping", [1.0, 0.5])
 def test_both_paths_leave_the_same_bytes_behind_a_failure(damping):
-    # A failing sweep has filled `new` and `work` up to each component's
-    # failure before it raises: both paths leave the same bytes, and the
-    # same for the loader's own probe batches.
+    # A failing sweep raises the same text on both paths and leaves the
+    # same state behind, and so do the loader's own probe batches.
     compiled, status = compiled_kernel()
     if compiled is None:
         pytest.skip(status)
-    cases = [(p, (ext, None)) for p, ext in failing_batches()]
+    cases = [
+        (p, (BrusselatorState(0, ext[1:-1]), ext[0], ext[-1]))
+        for p, ext in failing_batches()
+    ]
     for problem, args in cases + _compiled._probe_cases("brusselator"):
         problem.newton = dataclasses.replace(problem.newton, damping=damping)
         want = _compiled._trace(None, problem, args)
@@ -564,13 +632,18 @@ MACHINE_NAN = float("inf") - float("inf")
     seed=st.integers(0, 2**32 - 1),
 )
 def test_both_paths_agree_bitwise_on_any_block(n, n_steps, skip, seed):
-    # Blocks of 1-300 components, now and then a skip mask, ±0.0, NaN
-    # and ±inf in the trajectories and the halos: new state, work,
-    # residuals, their max and sum and the failure, as bytes.
+    # Blocks of 1-300 components, now and then skipping (last residuals
+    # on both sides of the threshold, streaks due their refresh or not,
+    # each edge's last halo the same or moved), ±0.0, NaN and ±inf in the
+    # trajectories and the halos: new state, work, residuals, their max
+    # and sum, the skip bookkeeping and the failure, as bytes.
     compiled, status = compiled_kernel()
     if compiled is None:
         pytest.skip(status)
-    problem = BrusselatorProblem(n, t_end=1.0, n_steps=n_steps)
+    problem = BrusselatorProblem(
+        n, t_end=1.0, n_steps=n_steps, skip_converged=skip,
+        skip_threshold=0.05, refresh_period=3,
+    )
     rng = np.random.default_rng(seed)
     traj = problem.initial_traj(0, n)
     traj += rng.normal(scale=0.05, size=traj.shape)
@@ -580,7 +653,96 @@ def test_both_paths_agree_bitwise_on_any_block(n, n_steps, skip, seed):
         values[special] = rng.choice(
             [0.0, -0.0, MACHINE_NAN, np.inf, -np.inf], int(special.sum())
         )
-    ext = padded(traj, *halos)
-    active = np.flatnonzero(rng.random(n) < 0.7) if skip else None
-    want = _compiled._trace(None, problem, (ext, active))
-    assert _compiled._trace(compiled, problem, (ext, active)) == want
+    state = BrusselatorState(0, traj)
+    if skip:
+        loud = rng.random(n) < 0.2
+        state.prev_res = rng.uniform(0.0, 0.05, n) + 0.05 * loud
+        state.skip_streak = rng.integers(0, 4, n).astype(float)
+        state.last_left_halo, state.last_right_halo = (
+            h.copy() if rng.random() < 0.5 else np.ones_like(h) for h in halos
+        )
+    args = (state, *halos)
+    # A copied halo that holds an infinity is measured against itself.
+    with np.errstate(invalid="ignore"):
+        want = _compiled._trace(None, problem, args)
+        assert _compiled._trace(compiled, problem, args) == want
+
+
+def state_fields(state):
+    """``state``'s fields, in order."""
+    return [getattr(state, f.name) for f in dataclasses.fields(state)]
+
+
+def state_bytes(state):
+    """Every field of ``state`` as bytes (a number or None as its repr)."""
+    return [
+        v.tobytes() if isinstance(v, np.ndarray) else repr(v).encode()
+        for v in state_fields(state)
+    ]
+
+
+@pytest.mark.parametrize("path", ROUTES)
+def test_a_newton_failure_leaves_the_state_untouched(monkeypatch, path):
+    # Every way a sweep fails, on a block that carries skip bookkeeping:
+    # the block, its last residuals, its streaks and the halos it kept
+    # are the same objects holding the same bytes after the raise.
+    force_sweep_path(monkeypatch, path)
+    for problem, ext in failing_batches():
+        problem = copy.copy(problem)
+        problem.skip_converged = True
+        n = ext.shape[0] - 2
+        left, right = ext[0].copy(), ext[-1].copy()
+        state = BrusselatorState(
+            0,
+            ext[1:-1].copy(),
+            np.full(n, 2.0 * problem.skip_threshold),
+            np.arange(n, dtype=float),
+            np.ones_like(left),
+            right,
+        )
+        kept, before = state_fields(state), state_bytes(state)
+        with pytest.raises(RuntimeError, match="Newton failed"):
+            problem.iterate(state, left, right)
+        assert all(a is b for a, b in zip(state_fields(state), kept))
+        assert state_bytes(state) == before
+
+
+#: Halos neither path sweeps, for a 5-step problem: (what, halo).  A
+#: halo is 2 * (n_steps + 1) C-contiguous float64 values.
+BAD_HALOS = [
+    ("a float", 1.0),
+    ("a NumPy scalar", np.float64(1.0)),
+    ("a list", [[1.0] * 6, [3.0] * 6]),
+    ("one value short", np.ones(11)),
+    ("one row", np.ones((1, 6))),
+    ("float32", np.ones((2, 6), dtype=np.float32)),
+    ("int64", np.ones((2, 6), dtype=np.int64)),
+    ("strided", np.ones((2, 12))[:, ::2]),
+]
+
+
+@pytest.mark.parametrize(
+    "halo", [h for _, h in BAD_HALOS], ids=[what for what, _ in BAD_HALOS]
+)
+def test_both_paths_reject_the_same_halos_before_the_state_changes(
+    monkeypatch, halo
+):
+    # On either side, on a first sweep and on one that may skip: the same
+    # exception type on both paths, the state untouched.
+    problem = BrusselatorProblem(4, t_end=1.0, n_steps=5, skip_converged=True)
+    edge = problem.initial_halo(-1)
+    raised = set()
+    for path in ROUTES:
+        force_sweep_path(monkeypatch, path)
+        for side, sweeps_before in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            state = problem.initial_state(0, 4)
+            for _ in range(sweeps_before):
+                problem.iterate(state, edge, edge)
+            want = problem.copy_state(state)
+            halos = [edge, edge]
+            halos[side] = halo
+            with pytest.raises((TypeError, ValueError)) as excinfo:
+                problem.iterate(state, *halos)
+            raised.add(excinfo.type)
+            assert state_bytes(state) == state_bytes(want)
+    assert len(raised) == 1, raised

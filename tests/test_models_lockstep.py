@@ -9,7 +9,9 @@ answer but the tracer's span records, the dispatched-event count and
 the guard's observation stream.
 """
 
+import os
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -427,6 +429,47 @@ def test_lockstep_sisc_body_is_pinned_to_its_last_round(monkeypatch):
     assert run_fingerprint(fast) == (
         "42f8201463e45fdbac9557dd742cabb7d43b40d13cedd1f1ece493e4ac2d2f4a"
     )
+
+
+#: Frames entered under ``repro/`` per lockstep round, measured on
+#: CPython 3.11, by sweep path.  The Brusselator's compiled sweep decides
+#: the skip in its loop: 24.46 / 25.46 before, with the NumPy skip mask,
+#: the padded copy and the streak helpers around the compiled loop.
+ROUND_FRAMES = {"python": 23.46, "compiled": 18.46}
+
+
+@pytest.mark.parametrize("path", sorted(ROUND_FRAMES))
+def test_frames_entered_per_lockstep_round_stay_under_the_ceiling(
+    path, monkeypatch
+):
+    """The lockstep round's fixed cost, as a count that repeats exactly:
+    frames entered under ``repro/`` by ``run_sisc_batched`` on a small
+    Brusselator chain, per round, against what each sweep path measured
+    (``ROUND_FRAMES``) plus 2 %.  A helper that comes back into the
+    round (a skip mask, a streak, a padded copy) fails here by name."""
+    from repro.workloads import ScaleScenario
+
+    force_sweep_path(monkeypatch, path)
+    scenario = ScaleScenario(
+        problem_kind="brusselator", n_ranks=8, components_per_rank=4
+    )
+    problem, platform = scenario.problem(), scenario.platform()
+    marker = os.sep + "repro" + os.sep
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call" and marker in frame.f_code.co_filename:
+            frames += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run_sisc_batched(problem, platform, scenario.solver_config())
+    finally:
+        sys.setprofile(previous)
+    assert result.meta["engine"] == "lockstep" and result.converged
+    assert frames / max(result.iterations) <= ROUND_FRAMES[path] * 1.02
 
 
 def test_lockstep_fallback_is_observable(caplog):

@@ -40,6 +40,31 @@ def test_max_matches_per_rank_slice(name):
         assert out[r] == expected
 
 
+@pytest.mark.parametrize("width", [1, 4, 6, 100])
+def test_max_bit_identical_to_per_rank_slice_with_nan_and_zeros(width):
+    # Equal and unequal widths, rows that hold a NaN, signed zeros and
+    # infinities: every rank's max is its own slice's ``.max()``, bits
+    # included.
+    rng = np.random.default_rng(width)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1.0, -1.0]
+    for case in range(200):
+        n_ranks = int(rng.integers(1, 50))
+        widths = (
+            np.full(n_ranks, width)
+            if case % 2
+            else rng.integers(1, 2 * width + 1, n_ranks)
+        )
+        bounds = np.concatenate([[0], np.cumsum(widths)]).tolist()
+        blocks = list(zip(bounds[:-1], bounds[1:]))
+        values = rng.choice(specials, bounds[-1])
+        nan_rows = rng.random(n_ranks) < 0.2
+        for lo, hi in np.array(blocks)[nan_rows]:
+            values[rng.integers(lo, hi)] = np.nan
+        want = np.array([values[lo:hi].max() for lo, hi in blocks])
+        got = ChainSegments(blocks, bounds[-1]).max(values)
+        assert got.tobytes() == want.tobytes(), (case, blocks)
+
+
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_sum_bit_identical_to_per_rank_slice(name):
     blocks = LAYOUTS[name]
