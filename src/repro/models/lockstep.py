@@ -7,10 +7,11 @@ path, but replaces the per-rank DES processes with one vectorised
 rank starts iteration ``k`` at the same barrier-open time ``T_k`` and
 the whole round — sweep timings, halo arrivals, barrier release, idle
 spans, convergence votes — is a closed-form function of the per-rank
-sweep durations.  A few dozen whole-array ``numpy`` calls per round,
-whatever the rank count, replace thousands of event dispatches, which
-is what lets the simulator reach 10k ranks (see
-``benchmarks/bench_scale.py``).
+sweep durations.  One call per round, :func:`_round`, whatever the rank
+count, replaces thousands of event dispatches, which is what lets the
+simulator reach 10k ranks (see ``benchmarks/bench_scale.py``).  It runs
+compiled (``lockstep_round`` in ``repro/problems/_sweeps.c``) wherever
+the sweeps do; its NumPy body is the reference and the fallback.
 
 Equivalence is enforced, not assumed:
 
@@ -240,6 +241,168 @@ class _Round(NamedTuple):
         return (float(arr), (self.key_end(r), idx))
 
 
+#: Rows of the engine's ``(8, n)`` state and of the round's ``(6, n)``
+#: output (see :func:`_round`).
+POS0, STREAK, BUSY, IDLE, ITERS, RESIDUAL, LAST = 0, 1, 2, 3, 4, 5, 6
+T_MID, T_SE, ARR, ORDER_END, ORDER_ARR = 0, 1, 2, 4, 5
+_ROUND_BUFFERS = ("state", "platform", "work", "residual", "out")
+
+
+def _ends(T, work, rates, min_sweep, split):
+    """``(t_mid, t_se)``: each rank's mid and end times in a round that
+    opens at ``T``, its duration ``max(work / rate, min_sweep)``."""
+    d = np.maximum(work / rates, min_sweep)
+    first = d * split
+    t_mid = T + first
+    return t_mid, t_mid + (d - first)
+
+
+def _stop_scan(k, streak, residual, order_end, tol, persistence, max_iterations):
+    """``(stop, trigger, abort, streak_new)``: the first end-dispatch
+    position at which the run stops, if any, and why.
+
+    The supervisor trips at the first report where every rank is
+    satisfied — ranks reporting earlier this round by their *new*
+    streak, ranks reporting later by their previous one.  The
+    ``max_iterations`` abort fires inside the first end event of the
+    round (every rank's check would, but the first one stops the
+    simulator).
+    """
+    n = len(order_end)
+    streak_new = (streak + 1) * (residual < tol)
+    new_sat = (streak_new >= persistence)[order_end]
+    old_sat = (streak >= persistence)[order_end]
+    head = n if new_sat.all() else int(np.argmin(new_sat))
+    tail = 0 if old_sat.all() else n - int(np.argmin(old_sat[::-1]))
+    trigger_pos = max(tail - 1, 0) if max(tail - 1, 0) < head else None
+    abort_pos = 0 if (k + 1) >= max_iterations else None
+    stop_pos = trigger_pos if abort_pos is None else abort_pos
+    return stop_pos, trigger_pos, abort_pos, streak_new
+
+
+def _round(kernel, state, platform, work, residual, out, T, k, *run):
+    """One round of ``n = len(work)`` ranks opening at ``T`` after ``k``
+    rounds: ``(T_next, events)``, the round booked in ``state``, or None,
+    ``state`` untouched, when the run ends inside it (a stop, or a
+    barrier past the horizon).  ``kernel``: the compiled module, or None
+    for this NumPy body, its reference.
+
+    Rows (C-contiguous float64, else this raises before a write):
+    ``state`` ``POS0`` (round-start scheduling order), ``STREAK``,
+    ``BUSY``, ``IDLE``, ``ITERS``, ``RESIDUAL`` and from ``LAST`` the
+    FIFO clamps r -> r-1, r -> r+1; ``platform`` the rates and the raw
+    transfer times of those sends (-inf where no channel); ``out`` gets
+    ``T_MID``, ``T_SE``, from ``ARR`` the clamped arrivals, ``ORDER_END``
+    and, booked, ``ORDER_ARR``.  ``run``: ``(split, eps, min_sweep, tol,
+    persistence, max_iterations, horizon)``, the horizon NaN for none.
+    """
+    if kernel is not None:
+        return kernel.lockstep_round(state, platform, work, residual, out, T, k, *run)
+    split, eps, min_sweep, tol, persistence, max_iterations, horizon = run
+    arrays = (state, platform, work, residual, out)
+    sizes = []
+    for name, array, writable in zip(_ROUND_BUFFERS, arrays, (1, 0, 0, 0, 1)):
+        view = memoryview(array)
+        if not view.c_contiguous or (writable and view.readonly):
+            raise ValueError(f"{name} must be a C-contiguous buffer")
+        if view.format != "d":
+            raise TypeError(f"{name} must be float64, got format {view.format!r}")
+        sizes.append(view.nbytes // 8)
+    n = sizes[2]
+    if n < 1 or sizes != [8 * n, 3 * n, n, n, 6 * n]:
+        raise ValueError("lockstep_round(): buffer lengths do not match the rank count")
+    state, platform, work, residual, out = map(np.asarray, arrays)
+    state, platform = state.reshape(8, n), platform.reshape(3, n)
+    out = out.reshape(6, n)
+    work, residual = work.reshape(n), residual.reshape(n)
+    pos0, streak = state[POS0], state[STREAK]
+    t_mid, t_se, arr = out[T_MID], out[T_SE], out[ARR:ORDER_END]
+    t_mid[:], t_se[:] = _ends(T, work, platform[0], min_sweep, split)
+    # Dispatch order of mid / end events.  Both lexsorts are exact: mids
+    # are pushed at T in pos0 order (equal t_mid resolves by push
+    # sequence = pos0), and each end is pushed by its own mid (equal
+    # t_se resolves by mid dispatch order).
+    ranks = np.arange(n)
+    pos = np.empty(n)
+    pos[np.lexsort((pos0, t_mid))] = ranks
+    order_end = np.lexsort((pos, t_se))
+    out[ORDER_END] = order_end
+    # Raw arrival times of this round's 2(n-1) halo sends, FIFO-clamped
+    # against the previous round's.
+    arr[:] = np.maximum(t_se + platform[1:], state[LAST:] + eps)
+    stop, _, _, streak_new = _stop_scan(
+        k, streak, residual, order_end, tol, persistence, max_iterations
+    )
+    if stop is not None and (horizon != horizon or t_se[order_end[stop]] <= horizon):
+        return None
+    # Inbound halos per receiver (r-1's send right, r+1's send left; the
+    # chain's ends get a -inf slot, never late), and "late" = the
+    # delivery dispatches after the receiver's end event (the receiver
+    # must block for it).  An exact arrival/end tie resolves by dispatch
+    # key.  With the times equal, ``key_send(s, ...) > key_end(r)``
+    # collapses to comparing the sender's end key against the
+    # receiver's mid key, which is decided by their times — and on
+    # *that* tie the sender's end wins, because its key nests one level
+    # deeper than the receiver's mid (``key_mid``'s parent is
+    # ``_D_ROOT``, which loses to any real event key).  Hence: late iff
+    # t_se[s] >= t_mid[r].
+    left, right = np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1)
+    after = (ranks + 1) % n
+    in_l, in_r = arr[1, ranks - 1], arr[0, after]
+    late_l = (in_l > t_se) | ((in_l == t_se) & (t_se[left] >= t_mid))
+    late_r = (in_r > t_se) | ((in_r == t_se) & (t_se[right] >= t_mid))
+    A = np.maximum(np.where(late_l, in_l, t_se), np.where(late_r, in_r, t_se))
+    T_next = float(A.max())
+    if T_next > horizon:
+        # ``max_time`` is a pure time cutoff: the barrier never opens.
+        return None
+    # Barrier arrival order (= dispatch order of each rank's arrival
+    # event: its own end, or its final wait-resume).  One stable
+    # ``np.lexsort`` on three columns orders the nested dispatch keys:
+    #
+    #   no late halo:  (t_se, t_mid, pos0)
+    #     = key_end(r); note A == t_se here.
+    #   late halo:     (A,    A,     n + end_pos[s*])
+    #     = (A[r], (d_star, 0)), s* the governing delivery's sender;
+    #       its arrival is A.
+    #
+    # ``end_pos`` is each end's dispatch position: two ends' keys
+    # compare as their positions do, because ``order_end`` sorts on
+    # exactly the leading fields of ``key_end`` and pos0 is a
+    # permutation.  Across shapes, column 2 puts a no-late row first
+    # (pos0 < n), as ``_D_ROOT`` under ``key_mid`` loses to a real end
+    # key.  Two rows left tied have one sender s: they are s-1 and s+1,
+    # served by its left send (push index 0) and right send (index 1),
+    # so the stable sort's rank order is push order.  With both halos
+    # late the governing delivery is the later one — or, at the same
+    # instant, the *earlier-keyed* one (its resume dispatches after
+    # both halos are in).
+    pos[order_end] = ranks
+    e_l, e_r = pos[left], pos[right]
+    same, both = in_l == in_r, late_l & late_r
+    use_l = np.where(both, np.where(same, e_l < e_r, in_l > in_r), late_l)
+    has_late = late_l | late_r
+    key2 = np.where(has_late, np.where(use_l, e_l, e_r) + n, pos0)
+    order_arr = np.lexsort((key2, np.where(has_late, A, t_mid), A))
+    out[ORDER_ARR] = order_arr
+    # n mids + n ends + 2(n-1) deliveries + (n-1) barrier resumes, and
+    # one resume per late delivery, except that two late ones arriving
+    # at the same instant trigger a single resume.
+    events = 5 * n - 3 + int(late_l.sum() + late_r.sum() - (both & same).sum())
+    # The tracer accumulates ``busy + t1 - t0`` left to right.
+    state[BUSY] += t_se
+    state[BUSY] -= T
+    state[ITERS] += 1
+    state[RESIDUAL] = residual
+    state[LAST:] = arr
+    streak[:] = streak_new
+    state[IDLE] = np.where(T_next > t_se, (state[IDLE] + T_next) - t_se, state[IDLE])
+    # Next round: the releaser restarts inline, the waiters resume in
+    # arrival order — that is the push order of the next round's mids.
+    pos0[order_arr] = after
+    return T_next, events
+
+
 class _LockstepEngine:
     """One SISC run as a sequence of vectorised rounds."""
 
@@ -286,21 +449,24 @@ class _LockstepEngine:
             for link in self._links_left + self._links_right
         ]
         self._const_links = all(t is not None for t in times)
-        self._t2 = np.array(
-            [t if t is not None else 0.0 for t in times]
-        ).reshape(2, -1)
         rates = [_constant_rate(h) for h in self.hosts]
         self._const_hosts = all(r is not None for r in rates)
-        self._rates = np.array([r if r is not None else 1.0 for r in rates])
-        # Mutable run state ------------------------------------------------
+        # The round's platform rows: the rates (1.0 where availability
+        # varies: ``_durations`` then hands the round durations, not work)
+        # and the transfer times (``_transfers`` rewrites varying links').
+        self._platform = np.empty((3, self.n))
+        self._platform[0] = rates if self._const_hosts else 1.0
+        self._platform[1:] = np.reshape([t or 0.0 for t in times], (2, -1))
+        # Mutable run state: the rows of one array (see ``_round``) ----
         self.T = 0.0
-        self.pos0 = np.arange(self.n)  # round-start scheduling order
-        self.streak = np.zeros(self.n, dtype=np.int64)
-        self.busy = np.zeros(self.n)
-        self.idle_acc = np.zeros(self.n)
-        self.iter_counts = np.zeros(self.n, dtype=np.int64)
-        self.residual_at = np.full(self.n, float("inf"))
-        self.last = np.full((2, self.n), -math.inf)  # FIFO r -> r-1, r -> r+1
+        self.state = np.zeros((8, self.n))
+        self.state[POS0] = np.arange(self.n)  # round-start scheduling order
+        self.state[RESIDUAL] = math.inf
+        self.state[LAST:] = -math.inf  # FIFO r -> r-1, r -> r+1
+        self.pos0, self.streak, self.busy, self.idle_acc = self.state[:ITERS]
+        self.iter_counts, self.residual_at = self.state[ITERS:LAST]
+        self.last = self.state[LAST:]
+        self._out = np.empty((6, self.n))
         self.n_dispatched = self.n  # the n spawn steps at t = 0
         self.now = 0.0
         self.converged = False
@@ -314,30 +480,20 @@ class _LockstepEngine:
         self._g_diverged = False
 
     # ------------------------------------------------------------------
-    # Per-round timings
+    # Per-round timings where a host's or a link's trace varies
     # ------------------------------------------------------------------
     def _durations(self, work: np.ndarray) -> np.ndarray:
-        if self._const_hosts:
-            d = work / self._rates
-        else:
-            d = np.array(
-                [
-                    self.hosts[r].duration_for_work(float(work[r]), self.T)
-                    for r in range(self.n)
-                ]
-            )
-        return np.maximum(d, self.config.min_sweep_duration)
+        pairs = zip(self.hosts, work)
+        return np.array([h.duration_for_work(float(w), self.T) for h, w in pairs])
 
-    def _transfers(self, t_se: np.ndarray) -> np.ndarray:
-        """Raw (unclamped) transfer times, (2, n), for left/right sends."""
-        if self._const_links:
-            return self._t2
-        t2 = np.full((2, self.n), -math.inf)
+    def _transfers(self, t_se: np.ndarray) -> None:
+        """The raw transfer times of the sends at ``t_se``, into ``_platform``."""
         for side, links in enumerate((self._links_left, self._links_right)):
             for r, link in enumerate(links):
                 if link is not None:
-                    t2[side, r] = link.transfer_time(self.nbytes, float(t_se[r]))
-        return t2
+                    self._platform[1 + side, r] = link.transfer_time(
+                        self.nbytes, float(t_se[r])
+                    )
 
     # ------------------------------------------------------------------
     # Guard hooks (InvariantMonitor compatibility, lockstep-native)
@@ -412,95 +568,58 @@ class _LockstepEngine:
         return guard.halt_verdict
 
     # ------------------------------------------------------------------
-    # Convergence / abort scan
-    # ------------------------------------------------------------------
-    def _stop_scan(
-        self, k: int, residual: np.ndarray, order_end: np.ndarray
-    ) -> tuple[int | None, int | None, int | None, np.ndarray]:
-        """First end-dispatch position at which the run stops, if any.
-
-        The supervisor trips at the first report where every rank is
-        satisfied — ranks reporting earlier this round by their *new*
-        streak, ranks reporting later by their previous one.  The
-        ``max_iterations`` abort fires inside the first end event of
-        the round (every rank's check would, but the first one stops
-        the simulator).
-        """
-        cfg = self.config
-        n = self.n
-        streak_new = (self.streak + 1) * (residual < cfg.tolerance)
-        new_sat = streak_new >= cfg.persistence
-        old_sat = self.streak >= cfg.persistence
-        abort_pos = 0 if (k + 1) >= cfg.max_iterations else None
-        if np.count_nonzero(new_sat | old_sat) < n:
-            # A rank satisfied by neither streak breaks every report's
-            # prefix (if it ends before it) or suffix (if after).
-            return abort_pos, None, abort_pos, streak_new
-        pref = np.logical_and.accumulate(new_sat[order_end])
-        suffix_after = np.empty(n, dtype=bool)
-        suffix_after[-1] = True
-        suffix_after[:-1] = np.logical_and.accumulate(
-            old_sat[order_end[::-1]]
-        )[::-1][1:]
-        cand = pref & suffix_after
-        trigger_pos = int(np.argmax(cand)) if bool(cand.any()) else None
-        positions = [p for p in (trigger_pos, abort_pos) if p is not None]
-        stop_pos = min(positions) if positions else None
-        return stop_pos, trigger_pos, abort_pos, streak_new
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> RunResult | None:
         """Replay the run round by round; ``None`` => fall back."""
-        n = self.n
-        cfg = self.config
+        n, cfg, guard = self.n, self.config, self.guard
         horizon = None if cfg.max_time is None else float(cfg.max_time)
-        ranks = np.arange(n)
-        # Row 0 of a (2, n) array is about a rank's left neighbour, row 1
-        # its right one: the sender of each inbound halo (clamped at the
-        # chain's ends, whose inbound halo is -inf and never late), and
-        # that halo's flat index in the round's sends ``arr`` (r-1's send
-        # right, r+1's send left; the ends wrap onto the -inf slots).
-        senders = np.stack(
-            (np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1))
+        run = (
+            OVERLAP_SPLIT, _FIFO_EPSILON, cfg.min_sweep_duration, cfg.tolerance,
+            cfg.persistence, cfg.max_iterations,
+            math.nan if horizon is None else horizon,
         )
-        inbound = np.stack((np.roll(ranks + n, 1), np.roll(ranks, -1)))
-        # n mids + n ends + 2(n-1) deliveries + (n-1) barrier resumes.
-        round_events = 2 * n + 2 * (n - 1) + (n - 1)
+        from repro.problems import _compiled
+
+        kernel = _compiled.lockstep_round  # resolved at the first round
+        state, platform, out = self.state, self._platform, self._out
+        ranks = np.arange(n)
         # The monitor sits in the profiler slot and sees every event,
         # including the n spawn steps at t = 0.
         self._guard_events(n)
         k = 0
         while True:
             T = self.T
-            pos0 = self.pos0
             residual, work = self.sweeper.sweep()
             residual = np.asarray(residual, dtype=float)
             work = np.asarray(work, dtype=float)
-            d = self._durations(work)
-            first = d * OVERLAP_SPLIT
-            t_mid = T + first
-            t_se = t_mid + (d - first)
-            # Dispatch order of mid / end events.  Both lexsorts are
-            # exact: mids are pushed at T in pos0 order (equal t_mid
-            # resolves by push sequence = pos0), and each end is pushed
-            # by its own mid (equal t_se resolves by mid dispatch
-            # order).
-            order_mid = np.lexsort((pos0, t_mid))
-            mid_pos = np.empty(n, dtype=np.int64)
-            mid_pos[order_mid] = ranks
-            order_end = np.lexsort((mid_pos, t_se))
-
-            # Raw arrival times of this round's 2(n-1) halo sends
-            # (FIFO-clamped against the previous round's arrivals).
-            arr = np.maximum(
-                t_se + self._transfers(t_se), self.last + _FIFO_EPSILON
+            # Where availability varies, the round takes durations at rate 1.
+            d = work if self._const_hosts else self._durations(work)
+            if not self._const_links:
+                self._transfers(_ends(T, d, platform[0], run[2], OVERLAP_SPLIT)[1])
+            booked = _round(kernel, state, platform, d, residual, out, T, k, *run)
+            if booked is not None:
+                T_next, events = booked
+                if guard is not None:
+                    if self._guard_divergence(residual, ranks):
+                        return None
+                    guard.replay_events(events, self._guard_conservation)
+                self.n_dispatched += events
+                if self.tracer.enabled:
+                    self._record_round(k, T, T_next, residual, work)
+                self.T = self.now = T_next
+                k += 1
+                continue
+            # The run ends inside this round, which ``_round`` left
+            # unbooked: book what dispatched before the stop or horizon.
+            order_end = out[ORDER_END].astype(np.intp)
+            t_se = out[T_SE]
+            rnd = _Round(
+                k, T, residual, work, out[T_MID], t_se, self.pos0, out[ARR:ORDER_END]
             )
-            rnd = _Round(k, T, residual, work, t_mid, t_se, pos0, arr)
-
-            stop_pos, trigger_pos, abort_pos, streak_new = self._stop_scan(
-                k, residual, order_end
+            stop_pos, trigger_pos, abort_pos, _ = _stop_scan(
+                k, self.streak, residual, order_end,
+                cfg.tolerance, cfg.persistence, cfg.max_iterations,
             )
             if stop_pos is not None:
                 stop_rank = int(order_end[stop_pos])
@@ -522,163 +641,49 @@ class _LockstepEngine:
                             f"max_iterations={cfg.max_iterations}"
                         )
                     return self._finish(
-                        rnd,
-                        order_end[: stop_pos + 1],
-                        order_end[:stop_pos],
-                        rnd.key_end(stop_rank),
-                        t_stop,
+                        rnd, order_end[: stop_pos + 1], order_end[:stop_pos],
+                        rnd.key_end(stop_rank), t_stop,
                     )
-
-            # Inbound arrivals per receiver, and "late" = the delivery
-            # dispatches after the receiver's end event (the receiver
-            # must block for it).  An exact arrival/end tie resolves by
-            # dispatch key.  With the times equal, ``key_send(s, ...) >
-            # key_end(r)`` collapses to comparing the sender's end key
-            # against the receiver's mid key, which is decided by their
-            # times — and on *that* tie the sender's end wins, because
-            # its key nests one level deeper than the receiver's mid
-            # (``key_mid``'s parent is ``_D_ROOT``, which loses to any
-            # real event key).  Hence: late iff t_se[s] >= t_mid[r].
-            in2 = arr.take(inbound)
-            late = (in2 > t_se) | ((in2 == t_se) & (t_se[senders] >= t_mid))
-            A = np.maximum(*np.where(late, in2, t_se))  # barrier arrival
-            T_next = float(A.max())
-            if horizon is not None and T_next > horizon:
-                # ``max_time`` is a pure time cutoff: events at
-                # ``t <= max_time`` dispatch, the rest stay queued and
-                # the clock is advanced to exactly the horizon.  The
-                # barrier never opens (its release time is past the
-                # horizon), so no idle spans are recorded.
-                done = order_end[t_se[order_end] <= horizon]
-                return self._finish(rnd, done, done, (horizon, _D_TOP), horizon)
-
-            # ---- commit this complete round --------------------------
-            if not self._account(rnd, order_end, order_end):
-                return None
-            self.streak = streak_new
-
-            # Barrier arrival order (= dispatch order of each rank's
-            # arrival event: its own end, or its final wait-resume),
-            # hot at scale, where a homogeneous cluster ties every rank
-            # every round.  One stable ``np.lexsort`` on three columns
-            # orders the nested dispatch keys exactly:
-            #
-            #   no late halo:  (t_se, t_mid, pos0)
-            #     = key_end(r); note A == t_se here.
-            #   late halo:     (A,    A,     n + end_pos[s*])
-            #     = (A[r], (d_star, 0)), s* the governing delivery's
-            #       sender; its arrival is A.
-            #
-            # ``end_pos`` is each end's dispatch position, and ``d_star``
-            # = (A, (key_end(s*), idx*)): two ends' keys compare as their
-            # positions do, because ``order_end`` sorts on exactly
-            # (t_se, t_mid, pos0), the leading fields of ``key_end``, and
-            # pos0 is a permutation, so no two ranks' ends tie.  Across
-            # shapes, column 2 puts a no-late row first (pos0 < n), as
-            # ``_D_ROOT`` under ``key_mid`` loses to a real end key.  Two
-            # rows left tied have one sender s: they are s-1 and s+1,
-            # served by its left send (push index 0) and right send
-            # (index 1), so the stable sort's rank order is push order.
-            end_pos = np.empty(n, dtype=np.int64)
-            end_pos[order_end] = ranks
-            e_l, e_r = end_pos[senders]
-            in_l, in_r = in2
-            late_l, late_r = late
-            # Both halos late: the governing delivery is the later one
-            # — or, at the same arrival instant, the *earlier-keyed*
-            # one (its resume dispatches after both halos are in).
-            same = in_l == in_r
-            both = late_l & late_r
-            use_L = np.where(
-                both, np.where(same, e_l < e_r, in_l > in_r), late_l
-            )
-            has_late = late_l | late_r
-            key2 = np.where(has_late, np.where(use_L, e_l, e_r) + n, pos0)
-            order_arr = np.lexsort((key2, np.where(has_late, A, t_mid), A))
-            releaser = int(order_arr[-1])
-
-            # One wait-resume per late delivery, except that two late
-            # ones arriving at the same instant trigger a single resume.
-            events = (
-                round_events
-                + int(np.count_nonzero(late))
-                - int(np.count_nonzero(both & same))
-            )
-            self.n_dispatched += events
-            self._guard_events(events)
-
-            strict = T_next > t_se
-            self.idle_acc = np.where(
-                strict, (self.idle_acc + T_next) - t_se, self.idle_acc
-            )
-            if self.tracer.enabled:
-                # The releaser records its span first, then the waiters
-                # as they resume, in arrival order.
-                for x in np.roll(order_arr, 1).tolist():
-                    if T_next > t_se[x]:
-                        self.tracer.idles.append(
-                            IdleSpan(
-                                rank=x,
-                                t0=float(t_se[x]),
-                                t1=T_next,
-                                reason="sisc-sync",
-                            )
-                        )
-
-            # Next round: the releaser restarts inline, the waiters
-            # resume in arrival order — that is the push order of the
-            # next round's mid events.
-            new_pos0 = np.empty(n, dtype=np.int64)
-            new_pos0[releaser] = 0
-            new_pos0[order_arr[:-1]] = ranks[1:]
-            self.pos0 = new_pos0
-            self.T = T_next
-            self.now = T_next
-            k += 1
+            # ``max_time`` is a pure time cutoff: events at ``t <=
+            # max_time`` dispatch, the rest stay queued and the clock is
+            # advanced to exactly the horizon.  The barrier never opens
+            # (its release time is past the horizon), so no idle spans
+            # are recorded.
+            done = order_end[t_se[order_end] <= horizon]
+            return self._finish(rnd, done, done, (horizon, _D_TOP), horizon)
 
     # ------------------------------------------------------------------
-    # Booking a round, and ending a run
+    # Booking the last round, tracing, and ending a run
     # ------------------------------------------------------------------
     def _account(
         self, rnd: _Round, done: np.ndarray, senders: np.ndarray
     ) -> bool:
-        """Book round ``rnd`` for the ranks whose end event dispatched.
+        """Book the run's last round ``rnd`` for the ranks whose end
+        event dispatched, and every send of the run.
 
         ``done`` lists them in end-dispatch order; ``senders`` is the
-        prefix of ``done`` that went on to send its halos (every rank
-        of a complete round; all but the stopping rank of a stopped
-        one).  ``False`` => the divergence watchdog would have rolled a
-        rank back, and nothing was booked.
+        prefix of ``done`` that went on to send its halos (all but the
+        stopping rank of a stopped round).  ``False`` => the divergence
+        watchdog would have rolled a rank back, and nothing was booked.
         """
         k, T, residual, work, _, t_se, _, arr = rnd
         if self._guard_divergence(residual, done):
             return False
         n = self.n
-        # NB: the tracer accumulates ``busy + t1 - t0`` left to
-        # right; replicate that association bitwise.  A complete round
-        # books every rank in place, not by a full permutation.
-        if len(done) == n:
-            self.busy += t_se
-            self.busy -= T
-            self.iter_counts += 1
-            self.residual_at[:] = residual
-        else:
-            self.busy[done] = (self.busy[done] + t_se[done]) - T
-            self.iter_counts[done] += 1
-            self.residual_at[done] = residual[done]
+        # NB: the tracer accumulates ``busy + t1 - t0`` left to right.
+        self.busy[done] = (self.busy[done] + t_se[done]) - T
+        self.iter_counts[done] += 1
+        self.residual_at[done] = residual[done]
         # Rank 0 sends nothing left and rank n-1 nothing right: those
         # slots hold -inf in ``arr`` as in ``last``.
-        if len(senders) == n:
-            self.last = arr
-            sent = dict.fromkeys(("halo_from_right", "halo_from_left"), n - 1)
-        else:
-            self.last[:, senders] = arr[:, senders]
-            sent = {
-                "halo_from_right": int(np.count_nonzero(senders > 0)),
-                "halo_from_left": int(np.count_nonzero(senders < n - 1)),
-            }
-        # Every send adds the same ``nbytes``, so the sends of a round
-        # are one counted add on each of the three byte accumulators.
+        self.last[:, senders] = arr[:, senders]
+        # Each of the k booked rounds sent n-1 halos either way.  Every
+        # send adds the same ``nbytes``, so the run's sends are one
+        # counted add on each of the three byte accumulators.
+        sent = {
+            "halo_from_right": k * (n - 1) + int(np.count_nonzero(senders > 0)),
+            "halo_from_left": k * (n - 1) + int(np.count_nonzero(senders < n - 1)),
+        }
         for kind, count in sent.items():
             self._msg_counts[kind] += count
             self._msg_bytes[kind] = _repeat_add(
@@ -689,53 +694,55 @@ class _LockstepEngine:
         net.messages_sent += total
         net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, total)
         if self.tracer.enabled:
-            tr_ = self.tracer
-            arr_l, arr_r = arr
-            for pos, r in enumerate(done.tolist()):
-                t1 = float(t_se[r])
-                tr_.iterations.append(
-                    IterationSpan(
-                        rank=r,
-                        iteration=k + 1,
-                        t0=T,
-                        t1=t1,
-                        work=float(work[r]),
-                    )
-                )
-                tr_.residuals.append(
-                    ResidualRecord(
-                        rank=r,
-                        iteration=k + 1,
-                        time=t1,
-                        residual=float(residual[r]),
-                        n_local=self.blocks[r][1] - self.blocks[r][0],
-                    )
-                )
-                if pos >= len(senders):
-                    continue
-                if r > 0:
-                    tr_.messages.append(
-                        MessageRecord(
-                            kind="halo_from_right",
-                            src_rank=r,
-                            dst_rank=r - 1,
-                            size_bytes=self.nbytes,
-                            send_time=t1,
-                            arrival_time=float(arr_l[r]),
-                        )
-                    )
-                if r < n - 1:
-                    tr_.messages.append(
-                        MessageRecord(
-                            kind="halo_from_left",
-                            src_rank=r,
-                            dst_rank=r + 1,
-                            size_bytes=self.nbytes,
-                            send_time=t1,
-                            arrival_time=float(arr_r[r]),
-                        )
-                    )
+            self._record(rnd, done, len(senders))
         return True
+
+    def _record_round(
+        self, k: int, T: float, T_next: float, residual: np.ndarray, work: np.ndarray
+    ) -> None:
+        """Trace booked round ``k``: ``_round``'s orders are in ``_out``."""
+        out = self._out
+        t_se = out[T_SE]
+        rnd = _Round(k, T, residual, work, out[T_MID], t_se, None, out[ARR:ORDER_END])
+        self._record(rnd, out[ORDER_END].astype(np.intp), self.n)
+        # The releaser records its span first, then the waiters as they
+        # resume, in arrival order.
+        for x in np.roll(out[ORDER_ARR], 1).astype(np.intp).tolist():
+            if T_next > t_se[x]:
+                self.tracer.idles.append(
+                    IdleSpan(rank=x, t0=float(t_se[x]), t1=T_next, reason="sisc-sync")
+                )
+
+    def _record(self, rnd: _Round, done: np.ndarray, n_senders: int) -> None:
+        """Trace the ``done`` ends of ``rnd``, in dispatch order, and the
+        halos the first ``n_senders`` of them sent."""
+        k, T, residual, work, _, t_se, _, arr = rnd
+        n = self.n
+        tr_ = self.tracer
+        arr_l, arr_r = arr
+        for pos, r in enumerate(done.tolist()):
+            t1 = float(t_se[r])
+            tr_.iterations.append(
+                IterationSpan(rank=r, iteration=k + 1, t0=T, t1=t1, work=float(work[r]))
+            )
+            tr_.residuals.append(
+                ResidualRecord(
+                    rank=r, iteration=k + 1, time=t1, residual=float(residual[r]),
+                    n_local=self.blocks[r][1] - self.blocks[r][0],
+                )
+            )
+            if pos >= n_senders:
+                continue
+            for kind, dst, arrival in (
+                ("halo_from_right", r - 1, arr_l), ("halo_from_left", r + 1, arr_r)
+            ):
+                if 0 <= dst < n:
+                    tr_.messages.append(
+                        MessageRecord(
+                            kind=kind, src_rank=r, dst_rank=dst, size_bytes=self.nbytes,
+                            send_time=t1, arrival_time=float(arrival[r]),
+                        )
+                    )
 
     def _finish(
         self,

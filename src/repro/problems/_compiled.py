@@ -1,17 +1,18 @@
-"""The compiled sweeps: built on first use, trusted after a probe.
+"""The compiled kernels: built on first use, trusted after a probe.
 
 ``_sweeps.c`` holds the three problems' Python sweeps as loops — the
-Brusselator's skip mask and ``_sweep_scalar`` loop, and the NumPy sweeps
-of ``HeatProblem._sweep`` and ``SyntheticProblem._sweep`` — as one CPython
-extension module of three functions that read and write NumPy arrays
-through the buffer protocol.  At a process's first sweep (never at
-import) the system ``cc`` builds it against this interpreter's headers
-into a cache and it is loaded; each of its sweeps is used only once it
-has reproduced its Python path bit for bit on :func:`_probe_cases`, at
-that sweep's first use (so a process loads only the problems it runs).
-Without a module, or from the first failed probe on, every problem
-takes its Python path, silently.  Both paths give the same bits, so
-nothing selects between them and no run result records which ran.
+Brusselator's skip mask and ``_sweep_scalar`` loop, the NumPy sweeps of
+``HeatProblem._sweep`` and ``SyntheticProblem._sweep`` — and the lockstep
+replay's ``_round``, as one CPython extension module of four functions
+that read and write NumPy arrays through the buffer protocol.  At a
+process's first kernel call (never at import) the system ``cc`` builds
+it against this interpreter's headers into a cache and it is loaded;
+each kernel is used only once it has reproduced its Python path bit for
+bit on :func:`_probe_cases`, at that kernel's first use (so a process
+loads only the problems it runs).  Without a module, or from the first
+failed probe on, every kernel takes its Python path, silently.  Both
+paths give the same bits, so nothing selects between them and no run
+result records which ran.
 """
 
 from __future__ import annotations
@@ -34,52 +35,53 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 #: failed build rather than blocking the first sweep forever.
 _CC_TIMEOUT_S = 120.0
 
-#: The sweeps the module holds.  ``_compiled.<sweep>`` is what each
-#: problem's ``iterate`` passes its ``_sweep``: see :func:`__getattr__`.
-SWEEPS = ("brusselator", "heat", "synthetic")
+#: The kernels the module holds.  ``_compiled.<kernel>`` is what each
+#: problem's ``iterate`` passes its ``_sweep``, and the lockstep replay
+#: its ``_round``: see :func:`__getattr__`.
+KERNELS = ("brusselator", "heat", "synthetic", "lockstep_round")
 
-#: ``(module or None, status)``, resolved at a process's first sweep
-#: (never at import): see :func:`kernel_status`.
+#: ``(module or None, status)``, resolved at a process's first kernel
+#: call (never at import): see :func:`kernel_status`.
 _KERNEL: tuple[ModuleType | None, str] | None = None
 
 
 def kernel_status() -> str:
-    """Which sweeps this process runs, and why: ``"compiled: <library>"``
+    """Which kernels this process runs, and why: ``"compiled: <library>"``
     or ``"python: <reason>"`` (no ``cc`` or no ``Python.h``, a cache that
     cannot be written, a failed or timed-out compile, a failed load, a
-    failed probe).  Resolves every sweep that has not run yet."""
-    for sweep in SWEEPS:
-        if sweep not in globals():
-            __getattr__(sweep)
+    failed probe).  Resolves every kernel that has not run yet."""
+    for kernel in KERNELS:
+        if kernel not in globals():
+            __getattr__(kernel)
     return _KERNEL[1]
 
 
-def __getattr__(sweep: str) -> ModuleType | None:
-    """``_compiled.<sweep>``, one of :data:`SWEEPS`: the compiled module
-    once that sweep's probe passed, else None for its Python path.
-    Resolved at the sweep's first use and kept as a global, so a sweep
-    reads a plain attribute.  A failed probe sends every sweep to
+def __getattr__(kernel: str) -> ModuleType | None:
+    """``_compiled.<kernel>``, one of :data:`KERNELS`: the compiled module
+    once that kernel's probe passed, else None for its Python path.
+    Resolved at the kernel's first use and kept as a global, so a caller
+    reads a plain attribute.  A failed probe sends every kernel to
     Python from then on."""
-    if sweep not in SWEEPS:
-        raise AttributeError(f"module {__name__!r} has no attribute {sweep!r}")
+    if kernel not in KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {kernel!r}")
     global _KERNEL
     if _KERNEL is None:
-        _KERNEL = _load_kernel(sweeps=())
+        _KERNEL = _load_kernel(kernels=())
     module, status = _KERNEL
-    if module is not None and _failed_probe(module, sweep):
+    if module is not None and _failed_probe(module, kernel):
         module, lib = None, status.removeprefix("compiled: ")
-        _KERNEL = None, f"python: {lib} failed the {sweep} probe"
-        globals().update(dict.fromkeys(SWEEPS))
-    globals()[sweep] = module
+        _KERNEL = None, f"python: {lib} failed the {kernel} probe"
+        globals().update(dict.fromkeys(KERNELS))
+    globals()[kernel] = module
     return module
 
 
 def _load_kernel(
-    cache: Path | None = None, source: Path = _SOURCE, sweeps=SWEEPS
+    cache: Path | None = None, source: Path = _SOURCE, kernels=KERNELS
 ) -> tuple[ModuleType | None, str]:
     """``(module, status)``: ``source`` compiled with the system ``cc``
     into ``cache`` (default ``~/.cache/repro``) and loaded as an
-    extension module, which must pass the probe of each of ``sweeps``;
+    extension module, which must pass the probe of each of ``kernels``;
     otherwise ``(None, "python: <reason>")``.
 
     The library is named by the SHA-256 of the source, the compiler, the
@@ -125,20 +127,20 @@ def _load_kernel(
         loader.exec_module(module)
     except (OSError, ImportError) as exc:
         return None, f"python: {type(exc).__name__}: {exc}"
-    for sweep in sweeps:
-        if _failed_probe(module, sweep):
-            return None, f"python: {lib} failed the {sweep} probe"
+    for kernel in kernels:
+        if _failed_probe(module, kernel):
+            return None, f"python: {lib} failed the {kernel} probe"
     return module, f"compiled: {lib}"
 
 
-def _failed_probe(module: ModuleType, sweep: str) -> bool:
-    """Whether ``module`` sweeps a probe case of ``sweep`` other than its
-    Python path does."""
+def _failed_probe(module: ModuleType, kernel: str) -> bool:
+    """Whether ``module`` computes a probe case of ``kernel`` other than
+    its Python path does."""
     # The probe's overflows and NaNs are meant: no warning for them.
     with np.errstate(all="ignore"):
         return any(
             _trace(module, problem, args) != _trace(None, problem, args)
-            for problem, args in _probe_cases(sweep)
+            for problem, args in _probe_cases(kernel)
         )
 
 
@@ -176,9 +178,10 @@ def _build(cc: str, source: Path, lib: Path, include: str) -> str:
             os.unlink(tmp)
 
 
-def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
+def _probe_cases(kernel: str) -> list[tuple[object, tuple]]:
     """``(problem, arguments of its _sweep)`` cases the compiled
-    ``sweep`` must reproduce before its first use.
+    ``kernel`` must reproduce before its first use (for the lockstep
+    round: ``(None, arguments of _round)``, see :func:`_round_cases`).
 
     Brusselator: verified and iterating steps, full and damped Newton,
     each clause of the skip test (a component's own residual, each
@@ -193,8 +196,10 @@ def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
     """
     from repro.problems.base import BlockState
 
+    if kernel == "lockstep_round":
+        return _round_cases()
     rng = np.random.default_rng(0)
-    if sweep == "heat":
+    if kernel == "heat":
         from repro.problems.heat import HeatProblem
 
         heat = HeatProblem(32, t_end=0.05, n_steps=6)
@@ -212,7 +217,7 @@ def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
                 (rows * 1e307, halos[0], halos[1]),
             )
         ]
-    if sweep == "synthetic":
+    if kernel == "synthetic":
         from repro.problems.synthetic import SyntheticProblem
 
         # An active component costs 2**53: a unit cost added to a partial
@@ -286,10 +291,59 @@ def _probe_cases(sweep: str) -> list[tuple[object, tuple]]:
     ]
 
 
+def _round_cases() -> list[tuple[None, tuple]]:
+    """Rounds the compiled round must book as ``_round`` does: 48 ranks
+    whose ends all tie (two late halos at one instant, barrier rows tied
+    on every key), a halo landing on its receiver's end after its mid
+    (late) and before it (not late), that round past a horizon, varying
+    transfer times and FIFO clamps with a NaN in each and a NaN residual,
+    a stop whose suffix holds by the old streak, an abort, one rank."""
+
+    def case(work, t2, *, rates=1.0, T=0.0, k=0, residual=1.0, streak=0.0,
+             last=-np.inf, pos0=None, min_sweep=0.0, max_iter=99, horizon=np.nan):
+        n = len(work)
+        state = np.linspace(9.0, 0.5, 8 * n).reshape(8, n)
+        state[0] = np.arange(n) if pos0 is None else pos0
+        state[1], state[6:] = streak, last
+        platform = np.vstack(np.broadcast_arrays(rates, *np.broadcast_to(t2, (2, n))))
+        platform[1, 0] = platform[2, -1] = -np.inf
+        residual = np.broadcast_to(residual, (n,)).astype(float)
+        run = (0.5, 1e-9, min_sweep, 1e-3, 2, max_iter, horizon)
+        return None, (state, platform, np.array(work, float), residual,
+                      np.zeros((6, n)), T, k, *run)
+
+    wide = np.arange(48)
+    on_end = ([1.0, 2.0, 1.0, 4.0], [[0, 0.25, 0.25, 0.25], [1.0, 0.25, 3.0, 0]])
+    t2 = [[0, 0.31, 0.07, 0.52, 0.18, 0.9], [0.44, 0.02, np.nan, 0.27, 0.66, 0]]
+    last = [[0, 1.9, 2.7, 0.4, np.nan, 1.1], [2.2, 0.8, 2.9, 1.5, 0.3, 0]]
+    return [
+        case(np.full(48, 2.0), 0.25, T=3.0, k=5, pos0=wide * 7 % 48,
+             residual=wide * 5 % 48 * 4e-5, streak=wide // 3 % 2),
+        case(*on_end),
+        case(*on_end, horizon=3.0),
+        case([1.0, 2.5, 1.5, 3.0, 2.0, 1.2], t2, rates=[1.0, 0.5, 2.0, 1.25, 0.8, 1.5],
+             T=1.0, residual=[0, 1, 0, np.nan, 0, 1], last=last, min_sweep=1.2),
+        case([1.0, 2.0, 3.0, 4.0, 5.0], 0.5, residual=[0, 0, 0, 0, 1],
+             streak=[1, 1, 1, 1, 2]),
+        case([1.0, 2.0, 3.0], 0.5, k=98),
+        case([3.0], 0.1),
+    ]
+
+
 def _trace(module: ModuleType | None, problem, args: tuple) -> bytes:
     """Everything one ``problem._sweep(module, state, left, right)`` hands
     back and leaves in the state, as bytes, run on a copy of ``state``:
-    the result's arrays and reductions, or a failure's text."""
+    the result's arrays and reductions, or a failure's text.  With no
+    ``problem``, one ``_round(module, *args)`` on copies of its arrays:
+    what it returns and every array after it."""
+    if problem is None:
+        from repro.models.lockstep import _round
+
+        args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        booked = _round(module, *args)
+        parts = [repr(booked).encode(), struct.pack("d", booked[0]) if booked else b""]
+        parts += [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+        return b"|".join(parts)
     state = problem.copy_state(args[0])
     try:
         result = problem._sweep(module, state, *args[1:])

@@ -1,4 +1,5 @@
-/* The three problems' sweeps, compiled: one CPython extension module.
+/* The three problems' sweeps and the lockstep replay's round, compiled:
+ * one CPython extension module.
  *
  *   brusselator  BrusselatorProblem._sweep as one loop: the NumPy skip
  *                mask, the loop of _sweep_scalar and the kept residuals
@@ -7,9 +8,12 @@
  *                (repro/problems/heat.py);
  *   synthetic    the NumPy sweep of SyntheticProblem._sweep as one loop,
  *                with the work sum in NumPy's pairwise order
- *                (repro/problems/synthetic.py).
+ *                (repro/problems/synthetic.py);
+ *   lockstep_round  one round of the lockstep SISC replay, from the
+ *                durations to the next round's scheduling order
+ *                (_round in repro/models/lockstep.py).
  *
- * Each problem's Python sweep is its loop's reference and the path that
+ * Each Python function named is its loop's reference and the path that
  * runs wherever this file cannot be compiled and loaded
  * (repro/problems/_compiled.py).
  *
@@ -19,8 +23,8 @@
  * is regrouped); the build flags are -O2 -ffp-contract=off, with no
  * fast-math and no -march, so no multiply-add is fused and nothing is
  * reassociated; and both sides compute in IEEE-754 doubles.  The loader
- * still holds every sweep to its reference on probe cases before the
- * module's first use.
+ * still holds every function to its reference on probe cases before its
+ * first use.
  *
  * Arrays pass through the buffer protocol only (no NumPy headers): each
  * must be C-contiguous, of format "d", and as long as n and steps say,
@@ -274,6 +278,168 @@ static double synthetic_sweep(
     return top;
 }
 
+/* np.maximum(a, b): a when a > b or a is NaN, else b. */
+#define NP_MAX(a, b) ((a) > (b) || (a) != (a) ? (a) : (b))
+
+/* np.lexsort's order of two floats: a before b, NaNs last and equal. */
+static int less(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+/* Whether index a sorts before index b on keys[0], then keys[1], ... */
+static int sorts_before(
+    const double *const *keys, int n_keys, Py_ssize_t a, Py_ssize_t b)
+{
+    for (int i = 0; i < n_keys; i++) {
+        if (less(keys[i][a], keys[i][b]))
+            return 1;
+        if (less(keys[i][b], keys[i][a]))
+            return 0;
+    }
+    return 0;
+}
+
+/* np.lexsort of 0..n-1 with keys[0] as the primary key (the reverse of
+ * lexsort's argument order): a stable bottom-up merge sort into idx,
+ * through tmp (n each). */
+static void lexsort(
+    const double *const *keys, int n_keys, Py_ssize_t *idx, Py_ssize_t *tmp,
+    Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        idx[i] = i;
+    for (Py_ssize_t width = 1; width < n; width *= 2) {
+        for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
+            const Py_ssize_t mid = lo + width < n ? lo + width : n;
+            const Py_ssize_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            Py_ssize_t i = lo, j = mid, o = lo;
+            while (i < mid && j < hi)
+                tmp[o++] = sorts_before(keys, n_keys, idx[j], idx[i])
+                    ? idx[j++] : idx[i++];
+            while (i < mid)
+                tmp[o++] = idx[i++];
+            while (j < hi)
+                tmp[o++] = idx[j++];
+        }
+        memcpy(idx, tmp, (size_t)n * sizeof(Py_ssize_t));
+    }
+}
+
+/* Whether a halo arriving at t dispatches after its receiver's end event
+ * (mid at t_mid, end at t_end), its sender's end being at t_sent: on an
+ * exact tie the sender's end key nests below the receiver's mid key. */
+static int late(double t, double t_sent, double t_mid, double t_end)
+{
+    return t > t_end || (t == t_end && t_sent >= t_mid);
+}
+
+/* One round of the lockstep SISC replay: _round in
+ * repro/models/lockstep.py, whose comments give the event semantics.
+ * state rows: pos0, streak, busy, idle, iterations, residual, the two
+ * FIFO clamps; platform rows: rates, the two transfer times; out rows:
+ * t_mid, t_se, the two arrivals, the end and barrier orders.  aux (5 n)
+ * and idx (2 n) are scratch.  Returns 0 when the run ends inside this
+ * round (a stop, or a barrier past the horizon; NaN: none), with state
+ * untouched and the barrier order not written; else 1, the round booked,
+ * the next barrier time in *t_next and the events in *events. */
+static int lockstep_round_c(
+    double *state, const double *platform, const double *work,
+    const double *residual, double *out, double *aux, Py_ssize_t *idx,
+    Py_ssize_t n, double T, long long k, double split, double eps,
+    double min_sweep, double tol, double persistence, long long max_iter,
+    double horizon, double *t_next, long long *events)
+{
+    double *pos0 = state, *streak = pos0 + n, *busy = streak + n;
+    double *idle = busy + n, *iters = idle + n, *res_at = iters + n;
+    double *last = res_at + n;
+    const double *rates = platform, *t2 = platform + n;
+    double *t_mid = out, *t_se = t_mid + n, *arr = t_se + n;
+    double *order_end = arr + 2 * n, *order_arr = order_end + n;
+    double *pos = aux, *next = pos + n, *key1 = next + n, *key2 = key1 + n;
+    double *A = key2 + n;
+    Py_ssize_t *order = idx, *tmp = idx + n;
+    Py_ssize_t r, i;
+
+    for (r = 0; r < n; r++) {
+        const double d = NP_MAX(work[r] / rates[r], min_sweep);
+        const double first = d * split;
+        t_mid[r] = T + first;
+        t_se[r] = t_mid[r] + (d - first);
+    }
+    const double *by_mid[2] = {t_mid, pos0};
+    lexsort(by_mid, 2, order, tmp, n);
+    for (i = 0; i < n; i++)
+        pos[order[i]] = (double)i;
+    const double *by_end[2] = {t_se, pos};
+    lexsort(by_end, 2, order, tmp, n);
+    for (i = 0; i < n; i++) {
+        order_end[i] = (double)order[i];
+        pos[order[i]] = (double)i; /* now each end's dispatch position */
+    }
+    for (i = 0; i < 2 * n; i++)
+        arr[i] = NP_MAX(t_se[i % n] + t2[i], last[i] + eps);
+
+    /* Stop scan: a trigger at the first end position whose prefix has
+     * the new streaks and whose suffix the old ones; an abort at 0. */
+    Py_ssize_t head = 0, tail = n;
+    for (r = 0; r < n; r++)
+        next[r] = (streak[r] + 1.0) * (double)(residual[r] < tol);
+    while (head < n && next[order[head]] >= persistence)
+        head++;
+    while (tail > 0 && streak[order[tail - 1]] >= persistence)
+        tail--;
+    const Py_ssize_t trigger = tail ? tail - 1 : 0;
+    const Py_ssize_t stop = k + 1 >= max_iter ? 0 : trigger < head ? trigger : -1;
+    if (stop >= 0 && (horizon != horizon || t_se[order[stop]] <= horizon))
+        return 0;
+
+    /* Late halos, barrier arrivals and the barrier order's keys. */
+    double top = 0.0;
+    long long n_events = 5 * (long long)n - 3;
+    for (r = 0; r < n; r++) {
+        const Py_ssize_t sl = r ? r - 1 : 0, sr = r + 1 < n ? r + 1 : n - 1;
+        const double in_l = arr[n + (r ? r - 1 : n - 1)];
+        const double in_r = arr[r + 1 < n ? r + 1 : 0];
+        const int late_l = late(in_l, t_se[sl], t_mid[r], t_se[r]);
+        const int late_r = late(in_r, t_se[sr], t_mid[r], t_se[r]);
+        const int same = in_l == in_r;
+        A[r] = NP_MAX(late_l ? in_l : t_se[r], late_r ? in_r : t_se[r]);
+        top = r ? NP_MAX(top, A[r]) : A[r];
+        n_events += late_l + late_r - (late_l && late_r && same);
+        if (late_l || late_r) {
+            const int use_l = late_l && late_r
+                ? (same ? pos[sl] < pos[sr] : in_l > in_r) : late_l;
+            key1[r] = A[r];
+            key2[r] = (use_l ? pos[sl] : pos[sr]) + (double)n;
+        } else {
+            key1[r] = t_mid[r];
+            key2[r] = pos0[r];
+        }
+    }
+    if (top > horizon)
+        return 0;
+
+    const double *by_arrival[3] = {A, key1, key2};
+    lexsort(by_arrival, 3, order, tmp, n);
+    for (i = 0; i < n; i++) {
+        order_arr[i] = (double)order[i];
+        pos0[order[i]] = (double)((i + 1) % n);
+    }
+    for (r = 0; r < n; r++) {
+        busy[r] = (busy[r] + t_se[r]) - T;
+        iters[r] += 1.0;
+        res_at[r] = residual[r];
+        streak[r] = next[r];
+        if (top > t_se[r])
+            idle[r] = (idle[r] + top) - t_se[r];
+    }
+    memcpy(last, arr, (size_t)(2 * n) * sizeof(double));
+    *t_next = top;
+    *events = n_events;
+    return 1;
+}
+
 /* ------------------------------------------------------------------ */
 /* The module: argument checks, then the loops above                   */
 /* ------------------------------------------------------------------ */
@@ -520,19 +686,95 @@ done:
     return result;
 }
 
+PyDoc_STRVAR(lockstep_round_doc,
+"lockstep_round(state, platform, work, residual, out, T, k, split, eps,\n"
+"               min_sweep, tol, persistence, max_iterations, horizon)\n"
+"\n"
+"One round of the lockstep SISC replay over n ranks (n = len(work)),\n"
+"opening at T after k rounds: state (8 n float64) is pos0, streak, busy,\n"
+"idle, iterations, residual and the two FIFO clamps; platform (3 n) the\n"
+"rates and the two transfer times; out (6 n) receives t_mid, t_se, the\n"
+"two arrivals, the end order and the barrier order.  Returns (the next\n"
+"barrier time, the events dispatched) with the round booked in state,\n"
+"or None, state untouched, when the run ends inside this round.");
+
+static PyObject *lockstep_round(
+    PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *names[5] = {"state", "platform", "work", "residual",
+                                   "out"};
+    static const Py_ssize_t rows[5] = {8, 3, 1, 1, 6};
+    Py_buffer views[5] = {{0}};
+    Py_ssize_t counts[5];
+    PyObject *result = NULL;
+    int i;
+
+    if (check_nargs("lockstep_round", nargs, 14) < 0)
+        return NULL;
+    const double T = PyFloat_AsDouble(args[5]);
+    const long long k = PyLong_AsLongLong(args[6]);
+    const double split = PyFloat_AsDouble(args[7]);
+    const double eps = PyFloat_AsDouble(args[8]);
+    const double min_sweep = PyFloat_AsDouble(args[9]);
+    const double tol = PyFloat_AsDouble(args[10]);
+    const double persistence = PyFloat_AsDouble(args[11]);
+    const long long max_iter = PyLong_AsLongLong(args[12]);
+    const double horizon = PyFloat_AsDouble(args[13]);
+    if (PyErr_Occurred())
+        return NULL;
+    for (i = 0; i < 5; i++)
+        if (get_array(args[i], &views[i], i == 0 || i == 4, names[i],
+                      &counts[i]) < 0)
+            goto done;
+    const Py_ssize_t n = counts[2];
+    for (i = 0; i < 5; i++)
+        if (n < 1 || counts[i] != rows[i] * n) {
+            PyErr_SetString(PyExc_ValueError,
+                            "lockstep_round(): buffer lengths do not match "
+                            "the rank count");
+            goto done;
+        }
+    char *scratch = PyMem_Malloc(
+        (size_t)n * (5 * sizeof(double) + 2 * sizeof(Py_ssize_t)));
+    if (scratch == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double t_next;
+    long long events;
+    const int booked = lockstep_round_c(
+        views[0].buf, views[1].buf, views[2].buf, views[3].buf, views[4].buf,
+        (double *)scratch, (Py_ssize_t *)(scratch + 5 * n * sizeof(double)),
+        n, T, k, split, eps, min_sweep, tol, persistence, max_iter, horizon,
+        &t_next, &events);
+    PyMem_Free(scratch);
+    if (booked) {
+        result = Py_BuildValue("(dL)", t_next, events);
+    } else {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    }
+done:
+    for (i = 0; i < 5; i++)
+        PyBuffer_Release(&views[i]);
+    return result;
+}
+
 static PyMethodDef sweeps_methods[] = {
     {"brusselator", (PyCFunction)(void (*)(void))brusselator, METH_FASTCALL,
      brusselator_doc},
     {"heat", (PyCFunction)(void (*)(void))heat, METH_FASTCALL, heat_doc},
     {"synthetic", (PyCFunction)(void (*)(void))synthetic, METH_FASTCALL,
      synthetic_doc},
+    {"lockstep_round", (PyCFunction)(void (*)(void))lockstep_round,
+     METH_FASTCALL, lockstep_round_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef sweeps_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_sweeps",
-    .m_doc = "The Brusselator, heat and synthetic sweeps, compiled.",
+    .m_doc = "The three problems' sweeps and the lockstep round, compiled.",
     .m_size = 0,
     .m_methods = sweeps_methods,
 };

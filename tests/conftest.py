@@ -151,24 +151,26 @@ def scipy_banded(monkeypatch):
     monkeypatch.setattr("repro.numerics.euler.BandedMatrix", ScipyBanded)
 
 
-#: The two paths of every problem's sweep: the Python reference (the
-#: Brusselator's scalar sweep, the heat and synthetic problems' NumPy
-#: sweeps) and the compiled module held to it.
+#: The two paths of every problem's sweep and of the lockstep round: the
+#: Python reference (the Brusselator's scalar sweep, the heat and
+#: synthetic problems' NumPy sweeps, the round's NumPy body) and the
+#: compiled module held to it.
 SWEEP_PATHS = ("python", "compiled")
 
 
 @functools.cache
 def compiled_kernel():
-    """``(module, status)`` of this host's compiled sweeps, loaded once."""
+    """``(module, status)`` of this host's compiled kernels, loaded once."""
     from repro.problems import _compiled
 
     return _compiled._load_kernel()
 
 
 def force_sweep_path(monkeypatch, path):
-    """Make every sweep of every problem take ``path`` (one of
-    :data:`SWEEP_PATHS`) by standing in for the loader's result; a host
-    where no module loads skips the compiled path (CI requires one)."""
+    """Make every sweep of every problem, and the lockstep round, take
+    ``path`` (one of :data:`SWEEP_PATHS`) by standing in for the loader's
+    result; a host where no module loads skips the compiled path (CI
+    requires one)."""
     if path == "python":
         kernel = (None, "python: test")
     else:
@@ -180,9 +182,9 @@ def force_sweep_path(monkeypatch, path):
 
 def use_kernel(monkeypatch, kernel):
     """Stand ``(module or None, status)`` in for the loader's result, every
-    sweep resolved to ``module``."""
+    kernel resolved to ``module``."""
     from repro.problems import _compiled
 
     monkeypatch.setattr(_compiled, "_KERNEL", kernel)
-    for sweep in _compiled.SWEEPS:
-        monkeypatch.setattr(_compiled, sweep, kernel[0], raising=False)
+    for name in _compiled.KERNELS:
+        monkeypatch.setattr(_compiled, name, kernel[0], raising=False)

@@ -2,11 +2,11 @@
 
 ``_compiled._load_kernel(cache, source)`` builds ``source`` with the
 system ``cc`` into ``cache``, loads it as an extension module, and uses
-it only if the Brusselator, heat and synthetic sweeps each reproduce
-their Python paths bit for bit on the probe cases; anything else — no
-``cc``, no ``Python.h``, a cache it cannot write, a failed or hung
-compile, a failed load or probe — gives back ``None``, every problem's
-Python path, silently.  Every test here builds into its own
+it only if the Brusselator, heat and synthetic sweeps and the lockstep
+round each reproduce their Python paths bit for bit on the probe cases;
+anything else — no ``cc``, no ``Python.h``, a cache it cannot write, a
+failed or hung compile, a failed load or probe — gives back ``None``,
+every kernel's Python path, silently.  Every test here builds into its own
 ``tmp_path``.
 """
 
@@ -72,9 +72,10 @@ def test_without_cc_the_scalar_sweep_gives_the_same_digests(
 
 
 #: Modules that compile and run but are wrong, each in a way one probe
-#: case exposes: (what is wrong, the sweep whose probe fails, source
+#: case exposes: (what is wrong, the kernel whose probe fails, source
 #: text, its replacement).  The ``skip:`` ones each drop one clause of
-#: the Brusselator's skip test, or what a skip reports.
+#: the Brusselator's skip test, or what a skip reports; the ``round:``
+#: ones each break one rule of the lockstep round.
 SABOTAGE = [
     ("damping ignored", "brusselator", "u = u - damping *", "u = u - 1.0 *"),
     ("verified steps free", "brusselator", "w += p ? p : 1;", "w += p;"),
@@ -131,6 +132,36 @@ SABOTAGE = [
         "const double total = left_to_right(",
     ),
     ("no halving above 128", "synthetic", "if (n <= 128) {", "if (1) {"),
+    (
+        "round: ties sorted unstably",
+        "lockstep_round",
+        "sorts_before(keys, n_keys, idx[j], idx[i])",
+        "!sorts_before(keys, n_keys, idx[i], idx[j])",
+    ),
+    (
+        "round: a halo on its receiver's end late only after its mid",
+        "lockstep_round",
+        "t_sent >= t_mid",
+        "t_sent > t_mid",
+    ),
+    (
+        "round: one resume per halo at one instant",
+        "lockstep_round",
+        " - (late_l && late_r && same)",
+        "",
+    ),
+    (
+        "round: suffix by the new streak",
+        "lockstep_round",
+        "streak[order[tail - 1]] >= persistence",
+        "next[order[tail - 1]] >= persistence",
+    ),
+    (
+        "round: NaN dropped by the max",
+        "lockstep_round",
+        "((a) > (b) || (a) != (a) ? (a) : (b))",
+        "((a) > (b) ? (a) : (b))",
+    ),
 ]
 
 LEFT_TO_RIGHT = """
@@ -285,7 +316,7 @@ del sys.modules["repro.problems.brusselator"], sys.modules["repro.problems.heat"
 from repro.problems.synthetic import SyntheticProblem
 problem = SyntheticProblem.with_hard_region(8)
 problem.iterate(problem.initial_state(0, 8), 0.0, 0.0)
-assert [s for s in _compiled.SWEEPS if s in vars(_compiled)] == ["synthetic"]
+assert [s for s in _compiled.KERNELS if s in vars(_compiled)] == ["synthetic"]
 assert "repro.problems.heat" not in sys.modules
 assert "repro.problems.brusselator" not in sys.modules
 print(_compiled.kernel_status())
@@ -383,6 +414,51 @@ def test_the_module_rejects_bad_buffers_and_writes_nothing():
             getattr(module, sweep)(*args[:-1])
 
 
+def read_only(array):
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
+#: Bad arguments of the lockstep round: (what, argument index, how).
+ROUND_SPOILS = [
+    ("state float32", 0, lambda a: a.astype(np.float32)),
+    ("state strided", 0, lambda a: np.repeat(a, 2, axis=1)[:, ::2]),
+    ("state read-only", 0, read_only),
+    ("state one short", 0, lambda a: a.reshape(-1)[:-1]),
+    ("platform int64", 1, lambda a: np.zeros(a.shape, dtype=np.int64)),
+    ("platform one long", 1, lambda a: np.append(a, 0.0)),
+    ("work one short", 2, lambda a: a[:-1]),
+    ("work a list", 2, list),
+    ("no ranks", 2, lambda a: a[:0]),
+    ("residual strided", 3, lambda a: np.repeat(a, 2)[::2]),
+    ("out read-only", 4, read_only),
+    ("out float32", 4, lambda a: a.astype(np.float32)),
+    ("out one long", 4, lambda a: np.append(a, 0.0)),
+]
+
+
+def test_both_round_paths_reject_the_same_bad_buffers_and_write_nothing():
+    """``_round`` and the compiled ``lockstep_round`` raise the same
+    exception type for each malformed buffer, before any write."""
+    from repro.models.lockstep import _round
+
+    module = compiled_kernel()[0]
+    _, good = _compiled._probe_cases("lockstep_round")[1]
+    for what, at, spoil in ROUND_SPOILS:
+        raised = set()
+        for kernel in [None] + [module] * (module is not None):
+            args = [a.copy() if isinstance(a, np.ndarray) else a for a in good]
+            args[at] = spoil(args[at])
+            arrays = [a for a in args if isinstance(a, np.ndarray)]
+            before = [a.tobytes() for a in arrays]
+            with pytest.raises((TypeError, ValueError)) as exc:
+                _round(kernel, *args)
+            raised.add(exc.type)
+            assert [a.tobytes() for a in arrays] == before, what
+        assert len(raised) == 1, (what, raised)
+
+
 def test_a_failed_probe_at_a_later_first_use_sends_every_sweep_to_python(
     monkeypatch,
 ):
@@ -397,5 +473,5 @@ def test_a_failed_probe_at_a_later_first_use_sends_every_sweep_to_python(
     )
     assert _compiled.brusselator is module
     assert _compiled.heat is None
-    assert [getattr(_compiled, s) for s in _compiled.SWEEPS] == [None] * 3
+    assert [getattr(_compiled, s) for s in _compiled.KERNELS] == [None] * 4
     assert _compiled.kernel_status() == "python: lib failed the heat probe"

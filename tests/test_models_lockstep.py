@@ -24,6 +24,7 @@ from repro.grid.host import Host
 from repro.grid.link import Link
 from repro.grid.network import Network
 from repro.grid.platform import Platform
+from repro.grid.traces import MarkovTrace
 from repro.guard import GuardConfig, InvariantMonitor
 from repro.models import run_sisc, run_sisc_batched
 from repro.analysis.perf import run_fingerprint
@@ -39,6 +40,20 @@ def hetero_platform(
     net = Network(Link(latency=latency, bandwidth=bandwidth))
     hosts = [Host(f"h{i}", speed=s) for i, s in enumerate(speeds)]
     return Platform(hosts=hosts, network=net)
+
+
+def varying_platform():
+    """``hetero_platform``'s hosts, the odd ones' availability and the
+    link's latency varying (seeded Markov traces): the replay then takes
+    durations and transfer times from Python, round by round."""
+    hosts = [
+        Host(f"h{i}", speed=s, trace=MarkovTrace(np.random.default_rng(i), 0.5))
+        if i % 2 else Host(f"h{i}", speed=s)
+        for i, s in enumerate((200.0, 130.0, 100.0, 170.0))
+    ]
+    latency = MarkovTrace(np.random.default_rng(9), 0.3)
+    link = Link(latency=0.02, bandwidth=1e6, latency_trace=latency)
+    return Platform(hosts=hosts, network=Network(link))
 
 
 def hard_problem(n=64):
@@ -70,6 +85,21 @@ def assert_same_run(ref, fast):
         k: v for k, v in fast.meta.items() if k not in skip
     }
     assert run_fingerprint(ref) == run_fingerprint(fast)
+
+
+def on_both_paths(argname, values, ids=None):
+    """Parametrise ``argname`` over ``values`` and both :data:`SWEEP_PATHS`
+    (a test takes ``path`` and forces it): the compiled round keeps each
+    value's own id, the Python reference round's adds ``-python``."""
+    ids = ids or [str(v) for v in values]
+    return pytest.mark.parametrize(
+        f"{argname}, path",
+        [
+            pytest.param(v, path, id=i if path == "compiled" else f"{i}-python")
+            for v, i in zip(values, ids)
+            for path in SWEEP_PATHS
+        ],
+    )
 
 
 CASES = {
@@ -150,11 +180,17 @@ CASES = {
         hetero_platform(),
         SolverConfig(tolerance=1e-7),
     ),
+    "varying_traces": (
+        hard_problem(),
+        varying_platform(),
+        SolverConfig(tolerance=1e-8),
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_lockstep_matches_reference(name):
+@on_both_paths("name", sorted(CASES))
+def test_lockstep_matches_reference(name, path, monkeypatch):
+    force_sweep_path(monkeypatch, path)
     problem, platform, cfg = CASES[name]
     ref = run_sisc(problem, platform, cfg)
     fast = run_sisc_batched(problem, platform, cfg)
@@ -188,12 +224,15 @@ def test_lockstep_event_count_matches_reference(name):
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
-@pytest.mark.parametrize("max_time", [0.5, None])
-def test_lockstep_matches_reference_when_48_ranks_tie_every_round(max_time):
+@on_both_paths("max_time", [0.5, None])
+def test_lockstep_matches_reference_when_48_ranks_tie_every_round(
+    max_time, path, monkeypatch
+):
     """The ``lockstep_sisc`` width, with every end of every round at one
     instant (equal blocks, equal hosts, constant work per component):
     the barrier order then rests wholly on the dispatch-position keys.
     Cut at ``max_time`` mid-run, and run to convergence."""
+    force_sweep_path(monkeypatch, path)
     problem = SyntheticProblem.with_hard_region(
         96, easy_rate=0.5, hard_rate=0.9, active_cost=0.0
     )
@@ -264,8 +303,9 @@ def _assert_same_run_and_events(problem, platform, cfg):
     return fast
 
 
-@pytest.mark.parametrize("name", sorted(CUT_PLATFORMS))
-def test_lockstep_matches_reference_at_every_cut(name):
+@on_both_paths("name", sorted(CUT_PLATFORMS))
+def test_lockstep_matches_reference_at_every_cut(name, path, monkeypatch):
+    force_sweep_path(monkeypatch, path)
     problem, platform = CUT_PLATFORMS[name]
     cuts, stops = _cut_configs(problem, platform)
     for cfg in stops:
@@ -289,15 +329,20 @@ def test_lockstep_cut_rounds_without_trace():
     assert any(_partly_booked(fast) for fast in runs)
 
 
-@pytest.mark.parametrize(
-    "speeds", [(200.0, 130.0, 100.0, 170.0), (400.0, 100.0, 130.0, 170.0)]
+@on_both_paths(
+    "speeds",
+    [(200.0, 130.0, 100.0, 170.0), (400.0, 100.0, 130.0, 170.0)],
+    ids=["speeds0", "speeds1"],
 )
-def test_lockstep_matches_reference_when_a_halo_lands_on_an_end(speeds):
+def test_lockstep_matches_reference_when_a_halo_lands_on_an_end(
+    speeds, path, monkeypatch
+):
     """A halo delivered at exactly its receiver's end instant is late or
     not by dispatch key alone.  The latency, on a link whose bandwidth
     adds nothing, is the first round's gap between ranks 0 and 1's ends,
     so rank 0's halo lands on rank 1's end: after rank 1's mid (late),
     or, with rank 0 four times as fast, before it (not late)."""
+    force_sweep_path(monkeypatch, path)
     problem, cfg = hard_problem(), SolverConfig(tolerance=1e-4)
     unlagged = run_sisc(problem, hetero_platform(speeds, latency=0.0), cfg)
     first = {s.rank: s.t1 for s in unlagged.tracer.iterations if s.iteration == 1}
@@ -326,14 +371,16 @@ def _assert_guard_parity(problem, platform, cfg):
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
-@pytest.mark.parametrize("name", ["hetero", "homo_ties", "abort"])
-def test_lockstep_guard_parity(name):
+@on_both_paths("name", ["hetero", "homo_ties", "abort"])
+def test_lockstep_guard_parity(name, path, monkeypatch):
     """The guard observes the identical event/check stream either way."""
+    force_sweep_path(monkeypatch, path)
     _assert_guard_parity(*CASES[name])
 
 
-@pytest.mark.parametrize("name", ["hetero4", "homo8_ties"])
-def test_lockstep_guard_parity_at_every_cut(name):
+@on_both_paths("name", ["hetero4", "homo8_ties"])
+def test_lockstep_guard_parity_at_every_cut(name, path, monkeypatch):
+    force_sweep_path(monkeypatch, path)
     problem, platform = CUT_PLATFORMS[name]
     cuts, _ = _cut_configs(problem, platform)
     for cfg in cuts:
@@ -432,10 +479,12 @@ def test_lockstep_sisc_body_is_pinned_to_its_last_round(monkeypatch):
 
 
 #: Frames entered under ``repro/`` per lockstep round, measured on
-#: CPython 3.11, by sweep path.  The Brusselator's compiled sweep decides
-#: the skip in its loop: 24.46 / 25.46 before, with the NumPy skip mask,
-#: the padded copy and the streak helpers around the compiled loop.
-ROUND_FRAMES = {"python": 23.46, "compiled": 18.46}
+#: CPython 3.11, by sweep path.  The round's arithmetic is one call,
+#: ``_round``: 23.46 / 18.46 before, with ``_durations``, ``_transfers``,
+#: ``_stop_scan``, ``_account``, ``_guard_divergence``, ``_guard_events``
+#: and three ``_repeat_add`` in every round (24.46 / 25.46 before that,
+#: with the NumPy skip mask around the compiled sweep).
+ROUND_FRAMES = {"python": 17.48, "compiled": 10.48}
 
 
 @pytest.mark.parametrize("path", sorted(ROUND_FRAMES))
