@@ -35,12 +35,13 @@ check.
 
 The throughput column is **events/sec**: dispatched events (for the
 lockstep replay, the events the reference semantics *would* dispatch —
-it replays them in closed form) divided by wall-clock.  Runs are capped
-at a fixed round count (``max_iterations``) so the virtual work per grid
-point is identical across engines and the wall-clock budget stays
-bounded at 1024 ranks; ``meta`` records the honest core count and the
-process peak RSS after each run (a high-water mark — points run
-smallest to largest so the column is attributable).
+it replays them in closed form) divided by the best wall-clock of
+:data:`REPEATS` runs.  Runs are capped at a fixed round count
+(``max_iterations``) so the virtual work per grid point is identical
+across engines and the wall-clock budget stays bounded at 1024 ranks;
+``meta`` records the honest core count and the process peak RSS after
+each point's runs (a high-water mark — points run smallest to largest
+so the column is attributable).
 
 Run directly (not under pytest)::
 
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -83,6 +85,11 @@ from repro.runtime.memory import peak_rss_bytes
 from repro.workloads import ScaleScenario
 
 ALL_ENGINES: tuple[str, ...] = ("event", "lockstep")
+
+#: Runs per engine per grid point.  The events/sec column and the gates
+#: take the best (fastest) run, so one run slowed by a noisy neighbour
+#: cannot fail ``--check``; every run must give the same fingerprint.
+REPEATS: int = 3
 
 #: Process peak-RSS ceiling asserted (under ``--check``) after every
 #: lockstep row.  The largest rank-batched state on the grid is the
@@ -180,10 +187,18 @@ def bench_point(
     stats: dict[str, dict[str, Any]] = {}
     fingerprints: dict[str, str] = {}
     for engine, fn in engines.items():
-        t0 = time.perf_counter()
-        result, events = fn(scenario, rounds)
-        wall = time.perf_counter() - t0
-        fingerprints[engine] = run_fingerprint(result)
+        walls = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            result, events = fn(scenario, rounds)
+            walls.append(time.perf_counter() - t0)
+            fingerprint = run_fingerprint(result)
+            if fingerprints.setdefault(engine, fingerprint) != fingerprint:
+                raise AssertionError(
+                    f"{point}: {engine} is not deterministic — fingerprint "
+                    f"{fingerprint} after {fingerprints[engine]}"
+                )
+        wall = min(walls)
         stats[engine] = {
             "wall_s": wall,
             "events": events,
@@ -194,9 +209,9 @@ def bench_point(
             BenchResult(
                 name=f"scale_{point}_{engine}",
                 best=wall,
-                median=wall,
-                mean=wall,
-                repeats=1,
+                median=statistics.median(walls),
+                mean=statistics.fmean(walls),
+                repeats=REPEATS,
                 meta={
                     **base_meta,
                     "events": events,

@@ -20,10 +20,13 @@ Equivalence is enforced, not assumed:
   ChainSweeper` runs the problem's own ``iterate`` over the whole chain
   ``[0, N)``: bit-identical to the per-rank calls when ``iterate`` is
   Jacobi in space (differential tests pin fingerprints);
-* event ordering — including ``(time, seq)`` ties — is replayed through
-  collapsed dispatch keys that are order-isomorphic to the reference
-  scheduler's sequence numbers, so record lists, trigger ranks and the
-  dispatched-event count match the reference exactly;
+* event ordering — including ``(time, seq)`` ties — is replayed from
+  the round's push tree (mids pushed at the round's start, each end by
+  its mid, each delivery by its sender's end, each wait-resume by its
+  delivery): every order the round needs is a sort on times, then on
+  the dispatch positions of the parents, so record lists, trigger
+  ranks and the dispatched-event count match the reference exactly —
+  for a complete round and for the one a stop or the horizon cuts;
 * anything the replay cannot express (token-ring detection, the guard's
   stall watchdog or a divergence rollback, problems without a batched
   sweeper) falls back to the reference implementation — *observably*:
@@ -45,7 +48,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -68,17 +71,6 @@ from repro.runtime.tracer import (
 __all__ = ["run_sisc_batched"]
 
 logger = logging.getLogger(__name__)
-
-#: Root ancestor for collapsed dispatch keys: compares below every real
-#: event key (virtual times are >= 0), standing in for "pushed before
-#: anything else this round".
-_D_ROOT = (-1.0, ())
-
-#: ``_D_ROOT``'s counterpart: a push-tree position above every real one,
-#: so ``(h, _D_TOP)`` is the key everything dispatched at ``t <= h``
-#: sorts below.
-_D_TOP = ((math.inf,),)
-
 
 def _repeat_add(acc: float, x: float, count: int) -> float:
     """``count`` sequential ``acc += x`` steps, matching IEEE order.
@@ -205,42 +197,6 @@ def run_sisc_batched(
     )
 
 
-class _Round(NamedTuple):
-    """One round's per-rank arrays, and the dispatch keys they imply.
-
-    The reference scheduler orders events by ``(time, push_seq)``.
-    Within one round the push tree is known: mids are pushed at round
-    start in ``pos0`` order, each end by its mid, each delivery by its
-    sender's end (left send first, then right), each wait-resume by
-    the delivery that triggered it.  Nested tuples of the form
-    ``(time, (parent_key, push_index))`` compare exactly like the
-    reference ``(time, seq)`` pairs for any two same-round events, so
-    they resolve exact float ties without simulating.
-    """
-
-    k: int  # rounds completed before this one
-    T: float  # barrier-open time
-    residual: np.ndarray
-    work: np.ndarray
-    t_mid: np.ndarray
-    t_se: np.ndarray
-    pos0: np.ndarray  # round-start scheduling order
-    arr: np.ndarray  # (2, n) FIFO-clamped arrival of r's send to r-1, r+1
-
-    def key_mid(self, r: int) -> tuple:
-        return (float(self.t_mid[r]), (_D_ROOT, int(self.pos0[r])))
-
-    def key_end(self, r: int) -> tuple:
-        return (float(self.t_se[r]), (self.key_mid(r), 0))
-
-    def key_send(self, r: int, side: str) -> tuple:
-        # Push index inside r's end event: the left send is scheduled
-        # first, then the right send (rank 0 only sends right).
-        arr = self.arr[0 if side == "left" else 1, r]
-        idx = 0 if side == "left" or r == 0 else 1
-        return (float(arr), (self.key_end(r), idx))
-
-
 #: Rows of the engine's ``(8, n)`` state and of the round's ``(6, n)``
 #: output (see :func:`_round`).
 POS0, STREAK, BUSY, IDLE, ITERS, RESIDUAL, LAST = 0, 1, 2, 3, 4, 5, 6
@@ -318,10 +274,14 @@ def _round(kernel, state, platform, work, residual, out, T, k, *run):
     pos0, streak = state[POS0], state[STREAK]
     t_mid, t_se, arr = out[T_MID], out[T_SE], out[ARR:ORDER_END]
     t_mid[:], t_se[:] = _ends(T, work, platform[0], min_sweep, split)
-    # Dispatch order of mid / end events.  Both lexsorts are exact: mids
-    # are pushed at T in pos0 order (equal t_mid resolves by push
-    # sequence = pos0), and each end is pushed by its own mid (equal
-    # t_se resolves by mid dispatch order).
+    # The reference scheduler dispatches by (time, push sequence), and a
+    # round's push tree is fixed: the mids are pushed as the round opens,
+    # in pos0 order; each end by its own mid; each delivery by its
+    # sender's end (the left send first); each wait-resume by the
+    # delivery that triggered it.  So two events at one instant dispatch
+    # in their parents' dispatch order, and a mid precedes anything
+    # pushed inside the round.  Mids: (t_mid, pos0); ends: (t_se, their
+    # mid's position).
     ranks = np.arange(n)
     pos = np.empty(n)
     pos[np.lexsort((pos0, t_mid))] = ranks
@@ -338,13 +298,10 @@ def _round(kernel, state, platform, work, residual, out, T, k, *run):
     # Inbound halos per receiver (r-1's send right, r+1's send left; the
     # chain's ends get a -inf slot, never late), and "late" = the
     # delivery dispatches after the receiver's end event (the receiver
-    # must block for it).  An exact arrival/end tie resolves by dispatch
-    # key.  With the times equal, ``key_send(s, ...) > key_end(r)``
-    # collapses to comparing the sender's end key against the
-    # receiver's mid key, which is decided by their times — and on
-    # *that* tie the sender's end wins, because its key nests one level
-    # deeper than the receiver's mid (``key_mid``'s parent is
-    # ``_D_ROOT``, which loses to any real event key).  Hence: late iff
+    # must block for it).  On an exact arrival/end tie the two parents
+    # decide: the sender's end and the receiver's mid.  The sender's end
+    # dispatches first iff it is earlier in time (at one instant the mid,
+    # pushed as the round opened, goes first).  Hence: late iff
     # t_se[s] >= t_mid[r].
     left, right = np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1)
     after = (ranks + 1) % n
@@ -358,25 +315,25 @@ def _round(kernel, state, platform, work, residual, out, T, k, *run):
         return None
     # Barrier arrival order (= dispatch order of each rank's arrival
     # event: its own end, or its final wait-resume).  One stable
-    # ``np.lexsort`` on three columns orders the nested dispatch keys:
+    # ``np.lexsort`` on three columns:
     #
-    #   no late halo:  (t_se, t_mid, pos0)
-    #     = key_end(r); note A == t_se here.
+    #   no late halo:  (t_se, t_mid, pos0)    the end, as ordered above
+    #                                         (A == t_se here);
     #   late halo:     (A,    A,     n + end_pos[s*])
-    #     = (A[r], (d_star, 0)), s* the governing delivery's sender;
-    #       its arrival is A.
+    #                                         the resume at A, pushed by
+    #                                         the delivery from s*.
     #
-    # ``end_pos`` is each end's dispatch position: two ends' keys
-    # compare as their positions do, because ``order_end`` sorts on
-    # exactly the leading fields of ``key_end`` and pos0 is a
-    # permutation.  Across shapes, column 2 puts a no-late row first
-    # (pos0 < n), as ``_D_ROOT`` under ``key_mid`` loses to a real end
-    # key.  Two rows left tied have one sender s: they are s-1 and s+1,
-    # served by its left send (push index 0) and right send (index 1),
-    # so the stable sort's rank order is push order.  With both halos
-    # late the governing delivery is the later one — or, at the same
-    # instant, the *earlier-keyed* one (its resume dispatches after
-    # both halos are in).
+    # ``end_pos`` is each end's dispatch position, so same-instant
+    # deliveries, and the resumes they push, follow their senders'
+    # ends.  An end and a resume at one instant: the end's mid is no
+    # later than the delivery and, at the same time, was pushed as the
+    # round opened, so the end goes first — column 2, then column 3
+    # (pos0 < n).  Two rows left tied have one sender s: they are s-1
+    # and s+1, served by its left send then its right send, so the
+    # stable sort's rank order is push order.  With both halos late the
+    # governing delivery is the later one — or, at the same instant,
+    # the one dispatched first: it pushes the single resume, which
+    # dispatches after both halos are in.
     pos[order_end] = ranks
     e_l, e_r = pos[left], pos[right]
     same, both = in_l == in_r, late_l & late_r
@@ -463,9 +420,8 @@ class _LockstepEngine:
         self.state[POS0] = np.arange(self.n)  # round-start scheduling order
         self.state[RESIDUAL] = math.inf
         self.state[LAST:] = -math.inf  # FIFO r -> r-1, r -> r+1
-        self.pos0, self.streak, self.busy, self.idle_acc = self.state[:ITERS]
+        self.streak, self.busy, self.idle_acc = self.state[STREAK:ITERS]
         self.iter_counts, self.residual_at = self.state[ITERS:LAST]
-        self.last = self.state[LAST:]
         self._out = np.empty((6, self.n))
         self.n_dispatched = self.n  # the n spawn steps at t = 0
         self.now = 0.0
@@ -598,128 +554,40 @@ class _LockstepEngine:
             if not self._const_links:
                 self._transfers(_ends(T, d, platform[0], run[2], OVERLAP_SPLIT)[1])
             booked = _round(kernel, state, platform, d, residual, out, T, k, *run)
-            if booked is not None:
-                T_next, events = booked
-                if guard is not None:
-                    if self._guard_divergence(residual, ranks):
-                        return None
-                    guard.replay_events(events, self._guard_conservation)
-                self.n_dispatched += events
-                if self.tracer.enabled:
-                    self._record_round(k, T, T_next, residual, work)
-                self.T = self.now = T_next
-                k += 1
-                continue
-            # The run ends inside this round, which ``_round`` left
-            # unbooked: book what dispatched before the stop or horizon.
-            order_end = out[ORDER_END].astype(np.intp)
-            t_se = out[T_SE]
-            rnd = _Round(
-                k, T, residual, work, out[T_MID], t_se, self.pos0, out[ARR:ORDER_END]
-            )
-            stop_pos, trigger_pos, abort_pos, _ = _stop_scan(
-                k, self.streak, residual, order_end,
-                cfg.tolerance, cfg.persistence, cfg.max_iterations,
-            )
-            if stop_pos is not None:
-                stop_rank = int(order_end[stop_pos])
-                t_stop = float(t_se[stop_rank])
-                if horizon is None or t_stop <= horizon:
-                    # The supervisor (or the abort) stops the sim inside
-                    # the stopping rank's end event, which is therefore
-                    # the last dispatched event: ends up to it complete
-                    # their accounting, the ones before it also send
-                    # their halos (the stop rank breaks before sending),
-                    # and everything else in the queue — later ends,
-                    # undelivered halos, pending mids — is abandoned.
-                    if stop_pos == trigger_pos:
-                        self.converged = True
-                        self.convergence_time = t_stop
-                    if stop_pos == abort_pos:
-                        self.aborted_reason = (
-                            f"rank {stop_rank} exceeded "
-                            f"max_iterations={cfg.max_iterations}"
-                        )
-                    return self._finish(
-                        rnd, order_end[: stop_pos + 1], order_end[:stop_pos],
-                        rnd.key_end(stop_rank), t_stop,
-                    )
-            # ``max_time`` is a pure time cutoff: events at ``t <=
-            # max_time`` dispatch, the rest stay queued and the clock is
-            # advanced to exactly the horizon.  The barrier never opens
-            # (its release time is past the horizon), so no idle spans
-            # are recorded.
-            done = order_end[t_se[order_end] <= horizon]
-            return self._finish(rnd, done, done, (horizon, _D_TOP), horizon)
+            if booked is None:
+                return self._finish(k, T, residual, work, horizon)
+            T_next, events = booked
+            if guard is not None:
+                if self._guard_divergence(residual, ranks):
+                    return None
+                guard.replay_events(events, self._guard_conservation)
+            self.n_dispatched += events
+            if self.tracer.enabled:
+                done = out[ORDER_END].astype(np.intp)
+                self._record(k, T, residual, work, done, n, T_next)
+            self.T = self.now = T_next
+            k += 1
 
     # ------------------------------------------------------------------
-    # Booking the last round, tracing, and ending a run
+    # Tracing, and booking the round a run ends in
     # ------------------------------------------------------------------
-    def _account(
-        self, rnd: _Round, done: np.ndarray, senders: np.ndarray
-    ) -> bool:
-        """Book the run's last round ``rnd`` for the ranks whose end
-        event dispatched, and every send of the run.
-
-        ``done`` lists them in end-dispatch order; ``senders`` is the
-        prefix of ``done`` that went on to send its halos (all but the
-        stopping rank of a stopped round).  ``False`` => the divergence
-        watchdog would have rolled a rank back, and nothing was booked.
-        """
-        k, T, residual, work, _, t_se, _, arr = rnd
-        if self._guard_divergence(residual, done):
-            return False
-        n = self.n
-        # NB: the tracer accumulates ``busy + t1 - t0`` left to right.
-        self.busy[done] = (self.busy[done] + t_se[done]) - T
-        self.iter_counts[done] += 1
-        self.residual_at[done] = residual[done]
-        # Rank 0 sends nothing left and rank n-1 nothing right: those
-        # slots hold -inf in ``arr`` as in ``last``.
-        self.last[:, senders] = arr[:, senders]
-        # Each of the k booked rounds sent n-1 halos either way.  Every
-        # send adds the same ``nbytes``, so the run's sends are one
-        # counted add on each of the three byte accumulators.
-        sent = {
-            "halo_from_right": k * (n - 1) + int(np.count_nonzero(senders > 0)),
-            "halo_from_left": k * (n - 1) + int(np.count_nonzero(senders < n - 1)),
-        }
-        for kind, count in sent.items():
-            self._msg_counts[kind] += count
-            self._msg_bytes[kind] = _repeat_add(
-                self._msg_bytes[kind], self.nbytes, count
-            )
-        net = self.platform.network
-        total = sum(sent.values())
-        net.messages_sent += total
-        net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, total)
-        if self.tracer.enabled:
-            self._record(rnd, done, len(senders))
-        return True
-
-    def _record_round(
-        self, k: int, T: float, T_next: float, residual: np.ndarray, work: np.ndarray
+    def _record(
+        self,
+        k: int,
+        T: float,
+        residual: np.ndarray,
+        work: np.ndarray,
+        done: np.ndarray,
+        n_senders: int,
+        T_next: float | None = None,
     ) -> None:
-        """Trace booked round ``k``: ``_round``'s orders are in ``_out``."""
-        out = self._out
+        """Trace round ``k`` from ``_round``'s arrays in ``_out``: the
+        ``done`` ends, in dispatch order, the halos the first
+        ``n_senders`` of them sent and, given the barrier's ``T_next``,
+        the idle spans up to it."""
+        out, n, tr_ = self._out, self.n, self.tracer
         t_se = out[T_SE]
-        rnd = _Round(k, T, residual, work, out[T_MID], t_se, None, out[ARR:ORDER_END])
-        self._record(rnd, out[ORDER_END].astype(np.intp), self.n)
-        # The releaser records its span first, then the waiters as they
-        # resume, in arrival order.
-        for x in np.roll(out[ORDER_ARR], 1).astype(np.intp).tolist():
-            if T_next > t_se[x]:
-                self.tracer.idles.append(
-                    IdleSpan(rank=x, t0=float(t_se[x]), t1=T_next, reason="sisc-sync")
-                )
-
-    def _record(self, rnd: _Round, done: np.ndarray, n_senders: int) -> None:
-        """Trace the ``done`` ends of ``rnd``, in dispatch order, and the
-        halos the first ``n_senders`` of them sent."""
-        k, T, residual, work, _, t_se, _, arr = rnd
-        n = self.n
-        tr_ = self.tracer
-        arr_l, arr_r = arr
+        arr_l, arr_r = out[ARR:ORDER_END]
         for pos, r in enumerate(done.tolist()):
             t1 = float(t_se[r])
             tr_.iterations.append(
@@ -743,51 +611,107 @@ class _LockstepEngine:
                             send_time=t1, arrival_time=float(arrival[r]),
                         )
                     )
+        if T_next is None:
+            return
+        # The releaser records its span first, then the waiters as they
+        # resume, in arrival order.
+        for x in np.roll(out[ORDER_ARR], 1).astype(np.intp).tolist():
+            if T_next > t_se[x]:
+                tr_.idles.append(
+                    IdleSpan(rank=x, t0=float(t_se[x]), t1=T_next, reason="sisc-sync")
+                )
 
     def _finish(
         self,
-        rnd: _Round,
-        done: np.ndarray,
-        senders: np.ndarray,
-        cut: tuple,
-        now: float,
+        k: int,
+        T: float,
+        residual: np.ndarray,
+        work: np.ndarray,
+        horizon: float | None,
     ) -> RunResult | None:
-        """The run's last, truncated round: what keys below ``cut`` ran.
-
-        ``cut`` is the dispatch key the run ends at — the stopping
-        rank's end key (itself the last dispatched event), or
-        ``(max_time, _D_TOP)`` — and ``now`` the clock it ends on.
+        """End the run in round ``k``, which ``_round`` left unbooked in
+        ``_out``: book the ranks whose end dispatched before the stop or
+        the horizon, their sends and the events dispatched by then.
+        ``None`` => the divergence watchdog would have rolled a rank back.
         """
-        if not self._account(rnd, done, senders):
+        n, cfg, out = self.n, self.config, self._out
+        t_mid, t_se, arr = out[T_MID], out[T_SE], out[ARR:ORDER_END]
+        order_end = out[ORDER_END].astype(np.intp)
+        stop, trigger, abort, _ = _stop_scan(
+            k, self.streak, residual, order_end,
+            cfg.tolerance, cfg.persistence, cfg.max_iterations,
+        )
+        if stop is not None and (horizon is None or t_se[order_end[stop]] <= horizon):
+            # The supervisor (or the abort) stops the sim inside rank z's
+            # end, the last event to dispatch: the ends before it also
+            # sent their halos (z breaks before sending), and everything
+            # else in the queue is abandoned.
+            z = int(order_end[stop])
+            now = float(t_se[z])
+            done, senders = order_end[: stop + 1], order_end[:stop]
+            if stop == trigger:
+                self.converged = True
+                self.convergence_time = now
+            if stop == abort:
+                self.aborted_reason = (
+                    f"rank {z} exceeded max_iterations={cfg.max_iterations}"
+                )
+            # At z's end instant a delivery dispatches before the end iff
+            # its parent, the sender's end, came before z's mid; a resume
+            # never does (its parent, a delivery then, follows z's mid).
+            by = np.less
+            landed = (arr < now) | ((arr == now) & (t_se < t_mid[z]))
+        else:
+            # ``max_time`` is a pure time cutoff: events at ``t <=
+            # max_time`` dispatch, the rest stay queued, the clock stops
+            # on the horizon and the barrier never opens.
+            now = horizon
+            done = senders = order_end[t_se[order_end] <= horizon]
+            by = np.less_equal
+            landed = arr <= now
+        if self._guard_divergence(residual, done):
             return None
+        # NB: the tracer accumulates ``busy + t1 - t0`` left to right.
+        self.busy[done] = (self.busy[done] + t_se[done]) - T
+        self.iter_counts[done] += 1
+        self.residual_at[done] = residual[done]
+        sent = np.zeros(n, dtype=bool)
+        sent[senders] = True
+        # Each of the k booked rounds sent n-1 halos either way.  Every
+        # send adds the same ``nbytes``, so the run's sends are one
+        # counted add on each of the three byte accumulators.
+        counts = {
+            "halo_from_right": k * (n - 1) + int(sent[1:].sum()),
+            "halo_from_left": k * (n - 1) + int(sent[:-1].sum()),
+        }
+        for kind, count in counts.items():
+            self._msg_counts[kind] += count
+            self._msg_bytes[kind] = _repeat_add(
+                self._msg_bytes[kind], self.nbytes, count
+            )
+        net = self.platform.network
+        total = sum(counts.values())
+        net.messages_sent += total
+        net.bytes_sent = _repeat_add(net.bytes_sent, self.nbytes, total)
+        if self.tracer.enabled:
+            self._record(k, T, residual, work, done, len(senders))
+        # The mids by then (a mid precedes any end at its instant), the
+        # done ends, the senders' deliveries that landed (the -inf slots
+        # are the channels that do not exist) and, as ``_round`` counts
+        # them, the wait-resumes of senders on late halos from senders.
+        ranks = np.arange(n)
+        left, right = np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1)
+        in_l, in_r = arr[1, ranks - 1], arr[0, (ranks + 1) % n]
+        late_l = (in_l > t_se) | ((in_l == t_se) & (t_se[left] >= t_mid))
+        late_r = (in_r > t_se) | ((in_r == t_se) & (t_se[right] >= t_mid))
+        late_l &= sent & sent[left] & by(in_l, now)
+        late_r &= sent & sent[right] & by(in_r, now)
+        events = (
+            int((t_mid <= now).sum()) + len(done)
+            + int((landed & sent & (arr > -math.inf)).sum())
+            + int(late_l.sum() + late_r.sum() - (late_l & late_r & (in_l == in_r)).sum())
+        )
         self.now = now
-        n = self.n
-        # Mids at ``t <= cut[0]`` all dispatch (a mid's key always
-        # sorts below an end key at the same instant: its parent is the
-        # round-start root), and so did the ``done`` ends.
-        events = int((rnd.t_mid <= cut[0]).sum()) + len(done)
-        inbound: dict[int, list[tuple]] = {}
-        senders = senders.tolist()
-        for s in senders:
-            if s > 0:
-                inbound.setdefault(s - 1, []).append(rnd.key_send(s, "left"))
-            if s < n - 1:
-                inbound.setdefault(s + 1, []).append(rnd.key_send(s, "right"))
-        events += sum(key < cut for keys in inbound.values() for key in keys)
-        # Wait-resume chains: only a rank that sent entered the halo
-        # wait, and it blocks on each inbound delivery that dispatches
-        # after its own end — resuming once per late delivery, except
-        # that two arriving at the same instant trigger a single resume
-        # (pushed by the earlier-keyed one, dispatched after both).
-        for w in senders:
-            end_key = rnd.key_end(w)
-            lates = sorted(key for key in inbound.get(w, ()) if key > end_key)
-            if len(lates) == 2 and lates[0][0] == lates[1][0]:
-                del lates[1]
-            for key in lates:
-                if (key[0], (key, 0)) >= cut:
-                    break
-                events += 1
         self.n_dispatched += events
         self._guard_events(events)
         return self._assemble()

@@ -355,6 +355,32 @@ def test_lockstep_matches_reference_when_a_halo_lands_on_an_end(
         _assert_same_run_and_events(problem, platform, replace(cfg, max_time=t))
 
 
+@on_both_paths(
+    "speeds",
+    [(200.0, 400.0, 100.0, 170.0), (200.0, 130.0, 100.0, 170.0)],
+    ids=["lands_before", "lands_after"],
+)
+def test_lockstep_matches_reference_when_a_run_stops_on_an_end_a_halo_lands_on(
+    speeds, path, monkeypatch
+):
+    """Every rank is satisfied after one sweep, so the run stops at round
+    1's last end, rank 2's.  The latency is round 1's gap between ranks 1
+    and 2's ends, so rank 1's halo lands on that end: it dispatched iff
+    rank 1's end came before rank 2's mid (0.2 s against 0.24 s with
+    rank 1 at speed 400; at 130 it ends at 0.615 s, after)."""
+    force_sweep_path(monkeypatch, path)
+    problem, cfg = hard_problem(), SolverConfig(tolerance=1e3, persistence=1)
+    unlagged = run_sisc(problem, hetero_platform(speeds, latency=0.0), cfg)
+    first = {s.rank: s.t1 for s in unlagged.tracer.iterations if s.iteration == 1}
+    gap = first[2] - first[1]
+    platform = hetero_platform(speeds, latency=gap, bandwidth=1e300)
+    fast = _assert_same_run_and_events(problem, platform, cfg)
+    assert fast.converged and fast.iterations == [1, 1, 1, 1]
+    assert fast.time == first[2]
+    landing = [m for m in fast.tracer.messages if (m.src_rank, m.dst_rank) == (1, 2)]
+    assert [m.arrival_time for m in landing] == [fast.time]
+
+
 def _assert_guard_parity(problem, platform, cfg):
     gcfg = GuardConfig(check_every=16)
     g_ref = InvariantMonitor(gcfg)
@@ -479,12 +505,14 @@ def test_lockstep_sisc_body_is_pinned_to_its_last_round(monkeypatch):
 
 
 #: Frames entered under ``repro/`` per lockstep round, measured on
-#: CPython 3.11, by sweep path.  The round's arithmetic is one call,
-#: ``_round``: 23.46 / 18.46 before, with ``_durations``, ``_transfers``,
-#: ``_stop_scan``, ``_account``, ``_guard_divergence``, ``_guard_events``
-#: and three ``_repeat_add`` in every round (24.46 / 25.46 before that,
-#: with the NumPy skip mask around the compiled sweep).
-ROUND_FRAMES = {"python": 17.48, "compiled": 10.48}
+#: CPython 3.11, by sweep path.  A complete round's arithmetic is one
+#: call, ``_round``; only the run's last round enters ``_stop_scan``, the
+#: byte counters' ``_repeat_add`` and ``_finish``, which counts its
+#: events with ``_round``'s rule in a few array expressions (17.48 /
+#: 10.48 while it compared nested dispatch-key tuples; 23.46 / 18.46
+#: while every round booked itself through Python helpers, 24.46 /
+#: 25.46 with the NumPy skip mask around the compiled sweep).
+ROUND_FRAMES = {"python": 17.38, "compiled": 10.38}
 
 
 @pytest.mark.parametrize("path", sorted(ROUND_FRAMES))
