@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Any
 
-from repro.analysis.perf import BenchReport, BenchResult, stable_digest
+from _gate import BenchReport, BenchResult, timed_runs
+from repro.analysis.perf import stable_digest
 from repro.exec import SweepEngine
 from repro.experiments import IntegrityResult, run_integrity
 from repro.workloads.scenarios import IntegrityScenario
@@ -72,22 +72,16 @@ def bench_sweep(
     report: BenchReport, scenario: IntegrityScenario, label: str, repeats: int
 ) -> dict[str, Any]:
     """Time ``repeats`` cold runs of the sweep; returns the summary."""
-    walls: list[float] = []
-    digests: list[str] = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = run_integrity(scenario, engine=SweepEngine())
-        walls.append(time.perf_counter() - t0)
-        digests.append(result.digest())
+    walls, results = timed_runs(
+        lambda: run_integrity(scenario, engine=SweepEngine()), repeats
+    )
+    digests = [r.digest() for r in results]
+    result = results[-1]
     report.add(
-        BenchResult(
-            name=f"integrity_sweep_{label}",
-            best=min(walls),
-            median=sorted(walls)[len(walls) // 2],
-            mean=sum(walls) / len(walls),
-            repeats=repeats,
-            meta={
+        BenchResult.of(
+            f"integrity_sweep_{label}",
+            walls,
+            {
                 "cells": len(result.rows),
                 "n_points": scenario.n_points,
                 "digest": digests[0],
@@ -169,22 +163,12 @@ def main(argv: list[str] | None = None) -> int:
     summary = bench_sweep(report, scenario, label, repeats=2)
     print(report.format_table())
     print(summary["result"].report())
-
-    if args.out:
-        report.save(args.out)
-        print(f"[report saved to {args.out}]")
-
-    if args.check:
-        problems = check(summary)
-        if problems:
-            for p in problems:
-                print(f"CHECK FAILED: {p}", file=sys.stderr)
-            return 1
-        print(
-            "[--check passed: reproducible digest, zero undetected wrong "
-            "answers, inert clean path, payload recall 1.0]"
-        )
-    return 0
+    return report.finish(
+        args.out,
+        check(summary) if args.check else None,
+        "reproducible digest, zero undetected wrong answers, inert clean "
+        "path, payload recall 1.0",
+    )
 
 
 if __name__ == "__main__":

@@ -11,22 +11,17 @@ to two engines:
 * ``lockstep`` — :func:`repro.models.run_sisc_batched`, the rank-batched
   round replay that dispatches no per-rank events at all.
 
-Until PR 12 the ``event`` rung ran twice, on a ``legacy`` flat heap and
-on a bucket-``indexed`` queue.  The committed PR-6 ``BENCH_scale.json``
-had ``indexed`` slower than ``legacy`` on five of the seven rows that
-ran both (6.80 vs 6.32 s, 1.28 vs 1.10 s, 5.17 vs 4.82 s, 0.354 vs
-0.320 s, 19.07 vs 19.06 s) and within 5 % on the other two, and
-``bench/README.md`` finding 1 has it 1.5-2x slower per queue operation
-at Figure 5's shape — so the indexed queue and its rung were deleted;
+The ``event`` rung once also ran on a bucket-``indexed`` queue, which
+was slower than the flat heap on five of seven rows and 1.5-2x slower
+per queue operation (``bench/README.md`` finding 1), so it was deleted:
 the 48-57x the ladder reports is, and always was, lockstep-vs-event.
 
 The problem axis covers the synthetic activity-concentration workload
 *and* the real Brusselator PDE (rank-batched Newton sweeps through
-:meth:`~repro.problems.brusselator.BrusselatorProblem.
-batched_chain_sweeper`, with the adaptive-skip machinery on), plus a
-10k-rank synthetic point that only the lockstep replay runs — an
-event-driven run at that width would take minutes for no extra
-information.
+:meth:`~repro.problems.base.Problem.batched_chain_sweeper`, with the
+adaptive-skip machinery on), plus a 10k-rank synthetic point that only
+the lockstep replay runs — an event-driven run at that width would
+take minutes for no extra information.
 
 Every engine must produce the *same answer*: each grid point asserts
 that :func:`repro.analysis.perf.run_fingerprint` of all the engines it
@@ -71,13 +66,12 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
-import time
 from dataclasses import replace
 from typing import Any
 
-from repro.analysis.perf import BenchReport, BenchResult, run_fingerprint
+from _gate import ROOT, BenchReport, BenchResult, timed_runs
+from repro.analysis.perf import run_fingerprint
 from repro.core.records import RunResult
 from repro.core.solver import build_chain, run_chain
 from repro.models import run_sisc_batched
@@ -187,37 +181,24 @@ def bench_point(
     stats: dict[str, dict[str, Any]] = {}
     fingerprints: dict[str, str] = {}
     for engine, fn in engines.items():
-        walls = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            result, events = fn(scenario, rounds)
-            walls.append(time.perf_counter() - t0)
+        walls, runs = timed_runs(lambda: fn(scenario, rounds), REPEATS)
+        for result, events in runs:
             fingerprint = run_fingerprint(result)
             if fingerprints.setdefault(engine, fingerprint) != fingerprint:
                 raise AssertionError(
                     f"{point}: {engine} is not deterministic — fingerprint "
                     f"{fingerprint} after {fingerprints[engine]}"
                 )
+        del runs, result  # live results slow the collector: drop them first
         wall = min(walls)
         stats[engine] = {
-            "wall_s": wall,
             "events": events,
             "events_per_sec": events / wall if wall > 0 else float("inf"),
             "peak_rss_bytes": peak_rss_bytes(),
         }
         report.add(
-            BenchResult(
-                name=f"scale_{point}_{engine}",
-                best=wall,
-                median=statistics.median(walls),
-                mean=statistics.fmean(walls),
-                repeats=REPEATS,
-                meta={
-                    **base_meta,
-                    "events": events,
-                    "events_per_sec": stats[engine]["events_per_sec"],
-                    "peak_rss_bytes": stats[engine]["peak_rss_bytes"],
-                },
+            BenchResult.of(
+                f"scale_{point}_{engine}", walls, {**base_meta, **stats[engine]}
             )
         )
 
@@ -310,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke grid")
     parser.add_argument(
-        "-o", "--out", default=None,
+        "-o", "--out", default=str(ROOT / "BENCH_scale.json"),
         help="JSON output path (default: BENCH_scale.json, repo root)",
     )
     parser.add_argument(
@@ -322,23 +303,11 @@ def main(argv: list[str] | None = None) -> int:
 
     report, summaries = build_report(args.quick)
     print(report.format_table())
-
-    out = args.out
-    if out is None:
-        from pathlib import Path
-
-        out = str(Path(__file__).resolve().parent.parent / "BENCH_scale.json")
-    report.save(out)
-    print(f"[report saved to {out}]")
-
-    if args.check:
-        problems = check(summaries)
-        if problems:
-            for p in problems:
-                print(f"CHECK FAILED: {p}", file=sys.stderr)
-            return 1
-        print("[--check passed: speedup and memory gates hold]")
-    return 0
+    return report.finish(
+        args.out,
+        check(summaries) if args.check else None,
+        "speedup and memory gates hold",
+    )
 
 
 if __name__ == "__main__":

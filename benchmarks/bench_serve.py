@@ -48,7 +48,7 @@ import threading
 import time
 from typing import Any
 
-from repro.analysis.perf import BenchReport, BenchResult
+from _gate import ROOT, BenchReport, BenchResult
 from repro.serve import (
     ServeClient,
     ServeConfig,
@@ -210,38 +210,18 @@ def build_report(
     }
 
     report = BenchReport("repro serve-daemon benchmarks")
+    for name, walls, extra in (
+        ("serve_submit_ack", acks, {"p95_s": 0.95, "p99_s": 0.99}),
+        ("serve_job_latency", lats, {"p50_s": 0.5, "p95_s": 0.95, "p99_s": 0.99}),
+        ("serve_warm_job", warm_lats, {"p95_s": 0.95}),
+    ):
+        nearest_rank = {k: percentile(walls, q) for k, q in extra.items()}
+        report.add(BenchResult.of(name, walls, {**meta, **nearest_rank}))
     report.add(
-        BenchResult(
-            name="serve_submit_ack",
-            best=min(acks), median=percentile(acks, 0.5),
-            mean=sum(acks) / len(acks), repeats=len(acks),
-            meta={**meta, "p95_s": percentile(acks, 0.95),
-                  "p99_s": percentile(acks, 0.99)},
-        )
-    )
-    report.add(
-        BenchResult(
-            name="serve_job_latency",
-            best=min(lats), median=percentile(lats, 0.5),
-            mean=sum(lats) / len(lats), repeats=len(lats),
-            meta={**meta, "p50_s": percentile(lats, 0.5),
-                  "p95_s": percentile(lats, 0.95),
-                  "p99_s": percentile(lats, 0.99)},
-        )
-    )
-    report.add(
-        BenchResult(
-            name="serve_warm_job",
-            best=min(warm_lats), median=percentile(warm_lats, 0.5),
-            mean=sum(warm_lats) / len(warm_lats), repeats=len(warm_lats),
-            meta={**meta, "p95_s": percentile(warm_lats, 0.95)},
-        )
-    )
-    report.add(
-        BenchResult(
-            name="serve_restart",
-            best=restart_s, median=restart_s, mean=restart_s, repeats=1,
-            meta={"cores": cores, "recovered_wal_records": audit.n_records},
+        BenchResult.of(
+            "serve_restart",
+            [restart_s],
+            {"cores": cores, "recovered_wal_records": audit.n_records},
         )
     )
 
@@ -287,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         help="concurrent submitting clients (default 8)",
     )
     parser.add_argument(
-        "-o", "--out", default=None,
+        "-o", "--out", default=str(ROOT / "BENCH_serve.json"),
         help="JSON output path (default: BENCH_serve.json, repo root)",
     )
     parser.add_argument(
@@ -313,26 +293,14 @@ def main(argv: list[str] | None = None) -> int:
         f"{'ok' if not summary['digest_mismatches'] else 'MISMATCHED'}, "
         f"audit {'ok' if summary['audit_replay_ok'] else 'MISMATCHED'}"
     )
-
-    out = args.out
-    if out is None:
-        from pathlib import Path
-
-        out = str(Path(__file__).resolve().parent.parent / "BENCH_serve.json")
-    report.save(out)
-    print(f"[report saved to {out}]")
-
-    problems = check(summary)
-    if args.check:
-        if problems:
-            for p in problems:
-                print(f"CHECK FAILED: {p}", file=sys.stderr)
-            return 1
-        print("[--check passed: digest, audit and cache gates hold]")
-    elif summary["digest_mismatches"] or not summary["audit_replay_ok"]:
-        # Correctness failures are fatal even without --check.
-        return 1
-    return 0
+    code = report.finish(
+        args.out,
+        check(summary) if args.check else None,
+        "digest, audit and cache gates hold",
+    )
+    if summary["digest_mismatches"] or not summary["audit_replay_ok"]:
+        return 1  # correctness failures are fatal even without --check
+    return code
 
 
 if __name__ == "__main__":

@@ -37,10 +37,9 @@ import os
 import shutil
 import sys
 import tempfile
-import time
 from typing import Any, Callable
 
-from repro.analysis.perf import BenchReport, BenchResult
+from _gate import ROOT, BenchReport, BenchResult, timed_runs
 from repro.exec import RunCache, SweepEngine
 
 
@@ -89,15 +88,6 @@ def soak_workload(quick: bool, out_dir: str) -> Callable[[SweepEngine], str]:
     return run
 
 
-# ----------------------------------------------------------------------
-# Timing
-# ----------------------------------------------------------------------
-def _timed(fn: Callable[[SweepEngine], str], engine: SweepEngine) -> tuple[float, str]:
-    t0 = time.perf_counter()
-    report = fn(engine)
-    return time.perf_counter() - t0, report
-
-
 def bench_sweep(
     report: BenchReport,
     name: str,
@@ -108,63 +98,38 @@ def bench_sweep(
 ) -> dict[str, Any]:
     """Four configurations of one sweep; asserts byte-identical reports."""
     cores = len(os.sched_getaffinity(0))
-    base_meta = {"cores": cores, "jobs": jobs}
-
-    serial_s, serial_text = _timed(fn, SweepEngine(jobs=1))
-    report.add(
-        BenchResult(
-            name=f"{name}_serial", best=serial_s, median=serial_s,
-            mean=serial_s, repeats=1, meta=dict(base_meta),
-        )
-    )
-
-    par_s, par_text = _timed(fn, SweepEngine(jobs=jobs))
-    report.add(
-        BenchResult(
-            name=f"{name}_jobs{jobs}", best=par_s, median=par_s,
-            mean=par_s, repeats=1,
-            meta={**base_meta, "speedup_vs_serial": serial_s / par_s},
-        )
-    )
-
     cache_dir = os.path.join(scratch, f"{name}-cache")
-    cold_s, cold_text = _timed(fn, SweepEngine(jobs=jobs, cache=RunCache(cache_dir)))
-    report.add(
-        BenchResult(
-            name=f"{name}_cache_cold", best=cold_s, median=cold_s,
-            mean=cold_s, repeats=1,
-            meta={**base_meta, "speedup_vs_serial": serial_s / cold_s},
-        )
-    )
+    configs = {
+        "serial": lambda: SweepEngine(jobs=1),
+        f"jobs{jobs}": lambda: SweepEngine(jobs=jobs),
+        "cache_cold": lambda: SweepEngine(jobs=jobs, cache=RunCache(cache_dir)),
+        "cache_hit": lambda: SweepEngine(jobs=1, cache=RunCache(cache_dir)),
+    }
+    walls: dict[str, float] = {}
+    texts: dict[str, str] = {}
+    for label, make_engine in configs.items():
+        engine = make_engine()
+        (walls[label],), (texts[label],) = timed_runs(lambda: fn(engine))
+        meta: dict[str, Any] = {"cores": cores, "jobs": jobs}
+        if label != "serial":
+            meta["speedup_vs_serial"] = walls["serial"] / walls[label]
+        if label == "cache_hit":
+            meta["fraction_of_cold"] = walls[label] / walls["cache_cold"]
+            meta["cache_hits"] = engine.stats.hits
+            meta["cache_misses"] = engine.stats.misses
+        report.add(BenchResult.of(f"{name}_{label}", [walls[label]], meta))
 
-    hit_engine = SweepEngine(jobs=1, cache=RunCache(cache_dir))
-    hit_s, hit_text = _timed(fn, hit_engine)
-    report.add(
-        BenchResult(
-            name=f"{name}_cache_hit", best=hit_s, median=hit_s,
-            mean=hit_s, repeats=1,
-            meta={
-                **base_meta,
-                "speedup_vs_serial": serial_s / hit_s,
-                "fraction_of_cold": hit_s / cold_s,
-                "cache_hits": hit_engine.stats.hits,
-                "cache_misses": hit_engine.stats.misses,
-            },
-        )
-    )
-
-    for label, text in (("jobs", par_text), ("cold", cold_text), ("hit", hit_text)):
-        assert text == serial_text, (
+    for label, text in texts.items():
+        assert text == texts["serial"], (
             f"{name}: {label} report differs from serial — determinism broken"
         )
     return {
-        "serial_s": serial_s,
-        "parallel_s": par_s,
-        "cold_s": cold_s,
-        "hit_s": hit_s,
-        "speedup": serial_s / par_s,
-        "hit_fraction": hit_s / cold_s,
-        "misses_on_hit_run": hit_engine.stats.misses,
+        "serial_s": walls["serial"],
+        "parallel_s": walls[f"jobs{jobs}"],
+        "hit_s": walls["cache_hit"],
+        "speedup": walls["serial"] / walls[f"jobs{jobs}"],
+        "hit_fraction": walls["cache_hit"] / walls["cache_cold"],
+        "misses_on_hit_run": engine.stats.misses,  # the cache_hit engine
     }
 
 
@@ -224,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs", type=int, default=4, help="worker pool size (default 4)"
     )
     parser.add_argument(
-        "-o", "--out", default=None,
+        "-o", "--out", default=str(ROOT / "BENCH_sweeps.json"),
         help="JSON output path (default: BENCH_sweeps.json, repo root)",
     )
     parser.add_argument(
@@ -239,23 +204,11 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(report.format_table())
-
-    out = args.out
-    if out is None:
-        from pathlib import Path
-
-        out = str(Path(__file__).resolve().parent.parent / "BENCH_sweeps.json")
-    report.save(out)
-    print(f"[report saved to {out}]")
-
-    if args.check:
-        problems = check(summaries, args.jobs)
-        if problems:
-            for p in problems:
-                print(f"CHECK FAILED: {p}", file=sys.stderr)
-            return 1
-        print("[--check passed: speedup and cache gates hold]")
-    return 0
+    return report.finish(
+        args.out,
+        check(summaries, args.jobs) if args.check else None,
+        "speedup and cache gates hold",
+    )
 
 
 if __name__ == "__main__":

@@ -28,18 +28,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from pathlib import Path
 from typing import Any
 
-from repro.analysis.perf import BenchReport, BenchResult
+from _gate import ROOT, BenchReport, BenchResult, timed_runs
 from repro.balancing.zoo import ZooParams, make_zoo_schedule, run_zoo
 from repro.exec import SweepEngine
 from repro.experiments import TopologyZooScenario, run_topology_zoo
 from repro.topology.graphs import build_topology, spec_for_family
 
 #: The committed report: default ``-o``, and the digest ``--check`` pins.
-COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_topology.json"
+COMMITTED = ROOT / "BENCH_topology.json"
 
 #: Per-cell microbenchmark points: (family, algorithm, schedule).
 CELLS: tuple[tuple[str, str, str], ...] = (
@@ -72,23 +70,17 @@ def bench_sweep(
     Every repeat runs with the cache off (a warm rerun would time the
     cache, not the zoo) and must produce the same digest.
     """
-    walls: list[float] = []
-    digests: list[str] = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = run_topology_zoo(scenario, engine=SweepEngine())
-        walls.append(time.perf_counter() - t0)
-        digests.append(result.digest())
+    walls, results = timed_runs(
+        lambda: run_topology_zoo(scenario, engine=SweepEngine()), repeats
+    )
+    digests = [r.digest() for r in results]
+    result = results[-1]
     n_cells = len(result.rows)
     report.add(
-        BenchResult(
-            name="zoo_sweep_full",
-            best=min(walls),
-            median=sorted(walls)[len(walls) // 2],
-            mean=sum(walls) / len(walls),
-            repeats=repeats,
-            meta={
+        BenchResult.of(
+            "zoo_sweep_full",
+            walls,
+            {
                 "cells": n_cells,
                 "n_nodes": scenario.n_nodes,
                 "rounds": scenario.rounds,
@@ -113,28 +105,21 @@ def bench_cells(report: BenchReport, scenario: TopologyZooScenario) -> None:
         schedule = make_zoo_schedule(
             schedule_name, topology, params.rounds, seed=scenario.seed
         )
-        walls = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            run_zoo(
+        walls, _ = timed_runs(
+            lambda: run_zoo(
                 topology,
                 algorithm,
                 params=params,
                 schedule=schedule,
                 seed=scenario.seed,
-            )
-            walls.append(time.perf_counter() - t0)
+            ),
+            3,
+        )
         report.add(
-            BenchResult(
-                name=f"zoo_cell_{family}_{algorithm}_{schedule_name}",
-                best=min(walls),
-                median=sorted(walls)[1],
-                mean=sum(walls) / len(walls),
-                repeats=3,
-                meta={
-                    "n_nodes": scenario.n_nodes,
-                    "rounds": params.rounds,
-                },
+            BenchResult.of(
+                f"zoo_cell_{family}_{algorithm}_{schedule_name}",
+                walls,
+                {"n_nodes": scenario.n_nodes, "rounds": params.rounds},
             )
         )
 
@@ -180,7 +165,7 @@ def check(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "-o", "--out", default=None,
+        "-o", "--out", default=str(COMMITTED),
         help="JSON output path (default: BENCH_topology.json, repo root)",
     )
     parser.add_argument(
@@ -202,22 +187,12 @@ def main(argv: list[str] | None = None) -> int:
     bench_cells(report, scenario)
     print(report.format_table())
     print(summary["result"].report())
-
-    out = args.out if args.out is not None else str(COMMITTED)
-    report.save(out)
-    print(f"[report saved to {out}]")
-
-    if args.check:
-        problems = check(summary, scenario, pinned)
-        if problems:
-            for p in problems:
-                print(f"CHECK FAILED: {p}", file=sys.stderr)
-            return 1
-        print(
-            "[--check passed: reproducible digest equal to the committed "
-            "one, diffusion-family algorithms balanced, winners table full]"
-        )
-    return 0
+    return report.finish(
+        args.out,
+        check(summary, scenario, pinned) if args.check else None,
+        "reproducible digest equal to the committed one, diffusion-family "
+        "algorithms balanced, winners table full",
+    )
 
 
 if __name__ == "__main__":

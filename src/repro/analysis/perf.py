@@ -1,30 +1,18 @@
-"""Digests of run results and the JSON reports the gate scripts write.
+"""Digests of run results, and the JSON reports the experiments write.
 
 * :func:`canonical_json`, :func:`stable_digest`, :func:`run_fingerprint`
   — byte-stable digests of virtual-time results, the basis of every
   determinism check;
-* :func:`save_report` — a diff-friendly JSON report;
-* :class:`BenchResult`, :class:`BenchReport` — the timing rows the
-  ``benchmarks/bench_*.py`` gate scripts collect, print and save beside
-  their committed ``BENCH_*.json``.  Per-layer timing of the product
-  is ``bench/run.py``'s job.
+* :func:`save_report` — a diff-friendly JSON report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import platform
-from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = [
-    "BenchResult",
-    "BenchReport",
-    "stable_digest",
-    "run_fingerprint",
-    "save_report",
-]
+__all__ = ["canonical_json", "stable_digest", "run_fingerprint", "save_report"]
 
 
 def canonical_json(data: Any) -> str:
@@ -94,60 +82,3 @@ def save_report(path: str, data: dict[str, Any]) -> None:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-@dataclass(slots=True)
-class BenchResult:
-    """Statistics of one benchmarked callable (seconds)."""
-
-    name: str
-    best: float
-    median: float
-    mean: float
-    repeats: int
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "best_s": self.best,
-            "median_s": self.median,
-            "mean_s": self.mean,
-            "repeats": self.repeats,
-            **({"meta": self.meta} if self.meta else {}),
-        }
-
-
-class BenchReport:
-    """Accumulates :class:`BenchResult` rows and serialises the report."""
-
-    def __init__(self, title: str) -> None:
-        self.title = title
-        self.results: list[BenchResult] = []
-
-    def add(self, result: BenchResult) -> BenchResult:
-        self.results.append(result)
-        return result
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "title": self.title,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "results": [r.to_dict() for r in self.results],
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    def format_table(self) -> str:
-        """Plain-text rendering for terminal output."""
-        lines = [self.title, "-" * len(self.title)]
-        width = max((len(r.name) for r in self.results), default=4)
-        for r in self.results:
-            lines.append(
-                f"{r.name:<{width}}  best {1e3 * r.best:9.3f} ms  "
-                f"median {1e3 * r.median:9.3f} ms"
-            )
-        return "\n".join(lines)

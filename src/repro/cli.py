@@ -441,22 +441,13 @@ def _audit_replay(args: argparse.Namespace) -> str:
 
 
 def _list(args: argparse.Namespace) -> str:
-    return "\n".join(
-        [f"{name:<12} {verb.help}" for name, verb in SWEEP_VERBS.items()]
-        + [
-            "figures-1-4  SISC/SIAC/AIAC execution flows (paper Figures 1-4)",
-            "models       cluster vs grid model comparison (paper §6)",
-            "soak         chaos soak: random fault schedules under repro.guard",
-            f"ablations    design-knob sweeps: {', '.join(sorted(_ABLATIONS))}",
-            "metrics      experiment run with a metrics sidecar and a Perfetto trace",
-            "serve        persistent job-queue daemon over the sweep engine",
-            "submit       enqueue a job on a running serve daemon",
-            "jobs         list a serve daemon's jobs",
-            "result       fetch (or --follow) one job's state and result",
-            "health       /healthz-style daemon status; non-zero exit if unhealthy",
-            "audit-replay   offline byte-verification of a served audit window",
-        ]
+    """Every subcommand with its ``--help`` line, read off the parser."""
+    (verbs,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
     )
+    return "\n".join(f"{a.dest:<12} {a.help}" for a in verbs._choices_actions)
 
 
 def _add_engine_flags(cmd: argparse.ArgumentParser) -> None:
@@ -519,12 +510,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero on any undetected wrong answer in the detect "
         "arm, or if zero-corruption rows differ between arms",
     )
-    for name, fn in [
-        ("figures-1-4", _figures_1_4),
-        ("models", _models),
-        ("list", _list),
+    for name, fn, text in [
+        (
+            "figures-1-4",
+            _figures_1_4,
+            "SISC/SIAC/AIAC execution flows (paper Figures 1-4)",
+        ),
+        (
+            "models",
+            _models,
+            "cluster vs grid model comparison (paper §6); runs in process, "
+            "uncached",
+        ),
+        ("list", _list, "every subcommand with this one-line help"),
     ]:
-        sub.add_parser(name).set_defaults(handler=fn)
+        sub.add_parser(name, help=text).set_defaults(handler=fn)
 
     obs_cmd = sub.add_parser(
         "metrics", help="run an experiment and emit its metrics sidecar (+ trace)"
@@ -587,7 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flags(soak_cmd)
 
-    ablation_cmd = sub.add_parser("ablations")
+    ablation_cmd = sub.add_parser(
+        "ablations",
+        help=f"design-knob sweeps: {', '.join(sorted(_ABLATIONS))}",
+    )
     ablation_cmd.set_defaults(handler=_ablations)
     ablation_cmd.add_argument(
         "--only",

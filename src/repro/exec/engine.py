@@ -198,6 +198,13 @@ def _invoke(item: tuple[Callable[..., Any], tuple, dict]) -> tuple[str, float, A
     return f"worker-{os.getpid()}", time.perf_counter() - t0, payload
 
 
+_METHODS = multiprocessing.get_all_start_methods()
+#: The pool's ``multiprocessing`` start method: ``fork`` (instant workers
+#: sharing the parent's imports) where the platform has it, else the
+#: platform's first.
+START_METHOD = "fork" if "fork" in _METHODS else _METHODS[0]
+
+
 class SweepEngine:
     """Fans independent tasks over a process pool; merges deterministically.
 
@@ -220,10 +227,6 @@ class SweepEngine:
         Optional :class:`~repro.exec.cache.RunCache`.  Tasks with a
         ``key`` are looked up before any work is scheduled and stored
         after computing.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (instant workers sharing the parent's imports) and falls back
-        to the platform default elsewhere.
     min_pool_tasks:
         Smallest pending-task count routed through the pool.  The
         default (2) keeps single-task sweeps in process; the serve
@@ -236,7 +239,6 @@ class SweepEngine:
         *,
         jobs: int = 1,
         cache: RunCache | None = None,
-        start_method: str | None = None,
         min_pool_tasks: int = 2,
     ) -> None:
         if jobs < 1:
@@ -247,10 +249,6 @@ class SweepEngine:
             )
         self.jobs = jobs
         self.cache = cache
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
         self.min_pool_tasks = min_pool_tasks
         self.stats = EngineStats(jobs=jobs)
         self._pool: multiprocessing.pool.Pool | None = None
@@ -270,7 +268,7 @@ class SweepEngine:
             if self._pool is not None:
                 self.stats.pool_reuse += 1
                 return self._pool
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context(START_METHOD)
             self._pool = context.Pool(processes=self.jobs)
             self.stats.pool_starts += 1
             return self._pool

@@ -15,11 +15,11 @@ the sweeps do; its NumPy body is the reference and the fallback.
 
 Equivalence is enforced, not assumed:
 
-* the problem must opt in through :meth:`~repro.problems.base.Problem.
-  batched_chain_sweeper`, whose :class:`~repro.problems.base.
-  ChainSweeper` runs the problem's own ``iterate`` over the whole chain
-  ``[0, N)``: bit-identical to the per-rank calls when ``iterate`` is
-  Jacobi in space (differential tests pin fingerprints);
+* every problem's :meth:`~repro.problems.base.Problem.
+  batched_chain_sweeper` is a :class:`~repro.problems.base.
+  ChainSweeper` that runs the problem's own ``iterate`` over the whole
+  chain ``[0, N)``: bit-identical to the per-rank calls because
+  ``iterate`` is Jacobi in space (differential tests pin fingerprints);
 * event ordering — including ``(time, seq)`` ties — is replayed from
   the round's push tree (mids pushed at the round's start, each end by
   its mid, each delivery by its sender's end, each wait-resume by its
@@ -28,15 +28,14 @@ Equivalence is enforced, not assumed:
   ranks and the dispatched-event count match the reference exactly —
   for a complete round and for the one a stop or the horizon cuts;
 * anything the replay cannot express (token-ring detection, the guard's
-  stall watchdog or a divergence rollback, problems without a batched
-  sweeper) falls back to the reference implementation — *observably*:
+  stall watchdog or a divergence rollback) falls back to the reference
+  implementation — *observably*:
   the reason is logged and exported as the ``lockstep.fallback_reason``
   metric (see :func:`run_sisc_batched`).
 
-All three bundled problems batch: the synthetic contraction, the
-Brusselator (its adaptive skip included) and the linear heat relaxation
-each return a :class:`~repro.problems.base.ChainSweeper`, whose per-rank
-reductions are :class:`repro.numerics.ragged.ChainSegments`'.
+Every problem batches, the Brusselator's adaptive skip included: the
+:class:`~repro.problems.base.ChainSweeper`'s per-rank reductions are
+:class:`repro.numerics.ragged.ChainSegments`'.
 
 The engine is memory-lean by construction: no per-rank GridNode /
 Process / generator objects — per-rank state is a handful of numpy
@@ -154,7 +153,7 @@ def run_sisc_batched(
 
     Falls back to the reference event-driven implementation whenever
     the replay's preconditions do not hold (non-oracle detection, the
-    guard's stall watchdog, no batched sweeper) or the guard's
+    guard's stall watchdog) or the guard's
     divergence watchdog would have rolled a rank back (the replay has
     no rollback).  Every fallback is observable: the reason is logged
     on the ``repro.models.lockstep`` logger and counted on ``metrics``
@@ -182,9 +181,8 @@ def run_sisc_batched(
         # The stall watchdog schedules its own periodic DES events;
         # the replay cannot express them.
         reason = "guard:stall_horizon"
-    elif (sweeper := problem.batched_chain_sweeper(blocks)) is None:
-        reason = "no_batched_sweeper"
     if reason is None:
+        sweeper = problem.batched_chain_sweeper(blocks)
         result = _LockstepEngine(
             problem, platform, config, host_order, partition, blocks, sweeper, guard
         ).run()

@@ -170,20 +170,16 @@ class Problem(ABC):
         """
         return state.traj
 
-    def batched_chain_sweeper(
-        self, blocks: list[tuple[int, int]]
-    ) -> "ChainSweeper | None":
-        """The lockstep replay's sweeper over static ``blocks``, or None.
+    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> "ChainSweeper":
+        """The lockstep replay's sweeper over static ``blocks``.
 
-        A problem returns ``ChainSweeper(self, blocks)`` when its
-        :meth:`iterate` is Jacobi in space: it reads the neighbours only
-        through the halos and sweeps every component on its own, so one
-        sweep of the whole chain between the domain-edge halos is every
-        block's sweep against its neighbours' previous-iteration
-        boundaries, bit for bit.  The default (None) routes synchronous
-        large-N runs down the ordinary per-rank path.
+        Every problem's :meth:`iterate` is Jacobi in space: it reads the
+        neighbours only through the halos and sweeps every component on
+        its own, so one sweep of the whole chain between the domain-edge
+        halos is every block's sweep against its neighbours'
+        previous-iteration boundaries, bit for bit.
         """
-        return None
+        return ChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
     # Halos

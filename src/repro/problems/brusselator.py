@@ -54,7 +54,6 @@ from repro.numerics.newton import NewtonOptions
 from repro.problems import _compiled
 from repro.problems.base import (
     BlockState,
-    ChainSweeper,
     IterationResult,
     Problem,
     padded,
@@ -485,12 +484,6 @@ class BrusselatorProblem(Problem):
     def merge(self, state: BrusselatorState, payload: np.ndarray, side: str) -> None:
         super().merge(state, payload, side)
         _invalidate_skip_state(state)
-
-    # ------------------------------------------------------------------
-    # Rank-batched sweeps (lockstep SISC engine)
-    # ------------------------------------------------------------------
-    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> ChainSweeper:
-        return ChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
     def reference_solution(self) -> np.ndarray:

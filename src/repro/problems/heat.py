@@ -20,7 +20,6 @@ import numpy as np
 from repro.problems import _compiled
 from repro.problems.base import (
     BlockState,
-    ChainSweeper,
     IterationResult,
     Problem,
     padded,
@@ -124,12 +123,6 @@ class HeatProblem(Problem):
             return np.zeros((1, self.n_steps + 1))  # Dirichlet boundary
         x = (global_index + 1) / (self.n_components + 1)
         return np.full((1, self.n_steps + 1), np.sin(np.pi * x))
-
-    # ------------------------------------------------------------------
-    # Rank-batched sweeps (lockstep SISC engine)
-    # ------------------------------------------------------------------
-    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> ChainSweeper:
-        return ChainSweeper(self, blocks)
 
     # ------------------------------------------------------------------
     def reference_solution(self) -> np.ndarray:

@@ -30,7 +30,6 @@ import numpy as np
 from repro.problems import _compiled
 from repro.problems.base import (
     BlockState,
-    ChainSweeper,
     IterationResult,
     Problem,
     padded,
@@ -167,9 +166,3 @@ class SyntheticProblem(Problem):
         if global_index < 0 or global_index >= self.n_components:
             return np.zeros(1)  # domain edges are exact (converged)
         return np.full(1, self.init_error)
-
-    # ------------------------------------------------------------------
-    # Rank-batched sweeps (lockstep SISC engine)
-    # ------------------------------------------------------------------
-    def batched_chain_sweeper(self, blocks: list[tuple[int, int]]) -> ChainSweeper:
-        return ChainSweeper(self, blocks)

@@ -472,25 +472,43 @@ SWEEP_DIGESTS = {
     288: "5239dc5b02a427753bb32cc02c6dbfe475d8997a35973578f2d5254c321e7224",
 }
 
+#: The same recipe at Newton damping 0.5, where all three formulations
+#: gave these bytes.  The two scalar ones take seconds a sweep there, so
+#: at 288 components they are held through this pin: the batched
+#: formulation is their stand-in.
+DAMPED_DIGESTS = {
+    96: "fc9f6fa5bc020dd31a0b1c89afe38218795d264c421cb9344d34b09a9241a016",
+    288: "cfd86c36196843ecdc6d6e4252e8b91ada5b48be115f05b1f2aaae90a7b42796",
+}
+
+
+def sweep_digest(arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
 
 @pytest.mark.parametrize("n", sorted(SWEEP_DIGESTS))
 def test_large_batch_sweep_digest(monkeypatch, n):
     ext, skip = seeded_buffer(n)
     for route in ROUTES:
         force_sweep_path(monkeypatch, route)
-        digest = hashlib.sha256()
-        for array in sweep_block(lockstep_problem(n), ext, skip)[:3]:
-            digest.update(array.tobytes())
-        assert digest.hexdigest() == SWEEP_DIGESTS[n], route
+        got = sweep_block(lockstep_problem(n), ext, skip)[:3]
+        assert sweep_digest(got) == SWEEP_DIGESTS[n], route
 
 
 @pytest.mark.parametrize("damping", [1.0, 0.5])
 @pytest.mark.parametrize("formulation", FORMULATIONS)
 def test_large_batches_on_each_route(monkeypatch, formulation, damping):
-    for n in sorted(SWEEP_DIGESTS):
+    pins = SWEEP_DIGESTS if damping == 1.0 else DAMPED_DIGESTS
+    for n in sorted(pins):
         problem = lockstep_problem(n)
         problem.newton = dataclasses.replace(problem.newton, damping=damping)
-        want = reference_sweep(problem, *seeded_buffer(n), formulation)
+        held = damping == 1.0 or n == 96
+        used = formulation if held else "numpy stage 1 + batched loop"
+        want = reference_sweep(problem, *seeded_buffer(n), used)
+        assert sweep_digest(want) == pins[n], used
         for route in ROUTES:
             force_sweep_path(monkeypatch, route)
             assert_sweep_equals_reference(

@@ -13,6 +13,23 @@ def test_list_command(capsys):
     assert "ablations" in out
 
 
+def test_list_prints_every_subcommand_with_its_help_line(capsys):
+    import argparse
+
+    parser = build_parser()
+    (verbs,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(verbs.choices)
+    usage = " ".join(parser.format_help().split())
+    for name, line in zip(verbs.choices, lines):
+        text = line[len(name):].strip()
+        assert text, name
+        assert f"{name} {text}" in usage, name
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["warp-drive"])

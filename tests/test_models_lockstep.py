@@ -576,13 +576,6 @@ def test_lockstep_fallback_is_observable(caplog):
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
-class UnbatchedHeat(HeatProblem):
-    """A problem the replay cannot batch: no chain sweeper."""
-
-    def batched_chain_sweeper(self, blocks):
-        return None
-
-
 #: reason -> (problem, platform, config, guard config or None), one run
 #: that forces each fallback of ``run_sisc_batched``.  ``empty_block`` has
 #: no row: the replay partitions with a fresh ``PartitionRegistry``, which
@@ -599,12 +592,6 @@ FALLBACKS = {
         hetero_platform(),
         SolverConfig(tolerance=1e-8),
         GuardConfig(stall_horizon=50.0),
-    ),
-    "no_batched_sweeper": (
-        UnbatchedHeat(32, n_steps=10),
-        hetero_platform(),
-        SolverConfig(tolerance=1e-7),
-        None,
     ),
     # With the watchdog's factor and patience patched to 1 (below), any
     # residual above the best so far trips it on its first offence; the

@@ -226,11 +226,11 @@ def test_src_ships_only_what_an_entry_point_reaches():
 
 
 def test_a_def_only_a_dropped_entry_point_calls_is_reported():
-    # The analysis is not vacuous: ``analysis.perf.BenchReport`` runs
+    # The analysis is not vacuous: ``runtime.memory.peak_rss_bytes`` runs
     # only under ``benchmarks/``, so without those scripts it is unreached.
-    assert "repro.analysis.perf:BenchReport" not in unreached()
+    assert "repro.runtime.memory:peak_rss_bytes" not in unreached()
     without = unreached(tuple(p for p in ENTRY_SCRIPTS if p != "benchmarks/*.py"))
-    assert "repro.analysis.perf:BenchReport" in without
+    assert "repro.runtime.memory:peak_rss_bytes" in without
 
 
 def test_ci_scripts_come_from_the_parsed_workflow(tmp_path):
