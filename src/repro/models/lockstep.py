@@ -7,11 +7,10 @@ path, but replaces the per-rank DES processes with one vectorised
 rank starts iteration ``k`` at the same barrier-open time ``T_k`` and
 the whole round — sweep timings, halo arrivals, barrier release, idle
 spans, convergence votes — is a closed-form function of the per-rank
-sweep durations.  One call per round, :func:`_round`, whatever the rank
-count, replaces thousands of event dispatches, which is what lets the
-simulator reach 10k ranks (see ``benchmarks/bench_scale.py``).  It runs
-compiled (``lockstep_round`` in ``repro/problems/_sweeps.c``) wherever
-the sweeps do; its NumPy body is the reference and the fallback.
+sweep durations.  One compiled call per round, ``lockstep_round`` in
+``repro/problems/_sweeps.c``, whatever the rank count, replaces
+thousands of event dispatches, which is what lets the simulator reach
+10k ranks (see ``benchmarks/bench_scale.py``).
 
 Equivalence is enforced, not assumed:
 
@@ -28,8 +27,8 @@ Equivalence is enforced, not assumed:
   ranks and the dispatched-event count match the reference exactly —
   for a complete round and for the one a stop or the horizon cuts;
 * anything the replay cannot express (token-ring detection, the guard's
-  stall watchdog or a divergence rollback) falls back to the reference
-  implementation — *observably*:
+  stall watchdog, a divergence rollback) or run (no compiled round)
+  falls back to the reference implementation — *observably*:
   the reason is logged and exported as the ``lockstep.fallback_reason``
   metric (see :func:`run_sisc_batched`).
 
@@ -153,7 +152,7 @@ def run_sisc_batched(
 
     Falls back to the reference event-driven implementation whenever
     the replay's preconditions do not hold (non-oracle detection, the
-    guard's stall watchdog) or the guard's
+    guard's stall watchdog, no compiled round) or the guard's
     divergence watchdog would have rolled a rank back (the replay has
     no rollback).  Every fallback is observable: the reason is logged
     on the ``repro.models.lockstep`` logger and counted on ``metrics``
@@ -174,6 +173,8 @@ def run_sisc_batched(
         )
     partition = PartitionRegistry(problem.n_components, n_ranks)
     blocks = [partition.block(rank) for rank in range(n_ranks)]
+    from repro.problems import _compiled
+
     reason = None
     if config.detection != "oracle":
         reason = f"detection:{config.detection}"
@@ -181,11 +182,13 @@ def run_sisc_batched(
         # The stall watchdog schedules its own periodic DES events;
         # the replay cannot express them.
         reason = "guard:stall_horizon"
+    elif _compiled.lockstep_round is None:  # no cc, or a failed probe
+        reason = "no_compiled_round"
     if reason is None:
         sweeper = problem.batched_chain_sweeper(blocks)
         result = _LockstepEngine(
             problem, platform, config, host_order, partition, blocks, sweeper, guard
-        ).run()
+        ).run(_compiled.lockstep_round)
         if result is not None:
             return result
         # Divergence rollback would have fired: replay cannot express it.
@@ -196,10 +199,9 @@ def run_sisc_batched(
 
 
 #: Rows of the engine's ``(8, n)`` state and of the round's ``(6, n)``
-#: output (see :func:`_round`).
+#: output (see ``lockstep_round`` in ``repro/problems/_sweeps.c``).
 POS0, STREAK, BUSY, IDLE, ITERS, RESIDUAL, LAST = 0, 1, 2, 3, 4, 5, 6
 T_MID, T_SE, ARR, ORDER_END, ORDER_ARR = 0, 1, 2, 4, 5
-_ROUND_BUFFERS = ("state", "platform", "work", "residual", "out")
 
 
 def _ends(T, work, rates, min_sweep, split):
@@ -232,130 +234,6 @@ def _stop_scan(k, streak, residual, order_end, tol, persistence, max_iterations)
     abort_pos = 0 if (k + 1) >= max_iterations else None
     stop_pos = trigger_pos if abort_pos is None else abort_pos
     return stop_pos, trigger_pos, abort_pos, streak_new
-
-
-def _round(kernel, state, platform, work, residual, out, T, k, *run):
-    """One round of ``n = len(work)`` ranks opening at ``T`` after ``k``
-    rounds: ``(T_next, events)``, the round booked in ``state``, or None,
-    ``state`` untouched, when the run ends inside it (a stop, or a
-    barrier past the horizon).  ``kernel``: the compiled module, or None
-    for this NumPy body, its reference.
-
-    Rows (C-contiguous float64, else this raises before a write):
-    ``state`` ``POS0`` (round-start scheduling order), ``STREAK``,
-    ``BUSY``, ``IDLE``, ``ITERS``, ``RESIDUAL`` and from ``LAST`` the
-    FIFO clamps r -> r-1, r -> r+1; ``platform`` the rates and the raw
-    transfer times of those sends (-inf where no channel); ``out`` gets
-    ``T_MID``, ``T_SE``, from ``ARR`` the clamped arrivals, ``ORDER_END``
-    and, booked, ``ORDER_ARR``.  ``run``: ``(split, eps, min_sweep, tol,
-    persistence, max_iterations, horizon)``, the horizon NaN for none.
-    """
-    if kernel is not None:
-        return kernel.lockstep_round(state, platform, work, residual, out, T, k, *run)
-    split, eps, min_sweep, tol, persistence, max_iterations, horizon = run
-    arrays = (state, platform, work, residual, out)
-    sizes = []
-    for name, array, writable in zip(_ROUND_BUFFERS, arrays, (1, 0, 0, 0, 1)):
-        view = memoryview(array)
-        if not view.c_contiguous or (writable and view.readonly):
-            raise ValueError(f"{name} must be a C-contiguous buffer")
-        if view.format != "d":
-            raise TypeError(f"{name} must be float64, got format {view.format!r}")
-        sizes.append(view.nbytes // 8)
-    n = sizes[2]
-    if n < 1 or sizes != [8 * n, 3 * n, n, n, 6 * n]:
-        raise ValueError("lockstep_round(): buffer lengths do not match the rank count")
-    state, platform, work, residual, out = map(np.asarray, arrays)
-    state, platform = state.reshape(8, n), platform.reshape(3, n)
-    out = out.reshape(6, n)
-    work, residual = work.reshape(n), residual.reshape(n)
-    pos0, streak = state[POS0], state[STREAK]
-    t_mid, t_se, arr = out[T_MID], out[T_SE], out[ARR:ORDER_END]
-    t_mid[:], t_se[:] = _ends(T, work, platform[0], min_sweep, split)
-    # The reference scheduler dispatches by (time, push sequence), and a
-    # round's push tree is fixed: the mids are pushed as the round opens,
-    # in pos0 order; each end by its own mid; each delivery by its
-    # sender's end (the left send first); each wait-resume by the
-    # delivery that triggered it.  So two events at one instant dispatch
-    # in their parents' dispatch order, and a mid precedes anything
-    # pushed inside the round.  Mids: (t_mid, pos0); ends: (t_se, their
-    # mid's position).
-    ranks = np.arange(n)
-    pos = np.empty(n)
-    pos[np.lexsort((pos0, t_mid))] = ranks
-    order_end = np.lexsort((pos, t_se))
-    out[ORDER_END] = order_end
-    # Raw arrival times of this round's 2(n-1) halo sends, FIFO-clamped
-    # against the previous round's.
-    arr[:] = np.maximum(t_se + platform[1:], state[LAST:] + eps)
-    stop, _, _, streak_new = _stop_scan(
-        k, streak, residual, order_end, tol, persistence, max_iterations
-    )
-    if stop is not None and (horizon != horizon or t_se[order_end[stop]] <= horizon):
-        return None
-    # Inbound halos per receiver (r-1's send right, r+1's send left; the
-    # chain's ends get a -inf slot, never late), and "late" = the
-    # delivery dispatches after the receiver's end event (the receiver
-    # must block for it).  On an exact arrival/end tie the two parents
-    # decide: the sender's end and the receiver's mid.  The sender's end
-    # dispatches first iff it is earlier in time (at one instant the mid,
-    # pushed as the round opened, goes first).  Hence: late iff
-    # t_se[s] >= t_mid[r].
-    left, right = np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1)
-    after = (ranks + 1) % n
-    in_l, in_r = arr[1, ranks - 1], arr[0, after]
-    late_l = (in_l > t_se) | ((in_l == t_se) & (t_se[left] >= t_mid))
-    late_r = (in_r > t_se) | ((in_r == t_se) & (t_se[right] >= t_mid))
-    A = np.maximum(np.where(late_l, in_l, t_se), np.where(late_r, in_r, t_se))
-    T_next = float(A.max())
-    if T_next > horizon:
-        # ``max_time`` is a pure time cutoff: the barrier never opens.
-        return None
-    # Barrier arrival order (= dispatch order of each rank's arrival
-    # event: its own end, or its final wait-resume).  One stable
-    # ``np.lexsort`` on three columns:
-    #
-    #   no late halo:  (t_se, t_mid, pos0)    the end, as ordered above
-    #                                         (A == t_se here);
-    #   late halo:     (A,    A,     n + end_pos[s*])
-    #                                         the resume at A, pushed by
-    #                                         the delivery from s*.
-    #
-    # ``end_pos`` is each end's dispatch position, so same-instant
-    # deliveries, and the resumes they push, follow their senders'
-    # ends.  An end and a resume at one instant: the end's mid is no
-    # later than the delivery and, at the same time, was pushed as the
-    # round opened, so the end goes first — column 2, then column 3
-    # (pos0 < n).  Two rows left tied have one sender s: they are s-1
-    # and s+1, served by its left send then its right send, so the
-    # stable sort's rank order is push order.  With both halos late the
-    # governing delivery is the later one — or, at the same instant,
-    # the one dispatched first: it pushes the single resume, which
-    # dispatches after both halos are in.
-    pos[order_end] = ranks
-    e_l, e_r = pos[left], pos[right]
-    same, both = in_l == in_r, late_l & late_r
-    use_l = np.where(both, np.where(same, e_l < e_r, in_l > in_r), late_l)
-    has_late = late_l | late_r
-    key2 = np.where(has_late, np.where(use_l, e_l, e_r) + n, pos0)
-    order_arr = np.lexsort((key2, np.where(has_late, A, t_mid), A))
-    out[ORDER_ARR] = order_arr
-    # n mids + n ends + 2(n-1) deliveries + (n-1) barrier resumes, and
-    # one resume per late delivery, except that two late ones arriving
-    # at the same instant trigger a single resume.
-    events = 5 * n - 3 + int(late_l.sum() + late_r.sum() - (both & same).sum())
-    # The tracer accumulates ``busy + t1 - t0`` left to right.
-    state[BUSY] += t_se
-    state[BUSY] -= T
-    state[ITERS] += 1
-    state[RESIDUAL] = residual
-    state[LAST:] = arr
-    streak[:] = streak_new
-    state[IDLE] = np.where(T_next > t_se, (state[IDLE] + T_next) - t_se, state[IDLE])
-    # Next round: the releaser restarts inline, the waiters resume in
-    # arrival order — that is the push order of the next round's mids.
-    pos0[order_arr] = after
-    return T_next, events
 
 
 class _LockstepEngine:
@@ -412,7 +290,7 @@ class _LockstepEngine:
         self._platform = np.empty((3, self.n))
         self._platform[0] = rates if self._const_hosts else 1.0
         self._platform[1:] = np.reshape([t or 0.0 for t in times], (2, -1))
-        # Mutable run state: the rows of one array (see ``_round``) ----
+        # Mutable run state: the rows of one array (see ``POS0``) ----
         self.T = 0.0
         self.state = np.zeros((8, self.n))
         self.state[POS0] = np.arange(self.n)  # round-start scheduling order
@@ -524,7 +402,7 @@ class _LockstepEngine:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self) -> RunResult | None:
+    def run(self, kernel: Any) -> RunResult | None:
         """Replay the run round by round; ``None`` => fall back."""
         n, cfg, guard = self.n, self.config, self.guard
         horizon = None if cfg.max_time is None else float(cfg.max_time)
@@ -533,10 +411,8 @@ class _LockstepEngine:
             cfg.persistence, cfg.max_iterations,
             math.nan if horizon is None else horizon,
         )
-        from repro.problems import _compiled
-
-        kernel = _compiled.lockstep_round  # resolved at the first round
         state, platform, out = self.state, self._platform, self._out
+        lockstep_round = kernel.lockstep_round
         ranks = np.arange(n)
         # The monitor sits in the profiler slot and sees every event,
         # including the n spawn steps at t = 0.
@@ -551,7 +427,7 @@ class _LockstepEngine:
             d = work if self._const_hosts else self._durations(work)
             if not self._const_links:
                 self._transfers(_ends(T, d, platform[0], run[2], OVERLAP_SPLIT)[1])
-            booked = _round(kernel, state, platform, d, residual, out, T, k, *run)
+            booked = lockstep_round(state, platform, d, residual, out, T, k, *run)
             if booked is None:
                 return self._finish(k, T, residual, work, horizon)
             T_next, events = booked
@@ -579,7 +455,7 @@ class _LockstepEngine:
         n_senders: int,
         T_next: float | None = None,
     ) -> None:
-        """Trace round ``k`` from ``_round``'s arrays in ``_out``: the
+        """Trace round ``k`` from the round's arrays in ``_out``: the
         ``done`` ends, in dispatch order, the halos the first
         ``n_senders`` of them sent and, given the barrier's ``T_next``,
         the idle spans up to it."""
@@ -627,7 +503,7 @@ class _LockstepEngine:
         work: np.ndarray,
         horizon: float | None,
     ) -> RunResult | None:
-        """End the run in round ``k``, which ``_round`` left unbooked in
+        """End the run in round ``k``, which the round left unbooked in
         ``_out``: book the ranks whose end dispatched before the stop or
         the horizon, their sends and the events dispatched by then.
         ``None`` => the divergence watchdog would have rolled a rank back.
@@ -695,7 +571,7 @@ class _LockstepEngine:
             self._record(k, T, residual, work, done, len(senders))
         # The mids by then (a mid precedes any end at its instant), the
         # done ends, the senders' deliveries that landed (the -inf slots
-        # are the channels that do not exist) and, as ``_round`` counts
+        # are the channels that do not exist) and, as the round counts
         # them, the wait-resumes of senders on late halos from senders.
         ranks = np.arange(n)
         left, right = np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1)

@@ -3,16 +3,17 @@
 ``_sweeps.c`` holds the three problems' Python sweeps as loops — the
 Brusselator's skip mask and ``_sweep_scalar`` loop, the NumPy sweeps of
 ``HeatProblem._sweep`` and ``SyntheticProblem._sweep`` — and the lockstep
-replay's ``_round``, as one CPython extension module of four functions
-that read and write NumPy arrays through the buffer protocol.  At a
-process's first kernel call (never at import) the system ``cc`` builds
-it against this interpreter's headers into a cache and it is loaded;
-each kernel is used only once it has reproduced its Python path bit for
-bit on :func:`_probe_cases`, at that kernel's first use (so a process
-loads only the problems it runs).  Without a module, or from the first
-failed probe on, every kernel takes its Python path, silently.  Both
-paths give the same bits, so nothing selects between them and no run
-result records which ran.
+replay's round, as one CPython extension module of four functions that
+read and write NumPy arrays through the buffer protocol.  At a process's
+first kernel call (never at import) the system ``cc`` builds it against
+this interpreter's headers into a cache and it is loaded; each kernel is
+used once it passed its probe at its first use (so a process loads only
+the problems it runs): a sweep reproduces its Python path bit for bit
+on :func:`_probe_cases`, the round books :func:`_lockstep_round_cases`
+to :data:`_ROUND_DIGESTS`.  Without a module, or from the first failed
+probe on, every sweep takes its Python path, silently (both give the
+same bits), and the lockstep replay, which has no Python round, falls
+back to ``run_sisc`` as ``no_compiled_round``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _CC_TIMEOUT_S = 120.0
 
 #: The kernels the module holds.  ``_compiled.<kernel>`` is what each
-#: problem's ``iterate`` passes its ``_sweep``, and the lockstep replay
-#: its ``_round``: see :func:`__getattr__`.
+#: problem's ``iterate`` passes its ``_sweep``, and what the lockstep
+#: replay calls ``lockstep_round`` on: see :func:`__getattr__`.
 KERNELS = ("brusselator", "heat", "synthetic", "lockstep_round")
 
 #: ``(module or None, status)``, resolved at a process's first kernel
@@ -58,7 +59,8 @@ def kernel_status() -> str:
 
 def __getattr__(kernel: str) -> ModuleType | None:
     """``_compiled.<kernel>``, one of :data:`KERNELS`: the compiled module
-    once that kernel's probe passed, else None for its Python path.
+    once that kernel's probe passed, else None (a sweep's Python path,
+    the lockstep replay's fallback to ``run_sisc``).
     Resolved at the kernel's first use and kept as a global, so a caller
     reads a plain attribute.  A failed probe sends every kernel to
     Python from then on."""
@@ -135,7 +137,9 @@ def _load_kernel(
 
 def _failed_probe(module: ModuleType, kernel: str) -> bool:
     """Whether ``module`` computes a probe case of ``kernel`` other than
-    its Python path does."""
+    its Python path does (the round: other than the frozen digests)."""
+    if kernel == "lockstep_round":
+        return _lockstep_round_digests(module) != _ROUND_DIGESTS
     # The probe's overflows and NaNs are meant: no warning for them.
     with np.errstate(all="ignore"):
         return any(
@@ -179,9 +183,9 @@ def _build(cc: str, source: Path, lib: Path, include: str) -> str:
 
 
 def _probe_cases(kernel: str) -> list[tuple[object, tuple]]:
-    """``(problem, arguments of its _sweep)`` cases the compiled
-    ``kernel`` must reproduce before its first use (for the lockstep
-    round: ``(None, arguments of _round)``, see :func:`_round_cases`).
+    """``(problem, arguments of its _sweep)`` cases the compiled sweep
+    ``kernel`` must reproduce before its first use (the lockstep round's
+    are :func:`_lockstep_round_cases`).
 
     Brusselator: verified and iterating steps, full and damped Newton,
     each clause of the skip test (a component's own residual, each
@@ -196,8 +200,6 @@ def _probe_cases(kernel: str) -> list[tuple[object, tuple]]:
     """
     from repro.problems.base import BlockState
 
-    if kernel == "lockstep_round":
-        return _round_cases()
     rng = np.random.default_rng(0)
     if kernel == "heat":
         from repro.problems.heat import HeatProblem
@@ -291,13 +293,14 @@ def _probe_cases(kernel: str) -> list[tuple[object, tuple]]:
     ]
 
 
-def _round_cases() -> list[tuple[None, tuple]]:
-    """Rounds the compiled round must book as ``_round`` does: 48 ranks
-    whose ends all tie (two late halos at one instant, barrier rows tied
-    on every key), a halo landing on its receiver's end after its mid
-    (late) and before it (not late), that round past a horizon, varying
-    transfer times and FIFO clamps with a NaN in each and a NaN residual,
-    a stop whose suffix holds by the old streak, an abort, one rank."""
+def _lockstep_round_cases() -> list[tuple]:
+    """The arguments of rounds the compiled round must book as its NumPy
+    reference (``tests/oracles.py``) does: 48 ranks whose ends all tie
+    (two late halos at one instant, barrier rows tied on every key), a
+    halo landing on its receiver's end after its mid (late) and before
+    it (not late), that round past a horizon, varying transfer times and
+    FIFO clamps with a NaN in each and a NaN residual, a stop whose
+    suffix holds by the old streak, an abort, one rank."""
 
     def case(work, t2, *, rates=1.0, T=0.0, k=0, residual=1.0, streak=0.0,
              last=-np.inf, pos0=None, min_sweep=0.0, max_iter=99, horizon=np.nan):
@@ -309,8 +312,8 @@ def _round_cases() -> list[tuple[None, tuple]]:
         platform[1, 0] = platform[2, -1] = -np.inf
         residual = np.broadcast_to(residual, (n,)).astype(float)
         run = (0.5, 1e-9, min_sweep, 1e-3, 2, max_iter, horizon)
-        return None, (state, platform, np.array(work, float), residual,
-                      np.zeros((6, n)), T, k, *run)
+        return (state, platform, np.array(work, float), residual,
+                np.zeros((6, n)), T, k, *run)
 
     wide = np.arange(48)
     on_end = ([1.0, 2.0, 1.0, 4.0], [[0, 0.25, 0.25, 0.25], [1.0, 0.25, 3.0, 0]])
@@ -330,17 +333,38 @@ def _round_cases() -> list[tuple[None, tuple]]:
     ]
 
 
+#: :func:`_lockstep_round_digests` of the NumPy reference round, which
+#: ``tests/test_brusselator_kernel.py`` regenerates them from.
+_ROUND_DIGESTS = (
+    "f5fc85b5e14faf598b193759f8970b98412e7bbc1a3e2f2c91165f4c7c7f6bf7",
+    "762272ab927a20ccdf0d9b19a1440c222295bdcd1cd5bf5df4fd05e44a9f6631",
+    "347092632f19fa2afd9050db717f098377872008497b6015048077745e8d42f4",
+    "359596c3de347304ba7e8350f52a9e9e96f049868d8c0227fa17e4d688b386cd",
+    "ba3b59290ec8fb462c2f3d28ad5034168aa49a820e03a565a1ad8c3ee65aa120",
+    "9f106c41a4da3fd843d87b99435d0b449639f1f00bd1375f0b02f7115575cd81",
+    "f3a489fcd61f34e9f194fa3bc1b0de1314c29de024a33a01f9c45c6cabdf3871",
+)
+
+
+def _lockstep_round_digests(module) -> tuple[str, ...]:
+    """SHA-256 of the :func:`_trace` of each round case by ``module``."""
+    import hashlib
+
+    return tuple(
+        hashlib.sha256(_trace(module, None, args)).hexdigest()
+        for args in _lockstep_round_cases()
+    )
+
+
 def _trace(module: ModuleType | None, problem, args: tuple) -> bytes:
     """Everything one ``problem._sweep(module, state, left, right)`` hands
     back and leaves in the state, as bytes, run on a copy of ``state``:
     the result's arrays and reductions, or a failure's text.  With no
-    ``problem``, one ``_round(module, *args)`` on copies of its arrays:
-    what it returns and every array after it."""
+    ``problem``, one ``module.lockstep_round(*args)`` on copies of its
+    arrays: what it returns and every array after it."""
     if problem is None:
-        from repro.models.lockstep import _round
-
         args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        booked = _round(module, *args)
+        booked = module.lockstep_round(*args)
         parts = [repr(booked).encode(), struct.pack("d", booked[0]) if booked else b""]
         parts += [a.tobytes() for a in args if isinstance(a, np.ndarray)]
         return b"|".join(parts)

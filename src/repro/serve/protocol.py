@@ -66,14 +66,11 @@ def _connect(address: str, timeout: float) -> socket.socket:
 #: yet, so a retry cannot duplicate a request.  Refused/reset covers a
 #: daemon mid-restart; FileNotFoundError covers a unix socket path that
 #: is not bound yet; TimeoutError covers a SYN lost to a saturated
-#: accept queue (``socket.timeout`` is an alias since 3.10).
+#: accept queue (``socket.timeout`` is an alias since 3.10), and
+#: BlockingIOError a unix socket's full accept backlog (EAGAIN).
 _TRANSIENT_CONNECT = (
-    ConnectionRefusedError,
-    ConnectionResetError,
-    ConnectionAbortedError,
-    FileNotFoundError,
-    TimeoutError,
-    InterruptedError,
+    ConnectionRefusedError, ConnectionResetError, ConnectionAbortedError,
+    FileNotFoundError, TimeoutError, InterruptedError, BlockingIOError,
 )
 
 

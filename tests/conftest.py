@@ -153,8 +153,9 @@ def scipy_banded(monkeypatch):
 
 #: The two paths of every problem's sweep and of the lockstep round: the
 #: Python reference (the Brusselator's scalar sweep, the heat and
-#: synthetic problems' NumPy sweeps, the round's NumPy body) and the
-#: compiled module held to it.
+#: synthetic problems' NumPy sweeps; for the round, which has no Python
+#: path in the product, the NumPy oracle ``tests.oracles.lockstep_round``
+#: stood in for the compiled one) and the compiled module held to it.
 SWEEP_PATHS = ("python", "compiled")
 
 
@@ -172,19 +173,36 @@ def force_sweep_path(monkeypatch, path):
     result; a host where no module loads skips the compiled path (CI
     requires one)."""
     if path == "python":
-        kernel = (None, "python: test")
-    else:
-        kernel = compiled_kernel()
-        if kernel[0] is None:
-            pytest.skip(kernel[1])
+        from repro.problems import _compiled
+        from tests import oracles
+
+        use_kernel(monkeypatch, (None, "python: test"))
+        monkeypatch.setitem(vars(_compiled), "lockstep_round", oracles)
+        return
+    kernel = compiled_kernel()
+    if kernel[0] is None:
+        pytest.skip(kernel[1])
     use_kernel(monkeypatch, kernel)
+
+
+@pytest.fixture
+def replay_round(monkeypatch):
+    """The lockstep replay runs on any host: where no compiled module
+    loads, the NumPy oracle stands in for its round (the ``python``
+    path), so a test that expects ``engine == "lockstep"`` still tests
+    the replay rather than its fallback to ``run_sisc``."""
+    if compiled_kernel()[0] is None:
+        force_sweep_path(monkeypatch, "python")
 
 
 def use_kernel(monkeypatch, kernel):
     """Stand ``(module or None, status)`` in for the loader's result, every
-    kernel resolved to ``module``."""
+    kernel resolved to ``module``.  The kernels go into the module's dict:
+    ``monkeypatch.setattr`` would read each old value through
+    ``_compiled.__getattr__``, resolving it under the stand-in and leaving
+    that behind as the value to restore."""
     from repro.problems import _compiled
 
     monkeypatch.setattr(_compiled, "_KERNEL", kernel)
     for name in _compiled.KERNELS:
-        monkeypatch.setattr(_compiled, name, kernel[0], raising=False)
+        monkeypatch.setitem(vars(_compiled), name, kernel[0])

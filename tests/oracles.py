@@ -20,7 +20,10 @@ in ``conftest.py``.
 * :func:`fault_free_view` and :func:`balance` — a zoo policy driven
   over a bare graph, every round, until the load is level (the §3
   comparison of the balancing families; :func:`repro.balancing.run_zoo`
-  is the product's loop).
+  is the product's loop);
+* :func:`lockstep_round` — one SISC round of the lockstep replay in
+  NumPy, the reference of ``_sweeps.c``'s ``lockstep_round`` (the
+  loader's probe holds the compiled round to digests of its traces).
 """
 
 from __future__ import annotations
@@ -30,8 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
+# At module level only what the lockstep replay loads anyway: a process
+# that stands this module's round in for the compiled one keeps the
+# replay's module count (``test_import_hygiene.py``).
 from repro.grid.traces import MIN_AVAILABILITY, AvailabilityTrace
-from repro.numerics.banded import _PIVOT_RTOL, BandedLU, BandedMatrix
+from repro.models.lockstep import (
+    ARR, BUSY, IDLE, ITERS, LAST, ORDER_ARR, ORDER_END, POS0, RESIDUAL, STREAK,
+    T_MID, T_SE, _ends, _stop_scan,
+)
 from repro.util.validation import check_in_range
 
 
@@ -88,6 +97,8 @@ def implicit_euler_dense(
 def banded_from_dense(a: np.ndarray, kl: int, ku: int) -> BandedMatrix:
     """The bands of a dense square matrix; raises if ``a`` has nonzero
     entries outside the declared band."""
+    from repro.numerics.banded import BandedMatrix
+
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -152,6 +163,8 @@ def banded_matvec(m: BandedMatrix, x: np.ndarray) -> np.ndarray:
 def lu_factor_scalar(m: BandedMatrix) -> BandedLU:
     """LU without pivoting through ``get`` / ``add`` / ``put`` closures
     on a band copy: the original implementation."""
+    from repro.numerics.banded import _PIVOT_RTOL, BandedLU
+
     kl, ku, n = m.kl, m.ku, m.n
     # Work on a dense-band copy indexed [i, j] via band row ku+i-j.
     lu = m.bands.copy()
@@ -337,3 +350,131 @@ def balance(graph, load, algorithm: str, *, tol: float = 1e-9, max_rounds=100_00
         f"{algorithm} did not balance within {max_rounds} rounds "
         f"(stddev={float(np.std(current)):.3e})"
     )
+
+
+# ----------------------------------------------------------------------
+# The lockstep round in NumPy
+# ----------------------------------------------------------------------
+#: The round's buffer arguments, by name, as its errors give them.
+ROUND_BUFFERS = ("state", "platform", "work", "residual", "out")
+
+
+def lockstep_round(state, platform, work, residual, out, T, k, *run):
+    """One round of ``n = len(work)`` ranks opening at ``T`` after ``k``
+    rounds: ``(T_next, events)``, the round booked in ``state``, or None,
+    ``state`` untouched, when the run ends inside it (a stop, or a
+    barrier past the horizon).
+
+    Rows (C-contiguous float64, else this raises before a write):
+    ``state`` ``POS0`` (round-start scheduling order), ``STREAK``,
+    ``BUSY``, ``IDLE``, ``ITERS``, ``RESIDUAL`` and from ``LAST`` the
+    FIFO clamps r -> r-1, r -> r+1; ``platform`` the rates and the raw
+    transfer times of those sends (-inf where no channel); ``out`` gets
+    ``T_MID``, ``T_SE``, from ``ARR`` the clamped arrivals, ``ORDER_END``
+    and, booked, ``ORDER_ARR``.  ``run``: ``(split, eps, min_sweep, tol,
+    persistence, max_iterations, horizon)``, the horizon NaN for none.
+    """
+    split, eps, min_sweep, tol, persistence, max_iterations, horizon = run
+    arrays = (state, platform, work, residual, out)
+    sizes = []
+    for name, array, writable in zip(ROUND_BUFFERS, arrays, (1, 0, 0, 0, 1)):
+        view = memoryview(array)
+        if not view.c_contiguous or (writable and view.readonly):
+            raise ValueError(f"{name} must be a C-contiguous buffer")
+        if view.format != "d":
+            raise TypeError(f"{name} must be float64, got format {view.format!r}")
+        sizes.append(view.nbytes // 8)
+    n = sizes[2]
+    if n < 1 or sizes != [8 * n, 3 * n, n, n, 6 * n]:
+        raise ValueError("lockstep_round(): buffer lengths do not match the rank count")
+    state, platform, work, residual, out = map(np.asarray, arrays)
+    state, platform = state.reshape(8, n), platform.reshape(3, n)
+    out = out.reshape(6, n)
+    work, residual = work.reshape(n), residual.reshape(n)
+    pos0, streak = state[POS0], state[STREAK]
+    t_mid, t_se, arr = out[T_MID], out[T_SE], out[ARR:ORDER_END]
+    t_mid[:], t_se[:] = _ends(T, work, platform[0], min_sweep, split)
+    # The reference scheduler dispatches by (time, push sequence), and a
+    # round's push tree is fixed: the mids are pushed as the round opens,
+    # in pos0 order; each end by its own mid; each delivery by its
+    # sender's end (the left send first); each wait-resume by the
+    # delivery that triggered it.  So two events at one instant dispatch
+    # in their parents' dispatch order, and a mid precedes anything
+    # pushed inside the round.  Mids: (t_mid, pos0); ends: (t_se, their
+    # mid's position).
+    ranks = np.arange(n)
+    pos = np.empty(n)
+    pos[np.lexsort((pos0, t_mid))] = ranks
+    order_end = np.lexsort((pos, t_se))
+    out[ORDER_END] = order_end
+    # Raw arrival times of this round's 2(n-1) halo sends, FIFO-clamped
+    # against the previous round's.
+    arr[:] = np.maximum(t_se + platform[1:], state[LAST:] + eps)
+    stop, _, _, streak_new = _stop_scan(
+        k, streak, residual, order_end, tol, persistence, max_iterations
+    )
+    if stop is not None and (horizon != horizon or t_se[order_end[stop]] <= horizon):
+        return None
+    # Inbound halos per receiver (r-1's send right, r+1's send left; the
+    # chain's ends get a -inf slot, never late), and "late" = the
+    # delivery dispatches after the receiver's end event (the receiver
+    # must block for it).  On an exact arrival/end tie the two parents
+    # decide: the sender's end and the receiver's mid.  The sender's end
+    # dispatches first iff it is earlier in time (at one instant the mid,
+    # pushed as the round opened, goes first).  Hence: late iff
+    # t_se[s] >= t_mid[r].
+    left, right = np.maximum(ranks - 1, 0), np.minimum(ranks + 1, n - 1)
+    after = (ranks + 1) % n
+    in_l, in_r = arr[1, ranks - 1], arr[0, after]
+    late_l = (in_l > t_se) | ((in_l == t_se) & (t_se[left] >= t_mid))
+    late_r = (in_r > t_se) | ((in_r == t_se) & (t_se[right] >= t_mid))
+    A = np.maximum(np.where(late_l, in_l, t_se), np.where(late_r, in_r, t_se))
+    T_next = float(A.max())
+    if T_next > horizon:
+        # ``max_time`` is a pure time cutoff: the barrier never opens.
+        return None
+    # Barrier arrival order (= dispatch order of each rank's arrival
+    # event: its own end, or its final wait-resume).  One stable
+    # ``np.lexsort`` on three columns:
+    #
+    #   no late halo:  (t_se, t_mid, pos0)    the end, as ordered above
+    #                                         (A == t_se here);
+    #   late halo:     (A,    A,     n + end_pos[s*])
+    #                                         the resume at A, pushed by
+    #                                         the delivery from s*.
+    #
+    # ``end_pos`` is each end's dispatch position, so same-instant
+    # deliveries, and the resumes they push, follow their senders'
+    # ends.  An end and a resume at one instant: the end's mid is no
+    # later than the delivery and, at the same time, was pushed as the
+    # round opened, so the end goes first — column 2, then column 3
+    # (pos0 < n).  Two rows left tied have one sender s: they are s-1
+    # and s+1, served by its left send then its right send, so the
+    # stable sort's rank order is push order.  With both halos late the
+    # governing delivery is the later one — or, at the same instant,
+    # the one dispatched first: it pushes the single resume, which
+    # dispatches after both halos are in.
+    pos[order_end] = ranks
+    e_l, e_r = pos[left], pos[right]
+    same, both = in_l == in_r, late_l & late_r
+    use_l = np.where(both, np.where(same, e_l < e_r, in_l > in_r), late_l)
+    has_late = late_l | late_r
+    key2 = np.where(has_late, np.where(use_l, e_l, e_r) + n, pos0)
+    order_arr = np.lexsort((key2, np.where(has_late, A, t_mid), A))
+    out[ORDER_ARR] = order_arr
+    # n mids + n ends + 2(n-1) deliveries + (n-1) barrier resumes, and
+    # one resume per late delivery, except that two late ones arriving
+    # at the same instant trigger a single resume.
+    events = 5 * n - 3 + int(late_l.sum() + late_r.sum() - (both & same).sum())
+    # The tracer accumulates ``busy + t1 - t0`` left to right.
+    state[BUSY] += t_se
+    state[BUSY] -= T
+    state[ITERS] += 1
+    state[RESIDUAL] = residual
+    state[LAST:] = arr
+    streak[:] = streak_new
+    state[IDLE] = np.where(T_next > t_se, (state[IDLE] + T_next) - t_se, state[IDLE])
+    # Next round: the releaser restarts inline, the waiters resume in
+    # arrival order — that is the push order of the next round's mids.
+    pos0[order_arr] = after
+    return T_next, events

@@ -2,11 +2,12 @@
 
 ``_compiled._load_kernel(cache, source)`` builds ``source`` with the
 system ``cc`` into ``cache``, loads it as an extension module, and uses
-it only if the Brusselator, heat and synthetic sweeps and the lockstep
-round each reproduce their Python paths bit for bit on the probe cases;
-anything else — no ``cc``, no ``Python.h``, a cache it cannot write, a
-failed or hung compile, a failed load or probe — gives back ``None``,
-every kernel's Python path, silently.  Every test here builds into its own
+it only if the Brusselator, heat and synthetic sweeps each reproduce
+their Python paths bit for bit on the probe cases and the lockstep round
+books its cases to the frozen digests of its NumPy oracle; anything
+else — no ``cc``, no ``Python.h``, a cache it cannot write, a failed or
+hung compile, a failed load or probe — gives back ``None``, every
+sweep's Python path, silently.  Every test here builds into its own
 ``tmp_path``.
 """
 
@@ -25,6 +26,7 @@ import pytest
 
 from repro.problems import _compiled
 from repro.problems.brusselator import BrusselatorProblem
+from tests import oracles
 from tests.conftest import compiled_kernel, use_kernel
 from tests.test_brusselator_sweep_routes import (
     SWEEP_DIGESTS,
@@ -438,22 +440,25 @@ ROUND_SPOILS = [
 ]
 
 
-def test_both_round_paths_reject_the_same_bad_buffers_and_write_nothing():
-    """``_round`` and the compiled ``lockstep_round`` raise the same
-    exception type for each malformed buffer, before any write."""
-    from repro.models.lockstep import _round
+def test_the_round_digests_are_the_oracles():
+    """The probe's frozen digests are what the NumPy oracle books."""
+    assert _compiled._ROUND_DIGESTS == _compiled._lockstep_round_digests(oracles)
 
+
+def test_both_round_paths_reject_the_same_bad_buffers_and_write_nothing():
+    """The NumPy oracle and the compiled ``lockstep_round`` raise the
+    same exception type for each malformed buffer, before any write."""
     module = compiled_kernel()[0]
-    _, good = _compiled._probe_cases("lockstep_round")[1]
+    good = _compiled._lockstep_round_cases()[1]
     for what, at, spoil in ROUND_SPOILS:
         raised = set()
-        for kernel in [None] + [module] * (module is not None):
+        for kernel in [oracles] + [module] * (module is not None):
             args = [a.copy() if isinstance(a, np.ndarray) else a for a in good]
             args[at] = spoil(args[at])
             arrays = [a for a in args if isinstance(a, np.ndarray)]
             before = [a.tobytes() for a in arrays]
             with pytest.raises((TypeError, ValueError)) as exc:
-                _round(kernel, *args)
+                kernel.lockstep_round(*args)
             raised.add(exc.type)
             assert [a.tobytes() for a in arrays] == before, what
         assert len(raised) == 1, (what, raised)

@@ -109,8 +109,14 @@ SCALE_REPLAY_SCRIPT = textwrap.dedent(
 
     from repro.guard import InvariantMonitor
     from repro.models import run_sisc_batched
+    from repro.problems import _compiled
     from repro.workloads import ScaleScenario
 
+    if _compiled.lockstep_round is None:
+        # No compiled round on this host: its NumPy oracle stands in.
+        from tests import oracles
+
+        _compiled.lockstep_round = oracles
     ENGINE = (
         "repro.des", "repro.core.solver", "repro.core.lb", "repro.runtime.node",
         "repro.runtime.message", "repro.models.sisc", "repro.models.siac",
@@ -183,7 +189,7 @@ def test_figure5_loads_no_topology_module():
 def test_the_scale_replay_loads_no_event_driven_engine():
     # ``run_sisc_batched`` dispatches no event: its process compiles
     # neither the DES, the AIAC solvers nor the problem it does not run.
-    run_fresh(SCALE_REPLAY_SCRIPT)
+    run_fresh(SCALE_REPLAY_SCRIPT, str(Path(SRC).parent))
 
 
 #: How a script ends whose process may load neither numpy nor much of us.

@@ -6,7 +6,9 @@ across the tricky regimes — heterogeneous speeds, forced exact-time
 ties on homogeneous clusters, 1–2 rank chains, horizon/abort
 truncations, permuted host orders — comparing not just the numerical
 answer but the tracer's span records, the dispatched-event count and
-the guard's observation stream.
+the guard's observation stream.  On a host where no compiled round
+loads, the NumPy oracle stands in for it (``replay_round``), so each
+test still runs the replay.
 """
 
 import os
@@ -31,7 +33,9 @@ from repro.analysis.perf import run_fingerprint
 from repro.problems import SyntheticProblem
 from repro.problems.brusselator import BrusselatorProblem
 from repro.problems.heat import HeatProblem
-from tests.conftest import SWEEP_PATHS, force_sweep_path
+from tests.conftest import SWEEP_PATHS, force_sweep_path, use_kernel
+
+pytestmark = pytest.mark.usefixtures("replay_round")
 
 
 def hetero_platform(
@@ -90,7 +94,7 @@ def assert_same_run(ref, fast):
 def on_both_paths(argname, values, ids=None):
     """Parametrise ``argname`` over ``values`` and both :data:`SWEEP_PATHS`
     (a test takes ``path`` and forces it): the compiled round keeps each
-    value's own id, the Python reference round's adds ``-python``."""
+    value's own id, the NumPy oracle round's adds ``-python``."""
     ids = ids or [str(v) for v in values]
     return pytest.mark.parametrize(
         f"{argname}, path",
@@ -506,13 +510,16 @@ def test_lockstep_sisc_body_is_pinned_to_its_last_round(monkeypatch):
 
 #: Frames entered under ``repro/`` per lockstep round, measured on
 #: CPython 3.11, by sweep path.  A complete round's arithmetic is one
-#: call, ``_round``; only the run's last round enters ``_stop_scan``, the
-#: byte counters' ``_repeat_add`` and ``_finish``, which counts its
-#: events with ``_round``'s rule in a few array expressions (17.48 /
-#: 10.48 while it compared nested dispatch-key tuples; 23.46 / 18.46
-#: while every round booked itself through Python helpers, 24.46 /
-#: 25.46 with the NumPy skip mask around the compiled sweep).
-ROUND_FRAMES = {"python": 17.38, "compiled": 10.38}
+#: call, ``lockstep_round`` (on the ``python`` path the NumPy oracle,
+#: whose ``_ends`` and ``_stop_scan`` count); only the run's last round
+#: enters ``_stop_scan``, the byte counters' ``_repeat_add`` and
+#: ``_finish``, which counts its events with the round's rule in a few
+#: array expressions (17.38 / 10.38 while the round was a ``_round``
+#: wrapper in ``models/lockstep.py``; 17.48 / 10.48 while ``_finish``
+#: compared nested dispatch-key tuples; 23.46 / 18.46 while every round
+#: booked itself through Python helpers, 24.46 / 25.46 with the NumPy
+#: skip mask around the compiled sweep).
+ROUND_FRAMES = {"python": 16.38, "compiled": 9.38}
 
 
 @pytest.mark.parametrize("path", sorted(ROUND_FRAMES))
@@ -581,6 +588,14 @@ def test_lockstep_fallback_is_observable(caplog):
 #: no row: the replay partitions with a fresh ``PartitionRegistry``, which
 #: gives every rank at least one component.
 FALLBACKS = {
+    # A host with no compiled round (no ``cc``, or a module that failed
+    # its probe): forced below by a loader that found no module.
+    "no_compiled_round": (
+        hard_problem(),
+        hetero_platform(),
+        SolverConfig(tolerance=1e-8),
+        None,
+    ),
     "detection:token_ring": (
         hard_problem(),
         hetero_platform(),
@@ -616,6 +631,8 @@ def test_lockstep_fallback_reason_is_forced(reason, monkeypatch):
     if reason == "divergence_watchdog":
         monkeypatch.setattr(watchdogs, "DIVERGENCE_FACTOR", 1.0)
         monkeypatch.setattr(watchdogs, "DIVERGENCE_PATIENCE", 1)
+    if reason == "no_compiled_round":
+        use_kernel(monkeypatch, (None, "python: test"))
     problem, platform, cfg, gcfg = FALLBACKS[reason]
     guard = None if gcfg is None else InvariantMonitor(gcfg)
     registry = MetricsRegistry()

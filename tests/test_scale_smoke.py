@@ -10,11 +10,16 @@ runs of both problems, each well inside a wall-clock budget.
 import time
 from dataclasses import replace
 
+import pytest
+
 from repro.analysis.perf import run_fingerprint
 from repro.exec import RunCache, SweepEngine, Task
 from repro.guard import GuardConfig, InvariantMonitor
 from repro.models import run_sisc_batched
 from repro.workloads import ScaleScenario
+
+#: Where no compiled round loads, its NumPy oracle runs the replay.
+pytestmark = pytest.mark.usefixtures("replay_round")
 
 RANKS = 128
 PER_RANK = 32

@@ -1,6 +1,7 @@
 """End-to-end tests for the serve daemon over its unix-socket protocol."""
 
 import contextlib
+import errno
 import time
 from pathlib import Path
 
@@ -335,6 +336,40 @@ def test_client_retries_transient_connect_failures(tmp_path, monkeypatch):
         )
         assert retrying.health()["ok"] is True
         assert failures["left"] == 0
+
+
+def test_client_retries_a_full_accept_backlog(tmp_path, monkeypatch):
+    """EAGAIN from a unix socket's full backlog is a connect-phase error:
+    one connects on the second attempt, and one that never clears gives
+    ``ServeError`` after ``connect_retries + 1`` attempts."""
+    import repro.serve.protocol as protocol
+
+    with running_daemon(tmp_path) as (daemon, client):
+        real_connect = protocol._connect
+        attempts = []
+
+        def backlogged_once(address, timeout):
+            attempts.append(address)
+            if len(attempts) == 1:
+                raise BlockingIOError(errno.EAGAIN, "backlog full")
+            return real_connect(address, timeout)
+
+        monkeypatch.setattr(protocol, "_connect", backlogged_once)
+        assert client.health()["ok"] is True
+        assert len(attempts) == 2
+
+        def always_backlogged(address, timeout):
+            attempts.append(address)
+            raise BlockingIOError(errno.EAGAIN, "backlog full")
+
+        attempts.clear()
+        monkeypatch.setattr(protocol, "_connect", always_backlogged)
+        retrying = ServeClient(
+            daemon.config.resolved_address(), connect_retries=2, retry_backoff=0.001
+        )
+        with pytest.raises(ServeError, match="after 3 attempt"):
+            retrying.health()
+        assert len(attempts) == 3
 
 
 def test_client_connect_retries_exhausted_raises_serve_error(tmp_path):
