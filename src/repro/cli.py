@@ -9,6 +9,7 @@ Usage::
     python -m repro models
     python -m repro resilience [--full] [--json BENCH_resilience.json]
     python -m repro integrity [--full] [--check] [--json BENCH_integrity.json]
+    python -m repro topology-zoo [--full] [--check] [--json BENCH_topology.json]
     python -m repro soak [--schedules N] [--seed S] [--out-dir DIR]
     python -m repro ablations [--only period,estimator,...]
     python -m repro metrics figure5 [--tiny|--full] [--out PREFIX] [--profile]
@@ -79,28 +80,18 @@ def _experiment(args: argparse.Namespace) -> str:
         from repro.analysis.perf import save_report
 
         data = result.to_dict()
-        if args.command == "figure5":
+        if verb.json_engine:
             data["engine"] = engine.stats.to_dict(timing=False)
         save_report(args.json, data)
         report += f"\n{args.command} report written to {args.json}"
     if getattr(args, "check", False):
-        wrong = result.wrong_detected_rows()
-        mismatched = result.clean_arm_mismatches()
-        if wrong or mismatched:
+        failures = result.gate_failures()
+        if failures:
             print(report)
-            problems = []
-            if wrong:
-                problems.append(
-                    f"{len(wrong)} undetected wrong answer(s) with "
-                    "detection armed"
-                )
-            if mismatched:
-                problems.append(
-                    "zero-corruption rows differ between arms for "
-                    + ", ".join(mismatched)
-                )
-            raise SystemExit("integrity gate failed: " + "; ".join(problems))
-        report += "\nintegrity gate passed"
+            raise SystemExit(
+                f"{args.command} gate failed:\n  " + "\n  ".join(failures)
+            )
+        report += f"\n{args.command} gate passed"
     return report + f"\n[{engine.stats.summary()}]"
 
 
@@ -495,6 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(f"--{flag}", action="store_true", help=flag_help)
         if verb.json:
             cmd.add_argument("--json", default="", help=verb.json)
+        if verb.check:
+            cmd.add_argument("--check", action="store_true", help=verb.check)
         _add_engine_flags(cmd)
     sub.choices["figure5"].add_argument(
         "--problem",
@@ -503,12 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload driving the sweep: the synthetic "
         "activity-concentration problem (default) or the real "
         "Brusselator PDE numerics",
-    )
-    sub.choices["integrity"].add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any undetected wrong answer in the detect "
-        "arm, or if zero-corruption rows differ between arms",
     )
     for name, fn, text in [
         (

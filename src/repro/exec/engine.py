@@ -399,7 +399,7 @@ class SweepEngine:
         items = [(task.fn, task.args, dict(task.kwargs)) for _, task, _ in pending]
         try:
             pool = self._ensure_pool()
-        except (OSError, ValueError):  # pragma: no cover - pool unavailable
+        except (OSError, ValueError):  # pool unavailable: run in process
             return self._map_serial(pending)
         # map_async + polling get() keeps the mapping thread responsive
         # to cancel(): a plain pool.map would block unkillably, and a

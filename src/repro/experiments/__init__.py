@@ -2,8 +2,7 @@
 
 Each ``run_*`` function executes the experiment and returns a result
 object with a ``report()`` method printing the same rows/series the
-paper shows; the benchmark files under ``benchmarks/`` are thin wrappers
-around these.
+paper shows.
 
 An engine-backed sweep is five small things (``docs/architecture.md``,
 "Experiment layer"): a scenario dataclass with presets

@@ -30,8 +30,9 @@ Each run is reduced to an *outcome*:
   the handler;
 * ``WRONG``     — the run *converged* to an answer farther than
   ``error_tol`` from the sequential reference.  This is the silent
-  failure the layer exists to rule out: ``bench_integrity --check``
-  asserts it never occurs while detection is armed.
+  failure the layer exists to rule out: ``repro integrity --check``
+  asserts it never occurs while detection is armed
+  (:meth:`IntegrityResult.gate_failures` holds the whole gate).
 
 All quantities in the rows are virtual-time/deterministic, so the
 report digest is byte-stable across runs, hosts, worker pools and
@@ -62,6 +63,12 @@ _STAT_COLUMNS = (
     "retries",
 )
 
+#: Wire-corruption schedules the gate holds to recall 1.0.  The
+#: in-memory/state schedules are not: a single poisoned block that the
+#: contractive iteration absorbs before any plausibility screen fires is
+#: a legitimate ``masked`` outcome, not a regression.
+PAYLOAD_SCHEDULES = ("flip_lo", "flip_hi", "perturb", "truncate")
+
 
 @dataclass(slots=True)
 class IntegrityResult:
@@ -81,34 +88,38 @@ class IntegrityResult:
                 return row
         return None
 
-    def wrong_detected_rows(self) -> list[dict[str, Any]]:
-        """Detect-arm rows that silently converged to a wrong answer.
+    def gate_failures(self) -> list[str]:
+        """The integrity gate: one line per broken clause, empty if it holds.
 
-        The benchmark gate: this list must be empty."""
-        return [
-            row
-            for row in self.rows
-            if row["arm"] == "detect" and row["outcome"] == "WRONG"
-        ]
-
-    def clean_arm_mismatches(self) -> list[str]:
-        """Zero-corruption rows that differ between the two arms.
-
-        With no corruption fault scheduled, ``integrity_checks`` is
-        inert by design — no checksum is stamped, no extra RNG stream
-        is drawn — so the ``none`` schedule must produce bit-identical
-        rows whether detection is armed or not."""
-        mismatches = []
-        for model in self.scenario.models:
-            detect = self.row("detect", "none", model)
-            blind = self.row("blind", "none", model)
-            if detect is None or blind is None:
-                continue
-            a = {k: v for k, v in detect.items() if k != "arm"}
-            b = {k: v for k, v in blind.items() if k != "arm"}
-            if a != b:
-                mismatches.append(model)
-        return mismatches
+        No detect-arm run converges to a wrong answer.  The ``none`` rows
+        are identical across the arms: with nothing scheduled, detection
+        stamps no checksum and draws no RNG stream.  Every detect-arm
+        payload schedule injects, and detects every injection."""
+        failures, clean = [], {}
+        for row in self.rows:
+            cell = f"{row['arm']}/{row['schedule']}/{row['model']}"
+            if row["arm"] == "detect" and row["outcome"] == "WRONG":
+                failures.append(
+                    f"wrong answer with detection armed: {cell} "
+                    f"(max_error {row['max_error']})"
+                )
+            if row["schedule"] == "none":
+                body = {k: v for k, v in row.items() if k != "arm"}
+                if clean.setdefault(row["model"], body) != body:
+                    failures.append(
+                        f"clean path not inert: {row['model']} differs "
+                        "between the arms"
+                    )
+            elif row["arm"] == "detect" and row["schedule"] in PAYLOAD_SCHEDULES:
+                injected = row["corruptions_injected"]
+                detected = row["corruptions_detected"]
+                if injected == 0:
+                    failures.append(f"payload window never fired: {cell}")
+                elif detected < injected:
+                    failures.append(
+                        f"payload recall below 1.0: {cell} {detected}/{injected}"
+                    )
+        return failures
 
     def digest(self) -> str:
         """Reproducibility fingerprint of the sweep (virtual time only)."""
@@ -151,17 +162,10 @@ class IntegrityResult:
             self._recall_summary(),
             f"digest: {self.digest()}",
         ]
-        wrong = self.wrong_detected_rows()
-        if wrong:
-            lines.append(
-                f"GATE VIOLATION: {len(wrong)} undetected wrong answer(s) "
-                "with detection armed: "
-                + ", ".join(f"{r['schedule']}/{r['model']}" for r in wrong)
-            )
-        else:
-            lines.append(
-                "gate: zero wrong answers with detection armed"
-            )
+        lines += [f"GATE VIOLATION: {line}" for line in self.gate_failures()] or [
+            "gate: zero wrong answers with detection armed, inert clean "
+            "path, payload recall 1.0"
+        ]
         return "\n".join(lines)
 
     def _recall_summary(self) -> str:

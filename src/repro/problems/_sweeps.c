@@ -11,11 +11,11 @@
  *                (repro/problems/synthetic.py);
  *   lockstep_round  one round of the lockstep SISC replay, from the
  *                durations to the next round's scheduling order
- *                (_round in repro/models/lockstep.py).
+ *                (lockstep_round in tests/oracles.py).
  *
- * Each Python function named is its loop's reference and the path that
- * runs wherever this file cannot be compiled and loaded
- * (repro/problems/_compiled.py).
+ * Each Python function named is its loop's reference.  The three sweeps'
+ * references run wherever this file cannot be compiled and loaded; there
+ * the replay has no round and runs run_sisc (repro/problems/_compiled.py).
  *
  * Bit identity with the references rests on three things: every
  * expression below keeps the Python order and grouping (no
@@ -334,8 +334,8 @@ static int late(double t, double t_sent, double t_mid, double t_end)
     return t > t_end || (t == t_end && t_sent >= t_mid);
 }
 
-/* One round of the lockstep SISC replay: _round in
- * repro/models/lockstep.py, whose comments give the event semantics.
+/* One round of the lockstep SISC replay: lockstep_round in
+ * tests/oracles.py, whose comments give the event semantics.
  * state rows: pos0, streak, busy, idle, iterations, residual, the two
  * FIFO clamps; platform rows: rates, the two transfer times; out rows:
  * t_mid, t_se, the two arrivals, the end and barrier orders.  aux (5 n)

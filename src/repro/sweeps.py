@@ -45,6 +45,10 @@ class SweepVerb:
     flags: Mapping[str, str]
     #: Help line of ``--json``; empty when the result has no JSON form.
     json: str = ""
+    #: Whether ``--json`` also records the engine's counts.
+    json_engine: bool = False
+    #: Help line of ``--check``; empty when the result has no gate.
+    check: str = ""
 
     def scenario_class(self) -> Any:
         return _resolve(self.scenario)
@@ -68,6 +72,7 @@ SWEEP_VERBS: dict[str, SweepVerb] = {
             "full": "paper-scale run (minutes) instead of the quick one",
         },
         json="write rows + digest + engine stats to this JSON file",
+        json_engine=True,
     ),
     "table1": SweepVerb(
         help="heterogeneous 3-site grid (paper Table 1)",
@@ -95,6 +100,9 @@ SWEEP_VERBS: dict[str, SweepVerb] = {
             "tiny": "smallest sweep (clean baseline + one payload schedule)",
         },
         json="also write the report (rows + digest) to this JSON file",
+        check="exit non-zero on a wrong answer with detection armed, a "
+        "clean path that differs between arms, or a payload schedule that "
+        "never fires or misses a corruption",
     ),
     "topology-zoo": SweepVerb(
         help="LB algorithms x topologies x fault schedules",
@@ -105,5 +113,7 @@ SWEEP_VERBS: dict[str, SweepVerb] = {
             "of the quick CI cut",
         },
         json="also write rows + winners + digest to this JSON file",
+        check="exit non-zero unless the gated algorithms level the "
+        "fault-free spike on the fast-mixing graphs and every cell has a winner",
     ),
 }

@@ -94,6 +94,26 @@ def spied_sweep(tmp_path_factory):
     return run
 
 
+@pytest.fixture
+def run_check(monkeypatch):
+    """``run_check(verb, result)``: ``repro VERB --check`` on ``result``.
+
+    The verb's runner is stubbed to hand back ``result``, so a result
+    doctored to break one gate clause reaches the CLI's gate without a
+    sweep.  A broken clause raises ``SystemExit`` with the failure lines.
+    """
+    from repro.cli import main
+    from repro.sweeps import SweepVerb
+
+    def run(verb, result):
+        monkeypatch.setattr(
+            SweepVerb, "run", lambda self, scenario, **kwargs: result
+        )
+        return main([verb, "--check", "--no-cache"])
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def table1_quick_observed():
     """``(result, sidecar)`` of the one real Table 1 quick run (~8 s).

@@ -83,6 +83,27 @@ def test_serial_and_pool_payloads_identical():
     assert serial[0] == {"a": 0, "b": [0, 1]}
 
 
+class NoPoolContext:
+    """A start-method context whose pool cannot start (as on a host with
+    no working semaphores or no process slots left)."""
+
+    def Pool(self, processes):
+        raise OSError("pool unavailable")
+
+
+def test_an_unavailable_pool_runs_the_tasks_serially(monkeypatch):
+    import repro.exec.engine as engine_module
+
+    serial = SweepEngine().map(tasks_for(messy_payload))
+    monkeypatch.setattr(
+        engine_module.multiprocessing, "get_context", lambda method: NoPoolContext()
+    )
+    with SweepEngine(jobs=2) as engine:
+        assert engine.map(tasks_for(messy_payload)) == serial
+    assert engine.stats.pool_starts == 0
+    assert list(engine.stats.busy_s) == ["serial"]
+
+
 def test_normalise_payload_canonicalises():
     assert normalise_payload({"b": (1, 2), "a": 0}) == {"a": 0, "b": [1, 2]}
     assert normalise_payload([1.5, "x", None]) == [1.5, "x", None]

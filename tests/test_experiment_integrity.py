@@ -1,12 +1,21 @@
 """End-to-end tests for the integrity experiment sweep."""
 
+import copy
 import json
 
 import pytest
 
 from repro.analysis.perf import save_report, stable_digest
-from repro.experiments.integrity import _classify, run_integrity
+from repro.experiments.integrity import IntegrityResult, _classify, run_integrity
 from repro.workloads import IntegrityScenario
+
+#: Fingerprint of the quick sweep's zero-corruption rows, both arms.
+#: Those rows take the code path of every ordinary (non-integrity) run,
+#: so a behaviour drift on the clean path fails here even where a full
+#: digest is regenerated.
+QUICK_CLEAN_DIGEST = (
+    "6763ff5e5e46f66e7308b6656c5ad544fdc3f1ea1074422447a129b9ccdf8e21"
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +65,7 @@ def test_blind_arm_fails_loudly_never_silently(tiny_result):
 
 
 def test_gate_quantities(tiny_result):
-    assert tiny_result.wrong_detected_rows() == []
-    # Zero-corruption rows are bit-identical across arms: detection is
-    # inert when no corruption fault is scheduled.
-    assert tiny_result.clean_arm_mismatches() == []
+    assert tiny_result.gate_failures() == []
     for row in tiny_result.rows:
         if row["schedule"] == "none":
             assert row["outcome"] == "clean"
@@ -145,3 +151,69 @@ def test_classify_taxonomy():
     # The one unacceptable outcome: converged, but to the wrong answer.
     assert _classify(True, 1.0, 5, 5, tol) == "WRONG"
     assert _classify(True, 1.0, 5, 0, tol) == "WRONG"
+
+
+def test_quick_grid_passes_the_gate_with_its_clean_rows_pinned(
+    tmp_path, capsys
+):
+    from repro.cli import main
+
+    path = tmp_path / "quick.json"
+    assert main(["integrity", "--check", "--no-cache", "--json", str(path)]) == 0
+    assert "integrity gate passed" in capsys.readouterr().out
+    rows = json.loads(path.read_text())["rows"]
+    clean = [row for row in rows if row["schedule"] == "none"]
+    assert len(clean) == 8
+    assert stable_digest({"rows": clean}) == QUICK_CLEAN_DIGEST
+
+
+def test_tiny_grid_passes_the_gate_on_the_cli(tiny_result, run_check, capsys):
+    assert run_check("integrity", tiny_result) == 0
+    assert "integrity gate passed" in capsys.readouterr().out
+
+
+def _doctor(result, arm, schedule, model, **fields):
+    rows = copy.deepcopy(result.rows)
+    for row in rows:
+        if (row["arm"], row["schedule"], row["model"]) == (arm, schedule, model):
+            row.update(fields)
+    return IntegrityResult(scenario=result.scenario, rows=rows)
+
+
+#: One doctored row per gate clause, and the name the failure gives it.
+BROKEN_CLAUSES = [
+    (
+        ("detect", "flip_hi", "aiac", {"outcome": "WRONG", "max_error": 0.5}),
+        "wrong answer with detection armed: detect/flip_hi/aiac",
+    ),
+    (
+        ("blind", "none", "aiac+lb", {"iterations": 1}),
+        "clean path not inert: aiac+lb differs between the arms",
+    ),
+    (
+        ("detect", "flip_hi", "aiac+lb", {"corruptions_detected": 1}),
+        "payload recall below 1.0: detect/flip_hi/aiac+lb",
+    ),
+    (
+        (
+            "detect", "flip_hi", "aiac",
+            {"corruptions_injected": 0, "corruptions_detected": 0},
+        ),
+        "payload window never fired: detect/flip_hi/aiac",
+    ),
+]
+
+
+@pytest.mark.parametrize("doctored, clause", BROKEN_CLAUSES)
+def test_each_broken_clause_fails_the_check_by_name(
+    tiny_result, run_check, doctored, clause
+):
+    arm, schedule, model, fields = doctored
+    broken = _doctor(tiny_result, arm, schedule, model, **fields)
+    (failure,) = broken.gate_failures()  # this clause alone breaks
+    with pytest.raises(SystemExit) as exc:
+        run_check("integrity", broken)
+    message = exc.value.code
+    assert isinstance(message, str)  # printed, exit status 1
+    assert message.startswith("integrity gate failed:")
+    assert clause in failure and failure in message

@@ -268,7 +268,12 @@ CLI_SURFACE = {
         ("--check", False),
         *_ENGINE_FLAGS,
     ],
-    "topology-zoo": [("--full", False), ("--json", ""), *_ENGINE_FLAGS],
+    "topology-zoo": [
+        ("--full", False),
+        ("--json", ""),
+        ("--check", False),
+        *_ENGINE_FLAGS,
+    ],
     "metrics": [
         ("experiment", None),
         ("--tiny", False),

@@ -1,12 +1,17 @@
 """Tests for the topology-zoo experiment + CLI verb (ISSUE 8)."""
 
+import copy
 import json
 
 import pytest
 
 from repro.analysis.perf import save_report
 from repro.exec import RunCache, SweepEngine
-from repro.experiments import TopologyZooScenario, run_topology_zoo
+from repro.experiments import (
+    TopologyZooResult,
+    TopologyZooScenario,
+    run_topology_zoo,
+)
 
 
 def _tiny():
@@ -117,6 +122,7 @@ def test_cli_topology_zoo_verb(tmp_path, capsys):
         [
             "topology-zoo",
             "--no-cache",
+            "--check",
             "--json",
             str(out),
         ]
@@ -124,6 +130,7 @@ def test_cli_topology_zoo_verb(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "Which decentralized LB wins where" in printed
+    assert "topology-zoo gate passed" in printed
     data = json.loads(out.read_text())
     # The default grid is TopologyZooScenario.quick(): its digest is pinned,
     # so drift in a policy, the driver or a fault schedule fails tier-1.
@@ -131,3 +138,61 @@ def test_cli_topology_zoo_verb(tmp_path, capsys):
     assert data["digest"] == (
         "459b2829f28a39165a913e2f4bf28250ba5da345bf0adb052f48cd5bdb24e4b2"
     )
+
+
+def _unlevel(rows):
+    for row in rows:
+        if (row["family"], row["algorithm"], row["schedule"]) == (
+            "torus", "diffusion", "none"
+        ):
+            row["final_imbalance"] = 1.5
+    return rows
+
+
+def _drop_cell(rows):
+    # chain is not a gated family, so only the winners clause breaks.
+    return [
+        row
+        for row in rows
+        if (row["family"], row["schedule"]) != ("chain", "link_flap")
+    ]
+
+
+@pytest.mark.parametrize(
+    "doctor, clause",
+    [
+        (
+            _unlevel,
+            "spike not levelled: torus/diffusion/none: final imbalance "
+            "1.500 > 1.15",
+        ),
+        (_drop_cell, "winners table not full: 14 of 15"),
+    ],
+)
+def test_each_broken_clause_fails_the_check_by_name(
+    spied_sweep, run_check, doctor, clause
+):
+    quick = spied_sweep("zoo-quick")[0]
+    assert quick.gate_failures() == []
+    broken = TopologyZooResult(
+        scenario=quick.scenario, rows=doctor(copy.deepcopy(quick.rows))
+    )
+    assert broken.gate_failures() == [clause]
+    with pytest.raises(SystemExit) as exc:
+        run_check("topology-zoo", broken)
+    assert isinstance(exc.value.code, str)  # printed, exit status 1
+    assert exc.value.code.startswith("topology-zoo gate failed:")
+    assert clause in exc.value.code
+
+
+def test_a_missing_gated_row_fails_the_check(spied_sweep):
+    quick = spied_sweep("zoo-quick")[0]
+    rows = [
+        row
+        for row in quick.rows
+        if (row["family"], row["algorithm"]) != ("hypercube", "centralized")
+    ]
+    broken = TopologyZooResult(scenario=quick.scenario, rows=rows)
+    assert broken.gate_failures() == [
+        "spike not levelled: hypercube/centralized/none: no row"
+    ]

@@ -52,6 +52,16 @@ def test_json_flag_is_offered_exactly_where_the_result_has_a_json_form():
         assert bool(verb.json) == hasattr(results[name], "to_dict"), name
 
 
+def test_check_flag_is_offered_exactly_where_the_result_has_a_gate():
+    from repro.experiments import IntegrityResult, TopologyZooResult
+
+    gated = {"integrity": IntegrityResult, "topology-zoo": TopologyZooResult}
+    for name, verb in SWEEP_VERBS.items():
+        assert bool(verb.check) == (name in gated), name
+    for result in gated.values():
+        assert callable(result.gate_failures)
+
+
 def test_served_kinds_and_observed_experiments_are_rows_of_the_table():
     from repro.obs.harness import EXPERIMENTS
     from repro.serve.spec import AdmissionError, validate_spec
