@@ -73,8 +73,8 @@ def _experiment(args: argparse.Namespace) -> str:
             if mode == "scale"
             else replace(scenario, problem_kind="brusselator")
         )
-    engine = _engine_for(args)
-    result = verb.run(scenario, engine=engine)
+    with _engine_for(args) as engine:
+        result = verb.run(scenario, engine=engine)
     report = result.report()
     if getattr(args, "json", ""):
         from repro.analysis.perf import save_report
@@ -159,11 +159,11 @@ def _ablations(args: argparse.Namespace) -> str:
         raise SystemExit(
             f"unknown ablation(s) {unknown}; choose from {sorted(_ABLATIONS)}"
         )
-    engine = _engine_for(args)
     parts = []
-    for key in selected:
-        fn = getattr(ablations, _ABLATIONS[key])
-        parts.append(fn(engine=engine).report())
+    with _engine_for(args) as engine:
+        for key in selected:
+            fn = getattr(ablations, _ABLATIONS[key])
+            parts.append(fn(engine=engine).report())
     parts.append(f"[{engine.stats.summary()}]")
     return "\n\n".join(parts)
 
@@ -245,15 +245,15 @@ def _soak(args: argparse.Namespace) -> str:
     from repro.guard.soak import run_soak
 
     models = tuple(args.models.split(",")) if args.models else None
-    engine = _engine_for(args)
-    result = run_soak(
-        n_schedules=args.schedules,
-        seed=args.seed,
-        models=models,
-        out_dir=args.out_dir,
-        shrink=not args.no_shrink,
-        engine=engine,
-    )
+    with _engine_for(args) as engine:
+        result = run_soak(
+            n_schedules=args.schedules,
+            seed=args.seed,
+            models=models,
+            out_dir=args.out_dir,
+            shrink=not args.no_shrink,
+            engine=engine,
+        )
     if args.json:
         from repro.analysis.perf import save_report
 

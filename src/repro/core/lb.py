@@ -212,10 +212,11 @@ class _BalancedRun:
         """
         run, cfg = self.run, self.cfg
         state = self.lb[ctx.rank]
-        neighbor = run.neighbor(ctx.rank, side)
+        neighbor = run._neighbors[ctx.rank][side]
         if neighbor is None:
             return "edge"
-        if not ctx.node.peer_alive(neighbor.rank):
+        # Without an injector every peer is alive (``peer_alive``).
+        if run.injector is not None and not ctx.node.peer_alive(neighbor.rank):
             # The neighbour looks dead (nothing heard within the liveness
             # timeout): never shed load toward it — the components would
             # strand in a failed transfer.  Transient: retried next sweep.
@@ -240,11 +241,12 @@ class _BalancedRun:
         surplus = surplus_fraction(mine, theirs, cfg.threshold_ratio)
         if surplus == 0.0:
             return "balanced"
-        nb = int(cfg.accuracy * ctx.n_local * surplus)
+        n_local = ctx.hi - ctx.lo
+        nb = int(cfg.accuracy * n_local * surplus)
         nb = min(
             nb,
-            int(cfg.max_fraction * ctx.n_local),
-            ctx.n_local - cfg.min_components,
+            int(cfg.max_fraction * n_local),
+            n_local - cfg.min_components,
         )
         if nb < 1:
             return "famine"  # famine guard (ThresholdData)

@@ -445,7 +445,11 @@ class ChainRun:
         else:
             ctx.halo_right = payload["data"]
             ctx.halo_iter_right = payload["iteration"]
-        ctx.halo_signal.trigger(self.sim)
+        # Only a waiting SIAC / SISC rank needs the wake-up; an AIAC rank
+        # never waits, so nothing is triggered for it.
+        signal = ctx.halo_signal
+        if signal._waiters:
+            signal.trigger(self.sim)
 
     # ------------------------------------------------------------------
     # Halo recovery of the synchronous models (fault injection only)
@@ -865,15 +869,17 @@ class _RankLoop(Process):
             # neither ``ctx.iteration`` nor ``ctx.residual``.)
             if run.guard is None or not run.guard.after_sweep(run, ctx):
                 now = self.sim._now
-                n_local = ctx.n_local
+                n_local = ctx.hi - ctx.lo
                 residuals = result.residuals
                 # What np.linalg.norm evaluates for a 1-D float array,
                 # without its dispatch (pinned bitwise in
                 # tests/test_solver_internals.py).
                 residual_l2 = math.sqrt(float(residuals.dot(residuals)))
                 ctx.estimator.update(residual, residual_l2, self._duration, n_local)
-                run.tracer.iteration(rank, iteration, self._t0, now, result.total_work)
-                run.tracer.residual(rank, iteration, now, residual, n_local)
+                tracer = run.tracer
+                tracer.iteration(rank, iteration, self._t0, now, result.total_work)
+                if tracer.enabled:  # the record a disabled tracer drops
+                    tracer.residual(rank, iteration, now, residual, n_local)
                 if run.injector is None or not run._halo_is_stale(ctx):
                     run.monitor.report(rank, residual, now)
                 if run.detector is not None and not node.stop_requested:

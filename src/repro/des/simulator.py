@@ -112,7 +112,9 @@ class Simulator:
         pass through here — they re-queue their own record at ``now +
         duration``, and :class:`~repro.des.process.Hold` (or
         :func:`~repro.des.process.invalid_hold`) rejects a negative or
-        non-finite duration first.
+        non-finite duration first.  It pushes its own ``(time, seq,
+        event)`` entry, as :meth:`EventQueue.push_call` would (the queue's
+        public call for the same thing).
         """
         if time < self._now:
             raise ValueError(
@@ -123,7 +125,11 @@ class Simulator:
             raise ValueError(
                 f"event time for {callback!r} must be finite, got {time!r}"
             )
-        return self._queue.push_call(time, callback, args)
+        queue = self._queue
+        seq = next(queue._seqs)
+        event = ScheduledEvent(time, seq, callback, args, queue)
+        heappush(queue._heap, (time, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     # Processes

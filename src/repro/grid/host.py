@@ -10,7 +10,7 @@ external multi-user load.  The effective speed at time ``t`` is
 from __future__ import annotations
 
 from repro.grid.traces import AvailabilityTrace, ConstantTrace
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["Host"]
 
@@ -62,7 +62,8 @@ class Host:
         constant trace has one segment: the walk's first step, without
         the trace calls.
         """
-        check_non_negative("work", work)
+        if not work >= 0:  # check_non_negative, without the call
+            raise ValueError(f"work must be >= 0, got {work!r}")
         if work == 0:
             return 0.0
         trace = self.trace

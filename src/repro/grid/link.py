@@ -57,7 +57,8 @@ class Link:
 
     def transfer_time(self, nbytes: float, t: float) -> float:
         """Seconds to move ``nbytes`` across this link starting at ``t``."""
-        check_non_negative("nbytes", nbytes)
+        if not nbytes >= 0:  # check_non_negative, without the call
+            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
         lat_trace, bw_trace = self.latency_trace, self.bandwidth_trace
         if (
             lat_trace.__class__ is ConstantTrace

@@ -186,10 +186,13 @@ class Problem(ABC):
     # ------------------------------------------------------------------
     def halo_out(self, state: BlockState, side: str) -> np.ndarray:
         """Boundary data for the ``side`` neighbour ('left' or 'right'):
-        the edge component's row, ``(1,) + component_shape``."""
-        self.check_side(side)
-        idx = 0 if side == "left" else state.traj.shape[0] - 1
-        return state.traj[idx : idx + 1].copy()
+        the edge component's row, ``(1,) + component_shape``.  Any other
+        ``side`` raises :meth:`check_side`'s error, without the call."""
+        if side == "left":
+            return state.traj[:1].copy()
+        if side == "right":
+            return state.traj[-1:].copy()
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     @abstractmethod
     def initial_halo(self, global_index: int) -> Any:

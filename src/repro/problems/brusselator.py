@@ -209,9 +209,13 @@ class BrusselatorProblem(Problem):
         return np.repeat(init[:, None], self.n_steps + 1, axis=1)
 
     def halo_out(self, state: BrusselatorState, side: str) -> np.ndarray:
-        # Halos are single-component trajectories of shape (2, n_steps+1).
-        self.check_side(side)
-        return state.traj[0 if side == "left" else -1].copy()
+        # Halos are single-component trajectories of shape (2, n_steps+1);
+        # any other side raises check_side's error, without the call.
+        if side == "left":
+            return state.traj[0].copy()
+        if side == "right":
+            return state.traj[-1].copy()
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def payload_edge_halo(self, payload: np.ndarray, edge: str) -> np.ndarray:
         if edge not in ("first", "last"):

@@ -133,7 +133,7 @@ class SyntheticProblem(Problem):
         bit for bit the same."""
         # The synthetic problem's residual IS the true error (idealised
         # estimator; see module docstring).
-        n = state.n
+        n = state.traj.shape[0]
         if kernel is not None:
             out = np.empty(3 * n)
             top, total = kernel.synthetic(

@@ -354,7 +354,7 @@ class GridNode:
                 return False
             self._busy_channels.add(channel)
 
-        now = self.sim.now
+        now = self.sim._now
         arrival = self.network.arrival_time(self.host, dst.host, size_bytes, now)
         # Positional (kind, payload, size_bytes, src_rank, dst_rank,
         # send_time, arrival_time): half the cost of the keyword form,

@@ -267,3 +267,61 @@ def test_audit_replay_command_flags_mismatch(capsys, tmp_path):
     log.close()
     with pytest.raises(SystemExit, match="audit-replay failed"):
         main(["audit-replay", "--audit", str(tmp_path / "audit.jsonl")])
+
+
+class _StubResult:
+    """A sweep result whose gate fails and whose soak did not hold."""
+
+    ok = False
+    failures = ("stub",)
+
+    def report(self):
+        return "stub report"
+
+    def gate_failures(self):
+        return ["stub gate"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "target", "raises"),
+    [
+        (["integrity", "--tiny", "--check"],
+         "repro.experiments.integrity.run_integrity", True),
+        (["ablations", "--only", "threshold"],
+         "repro.experiments.ablations.sweep_threshold_ratio", False),
+        (["soak", "--schedules", "1"], "repro.guard.soak.run_soak", True),
+    ],
+    ids=["experiment", "ablations", "soak"],
+)
+def test_every_engine_backed_handler_closes_its_engine(
+    argv, target, raises, monkeypatch, capsys
+):
+    """``_experiment``, ``_ablations`` and ``_soak`` close the sweep engine
+    they build, also when a failed ``--check`` or soak exits through
+    ``SystemExit``: an engine left open keeps a ``--jobs N`` worker pool
+    running after the verb returns (a ``ResourceWarning`` in process)."""
+    import repro.cli as cli
+    from repro.exec import SweepEngine
+
+    monkeypatch.setattr(target, lambda *args, **kwargs: _StubResult())
+    built, closed = [], []
+    engine_for = cli._engine_for
+    close = SweepEngine.close
+
+    def spy_engine_for(args):
+        built.append(engine_for(args))
+        return built[-1]
+
+    def spy_close(engine):
+        closed.append(engine)
+        close(engine)
+
+    monkeypatch.setattr(cli, "_engine_for", spy_engine_for)
+    monkeypatch.setattr(SweepEngine, "close", spy_close)
+    if raises:
+        with pytest.raises(SystemExit):
+            main([*argv, "--no-cache"])
+    else:
+        assert main([*argv, "--no-cache"]) == 0
+    assert len(built) == 1 and closed == built
+    assert "stub report" in capsys.readouterr().out

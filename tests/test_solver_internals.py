@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from repro.core import SolverConfig, run_aiac
 from repro.core.solver import build_chain, run_chain
-from repro.des import SimulationError
+from repro.des import SimulationError, Simulator, Wait
 from repro.faults import FaultInjector
-from repro.grid import homogeneous_cluster
+from repro.grid import Host, Link, homogeneous_cluster
 from repro.guard import InvariantMonitor
 from repro.models import run_model
 from repro.problems import BrusselatorProblem, HeatProblem, SyntheticProblem
 from repro.runtime.message import Message
+from repro.util.validation import check_non_negative
 from repro.workloads import Figure5Scenario, IntegrityScenario
 from tests.conftest import force_sweep_path
 
@@ -232,10 +233,10 @@ def _repro_frames_per_sweep(model):
 #: Frames entered per sweep, measured on CPython 3.11, by (model, sweep
 #: path): the compiled sweep enters two frames fewer than the Python one.
 SWEEP_FRAMES = {
-    ("aiac", "python"): 42.54,
-    ("aiac+lb", "python"): 60.12,
-    ("aiac", "compiled"): 40.54,
-    ("aiac+lb", "compiled"): 58.12,
+    ("aiac", "python"): 30.15,
+    ("aiac+lb", "python"): 40.88,
+    ("aiac", "compiled"): 28.15,
+    ("aiac+lb", "compiled"): 38.88,
 }
 
 
@@ -247,9 +248,11 @@ def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(
     count that repeats exactly: what the callback-driven rank loop
     measured on each sweep path (``SWEEP_FRAMES``; the generator loop
     entered 66.6 / 85.1, and 79.5 / 108.8 before one resolved route per
-    host pair) plus 2 %.  A hot-path edit that adds a call per event,
-    message or sweep fails here by name.  A ceiling, not an equality:
-    CPython 3.12 inlines comprehensions."""
+    host pair; the compiled path 40.54 / 58.12, and the Python one
+    42.54 / 60.12, before a sweep and its halos stopped calling for
+    answers fixed for the run) plus 2 %.  A hot-path edit that adds a
+    call per event, message or sweep fails here by name.  A ceiling, not
+    an equality: CPython 3.12 inlines comprehensions."""
     force_sweep_path(monkeypatch, path)
     assert _repro_frames_per_sweep(model) <= SWEEP_FRAMES[model, path] * 1.02
 
@@ -257,14 +260,14 @@ def test_frames_entered_per_sweep_stay_under_the_measured_ceiling(
 #: Frames entered per protected message, measured on CPython 3.11, by
 #: (corruption schedule, model, sweep path).
 MESSAGE_FRAMES = {
-    ("none", "aiac+lb", "python"): 57.00,
-    ("none", "aiac", "python"): 51.76,
-    ("flip_hi", "aiac+lb", "python"): 75.50,
-    ("flip_hi", "aiac", "python"): 69.46,
-    ("none", "aiac+lb", "compiled"): 55.85,
-    ("none", "aiac", "compiled"): 50.46,
-    ("flip_hi", "aiac+lb", "compiled"): 74.33,
-    ("flip_hi", "aiac", "compiled"): 68.15,
+    ("none", "aiac+lb", "python"): 47.48,
+    ("none", "aiac", "python"): 42.96,
+    ("flip_hi", "aiac+lb", "python"): 66.62,
+    ("flip_hi", "aiac", "python"): 61.20,
+    ("none", "aiac+lb", "compiled"): 46.32,
+    ("none", "aiac", "compiled"): 41.66,
+    ("flip_hi", "aiac+lb", "compiled"): 65.45,
+    ("flip_hi", "aiac", "compiled"): 59.88,
 }
 
 
@@ -279,7 +282,10 @@ def test_frames_entered_per_protected_message_stay_under_the_ceiling(
     each sweep path (``MESSAGE_FRAMES``) plus 2 %.  The generator loop
     entered 72.3 / 68.1 without and 90.6 / 85.5 with payload corruption
     armed; before one serialising walk per payload, 81.6 / 78.5 and
-    143.6 / 137.5."""
+    143.6 / 137.5.  Before a sweep and its halos stopped calling for
+    answers fixed for the run, the compiled path entered 55.85 / 50.46
+    without and 74.33 / 68.15 with corruption armed (AIAC+LB / AIAC),
+    and the Python one 57.00 / 51.76 and 75.50 / 69.46."""
     force_sweep_path(monkeypatch, path)
     scenario = IntegrityScenario.tiny()
     frames, result = _repro_frames(
@@ -290,6 +296,106 @@ def test_frames_entered_per_protected_message_stay_under_the_ceiling(
     )
     measured = MESSAGE_FRAMES[schedule, model, path]
     assert frames / result.tracer.n_messages() <= measured * 1.02
+
+
+# ----------------------------------------------------------------------
+# The checks a sweep and its halos make inline raise what the helpers do
+# ----------------------------------------------------------------------
+def _message(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+_BAD_SIDES = ["up", "", "Left", None, 0]
+
+
+@pytest.mark.parametrize("side", _BAD_SIDES)
+@pytest.mark.parametrize(
+    "problem",
+    [
+        SyntheticProblem(np.full(8, 0.8), coupling=0.3),
+        HeatProblem(8),
+        BrusselatorProblem(8, t_end=1.0, n_steps=4),
+    ],
+    ids=["synthetic", "heat", "brusselator"],
+)
+def test_halo_out_rejects_a_bad_side_with_check_side_s_error(problem, side):
+    """``halo_out`` branches on ``side`` itself (the base problem's and
+    the Brusselator's); any other value raises ``check_side``'s text."""
+    state = problem.initial_state(0, 4)
+    expected = _message(lambda: problem.check_side(side))
+    assert _message(lambda: problem.halo_out(state, side)) == expected
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), -float("inf")])
+def test_transfer_time_and_duration_reject_what_check_non_negative_does(value):
+    """``Link.transfer_time`` and ``Host.duration_for_work`` check
+    ``>= 0`` inline, with ``check_non_negative``'s message; 0 passes."""
+    link, host = Link(1e-3, 1e6), Host("h", 100.0)
+    assert _message(lambda: link.transfer_time(value, 0.0)) == _message(
+        lambda: check_non_negative("nbytes", value)
+    )
+    assert _message(lambda: host.duration_for_work(value, 0.0)) == _message(
+        lambda: check_non_negative("work", value)
+    )
+    assert link.transfer_time(0.0, 0.0) == 1e-3
+    assert host.duration_for_work(0.0, 0.0) == 0.0
+
+
+def test_simulator_at_names_the_callback_and_shares_the_queue_s_counter():
+    """``Simulator.at`` pushes its own heap entry: a time in the past or a
+    non-finite one still names the callback, and its events interleave
+    with ``EventQueue.push_call``'s on one sequence counter."""
+    sim = Simulator()
+    order = []
+    sim.at(1.0, order.append, "a")
+    sim._queue.push_call(1.0, order.append, ("b",))
+    handle = sim.at(1.0, order.append, "c")
+    sim.at(0.5, order.append, "first")
+    cancelled = sim.at(1.0, order.append, "never")
+    cancelled.cancel()
+    assert len(sim._queue) == 4
+    sim.run()
+    assert order == ["first", "a", "b", "c"]
+    assert handle.time == 1.0 and handle._queue is None
+    past = _message(lambda: sim.at(0.5, order.append, "late"))
+    assert past == f"cannot schedule {order.append!r} in the past: time=0.5 < now=1.0"
+    for bad in (float("inf"), float("nan")):
+        assert _message(lambda: sim.at(bad, order.append)) == (
+            f"event time for {order.append!r} must be finite, got {bad!r}"
+        )
+
+
+def test_a_rank_waiting_on_its_halos_is_woken_by_each_arrival():
+    """``_on_halo`` triggers ``halo_signal`` only when a rank waits on it:
+    an AIAC rank never does, and a SIAC / SISC rank parked in
+    ``_await_halos`` is still woken by the halo it waits for.  The
+    ``siac`` / ``sisc`` dispatch streams of ``tests/test_rank_loop_pins.py``
+    (``test_figure5_tiny_dispatch_stream``,
+    ``test_ckpt_crash_guarded_dispatch_stream``) pin every such wake-up;
+    this is the same rule on one message."""
+    run = make_run()
+    ctx = run.ranks[1]  # block [8, 16)
+    msg = halo_message(
+        "halo_from_left",
+        {"data": np.array([0.5]), "position": 7, "estimate": 0.9, "iteration": 3},
+    )
+    run._on_halo(ctx, "left", msg)  # nobody waits: nothing is triggered
+    assert ctx.halo_signal.trigger_count == 0 and len(run.sim._queue) == 0
+    woken = []
+
+    def waiter():
+        yield Wait(ctx.halo_signal)
+        woken.append(ctx.halo_iter_left)
+
+    run.sim.spawn("waiter", waiter())
+    run.sim.run()  # parks on the signal
+    assert ctx.halo_signal._waiters and not woken
+    run._on_halo(ctx, "left", msg)
+    assert ctx.halo_signal.trigger_count == 1
+    run.sim.run()
+    assert woken == [3]
 
 
 # ----------------------------------------------------------------------
