@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.partition import PartitionRegistry, tiling_error
 from repro.guard.plausibility import PlausibilityGuard
@@ -183,10 +183,6 @@ class InvariantMonitor:
         self._divergence = DivergenceGuard()
         self._plausibility = PlausibilityGuard()
         self._prev_transport: dict[int, dict[str, dict]] = {}
-        #: Installed by the lockstep replay engine (which never calls
-        #: :meth:`attach`): a callable performing the native halt
-        #: verification against the batched state.
-        self._lockstep_verify: Any = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -198,9 +194,6 @@ class InvariantMonitor:
         self.run = run
         run.guard = self
         run.sim.attach_monitor(self)
-        # Count this run from zero: a lockstep replay that fell back
-        # here has already advanced the cadence (replay_events).
-        self.events_seen = self.checks_run = 0
         # Seed rollback points so the divergence watchdog can restore
         # even on the lossless fast path (an injector, attached before
         # or after, re-seeds its own — both snapshot the same bounds).
@@ -224,23 +217,6 @@ class InvariantMonitor:
         self.events_seen = seen = self.events_seen + 1
         if seen % self._check_every == 0:
             self.check_invariants()
-
-    def replay_events(self, events: int, check: Callable[[], None]) -> None:
-        """Count ``events`` dispatches a lockstep replay collapsed.
-
-        Advances the cadence exactly as that many :meth:`record` calls
-        would: ``checks_run`` grows by the ``check_every`` boundaries
-        crossed.  ``check`` (the replay's conservation check over its
-        batched state, which no collapsed event changes) runs once if
-        any boundary was crossed — one run gives the verdict of all.
-        """
-        every = self._check_every
-        before = self.events_seen
-        self.events_seen = before + events
-        checks = self.events_seen // every - before // every
-        if checks:
-            self.checks_run += checks
-            check()
 
     # ------------------------------------------------------------------
     # Sweep hook (divergence watchdog; called from the rank loop's _end)
@@ -283,10 +259,9 @@ class InvariantMonitor:
         self._check_checkpoint_ownership(run)
         self._check_sequence_monotonicity(run)
 
-    def _fail(self, message: str, now: float | None = None) -> None:
-        if now is None and self.run is not None:
-            now = self.run.sim.now
-        at = f" at t={now:.6g}" if now is not None else ""
+    def _fail(self, message: str) -> None:
+        run = self.run
+        at = f" at t={run.sim.now:.6g}" if run is not None else ""
         raise InvariantViolation(f"invariant violated{at}: {message}")
 
     def _check_conservation(self, run: "ChainRun") -> None:
@@ -414,11 +389,6 @@ class InvariantMonitor:
         converged, a detector protocol bug) overshoot the widened bound
         by orders of magnitude, so the oracle still fails loudly.
         """
-        if self.run is None and self._lockstep_verify is not None:
-            # Guarded lockstep replay: the engine verifies its own
-            # batched final state (same invariants, same bound).
-            self.checks_run += 1
-            return self._lockstep_verify()
         run = self.run
         assert run is not None
         self.check_invariants()

@@ -25,7 +25,9 @@ registry` holds :data:`MODELS` (name -> driver), :data:`VERSIONS` and
 :func:`~repro.models.lockstep.run_sisc_batched` is a rank-batched
 replay of the SISC model — bit-identical results, orders of magnitude
 fewer dispatched events — used by the scale benchmarks and the
-``--scale`` experiment presets.
+``--scale`` experiment presets.  It takes no ``guard``: a guarded SISC
+run is ``run_sisc(..., guard=g)``, whose watchdogs can roll a rank
+back.
 """
 
 from repro._exports import lazy_exports

@@ -26,11 +26,14 @@ Equivalence is enforced, not assumed:
   the dispatch positions of the parents, so record lists, trigger
   ranks and the dispatched-event count match the reference exactly —
   for a complete round and for the one a stop or the horizon cuts;
-* anything the replay cannot express (token-ring detection, the guard's
-  stall watchdog, a divergence rollback) or run (no compiled round)
-  falls back to the reference implementation — *observably*:
-  the reason is logged and exported as the ``lockstep.fallback_reason``
-  metric (see :func:`run_sisc_batched`).
+* anything the replay cannot express (token-ring detection) or run
+  (no compiled round) falls back to the reference implementation —
+  *observably*: the reason is logged and exported as the
+  ``lockstep.fallback_reason`` metric (see :func:`run_sisc_batched`).
+
+The replay runs no invariant monitor: a monitored SISC run is
+:func:`repro.models.sisc.run_sisc`'s, the engine whose watchdogs can
+roll a rank back.
 
 Every problem batches, the Brusselator's adaptive skip included: the
 :class:`~repro.problems.base.ChainSweeper`'s per-rank reductions are
@@ -111,7 +114,6 @@ def _fall_back(
     platform: Platform,
     config: SolverConfig,
     host_order: list[int],
-    guard: Any,
 ) -> RunResult:
     """Run the reference engine, making the degradation observable.
 
@@ -134,9 +136,7 @@ def _fall_back(
         ).inc()
     from repro.models.sisc import run_sisc
 
-    return run_sisc(
-        problem, platform, config, host_order=host_order, guard=guard
-    )
+    return run_sisc(problem, platform, config, host_order=host_order)
 
 
 def run_sisc_batched(
@@ -145,22 +145,17 @@ def run_sisc_batched(
     config: SolverConfig | None = None,
     *,
     host_order: list[int] | None = None,
-    guard: Any = None,
     metrics: Any = None,
 ) -> RunResult:
     """SISC via lockstep round replay; bit-identical to ``run_sisc``.
 
     Falls back to the reference event-driven implementation whenever
-    the replay's preconditions do not hold (non-oracle detection, the
-    guard's stall watchdog, no compiled round) or the guard's
-    divergence watchdog would have rolled a rank back (the replay has
-    no rollback).  Every fallback is observable: the reason is logged
+    the replay's preconditions do not hold (non-oracle detection, no
+    compiled round).  Every fallback is observable: the reason is logged
     on the ``repro.models.lockstep`` logger and counted on ``metrics``
     (a :class:`repro.obs.MetricsRegistry`, optional) as
-    ``lockstep.fallback_reason{reason=..., problem=...}``.
-    ``guard`` accepts a :class:`repro.guard.InvariantMonitor`; its
-    conservation checks and halt verification run natively against the
-    batched state at the reference cadence.
+    ``lockstep.fallback_reason{reason=..., problem=...}``.  The replay
+    runs no invariant monitor; a monitored SISC run is ``run_sisc``'s.
     """
     config = config if config is not None else SolverConfig()
     n_ranks = len(platform.hosts)
@@ -178,24 +173,14 @@ def run_sisc_batched(
     reason = None
     if config.detection != "oracle":
         reason = f"detection:{config.detection}"
-    elif guard is not None and guard.config.stall_horizon is not None:
-        # The stall watchdog schedules its own periodic DES events;
-        # the replay cannot express them.
-        reason = "guard:stall_horizon"
     elif _compiled.lockstep_round is None:  # no cc, or a failed probe
         reason = "no_compiled_round"
-    if reason is None:
-        sweeper = problem.batched_chain_sweeper(blocks)
-        result = _LockstepEngine(
-            problem, platform, config, host_order, partition, blocks, sweeper, guard
-        ).run(_compiled.lockstep_round)
-        if result is not None:
-            return result
-        # Divergence rollback would have fired: replay cannot express it.
-        reason = "divergence_watchdog"
-    return _fall_back(
-        reason, metrics, problem, platform, config, host_order, guard
-    )
+    if reason is not None:
+        return _fall_back(reason, metrics, problem, platform, config, host_order)
+    sweeper = problem.batched_chain_sweeper(blocks)
+    return _LockstepEngine(
+        problem, platform, config, host_order, partition, blocks, sweeper
+    ).run(_compiled.lockstep_round)
 
 
 #: Rows of the engine's ``(8, n)`` state and of the round's ``(6, n)``
@@ -248,7 +233,6 @@ class _LockstepEngine:
         partition: PartitionRegistry,
         blocks: list[tuple[int, int]],
         sweeper: Any,
-        guard: Any,
     ) -> None:
         self.problem = problem
         # Same isolation contract as ChainRun: private platform copy,
@@ -260,7 +244,6 @@ class _LockstepEngine:
         self.partition = partition
         self.blocks = blocks
         self.sweeper = sweeper
-        self.guard = guard
         self.n = len(blocks)
         self.hosts = [self.platform.hosts[host_order[r]] for r in range(self.n)]
         self.tracer = Tracer(enabled=config.trace)
@@ -306,10 +289,6 @@ class _LockstepEngine:
         self.aborted_reason: str | None = None
         self._msg_counts = {"halo_from_right": 0, "halo_from_left": 0}
         self._msg_bytes = {"halo_from_right": 0.0, "halo_from_left": 0.0}
-        # Guard mirror state (divergence watchdog).
-        self._g_best = np.full(self.n, float("inf"))
-        self._g_streak = np.zeros(self.n, dtype=np.int64)
-        self._g_diverged = False
 
     # ------------------------------------------------------------------
     # Per-round timings where a host's or a link's trace varies
@@ -328,83 +307,11 @@ class _LockstepEngine:
                     )
 
     # ------------------------------------------------------------------
-    # Guard hooks (InvariantMonitor compatibility, lockstep-native)
-    # ------------------------------------------------------------------
-    def _guard_conservation(self) -> None:
-        from repro.guard.invariants import conservation_error
-
-        error = conservation_error(
-            self.blocks,
-            self.sweeper.component_counts(),
-            self.partition,
-            self.problem.n_components,
-        )
-        if error is not None:
-            self.guard._fail(error, self.now)
-
-    def _guard_events(self, events: int) -> None:
-        """Advance the guard's event counter at the reference cadence."""
-        if self.guard is not None:
-            self.guard.replay_events(events, self._guard_conservation)
-
-    def _guard_divergence(self, residual: np.ndarray, idx: np.ndarray) -> bool:
-        """Mirror the divergence watchdog for ranks ``idx`` this round.
-
-        Detection only — the replay has no rollback; on detection the
-        caller abandons the replay and reruns the reference engine,
-        whose own :class:`~repro.guard.watchdogs.DivergenceGuard`
-        performs the actual rollback.
-        """
-        if self.guard is None:
-            return False
-        from repro.guard.watchdogs import DIVERGENCE_FACTOR, DIVERGENCE_PATIENCE
-
-        res = residual[idx]
-        best = self._g_best[idx]
-        finite = np.isfinite(res)
-        improved = finite & (res < best)
-        floor = np.maximum(best, self.config.tolerance)
-        blowup = ~finite | (
-            np.isfinite(best) & (res > floor * DIVERGENCE_FACTOR)
-        )
-        blowup &= ~improved
-        self._g_best[idx] = np.where(improved, res, best)
-        self._g_streak[idx[improved]] = 0
-        self._g_streak[idx[blowup]] += 1
-        if np.any(~finite) or np.any(
-            self._g_streak[idx] >= DIVERGENCE_PATIENCE
-        ):
-            self._g_diverged = True
-        return self._g_diverged
-
-    def _guard_verify_halt(self) -> dict[str, Any]:
-        """Native halt verification; installed as ``guard._lockstep_verify``.
-
-        Same contract as :meth:`repro.guard.InvariantMonitor.
-        verify_halt`: re-check conservation on the final batched state,
-        recompute the true global residual, raise on a premature halt.
-        """
-        guard = self.guard
-        assert guard is not None
-        from repro.guard.invariants import HALT_SLACK, judge_halt
-
-        self._guard_conservation()
-        guard.halt_verdict, error = judge_halt(
-            self.converged,
-            self.sweeper.probe_residual(),
-            self.config.tolerance,
-            HALT_SLACK,
-        )
-        if error is not None:
-            guard._fail(error, self.now)
-        return guard.halt_verdict
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, kernel: Any) -> RunResult | None:
-        """Replay the run round by round; ``None`` => fall back."""
-        n, cfg, guard = self.n, self.config, self.guard
+    def run(self, kernel: Any) -> RunResult:
+        """Replay the run round by round."""
+        n, cfg = self.n, self.config
         horizon = None if cfg.max_time is None else float(cfg.max_time)
         run = (
             OVERLAP_SPLIT, _FIFO_EPSILON, cfg.min_sweep_duration, cfg.tolerance,
@@ -413,10 +320,6 @@ class _LockstepEngine:
         )
         state, platform, out = self.state, self._platform, self._out
         lockstep_round = kernel.lockstep_round
-        ranks = np.arange(n)
-        # The monitor sits in the profiler slot and sees every event,
-        # including the n spawn steps at t = 0.
-        self._guard_events(n)
         k = 0
         while True:
             T = self.T
@@ -431,10 +334,6 @@ class _LockstepEngine:
             if booked is None:
                 return self._finish(k, T, residual, work, horizon)
             T_next, events = booked
-            if guard is not None:
-                if self._guard_divergence(residual, ranks):
-                    return None
-                guard.replay_events(events, self._guard_conservation)
             self.n_dispatched += events
             if self.tracer.enabled:
                 done = out[ORDER_END].astype(np.intp)
@@ -502,12 +401,10 @@ class _LockstepEngine:
         residual: np.ndarray,
         work: np.ndarray,
         horizon: float | None,
-    ) -> RunResult | None:
+    ) -> RunResult:
         """End the run in round ``k``, which the round left unbooked in
         ``_out``: book the ranks whose end dispatched before the stop or
-        the horizon, their sends and the events dispatched by then.
-        ``None`` => the divergence watchdog would have rolled a rank back.
-        """
+        the horizon, their sends and the events dispatched by then."""
         n, cfg, out = self.n, self.config, self._out
         t_mid, t_se, arr = out[T_MID], out[T_SE], out[ARR:ORDER_END]
         order_end = out[ORDER_END].astype(np.intp)
@@ -543,8 +440,6 @@ class _LockstepEngine:
             done = senders = order_end[t_se[order_end] <= horizon]
             by = np.less_equal
             landed = arr <= now
-        if self._guard_divergence(residual, done):
-            return None
         # NB: the tracer accumulates ``busy + t1 - t0`` left to right.
         self.busy[done] = (self.busy[done] + t_se[done]) - T
         self.iter_counts[done] += 1
@@ -587,7 +482,6 @@ class _LockstepEngine:
         )
         self.now = now
         self.n_dispatched += events
-        self._guard_events(events)
         return self._assemble()
 
     # ------------------------------------------------------------------
@@ -606,8 +500,6 @@ class _LockstepEngine:
             if self._msg_counts[kind]:
                 tr_._msg_counts[kind] = self._msg_counts[kind]
                 tr_._msg_bytes[kind] = self._msg_bytes[kind]
-        if self.guard is not None:
-            self.guard._lockstep_verify = self._guard_verify_halt
         time = (
             self.convergence_time
             if self.convergence_time is not None

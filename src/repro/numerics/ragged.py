@@ -82,10 +82,6 @@ class ChainSegments:
         self._width = widths.pop() if self._equal_width else 0
         self._starts = np.array([lo for lo, _ in self.blocks], dtype=np.intp)
 
-    def counts(self) -> np.ndarray:
-        """Components per rank, shape ``(n_ranks,)``."""
-        return np.array([hi - lo for lo, hi in self.blocks], dtype=np.intp)
-
     def max(self, values: np.ndarray) -> np.ndarray:
         """Per-rank max; ``0.0`` for empty blocks (size-0 residual)."""
         if not self._has_empty:

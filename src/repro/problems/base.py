@@ -293,17 +293,6 @@ class ChainSweeper:
         result = self.problem.iterate(self.state, *self.edges)
         return self.segments.max(result.residuals), self.segments.sum(result.work)
 
-    def probe_residual(self) -> float:
-        """The worst residual one more sweep would report, state
-        untouched: the guard's ``true_global_residual``, 0.0 at least
-        and NaN if any residual is."""
-        copy = self.problem.copy_state(self.state)
-        worst = self.problem.iterate(copy, *self.edges).local_residual
-        return worst if worst > 0.0 or worst != worst else 0.0
-
-    def component_counts(self) -> np.ndarray:
-        return self.segments.counts()
-
     def solution_block(self, rank: int) -> np.ndarray:
         lo, hi = self.segments.blocks[rank]
         return self.state.traj[lo:hi].copy()

@@ -274,7 +274,7 @@ class ScaleScenario(Scenario):
 
     @classmethod
     def smoke(cls) -> "ScaleScenario":
-        """256 ranks, ~10⁵ components: the guarded run under a wall-clock
+        """256 ranks, ~10⁵ components: the replay run under a wall-clock
         budget in ``tests/test_scale_smoke.py``."""
         return cls(n_ranks=256, components_per_rank=400)
 

@@ -107,7 +107,6 @@ SCALE_REPLAY_SCRIPT = textwrap.dedent(
     import sys
     from dataclasses import replace
 
-    from repro.guard import InvariantMonitor
     from repro.models import run_sisc_batched
     from repro.problems import _compiled
     from repro.workloads import ScaleScenario
@@ -128,17 +127,14 @@ SCALE_REPLAY_SCRIPT = textwrap.dedent(
     config = replace(scenario.solver_config(), max_iterations=30)
 
     def run(config, scenario=scenario):
-        return run_sisc_batched(
-            scenario.problem(), scenario.platform(), config,
-            guard=InvariantMonitor(),
-        )
+        return run_sisc_batched(scenario.problem(), scenario.platform(), config)
 
     replayed = run(config)
     assert replayed.meta["engine"] == "lockstep", replayed.meta
     bad = sorted(name for name in sys.modules if name.startswith(ENGINE))
     assert not bad, f"the replay loaded {bad}"
     ours = sorted(name for name in sys.modules if name.startswith("repro"))
-    assert len(ours) <= 32, f"{len(ours)} repro modules: {ours}"
+    assert len(ours) <= 28, f"{len(ours)} repro modules: {ours}"
 
     # The synthetic problem's replay loads no engine either.
     replayed = run(config, ScaleScenario(n_ranks=6, components_per_rank=4))
@@ -156,7 +152,7 @@ SCALE_REPLAY_SCRIPT = textwrap.dedent(
 
     reference = run_sisc(
         scenario.problem(), scenario.platform(),
-        replace(config, detection="token_ring"), guard=InvariantMonitor(),
+        replace(config, detection="token_ring"),
     )
     assert run_fingerprint(fallen) == run_fingerprint(reference)
     print("ok")

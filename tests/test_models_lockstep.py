@@ -5,8 +5,9 @@ whenever its preconditions hold.  These tests hold it to that promise
 across the tricky regimes — heterogeneous speeds, forced exact-time
 ties on homogeneous clusters, 1–2 rank chains, horizon/abort
 truncations, permuted host orders — comparing not just the numerical
-answer but the tracer's span records, the dispatched-event count and
-the guard's observation stream.  On a host where no compiled round
+answer but the tracer's span records and the dispatched-event count;
+the replay takes no guard, and a guarded ``run_sisc`` gives the
+replay's fingerprint.  On a host where no compiled round
 loads, the NumPy oracle stands in for it (``replay_round``), so each
 test still runs the replay.
 """
@@ -386,24 +387,21 @@ def test_lockstep_matches_reference_when_a_run_stops_on_an_end_a_halo_lands_on(
 
 
 def _assert_guard_parity(problem, platform, cfg):
-    gcfg = GuardConfig(check_every=16)
-    g_ref = InvariantMonitor(gcfg)
-    g_fast = InvariantMonitor(gcfg)
-    ref = run_sisc(problem, platform, cfg, guard=g_ref)
-    fast = run_sisc_batched(problem, platform, cfg, guard=g_fast)
+    """A guarded ``run_sisc`` is the unguarded replay's run: the guard
+    reads without writing (no rollback, a passing halt oracle)."""
+    guard = InvariantMonitor(GuardConfig(check_every=16))
+    ref = run_sisc(problem, platform, cfg, guard=guard)
+    fast = run_sisc_batched(problem, platform, cfg)
     assert fast.meta["engine"] == "lockstep"
-    assert g_ref.events_seen == g_fast.events_seen
-    assert g_ref.checks_run == g_fast.checks_run
-    assert g_ref.stats() == g_fast.stats()
-    v_ref = g_ref.verify_halt()
-    v_fast = g_fast.verify_halt()
-    assert v_ref == v_fast
+    assert guard.checks_run > 0
+    assert guard.verify_halt()
+    assert not guard.divergence_events and not guard.plausibility_events
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
 @on_both_paths("name", ["hetero", "homo_ties", "abort"])
 def test_lockstep_guard_parity(name, path, monkeypatch):
-    """The guard observes the identical event/check stream either way."""
+    """A guarded reference run and the replay agree bit for bit."""
     force_sweep_path(monkeypatch, path)
     _assert_guard_parity(*CASES[name])
 
@@ -583,8 +581,8 @@ def test_lockstep_fallback_is_observable(caplog):
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
-#: reason -> (problem, platform, config, guard config or None), one run
-#: that forces each fallback of ``run_sisc_batched``.  ``empty_block`` has
+#: reason -> (problem, platform, config), one run that forces each
+#: fallback of ``run_sisc_batched``.  ``empty_block`` has
 #: no row: the replay partitions with a fresh ``PartitionRegistry``, which
 #: gives every rank at least one component.
 FALLBACKS = {
@@ -594,29 +592,11 @@ FALLBACKS = {
         hard_problem(),
         hetero_platform(),
         SolverConfig(tolerance=1e-8),
-        None,
     ),
     "detection:token_ring": (
         hard_problem(),
         hetero_platform(),
         SolverConfig(tolerance=1e-8, detection="token_ring"),
-        None,
-    ),
-    "guard:stall_horizon": (
-        hard_problem(),
-        hetero_platform(),
-        SolverConfig(tolerance=1e-8),
-        GuardConfig(stall_horizon=50.0),
-    ),
-    # With the watchdog's factor and patience patched to 1 (below), any
-    # residual above the best so far trips it on its first offence; the
-    # Brusselator's relaxation residual rises in its first sweeps, so
-    # the replay would have had to roll a rank back.
-    "divergence_watchdog": (
-        BrusselatorProblem(24, t_end=1.0, n_steps=8),
-        hetero_platform(),
-        SolverConfig(tolerance=1e-6),
-        GuardConfig(),
     ),
 }
 
@@ -625,31 +605,21 @@ FALLBACKS = {
 def test_lockstep_fallback_reason_is_forced(reason, monkeypatch):
     """Each fallback branch, forced: counted under its reason string and
     nothing else, and the run is ``run_sisc``'s."""
-    import repro.guard.watchdogs as watchdogs
     from repro.obs import MetricsRegistry
 
-    if reason == "divergence_watchdog":
-        monkeypatch.setattr(watchdogs, "DIVERGENCE_FACTOR", 1.0)
-        monkeypatch.setattr(watchdogs, "DIVERGENCE_PATIENCE", 1)
     if reason == "no_compiled_round":
         use_kernel(monkeypatch, (None, "python: test"))
-    problem, platform, cfg, gcfg = FALLBACKS[reason]
-    guard = None if gcfg is None else InvariantMonitor(gcfg)
+    problem, platform, cfg = FALLBACKS[reason]
     registry = MetricsRegistry()
-    fast = run_sisc_batched(
-        problem, platform, cfg, guard=guard, metrics=registry
-    )
+    fast = run_sisc_batched(problem, platform, cfg, metrics=registry)
     assert fast.meta.get("engine") != "lockstep"
     counter = registry.counter(
         "lockstep.fallback_reason", reason=reason, problem=problem.name
     )
     assert counter.value == 1
     assert len(registry) == 1
-    ref_guard = None if gcfg is None else InvariantMonitor(gcfg)
-    ref = run_sisc(problem, platform, cfg, guard=ref_guard)
+    ref = run_sisc(problem, platform, cfg)
     assert run_fingerprint(ref) == run_fingerprint(fast)
-    if reason == "divergence_watchdog":
-        assert guard.divergence_events and ref_guard.divergence_events
 
 
 def test_lockstep_no_fallback_counter_on_the_fast_path():
@@ -668,16 +638,6 @@ def test_lockstep_falls_back_without_oracle_detection():
     ref = run_sisc(problem, platform, cfg)
     fast = run_sisc_batched(problem, platform, cfg)
     assert fast.meta.get("engine") != "lockstep"
-    assert run_fingerprint(ref) == run_fingerprint(fast)
-
-
-def test_lockstep_falls_back_with_stall_watchdog():
-    problem, platform = hard_problem(), hetero_platform()
-    cfg = SolverConfig(tolerance=1e-8)
-    guard = InvariantMonitor(GuardConfig(stall_horizon=50.0))
-    fast = run_sisc_batched(problem, platform, cfg, guard=guard)
-    assert fast.meta.get("engine") != "lockstep"
-    ref = run_sisc(problem, platform, cfg)
     assert run_fingerprint(ref) == run_fingerprint(fast)
 
 
@@ -718,17 +678,6 @@ def test_batched_sweeper_matches_scalar_iterate(blocks):
             assert res.total_work == work[r]
         for r in range(len(blocks)):
             assert np.array_equal(sweeper.solution_block(r), states[r].traj)
-
-
-def test_chain_probe_never_drops_a_nan_residual():
-    """The replay's halt oracle, like the guard's: 0.0 at least, and a
-    NaN residual anywhere in the chain is the answer."""
-    problem = HeatProblem(12, n_steps=8)
-    sweeper = problem.batched_chain_sweeper([(0, 5), (5, 12)])
-    sweeper.sweep()
-    assert sweeper.probe_residual() > 0.0
-    sweeper.state.traj[7, 3] = np.nan
-    assert np.isnan(sweeper.probe_residual())
 
 
 def test_run_fingerprint_ignores_engine_meta():

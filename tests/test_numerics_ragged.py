@@ -94,11 +94,6 @@ def test_sum_bit_identical_on_wide_blocks():
     assert acc != values[lo:hi].sum()
 
 
-def test_counts():
-    seg = ChainSegments(LAYOUTS["with_empty"], N)
-    assert seg.counts().tolist() == [5, 0, 18, 1, 0]
-
-
 def test_validate_accepts_empty_blocks():
     validate_chain_blocks([(0, 0), (0, 4), (4, 4)], 4)
 
