@@ -33,14 +33,20 @@ benchmark doubles as an end-to-end determinism check.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
+import time
+from pathlib import Path
 from typing import Any, Callable
 
-from _gate import ROOT, BenchReport, BenchResult, timed_runs
 from repro.exec import RunCache, SweepEngine
+
+#: The repository root, where the committed ``BENCH_sweeps.json`` lives.
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +95,7 @@ def soak_workload(quick: bool, out_dir: str) -> Callable[[SweepEngine], str]:
 
 
 def bench_sweep(
-    report: BenchReport,
+    rows: list[dict[str, Any]],
     name: str,
     fn: Callable[[SweepEngine], str],
     *,
@@ -109,7 +115,9 @@ def bench_sweep(
     texts: dict[str, str] = {}
     for label, make_engine in configs.items():
         engine = make_engine()
-        (walls[label],), (texts[label],) = timed_runs(lambda: fn(engine))
+        t0 = time.perf_counter()
+        texts[label] = fn(engine)
+        walls[label] = time.perf_counter() - t0
         meta: dict[str, Any] = {"cores": cores, "jobs": jobs}
         if label != "serial":
             meta["speedup_vs_serial"] = walls["serial"] / walls[label]
@@ -117,7 +125,16 @@ def bench_sweep(
             meta["fraction_of_cold"] = walls[label] / walls["cache_cold"]
             meta["cache_hits"] = engine.stats.hits
             meta["cache_misses"] = engine.stats.misses
-        report.add(BenchResult.of(f"{name}_{label}", [walls[label]], meta))
+        # One timed run: its wall is the row's best, median and mean.
+        wall = walls[label]
+        rows.append({
+            "name": f"{name}_{label}",
+            "best_s": wall,
+            "median_s": wall,
+            "mean_s": wall,
+            "repeats": 1,
+            "meta": meta,
+        })
 
     for label, text in texts.items():
         assert text == texts["serial"], (
@@ -135,8 +152,8 @@ def bench_sweep(
 
 def build_report(
     quick: bool, jobs: int, scratch: str
-) -> tuple[BenchReport, dict[str, dict[str, Any]]]:
-    report = BenchReport("repro sweep-engine benchmarks")
+) -> tuple[dict[str, Any], dict[str, dict[str, Any]]]:
+    rows: list[dict[str, Any]] = []
     summaries: dict[str, dict[str, Any]] = {}
     workloads = [
         ("figure5_quick", figure5_workload(quick)),
@@ -146,7 +163,7 @@ def build_report(
     ]
     for name, fn in workloads:
         summaries[name] = bench_sweep(
-            report, name, fn, jobs=jobs, scratch=scratch
+            rows, name, fn, jobs=jobs, scratch=scratch
         )
         s = summaries[name]
         print(
@@ -154,6 +171,12 @@ def build_report(
             f"{s['parallel_s']:.2f}s ({s['speedup']:.2f}x), cache hit "
             f"{s['hit_s']:.2f}s ({100 * s['hit_fraction']:.1f}% of cold)"
         )
+    report = {
+        "title": "repro sweep-engine benchmarks",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "results": rows,
+    }
     return report, summaries
 
 
@@ -203,12 +226,19 @@ def main(argv: list[str] | None = None) -> int:
         report, summaries = build_report(args.quick, args.jobs, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(report.format_table())
-    return report.finish(
-        args.out,
-        check(summaries, args.jobs) if args.check else None,
-        "speedup and cache gates hold",
-    )
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(f"[report saved to {args.out}]")
+    if not args.check:
+        return 0
+    problems = check(summaries, args.jobs)
+    for problem in problems:
+        print(f"CHECK FAILED: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print("[--check passed: speedup and cache gates hold]")
+    return 0
 
 
 if __name__ == "__main__":

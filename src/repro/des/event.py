@@ -11,8 +11,8 @@ bucket per timestamp, same ``(time, seq)`` order) was deleted in PR 12
 because it measured slower wherever this repo runs it: 1.03 us against
 0.67 us per ``push_call``+``pop`` and 2.4-2.6 us against 1.2-1.5 us per
 dispatched ``Hold`` (``bench/README.md``, finding 1), and slower on
-five of the seven PR-6 ``BENCH_scale.json`` rows that ran both — AIAC
-ranks run unsynchronised, so timestamps are distinct and there is
+five of the seven scale-ladder rows that ran both (``docs/performance.md``)
+— AIAC ranks run unsynchronised, so timestamps are distinct and there is
 nothing for a bucket to batch.
 
 Hot-path design notes:

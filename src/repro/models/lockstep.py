@@ -10,7 +10,7 @@ spans, convergence votes — is a closed-form function of the per-rank
 sweep durations.  One compiled call per round, ``lockstep_round`` in
 ``repro/problems/_sweeps.c``, whatever the rank count, replaces
 thousands of event dispatches, which is what lets the simulator reach
-10k ranks (see ``benchmarks/bench_scale.py``).
+10k ranks (``docs/performance.md``, "Scaling to 1024 ranks").
 
 Equivalence is enforced, not assumed:
 

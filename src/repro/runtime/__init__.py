@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "Message": "message",
         "GridNode": "node",
-        "peak_rss_bytes": "memory",
         "Tracer": "tracer",
         "IterationSpan": "tracer",
         "IdleSpan": "tracer",

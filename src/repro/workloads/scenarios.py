@@ -225,7 +225,7 @@ class ScaleScenario(Scenario):
     activity-concentration problem partitioned evenly (``n_components``
     is always ``components_per_rank * n_ranks``, so blocks never go
     empty and the batched sweeper's tiling stays rectangular).  Used by
-    ``benchmarks/bench_scale.py`` and ``tests/test_scale_smoke.py``;
+    ``bench/``'s ``lockstep_sisc`` and the scale tests under ``tests/``;
     tracing is off — per-event records at 10⁶+ events are exactly the
     memory profile this scenario exists to avoid.
     """

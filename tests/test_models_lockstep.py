@@ -34,6 +34,7 @@ from repro.analysis.perf import run_fingerprint
 from repro.problems import SyntheticProblem
 from repro.problems.brusselator import BrusselatorProblem
 from repro.problems.heat import HeatProblem
+from repro.workloads import ScaleScenario
 from tests.conftest import SWEEP_PATHS, force_sweep_path, use_kernel
 
 pytestmark = pytest.mark.usefixtures("replay_round")
@@ -106,6 +107,8 @@ def on_both_paths(argname, values, ids=None):
         ],
     )
 
+
+SCALE_64 = ScaleScenario(n_ranks=64, components_per_rank=100)
 
 CASES = {
     "hetero": (
@@ -189,6 +192,13 @@ CASES = {
         hard_problem(),
         varying_platform(),
         SolverConfig(tolerance=1e-8),
+    ),
+    # The synthetic scale point: 64 ranks x 100 components, homogeneous
+    # hosts, capped at 30 rounds.
+    "scale_64x100": (
+        SCALE_64.problem(),
+        SCALE_64.platform(),
+        replace(SCALE_64.solver_config(), max_iterations=30),
     ),
 }
 
@@ -416,7 +426,7 @@ def test_lockstep_guard_parity_at_every_cut(name, path, monkeypatch):
 
 
 def test_lockstep_brusselator_fingerprint_at_256_ranks(monkeypatch):
-    """The CI-sized version of the BENCH_scale Brusselator criterion:
+    """The scale ladder's Brusselator point at CI size:
     256 ranks of real PDE numerics, lockstep vs event-driven, identical
     fingerprint at the round cap — and the lockstep run's the same on
     both Brusselator sweep paths."""

@@ -2,10 +2,11 @@
 
 The entry points are what a user or CI runs: ``python -m repro`` (the
 CLI verbs, ``SWEEP_VERBS`` and the serve daemon behind them), the
-benchmark under ``bench/``, the scripts under ``benchmarks/`` and
-``examples/``, and the inline scripts of the CI workflow.  Tests are not
-entry points: a def only tests call is a test helper shipped as product,
-and belongs under ``tests/`` (``tests/oracles.py``) or nowhere.
+benchmark under ``bench/``, the sweep benchmark under ``benchmarks/``,
+the scripts under ``examples/``, and the inline scripts of the CI
+workflow.  Tests are not entry points: a def only tests call is a test
+helper shipped as product, and belongs under ``tests/``
+(``tests/oracles.py``) or nowhere.
 
 The call graph is read off the AST by name, which over-approximates —
 reading a name reaches every def of that name in every loaded module —
@@ -226,11 +227,11 @@ def test_src_ships_only_what_an_entry_point_reaches():
 
 
 def test_a_def_only_a_dropped_entry_point_calls_is_reported():
-    # The analysis is not vacuous: ``runtime.memory.peak_rss_bytes`` runs
-    # only under ``benchmarks/``, so without those scripts it is unreached.
-    assert "repro.runtime.memory:peak_rss_bytes" not in unreached()
-    without = unreached(tuple(p for p in ENTRY_SCRIPTS if p != "benchmarks/*.py"))
-    assert "repro.runtime.memory:peak_rss_bytes" in without
+    # The analysis is not vacuous: ``numerics.newton.newton_batched_2x2``
+    # runs only under ``bench/``, so without those scripts it is unreached.
+    assert "repro.numerics.newton:newton_batched_2x2" not in unreached()
+    without = unreached(tuple(p for p in ENTRY_SCRIPTS if p != "bench/*.py"))
+    assert "repro.numerics.newton:newton_batched_2x2" in without
 
 
 def test_ci_scripts_come_from_the_parsed_workflow(tmp_path):

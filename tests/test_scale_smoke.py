@@ -1,6 +1,6 @@
 """Large-N smoke tests: the scale path stays deterministic and fast.
 
-Suite-sized versions of the BENCH_scale.json acceptance criteria: a
+Suite-sized versions of the scale ladder's acceptance criteria: a
 128-rank run must fingerprint identically whether executed serially,
 over a 2-worker process pool, or replayed from the run cache; and
 256-rank lockstep runs of both problems must stay on the replay, each

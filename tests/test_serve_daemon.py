@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import threading
 import time
 from pathlib import Path
 
@@ -237,6 +238,64 @@ def test_audit_log_replays_byte_identically(tmp_path):
     # (serial engine, no cache — independent of how they were served).
     report = audit_replay(audit_path, sample=2)
     assert report.ok, report.report()
+
+
+# ----------------------------------------------------------------------
+# Many clients at once, across a restart
+# ----------------------------------------------------------------------
+#: A mixed ring: two cached experiments and a load generator that always
+#: runs, so concurrent clients overlap on specs in different orders.
+RING = [
+    {"kind": "figure5", "mode": "tiny"},
+    SLEEP,
+    {"kind": "soak", "schedules": 1, "seed": 0},
+]
+
+
+def serve_concurrently(address, specs_per_client):
+    """One thread per client, each submitting its specs in turn and
+    following every job to its end: the (spec, job) of every job."""
+    served, lock = [], threading.Lock()
+
+    def drive(tenant, specs):
+        client = ServeClient(address)
+        for spec in specs:
+            job_id = client.submit(spec, tenant=tenant)
+            job = client.result(job_id, follow=True, timeout=60)
+            with lock:
+                served.append((spec, job))
+
+    threads = [
+        threading.Thread(target=drive, args=(f"client-{c}", specs))
+        for c, specs in enumerate(specs_per_client)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return served
+
+
+def test_concurrent_clients_are_served_exactly_across_a_restart(tmp_path):
+    direct = {spec["kind"]: execute_spec(spec)["digest"] for spec in RING}
+    with running_daemon(tmp_path) as (daemon, _):
+        address = daemon.config.resolved_address()
+        cold = serve_concurrently(
+            address, [[RING[(c + n) % 3] for n in range(2)] for c in range(4)]
+        )
+    # Restart on the same state dir; one more job per client, each a
+    # cached experiment the first daemon already served.
+    with running_daemon(tmp_path) as (daemon, _):
+        warm = serve_concurrently(address, [[RING[2 * (c % 2)]] for c in range(4)])
+        stats = daemon.engine.stats
+        audit_path = daemon.audit.path
+    assert stats.hits > 0 and stats.misses == 0, stats
+    assert (len(cold), len(warm)) == (8, 4)
+    for spec, job in cold + warm:
+        assert job["state"] == "done", job
+        assert job["result"]["digest"] == direct[spec["kind"]], spec
+    report = audit_replay(audit_path, sample=3)
+    assert report.n_done == 12 and report.ok, report.report()
 
 
 def test_audit_damage_is_quarantined_and_reported_after_restart(tmp_path):
