@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections import deque
 
 __all__ = [
     "surplus_fraction",
@@ -49,7 +48,8 @@ def surplus_fraction(mine: float, theirs: float, threshold_ratio: float) -> floa
 
 
 class LoadEstimator(ABC):
-    """Per-node load estimate, updated after every sweep."""
+    """Per-node load estimate, updated after every sweep.  It holds only
+    immutable values, so ``copy.copy`` of one is a snapshot."""
 
     @abstractmethod
     def update(
@@ -108,7 +108,8 @@ class IterationTimeEstimator(LoadEstimator):
     def __init__(self, window: int = 5) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self._durations: deque[float] = deque(maxlen=window)
+        self._window = window
+        self._durations: tuple[float, ...] = ()
 
     def update(
         self,
@@ -117,7 +118,7 @@ class IterationTimeEstimator(LoadEstimator):
         sweep_duration: float,
         n_local: int,
     ) -> None:
-        self._durations.append(sweep_duration)
+        self._durations = (*self._durations, sweep_duration)[-self._window :]
 
     def value(self) -> float:
         if not self._durations:

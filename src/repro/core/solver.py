@@ -292,7 +292,7 @@ class ChainRun:
             "halo_right": _copy_halo(ctx.halo_right),
             "halo_iter_left": ctx.halo_iter_left,
             "halo_iter_right": ctx.halo_iter_right,
-            "estimator": copy.deepcopy(ctx.estimator),
+            "estimator": copy.copy(ctx.estimator),
         }
         if self.injector is not None and self.injector.detection_active:
             snapshot["crc"] = self._checkpoint_crc(snapshot)
@@ -384,7 +384,7 @@ class ChainRun:
         ctx.halo_right = _copy_halo(snap["halo_right"])
         ctx.halo_iter_left = snap["halo_iter_left"]
         ctx.halo_iter_right = snap["halo_iter_right"]
-        ctx.estimator = copy.deepcopy(snap["estimator"])
+        ctx.estimator = copy.copy(snap["estimator"])
         ctx.residual = float("inf")
         ctx.prev_residual = float("inf")
         # The rank is about to re-iterate from older state: its previous

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.faults.models import (
     FaultSchedule,
@@ -67,8 +67,9 @@ _STAT_KEYS = (
     "corruption_rollbacks",
 )
 
-#: The transmission plan of an unfiltered wire: one copy, no extra delay.
-_ONE_COPY = (0.0,)
+#: Jitter doubles drawn from a rank's retry stream at once: ``random(n)``
+#: yields the doubles of ``n`` scalar draws, so no timeout changes.
+_RETRY_BLOCK = 64
 
 
 class FaultInjector:
@@ -101,16 +102,12 @@ class FaultInjector:
         self._dups = [f for f in faults if isinstance(f, MessageDuplication)]
         self._reorders = [f for f in faults if isinstance(f, MessageReordering)]
         self._partitions = [f for f in faults if isinstance(f, LinkPartition)]
-        #: No fault decides a wire copy's fate: every transmission is
-        #: the one shared one-copy plan (and draws nothing).
-        self._plain_wire = not (
-            self._losses or self._dups or self._reorders or self._partitions
-        )
         #: Acks suffer only the *unfiltered* losses and corruptions (a
         #: kind-restricted fault targets payload kinds, not the ack channel).
         self._ack_losses = [f for f in self._losses if f.kinds is None]
-        #: ``rank -> Generator.random`` of the rank's "retry/<rank>" stream.
-        self._retry_draws: dict[int, Callable[[], float]] = {}
+        #: ``rank ->`` the rest of the last block of jitter doubles drawn
+        #: from the rank's "retry/<rank>" stream, reversed (``pop`` is next).
+        self._retry_jitter: dict[int, list[float]] = {}
         self._timed = [
             f
             for f in faults
@@ -132,8 +129,11 @@ class FaultInjector:
             self._rng.generator("corruption") if has_corruption else None
         )
         #: The transport consults these flags on its hot path: whether
-        #: :meth:`corrupt_delivery`, :meth:`ack_dropped` and
-        #: :meth:`ack_corrupted` have a fault that could apply.
+        #: :meth:`on_transmit`, :meth:`corrupt_delivery`, :meth:`ack_dropped`
+        #: and :meth:`ack_corrupted` have a fault that could apply.
+        self.filters_wire = bool(
+            self._losses or self._dups or self._reorders or self._partitions
+        )
         self.corrupts_payloads = bool(self._payload_corruptions)
         self.drops_acks = bool(self._partitions or self._ack_losses)
         self.corrupts_acks = bool(self._ack_corruptions)
@@ -332,13 +332,11 @@ class FaultInjector:
         """Fate of one transmission attempt.
 
         Returns the wire copies to schedule, as extra arrival delays
-        (read-only): empty = dropped, ``(0.0,)`` = normal, two zeros =
+        (read-only): empty = dropped, ``[0.0]`` = normal, two zeros =
         duplicated, a positive entry = reordered (delay added *after*
         FIFO clamping, so the copy may overtake later traffic).
         """
-        if self._plain_wire:
-            return _ONE_COPY
-        now = self.sim.now
+        now = self.sim._now
         for fault in self._partitions:
             if fault.severs(src.rank, dst.rank, now):
                 self.stats["messages_dropped"] += 1
@@ -372,7 +370,7 @@ class FaultInjector:
         the ack channel).  A lost ack forces a retransmission that the
         receiver then suppresses as a duplicate.
         """
-        now = self.sim.now
+        now = self.sim._now
         for fault in self._partitions:
             if fault.severs(dst.rank, src.rank, now):
                 self.stats["acks_dropped"] += 1
@@ -395,7 +393,7 @@ class FaultInjector:
         original's checksum: that mismatch is exactly what the receiver
         detects.
         """
-        now = self.sim.now
+        now = self.sim._now
         rng = self._corrupt_rng
         assert rng is not None
         for fault in self._payload_corruptions:
@@ -427,7 +425,7 @@ class FaultInjector:
         accepted as-is: acks carry no values, so the corruption is
         structurally masked.
         """
-        now = self.sim.now
+        now = self.sim._now
         rng = self._corrupt_rng
         for fault in self._ack_corruptions:
             if fault.t0 <= now <= fault.t1 and float(rng.random()) < fault.rate:
@@ -453,7 +451,7 @@ class FaultInjector:
 
     def _mark(self, kind: str, rank: int, detail: str = "") -> None:
         """Record an instantaneous fault event at the current time."""
-        now = self.sim.now
+        now = self.sim._now
         self.tracer.fault(kind=kind, time=now, t_end=now, rank=rank, detail=detail)
 
     # ------------------------------------------------------------------
@@ -461,13 +459,12 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def retry_timeout(self, rank: int, attempt: int) -> float:
         """Jittered exponential backoff for attempt ``attempt`` of ``rank``."""
-        draw = self._retry_draws.get(rank)
-        if draw is None:
-            draw = self._retry_draws[rank] = self._rng.generator(
-                f"retry/{rank}"
-            ).random
+        jitter = self._retry_jitter.get(rank)
+        if not jitter:  # the next block; the tree has one generator per name
+            block = self._rng.generator(f"retry/{rank}").random(_RETRY_BLOCK)
+            jitter = self._retry_jitter[rank] = block[::-1].tolist()
         rc = self.resilience
-        return rc.base_timeout * rc.backoff**attempt * (1.0 + rc.jitter * float(draw()))
+        return rc.base_timeout * rc.backoff**attempt * (1.0 + rc.jitter * jitter.pop())
 
     def export_metrics(self, registry: "MetricsRegistry", **labels) -> None:
         """Publish the injector's counters into a metrics registry.

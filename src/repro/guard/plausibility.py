@@ -52,6 +52,8 @@ VALUE_BOUND = 1e12
 #: :data:`repro.guard.watchdogs.DIVERGENCE_PATIENCE`).
 RESIDUAL_JUMP_FACTOR = 1e6
 
+_max_reduce = np.maximum.reduce  # what ``ndarray.max`` calls, unwrapped
+
 
 @dataclass(slots=True)
 class PlausibilityGuard:
@@ -65,7 +67,7 @@ class PlausibilityGuard:
         """Why ``ctx``'s post-sweep state is implausible, or None."""
         # One reduction decides both screens: a NaN or an infinity
         # anywhere in the block is what ``max`` of the magnitudes gives.
-        peak = float(np.abs(run.problem.state_array(ctx.state)).max())
+        peak = float(_max_reduce(np.abs(run.problem.state_array(ctx.state)), None))
         if not math.isfinite(peak):
             return "non-finite state values"
         if peak > VALUE_BOUND:

@@ -280,7 +280,7 @@ class GridNode:
         if injector is None:
             return True
         heard = self._last_heard.get(rank, 0.0)
-        return self.sim.now - heard <= injector.resilience.liveness_timeout
+        return self.sim._now - heard <= injector.resilience.liveness_timeout
 
     def heartbeat_process(
         self, peers: list["GridNode"], period: float
@@ -413,7 +413,7 @@ class GridNode:
         # Positional, as on the lossless path: (..., send_time,
         # arrival_time, seq, attempt, checksum).
         message = Message(
-            kind, payload, size_bytes, self.rank, dst.rank, self.sim.now, 0.0,
+            kind, payload, size_bytes, self.rank, dst.rank, self.sim._now, 0.0,
             seq, 0, checksum,
         )
         transfer = _Transfer(message, dst, channel, exclusive)
@@ -425,11 +425,15 @@ class GridNode:
         injector = self.injector
         assert injector is not None
         sim = self.sim
-        now = sim.now
+        now = sim._now
         message = transfer.message
         message.attempt = transfer.attempt
         reliable = message.kind != HEARTBEAT_KIND
-        copies = injector.on_transmit(self, transfer.dst, message)
+        copies = (
+            injector.on_transmit(self, transfer.dst, message)
+            if injector.filters_wire
+            else (0.0,)  # no wire fault scheduled: one copy, no extra delay
+        )
         for extra_delay in copies:
             arrival = (
                 self.network.arrival_time(
@@ -532,7 +536,7 @@ class GridNode:
             # one more timeout instead of spuriously duplicating.
             rto = injector.retry_timeout(self.rank, transfer.attempt)
             transfer.timer = self.sim.at(
-                self.sim.now + rto, self._on_timeout, transfer
+                self.sim._now + rto, self._on_timeout, transfer
             )
             return
         if transfer.attempt + 1 < injector.resilience.max_attempts:
@@ -574,7 +578,7 @@ class GridNode:
                 continue
             rto = injector.retry_timeout(self.rank, transfer.attempt)
             transfer.timer = self.sim.at(
-                self.sim.now + rto, self._on_timeout, transfer
+                self.sim._now + rto, self._on_timeout, transfer
             )
             rearmed += 1
         return rearmed

@@ -23,13 +23,18 @@ in ``conftest.py``.
   is the product's loop);
 * :func:`lockstep_round` — one SISC round of the lockstep replay in
   NumPy, the reference of ``_sweeps.c``'s ``lockstep_round`` (the
-  loader's probe holds the compiled round to digests of its traces).
+  loader's probe holds the compiled round to digests of its traces);
+* :func:`payload_checksum` — the node-by-node structural walk that
+  :func:`repro.integrity.payload_checksum` encodes with tabled key
+  orders and array heads, here with no table.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Sequence
+import struct
+import zlib
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -478,3 +483,57 @@ def lockstep_round(state, platform, work, residual, out, T, k, *run):
     # arrival order — that is the push order of the next round's mids.
     pos0[order_arr] = after
     return T_next, events
+
+
+# ----------------------------------------------------------------------
+# The structural checksum, node by node
+# ----------------------------------------------------------------------
+_pack_double = struct.Struct("<d").pack
+
+
+def _walk(emit: Callable[[bytes], None], obj: Any) -> None:
+    """Serialise ``obj``'s structure through ``emit``, one node per call:
+    every dict sorted afresh, every key, value and array head encoded
+    afresh."""
+    cls = type(obj)
+    if cls is float:
+        emit(b"f" + _pack_double(obj))
+    elif cls is int:
+        emit(b"i%d" % obj)
+    elif cls is np.ndarray:
+        emit(b"a%b#%b@" % (str(obj.dtype).encode(), repr(obj.shape).encode()))
+        emit(obj.tobytes())
+    elif cls is dict:
+        emit(b"d%d" % len(obj))
+        for key in sorted(obj):
+            _walk(emit, key)
+            _walk(emit, obj[key])
+    elif obj is None:
+        emit(b"N")
+    elif isinstance(obj, (bool, np.bool_)):
+        emit(b"b\x01" if obj else b"b\x00")
+    elif isinstance(obj, (int, np.integer)):
+        _walk(emit, int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        _walk(emit, float(obj))
+    elif isinstance(obj, str):
+        emit(b"s" + obj.encode())
+    elif isinstance(obj, bytes):
+        emit(b"y" + obj)
+    elif isinstance(obj, np.ndarray):
+        _walk(emit, obj.view(np.ndarray))
+    elif isinstance(obj, dict):
+        _walk(emit, dict(obj))
+    elif isinstance(obj, (list, tuple)):
+        emit(b"l%d" % len(obj))
+        for item in obj:
+            _walk(emit, item)
+    else:
+        raise TypeError(f"payload_checksum cannot fingerprint {cls.__name__!r}")
+
+
+def payload_checksum(payload: Any) -> int:
+    """CRC32 of ``payload``'s node-by-node encoding."""
+    parts: list[bytes] = []
+    _walk(parts.append, payload)
+    return zlib.crc32(b"".join(parts))

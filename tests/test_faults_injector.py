@@ -14,8 +14,10 @@ from repro.faults import (
     MessageLoss,
     ResilienceConfig,
 )
+from repro.faults.injector import _RETRY_BLOCK
 from repro.grid.platform import homogeneous_cluster
 from repro.problems.heat import HeatProblem
+from repro.util.rng import RngTree
 
 
 def make_problem():
@@ -262,3 +264,27 @@ def test_pinned_retry_timeouts_per_rank_interleaved():
             "0x1.1e2ded9048fc9p+3",
         ],
     }
+
+
+def test_block_drawn_retry_jitter_is_the_scalar_stream():
+    # The injector draws each rank's jitter a block at a time; drawn one
+    # scalar at a time, the rank's "retry/<rank>" stream gives every
+    # timeout bit for bit, across block boundaries, with the ranks'
+    # draws interleaved unevenly and attempts past the first.
+    rc = ResilienceConfig(base_timeout=0.5, backoff=1.5, jitter=0.25)
+    injector = FaultInjector(FaultSchedule(faults=(), seed=7, resilience=rc))
+    scalar = {
+        rank: RngTree(7).child("faults").generator(f"retry/{rank}")
+        for rank in (0, 1, 2)
+    }
+    drawn = dict.fromkeys(scalar, 0)
+    pattern = (0, 1, 0, 2, 2, 1, 0)
+    while min(drawn.values()) < 3 * _RETRY_BLOCK + 5:
+        for rank in pattern:
+            attempt = drawn[rank] % 4
+            expected = (
+                rc.base_timeout * rc.backoff**attempt
+                * (1 + rc.jitter * scalar[rank].random())
+            )
+            assert injector.retry_timeout(rank, attempt) == expected
+            drawn[rank] += 1

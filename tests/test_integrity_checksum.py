@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.integrity import (
     checksum,
@@ -12,6 +15,7 @@ from repro.integrity import (
     corrupt_payload,
     payload_checksum,
 )
+from tests import oracles
 
 
 def rng(seed=0):
@@ -22,7 +26,7 @@ def rng(seed=0):
 def cold_tables(monkeypatch):
     """Each test meets its keys and array shapes cold, and leaves the
     process-wide tables as it found them."""
-    monkeypatch.setattr(checksum, "_KEY_PARTS", {})
+    monkeypatch.setattr(checksum, "_KEY_ORDERS", {})
     monkeypatch.setattr(checksum, "_ARRAY_HEADS", {})
 
 
@@ -253,7 +257,7 @@ def test_pinned_checksum_per_shape(name):
 
 def test_pinned_key_seen_cold_then_warm():
     payload = {"fresh_key_one": 1.0}
-    assert "fresh_key_one" not in checksum._KEY_PARTS
+    assert ("fresh_key_one",) not in checksum._KEY_ORDERS
     assert payload_checksum(payload) == 2894636935
     assert payload_checksum(payload) == 2894636935
 
@@ -320,9 +324,90 @@ def test_one_crc32_call_per_fingerprint_and_bounded_tables(monkeypatch):
     # growing at the cap, and the CRCs are the pinned ones either way.
     many = {f"key{i:04d}": np.zeros(i % 300) for i in range(600)}
     payload_checksum(many)
-    assert len(checksum._KEY_PARTS) <= checksum._TABLE_CAP
+    assert len(checksum._KEY_ORDERS) <= checksum._TABLE_CAP
     assert len(checksum._ARRAY_HEADS) <= checksum._TABLE_CAP
     assert payload_checksum({f"key{i:04d}": i for i in range(300)}) == 616889110
+
+
+# ----------------------------------------------------------------------
+# payload_checksum against the node-by-node reference walk
+# ----------------------------------------------------------------------
+def _arrays():
+    """Arrays of several dtypes and shapes, some of them non-contiguous
+    views (every other element along the last axis, or transposed)."""
+    plain = hnp.arrays(
+        st.sampled_from(["<f8", "<f4", "<i8", "<i2", "|u1", "|b1", "<c16"]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    )
+    return st.one_of(
+        plain,
+        plain.filter(lambda a: a.ndim > 0).map(lambda a: a[..., ::2]),
+        plain.map(lambda a: a.T),
+    )
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats().map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.none(),
+    _arrays(),
+)
+#: Keys of one dict are all ``str``, or all numbers (sortable together).
+_KEYS = st.one_of(
+    st.just(st.text(max_size=4)),
+    st.just(st.one_of(st.integers(-5, 5), st.floats(allow_nan=False), st.booleans())),
+)
+
+
+def _containers(children):
+    dicts = _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=5))
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        dicts,
+        # The same keys, inserted in the opposite order.
+        dicts.map(lambda d: dict(reversed(d.items()))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.recursive(_SCALARS, _containers, max_leaves=24))
+def test_checksum_equals_the_reference_walk(payload):
+    crc = oracles.payload_checksum(payload)
+    assert payload_checksum(payload) == crc
+    assert payload_checksum(payload) == crc  # warm tables, same bytes
+    if type(payload) is dict:
+        assert payload_checksum(dict(reversed(payload.items()))) == crc
+
+
+def test_keys_that_compare_equal_encode_apart():
+    # 1 == 1.0 == True, with one hash: a key tuple of them must not
+    # stand in for another's encoding.
+    for key in (1, 1.0, True, np.int64(1), "1"):
+        payload = {key: 0.5}
+        assert payload_checksum(payload) == oracles.payload_checksum(payload)
+        assert payload_checksum(payload) == oracles.payload_checksum(payload)
+    assert len({payload_checksum({key: 0.5}) for key in (1, 1.0, True)}) == 3
+
+
+def test_key_order_table_stops_at_its_cap_and_still_encodes_past_it():
+    cap = checksum._TABLE_CAP
+    payloads = [
+        {f"k{i:04d}": float(i), "flag": i % 2 == 0, "n": i} for i in range(2 * cap)
+    ]
+    for _ in range(2):  # cold, then warm up to the bound only
+        for payload in payloads:
+            assert payload_checksum(payload) == oracles.payload_checksum(payload)
+        assert len(checksum._KEY_ORDERS) == cap
+    # The tabled orders are the first ``cap`` key tuples met.
+    assert tuple(payloads[cap - 1]) in checksum._KEY_ORDERS
+    assert tuple(payloads[cap]) not in checksum._KEY_ORDERS
 
 
 # ----------------------------------------------------------------------

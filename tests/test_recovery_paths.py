@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import LBConfig
+from repro.core.estimators import make_estimator
 from repro.core.lb import _BalancedRun, run_balanced_aiac
 from repro.core.solver import build_chain, run_aiac
 from repro.faults import (
@@ -351,6 +352,38 @@ def test_poisoned_checkpoint_falls_back_then_reinitialises_cold():
     assert (snapshot["lo"], snapshot["hi"]) == (ctx.lo, ctx.hi)
     stats = injector.stats
     assert (stats["corruptions_detected"], stats["corruption_rollbacks"]) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "kind", ["residual", "residual_max", "iteration_time", "component_count"]
+)
+def test_a_checkpoint_snapshots_the_estimator_and_a_restore_brings_it_back(kind):
+    # The snapshot shares nothing the live estimator changes: sweeps after
+    # the checkpoint leave it as taken, a restore hands its estimate back,
+    # and the restored estimator is the rank's own again.
+    platform = homogeneous_cluster(2, speed=2000.0)
+    run = build_chain(make_problem(), platform, make_config())
+    ctx = run.ranks[0]
+    ctx.estimator = make_estimator(kind)
+
+    def sweep(k):
+        ctx.estimator.update(
+            residual=0.5 / k, residual_l2=2.0 / k, sweep_duration=float(k), n_local=k
+        )
+
+    for k in range(1, 4):
+        sweep(k)
+    run.checkpoint(ctx)
+    taken = ctx.estimator.value()
+    for k in range(4, 12):
+        sweep(k)
+    assert ctx.estimator.value() != taken
+    assert ctx.checkpoint["estimator"].value() == taken
+    run.restore_checkpoint(ctx)
+    assert ctx.estimator.value() == taken
+    sweep(12)
+    assert ctx.estimator.value() != taken
+    assert ctx.checkpoint["estimator"].value() == taken
 
 
 # ----------------------------------------------------------------------
