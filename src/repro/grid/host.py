@@ -50,17 +50,14 @@ class Host:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Host({self.name!r}, speed={self.speed}, site={self.site!r})"
 
-    def effective_speed(self, t: float) -> float:
-        """Work units per second actually available at time ``t``."""
-        return self.speed * self.trace.value(t)
-
     def duration_for_work(self, work: float, t0: float) -> float:
         """Virtual seconds to complete ``work`` units starting at ``t0``.
 
         Integrates the effective speed over the availability trace's
-        piecewise-constant segments, so the inversion is exact.  A
-        constant trace has one segment: the walk's first step, without
-        the trace calls.
+        piecewise-constant segments, so the inversion is exact: one
+        :meth:`~repro.grid.traces.AvailabilityTrace.segment` lookup per
+        step.  A constant trace has one segment: the walk's first step,
+        without the trace call.
         """
         if not work >= 0:  # check_non_negative, without the call
             raise ValueError(f"work must be >= 0, got {work!r}")
@@ -71,10 +68,11 @@ class Host:
             # The walk returns (t0 - t0) + work / rate: the same float.
             return work / (self.speed * trace.level)
         remaining = work
+        segment = trace.segment
         t = t0
         while True:
-            rate = self.effective_speed(t)
-            seg_end = self.trace.next_change(t)
+            level, seg_end = segment(t)
+            rate = self.speed * level
             if seg_end == float("inf"):
                 return (t - t0) + remaining / rate
             capacity = rate * (seg_end - t)

@@ -59,15 +59,8 @@ class Link:
         """Seconds to move ``nbytes`` across this link starting at ``t``."""
         if not nbytes >= 0:  # check_non_negative, without the call
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        lat_trace, bw_trace = self.latency_trace, self.bandwidth_trace
-        if (
-            lat_trace.__class__ is ConstantTrace
-            and bw_trace.__class__ is ConstantTrace
-        ):
-            # The same expression, without the trace calls.
-            return self.latency / lat_trace.level + nbytes / (
-                self.bandwidth * bw_trace.level
-            )
-        lat = self.latency / lat_trace.value(t)
-        rate = self.bandwidth * bw_trace.value(t)
-        return lat + nbytes / rate
+        lat, bw = self.latency_trace, self.bandwidth_trace
+        # A constant trace's level is read without the trace call.
+        lat = lat.level if lat.__class__ is ConstantTrace else lat.segment(t)[0]
+        bw = bw.level if bw.__class__ is ConstantTrace else bw.segment(t)[0]
+        return self.latency / lat + nbytes / (self.bandwidth * bw)

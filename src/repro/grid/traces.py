@@ -7,9 +7,16 @@ the fluctuating inter-site network.
 
 All traces are piecewise constant, which lets hosts invert
 work→duration exactly by walking segments (no numerical quadrature).
+One lookup, :meth:`AvailabilityTrace.segment`, answers "what is the
+availability at ``t``, and until when"; ``value`` is read off it.
 Stochastic traces draw from a seeded generator and extend themselves
 lazily, so a trace is a deterministic function of its seed regardless of
 query order (queries at time ``t`` force generation up to ``t``).
+:class:`MarkovTrace` keeps a cursor, the last segment a query landed in
+(``[start, end)`` and its level), and answers a query inside it without
+extending or searching.  Query order still does not matter: ``end`` is
+a drawn breakpoint past any ``t`` inside, so a hit skips no draw, and
+a miss extends and searches as a trace with no cursor would.
 """
 
 from __future__ import annotations
@@ -32,15 +39,13 @@ class AvailabilityTrace(ABC):
     """A piecewise-constant function ``t -> availability in (0, 1]``."""
 
     @abstractmethod
+    def segment(self, t: float) -> tuple[float, float]:
+        """Availability at time ``t``, and the first time strictly after
+        ``t`` at which it may change (``inf`` if constant from ``t`` on)."""
+
     def value(self, t: float) -> float:
         """Availability at time ``t``."""
-
-    @abstractmethod
-    def next_change(self, t: float) -> float:
-        """First time strictly after ``t`` at which the value may change.
-
-        Returns ``inf`` if the trace is constant from ``t`` on.
-        """
+        return self.segment(t)[0]
 
 
 class ConstantTrace(AvailabilityTrace):
@@ -49,11 +54,8 @@ class ConstantTrace(AvailabilityTrace):
     def __init__(self, level: float = 1.0) -> None:
         self.level = check_in_range("level", level, MIN_AVAILABILITY, 1.0)
 
-    def value(self, t: float) -> float:
-        return self.level
-
-    def next_change(self, t: float) -> float:
-        return float("inf")
+    def segment(self, t: float) -> tuple[float, float]:
+        return self.level, float("inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConstantTrace({self.level})"
@@ -90,6 +92,8 @@ class MarkovTrace(AvailabilityTrace):
         self.high = check_in_range("high", high, low, 1.0)
         self._times: list[float] = [0.0]
         self._levels: list[float] = [self._draw_level()]
+        # The cursor: [_start, _end) at _level, empty until a query at t >= 0.
+        self._start = self._end = self._level = 0.0
 
     def _draw_level(self) -> float:
         return float(self._rng.uniform(self.low, self.high))
@@ -102,13 +106,13 @@ class MarkovTrace(AvailabilityTrace):
             self._times.append(self._times[-1] + dwell)
             self._levels.append(self._draw_level())
 
-    def value(self, t: float) -> float:
+    def segment(self, t: float) -> tuple[float, float]:
+        if self._start <= t < self._end:
+            return self._level, self._end
         self._extend_to(t)
-        idx = bisect.bisect_right(self._times, t) - 1
-        return self._levels[max(idx, 0)]
-
-    def next_change(self, t: float) -> float:
-        self._extend_to(t)
-        idx = bisect.bisect_right(self._times, t)
-        # _extend_to guarantees self._times[-1] > t, so idx is in range.
-        return self._times[idx]
+        idx = bisect.bisect_right(self._times, t)  # in range: _times[-1] > t
+        if idx == 0:  # t < 0, before the first segment: not cached
+            return self._levels[0], self._times[0]
+        self._start, self._end = self._times[idx - 1], self._times[idx]
+        self._level = self._levels[idx - 1]
+        return self._level, self._end

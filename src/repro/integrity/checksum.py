@@ -128,6 +128,12 @@ def _walk(emit: Emit, obj: Any) -> None:
         raise TypeError(f"payload_checksum cannot fingerprint {cls.__name__!r}")
 
 
+#: The types ``_walk`` has a branch for, subclasses included: it raises on
+#: any other, so ``checkpoint_crc`` leaves such a value out without a walk.
+_WALKED = (type(None), bool, np.bool_, int, np.integer, float, np.floating, str,
+           bytes, np.ndarray, dict, list, tuple)
+
+
 def payload_checksum(payload: Any) -> int:
     """CRC32 fingerprint of an arbitrary message payload."""
     parts: list[bytes] = []
@@ -153,23 +159,24 @@ def checkpoint_crc(
     state_array`) — exactly the values in-memory corruption can poison.
     Stamp and verify must pass the same view or neither.
     """
-    # The walk is the one judge of what can be fingerprinted: a value it
-    # rejects, at any depth, is left out with its key, and the dict head
-    # counts the keys that stayed.
-    parts: list[bytes] = [b""]
-    emit = parts.append
-    kept = 0
-    for key in sorted(snapshot):
-        if key in ("crc", "state"):
+    # A value the walk rejects, at any depth, is left out with its key,
+    # and the dict head counts the keys that stayed: a value of a type the
+    # walk has no branch for is left out unwalked, a nested value (or a
+    # key that is no ``str``) is judged by a trial walk, and the fields
+    # kept are walked as one dict, in one frame.
+    fields = {}
+    for key, value in snapshot.items():
+        if key in ("crc", "state") or not isinstance(value, _WALKED):
             continue
-        mark = len(parts)
-        try:
-            _walk(emit, key)
-            _walk(emit, snapshot[key])
-            kept += 1
-        except TypeError:
-            del parts[mark:]
-    parts[0] = b"d%d" % kept
+        if type(key) is not str or isinstance(value, (dict, list, tuple)):
+            try:
+                _walk([].append, (key, value))
+            except TypeError:
+                continue
+        fields[key] = value
+    parts: list[bytes] = []
+    emit = parts.append
+    _walk(emit, fields)
     if state_array is not None:
         emit(b"S")
         _walk(emit, state_array)

@@ -14,7 +14,9 @@ in ``conftest.py``.
   factor and solve that ``BandedMatrix.lu_factor`` and
   ``BandedLU.solve`` reproduce bit for bit;
 * :func:`work_capacity` — the work a host completes in an interval,
-  the inverse :meth:`repro.grid.host.Host.duration_for_work` is held to;
+  the inverse :meth:`repro.grid.host.Host.duration_for_work` is held to,
+  and :func:`duration_for_work_reference`, the two-query walk it
+  reproduces bit for bit;
 * :class:`PiecewiseTrace` — an availability trace with scripted
   breakpoints, and :func:`mean_over`, a trace's time average;
 * :func:`fault_free_view` and :func:`balance` — a zoo policy driven
@@ -244,10 +246,33 @@ def work_capacity(host, t0: float, t1: float) -> float:
     total = 0.0
     t = t0
     while t < t1:
-        nxt = min(host.trace.next_change(t), t1)
-        total += host.effective_speed(t) * (nxt - t)
+        level, nxt = host.trace.segment(t)
+        nxt = min(nxt, t1)
+        total += host.speed * level * (nxt - t)
         t = nxt
     return total
+
+
+def duration_for_work_reference(host, work: float, t0: float) -> float:
+    """:meth:`repro.grid.host.Host.duration_for_work` as the walk was
+    first written: two trace queries per step, the availability at ``t``
+    and then the end of its segment, with the same arithmetic."""
+    if not work >= 0:
+        raise ValueError(f"work must be >= 0, got {work!r}")
+    if work == 0:
+        return 0.0
+    remaining = work
+    t = t0
+    while True:
+        rate = host.speed * host.trace.value(t)
+        seg_end = host.trace.segment(t)[1]
+        if seg_end == float("inf"):
+            return (t - t0) + remaining / rate
+        capacity = rate * (seg_end - t)
+        if capacity >= remaining:
+            return (t - t0) + remaining / rate
+        remaining -= capacity
+        t = seg_end
 
 
 # ----------------------------------------------------------------------
@@ -279,21 +304,16 @@ class PiecewiseTrace(AvailabilityTrace):
         self._times: list[float] = times_arr.tolist()
         self._levels: list[float] = np.asarray(levels, dtype=float).tolist()
 
-    def value(self, t: float) -> float:
-        idx = bisect.bisect_right(self._times, t) - 1
-        return self._levels[max(idx, 0)]
-
-    def next_change(self, t: float) -> float:
+    def segment(self, t: float) -> tuple[float, float]:
         idx = bisect.bisect_right(self._times, t)
-        if idx >= len(self._times):
-            return float("inf")
-        return self._times[idx]
+        end = self._times[idx] if idx < len(self._times) else float("inf")
+        return self._levels[max(idx - 1, 0)], end
 
 
 def mean_over(trace: AvailabilityTrace, t0: float, t1: float) -> float:
     """Time-average availability of ``trace`` over ``[t0, t1]``.
 
-    Raises ``RuntimeError`` if ``next_change`` fails its contract by not
+    Raises ``RuntimeError`` if ``segment`` fails its contract by not
     advancing past ``t`` — without the guard such a trace spins this
     loop forever instead of surfacing the defect.
     """
@@ -302,14 +322,15 @@ def mean_over(trace: AvailabilityTrace, t0: float, t1: float) -> float:
     total = 0.0
     t = t0
     while t < t1:
-        nxt = min(trace.next_change(t), t1)
+        level, nxt = trace.segment(t)
+        nxt = min(nxt, t1)
         if nxt <= t:
             raise RuntimeError(
-                f"{type(trace).__name__}.next_change({t!r}) returned "
-                f"{nxt!r}, which does not advance time; "
-                f"next_change must return a value strictly after t"
+                f"{type(trace).__name__}.segment({t!r}) ends at "
+                f"{nxt!r}, which does not advance time; a segment "
+                f"must end strictly after t"
             )
-        total += trace.value(t) * (nxt - t)
+        total += level * (nxt - t)
         t = nxt
     return total / (t1 - t0)
 

@@ -1,5 +1,6 @@
 """Tests for Host work/time conversion."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from repro.grid.host import Host
 from repro.grid.traces import ConstantTrace, MarkovTrace
 from repro.util.rng import spawn_generator
-from tests.oracles import PiecewiseTrace, work_capacity
+from tests.oracles import PiecewiseTrace, duration_for_work_reference, work_capacity
 
 
 def test_dedicated_host_duration_is_work_over_speed():
@@ -47,8 +48,8 @@ def test_duration_crosses_trace_segments():
 def test_effective_speed():
     trace = PiecewiseTrace([0.0, 10.0], [1.0, 0.25])
     h = Host("h", speed=200.0, trace=trace)
-    assert h.effective_speed(5.0) == 200.0
-    assert h.effective_speed(10.0) == 50.0
+    assert h.speed * h.trace.value(5.0) == 200.0
+    assert h.speed * h.trace.value(10.0) == 50.0
 
 
 def test_work_capacity_matches_duration_inverse_simple():
@@ -83,3 +84,40 @@ def test_work_capacity_empty_interval():
 def test_constant_trace_capacity():
     h = Host("h", speed=10.0, trace=ConstantTrace(0.5))
     assert work_capacity(h, 0.0, 10.0) == pytest.approx(50.0)
+
+
+def _walk_trace(kind, seed):
+    """A trace of short segments (a second or less at full speed, in
+    the main): a Markov trace, or 400 scripted breakpoints."""
+    if kind == "markov":
+        return MarkovTrace(spawn_generator(seed, "walk"), mean_dwell=0.5, low=0.1)
+    rng = np.random.default_rng(seed)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, 400))))
+    return PiecewiseTrace(times, rng.uniform(0.1, 1.0, times.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["markov", "piecewise"]),
+    seed=st.integers(0, 50),
+    speed=st.sampled_from([0.7, 1.0, 3.3, 123.0]),
+    work=st.one_of(st.floats(min_value=1e-3, max_value=5.0), st.floats(20.0, 60.0)),
+    start=st.floats(min_value=0.0, max_value=250.0),
+    on_breakpoint=st.booleans(),
+)
+def test_property_duration_walk_equals_the_two_query_reference(
+    kind, seed, speed, work, start, on_breakpoint
+):
+    """One segment lookup per step returns, bit for bit, what two queries
+    per step did: from a breakpoint or between two, into the endless last
+    segment of a scripted trace or not, and across 10+ segments when the
+    walk is 20+ seconds of full speed and ends before the last one."""
+    probe = _walk_trace(kind, seed)
+    t0 = min(probe.segment(start)[1], probe._times[-1]) if on_breakpoint else start
+    host = Host("h", speed=speed, trace=_walk_trace(kind, seed))
+    d = host.duration_for_work(work * speed, t0)
+    reference = Host("h", speed=speed, trace=_walk_trace(kind, seed))
+    assert d == duration_for_work_reference(reference, work * speed, t0)
+    if work >= 20.0 and t0 + d < host.trace._times[-1]:
+        crossed = [b for b in host.trace._times if t0 < b < t0 + d]
+        assert len(crossed) >= 10

@@ -21,7 +21,7 @@ def test_homogeneous_cluster_shape():
     assert all(h.speed == 500.0 for h in p.hosts)
     assert all(h.site == "cluster" for h in p.hosts)
     # Dedicated machines: availability is 1 everywhere.
-    assert all(h.effective_speed(123.0) == 500.0 for h in p.hosts)
+    assert all(h.speed * h.trace.value(123.0) == 500.0 for h in p.hosts)
 
 
 def test_homogeneous_cluster_unique_names_and_lookup():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.traces import MIN_AVAILABILITY, ConstantTrace, MarkovTrace
@@ -17,7 +17,7 @@ def test_constant_trace():
     t = ConstantTrace(0.5)
     assert t.value(0) == 0.5
     assert t.value(1e9) == 0.5
-    assert t.next_change(0) == float("inf")
+    assert t.segment(0) == (0.5, float("inf"))
     assert mean_over(t, 0, 10) == 0.5
 
 
@@ -34,9 +34,9 @@ def test_piecewise_values_and_changes():
     assert t.value(9.999) == 1.0
     assert t.value(10.0) == 0.5
     assert t.value(25.0) == 0.25
-    assert t.next_change(0) == 10.0
-    assert t.next_change(10.0) == 20.0
-    assert t.next_change(20.0) == float("inf")
+    assert t.segment(0) == (1.0, 10.0)
+    assert t.segment(10.0) == (0.5, 20.0)
+    assert t.segment(20.0) == (0.25, float("inf"))
 
 
 def test_piecewise_lookups_equal_the_ndarray_bisection_they_replaced():
@@ -57,9 +57,9 @@ def test_piecewise_lookups_equal_the_ndarray_bisection_they_replaced():
             idx = bisect.bisect_right(times, t)
             assert trace.value(t) == float(levels[max(idx - 1, 0)])
             want = float(times[idx]) if idx < times.size else math.inf
-            assert trace.next_change(t) == want
-            assert type(trace.value(t)) is type(trace.next_change(t)) is float
-    assert PiecewiseTrace([0, 2, 5], [1, 0.5, 1]).next_change(2) == 5.0
+            assert trace.segment(t)[1] == want
+            assert all(type(x) is float for x in trace.segment(t))
+    assert PiecewiseTrace([0, 2, 5], [1, 0.5, 1]).segment(2)[1] == 5.0
 
 
 def test_piecewise_mean_over():
@@ -107,7 +107,7 @@ def test_markov_next_change_is_strictly_after():
     t = MarkovTrace(spawn_generator(4, "load"), mean_dwell=2.0)
     x = 0.0
     for _ in range(50):
-        nxt = t.next_change(x)
+        nxt = t.segment(x)[1]
         assert nxt > x
         x = nxt
 
@@ -120,10 +120,46 @@ def test_property_markov_value_in_range(a, b):
 
 
 # ----------------------------------------------------------------------
-# mean_over progress guard (regression: non-advancing next_change)
+# MarkovTrace's cursor answers what a fresh trace does
+# ----------------------------------------------------------------------
+def _cursor_trace(seed):
+    return MarkovTrace(spawn_generator(seed, "cursor"), mean_dwell=4.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 30), data=st.data())
+def test_property_cursor_answers_equal_a_fresh_trace(seed, data):
+    """Whatever the order of the queries — repeats, exact breakpoints,
+    negative times, a far-future query before earlier ones — each answer
+    equals a fresh same-seed trace's asked only at that ``t``, and the
+    segments drawn equal those of a trace queried in increasing order."""
+    reference = _cursor_trace(seed)
+    reference.segment(200.0)
+    at = st.one_of(
+        st.floats(min_value=-20.0, max_value=200.0),
+        st.sampled_from(reference._times),
+        st.sampled_from([-0.0, 0.0, -1e-300, 5e-324]),
+    )
+    queries = data.draw(st.lists(at, min_size=1, max_size=30))
+    queries += data.draw(st.lists(st.sampled_from(queries), max_size=10))
+    if data.draw(st.booleans()):
+        queries.insert(0, data.draw(st.floats(min_value=300.0, max_value=1e3)))
+    trace = _cursor_trace(seed)
+    for t in queries:
+        assert trace.segment(t) == _cursor_trace(seed).segment(t)
+        assert trace.value(t) == _cursor_trace(seed).value(t)
+    ordered = _cursor_trace(seed)
+    for t in sorted(queries):
+        ordered.segment(t)
+    assert trace._times == ordered._times
+    assert trace._levels == ordered._levels
+
+
+# ----------------------------------------------------------------------
+# mean_over progress guard (regression: a segment that does not advance)
 # ----------------------------------------------------------------------
 class _StuckTrace(PiecewiseTrace):
-    """A trace whose next_change violates its contract by not advancing.
+    """A trace whose segment violates its contract by not advancing.
 
     Simulates the duplicate-breakpoint corruption that PiecewiseTrace's
     constructor normally rejects: before the progress guard, mean_over
@@ -134,10 +170,10 @@ class _StuckTrace(PiecewiseTrace):
         super().__init__([0.0, stuck_at], [1.0, 0.5])
         self._stuck_at = stuck_at
 
-    def next_change(self, t: float) -> float:
+    def segment(self, t: float) -> tuple[float, float]:
         if t >= self._stuck_at:
-            return self._stuck_at  # <= t: contract violation
-        return super().next_change(t)
+            return 0.5, self._stuck_at  # ends <= t: contract violation
+        return super().segment(t)
 
 
 def test_mean_over_raises_on_non_advancing_trace():
